@@ -1,17 +1,12 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test test-calendar test-slow lint fuzz bench bench-smoke bench-ab bench-baseline bench-compare bench-parallel net-smoke net-smoke-binary population-smoke sim-parallel mega profile experiments examples all clean
+.PHONY: install test test-slow lint fuzz bench bench-smoke bench-baseline bench-compare net-smoke net-smoke-binary population-smoke mega profile experiments examples all clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
 
 test:
 	PYTHONPATH=src python -m pytest -x -q
-
-# The same tier-1 suite with every Environment on the calendar queue;
-# behaviour (golden traces included) must be identical to the heap run.
-test-calendar:
-	REPRO_SCHEDULER=calendar PYTHONPATH=src python -m pytest -x -q
 
 test-slow:
 	PYTHONPATH=src python -m pytest -q -m slow
@@ -28,11 +23,6 @@ bench:
 
 bench-smoke:
 	PYTHONPATH=src python -m repro bench --quick
-
-# Both sides of the scheduler matrix on the scheduler-sensitive cells.
-bench-ab:
-	PYTHONPATH=src python -m repro bench scheduler_churn batched_fanout --repeats 5 --no-artifact
-	PYTHONPATH=src python -m repro bench scheduler_churn batched_fanout --repeats 5 --scheduler heap --no-artifact
 
 bench-baseline:
 	PYTHONPATH=src python -m repro bench --record --repeats 5 --no-artifact
@@ -70,17 +60,6 @@ net-smoke-binary:
 population-smoke:
 	PYTHONPATH=src python -m repro.experiments.cli mega --principals 100000 \
 		--duration 120 --check-invariants --budget 240
-
-# One mega run region-sharded across forked simulation workers
-# (K=4 manager groups as 4 region processes; byte-identical to K=1).
-sim-parallel:
-	PYTHONPATH=src python -m repro.experiments.cli mega --principals 100000 \
-		--duration 120 --sim-regions 4 --sim-jobs 4 --budget 600
-
-# The parallel-simulation gate cell: K=1 flat vs K=4 forked, counted
-# statistics asserted equal, null-message overhead in the meta.
-bench-parallel:
-	PYTHONPATH=src python -m repro bench cell_parallel_sim --repeats 3 --no-artifact
 
 # The full mega soak: 10^6 principals (minutes of wall-clock; run on a
 # quiet machine and watch peak RSS stay O(population)).

@@ -45,13 +45,12 @@ class BaselineSystem:
         keep_trace_log: bool = False,
         clock_b: float = 1.05,
         clock_drift: bool = True,
-        scheduler=None,
     ):
         if n_managers < 1:
             raise ValueError("need at least one manager")
         self.applications = tuple(applications)
         self.streams = RngStreams(seed)
-        self.env = Environment(scheduler=scheduler)
+        self.env = Environment()
         self.tracer = Tracer(self.env, keep_log=keep_trace_log)
         self.network = Network(
             self.env,

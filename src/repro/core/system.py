@@ -84,12 +84,6 @@ class AccessControlSystem:
         ``REPRO_CHECK_INVARIANTS=1`` (or the CLI's
         ``--check-invariants``) turns checking on for every system any
         experiment constructs.
-    scheduler:
-        Event-scheduler selection forwarded to
-        :class:`~repro.sim.engine.Environment` — a registry name
-        (``"heap"``/``"calendar"``), a
-        :class:`~repro.sim.scheduler.Scheduler` instance, or ``None``
-        to defer to ``REPRO_SCHEDULER`` and the default.
     shards:
         ``K`` — number of independent manager *groups*.  With the
         default ``K=1`` the system is the classic flat deployment
@@ -126,7 +120,6 @@ class AccessControlSystem:
         keep_trace_log: bool = False,
         recheck_on_delivery: bool = False,
         check_invariants: Optional[bool] = None,
-        scheduler=None,
         shards: int = 1,
         interner: Optional[Interner] = None,
     ):
@@ -143,7 +136,7 @@ class AccessControlSystem:
         self.applications = tuple(applications)
         self.interner = interner if interner is not None else Interner()
         self.streams = RngStreams(seed)
-        self.env = Environment(scheduler=scheduler)
+        self.env = Environment()
         self.tracer = Tracer(self.env, keep_log=keep_trace_log)
         self.network = Network(
             self.env,
@@ -323,23 +316,6 @@ class AccessControlSystem:
     def run(self, until: Optional[float] = None) -> None:
         """Advance the simulation."""
         self.env.run(until=until)
-
-    def run_partitioned(
-        self, plan=None, until: Optional[float] = None,
-        jobs: Optional[int] = 1,
-    ) -> dict:
-        """Advance via the region-sharded driver (see
-        :meth:`repro.sim.engine.Environment.run_partitioned`).
-
-        A system built by this class lives in one environment, so with
-        the default ``plan=None`` this is exactly :meth:`run` (the
-        K=1 contract); pass a bound
-        :class:`~repro.sim.regions.RegionPlan` that includes
-        ``self.env`` to take part in a multi-region deployment — the
-        region-native scenario layer is
-        :class:`~repro.workloads.regional.RegionalDeployment`.
-        """
-        return self.env.run_partitioned(plan, until=until, jobs=jobs)
 
     def seed_grant(
         self, application: str, user: str, right: Right = Right.USE

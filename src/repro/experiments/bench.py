@@ -24,24 +24,18 @@ minimum is the stable representative).
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import platform
 import random
 import statistics
 import time
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim.engine import Environment
 from ..sim.network import FixedLatency, Network
 from ..sim.node import Node
 from ..sim.partitions import ScriptedConnectivity
-from ..sim.scheduler import (
-    SCHEDULER_ENV_VAR,
-    available_schedulers,
-    make_scheduler,
-)
 from ..sim.trace import Tracer
 
 __all__ = [
@@ -58,22 +52,6 @@ BENCH_SCHEMA = "repro-bench-v1"
 
 #: Default allowed best-of-K slowdown versus the baseline (10%).
 DEFAULT_THRESHOLD = 0.10
-
-#: ``--scheduler`` A/B override.  ``None`` leaves every cell on its own
-#: default (existing cells: the environment default, i.e. the heap
-#: unless ``REPRO_SCHEDULER`` says otherwise; ``scheduler_churn``: the
-#: calendar queue, which is the point of the cell).
-BENCH_SCHEDULER: Optional[str] = None
-
-#: ``scheduler_churn`` population.  Deliberately *not* scaled by
-#: ``--quick``: the population (not the event count) sets the per-event
-#: cost, so holding it constant keeps quick per-op times comparable
-#: with a full-size baseline.  OUTSTANDING is the passive ballast of
-#: long lease/expiry timers; CHAINS is the number of fast re-arming
-#: retry/pacing chains doing the measured churn.
-CHURN_OUTSTANDING = 100_000
-CHURN_CHAINS = 5_000
-
 
 def format_seconds(seconds: float) -> str:
     """Human scale for per-op times spanning nanoseconds to seconds."""
@@ -364,105 +342,6 @@ def bench_timer_elision(races: int) -> Dict[str, Any]:
     }
 
 
-#: Sentinel carried in the event slot of the churn cell's guard
-#: entries — the scheduler-layer stand-in for a cancelled Timeout.
-_CHURN_DEAD = object()
-
-
-def bench_scheduler_churn(events: int) -> Dict[str, Any]:
-    """Timeout churn through the raw :class:`Scheduler` interface.
-
-    The million-principal sweep regime, measured at the scheduler layer
-    proper: a ~100k passive ballast of long-lived lease/expiry timers
-    (none pop inside the measured window) while 5k fast retry/pacing
-    chains churn short entries through the queue.  Every short push is
-    smaller than the entire ballast, so a binary heap sifts it up the
-    full ~log n depth and sifts another cache-cold path on every pop;
-    the calendar queue hashes it straight into a near-cursor bucket.
-    Every live pop re-arms itself and pushes a dead guard entry — the
-    dominant protocol shape (the response wins the response-or-timeout
-    race and the guard timer dies), mirroring the ~1:1 cancel-to-fire
-    ratio the elision cell observes — so half of all pops are dead and
-    discarded unprocessed, exactly like the engine's dead-pop elision.
-
-    The cell deliberately bypasses ``Environment``: the engine adds a
-    scheduler-independent ~2 µs/event of Timeout allocation, callback
-    dispatch, and run-loop bookkeeping that would dilute the scheduler
-    signal this cell gates on (engine-level integration is covered by
-    the protocol cells, ``batched_fanout``, and the tier-1 run under
-    ``REPRO_SCHEDULER=calendar``).  ``events`` counts *pops*; the
-    per-op figure is the marginal scheduler cost of one pop (+ one
-    amortised push) against a full queue, directly comparable between
-    ``--quick`` and full runs (the population is constant, only the
-    number of timed operations scales).
-
-    Defaults to the calendar queue — beating the committed heap
-    baseline on this cell is PR 6's acceptance gate; ``--scheduler
-    heap`` reproduces the baseline side of the A/B.
-
-    The collector is paused around the timed region (pytest-benchmark
-    style): with ~100k queued entries a gen-2 pass costs milliseconds,
-    and whether one lands inside the window would otherwise dominate
-    the scheduler signal this cell exists to measure.
-    """
-    import gc
-
-    scheduler = make_scheduler(BENCH_SCHEDULER or "calendar")
-    rng = random.Random(987654321)
-    table = [rng.uniform(0.25, 2.0) for _ in range(8192)]
-    eid = 0
-    for _ in range(CHURN_OUTSTANDING):
-        scheduler.push((rng.uniform(50.0, 150.0), eid, None))  # lease ballast
-        eid += 1
-    for i in range(CHURN_CHAINS):
-        scheduler.push((table[i & 8191], eid, None))  # fast chains
-        eid += 1
-    # Sanity: the fast cluster advances ~mean_delay/CHAINS per live pop,
-    # so the measured window never starts popping the lease ballast.
-    mean_delay = sum(table) / len(table)
-    assert 2.0 + (events / 2) * mean_delay / CHURN_CHAINS < 50.0, (
-        "ops budget would churn into the lease ballast"
-    )
-    pop = scheduler.pop
-    push = scheduler.push
-    dead = _CHURN_DEAD
-    fired = 0
-    dead_pops = 0
-    gc_was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        started = time.perf_counter()
-        for _ in range(events):
-            entry = pop()
-            if entry[2] is dead:
-                dead_pops += 1
-                continue
-            fired += 1
-            when = entry[0]
-            push((when + table[fired & 8191], eid, None))
-            eid += 1
-            push((when + table[(fired + 3) & 8191], eid, dead))
-            eid += 1
-        elapsed = time.perf_counter() - started
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    assert fired > 0, "churn loop fired no live entries"
-    assert dead_pops > 0, "churn produced no dead pops"
-    return {
-        "elapsed": elapsed,
-        "meta": {
-            "scheduler": scheduler.name,
-            "outstanding": CHURN_OUTSTANDING,
-            "chains": CHURN_CHAINS,
-            "nominal_events": events,
-            "events_fired": fired,
-            "dead_pops": dead_pops,
-        },
-    }
-
-
 def bench_batched_fanout(rounds: int) -> Dict[str, Any]:
     """Distinct-message fan-out: ``send_many`` batching one sender's
     per-destination payloads (the planner/freeze-ping shape) into a
@@ -484,84 +363,9 @@ def bench_batched_fanout(rounds: int) -> Dict[str, Any]:
     return {
         "elapsed": elapsed,
         "meta": {
-            "scheduler": env.scheduler_name,
             "rounds": rounds,
             "fanout": len(others),
             "delivered": delivered,
-        },
-    }
-
-
-def bench_cell_parallel_sim(repeats: int) -> Dict[str, Any]:
-    """Region-sharded mega cell: K=1 flat vs K=4 forked workers.
-
-    One wide-area scenario of four manager groups, run twice per
-    repeat: single-process (the K=1 zero-overhead contract) and
-    partitioned into four region processes synchronized by null
-    messages.  The gated time is the *forked* run — the configuration
-    the parallel engine exists for — so both a slower engine and a
-    lookahead/synchronization regression move the gate.  The meta
-    records the flat/forked speedup, the null-message overhead ratio
-    (``nulls_sent / real msgs`` — the conservative protocol's price,
-    which rises when lookahead shrinks), and the CPU budget the speedup
-    was measured under.  The ≥2.5x speedup target is asserted only when
-    at least 4 CPUs are actually available; the cross-mode equality of
-    every counted statistic is asserted unconditionally.
-    """
-    from ..runtime.pool import available_cpus
-    from ..runtime.regionpool import last_partitioned_mode
-    from ..workloads.regional import run_regional_cell
-
-    cell = dict(
-        n_principals=8_000, groups=4, n_managers=3, n_hosts=2,
-        duration=30.0, access_rate=24.0, remote_rate=4.0, update_rate=0.2,
-    )
-    flat_elapsed = 0.0
-    forked_elapsed = 0.0
-    nulls = 0
-    real = 0
-    attempts = 0
-    mode = None
-    for index in range(repeats):
-        started = time.perf_counter()
-        flat = run_regional_cell(regions=1, jobs=1, seed=11 + index, **cell)
-        flat_elapsed += time.perf_counter() - started
-        started = time.perf_counter()
-        forked = run_regional_cell(regions=4, jobs=4, seed=11 + index, **cell)
-        forked_elapsed += time.perf_counter() - started
-        mode = last_partitioned_mode()
-        assert forked["counts"] == flat["counts"], (
-            "partitioned counts diverged from the flat run:\n"
-            f"  flat:   {flat['counts']}\n  forked: {forked['counts']}"
-        )
-        for key in ("sent", "delivered", "dropped"):
-            assert forked["net"][key] == flat["net"][key], (
-                f"net.{key}: flat {flat['net'][key]} "
-                f"!= forked {forked['net'][key]}"
-            )
-        assert flat["violations"] == 0, flat
-        nulls += forked["nulls_sent"]
-        real += forked["net"]["sent"]
-        attempts += flat["counts"]["attempts"]
-    speedup = flat_elapsed / forked_elapsed if forked_elapsed else float("inf")
-    cpus = available_cpus()
-    if cpus >= 4 and mode == "forked":
-        assert speedup >= 2.5, (
-            f"K=4 speedup target missed on {cpus} CPUs: {speedup:.2f}x < 2.5x"
-        )
-    return {
-        "elapsed": forked_elapsed,
-        "meta": {
-            "repeats": repeats,
-            "groups": 4,
-            "regions": 4,
-            "mode": mode,
-            "cpus": cpus,
-            "attempts": attempts,
-            "speedup_vs_flat": round(speedup, 3),
-            "flat_seconds": round(flat_elapsed, 3),
-            "nulls_sent": nulls,
-            "nulls_per_real_msg": round(nulls / real, 4) if real else 0.0,
         },
     }
 
@@ -761,9 +565,7 @@ BENCHMARKS: Dict[str, Tuple[Callable[[int], Dict[str, Any]], int, int]] = {
     "cell_sharded": (bench_cell_sharded, 6, 2),
     "sweep_reduce": (bench_sweep_reduce, 64, 16),
     "timer_elision": (bench_timer_elision, 150_000, 30_000),
-    "scheduler_churn": (bench_scheduler_churn, 150_000, 25_000),
     "batched_fanout": (bench_batched_fanout, 8_000, 1_500),
-    "cell_parallel_sim": (bench_cell_parallel_sim, 3, 1),
     "wire_codec": (bench_wire_codec, 200_000, 30_000),
     "live_fanout": (bench_live_fanout, 20_000, 4_000),
 }
@@ -888,36 +690,6 @@ def compare_results(
     return lines, comparison
 
 
-@contextlib.contextmanager
-def _scheduler_override(name: Optional[str]) -> Iterator[None]:
-    """Apply a ``--scheduler`` A/B override for the duration of a block.
-
-    Sets both the module global (cells with their own default, e.g.
-    ``scheduler_churn``) and ``REPRO_SCHEDULER`` (cells that build a
-    default :class:`Environment`), and restores the previous state on
-    *any* exit — including KeyboardInterrupt or a failing cell — so an
-    interrupted bench can never leak the override into later runs in
-    the same process.  Every measurement, including the regression
-    re-measure retries, must happen inside this block.
-    """
-    global BENCH_SCHEDULER
-    if not name:
-        yield
-        return
-    saved_global = BENCH_SCHEDULER
-    saved_env = os.environ.get(SCHEDULER_ENV_VAR)
-    BENCH_SCHEDULER = name
-    os.environ[SCHEDULER_ENV_VAR] = name
-    try:
-        yield
-    finally:
-        BENCH_SCHEDULER = saved_global
-        if saved_env is None:
-            os.environ.pop(SCHEDULER_ENV_VAR, None)
-        else:
-            os.environ[SCHEDULER_ENV_VAR] = saved_env
-
-
 def next_trajectory_path(directory: str) -> str:
     """First free ``BENCH_<n>.json`` path under ``directory`` (n >= 1)."""
     n = 1
@@ -986,11 +758,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "coverage, then exit",
     )
     parser.add_argument(
-        "--scheduler", choices=available_schedulers(), default=None,
-        help="run every cell under this event scheduler (A/B matrix; "
-        "default: each cell's own default)",
-    )
-    parser.add_argument(
         "--record-missing", action="store_true",
         help="merge cells absent from the baseline into it (existing "
         "entries untouched); the gate still applies to cells already "
@@ -1030,63 +797,50 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         return 0
 
-    # Every measurement — the main suite AND the regression re-measure
-    # retries below — happens inside the override block, so retried
-    # cells run under the same scheduler their first sample did and an
-    # interrupted run cannot leak the override.
-    with _scheduler_override(args.scheduler):
-        from .cli import _profiled
+    from .cli import _profiled
 
-        with _profiled(args.profile, os.path.join(args.out, "repro-bench.prof")):
-            document = run_suite(
-                quick=args.quick, repeats=args.repeats, names=args.names or None
-            )
+    with _profiled(args.profile, os.path.join(args.out, "repro-bench.prof")):
+        document = run_suite(
+            quick=args.quick, repeats=args.repeats, names=args.names or None
+        )
 
-        current = {
-            name: entry["best"]
-            for name, entry in document["benchmarks"].items()
-        }
-        regressions: List[str] = []
-        lines: List[str] = []
-        comparison: Dict[str, Any] = {}
-        try:
-            baseline: Optional[Dict[str, float]] = load_medians(args.baseline)
-        except FileNotFoundError:
-            baseline = None
-        if baseline is not None:
-            lines, comparison = compare_results(
-                baseline, current, args.threshold
+    current = {
+        name: entry["best"]
+        for name, entry in document["benchmarks"].items()
+    }
+    regressions: List[str] = []
+    lines: List[str] = []
+    comparison: Dict[str, Any] = {}
+    try:
+        baseline: Optional[Dict[str, float]] = load_medians(args.baseline)
+    except FileNotFoundError:
+        baseline = None
+    if baseline is not None:
+        lines, comparison = compare_results(baseline, current, args.threshold)
+        regressions = comparison.pop("_regressions")
+        # A flagged benchmark gets re-measured: a slow sample can
+        # only be load, so the minimum over every attempt is the
+        # honest figure.
+        for attempt in range(args.retries):
+            if not regressions:
+                break
+            print(
+                f"\nre-measuring {', '.join(regressions)} "
+                f"(retry {attempt + 1}/{args.retries})"
             )
+            redo = run_suite(
+                quick=args.quick, repeats=args.repeats, names=regressions
+            )
+            for name, entry in redo["benchmarks"].items():
+                if entry["best"] < current[name]:
+                    current[name] = entry["best"]
+                    document["benchmarks"][name] = entry
+            lines, comparison = compare_results(baseline, current, args.threshold)
             regressions = comparison.pop("_regressions")
-            # A flagged benchmark gets re-measured: a slow sample can
-            # only be load, so the minimum over every attempt is the
-            # honest figure.
-            for attempt in range(args.retries):
-                if not regressions:
-                    break
-                print(
-                    f"\nre-measuring {', '.join(regressions)} "
-                    f"(retry {attempt + 1}/{args.retries})"
-                )
-                redo = run_suite(
-                    quick=args.quick, repeats=args.repeats, names=regressions
-                )
-                for name, entry in redo["benchmarks"].items():
-                    if entry["best"] < current[name]:
-                        current[name] = entry["best"]
-                        document["benchmarks"][name] = entry
-                lines, comparison = compare_results(
-                    baseline, current, args.threshold
-                )
-                regressions = comparison.pop("_regressions")
 
     for name, entry in document["benchmarks"].items():
         meta = entry.get("meta", {})
-        extras = "".join(
-            f", {key}={meta[key]}"
-            for key in ("scheduler", "dead_pops", "speedup_vs_flat", "mode")
-            if key in meta
-        )
+        extras = f", dead_pops={meta['dead_pops']}" if "dead_pops" in meta else ""
         print(
             f"{name}: best {format_seconds(entry['best'])}/op "
             f"(median {format_seconds(entry['median'])}/op, "

@@ -78,11 +78,6 @@ def _fuzz_main(argv: List[str]) -> int:
         help="worker processes (0 = all CPUs; results identical for any J)",
     )
     parser.add_argument(
-        "--sim-jobs", type=int, default=None, metavar="N",
-        help="region worker processes *within* each partitioned "
-        "simulation (sets REPRO_SIM_JOBS; 0 = all CPUs)",
-    )
-    parser.add_argument(
         "--schedule", metavar="FILE", default=None,
         help="replay one saved schedule JSON instead of deriving cells",
     )
@@ -101,7 +96,6 @@ def _fuzz_main(argv: List[str]) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 0:
         parser.error(f"--jobs must be >= 0 (0 = all CPUs), got {args.jobs}")
-    _apply_sim_jobs(args.sim_jobs, parser)
 
     from ..verify import Schedule, run_cell, run_fuzz
 
@@ -139,24 +133,6 @@ def _fuzz_main(argv: List[str]) -> int:
         print(f"  minimal schedule written to {path}")
     print(f"[fuzz completed in {elapsed:.2f}s]")
     return 0 if report.ok else 1
-
-
-def _apply_sim_jobs(
-    sim_jobs: Optional[int], parser: argparse.ArgumentParser
-) -> None:
-    """Publish ``--sim-jobs`` as the process-wide within-run default.
-
-    The environment variable (rather than a plumbed parameter) means
-    forked fuzz/experiment workers inherit it for the simulations they
-    build themselves.
-    """
-    if sim_jobs is None:
-        return
-    if sim_jobs < 0:
-        parser.error(
-            f"--sim-jobs must be >= 0 (0 = all CPUs), got {sim_jobs}"
-        )
-    os.environ["REPRO_SIM_JOBS"] = str(sim_jobs)
 
 
 def _accepts(experiment_id: str, parameter: str) -> bool:
@@ -216,14 +192,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(0 = all CPUs; results are identical for every N)",
     )
     parser.add_argument(
-        "--sim-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="region worker processes *within* each partitioned "
-        "simulation (sets REPRO_SIM_JOBS; 0 = all CPUs)",
-    )
-    parser.add_argument(
         "--check-invariants",
         action="store_true",
         help="attach the protocol invariant oracles to every system the "
@@ -243,7 +211,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(default: .)",
     )
     args = parser.parse_args(argv)
-    _apply_sim_jobs(args.sim_jobs, parser)
 
     if args.check_invariants:
         from ..verify import set_checking

@@ -225,7 +225,7 @@ def _canonicalise(
 
 
 # -- the sim leg ---------------------------------------------------------------
-def run_scenario_sim(scenario: Scenario, scheduler: Any = None) -> ScenarioOutcome:
+def run_scenario_sim(scenario: Scenario) -> ScenarioOutcome:
     """Execute ``scenario`` on the in-simulation backend."""
     connectivity = ScriptedConnectivity()
     system = AccessControlSystem(
@@ -238,7 +238,6 @@ def run_scenario_sim(scenario: Scenario, scheduler: Any = None) -> ScenarioOutco
         clock_drift=False,
         seed=scenario.seed,
         check_invariants=False,
-        scheduler=scheduler,
     )
     for user in scenario.seed_users:
         system.seed_grant(APPLICATION, user)

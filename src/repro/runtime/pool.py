@@ -48,7 +48,6 @@ from .seeds import trial_seed
 __all__ = [
     "available_cpus",
     "resolve_jobs",
-    "default_sim_jobs",
     "run_parallel",
     "run_trials",
     "run_replications",
@@ -76,27 +75,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     if jobs < 0:
         raise ValueError(f"jobs must be positive (or 0 for all CPUs), got {jobs}")
     return jobs
-
-
-def default_sim_jobs() -> int:
-    """Default worker count for *within-run* region parallelism.
-
-    Read from ``REPRO_SIM_JOBS`` (``0`` = all CPUs) so the ``--sim-jobs``
-    CLI flag can set a process-wide default that forked fuzz/experiment
-    workers inherit; falls back to 1 (the sequential engine).
-    """
-    raw = os.environ.get("REPRO_SIM_JOBS")
-    if raw is None:
-        return 1
-    try:
-        return resolve_jobs(int(raw))
-    except ValueError:
-        warnings.warn(
-            f"ignoring invalid REPRO_SIM_JOBS={raw!r}; using 1 job",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1
 
 
 def _fork_available() -> bool:

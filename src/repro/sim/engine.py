@@ -48,13 +48,10 @@ Example
 
 from __future__ import annotations
 
-import functools
-import heapq
 import itertools
 from collections.abc import Mapping
-from typing import Any, Callable, Generator, Iterable, Optional, Union
-
-from .scheduler import HeapScheduler, Scheduler, make_scheduler
+from heapq import heappop, heappush
+from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
     "Environment",
@@ -556,56 +553,30 @@ class Environment:
     ``elide_dead_timers=False`` to disable the whole mechanism, which
     the equivalence property test uses as its reference.
 
-    ``scheduler`` selects the pending-event queue implementation (see
-    :mod:`repro.sim.scheduler`): a registry name (``"heap"`` or
-    ``"calendar"``), a fresh :class:`~repro.sim.scheduler.Scheduler`
-    instance, or ``None`` to defer to the ``REPRO_SCHEDULER``
-    environment variable and then the heap default.  Every scheduler
-    honours the same ``(time, eid)`` total order, so the choice never
-    changes observable behaviour — only wall-clock.
+    The pending-event queue is one ``heapq`` list of ``(time, eid,
+    event)`` entries; ``eid`` increases with every insertion, so the
+    ``(time, eid)`` total order is the schedule.
     """
 
     def __init__(
         self,
         initial_time: float = 0.0,
         elide_dead_timers: bool = True,
-        scheduler: Union[None, str, Scheduler] = None,
     ):
         self._now = float(initial_time)
-        self._scheduler = make_scheduler(scheduler)
-        #: Registry name of the active scheduler ("heap", "calendar").
-        self.scheduler_name = self._scheduler.name
-        # The heap path keeps the pre-abstraction inlined hot loop; any
-        # other scheduler goes through the generic pop()/push() calls.
-        self._heap: Optional[list[tuple[float, int, Event]]] = (
-            self._scheduler._queue
-            if isinstance(self._scheduler, HeapScheduler)
-            else None
-        )
-        if self._heap is not None:
-            # C partial -> C heappush: the default path schedules with
-            # zero Python-level frames, exactly like the pre-abstraction
-            # inlined code.
-            self._push = functools.partial(heapq.heappush, self._heap)
-        else:
-            self._push = self._scheduler.push
+        #: The pending entries, a ``heapq`` list.  Read by tests and
+        #: introspection; only ``_schedule``/``step``/``run`` mutate it.
+        self._queue: list[tuple[float, int, Any]] = []
         self._eid = itertools.count()
         self._active = False
         self._elide = bool(elide_dead_timers)
         #: Number of dead (cancelled) entries popped unprocessed so far.
-        #: Counted in the run loop, so it is exact under every scheduler.
         self.dead_pops = 0
 
     @property
     def now(self) -> float:
         """Current simulated time."""
         return self._now
-
-    @property
-    def _queue(self) -> list[tuple[float, int, Event]]:
-        """The pending entries (live heap list for the heap scheduler,
-        an unordered snapshot otherwise).  Introspection/tests only."""
-        return self._scheduler.entries()
 
     # -- factory helpers ---------------------------------------------------
     def event(self) -> Event:
@@ -638,62 +609,12 @@ class Environment:
         # time and eid, but no caller ever varied it.)
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        self._push((self._now + delay, next(self._eid), event))
+        heappush(self._queue, (self._now + delay, next(self._eid), event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._scheduler.peek()
-
-    def schedule_external(self, time: float, eid: int, entry: Any) -> None:
-        """Queue ``entry`` under an externally-assigned ``(time, eid)``.
-
-        The region-sharding layer (:mod:`repro.sim.regions`) uses this
-        to inject cross-region envelopes under *canonical* negative
-        eids, so their position among same-timestamp local entries is a
-        pure function of ``(time, src_region, seq)`` — never of when
-        the envelope happened to arrive.  ``entry`` must be schedulable
-        (``_process`` + ``_cancelled``), like any queue event.
-        """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot inject at t={time} (now={self._now})"
-            )
-        self._push((time, eid, entry))
-
-    def run_partitioned(
-        self,
-        plan: Any = None,
-        until: Optional[float] = None,
-        jobs: Optional[int] = 1,
-    ) -> dict:
-        """Run a region-partitioned scenario (ROADMAP item 3's
-        conservative-synchronization option).
-
-        With no plan — or a single-region one — this *is* ``run``:
-        the ordinary single-process engine, zero overhead.  Otherwise
-        the plan must be bound to per-region environments
-        (:meth:`repro.sim.regions.RegionPlan.bind`, with this
-        environment one of them) and the partitioned driver takes over:
-        in-process coupled windows for ``jobs=1``, forked workers with
-        null-message synchronization for ``jobs>1``.  Returns the sync
-        stats document (``mode``/``envelopes``/``nulls_sent``/...).
-        """
-        if plan is None or plan.n_regions <= 1:
-            self.run(until=until)
-            return {"mode": "single", "jobs": 1, "envelopes": 0,
-                    "nulls_sent": 0, "windows": 0}
-        if plan.regions is None:
-            raise SimulationError(
-                "plan is not bound to regions (RegionPlan.bind)"
-            )
-        if all(region.env is not self for region in plan.regions):
-            raise SimulationError(
-                "this environment is not one of the plan's region "
-                "environments"
-            )
-        from ..runtime.regionpool import run_partitioned as _run
-
-        return _run(plan, until=until, jobs=jobs)
+        queue = self._queue
+        return queue[0][0] if queue else float("inf")
 
     def step(self) -> None:
         """Pop exactly one queue entry, advancing time to it.
@@ -702,10 +623,9 @@ class Environment:
         processed — identical observable behaviour, since a dead timer
         resumes nobody.
         """
-        entry = self._scheduler.pop()
-        if entry is None:
+        if not self._queue:
             raise SimulationError("no scheduled events")
-        when, _eid, event = entry
+        when, _eid, event = heappop(self._queue)
         self._now = when
         if event._cancelled:
             self.dead_pops += 1
@@ -729,48 +649,20 @@ class Environment:
                 )
             # Hot loop: ``step`` inlined with local bindings — per-event
             # method-call and attribute-lookup overhead dominates the
-            # protocol benchmarks otherwise.  The heap scheduler keeps
-            # the raw-list loop of the pre-abstraction engine; other
-            # schedulers go through their (None-on-empty) pop methods.
-            queue = self._heap
-            if queue is not None:
-                pop = heapq.heappop
-                if until is None:
-                    while queue:
-                        when, _eid, event = pop(queue)
-                        self._now = when
-                        if event._cancelled:
-                            self.dead_pops += 1
-                            continue
-                        event._process()
-                else:
-                    while queue and queue[0][0] <= until:
-                        when, _eid, event = pop(queue)
-                        self._now = when
-                        if event._cancelled:
-                            self.dead_pops += 1
-                            continue
-                        event._process()
-                    self._now = max(self._now, until)
-            elif until is None:
-                pop = self._scheduler.pop
-                while True:
-                    entry = pop()
-                    if entry is None:
-                        break
-                    when, _eid, event = entry
+            # protocol benchmarks otherwise.
+            queue = self._queue
+            pop = heappop
+            if until is None:
+                while queue:
+                    when, _eid, event = pop(queue)
                     self._now = when
                     if event._cancelled:
                         self.dead_pops += 1
                         continue
                     event._process()
             else:
-                pop_at_most = self._scheduler.pop_at_most
-                while True:
-                    entry = pop_at_most(until)
-                    if entry is None:
-                        break
-                    when, _eid, event = entry
+                while queue and queue[0][0] <= until:
+                    when, _eid, event = pop(queue)
                     self._now = when
                     if event._cancelled:
                         self.dead_pops += 1
@@ -781,7 +673,4 @@ class Environment:
             self._active = False
 
     def __repr__(self) -> str:
-        return (
-            f"<Environment t={self._now} queued={len(self._scheduler)} "
-            f"scheduler={self.scheduler_name}>"
-        )
+        return f"<Environment t={self._now} queued={len(self._queue)}>"

@@ -74,18 +74,6 @@ class LatencyModel:
         """
         return None
 
-    def min_delay(self) -> Optional[float]:
-        """A lower bound on any sampled latency, or ``None`` if the
-        model cannot promise one.
-
-        This is the *lookahead* of the conservative region-sharded
-        driver (:mod:`repro.sim.regions`): a region may safely run
-        ``min_delay`` ahead of the last timestamp its peers have
-        reached, because no message sent after that point can arrive
-        sooner.  Defaults to ``constant_delay()``.
-        """
-        return self.constant_delay()
-
 
 class FixedLatency(LatencyModel):
     """Constant latency; the default for deterministic unit tests."""
@@ -117,9 +105,6 @@ class UniformLatency(LatencyModel):
     def constant_delay(self) -> Optional[float]:
         return self.low if self.low == self.high else None
 
-    def min_delay(self) -> float:
-        return self.low
-
 
 class ShiftedExponentialLatency(LatencyModel):
     """``minimum + Exp(mean_extra)`` — a common WAN round-trip shape:
@@ -137,9 +122,6 @@ class ShiftedExponentialLatency(LatencyModel):
 
     def constant_delay(self) -> Optional[float]:
         return self.minimum if self.mean_extra == 0 else None
-
-    def min_delay(self) -> float:
-        return self.minimum
 
 
 class _Delivery:

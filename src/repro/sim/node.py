@@ -36,7 +36,6 @@ class Node:
         self.address: Address = address
         self.network: Optional["Network"] = None
         self.up: bool = True
-        self._processes: list[Process] = []
 
     # -- wiring --------------------------------------------------------------
     def attach(self, network: "Network") -> None:
@@ -52,9 +51,7 @@ class Node:
 
     def spawn(self, generator, name: Optional[str] = None) -> Process:
         """Start a background process owned by this node."""
-        process = self.env.process(generator, name=name or f"{self.address}/proc")
-        self._processes.append(process)
-        return process
+        return self.env.process(generator, name=name or f"{self.address}/proc")
 
     # -- messaging -------------------------------------------------------------
     def send(self, dst: Address, message: Any) -> None:

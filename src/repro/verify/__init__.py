@@ -29,7 +29,6 @@ from .invariants import (
     FreezeWindowInvariant,
     Invariant,
     InvariantChecker,
-    InvariantCounters,
     InvariantViolation,
     QuorumIntersectionInvariant,
     TeBoundInvariant,
@@ -47,7 +46,6 @@ from .fuzz import FuzzReport, FuzzResult, run_cell, run_fuzz, shrink_schedule
 __all__ = [
     "Invariant",
     "InvariantChecker",
-    "InvariantCounters",
     "InvariantViolation",
     "TeBoundInvariant",
     "FreezeWindowInvariant",

@@ -36,7 +36,6 @@ from ..sim.trace import TraceKind, TraceRecord
 __all__ = [
     "InvariantViolation",
     "InvariantChecker",
-    "InvariantCounters",
     "Invariant",
     "TeBoundInvariant",
     "FreezeWindowInvariant",
@@ -578,68 +577,6 @@ class ConvergenceInvariant(Invariant):
                         )
 
 
-class InvariantCounters:
-    """Mergeable summary of one checker's consumption and verdicts.
-
-    Implements the :class:`repro.metrics.streaming.Mergeable` contract
-    (associative ``merge`` returning a fresh instance, a new object as
-    identity), so per-region checkers running in separate subprocesses
-    can ship their counters across the process boundary and the parent
-    can fold them into exactly the totals a single sequential checker
-    would have produced — provided the per-region record streams
-    partition the sequential stream, which the region-sharded runner's
-    determinism contract guarantees.
-    """
-
-    __slots__ = ("records", "violations")
-
-    def __init__(
-        self,
-        records: Optional[Dict[str, int]] = None,
-        violations: Optional[Dict[str, int]] = None,
-    ):
-        #: Trace records consumed, by kind.
-        self.records: Dict[str, int] = dict(records or {})
-        #: Violations reported, by invariant name.
-        self.violations: Dict[str, int] = dict(violations or {})
-
-    def merge(self, other: "InvariantCounters") -> "InvariantCounters":
-        merged = InvariantCounters(self.records, self.violations)
-        for kind, count in other.records.items():
-            merged.records[kind] = merged.records.get(kind, 0) + count
-        for name, count in other.violations.items():
-            merged.violations[name] = merged.violations.get(name, 0) + count
-        return merged
-
-    @property
-    def total_records(self) -> int:
-        return sum(self.records.values())
-
-    @property
-    def total_violations(self) -> int:
-        return sum(self.violations.values())
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "records": dict(sorted(self.records.items())),
-            "violations": dict(sorted(self.violations.items())),
-        }
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, InvariantCounters):
-            return NotImplemented
-        return (
-            self.records == other.records
-            and self.violations == other.violations
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"<InvariantCounters records={self.total_records} "
-            f"violations={self.total_violations}>"
-        )
-
-
 class InvariantChecker:
     """Hub that subscribes the oracle library to a system's tracer.
 
@@ -674,28 +611,9 @@ class InvariantChecker:
             for kind in invariant.kinds():
                 self._handlers.setdefault(kind, []).append(invariant.on_record)
         self._seen_apps: set = set()
-        self._records_by_kind: Dict[str, int] = {}
         system.tracer.subscribe(tuple(self._handlers), self._on_record)
         for application in system.applications:
             self._run_static(application)
-
-    # -- out-of-band setup knowledge ---------------------------------------
-    def observe_seed_range(
-        self, application: str, prefix: str, below: int, time: float = 0.0
-    ) -> None:
-        """Pre-register a bulk threshold seed without a trace record.
-
-        Equivalent to having consumed a ``grant_seeded`` record with
-        ``seeded_below=below`` at ``time``.  The region-sharded runner
-        uses this to hand every region's checker the setup-time grant
-        knowledge for applications seeded in *other* regions — setup
-        state travels out of band, so remote ``access_allowed`` records
-        never trip the te_bound "never granted" check and the trace
-        streams stay identical to the single-process run.
-        """
-        for invariant in self.invariants:
-            if isinstance(invariant, TeBoundInvariant):
-                invariant._seed_ranges[application] = (prefix, below, time)
 
     # -- context the oracles need ------------------------------------------
     def policy(self, application: str) -> AccessPolicy:
@@ -724,8 +642,6 @@ class InvariantChecker:
 
     def _on_record(self, record: TraceRecord) -> None:
         self._recent.append(record)
-        kind = record.kind
-        self._records_by_kind[kind] = self._records_by_kind.get(kind, 0) + 1
         application = record.data.get("application")
         if application is not None and application not in self._seen_apps:
             self._run_static(application)
@@ -755,15 +671,6 @@ class InvariantChecker:
         for invariant in self.invariants:
             invariant.finalize()
         return list(self.violations)
-
-    def counters(self) -> InvariantCounters:
-        """This checker's mergeable record/verdict counters."""
-        violations: Dict[str, int] = {}
-        for violation in self.violations:
-            violations[violation.invariant] = (
-                violations.get(violation.invariant, 0) + 1
-            )
-        return InvariantCounters(dict(self._records_by_kind), violations)
 
     @property
     def ok(self) -> bool:

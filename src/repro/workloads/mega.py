@@ -273,53 +273,6 @@ def run_mega_cell(
     return document
 
 
-def _regional_main(args: Any) -> int:
-    """``repro-experiments mega --sim-regions K``: the region-sharded
-    variant of the cell (groups = shards, K region processes)."""
-    from .regional import run_regional_cell
-
-    document = run_regional_cell(
-        n_principals=args.principals,
-        groups=args.shards,
-        regions=min(args.sim_regions, args.shards),
-        jobs=args.sim_jobs,
-        n_managers=args.managers,
-        n_hosts=args.hosts,
-        duration=args.duration,
-        access_rate=args.rate,
-        update_rate=args.update_rate,
-        granted_fraction=args.granted_fraction,
-        zipf_s=args.zipf,
-        seed=args.seed,
-        check_invariants=args.check_invariants,
-    )
-    for key in (
-        "n_principals", "groups", "regions", "mode", "jobs", "envelopes",
-        "nulls_sent", "nulls_per_real_msg", "windows", "wall_seconds",
-    ):
-        print(f"{key}: {document[key]}")
-    print(f"counts: {document['counts']}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"result written to {args.json}")
-    if document["violations"]:
-        print("SECURITY VIOLATIONS OBSERVED", file=sys.stderr)
-        return 1
-    if document.get("invariant_violations"):
-        print("INVARIANT VIOLATIONS OBSERVED", file=sys.stderr)
-        return 1
-    if args.budget is not None and document["wall_seconds"] > args.budget:
-        print(
-            f"wall-clock budget exceeded: {document['wall_seconds']}s "
-            f"> {args.budget}s",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """The ``repro-experiments mega`` subcommand."""
     parser = argparse.ArgumentParser(
@@ -346,23 +299,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="disable the diurnal profile")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--check-invariants", action="store_true")
-    parser.add_argument("--sim-regions", type=int, default=1, metavar="K",
-                        help="partition the scenario into K region "
-                        "processes (runs the regional cell; results "
-                        "identical for any K)")
-    parser.add_argument("--sim-jobs", type=int, default=None, metavar="N",
-                        help="worker processes for --sim-regions "
-                        "(0 = all CPUs; default: REPRO_SIM_JOBS or 1)")
     parser.add_argument("--json", metavar="FILE", default=None,
                         help="also write the result document to FILE")
     parser.add_argument("--budget", type=float, default=None, metavar="SECONDS",
                         help="fail if wall-clock exceeds this (CI smoke gate)")
     args = parser.parse_args(argv)
-    if args.sim_regions < 1:
-        parser.error(f"--sim-regions must be >= 1, got {args.sim_regions}")
-
-    if args.sim_regions > 1:
-        return _regional_main(args)
 
     document = run_mega_cell(
         n_principals=args.principals,

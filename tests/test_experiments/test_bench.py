@@ -174,23 +174,6 @@ class TestNewCells:
         meta = document["benchmarks"]["timer_elision"]["meta"]
         assert meta["dead_pops"] == meta["races"] > 0
 
-    def test_scheduler_churn_defaults_to_calendar(self):
-        document = run_suite(quick=True, repeats=1, names=["scheduler_churn"])
-        meta = document["benchmarks"]["scheduler_churn"]["meta"]
-        assert meta["scheduler"] == "calendar"
-        assert meta["events_fired"] > 0
-        # Half the pops are dead guard entries (1:1 cancel-to-fire).
-        assert meta["dead_pops"] > 0
-        assert meta["events_fired"] + meta["dead_pops"] == meta["nominal_events"]
-
-    def test_scheduler_churn_ab_flag(self, monkeypatch):
-        import repro.experiments.bench as bench
-
-        monkeypatch.setattr(bench, "BENCH_SCHEDULER", "heap")
-        document = run_suite(quick=True, repeats=1, names=["scheduler_churn"])
-        meta = document["benchmarks"]["scheduler_churn"]["meta"]
-        assert meta["scheduler"] == "heap"
-
     def test_batched_fanout_meta(self):
         document = run_suite(quick=True, repeats=1, names=["batched_fanout"])
         meta = document["benchmarks"]["batched_fanout"]["meta"]
@@ -200,7 +183,7 @@ class TestNewCells:
         assert meta["delivered"] % meta["rounds"] == 0
 
 
-class TestSchedulerCli:
+class TestListAndRecordMissing:
     def test_list_prints_cells_and_coverage(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
         baseline.write_text(
@@ -219,31 +202,6 @@ class TestSchedulerCli:
         assert "MISSING" in out  # every cell but reachable is uncovered
         assert "--record-missing" in out  # the record-on-missing hint
 
-    def test_scheduler_flag_sets_and_restores_env(self, tmp_path, monkeypatch):
-        import os
-
-        from repro.experiments.bench import SCHEDULER_ENV_VAR
-
-        monkeypatch.delenv(SCHEDULER_ENV_VAR, raising=False)
-        rc = main(
-            [
-                "reachable",
-                "--quick",
-                "--repeats",
-                "1",
-                "--scheduler",
-                "calendar",
-                "--baseline",
-                str(tmp_path / "missing.json"),
-                "--record",
-                "--out",
-                str(tmp_path),
-                "--no-artifact",
-            ]
-        )
-        assert rc == 0
-        assert SCHEDULER_ENV_VAR not in os.environ  # restored afterwards
-
     def test_record_missing_merges_without_touching_existing(
         self, tmp_path, capsys
     ):
@@ -257,7 +215,7 @@ class TestSchedulerCli:
         rc = main(
             [
                 "reachable",
-                "scheduler_churn",
+                "timer_elision",
                 "--quick",
                 "--repeats",
                 "1",
@@ -277,8 +235,8 @@ class TestSchedulerCli:
         assert rc == 0
         document = json.loads(baseline.read_text())
         assert document["benchmarks"]["reachable"] == existing
-        assert "scheduler_churn" in document["benchmarks"]
-        assert document["benchmarks"]["scheduler_churn"]["best"] > 0
+        assert "timer_elision" in document["benchmarks"]
+        assert document["benchmarks"]["timer_elision"]["best"] > 0
 
 
 class TestRetryGate:
@@ -336,114 +294,3 @@ class TestRetryGate:
         )
         assert rc == 1
         assert "retry" not in capsys.readouterr().out
-
-
-class TestSchedulerOverrideCoversRetries:
-    """Pin the fix for the ``--scheduler`` leak: the override must hold
-    through the regression re-measure retries and be restored on every
-    exit path, including exceptions mid-measurement."""
-
-    def test_retry_measurements_see_the_override(self, tmp_path, monkeypatch):
-        import os
-
-        from repro.experiments import bench
-        from repro.experiments.bench import SCHEDULER_ENV_VAR
-
-        monkeypatch.setattr(bench, "BENCH_SCHEDULER", None)
-        monkeypatch.delenv(SCHEDULER_ENV_VAR, raising=False)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "schema": BENCH_SCHEMA,
-                    "benchmarks": {"reachable": {"median": 1e-9, "best": 1e-9}},
-                }
-            )
-        )
-        observed = []
-
-        def fake_run_suite(quick, repeats, names=None):
-            observed.append(
-                (bench.BENCH_SCHEDULER, os.environ.get(SCHEDULER_ENV_VAR))
-            )
-            return {
-                "schema": BENCH_SCHEMA,
-                "quick": quick,
-                "benchmarks": {
-                    "reachable": {
-                        "best": 1.0, "median": 1.0, "size": 1, "meta": {}
-                    }
-                },
-            }
-
-        monkeypatch.setattr(bench, "run_suite", fake_run_suite)
-        rc = bench.main(
-            [
-                "reachable",
-                "--quick",
-                "--repeats",
-                "1",
-                "--retries",
-                "2",
-                "--scheduler",
-                "heap",
-                "--baseline",
-                str(baseline),
-                "--no-artifact",
-            ]
-        )
-        assert rc == 1  # the impossible baseline still fails the gate
-        # Initial suite + both retry passes: every measurement ran with
-        # the override applied (previously retries ran after restore).
-        assert observed == [("heap", "heap")] * 3
-        assert bench.BENCH_SCHEDULER is None
-        assert SCHEDULER_ENV_VAR not in os.environ
-
-    def test_override_restores_on_exception(self, monkeypatch):
-        import os
-
-        from repro.experiments import bench
-        from repro.experiments.bench import (
-            SCHEDULER_ENV_VAR,
-            _scheduler_override,
-        )
-
-        monkeypatch.setattr(bench, "BENCH_SCHEDULER", None)
-        monkeypatch.setenv(SCHEDULER_ENV_VAR, "calendar")
-        with pytest.raises(KeyboardInterrupt):
-            with _scheduler_override("heap"):
-                assert bench.BENCH_SCHEDULER == "heap"
-                assert os.environ[SCHEDULER_ENV_VAR] == "heap"
-                raise KeyboardInterrupt
-        assert bench.BENCH_SCHEDULER is None
-        assert os.environ[SCHEDULER_ENV_VAR] == "calendar"
-
-    def test_no_override_is_a_noop(self, monkeypatch):
-        import os
-
-        from repro.experiments import bench
-        from repro.experiments.bench import (
-            SCHEDULER_ENV_VAR,
-            _scheduler_override,
-        )
-
-        monkeypatch.setattr(bench, "BENCH_SCHEDULER", None)
-        monkeypatch.delenv(SCHEDULER_ENV_VAR, raising=False)
-        with _scheduler_override(None):
-            assert bench.BENCH_SCHEDULER is None
-            assert SCHEDULER_ENV_VAR not in os.environ
-
-
-class TestParallelSimCell:
-    def test_meta_reports_speedup_and_null_overhead(self):
-        document = run_suite(
-            quick=True, repeats=1, names=["cell_parallel_sim"]
-        )
-        entry = document["benchmarks"]["cell_parallel_sim"]
-        assert entry["best"] > 0
-        meta = entry["meta"]
-        assert meta["regions"] == 4
-        assert meta["mode"] in ("forked", "coupled-fallback")
-        assert meta["speedup_vs_flat"] > 0
-        assert meta["nulls_sent"] > 0
-        assert 0 < meta["nulls_per_real_msg"] < 10

@@ -417,8 +417,8 @@ class TestMergeCounts:
 class TestAvailableCpus:
     """``available_cpus`` must reflect the CPUs this process may *use*
     (the affinity mask a cgroup-limited CI runner pins), not the host's
-    raw core count — otherwise ``--jobs 0``/``--sim-jobs 0`` defaults
-    oversubscribe the container."""
+    raw core count — otherwise the ``--jobs 0`` default oversubscribes
+    the container."""
 
     def test_respects_affinity_mask(self, monkeypatch):
         import os as os_module

@@ -613,3 +613,84 @@ class TestTimerElision:
         eids = [entry[1] for entry in env._queue]
         assert times == [1.0, 2.0]
         assert eids[0] < eids[1]  # scheduling order is the tie-break
+
+
+class TestEngineEdgeCases:
+    """Queue shapes that stress ordering around the run loop: same-tick
+    inserts during a drain, far-future timers, dead entries, and
+    ``run(until=...)`` horizons on an empty or partly drained queue."""
+
+    def test_zero_delay_self_reschedule(self, env):
+        fired = []
+
+        def spinner():
+            for step in range(5):
+                yield env.timeout(0.0)
+                fired.append((env.now, step))
+            yield env.timeout(1.0)
+            fired.append((env.now, "later"))
+
+        env.process(spinner())
+        env.run()
+        assert fired == [(0.0, 0), (0.0, 1), (0.0, 2), (0.0, 3), (0.0, 4),
+                         (1.0, "later")]
+
+    def test_far_future_timer(self, env):
+        fired = []
+
+        def program():
+            yield env.timeout(0.5)
+            fired.append(env.now)
+            yield env.timeout(1e7)
+            fired.append(env.now)
+            yield env.timeout(0.25)
+            fired.append(env.now)
+
+        env.process(program())
+        env.run()
+        assert fired == [0.5, 1e7 + 0.5, 1e7 + 0.75]
+
+    def test_cancel_then_reinsert_same_event(self, env):
+        log = []
+        # Cancelling a timer and scheduling a replacement at the same
+        # instant must not disturb ordering around the dead entry.
+        loser = env.timeout(2.0)
+        loser.cancel()
+        replacement = env.timeout(2.0, value="replacement")
+        replacement.add_callback(lambda event: log.append((env.now, event.value)))
+        env.timeout(3.0, value="after").add_callback(
+            lambda event: log.append((env.now, event.value))
+        )
+        env.run()
+        assert log == [(2.0, "replacement"), (3.0, "after")]
+        assert env.dead_pops == 1
+        assert env.now == 3.0
+
+    def test_empty_queue_run_until_terminates(self, env):
+        env.run(until=12.5)
+        assert env.now == 12.5
+        # And again: back-to-back horizons stay contiguous with nothing
+        # queued.
+        env.run(until=20.0)
+        assert env.now == 20.0
+
+    def test_run_until_then_drain(self, env):
+        fired = []
+        for delay in (1.0, 4.0, 9.0):
+            env.timeout(delay, value=delay).add_callback(
+                lambda event: fired.append(event.value)
+            )
+        env.run(until=5.0)
+        assert fired == [1.0, 4.0]
+        assert env.now == 5.0
+        env.run()
+        assert fired == [1.0, 4.0, 9.0]
+        assert env.now == 9.0
+
+    def test_dead_pops_counted(self, env):
+        for _ in range(10):
+            env.timeout(1.0).cancel()
+        env.timeout(2.0)
+        env.run()
+        assert env.dead_pops == 10
+        assert env.now == 2.0

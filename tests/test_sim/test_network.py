@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from typing import Any, List, Tuple
 
 import pytest
@@ -36,6 +38,26 @@ def pair(network):
     network.register(a)
     network.register(b)
     return a, b
+
+
+class TestSpawn:
+    def test_finished_process_is_collectable(self, env, network, pair):
+        # A long-lived node (a live host serves requests for hours) must
+        # not retain the processes it has finished running.
+        a, _b = pair
+
+        def request():
+            yield env.timeout(1.0)
+
+        # ``Process`` is slotted (no weakrefs); the generator it owns
+        # lives exactly as long as the process does.
+        generator = request()
+        ref = weakref.ref(generator)
+        a.spawn(generator)
+        del generator
+        env.run()
+        gc.collect()
+        assert ref() is None
 
 
 class TestDelivery:

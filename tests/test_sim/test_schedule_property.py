@@ -1,15 +1,14 @@
-"""Property test: the scheduler choice never changes observable behaviour.
+"""Property test: protocol-shaped schedules are one deterministic stream.
 
-The determinism contract (the module docstring of
-:mod:`repro.sim.scheduler`) says every scheduler delivers entries in
-exactly the same ``(time, eid)`` total order.  This test enforces it
-differentially: random protocol-shaped schedules — request/reply timer
-races (cancel churn), batched ``send_many`` multicast fan-outs,
-zero-delay self-reschedules, and far-future timers that exercise the
-calendar's overflow ladder — are run under the heap and calendar
-schedulers, with dead-timer elision both on and off, and every
-combination must produce the identical ``(time, actor, happening)``
-stream and final clock.
+The engine's contract is that entries run in exactly the ``(time,
+eid)`` total order, and that dead-timer elision never changes what is
+observed.  This test pins both differentially: random protocol-shaped
+schedules — request/reply timer races (cancel churn), batched
+``send_many`` multicast fan-outs, zero-delay self-reschedules, and
+far-future lease timers that usually die unobserved — are run with
+dead-timer elision on and off (``elide_dead_timers=False`` is the
+reference), and both runs must produce the identical ``(time, actor,
+happening)`` stream and final clock.
 """
 
 from __future__ import annotations
@@ -22,14 +21,14 @@ from repro.sim.network import FixedLatency, Network
 from repro.sim.node import Node
 
 # A tiny delay grid so simultaneous events (the eid tie-break path)
-# occur constantly; 0.0 exercises current-day inserts during a drain.
+# occur constantly; 0.0 exercises same-tick inserts during a drain.
 delays = st.sampled_from([0.0, 0.5, 1.0, 1.0, 1.5, 2.0])
 
 # One request/reply round per tuple: (reply_delay, timer_delay, pause).
 rounds = st.tuples(delays, delays, delays)
 
-# A host: start offset, its rounds, and a far-future lease delay that
-# lands in the calendar's overflow ladder (and usually gets cancelled).
+# A host: start offset, its rounds, and a far-future lease delay (the
+# lease usually gets cancelled).
 hosts = st.tuples(
     delays,
     st.lists(rounds, min_size=1, max_size=3),
@@ -48,9 +47,8 @@ class _Recorder(Node):
         self._log.append((self.env.now, self.address, src, message))
 
 
-def _run(schedule, scheduler, elide):
-    env = Environment(elide_dead_timers=elide, scheduler=scheduler)
-    assert env.scheduler_name == scheduler
+def _run(schedule, elide):
+    env = Environment(elide_dead_timers=elide)
     log = []
     network = Network(env, latency=FixedLatency(0.05))
     nodes = [_Recorder(address, log) for address in ADDRESSES]
@@ -58,9 +56,9 @@ def _run(schedule, scheduler, elide):
         network.register(node)
 
     def host(pid, start, ops, lease_delay):
-        # A far-future lease timer: lives in the overflow ladder.  When
-        # the host finishes its rounds first, the lease is cancelled —
-        # a dead entry popped (or elided) deep in the future.
+        # A far-future lease timer.  When the host finishes its rounds
+        # first, the lease is cancelled — a dead entry popped (or
+        # elided) deep in the future.
         lease = env.timeout(lease_delay)
         yield env.timeout(start)
         for op_index, (reply_delay, timer_delay, pause) in enumerate(ops):
@@ -84,8 +82,8 @@ def _run(schedule, scheduler, elide):
         lease.cancel()
 
     def spinner(pid, beats):
-        # Zero-delay self-reschedule: same-tick entries behind the
-        # cursor's current day.
+        # Zero-delay self-reschedule: same-tick entries queued while
+        # the tick is being drained.
         for beat in range(beats):
             yield env.timeout(0.0)
             log.append((env.now, pid, "spin", beat))
@@ -99,18 +97,11 @@ def _run(schedule, scheduler, elide):
 
 @given(st.lists(hosts, min_size=1, max_size=4))
 @settings(max_examples=40, deadline=None)
-def test_schedulers_produce_identical_schedules(schedule):
-    reference, now_reference, dead_reference = _run(schedule, "heap", True)
-    for scheduler, elide in (
-        ("calendar", True),
-        ("heap", False),
-        ("calendar", False),
-    ):
-        log, now, dead_pops = _run(schedule, scheduler, elide)
-        assert log == reference, (scheduler, elide)
-        assert now == now_reference, (scheduler, elide)
-        if elide:
-            # Both schedulers must elide the same entries.
-            assert dead_pops == dead_reference
-        else:
-            assert dead_pops == 0
+def test_elision_never_changes_the_schedule(schedule):
+    reference, now_reference, dead_reference = _run(schedule, elide=False)
+    log, now, dead_pops = _run(schedule, elide=True)
+    assert log == reference
+    assert now == now_reference
+    assert dead_reference == 0
+    # Every schedule cancels at least its leases or race losers.
+    assert dead_pops > 0

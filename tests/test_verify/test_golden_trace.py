@@ -79,27 +79,3 @@ class TestGoldenTraces:
         for path in GOLDEN:
             for record in load(path)["records"]:
                 assert record["kind"] in PROTOCOL_TRACE_KINDS
-
-
-class TestGoldenTracesUnderRunPartitioned:
-    """The K=1 contract of the region-sharded engine: routing a run
-    through ``run_partitioned`` with no plan must be the existing
-    engine, bit-for-bit — pinned against the same golden fixtures."""
-
-    @pytest.mark.parametrize(
-        "fixture", GOLDEN, ids=[path.stem for path in GOLDEN]
-    )
-    def test_replay_is_bit_identical(self, fixture, monkeypatch):
-        from repro.core.system import AccessControlSystem
-
-        def run_via_partitioned(self, until=None):
-            stats = self.run_partitioned(None, until=until, jobs=1)
-            assert stats["mode"] == "single"
-
-        monkeypatch.setattr(AccessControlSystem, "run", run_via_partitioned)
-        golden = load(fixture)
-        schedule = Schedule.from_dict(golden["schedule"])
-        result, records = run_cell_trace(schedule)
-        assert result.ok, result.violations
-        assert result.stats == golden["result_stats"]
-        assert records == golden["records"]
