@@ -108,10 +108,29 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class PrivateKey:
-    """RSA private key ``(n, d)``."""
+    """RSA private key ``(n, d)``, optionally with its CRT parameters.
+
+    :func:`generate_keypair` fills ``p, q, dp, dq, qinv`` (``dp = d mod
+    (p-1)``, ``dq = d mod (q-1)``, ``qinv = q^-1 mod p``), which lets
+    :meth:`power` use two half-size exponentiations; a key built as
+    ``PrivateKey(n, d)`` computes the same values the plain way.
+    """
 
     n: int
     d: int
+    p: Optional[int] = None
+    q: Optional[int] = None
+    dp: Optional[int] = None
+    dq: Optional[int] = None
+    qinv: Optional[int] = None
+
+    def power(self, m: int) -> int:
+        """``m ** d mod n`` — by the Chinese remainder theorem when possible."""
+        if self.p is None:
+            return pow(m, self.d, self.n)
+        m2 = pow(m, self.dq, self.q)
+        h = self.qinv * (pow(m, self.dp, self.p) - m2) % self.p
+        return m2 + h * self.q
 
 
 @dataclass(frozen=True)
@@ -147,4 +166,7 @@ def generate_keypair(
             d = _modinv(e, phi)
         except ValueError:
             continue
-        return KeyPair(public=PublicKey(n=n, e=e), private=PrivateKey(n=n, d=d))
+        private = PrivateKey(
+            n=n, d=d, p=p, q=q, dp=d % (p - 1), dq=d % (q - 1), qinv=_modinv(q, p)
+        )
+        return KeyPair(public=PublicKey(n=n, e=e), private=private)

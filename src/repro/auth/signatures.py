@@ -3,7 +3,9 @@
 Implements the paper's authentication assumption: every protocol
 message can carry a signature proving which principal sent it.  The
 scheme is SHA-256 -> integer -> RSA private-key exponentiation
-("textbook" RSA signatures, adequate for a simulation).
+("textbook" RSA signatures, adequate for a simulation; generated keys
+carry their CRT parameters, which halves the exponentiation's cost
+without changing a single signature value).
 
 Messages are serialised canonically (sorted-key ``repr`` of primitive
 structures) so signing is deterministic and independent of dict
@@ -73,7 +75,7 @@ class Signature:
 def sign(payload: Any, signer: str, key: PrivateKey) -> Signature:
     """Sign ``payload`` (the digest is reduced mod n)."""
     digest = message_digest(payload) % key.n
-    return Signature(signer=signer, value=pow(digest, key.d, key.n))
+    return Signature(signer=signer, value=key.power(digest))
 
 
 def verify(payload: Any, signature: Signature, key: PublicKey) -> bool:

@@ -377,7 +377,7 @@ def bench_wire_codec(messages: int) -> Dict[str, Any]:
     (the shape a live cell's links carry once warm, with dense ``u<i>``
     users) through both codecs, full encode+decode round trips, with
     the binary side using one warmed session dictionary pair — exactly
-    the per-connection state a negotiated ``_BinLink`` holds.  The
+    the per-connection state a negotiated binary link holds.  The
     gated elapsed is the *binary* leg; the JSON leg runs alongside so
     the meta carries the A/B.  Two in-cell gates pin the win itself:
     binary bytes must be at least 2.5x smaller and the binary round
@@ -462,7 +462,7 @@ def bench_live_fanout(messages: int) -> Dict[str, Any]:
     Two :class:`~repro.net.runtime.LiveRuntime` processes on localhost,
     binary codec negotiated: one pinger bursts pings at eight responder
     nodes sharing the far endpoint, and the cell times the wall clock
-    until every pong is back.  Each driver-pass flush coalesces the
+    until every pong is back.  Each runtime-pass flush coalesces the
     burst into HMAC'd multi-message segments, so this gates the whole
     live fast path — codec, interning dictionary, segment sealing,
     frame reader, and the flush bound — end to end.  The meta records

@@ -14,7 +14,7 @@ this package supplies the *socket* implementation of it:
 * :mod:`repro.net.session` — HMAC-SHA256 session authentication with
   replay-nonce and expiry windows (per the sidecar auth ADR);
 * :mod:`repro.net.tcp` — :class:`SocketTransport`, frames over asyncio
-  TCP streams;
+  TCP protocol callbacks;
 * :mod:`repro.net.runtime` — :class:`LiveRuntime`, the wall-clock
   driver that advances a node's private simulation environment in real
   time;

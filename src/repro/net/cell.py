@@ -202,11 +202,11 @@ class LiveCell:
         return self.runtimes[address]
 
     def call(self, address: str, fn: Callable[[], T]) -> "asyncio.Future[T]":
-        """Run ``fn()`` inside ``address``'s driver task; await the result.
+        """Run ``fn()`` inside a pass of ``address``'s runtime; await the result.
 
         This is how tests touch node state (issue an update, script a
         crash) without racing the protocol: everything that reads or
-        writes a node happens on its own driver.
+        writes a node happens in its own runtime's pass.
         """
         runtime = self.runtimes[address]
         assert runtime.loop is not None, "cell not started"

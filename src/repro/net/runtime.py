@@ -3,29 +3,36 @@
 The whole protocol layer is written as generator processes over the
 discrete-event :class:`~repro.sim.engine.Environment`.  Instead of
 porting that code to asyncio, a live endpoint keeps a *private*
-environment and advances it in real time: a driver task repeatedly
+environment and advances it in real time with one synchronous *pass*:
 
-1. runs callbacks handed in from other tasks (:meth:`call_soon`),
-2. delivers queued inbound messages (``handle_message`` executes the
+1. run callbacks handed in from outside (:meth:`call_soon`),
+2. deliver queued inbound messages (``handle_message`` executes the
    same protocol code the simulator runs),
-3. advances the environment to ``sim_target = elapsed_wall x
+3. advance the environment to ``sim_target = elapsed_wall x
    time_scale`` (firing due timers: retries, cache expiry, freeze
    pings),
-4. sleeps until the next scheduled timer or an inbound frame wakes it.
+4. flush the transport, so everything the pass produced is on the wire,
+
+repeated while steps 1-4 themselves queued more calls or messages.
+There is no driver task: a pass is a plain event-loop callback, entered
+from a socket's ``data_received`` once the chunk's frames are queued,
+from one ``loop.call_soon`` when :meth:`wake` is hit outside a pass, and
+from one ``loop.call_at`` timer kept at the environment's next event
+(at most :data:`_POLL_CAP` away, so an idle node's clock keeps up with
+wall time).  A pass is never re-entered, and it is the only place
+environment time advances, so protocol code never races.
 
 ``time_scale`` compresses simulated seconds into wall time, so a test
 cell with multi-second protocol timeouts settles in tens of
 milliseconds while real sockets stay in the loop.  One runtime hosts
-one or more nodes on one :class:`~repro.net.tcp.SocketTransport`; the
-driver task is the only place environment time advances, so protocol
-code never races.
+one or more nodes on one :class:`~repro.net.tcp.SocketTransport`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import math
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from ..sim.engine import Environment
@@ -35,9 +42,20 @@ from .tcp import LiveConnectivity, SocketTransport
 
 __all__ = ["LiveRuntime"]
 
-#: Wall-clock cap on one driver sleep — a safety valve so a missed wake
-#: (or an externally-mutated environment) is noticed promptly.
+#: Wall-clock cap on the gap between passes — keeps an idle node's
+#: ``env.now`` tracking wall time, and notices an externally-mutated
+#: environment promptly.
 _POLL_CAP = 0.05
+
+
+def _settle(future: "asyncio.Future[Any]", event: Any) -> None:
+    """Resolve ``future`` with a processed sim event's value or failure."""
+    if future.done():
+        return
+    if event.ok:
+        future.set_result(event.value)
+    else:
+        future.set_exception(event.value)
 
 
 class LiveRuntime:
@@ -69,26 +87,38 @@ class LiveRuntime:
         self.loop: Optional[asyncio.AbstractEventLoop] = None
         self._inbox: Deque[Tuple[str, str, Any]] = deque()
         self._calls: Deque[Callable[[], None]] = deque()
-        self._wake: Optional[asyncio.Event] = None
-        self._driver: Optional[asyncio.Task] = None
-        self._stopping = False
+        self._origin = 0.0  # loop time at which env.now was 0
+        self._running = False
+        self._pumping = False
+        self._soon: Optional[asyncio.Handle] = None
+        self._timer: Optional[asyncio.TimerHandle] = None
+        self._failure: Optional[Exception] = None
 
     # -- lifecycle -----------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> int:
-        """Bind the frame server, start the driver; returns the bound port."""
+        """Bind the frame server, start passes; returns the bound port."""
         self.loop = asyncio.get_running_loop()
-        self._wake = asyncio.Event()
         bound = await self.transport.start_server(host, port)
-        self._driver = self.loop.create_task(self._drive(), name="live-driver")
+        # Anchor wall time so sim time resumes from env.now (always 0 in
+        # practice, but harmless to honour).
+        self._origin = self.loop.time() - self.env.now / self.time_scale
+        self._running = True
+        self.wake()
         return bound
 
     async def stop(self) -> None:
-        self._stopping = True
-        self.wake()
-        if self._driver is not None:
-            await self._driver
-            self._driver = None
+        """Stop passes and close the transport; re-raises a failed pass."""
+        self._halt()
         await self.transport.close()
+        if self._failure is not None:
+            raise self._failure
+
+    def _halt(self) -> None:
+        self._running = False
+        for handle in (self._soon, self._timer):
+            if handle is not None:
+                handle.cancel()
+        self._soon = self._timer = None
 
     @property
     def port(self) -> Optional[int]:
@@ -101,41 +131,38 @@ class LiveRuntime:
     def set_peers(self, directory: Dict[str, Tuple[str, int]]) -> None:
         self.transport.set_peers(directory)
 
-    # -- cross-task entry points ----------------------------------------------
+    # -- entry points from outside a pass --------------------------------------
     def deliver(self, src: str, dst: str, message: Any) -> None:
         """Queue an inbound message for asynchronous delivery."""
         self._inbox.append((src, dst, message))
         self.wake()
 
     def call_soon(self, fn: Callable[[], None]) -> None:
-        """Run ``fn()`` inside the driver task before the next advance."""
+        """Run ``fn()`` inside a pass, before the next advance."""
         self._calls.append(fn)
         self.wake()
 
     def wake(self) -> None:
-        if self._wake is not None:
-            self._wake.set()
+        """Make sure a pass follows.
+
+        Inside a pass this is a no-op: the pass re-checks both queues,
+        flushes and re-arms its timer before it returns.
+        """
+        if self._running and not self._pumping and self._soon is None:
+            assert self.loop is not None
+            self._soon = self.loop.call_soon(self._on_soon)
 
     def when(self, event: Any) -> "asyncio.Future[Any]":
         """An asyncio future resolved when a sim event is processed.
 
         Works for any :class:`~repro.sim.engine.Event`, including
         :class:`~repro.sim.engine.Process` completion.  The callback
-        runs inside the driver task; the future resolves with the
-        event's value (or its exception, if the event failed).
+        runs inside a pass; the future resolves with the event's value
+        (or its exception, if the event failed).
         """
         assert self.loop is not None, "runtime not started"
         future: "asyncio.Future[Any]" = self.loop.create_future()
-
-        def _resolve(ev: Any) -> None:
-            if future.done():
-                return
-            if ev.ok:
-                future.set_result(ev.value)
-            else:
-                future.set_exception(ev.value)
-
-        self.call_soon(lambda: event.add_callback(_resolve))
+        self.call_soon(lambda: event.add_callback(partial(_settle, future)))
         return future
 
     def run_process(self, generator: Any, name: Optional[str] = None) -> "asyncio.Future[Any]":
@@ -145,16 +172,7 @@ class LiveRuntime:
 
         def _start() -> None:
             process = self.env.process(generator, name=name or "live-call")
-
-            def _resolve(ev: Any) -> None:
-                if future.done():
-                    return
-                if ev.ok:
-                    future.set_result(ev.value)
-                else:
-                    future.set_exception(ev.value)
-
-            process.add_callback(_resolve)
+            process.add_callback(partial(_settle, future))
 
         self.call_soon(_start)
         return future
@@ -162,40 +180,75 @@ class LiveRuntime:
     async def wait_until(self, sim_target: float, poll: float = 0.005) -> None:
         """Block until this runtime's environment reaches ``sim_target``."""
         while self.env.now < sim_target:
+            if self._failure is not None:
+                raise self._failure
             await asyncio.sleep(poll)
 
-    # -- the driver ------------------------------------------------------------
-    async def _drive(self) -> None:
-        assert self.loop is not None and self._wake is not None
-        # Anchor wall time so sim time resumes from env.now (always 0 in
-        # practice, but harmless to honour).
-        origin = self.loop.time() - self.env.now / self.time_scale
-        while not self._stopping:
-            while self._calls:
-                self._calls.popleft()()
-            while self._inbox:
-                src, dst, message = self._inbox.popleft()
-                self.transport._deliver_now(src, dst, message)
-            target = (self.loop.time() - origin) * self.time_scale
-            # Advance through due timers; also flushes zero-delay events
-            # scheduled by the deliveries above when the clock has not
-            # moved (run(until=now) processes this instant's queue).
-            self.env.run(until=max(self.env.now, target))
-            # The explicit flush bound for the coalescing send path:
-            # everything this pass produced goes to the wire before the
-            # driver considers sleeping, so batching never adds latency
-            # beyond the driver iteration that produced the messages.
-            self.transport.flush()
-            if self._calls or self._inbox or self._stopping:
-                continue
-            next_at = self.env.peek()
-            sim_now = (self.loop.time() - origin) * self.time_scale
-            if math.isinf(next_at):
-                delay = _POLL_CAP
-            else:
-                delay = min(max((next_at - sim_now) / self.time_scale, 0.0), _POLL_CAP)
-            try:
-                await asyncio.wait_for(self._wake.wait(), timeout=max(delay, 0.0005))
-            except asyncio.TimeoutError:
-                pass
-            self._wake.clear()
+    # -- the pass ----------------------------------------------------------------
+    def pump(self, intake: Optional[Callable[[Any], None]] = None, chunk: Any = None) -> None:
+        """Run passes until both queues are empty, then re-arm the timer.
+
+        ``intake(chunk)`` is a socket handing over the bytes it just
+        read: it runs first, under the same guard, so the messages it
+        hands to :meth:`deliver` are handled by this very pass instead of
+        scheduling another.  An exception from protocol code stops the
+        runtime (:meth:`stop` re-raises it) rather than escaping into
+        the event loop, which would close the connection that happened
+        to carry the frame.
+        """
+        if self._pumping or not self._running:
+            return
+        assert self.loop is not None
+        if self._soon is not None:
+            self._soon.cancel()
+            self._soon = None
+        self._pumping = True
+        try:
+            if intake is not None:
+                intake(chunk)
+            calls, inbox = self._calls, self._inbox
+            while True:
+                while calls:
+                    calls.popleft()()
+                while inbox:
+                    src, dst, message = inbox.popleft()
+                    self.transport._deliver_now(src, dst, message)
+                target = (self.loop.time() - self._origin) * self.time_scale
+                # Advance through due timers; also flushes zero-delay events
+                # scheduled by the deliveries above when the clock has not
+                # moved (run(until=now) processes this instant's queue).
+                self.env.run(until=max(self.env.now, target))
+                # The flush bound of the coalescing send path: everything
+                # this pass produced goes to the wire before it returns.
+                self.transport.flush()
+                if not calls and not inbox:
+                    break
+        except Exception as exc:
+            self._failure = exc
+            self._halt()
+            return
+        finally:
+            self._pumping = False
+        self._arm()
+
+    def _arm(self) -> None:
+        """Keep one timer at the next sim event, at most _POLL_CAP away."""
+        assert self.loop is not None
+        # peek() is inf on an empty queue, which leaves the cap.
+        due = min(
+            self.loop.time() + _POLL_CAP, self._origin + self.env.peek() / self.time_scale
+        )
+        timer = self._timer
+        if timer is not None:
+            if timer.when() <= due:
+                return  # fires early at worst; that pass re-arms
+            timer.cancel()
+        self._timer = self.loop.call_at(due, self._on_timer)
+
+    def _on_timer(self) -> None:
+        self._timer = None
+        self.pump()
+
+    def _on_soon(self) -> None:
+        self._soon = None
+        self.pump()

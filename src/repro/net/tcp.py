@@ -21,23 +21,34 @@ where the kind byte selects one of four frame flavours:
     encoded by the connection's :class:`~repro.net.codec_bin.BinaryEncoder`.
 
 Topology: every long-lived cell node runs a frame server; for each
-known peer a lazily-connected outbound link (an ``asyncio.Queue``
-drained by a writer task) carries this endpoint's frames.  Links are
-full-duplex — replies may come back on the same connection — and
-inbound connections from addresses *not* in the peer directory (e.g.
-transient ``repro load`` clients, which run no server) are remembered
-as *return routes* so responses to them travel back over the
-connection they arrived on.
+known peer *endpoint* a lazily-connected outbound :class:`_Link`
+carries this endpoint's batches.  Links are full-duplex — replies may
+come back on the same connection — and inbound connections from
+addresses *not* in the peer directory (e.g. transient ``repro load``
+clients, which run no server) are remembered as *return routes* so
+responses to them travel back over the connection they arrived on.
+One link class serves both directions and both codecs, and it is the
+connection's :class:`asyncio.Protocol`: no task, future or queue sits
+on the per-message path.  Inbound, the selector's read callback runs
+``data_received`` → :meth:`FrameReader.feed` → MAC check → decode →
+``runtime.deliver`` and then the runtime's pass, all in that one
+callback; outbound, :meth:`SocketTransport.flush` — called once per
+pass, so latency never regresses past the pass that produced the
+messages — hands each link its batch, which a ready link encodes,
+seals and writes inline.  Only connecting and the hello/ack
+handshake run as a (short-lived) task.  A peer that stops reading
+makes asyncio call ``pause_writing``; from then on batches park in the
+link's bounded backlog and overflow is dropped and counted, in either
+direction.
 
 Codec state is scoped to one TCP connection per direction: the
 interning dictionaries of a :class:`BinaryEncoder`/``BinaryDecoder``
 pair stay consistent because TCP delivers that connection's frames in
 order, and any divergence (a :class:`DictionaryError`, which can only
 mean a bug or an attack) closes the connection so the automatic
-reconnect resets both sides.  A binary-preferring transport buffers
-``send``s per destination and :meth:`SocketTransport.flush` — called
-once per driver pass, so latency never regresses past one scheduling
-quantum — packs them into per-endpoint segments.
+reconnect resets both sides.  A binary link packs a batch into one
+segment; a JSON link (the transport prefers JSON, or the server
+declined binary) writes one ``J`` frame per message.
 
 Failure semantics mirror the sim :class:`~repro.sim.network.Network`:
 ``send`` is synchronous fire-and-forget; connection failures, unknown
@@ -51,7 +62,8 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..sim.trace import TraceKind
 from .codec import CodecError, FrameError, FrameReader, decode_message, encode_frame, encode_message
@@ -61,7 +73,8 @@ from .transport import Address, Transport
 
 __all__ = ["SocketTransport", "LiveConnectivity", "CODECS"]
 
-#: Bound on queued outbound frames/batches per peer before sends drop.
+#: Bound on batches parked on one link (connecting, negotiating, or the
+#: peer not reading) before further batches drop.
 _LINK_QUEUE_LIMIT = 4096
 
 #: Codec names a transport can negotiate.  ``json`` is the floor and is
@@ -70,13 +83,16 @@ _LINK_QUEUE_LIMIT = 4096
 CODECS = ("json", "binary")
 
 #: Pending sends per transport that force an early flush mid-pass, so a
-#: pathological burst inside one driver iteration cannot buffer
+#: pathological burst inside one runtime pass cannot buffer
 #: unboundedly before hitting the wire.
 _FLUSH_LIMIT = 128
 
 #: Wall-clock bound on a codec handshake before the link downgrades to
 #: JSON (covers pre-kind-byte servers that never answer a hello).
 _HELLO_TIMEOUT = 5.0
+
+#: One flush's worth of ``(src, dst, message)`` for one link.
+_Batch = List[Tuple[Address, Address, Any]]
 
 _KIND_JSON = 0x4A     # 'J'
 _KIND_HELLO = 0x48    # 'H'
@@ -124,249 +140,404 @@ class LiveConnectivity:
         self._blocked.clear()
 
 
-class _ConnState:
-    """Per-connection codec state for one inbound stream direction.
+class _Link(asyncio.Protocol):
+    """One TCP connection's wire state, in either direction.
 
-    ``decoder`` is set once this side has agreed to *receive* binary on
-    the connection (server: at hello accept; client: at ack accept);
-    ``encoder``/``reply_label``/``peer_name`` are the server-side state
-    for sending binary *reply* segments back down the same connection
-    to a transient client.
+    An *outbound* link (``endpoint`` set) belongs to one ``(host,
+    port)`` — so a fan-out to many nodes of one remote runtime shares a
+    connection and, in binary, a segment — connects lazily on its first
+    batch and reconnects on the next one after a loss.  An *accepted*
+    link (``endpoint`` None) lives as long as its connection and
+    carries replies to senders that have no server of their own.  The
+    link is the connection's :class:`asyncio.Protocol`: the selector
+    hands it bytes, it deframes, authenticates, decodes and queues the
+    messages on the runtime, and the runtime's pass runs before
+    ``data_received`` returns.
+
+    Batches of ``(src, dst, message)`` are encoded *at write time*,
+    after the handshake has picked this connection's codec and created
+    its fresh :class:`BinaryEncoder` — whatever bytes reach the wire
+    were produced by the encoder whose state the peer's decoder
+    mirrors.  A ready link writes a batch inline; while it is
+    connecting, negotiating, or told to ``pause_writing`` (the peer is
+    not reading), batches park in ``backlog`` — at most
+    :data:`_LINK_QUEUE_LIMIT`, beyond which they are dropped and
+    counted — and drain in order afterwards.
     """
 
-    __slots__ = ("writer", "decoder", "encoder", "reply_label", "peer_name")
+    def __init__(
+        self, owner: "SocketTransport", endpoint: Optional[Tuple[str, int]] = None
+    ) -> None:
+        self.owner = owner
+        self.endpoint = endpoint
+        #: The session name the far end of an outbound link is sealed to.
+        self.label = f"{endpoint[0]}:{endpoint[1]}" if endpoint else ""
+        self.sock: Optional[asyncio.Transport] = None
+        self.ready = False    # connected, negotiated, not closing
+        self.paused = False
+        self.closed = False   # shut down for good by the owner
+        self.backlog: Deque[_Batch] = deque()
+        self.routed: Set[Address] = set()  # return routes pointing here
+        self._task: Optional["asyncio.Task[None]"] = None
+        self._ack: Optional["asyncio.Future[str]"] = None
+        self._reset()
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
+    def _reset(self) -> None:
+        """Fresh per-connection state: framing, codec, dictionaries."""
+        self.frames = FrameReader()
+        #: Set once the handshake agreed to send / receive binary here; a
+        #: link without an encoder sends J frames, which need no hello.
+        self.encoder: Optional[BinaryEncoder] = None
         self.decoder: Optional[BinaryDecoder] = None
-        self.encoder: Optional[BinaryEncoder] = None
-        self.reply_label: Optional[str] = None
-        self.peer_name: Optional[str] = None
+        #: (local, remote) session names segments on this link are sealed under.
+        self.names: Tuple[str, str] = ("", "")
 
+    # -- outbound -----------------------------------------------------------------
+    def submit(self, batch: _Batch) -> None:
+        """Ship one flushed batch: now if the link is clear, else in order."""
+        if self.ready and not self.paused and not self.backlog:
+            self._write(batch)
+        elif self.closed or (self.endpoint is None and self.sock is None):
+            self._drop(batch, "connection lost" if self.endpoint else "return route lost")
+        elif len(self.backlog) >= _LINK_QUEUE_LIMIT:
+            self._drop(batch, "link queue full")
+        else:
+            self.backlog.append(batch)
+            self._connect_if_idle()
 
-class _PeerLink:
-    """Lazily-connected outbound connection to one peer address (JSON)."""
-
-    def __init__(self, transport: "SocketTransport", address: Address, host: str, port: int):
-        self._transport = transport
-        self.address = address
-        self.host = host
-        self.port = port
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=_LINK_QUEUE_LIMIT)
-        self.task = asyncio.get_running_loop().create_task(
-            self._run(), name=f"link:{address}"
-        )
-
-    def enqueue(self, frame: bytes) -> bool:
-        try:
-            self.queue.put_nowait(frame)
-            return True
-        except asyncio.QueueFull:
-            return False
-
-    async def _run(self) -> None:
-        writer: Optional[asyncio.StreamWriter] = None
-        try:
-            while True:
-                frame = await self.queue.get()
-                if frame is None:
-                    break
-                if writer is None or writer.is_closing():
-                    writer = await self._connect()
-                    if writer is None:
-                        # Connection refused after retries: the frame is
-                        # lost, like a message into a dead partition.
-                        self._transport._count_drop(self.address, "connect failed")
-                        continue
-                try:
-                    writer.write(frame)
-                    await writer.drain()
-                    self._transport._wire_wrote(len(frame))
-                except (ConnectionError, OSError):
-                    self._transport._count_drop(self.address, "connection lost")
-                    writer = None
-        finally:
-            if writer is not None and not writer.is_closing():
-                writer.close()
-
-    async def _connect(self) -> Optional[asyncio.StreamWriter]:
-        backoff = self._transport.connect_backoff
-        for attempt in range(self._transport.connect_retries):
-            try:
-                reader, writer = await asyncio.open_connection(self.host, self.port)
-            except OSError:
-                await asyncio.sleep(backoff * (attempt + 1))
-                continue
-            # Full duplex: replies may come back on this connection.
-            asyncio.get_running_loop().create_task(
-                self._transport._read_stream(reader, writer, close_on_exit=False),
-                name=f"link-read:{self.address}",
+    def _connect_if_idle(self) -> None:
+        if self.sock is None and self._task is None and self.endpoint and not self.closed:
+            self._task = asyncio.get_running_loop().create_task(
+                self._connect(), name=f"link-connect:{self.label}"
             )
-            return writer
-        return None
 
-    async def close(self) -> None:
-        await self.queue.put(None)
-        await self.task
-
-
-class _BinLink:
-    """Outbound link to one *endpoint*, negotiated at connect time.
-
-    Where :class:`_PeerLink` queues ready-made frames for one address,
-    a binary link queues whole batches of ``(src, dst, message)``
-    triples for one ``(host, port)`` endpoint — so a fan-out to many
-    nodes of one remote runtime coalesces into a single segment — and
-    encodes *at write time*, after the handshake has picked the codec
-    and created this connection's fresh :class:`BinaryEncoder`.
-    Encoding at write time is what keeps the interning dictionary
-    consistent: whatever bytes reach the wire were produced by the
-    encoder whose state the connection's decoder mirrors.
-    """
-
-    def __init__(self, transport: "SocketTransport", host: str, port: int):
-        self._transport = transport
-        self.host = host
-        self.port = port
-        self.label = f"{host}:{port}"
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=_LINK_QUEUE_LIMIT)
-        self.codec = "binary"
-        self.encoder: Optional[BinaryEncoder] = None
-        self.task = asyncio.get_running_loop().create_task(
-            self._run(), name=f"bin-link:{self.label}"
-        )
-
-    def enqueue(self, batch: List[Tuple[Address, Address, Any]]) -> bool:
-        try:
-            self.queue.put_nowait(batch)
-            return True
-        except asyncio.QueueFull:
-            return False
-
-    def _drop_batch(self, batch: List[Tuple[Address, Address, Any]], reason: str) -> None:
+    def _drop(self, batch: _Batch, reason: str) -> None:
         for _src, dst, _message in batch:
-            self._transport._count_drop(dst, reason)
+            self.owner._count_drop(dst, reason)
 
-    async def _run(self) -> None:
-        writer: Optional[asyncio.StreamWriter] = None
-        try:
-            while True:
-                batch = await self.queue.get()
-                if batch is None:
-                    break
-                if writer is None or writer.is_closing():
-                    writer = await self._handshake()
-                    if writer is None:
-                        self._drop_batch(batch, "connect failed")
-                        continue
-                packed = self._pack(batch)
-                if packed is None:
-                    continue
-                frame, nframes = packed
-                try:
-                    writer.write(frame)
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    self._drop_batch(batch, "connection lost")
-                    writer = None
-                    continue
-                self._transport._wire_wrote(len(frame), frames=nframes)
-                if self.codec == "binary":
-                    wire = self._transport.wire
-                    wire["segments_sent"] += 1
-                    wire["segment_msgs_sent"] += len(batch)
-        finally:
-            if writer is not None and not writer.is_closing():
-                writer.close()
+    def _drop_backlog(self, reason: str) -> None:
+        while self.backlog:
+            self._drop(self.backlog.popleft(), reason)
 
-    async def _handshake(self) -> Optional[asyncio.StreamWriter]:
-        """Connect, then negotiate this connection's codec.
+    def _drain(self) -> None:
+        while self.backlog and self.ready and not self.paused:
+            self._write(self.backlog.popleft())
 
-        A fresh connection always re-negotiates (and gets a fresh
-        encoder): the remote decoder died with the old connection, so
-        dictionary state must restart from empty on both sides.
-        """
-        transport = self._transport
-        backoff = transport.connect_backoff
-        writer: Optional[asyncio.StreamWriter] = None
-        for attempt in range(transport.connect_retries):
-            try:
-                reader, writer = await asyncio.open_connection(self.host, self.port)
-            except OSError:
-                await asyncio.sleep(backoff * (attempt + 1))
-                continue
-            asyncio.get_running_loop().create_task(
-                transport._read_stream(reader, writer, close_on_exit=False),
-                name=f"bin-link-read:{self.label}",
-            )
-            break
-        if writer is None:
-            return None
-        waiter: "asyncio.Future[str]" = asyncio.get_running_loop().create_future()
-        transport._hello_waiters[self.label] = waiter
-        hello = json.dumps({"codec": "binary", "v": 1}).encode("utf-8")
-        frame = encode_frame(
-            _HELLO_PREFIX
-            + transport.auth.seal(transport.endpoint_name(), self.label, hello)
-        )
-        try:
-            writer.write(frame)
-            await writer.drain()
-        except (ConnectionError, OSError):
-            transport._hello_waiters.pop(self.label, None)
-            return None
-        transport._wire_wrote(len(frame))
-        try:
-            self.codec = await asyncio.wait_for(waiter, timeout=_HELLO_TIMEOUT)
-        except asyncio.TimeoutError:
-            # A server that never answers hellos is a JSON-era server;
-            # fall back rather than stall the link.
-            self.codec = "json"
-        finally:
-            transport._hello_waiters.pop(self.label, None)
-        self.encoder = BinaryEncoder() if self.codec == "binary" else None
-        return writer
-
-    def _pack(self, batch: List[Tuple[Address, Address, Any]]) -> Optional[Tuple[bytes, int]]:
-        """Encode one queued batch under the connection's codec.
-
-        Returns ``(wire_bytes, frame_count)`` or None if nothing
-        survived encoding.
-        """
-        transport = self._transport
-        if self.codec == "binary" and self.encoder is not None:
+    def _write(self, batch: _Batch) -> None:
+        """Encode one batch under the connection's codec and write it."""
+        assert self.sock is not None
+        owner = self.owner
+        auth = owner.auth
+        if self.encoder is not None:
             items: List[Tuple[str, str, bytes]] = []
             for src, dst, message in batch:
                 try:
                     items.append((src, dst, self.encoder.encode(message)))
                 except CodecError as exc:
-                    transport._count_drop(dst, f"encode: {exc}")
+                    owner._count_drop(dst, f"encode: {exc}")
             if not items:
-                return None
-            blob = transport.auth.seal_segment(
-                transport.endpoint_name(), self.label, items
-            )
+                return
             try:
-                return encode_frame(_SEGMENT_PREFIX + blob), 1
+                frame = encode_frame(_SEGMENT_PREFIX + auth.seal_segment(*self.names, items))
             except FrameError as exc:
-                self._drop_batch(batch, f"encode: {exc}")
-                return None
-        # Downgraded link: one JSON frame per message, still a single
-        # write for the whole batch.
-        out = bytearray()
-        nframes = 0
-        for src, dst, message in batch:
-            try:
-                sealed = transport.auth.seal(src, dst, encode_message(message))
-                out += encode_frame(_JSON_PREFIX + sealed)
-                nframes += 1
-            except (CodecError, FrameError) as exc:
-                transport._count_drop(dst, f"encode: {exc}")
-        return (bytes(out), nframes) if out else None
+                self._drop(batch, f"encode: {exc}")
+                return
+            owner.wire["segments_sent"] += 1
+            owner.wire["segment_msgs_sent"] += len(items)
+            nframes = 1
+        else:
+            # JSON link: one frame per message, still a single write.
+            out = bytearray()
+            nframes = 0
+            for src, dst, message in batch:
+                try:
+                    out += encode_frame(_JSON_PREFIX + auth.seal(src, dst, encode_message(message)))
+                    nframes += 1
+                except (CodecError, FrameError) as exc:
+                    owner._count_drop(dst, f"encode: {exc}")
+            if not nframes:
+                return
+            frame = bytes(out)
+        self.sock.write(frame)
+        owner._wire_wrote(len(frame), nframes)
 
-    async def close(self) -> None:
-        await self.queue.put(None)
-        await self.task
+    async def _connect(self) -> None:
+        """Connect (with retries), then negotiate this connection's codec.
+
+        A fresh connection always re-negotiates and gets a fresh
+        encoder: the remote decoder died with the old connection, so
+        dictionary state must restart from empty on both sides.
+        """
+        assert self.endpoint is not None
+        owner = self.owner
+        loop = asyncio.get_running_loop()
+        try:
+            for attempt in range(owner.connect_retries):
+                try:
+                    await loop.create_connection(lambda: self, *self.endpoint)
+                    break
+                except OSError:
+                    await asyncio.sleep(owner.connect_backoff * (attempt + 1))
+            else:
+                # Connection refused after retries: the batches are
+                # lost, like messages into a dead partition.
+                self._drop_backlog("connect failed")
+                return
+            if owner.codec == "binary":
+                await self._negotiate(loop)
+        finally:
+            self._task = None
+        if self.sock is None:
+            self._drop_backlog("connection lost")
+            return
+        self.ready = True
+        self._drain()
+
+    async def _negotiate(self, loop: asyncio.AbstractEventLoop) -> None:
+        assert self.sock is not None
+        owner = self.owner
+        self.names = (owner.endpoint_name(), self.label)
+        self._ack = loop.create_future()
+        hello = json.dumps({"codec": "binary", "v": 1}).encode("utf-8")
+        frame = encode_frame(_HELLO_PREFIX + owner.auth.seal(*self.names, hello))
+        self.sock.write(frame)
+        owner._wire_wrote(len(frame))
+        try:
+            codec = await asyncio.wait_for(self._ack, timeout=_HELLO_TIMEOUT)
+        except asyncio.TimeoutError:
+            # A server that never answers hellos is a JSON-era server;
+            # fall back rather than stall the link.
+            codec = "json"
+        finally:
+            self._ack = None
+        if codec == "binary":
+            self.encoder = BinaryEncoder()
+
+    # -- asyncio.Protocol -----------------------------------------------------------
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self._reset()
+        self.sock = transport
+        self.paused = False
+        if self.endpoint is None:
+            if self.owner._server is None:  # accepted while the transport was closing
+                self.closed = True
+                transport.abort()
+                return
+            self.owner._accepted.add(self)
+            self.ready = True
+
+    def data_received(self, data: bytes) -> None:
+        self.owner._runtime.pump(self._feed, data)
+
+    def eof_received(self) -> None:
+        self.ready = False  # asyncio closes the transport; connection_lost follows
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self._drain()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        owner = self.owner
+        self.sock = None
+        self.ready = False
+        if self._ack is not None and not self._ack.done():
+            self._ack.set_result("json")  # unblocks _connect, which sees sock is None
+        for name in self.routed:
+            if owner._routes.get(name) is self:
+                del owner._routes[name]
+        self.routed.clear()
+        if self.endpoint is None:
+            owner._accepted.discard(self)
+            self._drop_backlog("return route lost")
+        elif self.backlog and not self.closed:
+            self._connect_if_idle()
+
+    def shutdown(self) -> Optional["asyncio.Task[None]"]:
+        """Close for good; returns the cancelled connect task, if any."""
+        self.closed = True
+        self.ready = False
+        self._drop_backlog("connection lost")
+        task = self._task
+        if task is not None:
+            task.cancel()
+        if self.sock is not None:
+            # A peer that is not reading would hold close() open forever.
+            if self.sock.get_write_buffer_size():
+                self.sock.abort()
+            else:
+                self.sock.close()
+        return task
+
+    # -- inbound ---------------------------------------------------------------------
+    def _feed(self, chunk: bytes) -> None:
+        """Deframe one chunk and queue its messages on the runtime.
+
+        Authentication and codec failures drop the single frame (counted
+        and traced); framing errors and dictionary divergence poison the
+        stream, so the connection is closed.  Nothing propagates: one
+        hostile client cannot take down the server loop.
+        """
+        owner = self.owner
+        owner.wire["bytes_received"] += len(chunk)
+        try:
+            bodies = self.frames.feed(chunk)
+        except FrameError as exc:
+            owner._reject("frame", str(exc))
+            self._reset_connection()
+            return
+        for body in bodies:
+            if not self._on_frame(body):
+                self._reset_connection()
+                return
+
+    def _reset_connection(self) -> None:
+        self.ready = False
+        if self.sock is not None:
+            self.sock.close()
+
+    def _on_frame(self, body: bytes) -> bool:
+        """Dispatch one frame by kind; False means close the connection."""
+        owner = self.owner
+        owner.wire["frames_received"] += 1
+        kind = body[0]
+        blob = body[1:]
+        if kind == _KIND_SEGMENT:
+            return self._on_segment(blob)
+        if kind == _KIND_JSON:
+            self._on_json_frame(blob)
+        elif kind == _KIND_HELLO:
+            self._on_hello(blob)
+        elif kind == _KIND_ACK:
+            self._on_ack(blob)
+        else:
+            # Unknown kind: drop the frame, keep the connection — a newer
+            # peer may interleave kinds this build does not know.
+            owner._reject("frame", f"unknown frame kind 0x{kind:02x}")
+        return True
+
+    def _accept(self, sender: Address, recipient: Address, message: Any) -> None:
+        """Queue one authenticated message; learn the sender's way back."""
+        owner = self.owner
+        if sender not in owner.peers and sender not in owner.nodes:
+            # Transient client (no server of its own): remember the way back.
+            owner._routes[sender] = self
+            self.routed.add(sender)
+        if recipient not in owner.nodes:
+            owner._count_drop(recipient, "unknown recipient")
+            return
+        owner._runtime.deliver(sender, recipient, message)
+
+    def _on_json_frame(self, blob: bytes) -> None:
+        owner = self.owner
+        try:
+            sender, recipient, payload = owner.auth.open(blob)
+        except AuthError as exc:
+            owner._reject(exc.kind, exc.detail)
+            return
+        try:
+            message = decode_message(payload)
+        except CodecError as exc:
+            owner._reject("codec", str(exc))
+            return
+        self._accept(sender, recipient, message)
+
+    def _on_segment(self, blob: bytes) -> bool:
+        """Handle one coalesced binary segment; False closes the stream."""
+        owner = self.owner
+        if self.decoder is None:
+            # Segments before a completed handshake can only mean the
+            # peer thinks this connection negotiated binary and we do
+            # not — dictionary state is unknowable, so reset the
+            # connection rather than guess.
+            owner._reject("frame", "binary segment before negotiation")
+            return False
+        try:
+            _sender, _recipient, items = owner.auth.open_segment(blob)
+        except AuthError as exc:
+            owner._reject(exc.kind, exc.detail)
+            # The decoder never saw the segment's definitions, so the
+            # dictionaries have diverged; reset the connection.
+            return False
+        owner.wire["segments_received"] += 1
+        owner.wire["segment_msgs_received"] += len(items)
+        for src, dst, body in items:
+            try:
+                message = self.decoder.decode(body)
+            except CodecError as exc:
+                # Any mid-segment decode failure leaves the dictionary
+                # in an unknown state: connection-fatal by design.
+                owner._reject("codec", str(exc))
+                return False
+            self._accept(src, dst, message)
+        return True
+
+    def _on_hello(self, blob: bytes) -> None:
+        owner = self.owner
+        try:
+            sender, recipient, payload = owner.auth.open(blob)
+        except AuthError as exc:
+            owner._reject(exc.kind, exc.detail)
+            return
+        try:
+            fields = json.loads(payload.decode("utf-8"))
+            wanted = fields["codec"]
+            if not isinstance(wanted, str):
+                raise TypeError("codec must be a string")
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            owner._reject("codec", f"bad hello: {exc}")
+            return
+        accepted = {"json", "binary"} if owner.accept_binary else {"json"}
+        if wanted in accepted:
+            verdict, reason = True, ""
+            if wanted == "binary":
+                self.decoder = BinaryDecoder()
+                self.names = (recipient, sender)
+                if owner.codec == "binary":
+                    # Replies go back down this connection as segments.
+                    self.encoder = BinaryEncoder()
+        else:
+            # Structured rejection: counted, answered, connection kept.
+            verdict, reason = False, f"codec {wanted!r} not accepted"
+            owner.auth.rejected["negotiation"] += 1
+            owner._reject("negotiation", reason)
+        ack = json.dumps(
+            {"accept": verdict, "codec": wanted if verdict else "json", "reason": reason}
+        ).encode("utf-8")
+        frame = encode_frame(_ACK_PREFIX + owner.auth.seal(recipient, sender, ack))
+        if self.sock is not None and not self.sock.is_closing():
+            self.sock.write(frame)
+            owner._wire_wrote(len(frame))
+
+    def _on_ack(self, blob: bytes) -> None:
+        owner = self.owner
+        try:
+            sender, _recipient, payload = owner.auth.open(blob)
+        except AuthError as exc:
+            owner._reject(exc.kind, exc.detail)
+            return
+        waiter = self._ack
+        if waiter is None or waiter.done() or sender != self.label:
+            owner._reject("frame", f"unsolicited codec ack from {sender}")
+            return
+        try:
+            fields = json.loads(payload.decode("utf-8"))
+            accepted = bool(fields["accept"])
+            codec = fields["codec"] if accepted else "json"
+            if codec not in CODECS:
+                raise ValueError(f"unknown codec {codec!r}")
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            owner._reject("codec", f"bad codec ack: {exc}")
+            waiter.set_result("json")
+            return
+        if codec == "binary":
+            # Reply segments from this endpoint arrive on this same
+            # connection; mirror its encoder with a fresh decoder.
+            self.decoder = BinaryDecoder()
+        waiter.set_result(codec)
 
 
 class SocketTransport(Transport):
@@ -407,15 +578,12 @@ class SocketTransport(Transport):
         self.accept_binary = accept_binary
         self.nodes: Dict[Address, Any] = {}
         self.peers: Dict[Address, Tuple[str, int]] = {}
-        self._links: Dict[Address, _PeerLink] = {}
-        self._bin_links: Dict[Tuple[str, int], _BinLink] = {}
-        self._return_routes: Dict[Address, asyncio.StreamWriter] = {}
-        self._return_conns: Dict[Address, _ConnState] = {}
-        self._hello_waiters: Dict[str, "asyncio.Future[str]"] = {}
+        self._links: Dict[Tuple[str, int], _Link] = {}   # outbound, per endpoint
+        self._accepted: Set[_Link] = set()               # inbound, until they close
+        self._routes: Dict[Address, _Link] = {}          # way back to transient clients
         self._endpoint_name: Optional[str] = None
-        # Coalescing buffers (binary mode): dst -> [(src, message), ...].
-        self._pending: Dict[Address, List[Tuple[Address, Any]]] = {}
-        self._pending_routes: Dict[Address, List[Tuple[Address, Any]]] = {}
+        # Coalescing buffer: what each link gets at the next flush.
+        self._pending: Dict[_Link, _Batch] = {}
         self._pending_count = 0
         self._server: Optional[asyncio.base_events.Server] = None
         self._server_port: Optional[int] = None
@@ -489,197 +657,10 @@ class SocketTransport(Transport):
     # -- server ----------------------------------------------------------------
     async def start_server(self, host: str = "127.0.0.1", port: int = 0) -> int:
         """Bind the frame server; returns the (possibly ephemeral) port."""
-        self._server = await asyncio.start_server(self._on_connection, host, port)
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(lambda: _Link(self), host, port)
         self._server_port = self._server.sockets[0].getsockname()[1]
         return self._server_port
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        await self._read_stream(reader, writer, close_on_exit=True)
-
-    async def _read_stream(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        close_on_exit: bool,
-    ) -> None:
-        """Read frames off one connection until EOF or a framing error.
-
-        Authentication and codec failures drop the single frame (counted
-        and traced); framing errors and dictionary divergence poison the
-        stream, so the connection is closed.  Nothing propagates: one
-        hostile client cannot take down the server loop.
-        """
-        frames = FrameReader()
-        conn = _ConnState(writer)
-        try:
-            while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    break
-                self.wire["bytes_received"] += len(chunk)
-                try:
-                    bodies = frames.feed(chunk)
-                except FrameError as exc:
-                    self._reject("frame", str(exc))
-                    break
-                fatal = False
-                for body in bodies:
-                    if not self._on_frame(body, conn):
-                        fatal = True
-                        break
-                if fatal:
-                    break
-        except (ConnectionError, OSError):
-            pass
-        except asyncio.CancelledError:
-            # Server shutdown cancels in-flight readers; swallow so the
-            # stream protocol's done-callback doesn't log a spurious error.
-            pass
-        finally:
-            if close_on_exit and not writer.is_closing():
-                writer.close()
-
-    def _on_frame(self, body: bytes, conn: _ConnState) -> bool:
-        """Dispatch one frame by kind; False means close the connection."""
-        self.wire["frames_received"] += 1
-        kind = body[0]
-        blob = body[1:]
-        if kind == _KIND_JSON:
-            self._on_json_frame(blob, conn)
-            return True
-        if kind == _KIND_SEGMENT:
-            return self._on_segment(blob, conn)
-        if kind == _KIND_HELLO:
-            self._on_hello(blob, conn)
-            return True
-        if kind == _KIND_ACK:
-            self._on_ack(blob, conn)
-            return True
-        # Unknown kind: drop the frame, keep the connection — a newer
-        # peer may interleave kinds this build does not know.
-        self._reject("frame", f"unknown frame kind 0x{kind:02x}")
-        return True
-
-    def _on_json_frame(self, blob: bytes, conn: _ConnState) -> None:
-        try:
-            sender, recipient, payload = self.auth.open(blob)
-        except AuthError as exc:
-            self._reject(exc.kind, exc.detail)
-            return
-        try:
-            message = decode_message(payload)
-        except CodecError as exc:
-            self._reject("codec", str(exc))
-            return
-        if sender not in self.peers and sender not in self.nodes:
-            # Transient client (no server of its own): remember the way back.
-            self._return_routes[sender] = conn.writer
-        node = self.nodes.get(recipient)
-        if node is None:
-            self._count_drop(recipient, "unknown recipient")
-            return
-        self._runtime.deliver(sender, recipient, message)
-
-    def _on_segment(self, blob: bytes, conn: _ConnState) -> bool:
-        """Handle one coalesced binary segment; False closes the stream."""
-        if conn.decoder is None:
-            # Segments before a completed handshake can only mean the
-            # peer thinks this connection negotiated binary and we do
-            # not — dictionary state is unknowable, so reset the
-            # connection rather than guess.
-            self._reject("frame", "binary segment before negotiation")
-            return False
-        try:
-            sender, _recipient, items = self.auth.open_segment(blob)
-        except AuthError as exc:
-            self._reject(exc.kind, exc.detail)
-            # The decoder never saw the segment's definitions, so the
-            # dictionaries have diverged; reset the connection.
-            return False
-        self.wire["segments_received"] += 1
-        self.wire["segment_msgs_received"] += len(items)
-        for src, dst, body in items:
-            try:
-                message = conn.decoder.decode(body)
-            except CodecError as exc:
-                # Any mid-segment decode failure leaves the dictionary
-                # in an unknown state: connection-fatal by design.
-                self._reject("codec", str(exc))
-                return False
-            if src not in self.peers and src not in self.nodes:
-                self._return_routes[src] = conn.writer
-                self._return_conns[src] = conn
-            node = self.nodes.get(dst)
-            if node is None:
-                self._count_drop(dst, "unknown recipient")
-                continue
-            self._runtime.deliver(src, dst, message)
-        return True
-
-    def _on_hello(self, blob: bytes, conn: _ConnState) -> None:
-        try:
-            sender, recipient, payload = self.auth.open(blob)
-        except AuthError as exc:
-            self._reject(exc.kind, exc.detail)
-            return
-        try:
-            fields = json.loads(payload.decode("utf-8"))
-            wanted = fields["codec"]
-            if not isinstance(wanted, str):
-                raise TypeError("codec must be a string")
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
-            self._reject("codec", f"bad hello: {exc}")
-            return
-        accepted = {"json", "binary"} if self.accept_binary else {"json"}
-        if wanted in accepted:
-            verdict, reason = True, ""
-            if wanted == "binary":
-                conn.decoder = BinaryDecoder()
-                conn.encoder = BinaryEncoder()
-                conn.reply_label = recipient
-                conn.peer_name = sender
-        else:
-            # Structured rejection: counted, answered, connection kept.
-            verdict, reason = False, f"codec {wanted!r} not accepted"
-            self.auth.rejected["negotiation"] += 1
-            self._reject("negotiation", reason)
-        ack = json.dumps(
-            {"accept": verdict, "codec": wanted if verdict else "json", "reason": reason}
-        ).encode("utf-8")
-        frame = encode_frame(_ACK_PREFIX + self.auth.seal(recipient, sender, ack))
-        try:
-            conn.writer.write(frame)
-        except (ConnectionError, OSError):
-            return
-        self._wire_wrote(len(frame))
-
-    def _on_ack(self, blob: bytes, conn: _ConnState) -> None:
-        try:
-            sender, _recipient, payload = self.auth.open(blob)
-        except AuthError as exc:
-            self._reject(exc.kind, exc.detail)
-            return
-        waiter = self._hello_waiters.get(sender)
-        if waiter is None or waiter.done():
-            self._reject("frame", f"unsolicited codec ack from {sender}")
-            return
-        try:
-            fields = json.loads(payload.decode("utf-8"))
-            accepted = bool(fields["accept"])
-            codec = fields["codec"] if accepted else "json"
-            if codec not in CODECS:
-                raise ValueError(f"unknown codec {codec!r}")
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            self._reject("codec", f"bad codec ack: {exc}")
-            waiter.set_result("json")
-            return
-        if codec == "binary":
-            # Reply segments from this endpoint arrive on this same
-            # connection; mirror its encoder with a fresh decoder.
-            conn.decoder = BinaryDecoder()
-        waiter.set_result(codec)
 
     # -- transmission -----------------------------------------------------------
     def send(self, src: Address, dst: Address, message: Any) -> None:
@@ -697,12 +678,11 @@ class SocketTransport(Transport):
             )
         else:
             self.tracer.bump(TraceKind.MSG_SENT)
-        binary = self.codec == "binary"
         if dst in self.nodes:
             # Local loopback still goes through the codec so both halves
             # of a conversation see identically-normalised messages.
             try:
-                if binary:
+                if self.codec == "binary":
                     wire = decode_bin(encode_bin(message))
                 else:
                     wire = decode_message(encode_message(message))
@@ -711,142 +691,45 @@ class SocketTransport(Transport):
                 return
             self._runtime.deliver(src, dst, wire)
             return
-        if binary:
-            if dst in self.peers:
-                self._defer(self._pending, src, dst, message)
+        endpoint = self.peers.get(dst)
+        if endpoint is not None:
+            link = self._links.get(endpoint)
+            if link is None:
+                link = self._links[endpoint] = _Link(self, endpoint)
+        else:
+            link = self._routes.get(dst)
+            if link is None:
+                self._count_drop(dst, "unknown destination")
                 return
-            route_conn = self._return_conns.get(dst)
-            if (
-                route_conn is not None
-                and route_conn.encoder is not None
-                and not route_conn.writer.is_closing()
-            ):
-                self._defer(self._pending_routes, src, dst, message)
-                return
-            # No binary path to this destination: fall through to the
-            # per-message JSON frame (JSON return route or drop).
-        try:
-            frame = encode_frame(
-                _JSON_PREFIX + self.auth.seal(src, dst, encode_message(message))
-            )
-        except (CodecError, FrameError) as exc:
-            self._count_drop(dst, f"encode: {exc}")
-            return
-        if dst in self.peers:
-            if dst not in self._links:
-                host, port = self.peers[dst]
-                self._links[dst] = _PeerLink(self, dst, host, port)
-            if not self._links[dst].enqueue(frame):
-                self._count_drop(dst, "link queue full")
-            return
-        route = self._return_routes.get(dst)
-        if route is not None and not route.is_closing():
-            try:
-                route.write(frame)
-            except (ConnectionError, OSError):
-                self._return_routes.pop(dst, None)
-                self._count_drop(dst, "return route lost")
-                return
-            self._wire_wrote(len(frame))
-            return
-        self._count_drop(dst, "unknown destination")
-
-    def _defer(
-        self,
-        buffer: Dict[Address, List[Tuple[Address, Any]]],
-        src: Address,
-        dst: Address,
-        message: Any,
-    ) -> None:
-        """Buffer one send for the next flush (binary mode only)."""
-        buffer.setdefault(dst, []).append((src, message))
+        batch = self._pending.get(link)
+        if batch is None:
+            batch = self._pending[link] = []
+        batch.append((src, dst, message))
         self._pending_count += 1
         if self._pending_count >= _FLUSH_LIMIT:
             self.flush()
         else:
-            # Sends can originate outside the driver task (tests, admin
-            # paths); make sure a driver pass — and therefore a flush —
-            # happens promptly either way.
+            # Sends can originate outside a pass (tests, admin paths);
+            # make sure a pass — and therefore a flush — follows.
             self._runtime.wake()
 
     def flush(self) -> None:
-        """Pack buffered sends into per-endpoint segments and ship them.
+        """Hand every link the batch buffered for it since the last flush.
 
-        Called by the driver once per pass (its explicit flush bound:
-        messages never wait longer than the driver iteration that
-        produced them) and by :meth:`_defer` when a single pass buffers
+        Called by the runtime once per pass (its explicit flush bound:
+        messages never wait longer than the pass that produced them)
+        and by :meth:`send` when a single pass buffers
         :data:`_FLUSH_LIMIT` messages.
         """
-        if not self._pending and not self._pending_routes:
+        if not self._pending:
             return
-        if self._pending:
-            by_endpoint: Dict[Tuple[str, int], List[Tuple[Address, Address, Any]]] = {}
-            for dst, entries in self._pending.items():
-                endpoint = self.peers[dst]
-                batch = by_endpoint.setdefault(endpoint, [])
-                for src, message in entries:
-                    batch.append((src, dst, message))
-            self._pending.clear()
-            for endpoint, batch in by_endpoint.items():
-                link = self._bin_links.get(endpoint)
-                if link is None:
-                    link = self._bin_links[endpoint] = _BinLink(self, *endpoint)
-                if not link.enqueue(batch):
-                    link._drop_batch(batch, "link queue full")
-        if self._pending_routes:
-            by_conn: Dict[int, Tuple[_ConnState, List[Tuple[Address, Address, Any]]]] = {}
-            for dst, entries in self._pending_routes.items():
-                conn = self._return_conns.get(dst)
-                if (
-                    conn is None
-                    or conn.encoder is None
-                    or conn.writer.is_closing()
-                ):
-                    for _src, _message in entries:
-                        self._count_drop(dst, "return route lost")
-                    continue
-                _conn, batch = by_conn.setdefault(id(conn), (conn, []))
-                for src, message in entries:
-                    batch.append((src, dst, message))
-            self._pending_routes.clear()
-            for conn, batch in by_conn.values():
-                self._write_reply_segment(conn, batch)
+        pending, self._pending = self._pending, {}
         self._pending_count = 0
-
-    def _write_reply_segment(
-        self, conn: _ConnState, batch: List[Tuple[Address, Address, Any]]
-    ) -> None:
-        """Seal one reply segment down a negotiated inbound connection."""
-        assert conn.encoder is not None and conn.reply_label and conn.peer_name
-        items: List[Tuple[str, str, bytes]] = []
-        for src, dst, message in batch:
-            try:
-                items.append((src, dst, conn.encoder.encode(message)))
-            except CodecError as exc:
-                self._count_drop(dst, f"encode: {exc}")
-        if not items:
-            return
-        try:
-            frame = encode_frame(
-                _SEGMENT_PREFIX
-                + self.auth.seal_segment(conn.reply_label, conn.peer_name, items)
-            )
-        except FrameError as exc:
-            for _src, dst, _message in batch:
-                self._count_drop(dst, f"encode: {exc}")
-            return
-        try:
-            conn.writer.write(frame)
-        except (ConnectionError, OSError):
-            for _src, dst, _message in batch:
-                self._count_drop(dst, "return route lost")
-            return
-        self._wire_wrote(len(frame))
-        self.wire["segments_sent"] += 1
-        self.wire["segment_msgs_sent"] += len(items)
+        for link, batch in pending.items():
+            link.submit(batch)
 
     def _deliver_now(self, src: Address, dst: Address, message: Any) -> None:
-        """Hand a queued inbound message to its node (driver task only)."""
+        """Hand a queued inbound message to its node (inside a pass only)."""
         node = self.nodes.get(dst)
         if node is None or not node.up:
             self._count_drop(dst, "recipient down")
@@ -883,23 +766,22 @@ class SocketTransport(Transport):
 
     # -- shutdown ----------------------------------------------------------------
     async def close(self) -> None:
+        """Flush, then close the server and every link.
+
+        What is already written still drains to peers that are reading;
+        batches parked behind a connect, a handshake or a stalled peer
+        are dropped rather than waited for.
+        """
         self.flush()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for link in list(self._links.values()):
-            await link.close()
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+        links = [*self._links.values(), *self._accepted]
         self._links.clear()
-        for bin_link in list(self._bin_links.values()):
-            await bin_link.close()
-        self._bin_links.clear()
-        for waiter in self._hello_waiters.values():
-            if not waiter.done():
-                waiter.set_result("json")
-        self._hello_waiters.clear()
-        for route in list(self._return_routes.values()):
-            if not route.is_closing():
-                route.close()
-        self._return_routes.clear()
-        self._return_conns.clear()
+        self._routes.clear()
+        tasks = [task for task in (link.shutdown() for link in links) if task is not None]
+        if tasks:
+            await asyncio.gather(*tasks, return_exceptions=True)
+        if server is not None:
+            # From 3.12 this waits for every accepted connection to be gone.
+            await server.wait_closed()

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.auth.keys import generate_keypair
+from repro.auth.keys import PrivateKey, generate_keypair
 from repro.auth.signatures import canonical_bytes, message_digest, sign, verify
 from repro.core.messages import AppRequest
 from repro.core.rights import Right
@@ -81,3 +81,27 @@ class TestSignVerify:
         tampered = AppRequest(request_id=7, application="stocks", user="evil",
                               payload="T")
         assert not verify(tampered, signature, keys.public)
+
+
+class TestCrtSigning:
+    """Generated keys sign by CRT; the values are the plain ``m^d mod n``."""
+
+    def test_crt_and_plain_signatures_agree_over_generated_keys(self):
+        rng = random.Random(14)
+        for index in range(24):
+            bits = (64, 128, 256)[index % 3]
+            pair = generate_keypair(bits=bits, rng=random.Random(1000 + index))
+            crt = pair.private
+            assert crt.p is not None and crt.p * crt.q == crt.n
+            plain = PrivateKey(crt.n, crt.d)
+            # Edge digests (0, 1, n-1, multiples of a prime factor) and random ones.
+            digests = [0, 1, crt.n - 1, crt.p, crt.q * 3 % crt.n]
+            digests += [rng.randrange(crt.n) for _ in range(40)]
+            for digest in digests:
+                assert crt.power(digest) == pow(digest, crt.d, crt.n) == plain.power(digest)
+            for payload in ("msg", {"op": "add", "n": index}, ("t", index, 2.5)):
+                by_crt = sign(payload, "alice", crt)
+                by_plain = sign(payload, "alice", plain)
+                assert by_crt == by_plain
+                assert verify(payload, by_crt, pair.public)
+                assert verify(payload, by_plain, pair.public)
