@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test test-slow lint fuzz bench bench-smoke bench-baseline bench-compare net-smoke net-smoke-binary population-smoke mega profile experiments examples all clean
+.PHONY: install test test-slow lint fuzz bench bench-smoke bench-e2e bench-e2e-smoke bench-baseline bench-compare net-smoke net-smoke-binary population-smoke mega profile experiments examples all clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -23,6 +23,22 @@ bench:
 
 bench-smoke:
 	PYTHONPATH=src python -m repro bench --quick
+
+# The end-to-end benchmark the PR driver measures (BENCHMARK.json): four
+# workloads at 20 s each, every metric printed by name and unit.
+bench-e2e:
+	python3 -m bench_e2e
+
+# The same suite at ~1 s per workload, gated: fails when the summary
+# lists a problem (a crashed workload, a missing metric, a unit or name
+# that left BENCHMARK.json) or any workload had a failed operation.
+bench-e2e-smoke:
+	python3 -m bench_e2e --smoke | tail -n 1 | python3 -c "import json, sys; \
+	summary = json.load(sys.stdin); \
+	failed = {name: w['ops_failed'] for name, w in summary['workloads'].items() if w['ops_failed'] > 0}; \
+	[print(name, 'req_per_s %.0f' % w['end_to_end']['req_per_s'], 'ops', w['ops_attempted']) for name, w in summary['workloads'].items()]; \
+	print('problems:', summary['problems'], 'failed ops:', failed); \
+	sys.exit(1 if summary['problems'] or failed else 0)"
 
 bench-baseline:
 	PYTHONPATH=src python -m repro bench --record --repeats 5 --no-artifact

@@ -18,7 +18,7 @@ import dataclasses
 import enum
 import hashlib
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Dict, Tuple
 
 from .keys import PrivateKey, PublicKey
 
@@ -35,17 +35,44 @@ def canonical_bytes(payload: Any) -> bytes:
     return _canon(payload).encode("utf-8")
 
 
+#: Per dataclass type: the ``dc:Name:map:{`` head and, in the order the
+#: canonical map sorts them, each field's ``str:'field'=>`` fragment with
+#: its attribute name.  Everything about a message's canonical form that
+#: does not depend on its values is rendered once per type.
+_PLANS: Dict[type, Tuple[str, Tuple[Tuple[str, str], ...]]] = {}
+
+
+def _plan(cls: type) -> Tuple[str, Tuple[Tuple[str, str], ...]]:
+    names = sorted(field.name for field in dataclasses.fields(cls))
+    plan = (
+        f"dc:{cls.__name__}:map:{{",
+        tuple((f"{_canon(name)}=>", name) for name in names),
+    )
+    _PLANS[cls] = plan
+    return plan
+
+
 def _canon(value: Any) -> str:
+    # The two types that make up most of every message, then compiled
+    # dataclasses; the general walk below decides everything else (and
+    # subclasses of the primitives, enums included, exactly as before).
+    cls = type(value)
+    if cls is str or cls is int:
+        return f"{cls.__name__}:{value!r}"
+    plan = _PLANS.get(cls)
+    if plan is not None:
+        head, parts = plan
+        inner = ",".join(
+            [fragment + _canon(getattr(value, name)) for fragment, name in parts]
+        )
+        return f"{head}{inner}}}"
     if value is None or isinstance(value, (bool, int, float, str)):
-        return f"{type(value).__name__}:{value!r}"
+        return f"{cls.__name__}:{value!r}"
     if isinstance(value, enum.Enum):
-        return f"enum:{type(value).__name__}.{value.name}"
+        return f"enum:{cls.__name__}.{value.name}"
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = {
-            field.name: getattr(value, field.name)
-            for field in dataclasses.fields(value)
-        }
-        return f"dc:{type(value).__name__}:{_canon(fields)}"
+        _plan(cls)
+        return _canon(value)
     if isinstance(value, (list, tuple)):
         inner = ",".join(_canon(v) for v in value)
         return f"seq:[{inner}]"

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ..auth.identity import Principal
+from ..protocols.messaging import ReplyTimeout, reply_deadline, reply_won
 from ..sim.node import Address, Node
 from .messages import AdminRequest, AdminResponse
 from .rights import Right
@@ -87,23 +88,24 @@ class AdminClient(Node):
         self._pending[request_id] = arrival
         start = self.env.now
         self.send(manager, message)
-        timer = self.env.timeout(self.request_timeout)
-        yield self.env.any_of([arrival, timer])
-        self._pending.pop(request_id, None)
-        if arrival.triggered and arrival.ok:
-            response: AdminResponse = arrival.value
+        timer = reply_deadline(self.env, arrival, self.request_timeout)
+        try:
+            response: AdminResponse = yield arrival
+        except ReplyTimeout:
+            self._pending.pop(request_id, None)
             return AdminResult(
-                accepted=response.accepted,
-                reason=response.reason,
-                update_id=response.update_id,
+                accepted=False,
+                reason="request timed out",
+                update_id="",
                 latency=self.env.now - start,
+                timed_out=True,
             )
+        reply_won(timer)
         return AdminResult(
-            accepted=False,
-            reason="request timed out",
-            update_id="",
+            accepted=response.accepted,
+            reason=response.reason,
+            update_id=response.update_id,
             latency=self.env.now - start,
-            timed_out=True,
         )
 
     def add_process(self, manager: Address, application: str, subject: str,

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ..auth.identity import Principal
+from ..protocols.messaging import ReplyTimeout, reply_deadline, reply_won
 from ..sim.node import Address, Node
 from .messages import AppRequest, AppResponse
 
@@ -74,23 +75,24 @@ class UserClient(Node):
         self._pending[request_id] = arrival
         start = self.env.now
         self.send(host, message)
-        timer = self.env.timeout(self.request_timeout)
-        yield self.env.any_of([arrival, timer])
-        self._pending.pop(request_id, None)
-        if arrival.triggered and arrival.ok:
-            response: AppResponse = arrival.value
+        timer = reply_deadline(self.env, arrival, self.request_timeout)
+        try:
+            response: AppResponse = yield arrival
+        except ReplyTimeout:
+            self._pending.pop(request_id, None)
             return InvokeResult(
-                allowed=response.allowed,
-                result=response.result,
-                reason=response.reason,
+                allowed=False,
+                result=None,
+                reason="request timed out",
                 latency=self.env.now - start,
+                timed_out=True,
             )
+        reply_won(timer)
         return InvokeResult(
-            allowed=False,
-            result=None,
-            reason="request timed out",
+            allowed=response.allowed,
+            result=response.result,
+            reason=response.reason,
             latency=self.env.now - start,
-            timed_out=True,
         )
 
     def request(self, host: Address, application: str, payload: Any = None):

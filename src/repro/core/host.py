@@ -29,10 +29,10 @@ process generator that resolves to an :class:`AccessDecision`::
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..auth.identity import Authenticator, SignedMessage
+from ..protocols.decision import AccessDecision, DecisionReason
 from ..protocols.maintenance import CacheMaintenance
 from ..protocols.messaging import ReplyTable
 from ..protocols.pipeline import VerificationPipeline
@@ -46,36 +46,6 @@ from .policy import AccessPolicy
 from .rights import Right
 
 __all__ = ["AccessControlHost", "AccessDecision", "DecisionReason"]
-
-
-class DecisionReason:
-    """Why an access was allowed or rejected."""
-
-    CACHE = "cache"  # live cached grant (Figure 3 fast path)
-    VERIFIED = "verified"  # fresh check quorum said grant
-    DENIED = "denied"  # fresh check quorum said deny
-    DENY_CACHED = "deny_cache"  # negative-cache fast path
-    DEFAULT_ALLOW = "default_allow"  # Figure 4: R attempts failed, allow
-    EXHAUSTED = "exhausted"  # R attempts failed, deny policy
-    HOST_CRASHED = "host_crashed"  # this host crashed mid-check
-    NO_MANAGERS = "no_managers"  # name service knows no managers
-
-
-@dataclass(frozen=True)
-class AccessDecision:
-    """Outcome of one access check."""
-
-    application: str
-    user: str
-    right: Right
-    allowed: bool
-    reason: str
-    attempts: int  # completed verification rounds (0 for cache hits)
-    responses: int  # manager responses gathered in the deciding round
-    latency: float  # real simulated time from request to decision
-
-    def __bool__(self) -> bool:
-        return self.allowed
 
 
 class AccessControlHost(Node):
@@ -146,6 +116,7 @@ class AccessControlHost(Node):
         self._sequential_rounds = itertools.count()
         self._incarnation = 0
         self.rejected_manager_signatures = 0
+        self.late_manager_responses = 0
         self.pipeline = VerificationPipeline(self)
         self.maintenance = CacheMaintenance()
         # counters for quick inspection (metrics use the tracer)
@@ -216,6 +187,12 @@ class AccessControlHost(Node):
         if isinstance(message, SignedMessage) and isinstance(
             message.payload, QueryResponse
         ):
+            if message.payload.query_id not in self._pending_queries:
+                # Late (the round already has its quorum, or timed out):
+                # ``dispatch`` below would drop it whatever the signature
+                # says, so do not pay an RSA verify to find that out.
+                self.late_manager_responses += 1
+                return
             if self.manager_authenticator is None:
                 message = message.payload  # signatures not in use; unwrap
             elif not self.manager_authenticator.authenticate(message) or (
@@ -237,7 +214,8 @@ class AccessControlHost(Node):
             # ReplyTable, per the paper: "only accepting access control
             # messages if they arrive before a timeout of a timer set
             # at the time the query ... was sent."
-            self._pending_queries.dispatch(message.query_id, message)
+            if not self._pending_queries.dispatch(message.query_id, message):
+                self.late_manager_responses += 1
         elif isinstance(message, RevokeNotify):
             self._handle_revoke(src, message)
         elif isinstance(message, NameResult):

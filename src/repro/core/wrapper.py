@@ -21,7 +21,7 @@ from typing import Any, Dict, Optional, Sequence
 
 from ..auth.identity import Authenticator, SignedMessage
 from ..sim.node import Address
-from .host import AccessControlHost
+from .host import AccessControlHost, AccessDecision
 from .messages import AppRequest, AppResponse
 from .policy import AccessPolicy
 from .rights import Right
@@ -121,20 +121,37 @@ class ApplicationHost(AccessControlHost):
             raise NotImplementedError(
                 f"application host cannot handle {type(message).__name__}"
             )
-        self.spawn(
-            self._serve(src, request),
-            name=f"{self.address}/serve:{request.request_id}",
-        )
-
-    def _serve(self, src: Address, request: AppRequest):
-        """Check the use right, then invoke the application."""
         application = self.applications.get(request.application)
         if application is None:
             self._reject(src, request, "no such application")
             return
-        decision = yield self.request_access(
-            request.application, request.user, Right.USE
+        # Figure 3's steady state: a cached grant is decided, served and
+        # answered inside this delivery — no process, no engine event.
+        decision = self.pipeline.probe(request.application, request.user, Right.USE)
+        if decision is None:
+            self.spawn(
+                self._serve(src, request, application),
+                name=f"{self.address}/serve:{request.request_id}",
+            )
+        else:
+            self._respond(src, request, application, decision)
+
+    def _serve(self, src: Address, request: AppRequest, application: Application):
+        """The miss path: verify the use right with the managers (the
+        probe already counted and traced the request), then respond."""
+        decision = yield from self.pipeline.check(
+            request.application, request.user, Right.USE, missed=True
         )
+        self._respond(src, request, application, decision)
+
+    def _respond(
+        self,
+        src: Address,
+        request: AppRequest,
+        application: Application,
+        decision: AccessDecision,
+    ) -> None:
+        """Invoke the application if ``decision`` allows, and reply."""
         if not decision.allowed:
             self._reject(src, request, f"access denied ({decision.reason})")
             return

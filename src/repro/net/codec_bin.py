@@ -42,7 +42,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import fields
-from typing import Any, Dict, List, Tuple, Type
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Tuple, Type
 
 from ..core.rights import Right
 from .codec import CodecError, _WIRE_TYPES
@@ -106,9 +107,6 @@ _TYPE_INDEX: Dict[Type[Any], int] = {cls: i for i, cls in enumerate(_WIRE_TYPES)
 _TYPE_FIELDS: List[Tuple[Type[Any], Tuple[str, ...]]] = [
     (cls, tuple(f.name for f in fields(cls))) for cls in _WIRE_TYPES
 ]
-_FIELDS_OF: Dict[Type[Any], Tuple[str, ...]] = {
-    cls: names for cls, names in _TYPE_FIELDS
-}
 
 _pack_double = struct.Struct(">d").pack
 _unpack_double = struct.Struct(">d").unpack_from
@@ -116,6 +114,9 @@ _unpack_double = struct.Struct(">d").unpack_from
 
 def write_varint(out: bytearray, value: int) -> None:
     """Append ``value`` (non-negative) as LEB128."""
+    if value < 0x80:  # ids, lengths, counts: almost every varint on the wire
+        out.append(value)
+        return
     while value > 0x7F:
         out.append((value & 0x7F) | 0x80)
         value >>= 7
@@ -124,6 +125,12 @@ def write_varint(out: bytearray, value: int) -> None:
 
 def read_varint(data: bytes, pos: int) -> Tuple[int, int]:
     """Read a LEB128 varint at ``pos``; returns ``(value, next_pos)``."""
+    try:
+        result = data[pos]
+        if result < 0x80:
+            return result, pos + 1
+    except IndexError:
+        raise CodecError("truncated varint") from None
     result = 0
     shift = 0
     try:
@@ -152,6 +159,28 @@ def _dense_index(name: str) -> int:
     return int(digits)
 
 
+def _fields_getter(names: Tuple[str, ...]) -> Callable[[Any], Tuple[Any, ...]]:
+    """One call returning a message's field values in declaration order."""
+    getter = attrgetter(*names)
+    if len(names) == 1:  # attrgetter of one name returns the bare value
+        return lambda value: (getter(value),)
+    return getter
+
+
+def _message_head(index: int) -> bytes:
+    head = bytearray((_T_MSG,))
+    write_varint(head, index)
+    return bytes(head)
+
+
+#: Per wire type: its ``MSG`` tag + registry index, pre-rendered, and the
+#: getter of its field values.
+_ENCODE_PLAN: Dict[Type[Any], Tuple[bytes, Callable[[Any], Tuple[Any, ...]]]] = {
+    cls: (_message_head(index), _fields_getter(names))
+    for index, (cls, names) in enumerate(_TYPE_FIELDS)
+}
+
+
 class BinaryEncoder:
     """Stateful message -> bytes encoder for one stream direction."""
 
@@ -174,15 +203,17 @@ class BinaryEncoder:
         return bytes(out)
 
     def _string(self, out: bytearray, value: str) -> None:
-        dense = _dense_index(value)
-        if dense >= 0:
-            out.append(_T_STR_DENSE)
-            write_varint(out, dense)
-            return
+        # Dictionary first: a dense name is never interned, so a hit here
+        # is exactly a name ``_dense_index`` would have turned away.
         sid = self._dict.get(value)
         if sid is not None:
             out.append(_T_STR_REF)
             write_varint(out, sid)
+            return
+        dense = _dense_index(value)
+        if dense >= 0:
+            out.append(_T_STR_DENSE)
+            write_varint(out, dense)
             return
         raw = value.encode("utf-8")
         if len(raw) <= INTERN_MAX and len(self._dict) < DICT_MAX:
@@ -209,12 +240,12 @@ class BinaryEncoder:
             out.append(_T_FLOAT)
             out += _pack_double(value)
         else:
-            names = _FIELDS_OF.get(type(value))
-            if names is not None:
-                out.append(_T_MSG)
-                write_varint(out, _TYPE_INDEX[type(value)])
-                for name in names:
-                    self._value(out, getattr(value, name))
+            plan = _ENCODE_PLAN.get(type(value))
+            if plan is not None:
+                head, values_of = plan
+                out += head
+                for item in values_of(value):
+                    self._value(out, item)
             elif isinstance(value, Right):
                 out.append(_T_RIGHT)
                 write_varint(out, _RIGHT_INDEX[value])
@@ -276,15 +307,36 @@ class BinaryDecoder:
         except IndexError:
             raise CodecError("truncated frame body") from None
         pos += 1
+        # Steady-state traffic is references, integers and messages.
+        if tag == _T_STR_REF:
+            sid, pos = read_varint(data, pos)
+            if sid >= len(self._dict):
+                raise DictionaryError(
+                    f"unknown dictionary id {sid} (have {len(self._dict)})"
+                )
+            return self._dict[sid], pos
+        if tag == _T_INT:
+            raw, pos = read_varint(data, pos)
+            return (-(raw >> 1) if raw & 1 else raw >> 1), pos
+        if tag == _T_MSG:
+            index, pos = read_varint(data, pos)
+            if index >= len(_TYPE_FIELDS):
+                raise CodecError(f"unknown wire type index {index}")
+            cls, names = _TYPE_FIELDS[index]
+            values = []
+            for _ in names:
+                value, pos = self._value(data, pos)
+                values.append(value)
+            try:
+                return cls(*values), pos
+            except (TypeError, ValueError) as exc:
+                raise CodecError(f"malformed {cls.__name__} body: {exc}") from None
         if tag == _T_NONE:
             return None, pos
         if tag == _T_TRUE:
             return True, pos
         if tag == _T_FALSE:
             return False, pos
-        if tag == _T_INT:
-            raw, pos = read_varint(data, pos)
-            return (-(raw >> 1) if raw & 1 else raw >> 1), pos
         if tag == _T_FLOAT:
             if pos + 8 > len(data):
                 raise CodecError("truncated float")
@@ -303,13 +355,6 @@ class BinaryDecoder:
                     raise CodecError("dictionary overflow")
                 self._dict.append(text)
             return text, end
-        if tag == _T_STR_REF:
-            sid, pos = read_varint(data, pos)
-            if sid >= len(self._dict):
-                raise DictionaryError(
-                    f"unknown dictionary id {sid} (have {len(self._dict)})"
-                )
-            return self._dict[sid], pos
         if tag == _T_STR_DENSE:
             index, pos = read_varint(data, pos)
             return f"{DENSE_PREFIX}{index}", pos
@@ -337,19 +382,6 @@ class BinaryDecoder:
             if index >= len(_RIGHT_LIST):
                 raise CodecError(f"unknown right index {index}")
             return _RIGHT_LIST[index], pos
-        if tag == _T_MSG:
-            index, pos = read_varint(data, pos)
-            if index >= len(_TYPE_FIELDS):
-                raise CodecError(f"unknown wire type index {index}")
-            cls, names = _TYPE_FIELDS[index]
-            values = []
-            for _ in names:
-                value, pos = self._value(data, pos)
-                values.append(value)
-            try:
-                return cls(*values), pos
-            except (TypeError, ValueError) as exc:
-                raise CodecError(f"malformed {cls.__name__} body: {exc}") from None
         raise CodecError(f"unknown value tag 0x{tag:02x}")
 
 

@@ -51,6 +51,7 @@ import hmac
 import json
 import struct
 import time
+from functools import lru_cache
 from typing import Callable, Dict, List, Tuple
 
 from .codec_bin import read_varint, write_varint
@@ -62,6 +63,23 @@ MAC_BYTES = hashlib.sha256().digest_size
 
 #: Default session-frame lifetime, in seconds of receiver wall-clock.
 DEFAULT_LIFETIME = 30.0
+
+
+_pack_double = struct.Struct(">d").pack
+
+
+@lru_cache(maxsize=4096)
+def _name_pair(first: str, second: str) -> bytes:
+    """``len | utf8 | len | utf8`` for two names.  A cell has a handful
+    of endpoint pairs and a bounded set of node pairs, each sealed
+    millions of times; the cache is bounded because names arrive from
+    the network."""
+    out = bytearray()
+    for text in (first, second):
+        raw = text.encode("utf-8")
+        write_varint(out, len(raw))
+        out += raw
+    return bytes(out)
 
 
 class AuthError(ValueError):
@@ -125,8 +143,7 @@ class SessionAuth:
             sort_keys=True,
             separators=(",", ":"),
         ).encode("utf-8")
-        mac = hmac.new(self._secret, envelope, hashlib.sha256).digest()
-        return mac + envelope
+        return hmac.digest(self._secret, envelope, "sha256") + envelope
 
     # -- opening ----------------------------------------------------------
     def open(self, blob: bytes) -> Tuple[str, str, bytes]:
@@ -139,7 +156,7 @@ class SessionAuth:
         if len(blob) < MAC_BYTES + 2:
             raise self._reject("malformed", f"frame too short ({len(blob)} bytes)")
         mac, envelope = blob[:MAC_BYTES], blob[MAC_BYTES:]
-        expected = hmac.new(self._secret, envelope, hashlib.sha256).digest()
+        expected = hmac.digest(self._secret, envelope, "sha256")
         if not hmac.compare_digest(mac, expected):
             raise self._reject("tampered", "HMAC verification failed")
         try:
@@ -184,24 +201,15 @@ class SessionAuth:
         """
         nonce = self._next_nonce.get(sender, 0) + 1
         self._next_nonce[sender] = nonce
-        out = bytearray()
-        for text in (sender, recipient):
-            raw = text.encode("utf-8")
-            write_varint(out, len(raw))
-            out += raw
+        out = bytearray(_name_pair(sender, recipient))
         write_varint(out, nonce)
-        out += struct.pack(">d", self._clock())
+        out += _pack_double(self._clock())
         write_varint(out, len(items))
         for src, dst, body in items:
-            for text in (src, dst):
-                raw = text.encode("utf-8")
-                write_varint(out, len(raw))
-                out += raw
+            out += _name_pair(src, dst)
             write_varint(out, len(body))
             out += body
-        envelope = bytes(out)
-        mac = hmac.new(self._secret, envelope, hashlib.sha256).digest()
-        return mac + envelope
+        return hmac.digest(self._secret, out, "sha256") + out
 
     def open_segment(
         self, blob: bytes
@@ -215,7 +223,7 @@ class SessionAuth:
         if len(blob) < MAC_BYTES + 2:
             raise self._reject("malformed", f"segment too short ({len(blob)} bytes)")
         mac, envelope = blob[:MAC_BYTES], blob[MAC_BYTES:]
-        expected = hmac.new(self._secret, envelope, hashlib.sha256).digest()
+        expected = hmac.digest(self._secret, envelope, "sha256")
         if not hmac.compare_digest(mac, expected):
             raise self._reject("tampered", "HMAC verification failed")
         try:

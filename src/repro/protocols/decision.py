@@ -2,7 +2,7 @@
 
 :class:`ExpiryStamper` computes the cached entry's limit
 (``Time() + te - delta``); :class:`DecisionPolicy` maps a verification
-outcome to the final :class:`~repro.core.host.AccessDecision` — the
+outcome to the final :class:`AccessDecision` — the
 verified / denied paths, Figure 4's default-allow escape hatch, and the
 deny-on-exhaustion alternative — and publishes the access-level trace
 record every oracle and metrics collector keys on.
@@ -10,10 +10,43 @@ record every oracle and metrics collector keys on.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from ..core.policy import AccessPolicy, DeltaMode, ExhaustedAction
+from ..core.rights import Right
 from ..sim.trace import TraceKind
 
-__all__ = ["ExpiryStamper", "DecisionPolicy"]
+__all__ = ["AccessDecision", "DecisionReason", "ExpiryStamper", "DecisionPolicy"]
+
+
+class DecisionReason:
+    """Why an access was allowed or rejected."""
+
+    CACHE = "cache"  # live cached grant (Figure 3 fast path)
+    VERIFIED = "verified"  # fresh check quorum said grant
+    DENIED = "denied"  # fresh check quorum said deny
+    DENY_CACHED = "deny_cache"  # negative-cache fast path
+    DEFAULT_ALLOW = "default_allow"  # Figure 4: R attempts failed, allow
+    EXHAUSTED = "exhausted"  # R attempts failed, deny policy
+    HOST_CRASHED = "host_crashed"  # this host crashed mid-check
+    NO_MANAGERS = "no_managers"  # name service knows no managers
+
+
+@dataclass(frozen=True)
+class AccessDecision:
+    """Outcome of one access check."""
+
+    application: str
+    user: str
+    right: Right
+    allowed: bool
+    reason: str
+    attempts: int  # completed verification rounds (0 for cache hits)
+    responses: int  # manager responses gathered in the deciding round
+    latency: float  # real simulated time from request to decision
+
+    def __bool__(self) -> bool:
+        return self.allowed
 
 
 class ExpiryStamper:

@@ -21,7 +21,14 @@ from __future__ import annotations
 import itertools
 from typing import Any, Callable, Dict, Optional
 
-__all__ = ["ReplyTable", "request", "retry_until_acked"]
+__all__ = [
+    "ReplyTable",
+    "ReplyTimeout",
+    "request",
+    "reply_deadline",
+    "reply_won",
+    "retry_until_acked",
+]
 
 
 class ReplyTable:
@@ -105,6 +112,36 @@ def request(
     if arrival.triggered and arrival.ok:
         return arrival.value
     return None
+
+
+class ReplyTimeout(Exception):
+    """Thrown into the process waiting on a reply whose timer fired first."""
+
+
+def _expire(timer) -> None:
+    arrival = timer.value
+    if not arrival.triggered:
+        arrival.fail(ReplyTimeout())
+
+
+def reply_deadline(env, arrival, timeout: float):
+    """Give the untriggered event ``arrival`` a deadline.
+
+    The client-side shape of the timer rule: the requester yields
+    ``arrival`` alone — one event per request instead of a reply event,
+    a timer and a condition over both — and the returned timer fails it
+    with :class:`ReplyTimeout` after ``timeout`` unless the reply
+    triggered it first.  Hand the timer to :func:`reply_won` when it did.
+    """
+    timer = env.timeout(timeout, arrival)
+    timer.add_callback(_expire)
+    return timer
+
+
+def reply_won(timer) -> None:
+    """The reply beat ``timer``: detach it and leave it dead on the queue."""
+    timer.remove_callback(_expire)
+    timer.cancel()
 
 
 def retry_until_acked(

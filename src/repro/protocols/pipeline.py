@@ -32,7 +32,7 @@ from ..core.policy import AccessPolicy
 from ..core.rights import Right
 from ..sim.trace import TraceKind
 from .combiner import ResponseCombiner, combiner_for
-from .decision import DecisionPolicy, ExpiryStamper
+from .decision import AccessDecision, DecisionPolicy, DecisionReason, ExpiryStamper
 from .planner import QueryPlanner, planner_for
 from .resolver import ManagerResolver
 
@@ -70,18 +70,20 @@ class VerificationPipeline:
         self.stamper = stamper or ExpiryStamper()
 
     # -- the access check (Figures 2/3/4) ----------------------------------
-    def check(self, application: str, user: str, right: Right):
-        """Process generator deciding one ``Invoke(A)``.
+    def probe(self, application: str, user: str, right: Right):
+        """Synchronous first phase of one ``Invoke(A)``: Figure 3's
+        ``ACL_cache`` lookup.
 
-        Returns an :class:`~repro.core.host.AccessDecision`.
+        Counts the check and traces the request and the cache outcome.
+        On a live cached grant returns the recorded
+        :class:`~repro.protocols.decision.AccessDecision`; on a miss or an
+        expired entry returns ``None``, and the caller continues with
+        ``check(..., missed=True)``.  No event is scheduled either way,
+        so a caller that is not a process (the wrapper, inside message
+        delivery) can decide a hit on the spot.
         """
-        from ..core.host import AccessDecision, DecisionReason
-
         host = self.host
-        policy = host.policy_for(application)
         tracer = host.tracer
-        start_real = host.env.now
-        incarnation = host._incarnation
         host.stats["checks"] += 1
         if tracer.wants(TraceKind.ACCESS_REQUESTED):
             tracer.publish(
@@ -93,25 +95,9 @@ class VerificationPipeline:
             )
         else:
             tracer.bump(TraceKind.ACCESS_REQUESTED)
-
-        def decide(allowed: bool, reason: str, attempts: int, responses: int
-                   ) -> AccessDecision:
-            decision = AccessDecision(
-                application=application,
-                user=user,
-                right=right,
-                allowed=allowed,
-                reason=reason,
-                attempts=attempts,
-                responses=responses,
-                latency=host.env.now - start_real,
-            )
-            self.decision_policy.record(host, decision)
-            return decision
-
-        # -- Figure 3 fast path: the cache ---------------------------------
-        # ``probe`` is the allocation-free lookup: no CacheLookup object
-        # on the hot path, and unknown users never grow the interner.
+        # ``cache.probe`` is the allocation-free lookup: no CacheLookup
+        # object on the hot path, and unknown users never grow the
+        # interner.
         cache = host.cache_for(application)
         now_local = host.clock.now()
         cached = cache.probe(user, right, now_local)
@@ -127,7 +113,9 @@ class VerificationPipeline:
                 )
             else:
                 tracer.bump(TraceKind.CACHE_HIT)
-            return decide(True, DecisionReason.CACHE, attempts=0, responses=0)
+            return self._decide(
+                application, user, right, True, DecisionReason.CACHE, 0, 0, 0.0
+            )
         miss_kind = (
             TraceKind.CACHE_EXPIRED
             if cache.last_probe_expired
@@ -142,6 +130,54 @@ class VerificationPipeline:
             )
         else:
             tracer.bump(miss_kind)
+        return None
+
+    def _decide(
+        self,
+        application: str,
+        user: str,
+        right: Right,
+        allowed: bool,
+        reason: str,
+        attempts: int,
+        responses: int,
+        latency: float,
+    ):
+        decision = AccessDecision(
+            application=application,
+            user=user,
+            right=right,
+            allowed=allowed,
+            reason=reason,
+            attempts=attempts,
+            responses=responses,
+            latency=latency,
+        )
+        self.decision_policy.record(self.host, decision)
+        return decision
+
+    def check(self, application: str, user: str, right: Right, missed: bool = False):
+        """Process generator deciding one ``Invoke(A)``.
+
+        Returns an :class:`~repro.protocols.decision.AccessDecision`.  ``missed``
+        says the caller already ran :meth:`probe` for this request, at
+        this instant, and it missed: the check continues from there
+        instead of counting and tracing the request a second time.
+        """
+        if not missed:
+            decision = self.probe(application, user, right)
+            if decision is not None:
+                return decision
+        host = self.host
+        policy = host.policy_for(application)
+        start_real = host.env.now
+        incarnation = host._incarnation
+
+        def decide(allowed: bool, reason: str, attempts: int, responses: int):
+            return self._decide(
+                application, user, right, allowed, reason, attempts, responses,
+                host.env.now - start_real,
+            )
 
         # -- negative-cache fast path (extension) --------------------------
         if policy.deny_cache_ttl is not None:

@@ -185,6 +185,18 @@ class Event:
         else:
             self._callbacks.append(callback)
 
+    def remove_callback(self, callback: Callable[["Event"], None]) -> None:
+        """Undo one :meth:`add_callback`; a no-op once the callback has
+        run or if it was never registered."""
+        callbacks = self._callbacks
+        if callbacks is not None:
+            try:
+                callbacks.remove(callback)
+            except ValueError:
+                pass
+            if not callbacks:
+                self._callbacks = None
+
     def _process(self) -> None:
         self._processed = True
         waiter = self._waiter
@@ -248,10 +260,10 @@ class Timeout(Event):
         Legal only while *nothing* observes the timer: a Timeout with a
         parked waiter or registered callbacks must still fire, and a
         processed one already has.  Returns True when the entry is (now
-        or already) elided, False when it cannot be.  A no-op returning
-        False when the environment was created with
-        ``elide_dead_timers=False``, so one flag disables the whole
-        elision machinery.
+        or already) elided, False when it cannot be; an elided timer
+        releases its value.  A no-op returning False when the
+        environment was created with ``elide_dead_timers=False``, so
+        one flag disables the whole elision machinery.
         """
         if self._cancelled:
             return True
@@ -263,6 +275,9 @@ class Timeout(Event):
         ):
             return False
         self._cancelled = True
+        # The entry may sit in the queue long after it died; nothing can
+        # read a dead timer's value, so do not keep it alive that long.
+        self._value = None
         return True
 
 
@@ -339,11 +354,8 @@ class Process(Event):
             if not target._processed:
                 if target._waiter is self:
                     target._waiter = None
-                elif target._callbacks is not None:
-                    try:
-                        target._callbacks.remove(self._resume)
-                    except ValueError:
-                        pass
+                else:
+                    target.remove_callback(self._resume)
                 # A Timeout nobody else observes is dead weight on the
                 # heap now — mark it so the run loop skips it.
                 if (

@@ -2,14 +2,27 @@
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.auth.keys import PrivateKey, generate_keypair
 from repro.auth.signatures import canonical_bytes, message_digest, sign, verify
 from repro.core.messages import AppRequest
 from repro.core.rights import Right
+from repro.net.codec import _WIRE_TYPES
+
+from ..test_net.test_codec_property import (
+    acl_entries,
+    acl_updates,
+    signatures,
+    versions,
+    wire_messages,
+)
+from ..test_net.test_wire_golden import MESSAGES
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +63,129 @@ class TestCanonical:
 
     def test_digest_stability(self):
         assert message_digest({"k": [1, 2]}) == message_digest({"k": [1, 2]})
+
+
+def reference_canon(value) -> str:
+    """The recursive walk ``canonical_bytes`` was before its per-type
+    plans — kept here as the definition every signature value rests on."""
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return f"{type(value).__name__}:{value!r}"
+    if isinstance(value, enum.Enum):
+        return f"enum:{type(value).__name__}.{value.name}"
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        fields = {
+            field.name: getattr(value, field.name)
+            for field in dataclasses.fields(value)
+        }
+        return f"dc:{type(value).__name__}:{reference_canon(fields)}"
+    if isinstance(value, (list, tuple)):
+        inner = ",".join(reference_canon(v) for v in value)
+        return f"seq:[{inner}]"
+    if isinstance(value, dict):
+        items = sorted(value.items(), key=lambda kv: str(kv[0]))
+        inner = ",".join(
+            f"{reference_canon(k)}=>{reference_canon(v)}" for k, v in items
+        )
+        return f"map:{{{inner}}}"
+    if isinstance(value, (set, frozenset)):
+        inner = ",".join(sorted(reference_canon(v) for v in value))
+        return f"set:{{{inner}}}"
+    raise TypeError(f"cannot canonicalise {type(value).__name__}")
+
+
+class Colour(enum.Enum):
+    RED = 1
+    GREEN = "g"
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 70000
+
+
+class Tagged(int):
+    """An int subclass: canonicalised under its own type name."""
+
+
+@dataclasses.dataclass(frozen=True)
+class Unsorted:
+    zeta: object
+    alpha: object
+    _mid: object = None
+
+
+@dataclasses.dataclass(frozen=True)
+class Empty:
+    pass
+
+
+_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8)
+    | st.sampled_from(list(Right) + list(Colour) + list(Level))
+    | st.builds(Tagged, st.integers(min_value=-5, max_value=5))
+    | st.just(Empty())
+)
+_hashable = st.one_of(st.integers(-9, 9), st.text(max_size=3), st.sampled_from(list(Colour)))
+_structures = st.recursive(
+    _leaves,
+    lambda inner: (
+        st.lists(inner, max_size=3)
+        | st.tuples(inner, inner)
+        | st.dictionaries(_hashable, inner, max_size=3)
+        | st.sets(_hashable, max_size=3)
+        | st.frozensets(_hashable, max_size=3)
+        | st.builds(Unsorted, zeta=inner, alpha=inner, _mid=inner)
+    ),
+    max_leaves=10,
+)
+_wire_values = wire_messages | versions | acl_entries | acl_updates | signatures
+
+
+class TestCanonicalMatchesReference:
+    """Byte-identity with the reference walk, so no signature value moves."""
+
+    @settings(deadline=None)
+    @given(value=_wire_values)
+    def test_every_wire_type(self, value):
+        assert canonical_bytes(value) == reference_canon(value).encode("utf-8")
+
+    @settings(deadline=None)
+    @given(value=_structures)
+    def test_nested_structures_enums_and_foreign_dataclasses(self, value):
+        assert canonical_bytes(value) == reference_canon(value).encode("utf-8")
+
+    @settings(deadline=None)
+    @given(message=wire_messages, payload=_structures)
+    def test_wire_message_carrying_arbitrary_payload(self, message, payload):
+        request = AppRequest(request_id=1, application="a", user="u", payload=(message, payload))
+        assert canonical_bytes(request) == reference_canon(request).encode("utf-8")
+
+    def test_fixed_examples_cover_the_whole_registry(self):
+        seen = set()
+
+        def walk(value):
+            seen.add(type(value))
+            if dataclasses.is_dataclass(value):
+                for field in dataclasses.fields(value):
+                    walk(getattr(value, field.name))
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    walk(item)
+
+        for message in MESSAGES:
+            walk(message)
+            assert canonical_bytes(message) == reference_canon(message).encode("utf-8")
+        assert set(_WIRE_TYPES) <= seen
+
+    def test_unsupported_values_still_rejected_inside_a_plan(self):
+        with pytest.raises(TypeError):
+            canonical_bytes(Unsorted(zeta=object(), alpha=1))
+        with pytest.raises(TypeError):
+            canonical_bytes(Unsorted)  # the class, not an instance
 
 
 class TestSignVerify:

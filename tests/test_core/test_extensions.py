@@ -326,6 +326,66 @@ class TestSignedResponses:
         assert decision.allowed  # m1 + m2 still form the quorum
         assert harness.host.rejected_manager_signatures >= 1
 
+    def _signed_answer(self, harness, manager, query_id, signer=None):
+        from repro.core.messages import QueryResponse, Verdict
+
+        response = QueryResponse(
+            query_id=query_id,
+            application=APP,
+            user="alice",
+            right=Right.USE,
+            verdict=Verdict.GRANT,
+            te=100.0,
+            version=Version(1, ""),
+            manager=manager.address,
+        )
+        return (signer or manager).principal.sign(response)
+
+    def test_late_answer_dropped_before_its_signature_is_checked(self):
+        harness = ExtensionHarness(
+            policy(check_quorum=2, max_attempts=1), signed=True
+        )
+        harness.grant_everywhere("alice")
+        assert harness.check("alice").allowed
+        assert len(harness.host._pending_queries) == 0
+        verified = []
+        authenticator = harness.host.manager_authenticator
+        original = authenticator.authenticate
+        authenticator.authenticate = lambda message: (
+            verified.append(message) or original(message)
+        )
+        manager = harness.managers[0]
+        # Query id 1 belonged to the finished round: late, whoever signed it.
+        harness.host.handle_message(
+            manager.address, self._signed_answer(harness, manager, query_id=1)
+        )
+        harness.host.handle_message(
+            manager.address,
+            self._signed_answer(harness, manager, query_id=1, signer=harness.managers[1]),
+        )
+        assert verified == []
+        assert harness.host.late_manager_responses == 2
+        assert harness.host.rejected_manager_signatures == 0
+
+    def test_forged_answer_to_a_pending_query_still_rejected(self):
+        harness = ExtensionHarness(
+            policy(check_quorum=2, max_attempts=1), signed=True
+        )
+        reached_combiner = []
+        query_id = harness.host._pending_queries.allocate(reached_combiner.append)
+        manager = harness.managers[0]
+        forged = self._signed_answer(
+            harness, manager, query_id, signer=harness.managers[1]
+        )
+        harness.host.handle_message(manager.address, forged)
+        assert harness.host.rejected_manager_signatures == 1
+        assert harness.host.late_manager_responses == 0
+        assert reached_combiner == [] and query_id in harness.host._pending_queries
+        genuine = self._signed_answer(harness, manager, query_id)
+        harness.host.handle_message(manager.address, genuine)
+        assert reached_combiner == [genuine.payload]
+        assert harness.host.rejected_manager_signatures == 1
+
     def test_impersonated_response_rejected(self):
         """A liar signing with its own key but claiming another
         manager's identity in the payload is dropped."""

@@ -12,6 +12,7 @@ from repro.core.policy import AccessPolicy
 from repro.core.system import AccessControlSystem
 from repro.core.wrapper import Application
 from repro.core.client import UserClient
+from repro.sim.engine import Timeout
 from repro.sim.network import FixedLatency
 
 APP = "echo"
@@ -255,3 +256,105 @@ class TestClient:
         client.request(host.address, APP, "x")
         client.crash()
         assert client._pending == {}
+
+
+class TestClientWait:
+    """The one-event wait: the process yields the reply event alone and
+    the request timer's callback fails it on expiry."""
+
+    def _client(self, timeout=5.0):
+        system, host, app, _ = build()
+        system.seed_grant(APP, "alice")
+        client = UserClient("c0", "alice", request_timeout=timeout)
+        system.network.register(client)
+        return system, host, app, client
+
+    def test_lost_reply_times_out_at_exactly_the_request_timeout(self):
+        system, host, app, client = self._client()
+        # The request arrives and is served; the reply is lost.
+        system.network.send = _drop_replies(system.network.send)
+        request = client.request(host.address, APP, "x")
+        system.run(until=20)
+        assert app.seen == [("alice", "x")]
+        result = request.value
+        assert result.timed_out and not result.allowed and not result
+        assert result.reason == "request timed out" and result.result is None
+        assert result.latency == client.request_timeout
+        assert client._pending == {}
+
+    def test_reply_after_the_timeout_is_ignored(self):
+        system, host, app, client = self._client(timeout=0.1)  # < 4 hops of 0.05
+        request = client.request(host.address, APP, "x")
+        system.run(until=10)  # the late AppResponse is delivered in here
+        assert request.value.timed_out
+        assert request.value.latency == 0.1
+        assert app.seen == [("alice", "x")]  # it was served; the reply came late
+        assert client._pending == {}
+        client.request_timeout = 5.0
+        follow_up = client.request(host.address, APP, "y")
+        system.run(until=20)
+        assert follow_up.value.result == "echo:y" and not follow_up.value.timed_out
+
+    def test_reply_cancels_the_timer_and_leaves_no_callback_on_it(self):
+        system, host, _app, client = self._client(timeout=50.0)
+        env = system.env
+        request = client.request(host.address, APP, "x")
+        system.run(until=10)
+        assert request.value.allowed and not request.value.timed_out
+        timers = [
+            event for when, _eid, event in env._queue
+            if type(event) is Timeout and when == 50.0
+        ]
+        assert len(timers) == 1
+        (timer,) = timers
+        assert timer._cancelled and not timer._callbacks and timer._waiter is None
+        dead = env.dead_pops
+        system.run(until=49.0)
+        assert env.dead_pops == dead  # still queued, not yet reached
+        system.run(until=51.0)
+        assert env.dead_pops == dead + 1  # popped dead: nothing ran for it
+
+    def test_overlapping_invokes_resolve_independently(self):
+        system, host, app, client = self._client()
+        slow = client.request(host.address, APP, "first")  # miss: 4 hops
+        system.run(until=0.19)
+        assert slow.is_alive
+        lost = client.request(host.address, "ghost", "second")
+        fast = client.request(host.address, APP, "third")
+        system.run(until=10)
+        assert slow.value.result == "echo:first" and slow.value.latency == pytest.approx(0.2)
+        assert fast.value.result == "echo:third" and fast.value.latency == pytest.approx(0.1)
+        assert "no such application" in lost.value.reason
+        assert not any(r.value.timed_out for r in (slow, lost, fast))
+        assert client._pending == {}
+
+    def test_crash_clears_pending_and_the_waiter_times_out(self):
+        system, host, _app, client = self._client()
+        request = client.request(host.address, APP, "x")
+        system.run(until=0.01)
+        client.crash()
+        assert client._pending == {}
+        system.run(until=20)
+        assert request.value.timed_out and request.value.latency == 5.0
+
+    def test_admin_client_shares_the_idiom(self):
+        from repro.core.admin import AdminClient
+
+        system, _host, _app, _ = build()
+        admin = AdminClient("a0", "root", request_timeout=3.0)
+        system.network.register(admin)
+        system.managers[0].crash()
+        lost = admin.add_process(system.managers[0].address, APP, "carol")
+        system.run(until=10)
+        assert lost.value.timed_out and lost.value.latency == 3.0
+        assert not lost.value.accepted and admin._pending == {}
+
+
+def _drop_replies(send):
+    from repro.core.messages import AppResponse
+
+    def filtered(src, dst, message):
+        if not isinstance(message, AppResponse):
+            send(src, dst, message)
+
+    return filtered
