@@ -8,7 +8,7 @@ key sizes.
 
 from .identity import Authenticator, Principal, SignedMessage
 from .keys import KeyPair, PrivateKey, PublicKey, generate_keypair, is_probable_prime
-from .signatures import Signature, canonical_bytes, message_digest, sign, verify
+from .signatures import Signature, Tag, canonical_bytes, message_digest, sign, verify
 
 __all__ = [
     "Authenticator",
@@ -18,6 +18,7 @@ __all__ = [
     "PublicKey",
     "Signature",
     "SignedMessage",
+    "Tag",
     "canonical_bytes",
     "generate_keypair",
     "is_probable_prime",

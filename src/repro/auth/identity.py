@@ -16,31 +16,40 @@ to*.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Optional, Set, Union
 
 from .keys import KeyPair, PublicKey, generate_keypair
-from .signatures import Signature, sign, verify
+from .signatures import Signature, Tag, sign, verify
 
 __all__ = ["Principal", "Authenticator", "SignedMessage"]
 
 
 @dataclass(frozen=True)
 class SignedMessage:
-    """A payload plus the sender's signature over it."""
+    """A payload plus the sender's proof over it (a signature or a tag)."""
 
     payload: Any
-    signature: Signature
+    signature: Union[Signature, Tag]
 
 
 class Principal:
-    """A user (or host) identity holding its own key pair."""
+    """A user (or host) identity holding its own key pair.
+
+    The default key is derived from SHA-256 of the id, so every process
+    generates the same key for the same identity (``hash()`` is salted
+    per interpreter) and distinct ids get distinct keys.
+    """
 
     def __init__(self, user_id: str, keypair: Optional[KeyPair] = None,
                  rng: Optional[random.Random] = None):
         self.user_id = user_id
-        self.keypair = keypair or generate_keypair(rng=rng or random.Random(hash(user_id) & 0xFFFF))
+        if keypair is None and rng is None:
+            digest = hashlib.sha256(user_id.encode("utf-8")).digest()
+            rng = random.Random(int.from_bytes(digest[:8], "big"))
+        self.keypair = keypair or generate_keypair(rng=rng)
 
     @property
     def public_key(self) -> PublicKey:
@@ -78,6 +87,9 @@ class Authenticator:
 
     def knows(self, user_id: str) -> bool:
         return user_id in self._keys
+
+    def key_of(self, user_id: str) -> Optional[PublicKey]:
+        return self._keys.get(user_id)
 
     def authenticate(self, message: SignedMessage) -> bool:
         """True iff the signature verifies under the claimed signer's key.

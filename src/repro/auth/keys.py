@@ -105,6 +105,16 @@ class PublicKey:
     def bits(self) -> int:
         return self.n.bit_length()
 
+    def wrap(self, key: bytes) -> int:
+        """Transport ``key`` to the private-key holder: ``key ** e mod n``.
+
+        Textbook (unpadded) like the signatures.  Raises ``ValueError``
+        when the modulus cannot carry every key of this length.
+        """
+        if len(key) * 8 >= self.bits:
+            raise ValueError(f"a {self.bits}-bit modulus cannot carry a {len(key)}-byte key")
+        return pow(int.from_bytes(key, "big"), self.e, self.n)
+
 
 @dataclass(frozen=True)
 class PrivateKey:
@@ -131,6 +141,19 @@ class PrivateKey:
         m2 = pow(m, self.dq, self.q)
         h = self.qinv * (pow(m, self.dp, self.p) - m2) % self.p
         return m2 + h * self.q
+
+    def unwrap(self, wrapped: int, length: int) -> bytes:
+        """Inverse of :meth:`PublicKey.wrap` — one private-key operation.
+
+        ``wrapped`` is outside input: anything that is not the wrapping
+        of a ``length``-byte key raises ``ValueError``.
+        """
+        if type(wrapped) is not int or not 0 < wrapped < self.n:
+            raise ValueError("wrapped key out of range")
+        try:
+            return self.power(wrapped).to_bytes(length, "big")
+        except OverflowError:
+            raise ValueError("not a wrapped key of this length") from None
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,12 @@ without changing a single signature value).
 Messages are serialised canonically (sorted-key ``repr`` of primitive
 structures) so signing is deterministic and independent of dict
 ordering.
+
+Beside :class:`Signature` there is :class:`Tag`: an HMAC-SHA256 over the
+same canonical bytes under a key that only the signer and *one* verifier
+hold (transported once with :meth:`~repro.auth.keys.PublicKey.wrap`).
+It proves the same thing to that verifier at a tenth of the cost, and
+nothing to anyone else.
 """
 
 from __future__ import annotations
@@ -17,12 +23,19 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
+import hmac
 from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
 from .keys import PrivateKey, PublicKey
 
-__all__ = ["Signature", "sign", "verify", "message_digest", "canonical_bytes"]
+__all__ = [
+    "Signature", "sign", "verify", "message_digest", "canonical_bytes",
+    "Tag", "PAIRWISE_KEY_BYTES", "make_tag", "check_tag", "key_fingerprint",
+]
+
+#: Bytes in a pairwise key, and in the (truncated) tag made under it.
+PAIRWISE_KEY_BYTES = 16
 
 
 def canonical_bytes(payload: Any) -> bytes:
@@ -109,3 +122,38 @@ def verify(payload: Any, signature: Signature, key: PublicKey) -> bool:
     """True iff ``signature`` is valid for ``payload`` under ``key``."""
     digest = message_digest(payload) % key.n
     return pow(signature.value, key.e, key.n) == digest
+
+
+@dataclass(frozen=True)
+class Tag:
+    """A MAC over a payload under the pairwise key named ``key_id``."""
+
+    signer: str
+    key_id: int
+    value: int
+
+
+def key_fingerprint(key: bytes) -> int:
+    """The public 64-bit name of a pairwise key; never 0 ("no key")."""
+    return int.from_bytes(hashlib.sha256(key).digest()[:8], "big") or 1
+
+
+def _mac(payload: Any, key: bytes) -> bytes:
+    return hmac.digest(key, canonical_bytes(payload), "sha256")[:PAIRWISE_KEY_BYTES]
+
+
+def make_tag(payload: Any, signer: str, key: bytes, key_id: int) -> Tag:
+    """Authenticate ``payload`` to the one other holder of ``key``."""
+    return Tag(signer=signer, key_id=key_id, value=int.from_bytes(_mac(payload, key), "big"))
+
+
+def check_tag(payload: Any, tag: Tag, key: bytes) -> bool:
+    """True iff ``tag`` was made over ``payload`` under ``key``.
+
+    ``tag.value`` is outside input; anything but an in-range integer fails.
+    """
+    try:
+        claimed = tag.value.to_bytes(PAIRWISE_KEY_BYTES, "big")
+    except (AttributeError, OverflowError):
+        return False
+    return hmac.compare_digest(claimed, _mac(payload, key))

@@ -29,9 +29,11 @@ process generator that resolves to an :class:`AccessDecision`::
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Optional, Sequence, Tuple
+import os
+from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
 from ..auth.identity import Authenticator, SignedMessage
+from ..auth.signatures import PAIRWISE_KEY_BYTES, Tag, check_tag, key_fingerprint
 from ..protocols.decision import AccessDecision, DecisionReason
 from ..protocols.maintenance import CacheMaintenance
 from ..protocols.messaging import ReplyTable
@@ -72,7 +74,9 @@ class AccessControlHost(Node):
     manager_authenticator:
         When set, manager responses must arrive as
         :class:`~repro.auth.SignedMessage` signed by the responding
-        manager; unsigned or forged responses are discarded.
+        manager — or tagged by it under the pairwise key this host
+        generated for it (:meth:`key_offer`); unsigned or forged
+        responses are discarded.
     interner:
         Shared user-name interner backing this host's caches and deny
         table; a private one is created when omitted.  Mega-population
@@ -117,6 +121,11 @@ class AccessControlHost(Node):
         self._incarnation = 0
         self.rejected_manager_signatures = 0
         self.late_manager_responses = 0
+        # manager -> (key, key_id, wrapped key): the pairwise key this
+        # host generated for that manager's answers; and the managers it
+        # has been sent to that have not answered with RSA since.
+        self._answer_keys: Dict[Address, Tuple[bytes, int, int]] = {}
+        self._offered: Set[Address] = set()
         self.pipeline = VerificationPipeline(self)
         self.maintenance = CacheMaintenance()
         # counters for quick inspection (metrics use the tracer)
@@ -193,15 +202,10 @@ class AccessControlHost(Node):
                 # says, so do not pay an RSA verify to find that out.
                 self.late_manager_responses += 1
                 return
-            if self.manager_authenticator is None:
-                message = message.payload  # signatures not in use; unwrap
-            elif not self.manager_authenticator.authenticate(message) or (
-                message.signature.signer != message.payload.manager
-            ):
+            if self.manager_authenticator is not None and not self._authentic(message):
                 self.rejected_manager_signatures += 1
                 return
-            else:
-                message = message.payload
+            message = message.payload  # authentic, or signatures not in use
         elif (
             isinstance(message, QueryResponse)
             and self.manager_authenticator is not None
@@ -222,6 +226,53 @@ class AccessControlHost(Node):
             self._pending_lookups.dispatch(message.lookup_id, message)
         else:
             self.handle_other_message(src, message)
+
+    def key_offer(self, manager: Address) -> Tuple[int, int]:
+        """``(key_id, wrapped_key)`` for a query to ``manager``.
+
+        The key is generated here, once per manager, and travels wrapped
+        under the manager's public key in the first query after that —
+        and after every RSA-signed answer, which says the manager does
+        not hold it.  ``(0, 0)``, and answers stay RSA-signed, when
+        signatures are not in use or that public key is unknown or too
+        small to carry a key.
+        """
+        authenticator = self.manager_authenticator
+        if authenticator is None:
+            return 0, 0
+        entry = self._answer_keys.get(manager)
+        if entry is None:
+            public = authenticator.key_of(manager)
+            if public is None:
+                return 0, 0
+            key = os.urandom(PAIRWISE_KEY_BYTES)
+            try:
+                entry = (key, key_fingerprint(key), public.wrap(key))
+            except ValueError:  # a toy modulus, too small to carry a key
+                return 0, 0
+            self._answer_keys[manager] = entry
+        if manager in self._offered:
+            return entry[1], 0
+        self._offered.add(manager)
+        return entry[1], entry[2]
+
+    def _authentic(self, message: SignedMessage) -> bool:
+        """Did ``payload.manager`` itself make this answer?  A tag says so
+        only under the key this host generated for that manager; its RSA
+        signature always does, and asks for that key to be offered again."""
+        proof, manager = message.signature, message.payload.manager
+        if type(proof) is Tag:
+            entry = self._answer_keys.get(manager)
+            return (
+                entry is not None
+                and proof.signer == manager
+                and proof.key_id == entry[1]
+                and check_tag(message.payload, proof, entry[0])
+            )
+        if not self.manager_authenticator.authenticate(message) or proof.signer != manager:
+            return False
+        self._offered.discard(manager)
+        return True
 
     def handle_other_message(self, src: Address, message: Any) -> None:
         """Hook for subclasses (the application wrapper lives here)."""
@@ -257,6 +308,8 @@ class AccessControlHost(Node):
         self._pending_queries.clear()
         self._pending_lookups.clear()
         self._ns_cache.clear()
+        self._answer_keys.clear()
+        self._offered.clear()
 
     def on_recover(self) -> None:
         """Nothing to restore — Section 3.4: the cache simply refills."""

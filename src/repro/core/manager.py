@@ -82,6 +82,10 @@ class AccessControlManager(Node):
         #: When set, query responses are signed with this identity so
         #: hosts in Byzantine mode can authenticate them (footnote 2).
         self.principal = principal
+        #: host -> (key_id, key): the pairwise key each host last offered
+        #: for tagging its answers (:mod:`repro.protocols.query`).
+        self._host_keys: Dict[Address, Tuple[int, bytes]] = {}
+        self.rejected_key_offers = 0
         #: Explicit stable storage.  When provided, in-memory ACL state
         #: is lost on crash and reloaded from here on recovery; when
         #: None, memory itself is treated as stable (the paper's
@@ -276,12 +280,14 @@ class AccessControlManager(Node):
 
     # -- recovery (Section 3.4) -------------------------------------------------------------
     def on_crash(self) -> None:
-        """The grant table and liveness estimates are volatile; the
-        ACL survives — implicitly (no store) or on the explicit store,
-        in which case the in-memory copy is genuinely lost here."""
+        """The grant table, liveness estimates and hosts' pairwise keys
+        are volatile; the ACL survives — implicitly (no store) or on the
+        explicit store, in which case the in-memory copy is genuinely
+        lost here."""
         for table in self._grant_table.values():
             table.clear()
         self._pending_notifies.clear()
+        self._host_keys.clear()
         if self.store is not None:
             for application in list(self.acls):
                 self.acls[application] = AccessControlList(

@@ -51,12 +51,19 @@ class Verdict:
 
 @dataclass(frozen=True)
 class QueryRequest:
-    """Host -> manager: does ``user`` hold ``right`` on ``application``?"""
+    """Host -> manager: does ``user`` hold ``right`` on ``application``?
+
+    ``key_id`` names the pairwise key the host would like the answer
+    tagged under (0: sign it); ``wrapped_key``, when not 0, carries that
+    key wrapped under the manager's public key.
+    """
 
     query_id: int
     application: str
     user: str
     right: Right
+    key_id: int = 0
+    wrapped_key: int = 0
 
 
 @dataclass(frozen=True)

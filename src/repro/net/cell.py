@@ -19,8 +19,6 @@ and only then do the nodes learn their peers.
 from __future__ import annotations
 
 import asyncio
-import hashlib
-import random
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
 
 from ..auth.identity import Authenticator, Principal
@@ -32,7 +30,7 @@ from .runtime import LiveRuntime
 from .session import DEFAULT_LIFETIME
 from .tcp import LiveConnectivity
 
-__all__ = ["LiveCell", "EchoApplication", "cell_principal", "DEFAULT_SECRET"]
+__all__ = ["LiveCell", "EchoApplication", "DEFAULT_SECRET"]
 
 T = TypeVar("T")
 
@@ -41,20 +39,6 @@ DEFAULT_SECRET = b"repro-localhost-cell"
 
 #: Version origin for seeded grants — matches the sim system's.
 _SEED_ORIGIN = ""
-
-
-def cell_principal(user_id: str) -> Principal:
-    """A :class:`Principal` with a *process-independent* deterministic key.
-
-    The default :class:`Principal` seeds key generation from
-    ``hash(user_id)``, which is salted per interpreter — fine inside one
-    simulation, wrong for a cell whose managers run in separate
-    ``repro serve`` processes.  Hashing with SHA-256 instead gives every
-    process the same key for the same identity.
-    """
-    digest = hashlib.sha256(user_id.encode("utf-8")).digest()
-    seed = int.from_bytes(digest[:8], "big")
-    return Principal(user_id, rng=random.Random(seed))
 
 
 class EchoApplication(Application):
@@ -139,7 +123,7 @@ class LiveCell:
         self.runtimes: Dict[str, LiveRuntime] = {}
         self.managers: List[AccessControlManager] = []
         for addr in self.manager_addrs:
-            principal = cell_principal(addr) if sign_responses else None
+            principal = Principal(addr) if sign_responses else None
             if manager_auth is not None and principal is not None:
                 manager_auth.register(principal)
             manager = AccessControlManager(addr, self.policy, principal=principal)

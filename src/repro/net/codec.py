@@ -6,8 +6,8 @@ backend needs bytes.  This module is the bijection between the two:
 * :func:`encode_message` / :func:`decode_message` — a tagged JSON
   encoding of every frozen dataclass in the wire protocol
   (:mod:`repro.core.messages`, plus :class:`~repro.auth.SignedMessage`
-  and its :class:`~repro.auth.Signature`, and the embedded value types
-  :class:`~repro.core.rights.Version` and
+  and its :class:`~repro.auth.Signature` or :class:`~repro.auth.Tag`,
+  and the embedded value types :class:`~repro.core.rights.Version` and
   :class:`~repro.core.rights.AclEntry`).  Encoding is canonical —
   sorted keys, minimal separators — so equal messages always produce
   identical bytes and re-encoding a decoded message is byte-stable
@@ -31,7 +31,7 @@ from dataclasses import fields, is_dataclass
 from typing import Any, Dict, List, Type
 
 from ..auth.identity import SignedMessage
-from ..auth.signatures import Signature
+from ..auth.signatures import Signature, Tag
 from ..core import messages as _messages
 from ..core.rights import AclEntry, Right, Version
 
@@ -87,6 +87,7 @@ _WIRE_TYPES: List[Type[Any]] = [
     Signature,
     AclEntry,
     Version,
+    Tag,
 ]
 
 _REGISTRY: Dict[str, Type[Any]] = {cls.__name__: cls for cls in _WIRE_TYPES}

@@ -9,11 +9,11 @@ Three roles:
   with an explicit ``--listen`` endpoint and a static ``--peers``
   directory — the shape a real multi-machine deployment uses.
 
-All roles speak the same wire protocol: RSA-signed query responses
-(deterministic per-identity keys via
-:func:`~repro.net.cell.cell_principal`, so separate processes agree),
-HMAC session frames with replay nonces under ``--secret``, and
-length-prefixed tagged-JSON codec frames.
+All roles speak the same wire protocol: query responses RSA-signed or,
+once a host has handed a manager its pairwise key, tagged under it
+(:class:`~repro.auth.Principal`'s default key is a function of the
+identity alone, so separate processes agree), HMAC session frames with
+replay nonces under ``--secret``, and length-prefixed codec frames.
 
 Examples
 --------
@@ -33,19 +33,39 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import ctypes
 import json
 import signal
 from typing import Dict, List, Optional, Tuple
 
-from ..auth.identity import Authenticator
+from ..auth.identity import Authenticator, Principal
 from ..core.manager import AccessControlManager
 from ..core.policy import AccessPolicy
 from ..core.rights import Right
 from ..core.wrapper import ApplicationHost
-from .cell import DEFAULT_SECRET, EchoApplication, LiveCell, cell_principal
+from .cell import DEFAULT_SECRET, EchoApplication, LiveCell
 from .runtime import LiveRuntime
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "pin_allocator"]
+
+
+def pin_allocator() -> bool:
+    """Keep glibc malloc in one regime; False (and nothing done) off glibc.
+
+    asyncio reads into a fresh 256 KiB buffer each time; glibc may serve
+    it from the heap top and then trim and regrow the heap per read — 15 %
+    slower, from a moment that differs run to run (``bench_e2e/README.md``,
+    "Allocator": the benchmark pins the same three thresholds).
+    """
+    m_trim_threshold, m_top_pad, m_mmap_threshold = -1, -2, -3
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt(m_mmap_threshold, 16 << 20)
+    mallopt(m_trim_threshold, 1 << 30)
+    mallopt(m_top_pad, 16 << 20)
+    return True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,14 +202,14 @@ async def _serve_node(args: argparse.Namespace, secret: bytes) -> int:
     )
     if args.role == "manager":
         node: object = AccessControlManager(
-            args.address, policy, principal=cell_principal(args.address)
+            args.address, policy, principal=Principal(args.address)
         )
         for app in applications:
             node.manage(app, manager_set)
     else:
         authenticator = Authenticator()
         for addr in manager_set:
-            authenticator.register(cell_principal(addr))
+            authenticator.register(Principal(addr))
         node = ApplicationHost(
             args.address,
             policy,
@@ -215,6 +235,7 @@ async def _serve_node(args: argparse.Namespace, secret: bytes) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     secret = args.secret.encode("utf-8") if args.secret else DEFAULT_SECRET
+    pin_allocator()
     if args.role == "cell":
         return asyncio.run(_serve_cell(args, secret))
     return asyncio.run(_serve_node(args, secret))

@@ -102,9 +102,7 @@ class ParallelPlanner(QueryPlanner):
             items.append(
                 (
                     manager,
-                    QueryRequest(
-                        query_id=qid, application=application, user=user, right=right
-                    ),
+                    QueryRequest(qid, application, user, right, *host.key_offer(manager)),
                 )
             )
 
@@ -171,8 +169,8 @@ class SequentialPlanner(QueryPlanner):
                 host,
                 host._pending_queries,
                 manager,
-                lambda qid: QueryRequest(
-                    query_id=qid, application=application, user=user, right=right
+                lambda qid, manager=manager: QueryRequest(
+                    qid, application, user, right, *host.key_offer(manager)
                 ),
                 policy.query_timeout,
                 on_sent=lambda manager=manager: trace_sent(manager),

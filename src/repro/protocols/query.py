@@ -4,17 +4,54 @@ A truthful manager answers from its local ACL copy, records the grant
 in the grant table with a ``Te``-bounded deadline (so a later
 revocation knows which hosts to chase), and stays *silent* — "no
 responses are sent to application hosts" — while recovering or while
-the freeze strategy has frozen the application.  Responses are signed
-when the manager has a principal, so Byzantine-mode hosts can
-authenticate them (footnote 2).
+the freeze strategy has frozen the application.  Responses are
+authenticated when the manager has a principal, so Byzantine-mode hosts
+can tell who made them (footnote 2): tagged under the pairwise key the
+asking host named in its query when the manager holds that key or the
+query carries it, RSA-signed otherwise — which is also how a host
+learns that its key was lost and must be offered again.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
+from ..auth.identity import SignedMessage
+from ..auth.signatures import PAIRWISE_KEY_BYTES, key_fingerprint, make_tag
 from ..core.messages import QueryRequest, QueryResponse, Verdict
 from ..sim.node import Address
 
-__all__ = ["QueryAnswerer"]
+__all__ = ["QueryAnswerer", "MAX_HOST_KEYS"]
+
+#: Pairwise keys a manager keeps, one per asking host; the host offered
+#: longest ago is evicted (and simply offers again).
+MAX_HOST_KEYS = 1024
+
+
+def _pairwise_key(manager, src: Address, request: QueryRequest) -> Optional[bytes]:
+    """The key ``request`` names, if this manager holds it or can unwrap
+    it from the request (one private-key operation); None means sign."""
+    key_id = request.key_id
+    if not key_id:
+        return None
+    keys = manager._host_keys
+    held = keys.get(src)
+    if held is not None and held[0] == key_id:
+        return held[1]
+    if not request.wrapped_key:
+        return None
+    try:
+        key = manager.principal.keypair.private.unwrap(request.wrapped_key, PAIRWISE_KEY_BYTES)
+    except ValueError:
+        key = None
+    if key is None or key_fingerprint(key) != key_id:
+        manager.rejected_key_offers += 1
+        return None
+    keys.pop(src, None)
+    if len(keys) >= MAX_HOST_KEYS:
+        del keys[next(iter(keys))]
+    keys[src] = (key_id, key)
+    return key
 
 
 class QueryAnswerer:
@@ -55,7 +92,13 @@ class QueryAnswerer:
             version=version,
             manager=manager.address,
         )
-        if manager.principal is not None:
-            manager.send(src, manager.principal.sign(response))
-        else:
+        principal = manager.principal
+        if principal is None:
             manager.send(src, response)
+            return
+        key = _pairwise_key(manager, src, request)
+        if key is None:
+            manager.send(src, principal.sign(response))
+        else:
+            tag = make_tag(response, principal.user_id, key, request.key_id)
+            manager.send(src, SignedMessage(response, tag))

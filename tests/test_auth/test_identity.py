@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.auth.identity import Authenticator, Principal
 from repro.auth.keys import generate_keypair
+
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +92,45 @@ class TestPrincipal:
         auth = Authenticator()
         auth.register_key("alice", alice.public_key)
         assert auth.authenticate(alice.sign([1, 2, 3]))
+
+
+class TestDefaultKeys:
+    """``Principal(user_id)`` derives its key from SHA-256 of the id."""
+
+    def test_distinct_ids_get_distinct_moduli(self):
+        # 300 ids: the old ``hash(id) & 0xFFFF`` seed had 2**16 keys in all,
+        # so a birthday collision among 300 was already ~50 % likely.
+        moduli = {Principal(f"principal-{i}").public_key.n for i in range(300)}
+        assert len(moduli) == 300
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.text(min_size=1, max_size=12), st.text(min_size=1, max_size=12))
+    def test_same_id_same_key_different_id_different_key(self, left, right):
+        same = Principal(left).public_key == Principal(left).public_key
+        assert same and (left == right) == (Principal(left).public_key == Principal(right).public_key)
+
+    def test_two_interpreters_agree(self):
+        script = (
+            "from repro.auth.identity import Principal; "
+            "print(Principal('m0').public_key.n, Principal('h\u00e9').public_key.n)"
+        )
+        outputs = set()
+        for hash_seed in ("0", "1", "12345"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=SRC)
+            done = subprocess.run(
+                [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+            )
+            outputs.add(done.stdout)
+        assert outputs == {f"{Principal('m0').public_key.n} {Principal('hé').public_key.n}\n"}
+
+    def test_explicit_keypair_or_rng_still_wins(self):
+        pair = generate_keypair(bits=64, rng=random.Random(3))
+        assert Principal("x", pair).keypair is pair
+        seeded = Principal("x", rng=random.Random(3)).public_key
+        assert seeded == Principal("y", rng=random.Random(3)).public_key != Principal("x").public_key
+
+    def test_authenticator_exposes_registered_keys(self):
+        auth = Authenticator()
+        principal = Principal("m0")
+        auth.register(principal)
+        assert auth.key_of("m0") == principal.public_key and auth.key_of("m1") is None

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.auth.keys import generate_keypair, is_probable_prime
+from repro.auth.keys import PrivateKey, generate_keypair, is_probable_prime
 
 
 class TestMillerRabin:
@@ -62,3 +62,38 @@ class TestKeygen:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             generate_keypair(bits=16)
+
+
+class TestKeyTransport:
+    """``PublicKey.wrap`` / ``PrivateKey.unwrap``: textbook-RSA key transport."""
+
+    def test_roundtrip_keeps_leading_zero_bytes(self):
+        pair = generate_keypair(bits=192, rng=random.Random(3))
+        for key in (bytes(range(16)), b"\x00" * 15 + b"\x01", b"\xff" * 16):
+            assert pair.private.unwrap(pair.public.wrap(key), 16) == key
+
+    def test_plain_and_crt_private_keys_unwrap_alike(self):
+        pair = generate_keypair(bits=160, rng=random.Random(4))
+        plain = PrivateKey(n=pair.private.n, d=pair.private.d)
+        wrapped = pair.public.wrap(b"sixteen byte key")
+        assert plain.unwrap(wrapped, 16) == pair.private.unwrap(wrapped, 16) == b"sixteen byte key"
+
+    @pytest.mark.parametrize("bits", [32, 64, 128])
+    def test_modulus_too_small_to_carry_the_key(self, bits):
+        pair = generate_keypair(bits=bits, rng=random.Random(5))
+        with pytest.raises(ValueError):
+            pair.public.wrap(b"k" * 16)
+        assert pair.private.unwrap(pair.public.wrap(b"k"), 1) == b"k"
+
+    @pytest.mark.parametrize("wrapped", [0, -1, "12", 1.0, None, True, 1 << 4000])
+    def test_unwrap_rejects_what_is_not_a_wrapped_key(self, wrapped):
+        pair = generate_keypair(bits=192, rng=random.Random(6))
+        with pytest.raises(ValueError):
+            pair.private.unwrap(wrapped, 16)
+        with pytest.raises(ValueError):
+            pair.private.unwrap(pair.public.n, 16)
+
+    def test_unwrap_rejects_a_plaintext_longer_than_the_key(self):
+        pair = generate_keypair(bits=192, rng=random.Random(7))
+        with pytest.raises(ValueError):
+            pair.private.unwrap(pair.public.wrap(b"k" * 20), 16)

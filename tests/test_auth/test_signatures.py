@@ -10,7 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.auth.keys import PrivateKey, generate_keypair
-from repro.auth.signatures import canonical_bytes, message_digest, sign, verify
+from repro.auth.signatures import (
+    PAIRWISE_KEY_BYTES,
+    canonical_bytes,
+    check_tag,
+    key_fingerprint,
+    make_tag,
+    message_digest,
+    sign,
+    verify,
+)
 from repro.core.messages import AppRequest
 from repro.core.rights import Right
 from repro.net.codec import _WIRE_TYPES
@@ -241,3 +250,36 @@ class TestCrtSigning:
                 assert by_crt == by_plain
                 assert verify(payload, by_crt, pair.public)
                 assert verify(payload, by_plain, pair.public)
+
+
+class TestTags:
+    KEY = bytes(range(PAIRWISE_KEY_BYTES))
+
+    def test_roundtrip_and_what_breaks_it(self):
+        key_id = key_fingerprint(self.KEY)
+        tag = make_tag({"op": "add"}, "m0", self.KEY, key_id)
+        assert (tag.signer, tag.key_id) == ("m0", key_id)
+        assert check_tag({"op": "add"}, tag, self.KEY)
+        assert not check_tag({"op": "revoke"}, tag, self.KEY)
+        assert not check_tag({"op": "add"}, tag, self.KEY[::-1])
+        assert make_tag({"op": "add"}, "m0", self.KEY, key_id) == tag  # deterministic
+
+    @pytest.mark.parametrize("value", [-1, 1 << 128, "1", None, 0.0, b"\x00" * 16, (1,)])
+    def test_values_no_mac_can_be_fail_without_raising(self, value):
+        tag = make_tag("payload", "m0", self.KEY, 7)
+        assert not check_tag("payload", dataclasses.replace(tag, value=value), self.KEY)
+
+    def test_tag_covers_every_field_of_a_wire_message(self):
+        message = MESSAGES[3]  # the QueryResponse
+        tag = make_tag(message, "m0", self.KEY, 7)
+        for field in dataclasses.fields(message):
+            value = getattr(message, field.name)
+            moved = dataclasses.replace(
+                message, **{field.name: value + 1 if isinstance(value, (int, float)) else "x"}
+            )
+            assert not check_tag(moved, tag, self.KEY), field.name
+
+    @given(key=st.binary(min_size=PAIRWISE_KEY_BYTES, max_size=PAIRWISE_KEY_BYTES))
+    def test_fingerprint_is_a_stable_nonzero_64_bit_name(self, key):
+        assert 0 < key_fingerprint(key) < 1 << 64
+        assert key_fingerprint(key) == key_fingerprint(bytes(key))

@@ -3,12 +3,15 @@ negative caching, and Byzantine-manager tolerance (footnote 2)."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
-from repro.auth.identity import Authenticator, Principal
+from repro.auth.identity import Authenticator, Principal, SignedMessage
 from repro.auth.keys import generate_keypair
+from repro.auth.signatures import Signature, Tag, check_tag, key_fingerprint, make_tag
+from repro.core import host as host_module
 from repro.core.byzantine import (
     DENY_ALL,
     FLIP,
@@ -18,8 +21,10 @@ from repro.core.byzantine import (
 )
 from repro.core.host import AccessControlHost, DecisionReason
 from repro.core.manager import AccessControlManager
+from repro.core.messages import QueryRequest
 from repro.core.policy import AccessPolicy, ExhaustedAction
 from repro.core.rights import AclEntry, Right, Version
+from repro.protocols import query as query_module
 from repro.sim.clock import LocalClock
 from repro.sim.engine import Environment
 from repro.sim.network import FixedLatency, Network
@@ -39,6 +44,7 @@ class ExtensionHarness:
         liars: int = 0,
         lie_mode: str = GRANT_ALL,
         signed: bool = False,
+        key_bits: int = 128,
     ):
         self.env = Environment()
         self.tracer = Tracer(self.env, keep_log=True)
@@ -56,7 +62,7 @@ class ExtensionHarness:
             principal = None
             if signed:
                 principal = Principal(
-                    addr, generate_keypair(bits=128, rng=random.Random(index))
+                    addr, generate_keypair(bits=key_bits, rng=random.Random(index))
                 )
                 authenticator.register(principal)
             # The *last* `liars` managers lie.
@@ -419,3 +425,222 @@ class TestSignedResponses:
         decision = harness.check("revoked-user")
         assert not decision.allowed
         assert harness.host.rejected_manager_signatures >= 1
+
+    # -- pairwise-key (tagged) answers: the hostile peer ------------------------
+    # Existing cases above run 128-bit manager keys, too small to carry a
+    # pairwise key, so they stay on RSA; these use keys that can carry one.
+
+    def _keyed(self):
+        """A signed harness after one check: h0 generated a key for every
+        manager, handed it over inside its queries, and got tagged answers."""
+        harness = ExtensionHarness(
+            policy(check_quorum=2, max_attempts=1), signed=True, key_bits=192
+        )
+        harness.grant_everywhere("alice")
+        assert harness.check("alice").allowed
+        assert harness.host.rejected_manager_signatures == 0
+        assert set(harness.host._answer_keys) == set(harness.manager_addrs)
+        harness.late_before = harness.host.late_manager_responses
+        return harness
+
+    def _answer_from(self, manager, src, request):
+        """What ``manager`` itself sends back for ``request`` — captured."""
+        sent = []
+        manager.send = lambda dst, message: sent.append((dst, message))
+        try:
+            manager.handle_message(src, request)
+        finally:
+            del manager.send
+        ((dst, answer),) = sent
+        assert dst == src
+        return answer
+
+    def _genuine_tagged(self, harness, manager, query_id, host=None):
+        host = host or harness.host
+        offer = host.key_offer(manager.address)  # wrapped too, if not yet handed over
+        answer = self._answer_from(
+            manager, host.address, QueryRequest(query_id, APP, "alice", Right.USE, *offer)
+        )
+        assert type(answer.signature) is Tag and answer.signature.key_id == offer[0]
+        return answer
+
+    def _pending(self, harness):
+        reached_combiner = []
+        query_id = harness.host._pending_queries.allocate(reached_combiner.append)
+        return query_id, reached_combiner
+
+    def _assert_rejected(self, harness, message, query_id, reached_combiner, rejected):
+        harness.host.handle_message("m0", message)
+        assert harness.host.rejected_manager_signatures == rejected
+        assert harness.host.late_manager_responses == harness.late_before
+        assert reached_combiner == [] and query_id in harness.host._pending_queries
+
+    def test_tagged_answer_accepted_under_the_key_the_host_generated(self):
+        harness = self._keyed()
+        query_id, reached_combiner = self._pending(harness)
+        genuine = self._genuine_tagged(harness, harness.managers[0], query_id)
+        harness.host.handle_message("m0", genuine)
+        assert reached_combiner == [genuine.payload]
+        assert harness.host.rejected_manager_signatures == 0
+        assert harness.host.late_manager_responses == harness.late_before
+
+    def test_forged_replayed_and_misattributed_tags_rejected(self):
+        harness = self._keyed()
+        host, (m0, m1, _m2) = harness.host, harness.managers
+        query_id, reached = self._pending(harness)
+        genuine = self._genuine_tagged(harness, m0, query_id)
+        tag = genuine.signature
+
+        # Forged: right signer and key id, wrong MAC — and values no MAC can be.
+        for rejected, value in enumerate(
+            (tag.value ^ 1, -1, 1 << 128, "7", None, 0.5), start=1
+        ):
+            forged = SignedMessage(genuine.payload, dataclasses.replace(tag, value=value))
+            self._assert_rejected(harness, forged, query_id, reached, rejected)
+
+        # Replayed: m0's genuine tag for an *earlier* query, moved to this one.
+        earlier = self._genuine_tagged(harness, m0, query_id=1)
+        replay = SignedMessage(
+            dataclasses.replace(earlier.payload, query_id=query_id), earlier.signature
+        )
+        self._assert_rejected(harness, replay, query_id, reached, 7)
+
+        # Misattributed: m1 (which holds a key with h0, so it can make tags
+        # h0 would accept *as m1's*) answers in m0's name.
+        m1_key, m1_key_id, _ = host._answer_keys["m1"]
+        as_m1 = make_tag(genuine.payload, "m1", m1_key, m1_key_id)
+        self._assert_rejected(
+            harness, SignedMessage(genuine.payload, as_m1), query_id, reached, 8
+        )
+        as_m0 = make_tag(genuine.payload, "m0", m1_key, tag.key_id)
+        self._assert_rejected(
+            harness, SignedMessage(genuine.payload, as_m0), query_id, reached, 9
+        )
+        # ... and a tag whose signer is not the payload's manager, even
+        # under the right key.
+        other_signer = SignedMessage(genuine.payload, dataclasses.replace(tag, signer="m1"))
+        self._assert_rejected(harness, other_signer, query_id, reached, 10)
+
+        # After all that, the genuine answer still gets through.
+        host.handle_message("m0", genuine)
+        assert reached == [genuine.payload]
+        assert host.rejected_manager_signatures == 10
+
+    def test_tag_under_another_hosts_or_a_stale_key_rejected(self):
+        harness = self._keyed()
+        host, m0 = harness.host, harness.managers[0]
+        other = AccessControlHost(
+            "h1", host.default_policy, managers={APP: harness.manager_addrs},
+            clock=LocalClock(harness.env),
+            manager_authenticator=host.manager_authenticator,
+        )
+        harness.network.register(other)
+        probe, _ = self._pending(harness)
+        host._pending_queries.discard(probe)
+        target = probe + 1  # the id h0's next query will carry
+
+        # m0's genuine answer to h1 — under the h1-m0 key — shown to h0,
+        # as recorded and with h0's own (public) key id pasted in.
+        for_h1 = self._genuine_tagged(harness, m0, target, host=other)
+        stale = self._genuine_tagged(harness, m0, target)  # under h0's current key
+        query_id, reached = self._pending(harness)
+        assert query_id == target
+        self._assert_rejected(harness, for_h1, query_id, reached, 1)
+        pasted = dataclasses.replace(for_h1.signature, key_id=host._answer_keys["m0"][1])
+        self._assert_rejected(
+            harness, SignedMessage(for_h1.payload, pasted), query_id, reached, 2
+        )
+
+        # h0 restarts: its keys are gone, so a tag under the old one is
+        # refused both before and after it has generated the next.
+        host.crash()
+        host.recover()
+        assert host._answer_keys == {}
+        query_id, reached = self._pending(harness)
+        stale = SignedMessage(
+            dataclasses.replace(stale.payload, query_id=query_id), stale.signature
+        )
+        self._assert_rejected(harness, stale, query_id, reached, 3)
+        assert host.key_offer("m0")[0] != stale.signature.key_id
+        self._assert_rejected(harness, stale, query_id, reached, 4)
+
+    def test_bad_key_offers_get_an_rsa_answer_and_are_counted(self):
+        harness = self._keyed()
+        m0 = harness.managers[0]
+        public = m0.principal.public_key
+        table = dict(m0._host_keys)
+        key = bytes(range(16))
+
+        def offer(key_id, wrapped):
+            request = QueryRequest(77, APP, "alice", Right.USE, key_id, wrapped)
+            answer = self._answer_from(m0, "h7", request)
+            assert type(answer.signature) is Signature
+            assert harness.host.manager_authenticator.authenticate(answer)
+            assert m0._host_keys == table
+            return m0.rejected_key_offers
+
+        assert offer(key_fingerprint(key), 0) == 0  # names a key, offers none: not an offer
+        assert offer(123, 987654321) == 1  # garbage
+        assert offer(key_fingerprint(key), public.n) == 2  # oversize: not below the modulus
+        assert offer(key_fingerprint(key), 1 << 100_000) == 3  # ... refused before any pow()
+        assert offer(key_fingerprint(key), -5) == 4
+        assert offer(key_fingerprint(key), "0xdeadbeef") == 5
+        assert offer(key_fingerprint(key) ^ 1, public.wrap(key)) == 6  # fingerprint mismatch
+        assert offer("not-an-id", public.wrap(key)) == 7
+        # The same offer with the matching fingerprint is taken.
+        answer = self._answer_from(
+            m0, "h7",
+            QueryRequest(78, APP, "alice", Right.USE, key_fingerprint(key), public.wrap(key)),
+        )
+        assert type(answer.signature) is Tag and check_tag(answer.payload, answer.signature, key)
+        assert m0._host_keys["h7"] == (key_fingerprint(key), key)
+        assert m0.rejected_key_offers == 7
+
+    def test_offer_flood_keeps_the_managers_key_table_bounded(self, monkeypatch):
+        harness = self._keyed()
+        m0 = harness.managers[0]
+        public = m0.principal.public_key
+        monkeypatch.setattr(query_module, "MAX_HOST_KEYS", 8)
+
+        def offer(src, index):
+            key = index.to_bytes(16, "big")
+            request = QueryRequest(
+                index, APP, "alice", Right.USE, key_fingerprint(key), public.wrap(key)
+            )
+            assert type(self._answer_from(m0, src, request).signature) is Tag
+
+        # One source, many keys: it only ever holds one slot.
+        for index in range(1, 41):
+            offer("h9", index)
+            assert set(m0._host_keys) == {"h0", "h9"}
+        # Many (spoofed) sources: the table stops at its bound and evicts
+        # the longest-held key — h0's.
+        for index in range(41, 81):
+            offer(f"x{index}", index)
+            assert len(m0._host_keys) <= 8
+        assert "h0" not in m0._host_keys and m0.rejected_key_offers == 0
+
+        # h0 is not locked out: m0 answers its next query with RSA, h0
+        # accepts that as it always did and hands its key over again.
+        harness.grant_everywhere("bob")
+        assert harness.check("bob").allowed
+        assert harness.host.rejected_manager_signatures == 0
+        harness.grant_everywhere("carol")
+        assert harness.check("carol").allowed
+        assert m0._host_keys["h0"][0] == harness.host._answer_keys["m0"][1]
+        assert len(m0._host_keys) <= 8
+
+    def test_late_tagged_answer_dropped_before_its_tag_is_checked(self, monkeypatch):
+        harness = self._keyed()
+        checked = []
+        monkeypatch.setattr(
+            host_module, "check_tag", lambda *args: checked.append(args) or True
+        )
+        # Query id 1 belonged to the finished round.
+        genuine = self._genuine_tagged(harness, harness.managers[0], query_id=1)
+        forged = SignedMessage(genuine.payload, dataclasses.replace(genuine.signature, value=0))
+        harness.host.handle_message("m0", genuine)
+        harness.host.handle_message("m0", forged)
+        assert checked == []
+        assert harness.host.late_manager_responses == harness.late_before + 2
+        assert harness.host.rejected_manager_signatures == 0

@@ -14,11 +14,17 @@ frame that must still be delivered.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import struct
 
 import pytest
 
-from repro.core.messages import Ping
+from repro.auth.identity import SignedMessage
+from repro.auth.signatures import Tag
+from repro.core.messages import Ping, QueryResponse, Verdict
+from repro.core.policy import AccessPolicy
+from repro.core.rights import Right, Version
+from repro.net.cell import LiveCell
 from repro.net.codec import MAX_FRAME, encode_frame, encode_message
 from repro.net.runtime import LiveRuntime
 from repro.net.session import MAC_BYTES, AuthError, SessionAuth
@@ -185,3 +191,58 @@ class TestLiveServerSurvival:
         # Auth rejections plus the two framing errors, all counted and traced.
         assert frames_rejected >= 5
         assert dropped >= 5
+
+
+class TestForgedTaggedAnswerOverTheWire:
+    """A cell member (it holds the session secret, so its frames open) that
+    is not the manager it claims to be: its tagged answers die at the host."""
+
+    def test_forged_tags_rejected_and_the_cell_keeps_answering(self):
+        async def scenario():
+            cell = LiveCell(n_managers=3, n_hosts=1, policy=AccessPolicy(check_quorum=2),
+                            secret=SECRET, time_scale=20.0)
+            cell.seed_grant("app", "alice")
+            cell.seed_grant("app", "bob")
+            async with cell:
+                host = cell.hosts[0]
+                assert (await cell.check(0, "app", "alice")).allowed
+                key_id = host._answer_keys["m0"][1]  # public: it is on the wire
+                reached_combiner = []
+                query_id = await cell.call(
+                    "h0", lambda: host._pending_queries.allocate(reached_combiner.append)
+                )
+                answer = QueryResponse(query_id, "app", "mallory", Right.USE, Verdict.GRANT,
+                                       100.0, Version(9, ""), "m0")
+                adversary = SessionAuth(SECRET)
+                _, writer = await asyncio.open_connection(*cell.directory["h0"])
+                for value in (1, 2**127, -1):
+                    forged = SignedMessage(answer, Tag("m0", key_id, value))
+                    writer.write(_jframe(adversary.seal("x9", "h0", encode_message(forged))))
+                await writer.drain()
+                for _ in range(300):
+                    if host.rejected_manager_signatures >= 3:
+                        break
+                    await asyncio.sleep(0.01)
+                still_pending = query_id in host._pending_queries
+                # The same connection still carries traffic: a late answer is counted.
+                late = SignedMessage(
+                    dataclasses.replace(answer, query_id=1), Tag("m0", key_id, 5)
+                )
+                before = host.late_manager_responses
+                writer.write(_jframe(adversary.seal("x9", "h0", encode_message(late))))
+                await writer.drain()
+                for _ in range(300):
+                    if host.late_manager_responses > before:
+                        break
+                    await asyncio.sleep(0.01)
+                late_counted = host.late_manager_responses - before
+                writer.close()
+                decision = await cell.check(0, "app", "bob")
+                denied = await cell.check(0, "app", "mallory")
+                return (host.rejected_manager_signatures, reached_combiner, still_pending,
+                        late_counted, decision.allowed, denied.allowed)
+
+        rejected, reached, pending, late, bob_allowed, mallory_allowed = asyncio.run(scenario())
+        assert rejected == 3 and reached == [] and pending
+        assert late == 1
+        assert bob_allowed and not mallory_allowed

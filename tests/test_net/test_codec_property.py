@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.auth.identity import SignedMessage
-from repro.auth.signatures import Signature
+from repro.auth.signatures import Signature, Tag
 from repro.core import messages as m
 from repro.core.rights import AclEntry, Right, Version
 from repro.net.codec import (
@@ -55,7 +55,7 @@ payloads = st.recursive(
 
 signatures = st.builds(
     Signature, signer=names, value=st.integers(min_value=0, max_value=2**512)
-)
+) | st.builds(Tag, signer=names, key_id=ids, value=st.integers(min_value=0, max_value=2**128))
 acl_updates = st.builds(
     m.AclUpdate,
     update_id=names,
@@ -69,6 +69,10 @@ acl_updates = st.builds(
 
 bare_messages = st.one_of(
     st.builds(m.QueryRequest, query_id=ids, application=names, user=names, right=rights),
+    st.builds(
+        m.QueryRequest, query_id=ids, application=names, user=names, right=rights,
+        key_id=ids, wrapped_key=st.integers(min_value=0, max_value=2**512),
+    ),
     st.builds(
         m.QueryResponse,
         query_id=ids,

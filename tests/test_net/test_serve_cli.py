@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.core.rights import Right
+from repro.net import serve
 from repro.net.serve import _parse_grants, _parse_peers, build_parser, main
 
 
@@ -33,6 +34,31 @@ class TestParsing:
         args = build_parser().parse_args([])
         assert args.role == "cell"
         assert args.managers == 3 and args.hosts == 2
+
+
+class TestAllocatorPin:
+    def test_no_op_without_glibc(self, monkeypatch):
+        def no_libc(_name):
+            raise OSError("no C library to load")
+
+        monkeypatch.setattr(serve.ctypes, "CDLL", no_libc)
+        assert serve.pin_allocator() is False
+        # A C library without mallopt (musl, macOS): the same.
+        monkeypatch.setattr(serve.ctypes, "CDLL", lambda _name: object())
+        assert serve.pin_allocator() is False
+
+    def test_pins_three_thresholds_where_mallopt_exists(self, monkeypatch):
+        calls = []
+
+        class Libc:
+            @staticmethod
+            def mallopt(param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(serve.ctypes, "CDLL", lambda _name: Libc)
+        assert serve.pin_allocator() is True
+        assert sorted(param for param, _ in calls) == [-3, -2, -1]
 
 
 class TestRoles:

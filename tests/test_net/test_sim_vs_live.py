@@ -22,6 +22,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.auth.identity import Authenticator, Principal
+from repro.auth.keys import PrivateKey
+from repro.net import scenario as scenario_module
 from repro.net.scenario import derive_scenario, run_scenario_live, run_scenario_sim
 from repro.verify.schedules import Schedule, generate_schedule
 
@@ -72,6 +75,51 @@ def test_golden_trace_scenario_matches_with_mixed_codec_cluster():
     # decision-exact against the sim baseline too.
     path = GOLDEN[0]
     _differential(_golden_schedule(path), f"{path.stem}-mixed", codec="mixed")
+
+
+def test_signed_answers_give_the_same_decisions_on_both_backends(monkeypatch):
+    """The live cell signs by default; here the sim leg does too (principals
+    on the managers, an authenticator on the hosts, as ``LiveCell`` wires
+    them), so both backends run key transport, tagged answers, and — the
+    schedule crashes nodes — the RSA fallback and re-offer."""
+    cells = []
+    make_system, make_cell = scenario_module.AccessControlSystem, scenario_module.LiveCell
+
+    def signed_system(*args, **kwargs):
+        system = make_system(*args, **kwargs)
+        authenticator = Authenticator()
+        for manager in system.managers:
+            manager.principal = Principal(manager.address)
+            authenticator.register(manager.principal)
+        for host in system.hosts:
+            host.manager_authenticator = authenticator
+        cells.append(system)
+        return system
+
+    def recorded_cell(*args, **kwargs):
+        cells.append(make_cell(*args, **kwargs))
+        return cells[-1]
+
+    private_ops = []
+    power = PrivateKey.power
+    monkeypatch.setattr(
+        PrivateKey, "power", lambda self, m: private_ops.append(self.n) or power(self, m)
+    )
+    with monkeypatch.context() as patch:
+        patch.setattr(scenario_module, "AccessControlSystem", signed_system)
+        patch.setattr(scenario_module, "LiveCell", recorded_cell)
+        _differential(_golden_schedule(GOLDEN[0]), f"{GOLDEN[0].stem}-signed", codec="binary")
+
+    answers = 0
+    for cell in cells:  # the sim system, then the live cell
+        answers += sum(manager.stats["queries"] for manager in cell.managers)
+        assert any(host._answer_keys for host in cell.hosts)
+        assert all(host.rejected_manager_signatures == 0 for host in cell.hosts)
+        assert all(manager.rejected_key_offers == 0 for manager in cell.managers)
+    # Short as the schedule is (and with its crashes forcing re-offers), key
+    # transport already costs half the private-key operations of one per answer.
+    assert len(cells) == 2 and answers >= 24
+    assert len(private_ops) <= answers // 2, (len(private_ops), answers)
 
 
 def test_golden_fixtures_cover_both_protocol_variants():

@@ -10,18 +10,26 @@ clock and nonce sequence.  ``fixtures/wire_golden.json`` was recorded
 from the commit before the codec and session fast paths went in
 (``python tests/test_net/test_wire_golden.py`` rewrites it); a mixed-
 version cell interoperates exactly as long as it still matches.
+
+Re-recorded once since, explicitly: ``QueryRequest`` gained two trailing
+fields (``key_id``, ``wrapped_key``), which moved the three
+``QueryRequest`` bodies and the one segment that carries one; the keyed
+``QueryRequest`` and the tagged ``SignedMessage`` were appended.  Every
+other vector stayed byte-identical
+(``test_rerecording_moved_only_the_query_request_vectors``).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
 from repro.auth.identity import SignedMessage
-from repro.auth.signatures import Signature
+from repro.auth.signatures import Signature, Tag
 from repro.core import messages as m
 from repro.core.rights import AclEntry, Right, Version
-from repro.net.codec import encode_message
+from repro.net.codec import _WIRE_TYPES, encode_message
 from repro.net.codec_bin import BinaryDecoder, BinaryEncoder
 from repro.net.session import SessionAuth
 
@@ -76,6 +84,24 @@ MESSAGES = (
     m.AppResponse(request_id=3, application="app", allowed=False, result=None,
                   reason="access denied (denied)"),
     SignedMessage(payload=_QUERY_RESPONSE, signature=Signature(signer="m0", value=2**200 + 12345)),
+    # Appended with the pairwise-key answer authentication.
+    m.QueryRequest(query_id=129, application="app", user="u7", right=Right.USE,
+                   key_id=2**63 + 5, wrapped_key=2**250 + 77),
+    SignedMessage(payload=_QUERY_RESPONSE,
+                  signature=Tag(signer="m0", key_id=2**63 + 5, value=2**127 + 99)),
+)
+
+#: sha256 over the vectors the re-recording must not have moved, taken
+#: from the fixture as it stood before ``QueryRequest`` grew: bodies 3-22
+#: and the dictionary size, segments 0 and 2, and the JSON frame.
+_UNMOVED_SHA256 = "a71dc71d4b874dcb03715120f846eed006f987e40bfc2561f2cecb71cfa911e5"
+
+#: The registry order is the binary wire's type numbering: append-only.
+_WIRE_INDEX = (
+    "QueryRequest", "QueryResponse", "AclUpdate", "UpdateMsg", "UpdateAck", "RevokeNotify",
+    "RevokeNotifyAck", "SyncRequest", "SyncResponse", "Ping", "Pong", "NameLookup",
+    "NameResult", "AdminRequest", "AdminResponse", "AppRequest", "AppResponse",
+    "SignedMessage", "Signature", "AclEntry", "Version", "Tag",
 )
 
 
@@ -109,6 +135,20 @@ def test_encoder_and_sealed_layouts_match_the_recorded_bytes():
     assert got["dictionary_size"] == golden["dictionary_size"]
     assert got["segments"] == golden["segments"]
     assert got["json_frame"] == golden["json_frame"]
+
+
+def _unmoved_digest(golden: dict) -> str:
+    kept = [golden["bodies"][3:23], golden["dictionary_size"],
+            golden["segments"][0], golden["segments"][2], golden["json_frame"]]
+    return hashlib.sha256(json.dumps(kept).encode("utf-8")).hexdigest()
+
+
+def test_rerecording_moved_only_the_query_request_vectors():
+    assert _unmoved_digest(json.loads(FIXTURE.read_text())) == _UNMOVED_SHA256
+
+
+def test_wire_type_indices_are_pinned():
+    assert tuple(cls.__name__ for cls in _WIRE_TYPES) == _WIRE_INDEX
 
 
 def test_recorded_bytes_decode_and_open():
