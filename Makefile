@@ -8,8 +8,10 @@ install:
 test:
 	PYTHONPATH=src python -m pytest -x -q
 
+# Tier-1 runs Hypothesis derandomised and without an example database
+# (tests/conftest.py); the slow suite keeps the randomised profile.
 test-slow:
-	PYTHONPATH=src python -m pytest -q -m slow
+	PYTHONPATH=src python -m pytest -q -m slow --hypothesis-profile=randomised
 
 # ruff + mypy where they are installed (CI); otherwise the stdlib
 # unused-import scan, so a dev container without them still gates F401.

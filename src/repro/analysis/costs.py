@@ -22,6 +22,7 @@ from ..core.policy import AccessPolicy, QueryStrategy
 __all__ = [
     "steady_state_check_rate",
     "steady_state_message_rate",
+    "miss_messages",
     "miss_delay",
     "worst_case_delay",
     "CostModel",
@@ -44,23 +45,33 @@ def steady_state_message_rate(check_quorum: int, te_local: float) -> float:
     return check_quorum / te_local
 
 
+def miss_messages(policy: AccessPolicy, n_managers: int) -> int:
+    """Messages (queries + answers) of a cache miss in a healthy cell:
+    ``2M`` when every manager is asked at once, the paper's ``2C`` when
+    the round stops at the check quorum (sequential and quorum)."""
+    if policy.query_strategy is QueryStrategy.PARALLEL:
+        return 2 * n_managers
+    return 2 * policy.required_responses(n_managers)
+
+
 def miss_delay(policy: AccessPolicy, round_trip: float) -> float:
     """Expected added delay of a cache miss when >= C managers answer.
 
-    Parallel strategy: one round trip regardless of C (messages are
-    concurrent) — the ``O(C)`` cost shows up in messages, not latency.
-    Sequential strategy (Figure 2): C round trips, the literal ``O(C)``.
+    Parallel and quorum strategies: one round trip regardless of C
+    (messages are concurrent) — the ``O(C)`` cost shows up in messages,
+    not latency.  Sequential strategy (Figure 2): C round trips, the
+    literal ``O(C)``.
     """
     if round_trip < 0:
         raise ValueError("round_trip must be non-negative")
-    if policy.query_strategy is QueryStrategy.PARALLEL:
-        return round_trip
-    return policy.effective_check_quorum * round_trip
+    if policy.query_strategy is QueryStrategy.SEQUENTIAL:
+        return policy.effective_check_quorum * round_trip
+    return round_trip
 
 
 def worst_case_delay(policy: AccessPolicy) -> float:
     """Upper bound on the delay when managers are unreachable: ``O(R)``
-    attempts, each costing a query timeout plus backoff.
+    attempts, each costing a query timeout per batch plus backoff.
 
     Infinite for ``R = None`` (the host retries until the partition
     heals).
@@ -73,6 +84,9 @@ def worst_case_delay(policy: AccessPolicy) -> float:
         # A full sequential round times out once per manager it tried;
         # bound by C timeouts (it stops collecting at C).
         per_attempt *= policy.effective_check_quorum
+    elif policy.query_strategy is QueryStrategy.QUORUM:
+        # C managers, then everyone else: two timers at worst.
+        per_attempt *= 2
     return r * per_attempt + (r - 1) * policy.retry_backoff
 
 

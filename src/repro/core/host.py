@@ -117,7 +117,11 @@ class AccessControlHost(Node):
         self._pending_queries = ReplyTable()
         self._pending_lookups = ReplyTable()
         self._ns_cache: Dict[str, Tuple[Tuple[Address, ...], float]] = {}
-        self._sequential_rounds = itertools.count()
+        # Query-round rotation, and the managers that let a batch timer
+        # fire and have not been heard from since (asked last; see
+        # :mod:`repro.protocols.planner`).  An ordering hint only.
+        self._rounds = itertools.count()
+        self._silent: Set[Address] = set()
         self._incarnation = 0
         self.rejected_manager_signatures = 0
         self.late_manager_responses = 0
@@ -201,6 +205,7 @@ class AccessControlHost(Node):
                 # ``dispatch`` below would drop it whatever the signature
                 # says, so do not pay an RSA verify to find that out.
                 self.late_manager_responses += 1
+                self._silent.discard(src)
                 return
             if self.manager_authenticator is not None and not self._authentic(message):
                 self.rejected_manager_signatures += 1
@@ -217,7 +222,9 @@ class AccessControlHost(Node):
             # A response arriving after its timer was discarded by the
             # ReplyTable, per the paper: "only accepting access control
             # messages if they arrive before a timeout of a timer set
-            # at the time the query ... was sent."
+            # at the time the query ... was sent."  Late or not, its
+            # sender is no longer silent.
+            self._silent.discard(src)
             if not self._pending_queries.dispatch(message.query_id, message):
                 self.late_manager_responses += 1
         elif isinstance(message, RevokeNotify):
@@ -310,6 +317,7 @@ class AccessControlHost(Node):
         self._ns_cache.clear()
         self._answer_keys.clear()
         self._offered.clear()
+        self._silent.clear()
 
     def on_recover(self) -> None:
         """Nothing to restore — Section 3.4: the cache simply refills."""
@@ -330,20 +338,6 @@ class AccessControlHost(Node):
             self.check_access(application, user, right),
             name=f"{self.address}/check:{user}@{application}",
         )
-
-    def _verify_with_managers(
-        self,
-        application: str,
-        user: str,
-        right: Right,
-        policy: AccessPolicy,
-        incarnation: int,
-        user_driven: bool = True,
-    ):
-        """Back-compat shim over the pipeline's verification core."""
-        return (yield from self.pipeline.verify(
-            application, user, right, policy, incarnation, user_driven
-        ))
 
     # -- expiry stamping (Figure 3 + delta) ------------------------------------------
     def _expiry_limit(self, send_local: float, te: float, policy: AccessPolicy) -> float:

@@ -22,7 +22,7 @@ from typing import Dict, Iterator, List, Optional
 
 from .rights import Right
 
-__all__ = ["Interner", "RIGHTS", "RIGHT_INDEX", "pack_key", "unpack_key"]
+__all__ = ["Interner", "RIGHTS", "RIGHT_INDEX", "dense_index", "pack_key", "unpack_key"]
 
 #: Rights in packed-key order; ``RIGHTS[key & 1]`` recovers the right.
 RIGHTS = (Right.USE, Right.MANAGE)
@@ -39,6 +39,21 @@ def pack_key(uid: int, right_index: int) -> int:
 def unpack_key(key: int) -> "tuple[int, int]":
     """Inverse of :func:`pack_key`: ``(uid, right_index)``."""
     return key // 2, key & 1
+
+
+def dense_index(name: str, prefix: str) -> int:
+    """``i`` if ``name`` is exactly ``f"{prefix}{i}"``, else -1.
+
+    Canonical ASCII decimal only: ``u01`` must not alias ``u1``, and
+    ``str.isdigit`` alone would let ``u٣`` alias ``u3`` (``int`` reads
+    any Unicode decimal) and ``u²`` crash it (a digit ``int`` rejects).
+    """
+    if not name.startswith(prefix):
+        return -1
+    digits = name[len(prefix):]
+    if not (digits.isascii() and digits.isdigit()) or (len(digits) > 1 and digits[0] == "0"):
+        return -1
+    return int(digits)
 
 
 class Interner:
@@ -74,14 +89,10 @@ class Interner:
     def _dense_id(self, name: str) -> Optional[int]:
         """Id for a name inside the dense block, or None."""
         prefix = self._dense_prefix
-        if prefix is None or not name.startswith(prefix):
+        if prefix is None:
             return None
-        digits = name[len(prefix):]
-        # Canonical decimal only: "u01" must not alias "u1".
-        if not digits.isdigit() or (len(digits) > 1 and digits[0] == "0"):
-            return None
-        index = int(digits)
-        return index if index < self._dense_count else None
+        index = dense_index(name, prefix)
+        return index if 0 <= index < self._dense_count else None
 
     # -- core API ---------------------------------------------------------------
     def intern(self, name: str) -> int:

@@ -47,6 +47,9 @@ class QueryStrategy(enum.Enum):
     SEQUENTIAL = "sequential"
     #: Query all managers at once; proceed when C have answered.
     PARALLEL = "parallel"
+    #: Query C managers (rotating, silent ones last); ask the rest only
+    #: if those fall short by the query timeout.  The paper's O(C) miss.
+    QUORUM = "quorum"
 
 
 class ExhaustedAction(enum.Enum):
@@ -104,9 +107,12 @@ class AccessPolicy:
         ``Ti`` — how long a manager may be unreachable from its peers
         before the freeze strategy freezes all rights.
     query_timeout:
-        How long a host waits for one query round before retrying.
+        How long a host waits for one batch of queries before widening
+        the round or retrying.
     query_strategy:
-        Sequential (Figure 2) or parallel fan-out.
+        How a round cuts ``Managers(A)`` into batches: C at a time and
+        the rest on a timeout (the default), one by one (Figure 2), or
+        all at once.
     retry_backoff:
         Pause between failed verification attempts.
     delta_mode:
@@ -153,7 +159,7 @@ class AccessPolicy:
     use_freeze: bool = False
     inaccessibility_period: float = 0.0
     query_timeout: float = 1.0
-    query_strategy: QueryStrategy = QueryStrategy.PARALLEL
+    query_strategy: QueryStrategy = QueryStrategy.QUORUM
     retry_backoff: float = 1.0
     delta_mode: DeltaMode = DeltaMode.FULL_ROUND_TRIP
     update_retry_interval: float = 2.0
@@ -184,6 +190,8 @@ class AccessPolicy:
             raise ValueError("freeze strategy requires Ti < Te (Ti + te <= Te)")
         if self.query_timeout <= 0:
             raise ValueError("query_timeout must be positive")
+        # Accepts the enum's value too, so a JSON policy can name one.
+        object.__setattr__(self, "query_strategy", QueryStrategy(self.query_strategy))
         for name in ("retry_backoff", "update_retry_interval",
                      "revoke_retry_interval", "ping_interval"):
             if getattr(self, name) < 0:

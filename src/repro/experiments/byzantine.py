@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 from ..core.byzantine import GRANT_ALL, LyingManager
 from ..core.host import AccessControlHost
 from ..core.manager import AccessControlManager
-from ..core.policy import AccessPolicy, ExhaustedAction
+from ..core.policy import AccessPolicy, ExhaustedAction, QueryStrategy
 from ..core.rights import AclEntry, Right, Version
 from ..sim.clock import LocalClock
 from ..sim.engine import Environment
@@ -57,6 +57,8 @@ def measure_rates(
         max_attempts=1,
         exhausted_action=ExhaustedAction.DENY,
         query_timeout=1.0,
+        # Every liar gets to answer every check: the adversary's best case.
+        query_strategy=QueryStrategy.PARALLEL,
         cache_cleanup_interval=None,
     )
     manager_addrs = tuple(f"m{i}" for i in range(n_managers))

@@ -11,7 +11,7 @@ but at the cost of reduced security."
 Five measured scenarios on a fixed-latency network (one-way 50 ms):
 
 1. cache hit                       -> ~0
-2. miss, parallel strategy         -> ~1 RTT regardless of C
+2. miss, parallel or quorum        -> ~1 RTT regardless of C
 3. miss, sequential strategy       -> ~C RTTs (the literal O(C))
 4. managers unreachable, finite R  -> ~R * (timeout + backoff)
 5. managers unreachable, varying R -> scaling table for the O(R) claim
@@ -91,6 +91,12 @@ def run(seed: int = 0) -> ExperimentResult:
             c, QueryStrategy.PARALLEL, partitioned=False, attempts=None, seed=seed
         )
         rows.append(["miss/parallel", c, "-", _RTT, missed])
+    # 2b. miss, quorum (the default) — constant in C, 2C messages
+    for c in (1, 3, 5):
+        missed = measure_decision_latency(
+            c, QueryStrategy.QUORUM, partitioned=False, attempts=None, seed=seed
+        )
+        rows.append(["miss/quorum", c, "-", _RTT, missed])
     # 3. miss, sequential — linear in C
     for c in (1, 3, 5):
         missed = measure_decision_latency(
@@ -111,8 +117,9 @@ def run(seed: int = 0) -> ExperimentResult:
         columns=["scenario", "C", "R", "predicted s", "measured s"],
         rows=rows,
         notes=(
-            "Fixed 50 ms one-way latency.  Parallel fan-out pays one round "
-            "trip regardless of C (the O(C) cost moves into message count); "
+            "Fixed 50 ms one-way latency.  Parallel fan-out and the default "
+            "quorum-width round pay one round trip regardless of C (the "
+            "O(C) cost moves into message count: 2M and 2C); "
             "the sequential strategy of Figure 2 shows the literal O(C) "
             "latency.  Unreachable-manager delay grows linearly in R."
         ),

@@ -45,6 +45,7 @@ from dataclasses import fields
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Tuple, Type
 
+from ..core.ids import dense_index
 from ..core.rights import Right
 from .codec import CodecError, _WIRE_TYPES
 
@@ -145,20 +146,6 @@ def read_varint(data: bytes, pos: int) -> Tuple[int, int]:
         raise CodecError("truncated varint") from None
 
 
-def _dense_index(name: str) -> int:
-    """The arithmetic index of a dense-block name, or -1.
-
-    Canonical decimal only — ``u01`` must not alias ``u1`` (the same
-    rule :class:`repro.core.ids.Interner` applies).
-    """
-    if len(name) < 2 or not name.startswith(DENSE_PREFIX):
-        return -1
-    digits = name[1:]
-    if not digits.isdigit() or (len(digits) > 1 and digits[0] == "0"):
-        return -1
-    return int(digits)
-
-
 def _fields_getter(names: Tuple[str, ...]) -> Callable[[Any], Tuple[Any, ...]]:
     """One call returning a message's field values in declaration order."""
     getter = attrgetter(*names)
@@ -204,13 +191,13 @@ class BinaryEncoder:
 
     def _string(self, out: bytearray, value: str) -> None:
         # Dictionary first: a dense name is never interned, so a hit here
-        # is exactly a name ``_dense_index`` would have turned away.
+        # is exactly a name ``dense_index`` would have turned away.
         sid = self._dict.get(value)
         if sid is not None:
             out.append(_T_STR_REF)
             write_varint(out, sid)
             return
-        dense = _dense_index(value)
+        dense = dense_index(value, DENSE_PREFIX)
         if dense >= 0:
             out.append(_T_STR_DENSE)
             write_varint(out, dense)

@@ -11,7 +11,8 @@ voting — is a *composition* rather than a branch inside a god-class:
 * :mod:`~repro.protocols.messaging` — the shared request/reply and
   retry-until-acked substrate both sides are built on.
 * :mod:`~repro.protocols.planner` — how a host gathers a round of
-  manager responses (parallel fan-out vs Figure 2's sequential walk).
+  manager responses: one walk over manager batches, cut per strategy
+  (``C`` first, Figure 2's one-by-one, or one fan-out).
 * :mod:`~repro.protocols.combiner` — how a round's responses are
   combined into a verdict (highest version, Byzantine ``f + 1``
   vouching, weighted voting).
@@ -65,12 +66,7 @@ from .maintenance import CacheMaintenance
 from .messaging import ReplyTable, request, retry_until_acked
 from .pipeline import VerificationPipeline
 from .query import QueryAnswerer
-from .planner import (
-    ParallelPlanner,
-    QueryPlanner,
-    SequentialPlanner,
-    planner_for,
-)
+from .planner import QueryPlanner, planner_for
 from .recovery import RecoverySync
 from .resolver import ManagerResolver
 from .revocation import RevocationForwarder
@@ -85,7 +81,6 @@ __all__ = [
     "FreezeStrategy",
     "HighestVersionCombiner",
     "ManagerResolver",
-    "ParallelPlanner",
     "PendingUpdate",
     "QueryAnswerer",
     "QueryPlanner",
@@ -94,7 +89,6 @@ __all__ = [
     "RecoverySync",
     "ResponseCombiner",
     "RevocationForwarder",
-    "SequentialPlanner",
     "VerificationPipeline",
     "WeightedVoteCombiner",
     "combiner_for",

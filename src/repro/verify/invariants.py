@@ -30,6 +30,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
+from ..core.ids import dense_index
 from ..core.policy import AccessPolicy, DeltaMode, QueryStrategy
 from ..sim.trace import TraceKind, TraceRecord
 
@@ -243,13 +244,7 @@ class TeBoundInvariant(Invariant):
         if seeded is None:
             return None
         prefix, below, seed_time = seeded
-        user = key[1]
-        if not user.startswith(prefix):
-            return None
-        digits = user[len(prefix):]
-        if not digits.isdigit() or (len(digits) > 1 and digits[0] == "0"):
-            return None
-        if int(digits) >= below:
+        if not 0 <= dense_index(key[1], prefix) < below:
             return None
         entry = ((1, ""), True, seed_time, None)
         self._latest[key] = entry
@@ -258,10 +253,15 @@ class TeBoundInvariant(Invariant):
     # -- the semantic layer -------------------------------------------------
     def _round_slack(self, policy: AccessPolicy, m: int) -> float:
         """Longest a verification round already in flight at the
-        guarantee point can take to complete (parallel rounds end at
-        the query timeout; sequential rounds wait per manager)."""
-        rounds = m if policy.query_strategy is QueryStrategy.SEQUENTIAL else 1
-        return policy.query_timeout * rounds
+        guarantee point can take to complete: one query timeout per
+        batch the strategy may walk (one manager at a time, all at once,
+        or ``C`` first and then the rest)."""
+        batches = {
+            QueryStrategy.SEQUENTIAL: m,
+            QueryStrategy.PARALLEL: 1,
+            QueryStrategy.QUORUM: 2,
+        }[policy.query_strategy]
+        return policy.query_timeout * batches
 
     def _check_access(self, record: TraceRecord) -> None:
         data = record.data

@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
-from ..core.ids import Interner
+from ..core.ids import Interner, dense_index
 
 __all__ = ["UserPopulation", "DiurnalRate"]
 
@@ -71,13 +71,8 @@ class _NameRange(Sequence[str]):
         return (f"{prefix}{i}" for i in range(self._n))
 
     def _parse(self, name: str) -> Optional[int]:
-        if not name.startswith(self._prefix):
-            return None
-        digits = name[len(self._prefix):]
-        if not digits.isdigit() or (len(digits) > 1 and digits[0] == "0"):
-            return None  # non-canonical spellings are not members
-        index = int(digits)
-        return index if index < self._n else None
+        index = dense_index(name, self._prefix)  # -1: not a canonical spelling
+        return index if 0 <= index < self._n else None
 
     def __contains__(self, name: object) -> bool:
         return isinstance(name, str) and self._parse(name) is not None

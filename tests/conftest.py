@@ -3,11 +3,21 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.sim.engine import Environment
 from repro.sim.network import FixedLatency, Network
 from repro.sim.partitions import ScriptedConnectivity
 from repro.sim.trace import Tracer
+
+# Tier-1 is a function of the code: examples are derived from each test
+# itself and no local ``.hypothesis/`` database is read or written, so a
+# failure reproduces on every machine.  Loaded here (before pytest's
+# configure step) so ``--hypothesis-profile=randomised`` — the slow CI
+# job — still overrides it.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("randomised", settings.get_profile("default"))
+settings.load_profile("tier1")
 
 
 @pytest.fixture

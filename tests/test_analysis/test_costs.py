@@ -7,6 +7,7 @@ import pytest
 from repro.analysis.costs import (
     CostModel,
     miss_delay,
+    miss_messages,
     steady_state_check_rate,
     steady_state_message_rate,
     worst_case_delay,
@@ -52,6 +53,19 @@ class TestMissDelay:
         policy = AccessPolicy(check_quorum=4, query_strategy=QueryStrategy.SEQUENTIAL)
         assert miss_delay(policy, rtt) == pytest.approx(0.4)
 
+    def test_quorum_is_one_round_trip_and_2c_messages(self):
+        policy = AccessPolicy(check_quorum=2)  # the default strategy
+        assert policy.query_strategy is QueryStrategy.QUORUM
+        assert miss_delay(policy, 0.1) == 0.1
+        assert miss_messages(policy, 3) == 4
+        assert miss_messages(policy.with_(check_quorum=5), 3) == 6  # clamped to M
+        assert miss_messages(
+            policy.with_(query_strategy=QueryStrategy.SEQUENTIAL), 3
+        ) == 4
+        assert miss_messages(
+            policy.with_(query_strategy=QueryStrategy.PARALLEL), 3
+        ) == 6
+
     def test_negative_rtt_rejected(self):
         with pytest.raises(ValueError):
             miss_delay(AccessPolicy(), -1.0)
@@ -82,6 +96,11 @@ class TestWorstCaseDelay:
         assert worst_case_delay(policy) == pytest.approx(3.0)
 
 
+    def test_quorum_may_wait_out_two_batches_per_attempt(self):
+        policy = AccessPolicy(max_attempts=2, query_timeout=1.0, retry_backoff=0.5)
+        assert worst_case_delay(policy) == pytest.approx(4.5)
+
+
 class TestCostModel:
     def test_bundles_everything(self):
         policy = AccessPolicy(
@@ -92,4 +111,5 @@ class TestCostModel:
         assert model.check_rate == pytest.approx(0.01)
         assert model.message_rate == pytest.approx(0.02)
         assert model.cache_miss_delay == pytest.approx(0.1)
-        assert model.unreachable_delay == pytest.approx(2.0)
+        # The default QUORUM strategy: C managers, then the rest.
+        assert model.unreachable_delay == pytest.approx(4.0)

@@ -22,7 +22,7 @@ from repro.core.byzantine import (
 from repro.core.host import AccessControlHost, DecisionReason
 from repro.core.manager import AccessControlManager
 from repro.core.messages import QueryRequest
-from repro.core.policy import AccessPolicy, ExhaustedAction
+from repro.core.policy import AccessPolicy, ExhaustedAction, QueryStrategy
 from repro.core.rights import AclEntry, Right, Version
 from repro.protocols import query as query_module
 from repro.sim.clock import LocalClock
@@ -107,6 +107,13 @@ def policy(**overrides) -> AccessPolicy:
     )
     defaults.update(overrides)
     return AccessPolicy(**defaults)
+
+
+def fanout_policy(**overrides) -> AccessPolicy:
+    """For the tests below whose subject is the fan-out to all ``M``
+    managers: which liar gets asked, who answers late, who is offered a
+    key."""
+    return policy(query_strategy=QueryStrategy.PARALLEL, **overrides)
 
 
 class TestRefreshAhead:
@@ -219,14 +226,14 @@ class TestByzantineTolerance:
         """Without Byzantine vouching, one liar's inflated version wins
         — demonstrating the attack."""
         harness = ExtensionHarness(
-            policy(check_quorum=3, max_attempts=1), n_managers=3, liars=1
+            fanout_policy(check_quorum=3, max_attempts=1), n_managers=3, liars=1
         )
         decision = harness.check("revoked-user")  # never granted
         assert decision.allowed  # the fabricated grant won
 
     def test_f1_vouching_defeats_one_liar(self):
         harness = ExtensionHarness(
-            policy(check_quorum=3, byzantine_f=1, max_attempts=1),
+            fanout_policy(check_quorum=3, byzantine_f=1, max_attempts=1),
             n_managers=4,
             liars=1,
         )
@@ -235,7 +242,7 @@ class TestByzantineTolerance:
 
     def test_f1_vouching_still_grants_legitimate_users(self):
         harness = ExtensionHarness(
-            policy(check_quorum=3, byzantine_f=1, max_attempts=1),
+            fanout_policy(check_quorum=3, byzantine_f=1, max_attempts=1),
             n_managers=4,
             liars=1,
         )
@@ -246,7 +253,7 @@ class TestByzantineTolerance:
 
     def test_censoring_liar_cannot_deny_alone(self):
         harness = ExtensionHarness(
-            policy(check_quorum=3, byzantine_f=1, max_attempts=1),
+            fanout_policy(check_quorum=3, byzantine_f=1, max_attempts=1),
             n_managers=4,
             liars=1,
             lie_mode=DENY_ALL,
@@ -257,7 +264,7 @@ class TestByzantineTolerance:
 
     def test_flip_mode_defeated(self):
         harness = ExtensionHarness(
-            policy(check_quorum=3, byzantine_f=1, max_attempts=1),
+            fanout_policy(check_quorum=3, byzantine_f=1, max_attempts=1),
             n_managers=4,
             liars=1,
             lie_mode=FLIP,
@@ -270,7 +277,7 @@ class TestByzantineTolerance:
         """Two liars that do not coordinate produce distinct fabricated
         versions, so even f=1 survives them."""
         harness = ExtensionHarness(
-            policy(check_quorum=3, byzantine_f=1, max_attempts=1),
+            fanout_policy(check_quorum=3, byzantine_f=1, max_attempts=1),
             n_managers=5,
             liars=2,
         )
@@ -280,7 +287,7 @@ class TestByzantineTolerance:
     def test_colluding_liars_defeat_f1_but_not_f2(self):
         def make(f, c, m):
             harness = ExtensionHarness(
-                policy(check_quorum=c, byzantine_f=f, max_attempts=1),
+                fanout_policy(check_quorum=c, byzantine_f=f, max_attempts=1),
                 n_managers=m,
                 liars=2,
             )
@@ -299,7 +306,7 @@ class TestByzantineTolerance:
 
     def test_lying_manager_counts_its_lies(self):
         harness = ExtensionHarness(
-            policy(check_quorum=2, max_attempts=1), n_managers=3, liars=1
+            fanout_policy(check_quorum=2, max_attempts=1), n_managers=3, liars=1
         )
         harness.check("ghost")
         liar = harness.managers[-1]
@@ -308,13 +315,13 @@ class TestByzantineTolerance:
 
     def test_invalid_lie_mode_rejected(self):
         with pytest.raises(ValueError):
-            LyingManager("mX", policy(), mode="gaslight")
+            LyingManager("mX", fanout_policy(), mode="gaslight")
 
 
 class TestSignedResponses:
     def test_signed_responses_verified(self):
         harness = ExtensionHarness(
-            policy(check_quorum=2, max_attempts=1), signed=True
+            fanout_policy(check_quorum=2, max_attempts=1), signed=True
         )
         harness.grant_everywhere("alice")
         decision = harness.check("alice")
@@ -323,7 +330,7 @@ class TestSignedResponses:
 
     def test_unsigned_response_rejected_when_signatures_required(self):
         harness = ExtensionHarness(
-            policy(check_quorum=2, max_attempts=1), signed=True
+            fanout_policy(check_quorum=2, max_attempts=1), signed=True
         )
         # Sabotage one manager: strip its signing identity.
         harness.managers[0].principal = None
@@ -349,7 +356,7 @@ class TestSignedResponses:
 
     def test_late_answer_dropped_before_its_signature_is_checked(self):
         harness = ExtensionHarness(
-            policy(check_quorum=2, max_attempts=1), signed=True
+            fanout_policy(check_quorum=2, max_attempts=1), signed=True
         )
         harness.grant_everywhere("alice")
         assert harness.check("alice").allowed
@@ -375,7 +382,7 @@ class TestSignedResponses:
 
     def test_forged_answer_to_a_pending_query_still_rejected(self):
         harness = ExtensionHarness(
-            policy(check_quorum=2, max_attempts=1), signed=True
+            fanout_policy(check_quorum=2, max_attempts=1), signed=True
         )
         reached_combiner = []
         query_id = harness.host._pending_queries.allocate(reached_combiner.append)
@@ -396,7 +403,7 @@ class TestSignedResponses:
         """A liar signing with its own key but claiming another
         manager's identity in the payload is dropped."""
         harness = ExtensionHarness(
-            policy(check_quorum=3, byzantine_f=1, max_attempts=1),
+            fanout_policy(check_quorum=3, byzantine_f=1, max_attempts=1),
             n_managers=4,
             liars=1,
             signed=True,
@@ -434,7 +441,7 @@ class TestSignedResponses:
         """A signed harness after one check: h0 generated a key for every
         manager, handed it over inside its queries, and got tagged answers."""
         harness = ExtensionHarness(
-            policy(check_quorum=2, max_attempts=1), signed=True, key_bits=192
+            fanout_policy(check_quorum=2, max_attempts=1), signed=True, key_bits=192
         )
         harness.grant_everywhere("alice")
         assert harness.check("alice").allowed

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from repro.core.client import UserClient
 from repro.core.messages import AppRequest, AppResponse
-from repro.core.policy import AccessPolicy
+from repro.core.policy import AccessPolicy, QueryStrategy
 from repro.core.rights import Right
 from repro.core.system import AccessControlSystem
 from repro.core.wrapper import Application
@@ -43,7 +43,11 @@ class EchoApp(Application):
 
 
 def build(**policy):
-    settings = dict(check_quorum=2, expiry_bound=10.0, max_attempts=2, query_timeout=1.0)
+    # PARALLEL: the script was recorded with misses fanning out to all M.
+    settings = dict(
+        check_quorum=2, expiry_bound=10.0, max_attempts=2, query_timeout=1.0,
+        query_strategy=QueryStrategy.PARALLEL,
+    )
     settings.update(policy)
     system = AccessControlSystem(
         n_managers=3,

@@ -247,7 +247,9 @@ class TestQuorumCombination:
         assert decision.allowed  # m1 and m2 supplied the quorum
 
     def test_parallel_queries_all_managers(self):
-        harness = Harness(policy(check_quorum=1))
+        harness = Harness(
+            policy(check_quorum=1, query_strategy=QueryStrategy.PARALLEL)
+        )
         harness.grant_everywhere("alice")
         harness.check("alice")
         assert harness.tracer.count(TraceKind.QUERY_SENT) == 3
@@ -302,7 +304,12 @@ class TestLateResponses:
         """Figure 3's timer: responses arriving after the round's
         timeout must be ignored (stale te would break the bound)."""
         harness = Harness(
-            policy(max_attempts=1, query_timeout=0.06), latency=0.05
+            policy(
+                max_attempts=1,
+                query_timeout=0.06,
+                query_strategy=QueryStrategy.PARALLEL,
+            ),
+            latency=0.05,
         )
         harness.grant_everywhere("alice")
         # Round trip is 0.1 > timeout 0.06: every response arrives late.

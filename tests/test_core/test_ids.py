@@ -6,6 +6,7 @@ from repro.core.ids import (
     RIGHT_INDEX,
     RIGHTS,
     Interner,
+    dense_index,
     pack_key,
     unpack_key,
 )
@@ -76,6 +77,24 @@ class TestDensePrefix:
         ids = Interner(dense_prefix="u", dense_count=100)
         assert ids.intern("u01") != ids.intern("u1")
         assert ids.name_of(ids.intern("u01")) == "u01"
+
+    @pytest.mark.parametrize("name", ["u²", "u٣", "u１", "u01", "u-1", "u+1", "u 1", "u"])
+    def test_only_canonical_ascii_decimals_are_dense(self, name):
+        # ``str.isdigit`` alone let "u٣" land in u3's slot (a different
+        # principal sharing its ACL/cache entries) and "u²" raise
+        # ValueError out of ``intern``.
+        assert dense_index(name, "u") == -1
+        ids = Interner(dense_prefix="u", dense_count=10)
+        assert ids.get(name) is None
+        uid = ids.intern(name)
+        assert uid >= 10 and ids.name_of(uid) == name
+        assert ids.get(name) == uid
+
+    def test_dense_index_reads_exactly_the_canonical_spelling(self):
+        assert dense_index("u0", "u") == 0
+        assert dense_index("u1234567", "u") == 1234567
+        assert dense_index("user12", "user") == 12
+        assert dense_index("v1", "u") == -1
 
     def test_dense_count_requires_prefix(self):
         with pytest.raises(ValueError):

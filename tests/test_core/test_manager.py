@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.host import AccessControlHost, DecisionReason
 from repro.core.manager import AccessControlManager
-from repro.core.policy import AccessPolicy, ExhaustedAction
+from repro.core.policy import AccessPolicy, ExhaustedAction, QueryStrategy
 from repro.core.rights import AclEntry, Right, Version
 from repro.sim.clock import LocalClock
 from repro.sim.engine import Environment
@@ -255,7 +255,7 @@ class TestQueryAnswering:
         assert not process.value.allowed
 
     def test_stats(self):
-        harness = ManagerHarness(policy())
+        harness = ManagerHarness(policy(query_strategy=QueryStrategy.PARALLEL))
         harness.grant_everywhere("alice")
         host = harness.hosts[0]
         host.request_access(APP, "alice")

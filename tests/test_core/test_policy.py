@@ -149,7 +149,14 @@ class TestPresets:
 
 class TestEnums:
     def test_query_strategies(self):
-        assert {QueryStrategy.SEQUENTIAL, QueryStrategy.PARALLEL} == set(QueryStrategy)
+        assert {
+            QueryStrategy.SEQUENTIAL, QueryStrategy.PARALLEL, QueryStrategy.QUORUM
+        } == set(QueryStrategy)
+        assert AccessPolicy().query_strategy is QueryStrategy.QUORUM
+        # The enum's value is accepted too (JSON policies: fuzz schedules).
+        assert AccessPolicy(query_strategy="parallel").query_strategy is QueryStrategy.PARALLEL
+        with pytest.raises(ValueError):
+            AccessPolicy(query_strategy="broadcast")
 
     def test_delta_modes(self):
         assert {DeltaMode.FULL_ROUND_TRIP, DeltaMode.HALF_ROUND_TRIP} == set(DeltaMode)

@@ -16,7 +16,7 @@ Three laws on top of the JSON codec's bijection (which
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import messages as m
 from repro.core.rights import Right, Version
@@ -59,6 +59,12 @@ _MIX = (
 )
 
 
+#: Names one character away from the dense block ``u<i>``: digits that
+#: are not ASCII (``int`` would read ``u٣`` and ``u１`` as 3 and 1, and
+#: raise on ``u²``), and non-canonical or signed spellings.
+NOT_DENSE = ("u²", "u٣", "u１", "u01", "u-1")
+
+
 class TestVarint:
     @given(value=st.integers(min_value=0, max_value=2**512))
     def test_round_trip(self, value):
@@ -91,6 +97,7 @@ class TestBinaryRoundTrip:
 
     @settings(deadline=None)
     @given(messages=st.lists(wire_messages, min_size=1, max_size=8))
+    @example(messages=[m.Ping(nonce=1, sender=name) for name in NOT_DENSE])
     def test_stateful_pair_round_trips_a_stream(self, messages):
         encoder, decoder = BinaryEncoder(), BinaryDecoder()
         for message in messages:
@@ -167,6 +174,18 @@ class TestInterningDictionary:
             ping = m.Ping(nonce=1, sender=name)
             assert decoder.decode(encoder.encode(ping)) == ping
         assert encoder.dictionary_size == 5
+
+    @pytest.mark.parametrize("name", NOT_DENSE)
+    def test_non_ascii_digits_neither_alias_nor_crash_either_codec(self, name):
+        # "u٣" used to travel as dense index 3 and decode as "u3" — another
+        # principal — and "u²" raised ValueError out of ``encode``.
+        request = m.QueryRequest(query_id=1, application="app", user=name, right=Right.USE)
+        assert decode_bin(encode_bin(request)) == request
+        assert decode_message(encode_message(request)) == request
+        encoder, decoder = BinaryEncoder(), BinaryDecoder()
+        for _ in range(2):  # definition, then reference
+            assert decoder.decode(encoder.encode(request)).user == name
+        assert encoder.dictionary_size == decoder.dictionary_size == 2  # "app" + the name
 
     def test_oversized_strings_stay_inline(self):
         encoder = BinaryEncoder()

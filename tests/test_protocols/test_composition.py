@@ -14,9 +14,8 @@ from repro.protocols import (
     ByzantineVouchCombiner,
     FreezeStrategy,
     HighestVersionCombiner,
-    ParallelPlanner,
+    QueryPlanner,
     QuorumStrategy,
-    SequentialPlanner,
     WeightedVoteCombiner,
     combiner_for,
     dissemination_strategy_for,
@@ -40,13 +39,15 @@ def response(manager, verdict=Verdict.GRANT, counter=1, origin="m0"):
 
 class TestStrategySelection:
     def test_planner_follows_query_strategy(self):
-        assert isinstance(
-            planner_for(AccessPolicy(query_strategy=QueryStrategy.PARALLEL)),
-            ParallelPlanner,
-        )
-        assert isinstance(
-            planner_for(AccessPolicy(query_strategy=QueryStrategy.SEQUENTIAL)),
-            SequentialPlanner,
+        # One planner class; a strategy is only its batch cut.
+        planners = [
+            planner_for(AccessPolicy(query_strategy=strategy))
+            for strategy in QueryStrategy
+        ]
+        assert all(type(planner) is QueryPlanner for planner in planners)
+        assert len({planner.cut for planner in planners}) == len(QueryStrategy)
+        assert planner_for(AccessPolicy()) is planner_for(
+            AccessPolicy(query_strategy=QueryStrategy.QUORUM)
         )
 
     def test_combiner_follows_byzantine_f(self):

@@ -208,6 +208,30 @@ class TestTeBoundSemanticOracle:
         assert violation.invariant == "te_bound"
         assert violation.details["overshoot"] > 0
 
+    @pytest.mark.parametrize("user", ["u²", "u٣", "u１", "u01", "u-1"])
+    def test_bulk_seed_baseline_covers_only_canonical_ascii_names(self, user):
+        # One record seeds u0..u9; "u٣" is not u3 and "u²" must be a
+        # violation report, not a ValueError out of the oracle.
+        system = make_system()
+        system.attach_invariant_checker()
+        system.tracer.publish(
+            TraceKind.GRANT_SEEDED, "system",
+            application=APP, user_prefix="u", seeded_below=10, right="use",
+        )
+        system.tracer.publish(
+            TraceKind.ACCESS_ALLOWED, "h0",
+            application=APP, user="u3", reason="verified",
+            attempts=1, responses=2, latency=0.0,
+        )
+        with pytest.raises(InvariantViolation) as excinfo:
+            system.tracer.publish(
+                TraceKind.ACCESS_ALLOWED, "h0",
+                application=APP, user=user, reason="verified",
+                attempts=1, responses=2, latency=0.0,
+            )
+        assert excinfo.value.invariant == "te_bound"
+        assert "never" in excinfo.value.message
+
     def test_access_within_grace_window_is_fine(self):
         system = make_system()
         system.attach_invariant_checker()

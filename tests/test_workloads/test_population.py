@@ -87,6 +87,10 @@ class TestLazyNames:
         assert "u99" in population.users
         assert "u100" not in population.users
         assert "u07" not in population.users  # non-canonical spelling
+        for lookalike in ("u²", "u٣", "u１", "u-1"):  # not ASCII decimals
+            assert lookalike not in population.users
+            with pytest.raises(ValueError):
+                population.users.index(lookalike)
         assert "v1" not in population.users
 
     def test_index_is_exact_inverse(self):
