@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test test-slow lint fuzz bench bench-smoke bench-e2e bench-e2e-smoke bench-baseline bench-compare net-smoke net-smoke-binary population-smoke mega profile experiments examples all clean
+.PHONY: install test test-slow lint fuzz bench bench-smoke bench-e2e bench-e2e-smoke bench-baseline bench-compare net-smoke population-smoke mega profile experiments examples all clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -55,8 +55,9 @@ bench-baseline:
 bench-compare:
 	PYTHONPATH=src python -m repro bench --repeats 5
 
-# Boot a live cell, hit it with a closed-loop load burst, then run the
-# sim<->socket differential suite (slow fuzz sample included).
+# Boot a live cell, hit it with a closed-loop load burst (the report's
+# wire line shows the segments coalescing), then run the sim<->socket
+# differential suite (slow fuzz sample included).
 net-smoke:
 	rm -f /tmp/repro-cell.json
 	PYTHONPATH=src python -m repro serve --role cell --managers 3 --hosts 2 \
@@ -66,19 +67,6 @@ net-smoke:
 		--secret smoke --clients 4 --duration 5; status=$$?; \
 	kill $$pid 2>/dev/null; rm -f /tmp/repro-cell.json; exit $$status
 	PYTHONPATH=src python -m pytest -q tests/test_net -m ""
-
-# The same closed loop on the binary fast path: cell and clients both
-# prefer the interned-dictionary codec; the report's wire line shows
-# the segments coalescing.
-net-smoke-binary:
-	rm -f /tmp/repro-cell.json
-	PYTHONPATH=src python -m repro serve --role cell --managers 3 --hosts 2 \
-		--codec binary --secret smoke --port-file /tmp/repro-cell.json \
-		--run-for 120 & pid=$$!; \
-	for i in $$(seq 1 50); do [ -f /tmp/repro-cell.json ] && break; sleep 0.2; done; \
-	PYTHONPATH=src python -m repro load --port-file /tmp/repro-cell.json \
-		--secret smoke --clients 4 --duration 5 --codec binary; status=$$?; \
-	kill $$pid 2>/dev/null; rm -f /tmp/repro-cell.json; exit $$status
 
 # The CI population gate at local speed: 10^5 principals, K=4 shards,
 # invariants on, wall-clock budgeted.

@@ -377,7 +377,7 @@ def bench_wire_codec(messages: int) -> Dict[str, Any]:
     (the shape a live cell's links carry once warm, with dense ``u<i>``
     users) through both codecs, full encode+decode round trips, with
     the binary side using one warmed session dictionary pair — exactly
-    the per-connection state a negotiated binary link holds.  The
+    the per-connection state a live link holds.  The
     gated elapsed is the *binary* leg; the JSON leg runs alongside so
     the meta carries the A/B.  Two in-cell gates pin the win itself:
     binary bytes must be at least 2.5x smaller and the binary round
@@ -457,10 +457,10 @@ def bench_wire_codec(messages: int) -> Dict[str, Any]:
 
 
 def bench_live_fanout(messages: int) -> Dict[str, Any]:
-    """Closed burst fan-out over real sockets on the binary fast path.
+    """Closed burst fan-out over real sockets.
 
-    Two :class:`~repro.net.runtime.LiveRuntime` processes on localhost,
-    binary codec negotiated: one pinger bursts pings at eight responder
+    Two :class:`~repro.net.runtime.LiveRuntime` processes on localhost:
+    one pinger bursts pings at eight responder
     nodes sharing the far endpoint, and the cell times the wall clock
     until every pong is back.  Each runtime-pass flush coalesces the
     burst into HMAC'd multi-message segments, so this gates the whole
@@ -494,8 +494,8 @@ def bench_live_fanout(messages: int) -> Dict[str, Any]:
                 self.send(src, Pong(nonce=message.nonce, sender=self.address))
 
     async def scenario():
-        left = LiveRuntime(b"bench-wire", time_scale=1.0, codec="binary")
-        right = LiveRuntime(b"bench-wire", time_scale=1.0, codec="binary")
+        left = LiveRuntime(b"bench-wire", time_scale=1.0)
+        right = LiveRuntime(b"bench-wire", time_scale=1.0)
         pinger = _Pinger()
         left.register(pinger)
         for i in range(n_sinks):
@@ -537,7 +537,6 @@ def bench_live_fanout(messages: int) -> Dict[str, Any]:
             await right.stop()
 
     elapsed, wire = asyncio.run(scenario())
-    assert wire["codec"] == "binary"
     assert wire["segment_msgs_sent"] >= messages
     assert wire["msgs_per_segment"] > 1.0, (
         f"fan-out failed to coalesce: {wire['msgs_per_segment']:.2f} msgs/segment"

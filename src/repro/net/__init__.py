@@ -7,14 +7,15 @@ this package supplies the *socket* implementation of it:
 
 * :mod:`repro.net.transport` — the backend-agnostic interface (the sim
   :class:`~repro.sim.network.Network` is the other implementation);
-* :mod:`repro.net.codec` — tagged-JSON wire codec and length-prefixed
-  framing for every protocol message;
-* :mod:`repro.net.codec_bin` — the negotiated binary fast path: a
-  struct-packed codec with a per-session string-interning dictionary;
-* :mod:`repro.net.session` — HMAC-SHA256 session authentication with
+* :mod:`repro.net.codec` — length-prefixed framing, and the tagged-JSON
+  form of every protocol message (fixtures and trace dumps, not the
+  wire);
+* :mod:`repro.net.codec_bin` — the wire codec: struct-packed messages
+  with a per-connection string-interning dictionary;
+* :mod:`repro.net.session` — HMAC-SHA256 sealed segments with
   replay-nonce and expiry windows (per the sidecar auth ADR);
-* :mod:`repro.net.tcp` — :class:`SocketTransport`, frames over asyncio
-  TCP protocol callbacks;
+* :mod:`repro.net.tcp` — :class:`SocketTransport`, sealed binary
+  segments over asyncio TCP protocol callbacks;
 * :mod:`repro.net.runtime` — :class:`LiveRuntime`, the wall-clock
   driver that advances a node's private simulation environment in real
   time;

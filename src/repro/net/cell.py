@@ -19,7 +19,7 @@ and only then do the nodes learn their peers.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..auth.identity import Authenticator, Principal
 from ..core.manager import AccessControlManager
@@ -60,13 +60,7 @@ class LiveCell:
     admin path of the differential scenarios) can issue grants through
     the real :class:`~repro.protocols.admin.AdminService`.
 
-    ``codec`` selects each runtime's outbound wire codec — a single
-    name for the whole cell, or a mapping of node address -> codec for
-    a mixed cluster (unmapped addresses fall back to ``"json"``); every
-    link still negotiates per connection.  ``accept_binary`` likewise
-    takes one bool or a per-address mapping, and turns off the inbound
-    binary path (binary peers get a structured rejection and downgrade
-    to JSON on that link).
+    ``codec`` accepts only ``"binary"``, as :class:`LiveRuntime` does.
     """
 
     def __init__(
@@ -82,9 +76,10 @@ class LiveCell:
         sign_responses: bool = True,
         bind_host: str = "127.0.0.1",
         keep_log: bool = False,
-        codec: Union[str, Mapping[str, str]] = "json",
-        accept_binary: Union[bool, Mapping[str, bool]] = True,
+        codec: str = "binary",
     ) -> None:
+        if codec != "binary":
+            raise ValueError(f"unknown codec {codec!r}: the live wire is binary")
         if n_managers < 1:
             raise ValueError("need at least one manager")
         self.policy = policy or AccessPolicy()
@@ -95,24 +90,17 @@ class LiveCell:
         self.lifetime = lifetime
         self.admin_user = admin_user
         self.bind_host = bind_host
-        self.codec = codec
         self.connectivity = LiveConnectivity()
         self.directory: Dict[str, Tuple[str, int]] = {}
         self._started = False
 
-        def make_runtime(addr: str) -> LiveRuntime:
+        def make_runtime() -> LiveRuntime:
             return LiveRuntime(
                 secret,
                 time_scale=self.time_scale,
                 lifetime=lifetime,
                 connectivity=self.connectivity,
                 keep_log=keep_log,
-                codec=codec if isinstance(codec, str) else codec.get(addr, "json"),
-                accept_binary=(
-                    accept_binary
-                    if isinstance(accept_binary, bool)
-                    else accept_binary.get(addr, True)
-                ),
             )
 
         self.manager_addrs = tuple(f"m{i}" for i in range(n_managers))
@@ -129,7 +117,7 @@ class LiveCell:
             manager = AccessControlManager(addr, self.policy, principal=principal)
             for app in self.applications:
                 manager.manage(app, self.manager_addrs)
-            runtime = make_runtime(addr)
+            runtime = make_runtime()
             runtime.register(manager)
             self.runtimes[addr] = runtime
             self.managers.append(manager)
@@ -144,7 +132,7 @@ class LiveCell:
             )
             for app in self.applications:
                 host.deploy(EchoApplication(app))
-            runtime = make_runtime(host.address)
+            runtime = make_runtime()
             runtime.register(host)
             self.runtimes[host.address] = runtime
             self.hosts.append(host)

@@ -1,4 +1,4 @@
-"""Tagged-JSON wire codec and length-prefixed framing.
+"""Tagged-JSON message codec and length-prefixed framing.
 
 The sim backend passes message dataclasses by reference; the socket
 backend needs bytes.  This module is the bijection between the two:

@@ -1,10 +1,10 @@
 """Compact binary wire codec with a per-session interning dictionary.
 
 The tagged-JSON codec (:mod:`repro.net.codec`) is self-describing and
-canonical, which makes it the right *negotiation floor* — but it ships
-every field name, every type tag, and every principal name as text on
-every message.  This module is the fast path negotiated at handshake
-time: struct-packed frames over the same ``_WIRE_TYPES`` registry with
+canonical, which suits fixtures and trace dumps — but it ships every
+field name, every type tag, and every principal name as text on every
+message.  This module is the codec the live wire uses: struct-packed
+frames over the same ``_WIRE_TYPES`` registry with
 
 * **positional fields** — a message is its registry index plus its
   field values in declaration order; field names never hit the wire;

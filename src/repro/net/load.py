@@ -59,9 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="manage-right identity used to grant the client users")
     parser.add_argument("--time-scale", type=float, default=1.0,
                         help="client-side sim-seconds per wall-second")
-    parser.add_argument("--codec", choices=("json", "binary"), default="json",
-                        help="client-side wire codec preference (negotiated "
-                             "per connection; default json)")
     parser.add_argument("--json", action="store_true",
                         help="emit the report as JSON instead of text")
     return parser
@@ -82,7 +79,6 @@ async def run_load(
     user_prefix: str = "load-user",
     admin_user: str = "admin",
     time_scale: float = 1.0,
-    codec: str = "json",
 ) -> Dict[str, Any]:
     """Drive the cell; returns the report dict (pure-Python entry point)."""
     manager_addrs = sorted(a for a in directory if a.startswith("m"))
@@ -97,7 +93,7 @@ async def run_load(
     # nonce namespace (the protocol identities --admin-user/--user-prefix
     # are unaffected).
     tag = secrets.token_hex(3)
-    runtime = LiveRuntime(secret, time_scale=time_scale, codec=codec)
+    runtime = LiveRuntime(secret, time_scale=time_scale)
     admin = AdminClient(f"load-{tag}-admin", admin_user)
     runtime.register(admin)
     clients: List[UserClient] = []
@@ -198,7 +194,7 @@ def _print_report(report: Dict[str, Any]) -> None:
     wire = report.get("wire")
     if wire:
         print(
-            f"wire [{wire['codec']}]: "
+            "wire: "
             f"sent={wire['bytes_sent']}B/{wire['frames_sent']}f "
             f"recv={wire['bytes_received']}B/{wire['frames_received']}f "
             f"segments={wire['segments_sent']}out/{wire['segments_received']}in "
@@ -220,7 +216,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             user_prefix=args.user_prefix,
             admin_user=args.admin_user,
             time_scale=args.time_scale,
-            codec=args.codec,
         )
     )
     if args.json:

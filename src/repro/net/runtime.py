@@ -59,7 +59,11 @@ def _settle(future: "asyncio.Future[Any]", event: Any) -> None:
 
 
 class LiveRuntime:
-    """Drives one endpoint's private environment in wall-clock time."""
+    """Drives one endpoint's private environment in wall-clock time.
+
+    ``codec`` accepts only ``"binary"``, the one wire there is; the
+    keyword survives for callers written when it selected something.
+    """
 
     def __init__(
         self,
@@ -68,21 +72,17 @@ class LiveRuntime:
         lifetime: float = DEFAULT_LIFETIME,
         connectivity: Optional[LiveConnectivity] = None,
         keep_log: bool = False,
-        codec: str = "json",
-        accept_binary: bool = True,
+        codec: str = "binary",
     ) -> None:
+        if codec != "binary":
+            raise ValueError(f"unknown codec {codec!r}: the live wire is binary")
         if time_scale <= 0:
             raise ValueError("time_scale must be positive")
         self.env = Environment()
         self.tracer = Tracer(self.env, keep_log=keep_log)
         self.time_scale = float(time_scale)
         self.transport = SocketTransport(
-            self,
-            secret,
-            lifetime=lifetime,
-            connectivity=connectivity,
-            codec=codec,
-            accept_binary=accept_binary,
+            self, secret, lifetime=lifetime, connectivity=connectivity
         )
         self.loop: Optional[asyncio.AbstractEventLoop] = None
         self._inbox: Deque[Tuple[str, str, Any]] = deque()

@@ -298,13 +298,8 @@ async def run_scenario_live(
     time_scale: float = 40.0,
     secret: bytes = DEFAULT_SECRET,
     lifetime: float = DEFAULT_LIFETIME,
-    codec: Any = "json",
 ) -> ScenarioOutcome:
-    """Execute ``scenario`` on the localhost TCP backend.
-
-    ``codec`` is forwarded to :class:`LiveCell` — a single codec name
-    or a per-address mapping for mixed-cluster differential runs.
-    """
+    """Execute ``scenario`` on the localhost TCP backend."""
     cell = LiveCell(
         n_managers=scenario.n_managers,
         n_hosts=scenario.n_hosts,
@@ -313,7 +308,6 @@ async def run_scenario_live(
         secret=secret,
         time_scale=time_scale,
         lifetime=lifetime,
-        codec=codec,
     )
     for user in scenario.seed_users:
         cell.seed_grant(APPLICATION, user)

@@ -12,8 +12,8 @@ Three roles:
 All roles speak the same wire protocol: query responses RSA-signed or,
 once a host has handed a manager its pairwise key, tagged under it
 (:class:`~repro.auth.Principal`'s default key is a function of the
-identity alone, so separate processes agree), HMAC session frames with
-replay nonces under ``--secret``, and length-prefixed codec frames.
+identity alone, so separate processes agree), and length-prefixed
+binary segments sealed under ``--secret`` with replay nonces.
 
 Examples
 --------
@@ -83,11 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated application names (default: app)")
     parser.add_argument("--time-scale", type=float, default=1.0,
                         help="sim-seconds per wall-second (default 1.0)")
-    parser.add_argument("--codec", choices=("json", "binary"), default="json",
-                        help="preferred outbound wire codec; every link still "
-                             "negotiates per connection (default json)")
-    parser.add_argument("--no-accept-binary", action="store_true",
-                        help="reject binary hellos (peers downgrade to JSON)")
     parser.add_argument("--run-for", type=float, default=None, metavar="SECONDS",
                         help="exit after this many wall seconds (default: run until signalled)")
     parser.add_argument("--check-quorum", type=int, default=None,
@@ -100,17 +95,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--port-file", default=None,
                         help="[cell] write the address->host:port directory as JSON here")
     parser.add_argument("--grant", action="append", default=[], metavar="USER[:RIGHT]",
+                        type=_parse_grant,
                         help="[cell] seed a grant before start (repeatable)")
     # -- single-node roles ---------------------------------------------------
     parser.add_argument("--address", default=None,
                         help="[manager|host] this node's protocol address, e.g. m0")
     parser.add_argument("--listen", default="127.0.0.1:0", metavar="HOST:PORT",
+                        type=_parse_listen,
                         help="[manager|host] bind endpoint (default 127.0.0.1:0)")
     parser.add_argument("--peers", default="", metavar="ADDR=HOST:PORT,...",
+                        type=_parse_peers,
                         help="[manager|host] static peer directory")
     parser.add_argument("--manager-set", default="", metavar="m0,m1,...",
                         help="[manager|host] the full Managers(A) address set")
     return parser
+
+
+# Argument types: a malformed value raises ArgumentTypeError, which
+# argparse reports against the flag with exit status 2.
+def _is_port(text: str) -> bool:
+    return text.isascii() and text.isdigit() and int(text) < 65536
+
+
+def _parse_listen(spec: str) -> Tuple[str, int]:
+    host, sep, port = spec.rpartition(":")
+    if not (sep and _is_port(port)):
+        raise argparse.ArgumentTypeError(f"{spec!r} is not HOST:PORT")
+    return host or "127.0.0.1", int(port)
 
 
 def _parse_peers(spec: str) -> Dict[str, Tuple[str, int]]:
@@ -118,16 +129,20 @@ def _parse_peers(spec: str) -> Dict[str, Tuple[str, int]]:
     for item in filter(None, (part.strip() for part in spec.split(","))):
         addr, _, endpoint = item.partition("=")
         host, _, port = endpoint.rpartition(":")
+        if not (addr and host and _is_port(port)):
+            raise argparse.ArgumentTypeError(f"{item!r} is not ADDR=HOST:PORT")
         directory[addr] = (host, int(port))
     return directory
 
 
-def _parse_grants(specs: List[str]) -> List[Tuple[str, Right]]:
-    grants = []
-    for spec in specs:
-        user, _, right = spec.partition(":")
-        grants.append((user, Right(right) if right else Right.USE))
-    return grants
+def _parse_grant(spec: str) -> Tuple[str, Right]:
+    user, _, right = spec.partition(":")
+    rights = {r.value: r for r in Right}
+    if not user or (right and right not in rights):
+        raise argparse.ArgumentTypeError(
+            f"{spec!r} is not USER[:RIGHT] with RIGHT one of {', '.join(rights)}"
+        )
+    return user, rights.get(right, Right.USE)
 
 
 def _policy(args: argparse.Namespace, n_managers: int) -> AccessPolicy:
@@ -155,19 +170,17 @@ async def _run_until_signalled(run_for: Optional[float]) -> None:
         await stop.wait()
 
 
-async def _serve_cell(args: argparse.Namespace, secret: bytes) -> int:
+async def _serve_cell(args: argparse.Namespace, secret: bytes, policy: AccessPolicy) -> int:
     applications = tuple(filter(None, args.apps.split(",")))
     cell = LiveCell(
         n_managers=args.managers,
         n_hosts=args.hosts,
         applications=applications,
-        policy=_policy(args, args.managers),
+        policy=policy,
         secret=secret,
         time_scale=args.time_scale,
-        codec=args.codec,
-        accept_binary=not args.no_accept_binary,
     )
-    for user, right in _parse_grants(args.grant):
+    for user, right in args.grant:
         for app in applications:
             cell.seed_grant(app, user, right)
     async with cell:
@@ -185,21 +198,11 @@ async def _serve_cell(args: argparse.Namespace, secret: bytes) -> int:
     return 0
 
 
-async def _serve_node(args: argparse.Namespace, secret: bytes) -> int:
-    if not args.address:
-        raise SystemExit("--address is required for --role manager|host")
-    manager_set = tuple(filter(None, args.manager_set.split(",")))
-    if not manager_set:
-        raise SystemExit("--manager-set is required for --role manager|host")
+async def _serve_node(
+    args: argparse.Namespace, secret: bytes, policy: AccessPolicy, manager_set: Tuple[str, ...]
+) -> int:
     applications = tuple(filter(None, args.apps.split(",")))
-    policy = _policy(args, len(manager_set))
-
-    runtime = LiveRuntime(
-        secret,
-        time_scale=args.time_scale,
-        codec=args.codec,
-        accept_binary=not args.no_accept_binary,
-    )
+    runtime = LiveRuntime(secret, time_scale=args.time_scale)
     if args.role == "manager":
         node: object = AccessControlManager(
             args.address, policy, principal=Principal(args.address)
@@ -220,9 +223,9 @@ async def _serve_node(args: argparse.Namespace, secret: bytes) -> int:
             node.deploy(EchoApplication(app))
     runtime.register(node)
 
-    bind_host, _, bind_port = args.listen.rpartition(":")
-    port = await runtime.start(bind_host or "127.0.0.1", int(bind_port))
-    runtime.set_peers(_parse_peers(args.peers))
+    bind_host, bind_port = args.listen
+    port = await runtime.start(bind_host, bind_port)
+    runtime.set_peers(args.peers)
     print(f"{args.role} {args.address} listening on {bind_host}:{port}")
     try:
         await _run_until_signalled(args.run_for)
@@ -233,9 +236,23 @@ async def _serve_node(args: argparse.Namespace, secret: bytes) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    manager_set = tuple(filter(None, args.manager_set.split(",")))
+    if args.role == "cell":
+        if args.managers < 1:
+            parser.error("argument --managers: need at least one manager")
+    else:
+        if not args.address:
+            parser.error("--address is required for --role manager|host")
+        if not manager_set:
+            parser.error("--manager-set is required for --role manager|host")
+    try:
+        policy = _policy(args, args.managers if args.role == "cell" else len(manager_set))
+    except ValueError as exc:
+        parser.error(f"argument --check-quorum: {exc}")
     secret = args.secret.encode("utf-8") if args.secret else DEFAULT_SECRET
     pin_allocator()
     if args.role == "cell":
-        return asyncio.run(_serve_cell(args, secret))
-    return asyncio.run(_serve_node(args, secret))
+        return asyncio.run(_serve_cell(args, secret, policy))
+    return asyncio.run(_serve_node(args, secret, policy, manager_set))

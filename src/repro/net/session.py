@@ -4,14 +4,24 @@ Per the sidecar auth ADR (SNIPPETS.md, ADR-002 option C): the RSA
 signatures inside the protocol authenticate *principals* end-to-end
 (a manager signing its query responses, a user signing an admin
 request); this layer authenticates the *session* hop-by-hop, so a
-localhost cell is not an open relay.  Every frame body is
+localhost cell is not an open relay.
 
-    ``mac(32 raw bytes) || envelope(JSON)``
+Every frame on the live wire is a **segment**
+(:meth:`SessionAuth.seal_segment` / :meth:`SessionAuth.open_segment`):
+every message a flush produces for one endpoint, under one nonce and
+one HMAC-SHA256 over the whole batch, keyed by the cell's shared
+secret.  The MAC therefore amortises across the batch — fan-out of k
+messages costs one SHA-256 pass over their concatenation instead of k
+passes — while replay protection is per *segment*, and no individual
+message can be spliced out because only the whole segment
+authenticates.  Layout after the 32-byte mac (all integers LEB128
+varints, strings varint-length UTF-8)::
 
-where the envelope is ``{"d": recipient, "n": nonce, "p": payload,
-"s": sender, "t": issued_at}`` in canonical JSON and the mac is
-HMAC-SHA256 over the envelope under the cell's shared secret.  Receivers enforce three
-properties, each with its own rejection counter:
+    sender | recipient | nonce | issued_at(8B >d) | count |
+    (src | dst | body)*count
+
+Receivers enforce three properties, each with its own rejection
+counter:
 
 * **tampered** — mac does not verify (constant-time compare);
 * **replayed** — per-sender nonces must be strictly increasing;
@@ -20,28 +30,12 @@ properties, each with its own rejection counter:
   cannot pre-burn nonces).
 
 A rejection raises :class:`AuthError`; the transport traces it and
-drops the frame without disturbing the server loop.
+closes the connection without disturbing the server loop.
 
-Segments
---------
-The binary fast path coalesces every message a flush produces for one
-endpoint into a single **segment**: one length prefix, one nonce, one
-HMAC over the whole batch (:meth:`SessionAuth.seal_segment` /
-:meth:`SessionAuth.open_segment`).  The MAC therefore amortises across
-the batch — fan-out of k messages costs one SHA-256 pass over their
-concatenation instead of k passes over k envelopes — while replay
-protection is per *segment*: replaying or reordering a segment trips
-the same strictly-increasing nonce check, and no individual message can
-be spliced out because only the whole segment authenticates.  Layout
-after the mac (all integers LEB128 varints, strings varint-length
-UTF-8)::
-
-    sender | recipient | nonce | issued_at(8B >d) | count |
-    (src | dst | body)*count
-
-A fourth rejection kind, **negotiation**, counts hello frames naming a
-codec this endpoint does not accept — a structured downgrade signal,
-not a poisoned connection.
+:meth:`SessionAuth.seal` / :meth:`SessionAuth.open` are the same checks
+over a single message in a canonical-JSON envelope ``{"d": recipient,
+"n": nonce, "p": payload, "s": sender, "t": issued_at}``; no link sends
+them, but the recorded wire fixture pins their layout.
 """
 
 from __future__ import annotations
@@ -85,8 +79,8 @@ def _name_pair(first: str, second: str) -> bytes:
 class AuthError(ValueError):
     """A session frame failed authentication.
 
-    ``kind`` is one of ``"tampered"``, ``"replayed"``, ``"expired"``,
-    ``"malformed"``, or ``"negotiation"`` — matching the keys of
+    ``kind`` is one of ``"tampered"``, ``"replayed"``, ``"expired"``, or
+    ``"malformed"`` — matching the keys of
     :attr:`SessionAuth.rejected`.
     """
 
@@ -124,7 +118,6 @@ class SessionAuth:
             "replayed": 0,
             "expired": 0,
             "malformed": 0,
-            "negotiation": 0,
         }
 
     # -- sealing ----------------------------------------------------------
@@ -194,9 +187,8 @@ class SessionAuth:
     ) -> bytes:
         """Seal a batch of ``(src, dst, body)`` into one authenticated segment.
 
-        ``sender``/``recipient`` name the *transport endpoints* (same
-        namespace :meth:`seal` uses, same nonce counters), so segments
-        and JSON frames interleave safely on one connection.  One HMAC
+        ``sender``/``recipient`` name the *transport endpoints*; the
+        nonce counter is the one :meth:`seal` also advances.  One HMAC
         covers the whole batch.
         """
         nonce = self._next_nonce.get(sender, 0) + 1

@@ -1,24 +1,13 @@
 """:class:`SocketTransport` — the transport interface over asyncio TCP.
 
-Wire format: every frame is ``4-byte BE length || kind byte || body``,
-where the kind byte selects one of four frame flavours:
-
-``J``
-    a JSON session frame — ``HMAC || envelope(JSON)`` exactly as in
-    PR 7 (see :mod:`repro.net.session`); the compatibility floor every
-    endpoint speaks.
-``H`` / ``A``
-    codec negotiation — a sealed hello naming the codec the client
-    wants for this connection, and the sealed accept/reject ack.  An
-    unknown or unaccepted codec name is a *structured* rejection
-    (counted under the session's ``negotiation`` counter, answered
-    with a reject ack): the connection stays a perfectly good JSON
-    connection; nothing is poisoned.
-``B``
-    a binary segment — ``HMAC || segment`` carrying a whole flush's
-    worth of messages for one endpoint: one length prefix, one replay
-    nonce, and one MAC amortised over the batch, each message body
-    encoded by the connection's :class:`~repro.net.codec_bin.BinaryEncoder`.
+Wire format: every frame is ``4-byte BE length || 'B' || segment``, a
+sealed binary segment — ``HMAC || segment`` carrying a whole flush's
+worth of messages for one endpoint: one length prefix, one replay
+nonce, and one MAC amortised over the batch, each message body encoded
+by the connection's :class:`~repro.net.codec_bin.BinaryEncoder` (see
+:meth:`repro.net.session.SessionAuth.seal_segment`).  The kind byte is
+kept so the layout stays self-identifying; any other kind is a
+protocol error that closes the connection.
 
 Topology: every long-lived cell node runs a frame server; for each
 known peer *endpoint* a lazily-connected outbound :class:`_Link`
@@ -27,28 +16,25 @@ come back on the same connection — and inbound connections from
 addresses *not* in the peer directory (e.g. transient ``repro load``
 clients, which run no server) are remembered as *return routes* so
 responses to them travel back over the connection they arrived on.
-One link class serves both directions and both codecs, and it is the
-connection's :class:`asyncio.Protocol`: no task, future or queue sits
-on the per-message path.  Inbound, the selector's read callback runs
+One link class serves both directions, and it is the connection's
+:class:`asyncio.Protocol`: no task, future or queue sits on the
+per-message path.  Inbound, the selector's read callback runs
 ``data_received`` → :meth:`FrameReader.feed` → MAC check → decode →
 ``runtime.deliver`` and then the runtime's pass, all in that one
 callback; outbound, :meth:`SocketTransport.flush` — called once per
 pass, so latency never regresses past the pass that produced the
 messages — hands each link its batch, which a ready link encodes,
-seals and writes inline.  Only connecting and the hello/ack
-handshake run as a (short-lived) task.  A peer that stops reading
-makes asyncio call ``pause_writing``; from then on batches park in the
-link's bounded backlog and overflow is dropped and counted, in either
-direction.
+seals and writes inline.  Only connecting runs as a (short-lived)
+task.  A peer that stops reading makes asyncio call ``pause_writing``;
+from then on batches park in the link's bounded backlog and overflow
+is dropped and counted, in either direction.
 
 Codec state is scoped to one TCP connection per direction: the
 interning dictionaries of a :class:`BinaryEncoder`/``BinaryDecoder``
 pair stay consistent because TCP delivers that connection's frames in
 order, and any divergence (a :class:`DictionaryError`, which can only
 mean a bug or an attack) closes the connection so the automatic
-reconnect resets both sides.  A binary link packs a batch into one
-segment; a JSON link (the transport prefers JSON, or the server
-declined binary) writes one ``J`` frame per message.
+reconnect resets both sides.
 
 Failure semantics mirror the sim :class:`~repro.sim.network.Network`:
 ``send`` is synchronous fire-and-forget; connection failures, unknown
@@ -61,47 +47,30 @@ retry/ack machinery, exactly as in the simulator.
 from __future__ import annotations
 
 import asyncio
-import json
 from collections import deque
 from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..sim.trace import TraceKind
-from .codec import CodecError, FrameError, FrameReader, decode_message, encode_frame, encode_message
+from .codec import CodecError, FrameError, FrameReader, encode_frame
 from .codec_bin import BinaryDecoder, BinaryEncoder, decode_bin, encode_bin
 from .session import DEFAULT_LIFETIME, AuthError, SessionAuth
 from .transport import Address, Transport
 
-__all__ = ["SocketTransport", "LiveConnectivity", "CODECS"]
+__all__ = ["SocketTransport", "LiveConnectivity"]
 
-#: Bound on batches parked on one link (connecting, negotiating, or the
-#: peer not reading) before further batches drop.
+#: Bound on batches parked on one link (connecting, or the peer not
+#: reading) before further batches drop.
 _LINK_QUEUE_LIMIT = 4096
-
-#: Codec names a transport can negotiate.  ``json`` is the floor and is
-#: always accepted; ``binary`` is accepted unless ``accept_binary`` is
-#: off.  Anything else in a hello is a structured negotiation rejection.
-CODECS = ("json", "binary")
 
 #: Pending sends per transport that force an early flush mid-pass, so a
 #: pathological burst inside one runtime pass cannot buffer
 #: unboundedly before hitting the wire.
 _FLUSH_LIMIT = 128
 
-#: Wall-clock bound on a codec handshake before the link downgrades to
-#: JSON (covers pre-kind-byte servers that never answer a hello).
-_HELLO_TIMEOUT = 5.0
-
 #: One flush's worth of ``(src, dst, message)`` for one link.
 _Batch = List[Tuple[Address, Address, Any]]
 
-_KIND_JSON = 0x4A     # 'J'
-_KIND_HELLO = 0x48    # 'H'
-_KIND_ACK = 0x41      # 'A'
 _KIND_SEGMENT = 0x42  # 'B'
-
-_JSON_PREFIX = bytes((_KIND_JSON,))
-_HELLO_PREFIX = bytes((_KIND_HELLO,))
-_ACK_PREFIX = bytes((_KIND_ACK,))
 _SEGMENT_PREFIX = bytes((_KIND_SEGMENT,))
 
 
@@ -145,8 +114,8 @@ class _Link(asyncio.Protocol):
 
     An *outbound* link (``endpoint`` set) belongs to one ``(host,
     port)`` — so a fan-out to many nodes of one remote runtime shares a
-    connection and, in binary, a segment — connects lazily on its first
-    batch and reconnects on the next one after a loss.  An *accepted*
+    connection and a segment — connects lazily on its first batch and
+    reconnects on the next one after a loss.  An *accepted*
     link (``endpoint`` None) lives as long as its connection and
     carries replies to senders that have no server of their own.  The
     link is the connection's :class:`asyncio.Protocol`: the selector
@@ -154,13 +123,12 @@ class _Link(asyncio.Protocol):
     messages on the runtime, and the runtime's pass runs before
     ``data_received`` returns.
 
-    Batches of ``(src, dst, message)`` are encoded *at write time*,
-    after the handshake has picked this connection's codec and created
-    its fresh :class:`BinaryEncoder` — whatever bytes reach the wire
-    were produced by the encoder whose state the peer's decoder
-    mirrors.  A ready link writes a batch inline; while it is
-    connecting, negotiating, or told to ``pause_writing`` (the peer is
-    not reading), batches park in ``backlog`` — at most
+    Batches of ``(src, dst, message)`` are encoded *at write time* by
+    the fresh :class:`BinaryEncoder` the connection got when it was
+    made — whatever bytes reach the wire were produced by the encoder
+    whose state the peer's decoder mirrors.  A ready link writes a
+    batch inline; while it is connecting or told to ``pause_writing``
+    (the peer is not reading), batches park in ``backlog`` — at most
     :data:`_LINK_QUEUE_LIMIT`, beyond which they are dropped and
     counted — and drain in order afterwards.
     """
@@ -173,23 +141,22 @@ class _Link(asyncio.Protocol):
         #: The session name the far end of an outbound link is sealed to.
         self.label = f"{endpoint[0]}:{endpoint[1]}" if endpoint else ""
         self.sock: Optional[asyncio.Transport] = None
-        self.ready = False    # connected, negotiated, not closing
+        self.ready = False    # connected, not closing
         self.paused = False
         self.closed = False   # shut down for good by the owner
         self.backlog: Deque[_Batch] = deque()
         self.routed: Set[Address] = set()  # return routes pointing here
         self._task: Optional["asyncio.Task[None]"] = None
-        self._ack: Optional["asyncio.Future[str]"] = None
         self._reset()
 
     def _reset(self) -> None:
-        """Fresh per-connection state: framing, codec, dictionaries."""
+        """Fresh per-connection state: framing and both dictionaries."""
         self.frames = FrameReader()
-        #: Set once the handshake agreed to send / receive binary here; a
-        #: link without an encoder sends J frames, which need no hello.
-        self.encoder: Optional[BinaryEncoder] = None
-        self.decoder: Optional[BinaryDecoder] = None
-        #: (local, remote) session names segments on this link are sealed under.
+        self.encoder = BinaryEncoder()
+        self.decoder = BinaryDecoder()
+        #: (local, remote) session names segments on this link are sealed
+        #: under: set on connect for an outbound link, and from the first
+        #: segment that verifies for an accepted one.
         self.names: Tuple[str, str] = ("", "")
 
     # -- outbound -----------------------------------------------------------------
@@ -224,49 +191,35 @@ class _Link(asyncio.Protocol):
             self._write(self.backlog.popleft())
 
     def _write(self, batch: _Batch) -> None:
-        """Encode one batch under the connection's codec and write it."""
+        """Encode one batch into one sealed segment and write it."""
         assert self.sock is not None
         owner = self.owner
-        auth = owner.auth
-        if self.encoder is not None:
-            items: List[Tuple[str, str, bytes]] = []
-            for src, dst, message in batch:
-                try:
-                    items.append((src, dst, self.encoder.encode(message)))
-                except CodecError as exc:
-                    owner._count_drop(dst, f"encode: {exc}")
-            if not items:
-                return
+        items: List[Tuple[str, str, bytes]] = []
+        for src, dst, message in batch:
             try:
-                frame = encode_frame(_SEGMENT_PREFIX + auth.seal_segment(*self.names, items))
-            except FrameError as exc:
-                self._drop(batch, f"encode: {exc}")
-                return
-            owner.wire["segments_sent"] += 1
-            owner.wire["segment_msgs_sent"] += len(items)
-            nframes = 1
-        else:
-            # JSON link: one frame per message, still a single write.
-            out = bytearray()
-            nframes = 0
-            for src, dst, message in batch:
-                try:
-                    out += encode_frame(_JSON_PREFIX + auth.seal(src, dst, encode_message(message)))
-                    nframes += 1
-                except (CodecError, FrameError) as exc:
-                    owner._count_drop(dst, f"encode: {exc}")
-            if not nframes:
-                return
-            frame = bytes(out)
+                items.append((src, dst, self.encoder.encode(message)))
+            except CodecError as exc:
+                owner._count_drop(dst, f"encode: {exc}")
+        if not items:
+            return
+        try:
+            frame = encode_frame(_SEGMENT_PREFIX + owner.auth.seal_segment(*self.names, items))
+        except FrameError as exc:
+            self._drop(batch, f"encode: {exc}")
+            return
+        wire = owner.wire
+        wire["bytes_sent"] += len(frame)
+        wire["frames_sent"] += 1
+        wire["segments_sent"] += 1
+        wire["segment_msgs_sent"] += len(items)
         self.sock.write(frame)
-        owner._wire_wrote(len(frame), nframes)
 
     async def _connect(self) -> None:
-        """Connect (with retries), then negotiate this connection's codec.
+        """Connect, with retries; :meth:`connection_made` drains the backlog.
 
-        A fresh connection always re-negotiates and gets a fresh
-        encoder: the remote decoder died with the old connection, so
-        dictionary state must restart from empty on both sides.
+        A fresh connection gets a fresh encoder: the remote decoder died
+        with the old connection, so dictionary state must restart from
+        empty on both sides.
         """
         assert self.endpoint is not None
         owner = self.owner
@@ -275,43 +228,14 @@ class _Link(asyncio.Protocol):
             for attempt in range(owner.connect_retries):
                 try:
                     await loop.create_connection(lambda: self, *self.endpoint)
-                    break
+                    return
                 except OSError:
                     await asyncio.sleep(owner.connect_backoff * (attempt + 1))
-            else:
-                # Connection refused after retries: the batches are
-                # lost, like messages into a dead partition.
-                self._drop_backlog("connect failed")
-                return
-            if owner.codec == "binary":
-                await self._negotiate(loop)
+            # Connection refused after retries: the batches are lost,
+            # like messages into a dead partition.
+            self._drop_backlog("connect failed")
         finally:
             self._task = None
-        if self.sock is None:
-            self._drop_backlog("connection lost")
-            return
-        self.ready = True
-        self._drain()
-
-    async def _negotiate(self, loop: asyncio.AbstractEventLoop) -> None:
-        assert self.sock is not None
-        owner = self.owner
-        self.names = (owner.endpoint_name(), self.label)
-        self._ack = loop.create_future()
-        hello = json.dumps({"codec": "binary", "v": 1}).encode("utf-8")
-        frame = encode_frame(_HELLO_PREFIX + owner.auth.seal(*self.names, hello))
-        self.sock.write(frame)
-        owner._wire_wrote(len(frame))
-        try:
-            codec = await asyncio.wait_for(self._ack, timeout=_HELLO_TIMEOUT)
-        except asyncio.TimeoutError:
-            # A server that never answers hellos is a JSON-era server;
-            # fall back rather than stall the link.
-            codec = "json"
-        finally:
-            self._ack = None
-        if codec == "binary":
-            self.encoder = BinaryEncoder()
 
     # -- asyncio.Protocol -----------------------------------------------------------
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
@@ -325,7 +249,10 @@ class _Link(asyncio.Protocol):
                 transport.abort()
                 return
             self.owner._accepted.add(self)
-            self.ready = True
+        else:
+            self.names = (self.owner.endpoint_name(), self.label)
+        self.ready = True
+        self._drain()
 
     def data_received(self, data: bytes) -> None:
         self.owner._runtime.pump(self._feed, data)
@@ -344,8 +271,6 @@ class _Link(asyncio.Protocol):
         owner = self.owner
         self.sock = None
         self.ready = False
-        if self._ack is not None and not self._ack.done():
-            self._ack.set_result("json")  # unblocks _connect, which sees sock is None
         for name in self.routed:
             if owner._routes.get(name) is self:
                 del owner._routes[name]
@@ -376,9 +301,9 @@ class _Link(asyncio.Protocol):
     def _feed(self, chunk: bytes) -> None:
         """Deframe one chunk and queue its messages on the runtime.
 
-        Authentication and codec failures drop the single frame (counted
-        and traced); framing errors and dictionary divergence poison the
-        stream, so the connection is closed.  Nothing propagates: one
+        Any framing, authentication or codec failure is counted and
+        traced, and closes the connection (the sender's next batch
+        reconnects with fresh dictionaries).  Nothing propagates: one
         hostile client cannot take down the server loop.
         """
         owner = self.owner
@@ -400,23 +325,37 @@ class _Link(asyncio.Protocol):
             self.sock.close()
 
     def _on_frame(self, body: bytes) -> bool:
-        """Dispatch one frame by kind; False means close the connection."""
+        """Open, decode and queue one segment; False closes the connection.
+
+        Every failure is connection-fatal: a rejected segment's
+        dictionary definitions never reached the decoder, and a frame of
+        any other kind is nothing this wire carries, so nothing legal can
+        follow on this stream.
+        """
         owner = self.owner
         owner.wire["frames_received"] += 1
-        kind = body[0]
-        blob = body[1:]
-        if kind == _KIND_SEGMENT:
-            return self._on_segment(blob)
-        if kind == _KIND_JSON:
-            self._on_json_frame(blob)
-        elif kind == _KIND_HELLO:
-            self._on_hello(blob)
-        elif kind == _KIND_ACK:
-            self._on_ack(blob)
-        else:
-            # Unknown kind: drop the frame, keep the connection — a newer
-            # peer may interleave kinds this build does not know.
-            owner._reject("frame", f"unknown frame kind 0x{kind:02x}")
+        if body[0] != _KIND_SEGMENT:
+            owner._reject("frame", f"unknown frame kind 0x{body[0]:02x}")
+            return False
+        try:
+            sender, recipient, items = owner.auth.open_segment(body[1:])
+        except AuthError as exc:
+            owner._reject(exc.kind, exc.detail)
+            return False
+        if not self.names[0]:
+            # Accepted link: replies go back sealed to whoever this is.
+            self.names = (recipient, sender)
+        owner.wire["segments_received"] += 1
+        owner.wire["segment_msgs_received"] += len(items)
+        for src, dst, blob in items:
+            try:
+                message = self.decoder.decode(blob)
+            except CodecError as exc:
+                # Any mid-segment decode failure leaves the dictionary
+                # in an unknown state: connection-fatal by design.
+                owner._reject("codec", str(exc))
+                return False
+            self._accept(src, dst, message)
         return True
 
     def _accept(self, sender: Address, recipient: Address, message: Any) -> None:
@@ -431,114 +370,6 @@ class _Link(asyncio.Protocol):
             return
         owner._runtime.deliver(sender, recipient, message)
 
-    def _on_json_frame(self, blob: bytes) -> None:
-        owner = self.owner
-        try:
-            sender, recipient, payload = owner.auth.open(blob)
-        except AuthError as exc:
-            owner._reject(exc.kind, exc.detail)
-            return
-        try:
-            message = decode_message(payload)
-        except CodecError as exc:
-            owner._reject("codec", str(exc))
-            return
-        self._accept(sender, recipient, message)
-
-    def _on_segment(self, blob: bytes) -> bool:
-        """Handle one coalesced binary segment; False closes the stream."""
-        owner = self.owner
-        if self.decoder is None:
-            # Segments before a completed handshake can only mean the
-            # peer thinks this connection negotiated binary and we do
-            # not — dictionary state is unknowable, so reset the
-            # connection rather than guess.
-            owner._reject("frame", "binary segment before negotiation")
-            return False
-        try:
-            _sender, _recipient, items = owner.auth.open_segment(blob)
-        except AuthError as exc:
-            owner._reject(exc.kind, exc.detail)
-            # The decoder never saw the segment's definitions, so the
-            # dictionaries have diverged; reset the connection.
-            return False
-        owner.wire["segments_received"] += 1
-        owner.wire["segment_msgs_received"] += len(items)
-        for src, dst, body in items:
-            try:
-                message = self.decoder.decode(body)
-            except CodecError as exc:
-                # Any mid-segment decode failure leaves the dictionary
-                # in an unknown state: connection-fatal by design.
-                owner._reject("codec", str(exc))
-                return False
-            self._accept(src, dst, message)
-        return True
-
-    def _on_hello(self, blob: bytes) -> None:
-        owner = self.owner
-        try:
-            sender, recipient, payload = owner.auth.open(blob)
-        except AuthError as exc:
-            owner._reject(exc.kind, exc.detail)
-            return
-        try:
-            fields = json.loads(payload.decode("utf-8"))
-            wanted = fields["codec"]
-            if not isinstance(wanted, str):
-                raise TypeError("codec must be a string")
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
-            owner._reject("codec", f"bad hello: {exc}")
-            return
-        accepted = {"json", "binary"} if owner.accept_binary else {"json"}
-        if wanted in accepted:
-            verdict, reason = True, ""
-            if wanted == "binary":
-                self.decoder = BinaryDecoder()
-                self.names = (recipient, sender)
-                if owner.codec == "binary":
-                    # Replies go back down this connection as segments.
-                    self.encoder = BinaryEncoder()
-        else:
-            # Structured rejection: counted, answered, connection kept.
-            verdict, reason = False, f"codec {wanted!r} not accepted"
-            owner.auth.rejected["negotiation"] += 1
-            owner._reject("negotiation", reason)
-        ack = json.dumps(
-            {"accept": verdict, "codec": wanted if verdict else "json", "reason": reason}
-        ).encode("utf-8")
-        frame = encode_frame(_ACK_PREFIX + owner.auth.seal(recipient, sender, ack))
-        if self.sock is not None and not self.sock.is_closing():
-            self.sock.write(frame)
-            owner._wire_wrote(len(frame))
-
-    def _on_ack(self, blob: bytes) -> None:
-        owner = self.owner
-        try:
-            sender, _recipient, payload = owner.auth.open(blob)
-        except AuthError as exc:
-            owner._reject(exc.kind, exc.detail)
-            return
-        waiter = self._ack
-        if waiter is None or waiter.done() or sender != self.label:
-            owner._reject("frame", f"unsolicited codec ack from {sender}")
-            return
-        try:
-            fields = json.loads(payload.decode("utf-8"))
-            accepted = bool(fields["accept"])
-            codec = fields["codec"] if accepted else "json"
-            if codec not in CODECS:
-                raise ValueError(f"unknown codec {codec!r}")
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            owner._reject("codec", f"bad codec ack: {exc}")
-            waiter.set_result("json")
-            return
-        if codec == "binary":
-            # Reply segments from this endpoint arrive on this same
-            # connection; mirror its encoder with a fresh decoder.
-            self.decoder = BinaryDecoder()
-        waiter.set_result(codec)
-
 
 class SocketTransport(Transport):
     """The :class:`~repro.net.transport.Transport` over real TCP.
@@ -547,13 +378,7 @@ class SocketTransport(Transport):
     it supplies the event environment, the tracer, the asyncio loop,
     and asynchronous local delivery (``runtime.deliver``), which keeps
     ``handle_message`` off the sender's stack exactly as in the sim.
-
-    ``codec`` is the *outbound preference*: ``"json"`` sends legacy
-    per-message frames (byte-compatible with PR 7); ``"binary"``
-    negotiates the interned binary codec per connection and coalesces
-    each flush into per-endpoint segments.  ``accept_binary`` governs
-    the *inbound* side — when off, binary hellos get a structured
-    negotiation rejection and the peer downgrades to JSON.
+    Each flush is coalesced into one sealed segment per endpoint.
     """
 
     def __init__(
@@ -564,18 +389,12 @@ class SocketTransport(Transport):
         connectivity: Optional[LiveConnectivity] = None,
         connect_retries: int = 5,
         connect_backoff: float = 0.05,
-        codec: str = "json",
-        accept_binary: bool = True,
     ) -> None:
-        if codec not in CODECS:
-            raise ValueError(f"unknown codec {codec!r} (choose from {CODECS})")
         self._runtime = runtime
         self.auth = SessionAuth(secret, lifetime=lifetime)
         self.connectivity = connectivity
         self.connect_retries = connect_retries
         self.connect_backoff = connect_backoff
-        self.codec = codec
-        self.accept_binary = accept_binary
         self.nodes: Dict[Address, Any] = {}
         self.peers: Dict[Address, Tuple[str, int]] = {}
         self._links: Dict[Tuple[str, int], _Link] = {}   # outbound, per endpoint
@@ -620,10 +439,10 @@ class SocketTransport(Transport):
         return self._server_port
 
     def endpoint_name(self) -> str:
-        """The stable session name this transport handshakes under.
+        """The stable session name this transport seals outbound segments under.
 
-        Used as the sealed sender of hellos and outbound segments — a
-        single nonce counter all this endpoint's connections share (each
+        One name means one nonce counter all this endpoint's outbound
+        connections share (each
         connection sees an increasing subsequence, which is all the
         replay check requires).  Pinned on first use so late node
         registration cannot change it mid-session.
@@ -635,7 +454,6 @@ class SocketTransport(Transport):
     def wire_stats(self) -> Dict[str, Any]:
         """Wire counters plus derived coalescing shape, for reports."""
         stats: Dict[str, Any] = dict(self.wire)
-        stats["codec"] = self.codec
         segments = stats["segments_sent"]
         stats["msgs_per_segment"] = (
             stats["segment_msgs_sent"] / segments if segments else 0.0
@@ -682,10 +500,7 @@ class SocketTransport(Transport):
             # Local loopback still goes through the codec so both halves
             # of a conversation see identically-normalised messages.
             try:
-                if self.codec == "binary":
-                    wire = decode_bin(encode_bin(message))
-                else:
-                    wire = decode_message(encode_message(message))
+                wire = decode_bin(encode_bin(message))
             except CodecError as exc:
                 self._count_drop(dst, f"codec: {exc}")
                 return
@@ -744,10 +559,6 @@ class SocketTransport(Transport):
         node.handle_message(src, message)
 
     # -- bookkeeping -------------------------------------------------------------
-    def _wire_wrote(self, nbytes: int, frames: int = 1) -> None:
-        self.wire["bytes_sent"] += nbytes
-        self.wire["frames_sent"] += frames
-
     def _count_drop(self, dst: Address, reason: str) -> None:
         self.messages_dropped += 1
         if self.tracer.wants(TraceKind.MSG_DROPPED):
@@ -769,7 +580,7 @@ class SocketTransport(Transport):
         """Flush, then close the server and every link.
 
         What is already written still drains to peers that are reading;
-        batches parked behind a connect, a handshake or a stalled peer
+        batches parked behind a connect or a stalled peer
         are dropped rather than waited for.
         """
         self.flush()

@@ -7,8 +7,8 @@ the no-burn rule — a tampered copy must not consume the legitimate
 frame's nonce.
 
 Live layer: a real asyncio server fed tampered, replayed, expired,
-truncated, and oversized frames over raw TCP connections, then a valid
-frame that must still be delivered.
+malformed, truncated, and oversized segments over raw TCP connections,
+then a valid segment that must still be delivered.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from repro.core.policy import AccessPolicy
 from repro.core.rights import Right, Version
 from repro.net.cell import LiveCell
 from repro.net.codec import MAX_FRAME, encode_frame, encode_message
+from repro.net import session
+from repro.net.codec_bin import BinaryEncoder
 from repro.net.runtime import LiveRuntime
 from repro.net.session import MAC_BYTES, AuthError, SessionAuth
 from repro.sim.node import Node
@@ -33,13 +35,20 @@ from repro.sim.trace import TraceKind
 
 SECRET = b"negative-path-secret"
 
-#: Frame-kind prefix for legacy JSON session frames (see repro.net.tcp).
-KIND_JSON = b"J"
+
+def _seal(auth: SessionAuth, message, src="probe", dst="alpha", encoder=None) -> bytes:
+    """``message`` sealed as a one-item segment.
+
+    ``encoder`` defaults to a fresh one, which matches the fresh decoder
+    of a new connection; several segments on one connection share one.
+    """
+    body = (encoder or BinaryEncoder()).encode(message)
+    return auth.seal_segment(src, "server", [(src, dst, body)])
 
 
-def _jframe(blob: bytes) -> bytes:
-    """A wire frame carrying one sealed JSON session blob."""
-    return encode_frame(KIND_JSON + blob)
+def _bframe(blob: bytes) -> bytes:
+    """A wire frame carrying one sealed segment."""
+    return encode_frame(b"B" + blob)
 
 
 class Recorder(Node):
@@ -121,6 +130,27 @@ class TestSessionAuthUnit:
         with pytest.raises(ValueError):
             SessionAuth(b"")
 
+    def test_segment_mac_is_compared_in_constant_time_once(self, monkeypatch):
+        calls = []
+        compare = session.hmac.compare_digest
+
+        def recording_compare(a, b):
+            calls.append((bytes(a), bytes(b)))
+            return compare(a, b)
+
+        monkeypatch.setattr(session.hmac, "compare_digest", recording_compare)
+        sender, receiver = SessionAuth(SECRET), SessionAuth(SECRET)
+        valid = sender.seal_segment("a", "b", [("a", "b", b"body")])
+        receiver.open_segment(valid)
+        assert len(calls) == 1
+        tampered = bytearray(sender.seal_segment("a", "b", [("a", "b", b"body")]))
+        tampered[-1] ^= 0x01
+        with pytest.raises(AuthError) as excinfo:
+            receiver.open_segment(bytes(tampered))
+        assert excinfo.value.kind == "tampered"
+        assert receiver.rejected["tampered"] == 1
+        assert len(calls) == 2
+
 
 class TestLiveServerSurvival:
     def test_hostile_frames_dropped_without_killing_the_loop(self):
@@ -132,7 +162,7 @@ class TestLiveServerSurvival:
             transport = runtime.transport
 
             async def fire(*frames: bytes) -> None:
-                """One connection per call: framing errors poison a stream."""
+                """One connection per call: every rejection closes a stream."""
                 _, writer = await asyncio.open_connection("127.0.0.1", port)
                 for frame in frames:
                     writer.write(frame)
@@ -142,19 +172,22 @@ class TestLiveServerSurvival:
 
             try:
                 client = SessionAuth(SECRET)
-                ping = encode_message(Ping(nonce=1, sender="probe"))
+                ping = Ping(nonce=1, sender="probe")
 
-                # Tampered: flip one mac byte of an otherwise valid frame.
-                blob = client.seal("probe", "alpha", ping)
-                await fire(_jframe(bytes([blob[0] ^ 0xFF]) + blob[1:]))
+                # Tampered: flip one mac byte of an otherwise valid segment.
+                blob = _seal(client, ping)
+                await fire(_bframe(bytes([blob[0] ^ 0xFF]) + blob[1:]))
 
-                # Replayed: the same sealed frame twice (first is valid).
-                blob = client.seal("probe", "alpha", ping)
-                await fire(_jframe(blob), _jframe(blob))
+                # Replayed: the same sealed segment twice (first is valid).
+                blob = _seal(client, ping)
+                await fire(_bframe(blob), _bframe(blob))
 
                 # Expired: sealed by a clock a week in the past.
                 stale = SessionAuth(SECRET, clock=lambda: 0.0)
-                await fire(_jframe(stale.seal("late", "alpha", ping)))
+                await fire(_bframe(_seal(stale, ping, src="late")))
+
+                # Malformed: too short to carry a mac and a segment.
+                await fire(_bframe(b"short"))
 
                 # Truncated: a zero-length frame declaration.
                 await fire(struct.pack(">I", 0) + b"junk")
@@ -162,12 +195,11 @@ class TestLiveServerSurvival:
                 # Oversized: a length prefix beyond MAX_FRAME.
                 await fire(struct.pack(">I", MAX_FRAME + 1))
 
-                # Unknown frame kind: dropped, connection survives.
-                await fire(encode_frame(b"Z" + client.seal("probe", "alpha", ping)))
+                # Unknown frame kind: rejected, connection closed.
+                await fire(encode_frame(b"Z" + _seal(client, ping)))
 
-                # The loop must still be serving: a fresh valid frame lands.
-                final = client.seal("probe", "alpha", ping)
-                await fire(_jframe(final))
+                # The loop must still be serving: a fresh valid segment lands.
+                await fire(_bframe(_seal(client, ping)))
                 for _ in range(300):
                     if len(node.received) >= 2:
                         break
@@ -183,14 +215,48 @@ class TestLiveServerSurvival:
                 await runtime.stop()
 
         received, rejected, frames_rejected, dropped = asyncio.run(scenario())
-        # The replay's first copy and the final frame both arrived.
+        # The replay's first copy and the final segment both arrived.
         assert received == [("probe", Ping(nonce=1, sender="probe"))] * 2
-        assert rejected["tampered"] >= 1
-        assert rejected["replayed"] >= 1
-        assert rejected["expired"] >= 1
-        # Auth rejections plus the two framing errors, all counted and traced.
-        assert frames_rejected >= 5
-        assert dropped >= 5
+        assert rejected["tampered"] == 1
+        assert rejected["replayed"] == 1
+        assert rejected["expired"] == 1
+        assert rejected["malformed"] == 1
+        # Four auth rejections, two framing errors and the unknown kind,
+        # all counted and traced.
+        assert frames_rejected == 7
+        assert dropped >= 7
+
+    def test_retired_frame_kinds_reach_no_node_and_close_the_connection(self):
+        """A correctly sealed per-message JSON frame and a codec hello are
+        no longer part of the wire: each is rejected as a frame error."""
+
+        async def scenario():
+            runtime = LiveRuntime(SECRET, time_scale=10.0)
+            node = Recorder("alpha")
+            runtime.register(node)
+            port = await runtime.start()
+            client = SessionAuth(SECRET)
+            ping = encode_message(Ping(nonce=1, sender="probe"))
+            hello = b'{"codec":"binary","v":1}'
+            closed = []
+            try:
+                for frame in (
+                    encode_frame(b"J" + client.seal("probe", "alpha", ping)),
+                    encode_frame(b"H" + client.seal("probe", f"127.0.0.1:{port}", hello)),
+                ):
+                    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                    writer.write(frame)
+                    await writer.drain()
+                    closed.append(await asyncio.wait_for(reader.read(), 5.0) == b"")
+                    writer.close()
+                return list(node.received), runtime.transport.frames_rejected, closed
+            finally:
+                await runtime.stop()
+
+        received, frames_rejected, closed = asyncio.run(scenario())
+        assert received == []
+        assert frames_rejected == 2
+        assert closed == [True, True]
 
 
 class TestForgedTaggedAnswerOverTheWire:
@@ -213,11 +279,11 @@ class TestForgedTaggedAnswerOverTheWire:
                 )
                 answer = QueryResponse(query_id, "app", "mallory", Right.USE, Verdict.GRANT,
                                        100.0, Version(9, ""), "m0")
-                adversary = SessionAuth(SECRET)
+                adversary, encoder = SessionAuth(SECRET), BinaryEncoder()
                 _, writer = await asyncio.open_connection(*cell.directory["h0"])
                 for value in (1, 2**127, -1):
                     forged = SignedMessage(answer, Tag("m0", key_id, value))
-                    writer.write(_jframe(adversary.seal("x9", "h0", encode_message(forged))))
+                    writer.write(_bframe(_seal(adversary, forged, "x9", "h0", encoder)))
                 await writer.drain()
                 for _ in range(300):
                     if host.rejected_manager_signatures >= 3:
@@ -229,7 +295,7 @@ class TestForgedTaggedAnswerOverTheWire:
                     dataclasses.replace(answer, query_id=1), Tag("m0", key_id, 5)
                 )
                 before = host.late_manager_responses
-                writer.write(_jframe(adversary.seal("x9", "h0", encode_message(late))))
+                writer.write(_bframe(_seal(adversary, late, "x9", "h0", encoder)))
                 await writer.drain()
                 for _ in range(300):
                     if host.late_manager_responses > before:

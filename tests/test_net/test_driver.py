@@ -10,9 +10,14 @@ timer.  These tests pin what that design promises:
   recursively;
 * sim timers fire at their wall-clock target and an idle node's clock
   keeps up with wall time;
-* ``stop()`` neither hangs on nor leaks a half-open link;
-* one link class carries JSON, binary and mixed pairs, return routes
-  included, and a reconnect starts from empty dictionaries;
+* ``stop()`` neither hangs on nor leaks a link that is still connecting;
+* one link class carries both directions, return routes included, a
+  flush's fan-out travels as one sealed segment per endpoint, replayed
+  segments are rejected, and a reconnect starts from empty dictionaries;
+* of the codec pairings the backend once offered, only binary↔binary is
+  left: asking for JSON is refused when a runtime is built, and a peer
+  still speaking the retired JSON frame wire is refused at the frame
+  layer without disturbing anyone else;
 * a peer that stops reading costs bounded memory and nobody else's
   service;
 * a protocol exception in a pass stops the runtime and surfaces from
@@ -23,7 +28,6 @@ from __future__ import annotations
 
 import asyncio
 import gc
-import json
 import logging
 import socket
 import warnings
@@ -33,7 +37,7 @@ import pytest
 from repro.core.messages import Ping, Pong
 from repro.net import tcp
 from repro.net.codec import FrameReader, encode_frame, encode_message
-from repro.net.codec_bin import BinaryEncoder
+from repro.net.codec_bin import BinaryDecoder, BinaryEncoder
 from repro.net.runtime import LiveRuntime
 from repro.net.session import SessionAuth
 from repro.sim.node import Node
@@ -87,16 +91,16 @@ class ClosedLoopPinger(Node):
             self.done.set_result(self.pongs)
 
 
-async def _pair(left_codec, right_codec, left_node, right_node, time_scale=10.0, **right_kwargs):
+async def _pair(left_node, *right_nodes):
     """Two started runtimes that know each other; caller stops them."""
-    left = LiveRuntime(SECRET, time_scale=time_scale, codec=left_codec)
-    right = LiveRuntime(SECRET, time_scale=time_scale, codec=right_codec, **right_kwargs)
+    left = LiveRuntime(SECRET, time_scale=10.0)
+    right = LiveRuntime(SECRET, time_scale=10.0)
     left.register(left_node)
-    right.register(right_node)
-    directory = {
-        left_node.address: (LOCAL, await left.start()),
-        right_node.address: (LOCAL, await right.start()),
-    }
+    for node in right_nodes:
+        right.register(node)
+    directory = {left_node.address: (LOCAL, await left.start())}
+    right_port = await right.start()
+    directory.update({node.address: (LOCAL, right_port) for node in right_nodes})
     left.set_peers(directory)
     right.set_peers(directory)
     return left, right
@@ -117,19 +121,40 @@ async def _call(runtime, fn, unwrap=True):
     return await result if unwrap and asyncio.isfuture(result) else result
 
 
+def _legacy_json_frame(message, src, dst):
+    """One frame of the retired JSON wire: ``len || 'J' || seal(json)``."""
+    return encode_frame(b"J" + SessionAuth(SECRET).seal(src, dst, encode_message(message)))
+
+
+def _closed(sock):
+    """True once the far end of non-blocking ``sock`` has closed it."""
+    try:
+        return sock.recv(1) == b""
+    except BlockingIOError:
+        return False
+
+
 # -- (a) no task on the message path ------------------------------------------------
 
 
 @pytest.mark.parametrize("codec", ["json", "binary"])
 def test_message_path_creates_no_tasks(codec):
+    """1000 round trips on a warmed-up pair create no task.  With ``json``
+    a peer still speaking the retired JSON frame wire sends a correctly
+    sealed ``J`` frame mid-run: refusing it and closing its connection
+    creates no task either."""
+
     async def scenario():
         loop = asyncio.get_running_loop()
         pinger = ClosedLoopPinger("alpha", "beta")
-        left, right = await _pair(codec, codec, pinger, Responder("beta"))
+        left, right = await _pair(pinger, Responder("beta"))
+        legacy = None
         try:
-            # Warm up: connect, negotiate, first round trips.
+            if codec == "json":
+                legacy = socket.create_connection((LOCAL, right.transport.port))
+            # Warm up: connect, first round trips.
             await asyncio.wait_for(_call(left, lambda: pinger.run(10)), 5.0)
-            await asyncio.sleep(0.05)  # let the connect task retire
+            await asyncio.sleep(0.05)  # let the connect and accept tasks retire
             created = []
 
             def counting_factory(loop, coro, **kwargs):
@@ -141,18 +166,25 @@ def test_message_path_creates_no_tasks(codec):
             loop.set_task_factory(counting_factory)
             try:
                 future = await _call(left, lambda: pinger.run(1000), unwrap=False)
+                if legacy is not None:
+                    legacy.sendall(_legacy_json_frame(Ping(nonce=0, sender="old"), "old", "beta"))
+                    legacy.setblocking(False)
+                    await _until(lambda: _closed(legacy))
                 total = await asyncio.wait_for(future, 20.0)
             finally:
                 loop.set_task_factory(None)
-            return idle_tasks, created, total
+            return idle_tasks, created, total, right.transport.frames_rejected
         finally:
             await left.stop()
             await right.stop()
+            if legacy is not None:
+                legacy.close()
 
-    idle_tasks, created, total = asyncio.run(scenario())
+    idle_tasks, created, total, frames_rejected = asyncio.run(scenario())
     assert total == 1010
     assert idle_tasks == set(), f"tasks alive on a warmed-up pair: {idle_tasks}"
     assert created == [], f"1000 round trips created tasks: {created}"
+    assert frames_rejected == (1 if codec == "json" else 0)
 
 
 # -- (b) re-entrancy ---------------------------------------------------------------------
@@ -255,41 +287,39 @@ def test_sim_timer_fires_at_its_wall_clock_target_on_an_idle_node(time_scale):
 # -- (d) stop() -----------------------------------------------------------------------------
 
 
-def test_stop_with_unflushed_sends_and_half_finished_handshake():
+def test_stop_with_unflushed_sends_and_a_connect_in_flight():
     async def scenario():
-        async def mute(reader, writer):  # accepts, reads, never answers a hello
-            try:
-                await reader.read()
-            finally:
-                writer.close()
-
-        silent = await asyncio.start_server(mute, LOCAL, 0)
-        runtime = LiveRuntime(SECRET, time_scale=10.0, codec="binary")
+        # A bound port nobody listens on: every connect attempt is
+        # refused, so the link sits in its retry loop.
+        refusing = socket.socket()
+        refusing.bind((LOCAL, 0))
+        runtime = LiveRuntime(SECRET, time_scale=10.0)
         node = Recorder("alpha")
         runtime.register(node)
         await runtime.start()
-        runtime.set_peers({"ghost": (LOCAL, silent.sockets[0].getsockname()[1])})
+        runtime.set_peers({"ghost": refusing.getsockname()})
         runtime.call_soon(lambda: node.send("ghost", Ping(nonce=1, sender="alpha")))
-        await _until(lambda: runtime.transport.wire["frames_sent"] == 1)  # the hello is out
+        await _until(lambda: runtime.transport._links)
+        (link,) = runtime.transport._links.values()
+        assert link._task is not None and link.backlog  # still connecting
         node.send("ghost", Ping(nonce=2, sender="alpha"))  # buffered, never flushed by a pass
         try:
             await asyncio.wait_for(runtime.stop(), 2.0)
         finally:
-            silent.close()
-            await silent.wait_closed()
+            refusing.close()
         return runtime.transport.messages_dropped, asyncio.all_tasks() - {asyncio.current_task()}
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         dropped, leftover = asyncio.run(scenario())
         gc.collect()
-    assert dropped == 2  # both parked behind the handshake, counted not sent
+    assert dropped == 2  # both parked behind the connect, counted not sent
     assert leftover == set()
     leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
     assert leaks == [], [str(w.message) for w in leaks]
 
 
-# -- (e) one link class, every codec pairing ------------------------------------------------
+# -- (e) one link class, both directions ------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -297,89 +327,184 @@ def test_stop_with_unflushed_sends_and_half_finished_handshake():
     [
         ("json", "json", True, False, False),
         ("binary", "binary", True, True, True),
-        ("binary", "json", True, True, False),  # replies travel the JSON peer's own link
+        ("binary", "json", True, True, False),
         ("json", "binary", True, False, True),
-        ("binary", "binary", False, False, True),  # JSON-only server: structured downgrade
+        ("binary", "binary", False, False, True),  # the old JSON-only server
     ],
 )
 def test_codec_pairings_interoperate(
     left_codec, right_codec, accept_binary, left_segments, right_segments
 ):
+    """Of the pairings the two-wire backend offered, binary with binary
+    accepted is the one left, and it carries segments both ways.  Asking
+    for JSON on either side, or for a server that refuses binary, is
+    refused when the runtime is built: nothing downgrades any more."""
+    if not accept_binary:
+        with pytest.raises(TypeError, match="accept_binary"):
+            LiveRuntime(SECRET, codec=right_codec, accept_binary=accept_binary)
+    elif "json" in (left_codec, right_codec):
+        with pytest.raises(ValueError, match="the live wire is binary"):
+            LiveRuntime(SECRET, codec=left_codec), LiveRuntime(SECRET, codec=right_codec)
+    else:
+
+        async def scenario():
+            pinger = ClosedLoopPinger("alpha", "beta")
+            left, right = await _pair(pinger, Responder("beta"))
+            try:
+                total = await asyncio.wait_for(_call(left, lambda: pinger.run(20)), 5.0)
+                return total, left.transport, right.transport
+            finally:
+                await left.stop()
+                await right.stop()
+
+        total, left, right = asyncio.run(scenario())
+        assert total == 20
+        assert left.messages_dropped == right.messages_dropped == 0
+        assert left.frames_rejected == right.frames_rejected == 0
+        assert (left.wire["segment_msgs_sent"] == 20) == left_segments
+        assert (right.wire["segment_msgs_sent"] == 20) == right_segments
+        for transport in (left, right):
+            assert transport.wire["frames_sent"] == transport.wire["segments_sent"] > 0
+
+
+def test_fanout_coalesces_into_segments():
     async def scenario():
-        pinger = ClosedLoopPinger("alpha", "beta")
-        left, right = await _pair(
-            left_codec, right_codec, pinger, Responder("beta"), accept_binary=accept_binary
-        )
+        pinger = Recorder("alpha")
+        left, right = await _pair(pinger, *(Responder(f"beta{i}") for i in range(4)))
+
+        def burst():
+            for round_no in range(10):
+                for i in range(4):
+                    pinger.send(f"beta{i}", Ping(nonce=round_no * 4 + i, sender="alpha"))
+
+        left.call_soon(burst)
         try:
-            total = await asyncio.wait_for(_call(left, lambda: pinger.run(20)), 5.0)
-            return total, left.transport, right.transport
+            await _until(lambda: len(pinger.received) >= 40)
+            return left.transport.wire_stats(), right.transport.wire_stats()
         finally:
             await left.stop()
             await right.stop()
 
-    total, left, right = asyncio.run(scenario())
-    assert total == 20
-    assert left.messages_dropped == right.messages_dropped == 0
-    assert left.frames_rejected == 0
-    assert (left.wire["segments_sent"] > 0) == left_segments
-    assert (right.wire["segments_sent"] > 0) == right_segments
-    assert right.auth.rejected["negotiation"] == (0 if accept_binary else 1)
+    left_wire, right_wire = asyncio.run(scenario())
+    # The 40-ping fan-out left alpha as segments, not 40 frames:
+    # coalescing packed a whole flush per endpoint per write.
+    assert 0 < left_wire["segments_sent"] < 40
+    assert left_wire["segment_msgs_sent"] == 40
+    assert left_wire["msgs_per_segment"] > 1.0
+    # And the replies came back as segments from the other side.
+    assert right_wire["segment_msgs_sent"] == 40
+    assert left_wire["segments_received"] == right_wire["segments_sent"]
+
+
+def test_replayed_segment_is_rejected_by_its_nonce():
+    async def scenario():
+        pinger = Recorder("alpha")
+        left, right = await _pair(pinger, Responder("beta"))
+        left.call_soon(lambda: pinger.send("beta", Ping(nonce=1, sender="alpha")))
+        try:
+            await _until(lambda: pinger.received)
+            before = dict(right.transport.auth.rejected)
+            delivered = right.transport.messages_delivered
+            # A fresh SessionAuth restarts nonces at 1 — which the server
+            # has already seen from "alpha" — so this is a replay by
+            # construction.
+            body = BinaryEncoder().encode(Ping(nonce=2, sender="alpha"))
+            stale = SessionAuth(SECRET).seal_segment(
+                "alpha", "anything", [("alpha", "beta", body)]
+            )
+            reader, writer = await asyncio.open_connection(LOCAL, right.transport.port)
+            writer.write(encode_frame(b"B" + stale))
+            await writer.drain()
+            closed = await asyncio.wait_for(reader.read(), 5.0) == b""
+            writer.close()
+            after = dict(right.transport.auth.rejected)
+            return before, after, right.transport.messages_delivered - delivered, closed
+        finally:
+            await left.stop()
+            await right.stop()
+
+    before, after, newly_delivered, closed = asyncio.run(scenario())
+    assert after["replayed"] == before["replayed"] + 1
+    assert newly_delivered == 0
+    assert closed
 
 
 @pytest.mark.parametrize("client_codec", ["json", "binary"])
 @pytest.mark.parametrize("server_codec", ["json", "binary"])
 def test_transient_client_is_answered_down_its_own_connection(client_codec, server_codec):
+    """A client the server never learned is answered over the connection
+    it came in on.  A server can no longer be asked for JSON; a client
+    still speaking the retired JSON frame wire is refused and its
+    connection closed, so it is never answered and leaves no route."""
+    if server_codec == "json":
+        with pytest.raises(ValueError, match="the live wire is binary"):
+            LiveRuntime(SECRET, codec=server_codec)
+        return
+
     async def scenario():
         server = LiveRuntime(SECRET, time_scale=10.0, codec=server_codec)
         server.register(Responder("beta"))
-        client = LiveRuntime(SECRET, time_scale=10.0, codec=client_codec)
-        pinger = ClosedLoopPinger("visitor", "beta")
-        client.register(pinger)
         port = await server.start()
-        await client.start()
-        client.set_peers({"beta": (LOCAL, port)})  # the server never learns "visitor"
         try:
-            total = await asyncio.wait_for(_call(client, lambda: pinger.run(20)), 5.0)
-            return total, client.transport.wire, server.transport
+            if client_codec == "json":
+                reader, writer = await asyncio.open_connection(LOCAL, port)
+                writer.write(_legacy_json_frame(Ping(nonce=0, sender="visitor"), "visitor", "beta"))
+                await writer.drain()
+                answer = await asyncio.wait_for(reader.read(), 5.0)
+                writer.close()
+                return answer, None, server.transport
+            client = LiveRuntime(SECRET, time_scale=10.0, codec=client_codec)
+            pinger = ClosedLoopPinger("visitor", "beta")
+            client.register(pinger)
+            await client.start()
+            client.set_peers({"beta": (LOCAL, port)})  # the server never learns "visitor"
+            try:
+                total = await asyncio.wait_for(_call(client, lambda: pinger.run(20)), 5.0)
+                return total, client.transport.wire, server.transport
+            finally:
+                await client.stop()
         finally:
-            await client.stop()
             await server.stop()
 
-    total, client_wire, server = asyncio.run(scenario())
-    assert total == 20
-    assert server.messages_dropped == 0
-    both_binary = client_codec == server_codec == "binary"
-    assert (server.wire["segments_sent"] > 0) == both_binary
-    assert (client_wire["segments_sent"] > 0) == (client_codec == "binary")
+    outcome, client_wire, server = asyncio.run(scenario())
+    assert server._links == {}  # nothing ever dialled out to "visitor"
+    if client_codec == "json":
+        assert outcome == b""  # closed without an answer
+        assert server.frames_rejected == 1
+        assert server.messages_delivered == 0
+        assert server.wire["segments_sent"] == 0
+        return
+    assert outcome == 20
+    assert server.messages_dropped == server.frames_rejected == 0
+    assert server.wire["segment_msgs_sent"] == client_wire["segment_msgs_received"] == 20
 
 
-def test_reconnect_renegotiates_and_restarts_dictionaries():
+def test_reconnect_restarts_dictionaries():
     async def scenario():
         pinger = ClosedLoopPinger("alpha", "beta")
-        left, right = await _pair("binary", "binary", pinger, Responder("beta"))
+        left, right = await _pair(pinger, Responder("beta"))
         try:
             await asyncio.wait_for(_call(left, lambda: pinger.run(5)), 5.0)
-            def hellos():
-                wire = right.transport.wire
-                return wire["frames_received"] - wire["segments_received"]
-
-            hellos_before = hellos()
+            (link,) = left.transport._links.values()
+            old_encoder = link.encoder
             # Cut alpha's connection from the far side, mid-session.
-            for link in list(right.transport._accepted):
-                link.sock.abort()
+            for accepted in list(right.transport._accepted):
+                accepted.sock.abort()
             await _until(lambda: not right.transport._accepted)
             await asyncio.sleep(0.02)
             total = await asyncio.wait_for(_call(left, lambda: pinger.run(5)), 5.0)
-            return total, hellos() - hellos_before, left.transport, right.transport
+            fresh = link.encoder is not old_encoder
+            return total, fresh, len(right.transport._accepted), left.transport, right.transport
         finally:
             await left.stop()
             await right.stop()
 
-    total, new_hellos, left, right = asyncio.run(scenario())
+    total, fresh, accepted, left, right = asyncio.run(scenario())
     assert total == 10
-    assert new_hellos == 1  # the fresh connection negotiated again
+    assert fresh and accepted == 1  # one new connection, one new encoder
     # Stale STR_REFs against the server's fresh decoder would be codec rejections.
     assert left.frames_rejected == right.frames_rejected == 0
+    assert sum(left.auth.rejected.values()) == sum(right.auth.rejected.values()) == 0
     assert left.messages_dropped == right.messages_dropped == 0
 
 
@@ -392,25 +517,20 @@ def test_peer_that_stops_reading_costs_bounded_memory(monkeypatch):
     monkeypatch.setattr(tcp, "_LINK_QUEUE_LIMIT", limit)
 
     async def scenario():
-        server = LiveRuntime(SECRET, codec="binary")
+        server = LiveRuntime(SECRET)
         server.register(Responder("beta", padding=pong_bytes))
         port = await server.start()
         transport = server.transport
         label = f"{LOCAL}:{port}"
 
-        # A raw peer: real handshake, then requests, and never another read.
+        # A raw peer: sealed segments from its own encoder, and never a read.
         auth, encoder = SessionAuth(SECRET), BinaryEncoder()
         stuck = socket.socket()
         stuck.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
         stuck.connect((LOCAL, port))
-        hello = json.dumps({"codec": "binary", "v": 1}).encode("utf-8")
-        stuck.sendall(encode_frame(b"H" + auth.seal("stuck", label, hello)))
-        await _until(lambda: transport.wire["frames_sent"] == 1)
-        (ack,) = FrameReader().feed(stuck.recv(4096))
-        assert json.loads(auth.open(ack[1:])[2])["accept"] is True
         stuck.setblocking(False)
 
-        innocent = LiveRuntime(SECRET, codec="binary")
+        innocent = LiveRuntime(SECRET)
         pinger = ClosedLoopPinger("gamma", "beta")
         innocent.register(pinger)
         await innocent.start()
@@ -457,7 +577,7 @@ def test_protocol_exception_stops_the_runtime_and_surfaces_from_stop(caplog):
 
     async def scenario():
         sender, fragile = Recorder("alpha"), Fragile("beta")
-        left, right = await _pair("binary", "binary", sender, fragile)
+        left, right = await _pair(sender, fragile)
         try:
             left.call_soon(lambda: sender.send("beta", Ping(nonce=1, sender="alpha")))
             await _until(lambda: len(fragile.received) == 1)
@@ -495,8 +615,8 @@ def test_protocol_exception_stops_the_runtime_and_surfaces_from_stop(caplog):
     assert [r for r in caplog.records if r.name == "asyncio"] == []
 
 
-def test_json_frames_on_the_wire_are_unchanged():
-    """A JSON link's bytes are what a PR 7 peer expects: ``len || 'J' || sealed``."""
+def test_segment_frames_on_the_wire_keep_their_layout():
+    """What a link writes is ``len || 'B' || seal_segment(...)`` from its first byte."""
 
     async def scenario():
         seen = bytearray()
@@ -511,11 +631,12 @@ def test_json_frames_on_the_wire_are_unchanged():
                 writer.close()
 
         sink = await asyncio.start_server(capture, LOCAL, 0)
-        runtime = LiveRuntime(SECRET, time_scale=10.0)  # JSON-preferring: no hello
+        runtime = LiveRuntime(SECRET, time_scale=10.0)
         node = Recorder("alpha")
         runtime.register(node)
         await runtime.start()
-        runtime.set_peers({"beta": (LOCAL, sink.sockets[0].getsockname()[1])})
+        sink_port = sink.sockets[0].getsockname()[1]
+        runtime.set_peers({"beta": (LOCAL, sink_port)})
         runtime.call_soon(lambda: node.send("beta", Ping(nonce=5, sender="alpha")))
         try:
             await asyncio.wait_for(got_one.wait(), 5.0)
@@ -523,10 +644,13 @@ def test_json_frames_on_the_wire_are_unchanged():
             await runtime.stop()
             sink.close()
             await sink.wait_closed()
-        return bytes(seen)
+        return bytes(seen), sink_port
 
-    (body,) = FrameReader().feed(asyncio.run(scenario()))
-    assert body[:1] == b"J"
-    sender, recipient, payload = SessionAuth(SECRET).open(body[1:])
-    assert (sender, recipient) == ("alpha", "beta")
-    assert payload == encode_message(Ping(nonce=5, sender="alpha"))
+    raw, sink_port = asyncio.run(scenario())
+    (body,) = FrameReader().feed(raw)
+    assert body[:1] == b"B"
+    sender, recipient, items = SessionAuth(SECRET).open_segment(body[1:])
+    assert (sender, recipient) == ("alpha", f"{LOCAL}:{sink_port}")
+    ((src, dst, blob),) = items
+    assert (src, dst) == ("alpha", "beta")
+    assert BinaryDecoder().decode(blob) == Ping(nonce=5, sender="alpha")

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.rights import Right
 from repro.net import serve
-from repro.net.serve import _parse_grants, _parse_peers, build_parser, main
+from repro.net.serve import _parse_peers, build_parser, main
 
 
 class TestParsing:
@@ -25,7 +25,8 @@ class TestParsing:
         assert _parse_peers("") == {}
 
     def test_grants_default_to_use(self):
-        assert _parse_grants(["alice", "bob:manage"]) == [
+        args = build_parser().parse_args(["--grant", "alice", "--grant", "bob:manage"])
+        assert args.grant == [
             ("alice", Right.USE),
             ("bob", Right.MANAGE),
         ]

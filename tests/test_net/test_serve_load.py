@@ -5,7 +5,8 @@ Boots a live 3-manager/2-host cell (the same :class:`LiveCell` that
 generator: admin-protocol grants first, then closed-loop application
 requests, with the RPS/latency report built from streaming summaries.
 The full CLI path (subprocess + port file) is exercised by the CI
-net-smoke job; this test keeps the loop itself tier-1.
+net-smoke job; this test keeps the loop itself tier-1, together with
+``repro serve``'s rejection of malformed arguments.
 """
 
 from __future__ import annotations
@@ -13,6 +14,9 @@ from __future__ import annotations
 import asyncio
 import json
 
+import pytest
+
+from repro.net import serve
 from repro.net.cell import LiveCell
 from repro.net.load import _load_directory, _print_report, run_load
 
@@ -45,9 +49,10 @@ def test_load_generator_closed_loop_against_live_cell():
 
 
 def test_load_generator_closed_loop_over_binary_codec():
-    # The same closed loop, negotiated onto the binary fast path on
-    # both sides: messages travel as coalesced segments and the report
-    # carries the wire counters the CLI prints.
+    # The same closed loop, with the cell built through the one-value
+    # ``codec="binary"`` keyword the end-to-end benchmark passes:
+    # messages travel as coalesced segments and the report carries the
+    # wire counters the CLI prints.
     async def scenario():
         async with LiveCell(
             n_managers=3, n_hosts=2, time_scale=20.0, codec="binary"
@@ -58,17 +63,41 @@ def test_load_generator_closed_loop_over_binary_codec():
                 n_clients=2,
                 duration=0.5,
                 time_scale=20.0,
-                codec="binary",
             )
 
     report = asyncio.run(scenario())
     assert report["requests"] > 0
     assert set(report["outcomes"]) == {"ok"}
     wire = report["wire"]
-    assert wire["codec"] == "binary"
+    assert "codec" not in wire
     assert wire["segments_sent"] > 0
     assert wire["segment_msgs_sent"] >= report["requests"]
+    assert wire["frames_sent"] == wire["segments_sent"]
     _print_report(report)
+    # Any other codec is refused before a socket is opened.
+    with pytest.raises(ValueError, match="the live wire is binary"):
+        LiveCell(n_managers=3, n_hosts=2, codec="json")
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--role", "host", "--address", "h0", "--manager-set", "m0", "--peers", "m0=host"],
+         "--peers"),
+        (["--role", "host", "--address", "h0", "--manager-set", "m0", "--peers", "m0"],
+         "--peers"),
+        (["--role", "manager", "--address", "m0", "--manager-set", "m0", "--listen", "host:abc"],
+         "--listen"),
+        (["--grant", "alice:bogus"], "--grant"),
+        (["--managers", "3", "--check-quorum", "9"], "--check-quorum"),
+    ],
+    ids=["peer-without-port", "peer-without-endpoint", "listen-port", "grant-right", "quorum"],
+)
+def test_serve_rejects_malformed_arguments_naming_the_flag(argv, flag, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        serve.main(argv + ["--run-for", "0"])
+    assert excinfo.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
 
 
 def test_port_file_round_trip(tmp_path):

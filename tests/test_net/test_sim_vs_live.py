@@ -9,8 +9,8 @@ same (granted, version-rank, origin) state on every manager — while
 being free to disagree on timing (HLC counters embed physical
 milliseconds, hence the rank canonicalisation in ScenarioOutcome).
 
-Tier-1 runs the two golden-trace schedules (one quorum cell, one
-freeze cell); the wider ten-cell fuzz sample is ``slow`` and runs in
+Tier-1 runs every golden-trace schedule (quorum and freeze cells); the
+wider ten-cell fuzz sample is ``slow`` and runs in
 the net-smoke CI job.
 """
 
@@ -41,21 +41,10 @@ def _golden_schedule(path: Path) -> Schedule:
         return Schedule.from_dict(json.load(handle)["schedule"])
 
 
-def _mixed_codec_map(scenario) -> dict:
-    """Alternate codecs across the cell so every link shape appears:
-    binary->binary, binary->json, json->binary, json->json."""
-    addrs = [f"m{i}" for i in range(scenario.n_managers)] + [
-        f"h{i}" for i in range(scenario.n_hosts)
-    ]
-    return {addr: ("binary" if index % 2 == 0 else "json") for index, addr in enumerate(addrs)}
-
-
-def _differential(schedule: Schedule, name: str, codec="json") -> None:
+def _differential(schedule: Schedule, name: str) -> None:
     scenario = derive_scenario(schedule, name=name)
-    if codec == "mixed":
-        codec = _mixed_codec_map(scenario)
     sim = run_scenario_sim(scenario)
-    live = asyncio.run(run_scenario_live(scenario, time_scale=TIME_SCALE, codec=codec))
+    live = asyncio.run(run_scenario_live(scenario, time_scale=TIME_SCALE))
     assert sim.decisions == live.decisions, (
         f"{name}: decision streams diverge\n sim: {sim.decisions}\nlive: {live.decisions}"
     )
@@ -64,17 +53,9 @@ def _differential(schedule: Schedule, name: str, codec="json") -> None:
     )
 
 
-@pytest.mark.parametrize("codec", ["json", "binary"])
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
-def test_golden_trace_scenarios_match_on_both_backends(path, codec):
-    _differential(_golden_schedule(path), f"{path.stem}-{codec}", codec=codec)
-
-
-def test_golden_trace_scenario_matches_with_mixed_codec_cluster():
-    # A JSON<->binary mixed cluster, negotiated per link, must stay
-    # decision-exact against the sim baseline too.
-    path = GOLDEN[0]
-    _differential(_golden_schedule(path), f"{path.stem}-mixed", codec="mixed")
+def test_golden_trace_scenarios_match_on_both_backends(path):
+    _differential(_golden_schedule(path), path.stem)
 
 
 def test_signed_answers_give_the_same_decisions_on_both_backends(monkeypatch):
@@ -108,7 +89,7 @@ def test_signed_answers_give_the_same_decisions_on_both_backends(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(scenario_module, "AccessControlSystem", signed_system)
         patch.setattr(scenario_module, "LiveCell", recorded_cell)
-        _differential(_golden_schedule(GOLDEN[0]), f"{GOLDEN[0].stem}-signed", codec="binary")
+        _differential(_golden_schedule(GOLDEN[0]), f"{GOLDEN[0].stem}-signed")
 
     answers = 0
     for cell in cells:  # the sim system, then the live cell
@@ -133,7 +114,4 @@ def test_golden_fixtures_cover_both_protocol_variants():
 @pytest.mark.slow
 @pytest.mark.parametrize("cell", range(10))
 def test_fuzz_schedule_sample_matches_on_both_backends(cell):
-    # Alternate the fuzz sample across codecs (and one mixed cluster)
-    # so the slow leg sweeps the whole negotiation matrix for free.
-    codec = ("json", "binary", "mixed")[cell % 3]
-    _differential(generate_schedule(7, cell), f"fuzz-cell{cell}-{codec}", codec=codec)
+    _differential(generate_schedule(7, cell), f"fuzz-cell{cell}")
