@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test test-slow lint fuzz bench bench-smoke bench-e2e bench-e2e-smoke bench-baseline bench-compare net-smoke population-smoke mega profile experiments examples all clean
+.PHONY: install test test-slow lint fuzz bench-smoke bench-e2e bench-e2e-smoke net-smoke population-smoke mega profile experiments examples all clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -27,11 +27,9 @@ lint:
 fuzz:
 	PYTHONPATH=src python -m repro fuzz --cells 50 --seed 7 --jobs 4
 
-bench:
-	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
-
+# Every micro cell once at quick size; the cells' own assertions gate.
 bench-smoke:
-	PYTHONPATH=src python -m repro bench --quick
+	PYTHONPATH=src python -m repro bench --quick --repeats 1
 
 # The end-to-end benchmark the PR driver measures (BENCHMARK.json): four
 # workloads at 20 s each, every metric printed by name and unit.
@@ -48,12 +46,6 @@ bench-e2e-smoke:
 	[print(name, 'req_per_s %.0f' % w['end_to_end']['req_per_s'], 'ops', w['ops_attempted']) for name, w in summary['workloads'].items()]; \
 	print('problems:', summary['problems'], 'failed ops:', failed); \
 	sys.exit(1 if summary['problems'] or failed else 0)"
-
-bench-baseline:
-	PYTHONPATH=src python -m repro bench --record --repeats 5 --no-artifact
-
-bench-compare:
-	PYTHONPATH=src python -m repro bench --repeats 5
 
 # Boot a live cell, hit it with a closed-loop load burst (the report's
 # wire line shows the segments coalescing), then run the sim<->socket
@@ -81,9 +73,9 @@ mega:
 		--duration 120 --check-invariants
 
 # cProfile the message-heaviest bench cell; stats land in
-# benchmarks/repro-bench.prof (readable with `python -m pstats`).
+# ./repro-bench.prof (readable with `python -m pstats`).
 profile:
-	PYTHONPATH=src python -m repro bench cell_quorum --quick --profile --no-artifact
+	PYTHONPATH=src python -m repro bench cell_quorum --quick --profile
 
 experiments:
 	PYTHONPATH=src python -m repro.experiments.cli
@@ -95,8 +87,8 @@ examples:
 		echo; \
 	done
 
-all: test bench experiments
+all: test bench-smoke experiments
 
 clean:
 	find . -type d -name __pycache__ -prune -exec rm -rf {} +
-	rm -rf .pytest_cache .benchmarks src/repro.egg-info
+	rm -rf .pytest_cache src/repro.egg-info

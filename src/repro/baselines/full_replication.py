@@ -16,7 +16,7 @@ Semantics implemented here:
 * There is **no expiry**: a host partitioned away keeps serving its
   stale replica indefinitely.  Revocation is therefore *eventually*
   effective but has no time bound — exactly the weakness the paper's
-  ``Te`` mechanism removes, and what the baseline bench measures.
+  ``Te`` mechanism removes, and what the ``baselines`` experiment measures.
 """
 
 from __future__ import annotations

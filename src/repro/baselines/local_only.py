@@ -13,7 +13,7 @@ Semantics implemented here:
   one of them may hold the latest (possibly revoking) operation, and
   version comparison picks the winner.  No caching (the paper's option
   lists none; caching is the paper's own contribution).
-* Consequence measured by the baseline bench: every access costs
+* Consequence measured by the ``baselines`` experiment: every access costs
   ``2M`` messages, and a single unreachable manager blocks *all*
   decisions (terrible availability under partitions).
 """

@@ -1,34 +1,27 @@
-"""The ``repro bench`` suite: wall-clock gates for the simulator hot path.
+"""The ``repro bench`` cell runner: micro timings of the simulator hot path.
 
 Every empirical number in EXPERIMENTS.md is produced by pushing
 simulated messages through ``Network.send`` -> connectivity check ->
 latency sampling -> ``Tracer.publish``, so this module times exactly
-that path plus two message-heavy protocol cells, and compares the
-result against the committed ``benchmarks/baseline.json``.
+that path plus message-heavy protocol cells, the codec and a live
+socket fan-out, and prints best and median per-op times.
 
-Unlike the pytest-benchmark suite under ``benchmarks/`` (statistical,
-per-function), these benches are coarse wall-clock measurements meant
-to gate pull requests: ``repro bench`` fails when any benchmark is more
-than 10% slower than the baseline, and every run appends a versioned
-``BENCH_<n>.json`` trajectory artifact so the repository keeps a
-history of how fast the hot path has been over time.
+It is a diagnostic, not a judge: timings are not compared against any
+recorded baseline.  Performance claims are judged end to end by
+``bench_e2e`` with ``tools/ab_pairs.py`` running parent and change on the
+same machine.  What does gate here are the in-cell assertions (the
+codec's size and speed ratios, the IPC saving, live dead-timer
+elision), which fail the run when the mechanism they pin stops working.
 
 Workloads are fully deterministic (fixed seeds, fixed message counts);
-only the wall-clock measurement varies between runs.  Two choices make
-the gate noise-robust on a shared machine: timings are normalised to
-*per-operation* seconds (so ``--quick`` CI runs compare meaningfully
-against a full-size baseline), and the gated statistic is the best of
-K repeats (transient load only ever inflates wall-clock, so the
-minimum is the stable representative).
+only the wall-clock measurement varies between runs.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
 import random
 import statistics
+import sys
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -38,20 +31,11 @@ from ..sim.node import Node
 from ..sim.partitions import ScriptedConnectivity
 from ..sim.trace import Tracer
 
-__all__ = [
-    "BENCH_SCHEMA",
-    "BENCHMARKS",
-    "run_suite",
-    "compare_results",
-    "next_trajectory_path",
-    "main",
-]
+__all__ = ["BENCH_SCHEMA", "BENCHMARKS", "run_suite", "main"]
 
-#: Format tag written into every bench JSON artifact.
+#: Format tag of the document :func:`run_suite` returns.
 BENCH_SCHEMA = "repro-bench-v1"
 
-#: Default allowed best-of-K slowdown versus the baseline (10%).
-DEFAULT_THRESHOLD = 0.10
 
 def format_seconds(seconds: float) -> str:
     """Human scale for per-op times spanning nanoseconds to seconds."""
@@ -224,7 +208,7 @@ def bench_cell_sharded(repeats: int) -> Dict[str, Any]:
     Drives the identity-interning + sharded-manager-group stack end to
     end: a Zipf/diurnal workload over interned principals against K=3
     independent manager groups, threshold-seeded through the columnar
-    bootstrap path.  Gates the per-run wall-clock of everything the
+    bootstrap path.  Times the per-run wall-clock of everything the
     10^5-10^6 configurations exercise (arithmetic name ranges, the O(1)
     harmonic sampler, shard routing, streamed seeding) at a size small
     enough to repeat.
@@ -281,7 +265,7 @@ def bench_sweep_reduce(trials: int) -> Dict[str, Any]:
 
     Runs the same replication sweep twice with IPC accounting on — once
     shipping every per-trial summary to the parent, once folding each
-    chunk in-worker — and gates the reduce-path wall-clock.  The meta
+    chunk in-worker — and times the reduce-path wall-clock.  The meta
     records both payload sizes; the reduce hook must cut parent-side
     bytes by at least 2x (the acceptance floor; in practice it is
     roughly the chunk size).
@@ -371,14 +355,16 @@ def bench_batched_fanout(rounds: int) -> Dict[str, Any]:
 
 
 def bench_wire_codec(messages: int) -> Dict[str, Any]:
-    """Binary vs tagged-JSON codec over the steady-state message mix.
+    """Binary wire codec vs the tagged-JSON dump format, steady-state mix.
 
     Streams a deterministic QueryRequest/QueryResponse/RevokeNotify mix
     (the shape a live cell's links carry once warm, with dense ``u<i>``
     users) through both codecs, full encode+decode round trips, with
     the binary side using one warmed session dictionary pair — exactly
-    the per-connection state a live link holds.  The
-    gated elapsed is the *binary* leg; the JSON leg runs alongside so
+    the per-connection state a live link holds.  Binary segments are the
+    only live wire; JSON survives as the fixture and trace dump format,
+    and runs here as the reference the binary codec must beat.  The
+    timed elapsed is the *binary* leg; the JSON leg runs alongside so
     the meta carries the A/B.  Two in-cell gates pin the win itself:
     binary bytes must be at least 2.5x smaller and the binary round
     trip at least 2x faster than JSON on this mix.
@@ -463,7 +449,7 @@ def bench_live_fanout(messages: int) -> Dict[str, Any]:
     one pinger bursts pings at eight responder
     nodes sharing the far endpoint, and the cell times the wall clock
     until every pong is back.  Each runtime-pass flush coalesces the
-    burst into HMAC'd multi-message segments, so this gates the whole
+    burst into HMAC'd multi-message segments, so this times the whole
     live fast path — codec, interning dictionary, segment sealing,
     frame reader, and the flush bound — end to end.  The meta records
     the coalescing factor actually achieved on the wire.
@@ -576,11 +562,10 @@ def run_suite(
     """Run the suite and return a ``repro-bench-v1`` result document.
 
     ``median`` and ``best`` are *per-operation* seconds (elapsed divided
-    by the workload size): every benchmark repeats an identical unit of
-    work, so per-op times from a ``--quick`` run are directly comparable
-    with a full-size baseline and the CI smoke gate cannot pass
-    vacuously just because its workloads are smaller.  ``samples`` keeps
-    the raw total elapsed times alongside ``size``.
+    by the workload size): every cell repeats an identical unit of
+    work, so per-op times from a ``--quick`` run read on the same scale
+    as a full-size one.  ``samples`` keeps the raw total elapsed times
+    alongside ``size``.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be positive, got {repeats}")
@@ -609,110 +594,25 @@ def run_suite(
         "schema": BENCH_SCHEMA,
         "quick": quick,
         "repeats": repeats,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
         "benchmarks": results,
     }
-
-
-def load_medians(path: str) -> Dict[str, float]:
-    """Benchmark name -> representative seconds, from either format.
-
-    Reads ``repro-bench-v1`` documents (this module) and pytest-benchmark
-    ``--benchmark-json`` output, so one comparison engine serves both the
-    CLI gate and the legacy ``benchmarks/`` suite.  For repro-bench
-    documents the representative value is the *best* (minimum) sample:
-    transient machine load only ever inflates wall-clock timings, so
-    min-of-N is far more stable across runs on a shared box than the
-    median.  pytest-benchmark output carries only a median.
-    """
-    with open(path) as handle:
-        data = json.load(handle)
-    if isinstance(data.get("schema"), str) and data["schema"].startswith("repro-bench"):
-        return {
-            name: entry.get("best", entry["median"])
-            for name, entry in data["benchmarks"].items()
-        }
-    return {
-        bench["name"]: bench["stats"]["median"]
-        for bench in data.get("benchmarks", [])
-    }
-
-
-def compare_results(
-    baseline: Dict[str, float],
-    current: Dict[str, float],
-    threshold: float = DEFAULT_THRESHOLD,
-) -> Tuple[List[str], Dict[str, Any]]:
-    """Compare best-of-N timings; return (report lines, comparison doc).
-
-    A benchmark regresses when its best sample is more than
-    ``threshold`` slower than the baseline's best sample.  Benchmarks
-    present on only one side are reported but never fail the gate, so
-    adding or retiring a benchmark cannot break CI.
-    """
-    shared = sorted(set(baseline) & set(current))
-    lines: List[str] = []
-    comparison: Dict[str, Any] = {}
-    regressions: List[str] = []
-    width = max((len(name) for name in shared), default=9)
-    lines.append(
-        f"{'benchmark'.ljust(width)}  {'baseline':>12}  {'current':>12}  "
-        f"{'ratio':>7}  verdict"
-    )
-    for name in shared:
-        base_s, curr_s = baseline[name], current[name]
-        ratio = curr_s / base_s if base_s else float("inf")
-        if ratio > 1.0 + threshold:
-            verdict = f"REGRESSION (> {threshold:.0%})"
-            regressions.append(name)
-        elif ratio < 1.0:
-            verdict = f"improved ({1.0 - ratio:.0%} faster)"
-        else:
-            verdict = "ok"
-        lines.append(
-            f"{name.ljust(width)}  {format_seconds(base_s):>12}  "
-            f"{format_seconds(curr_s):>12}  {ratio:>6.2f}x  {verdict}"
-        )
-        comparison[name] = {
-            "baseline": base_s,
-            "current": curr_s,
-            "ratio": ratio,
-            "regressed": ratio > 1.0 + threshold,
-        }
-    for name in sorted(set(baseline) - set(current)):
-        lines.append(f"{name.ljust(width)}  (missing from current run — skipped)")
-    for name in sorted(set(current) - set(baseline)):
-        lines.append(f"{name.ljust(width)}  (new benchmark — no baseline)")
-    comparison["_regressions"] = regressions
-    return lines, comparison
-
-
-def next_trajectory_path(directory: str) -> str:
-    """First free ``BENCH_<n>.json`` path under ``directory`` (n >= 1)."""
-    n = 1
-    while True:
-        candidate = os.path.join(directory, f"BENCH_{n}.json")
-        if not os.path.exists(candidate):
-            return candidate
-        n += 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """The ``repro bench`` subcommand body (parsed by the caller)."""
     import argparse
 
+    from .cli import _profiled
+
     parser = argparse.ArgumentParser(
         prog="repro bench",
         description=(
-            "Run the hot-path benchmark suite, write a BENCH_<n>.json "
-            "trajectory artifact, and fail on regression versus the "
-            "committed baseline."
+            "Run the hot-path micro cells and print best and median "
+            "per-op times; a cell's own assertions fail the run."
         ),
     )
     parser.add_argument(
-        "names", nargs="*", help="benchmark names to run (default: all)"
+        "names", nargs="*", help="cell names to run (default: all)"
     )
     parser.add_argument(
         "--quick", action="store_true",
@@ -720,185 +620,32 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--repeats", type=int, default=3, metavar="K",
-        help="timing repeats per benchmark; the best sample gates "
-        "(default: 3)",
-    )
-    parser.add_argument(
-        "--baseline", default="benchmarks/baseline.json",
-        help="baseline JSON to compare against (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--threshold", type=float, default=DEFAULT_THRESHOLD,
-        help="allowed best-of-K slowdown as a fraction "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=2, metavar="N",
-        help="re-measure benchmarks flagged as regressions up to N times, "
-        "keeping the best sample seen; transient machine load only ever "
-        "inflates wall-clock, so extra minima sharpen the gate without "
-        "hiding a real slowdown (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--out", metavar="DIR", default="benchmarks",
-        help="directory for the BENCH_<n>.json artifact (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--record", action="store_true",
-        help="overwrite the baseline with this run after comparing",
-    )
-    parser.add_argument(
-        "--no-artifact", action="store_true",
-        help="skip writing the BENCH_<n>.json trajectory artifact",
-    )
-    parser.add_argument(
-        "--list", action="store_true",
-        help="list benchmark cells, sizes, gate thresholds and baseline "
-        "coverage, then exit",
-    )
-    parser.add_argument(
-        "--record-missing", action="store_true",
-        help="merge cells absent from the baseline into it (existing "
-        "entries untouched); the gate still applies to cells already "
-        "covered",
+        help="timing repeats per cell (default: 3)",
     )
     parser.add_argument(
         "--profile", action="store_true",
-        help="wrap the run in cProfile; writes repro-bench.prof next to --out",
+        help="wrap the run in cProfile; writes repro-bench.prof to the "
+        "working directory",
     )
     args = parser.parse_args(argv)
-    if args.threshold <= 0:
-        parser.error("--threshold must be positive")
 
-    if args.list:
-        try:
-            baseline_names = set(load_medians(args.baseline))
-        except FileNotFoundError:
-            baseline_names = set()
-        width = max(len(name) for name in BENCHMARKS)
-        print(
-            f"{'cell'.ljust(width)}  {'full':>8}  {'quick':>8}  "
-            f"{'gate':>6}  baseline"
-        )
-        for name, (_fn, full_size, quick_size) in BENCHMARKS.items():
-            covered = "yes" if name in baseline_names else "MISSING"
-            print(
-                f"{name.ljust(width)}  {full_size:>8}  {quick_size:>8}  "
-                f"{args.threshold:>5.0%}  {covered}"
-            )
-        missing = sorted(set(BENCHMARKS) - baseline_names)
-        if missing:
-            print(
-                f"\n{len(missing)} cell(s) missing from {args.baseline}: "
-                f"{', '.join(missing)}\n"
-                "add them with `repro bench --record-missing` "
-                "(keeps existing entries)"
-            )
-        return 0
+    unknown = [name for name in args.names if name not in BENCHMARKS]
+    if unknown:
+        print(f"unknown cells: {', '.join(unknown)}", file=sys.stderr)
+        print(f"known: {', '.join(BENCHMARKS)}", file=sys.stderr)
+        return 2
 
-    from .cli import _profiled
-
-    with _profiled(args.profile, os.path.join(args.out, "repro-bench.prof")):
+    with _profiled(args.profile, "repro-bench.prof"):
         document = run_suite(
             quick=args.quick, repeats=args.repeats, names=args.names or None
         )
 
-    current = {
-        name: entry["best"]
-        for name, entry in document["benchmarks"].items()
-    }
-    regressions: List[str] = []
-    lines: List[str] = []
-    comparison: Dict[str, Any] = {}
-    try:
-        baseline: Optional[Dict[str, float]] = load_medians(args.baseline)
-    except FileNotFoundError:
-        baseline = None
-    if baseline is not None:
-        lines, comparison = compare_results(baseline, current, args.threshold)
-        regressions = comparison.pop("_regressions")
-        # A flagged benchmark gets re-measured: a slow sample can
-        # only be load, so the minimum over every attempt is the
-        # honest figure.
-        for attempt in range(args.retries):
-            if not regressions:
-                break
-            print(
-                f"\nre-measuring {', '.join(regressions)} "
-                f"(retry {attempt + 1}/{args.retries})"
-            )
-            redo = run_suite(
-                quick=args.quick, repeats=args.repeats, names=regressions
-            )
-            for name, entry in redo["benchmarks"].items():
-                if entry["best"] < current[name]:
-                    current[name] = entry["best"]
-                    document["benchmarks"][name] = entry
-            lines, comparison = compare_results(baseline, current, args.threshold)
-            regressions = comparison.pop("_regressions")
-
     for name, entry in document["benchmarks"].items():
-        meta = entry.get("meta", {})
+        meta = entry["meta"]
         extras = f", dead_pops={meta['dead_pops']}" if "dead_pops" in meta else ""
         print(
             f"{name}: best {format_seconds(entry['best'])}/op "
             f"(median {format_seconds(entry['median'])}/op, "
             f"{args.repeats} run(s) of {entry['size']} ops{extras})"
         )
-
-    if baseline is None:
-        print(f"\nno baseline at {args.baseline}; "
-              "record one with `repro bench --record`")
-    else:
-        print()
-        print("\n".join(lines))
-        document["baseline"] = args.baseline
-        document["threshold"] = args.threshold
-        document["comparison"] = comparison
-        uncovered = sorted(set(current) - set(baseline))
-        if uncovered and args.record_missing:
-            with open(args.baseline) as handle:
-                baseline_doc = json.load(handle)
-            for name in uncovered:
-                baseline_doc.setdefault("benchmarks", {})[name] = (
-                    document["benchmarks"][name]
-                )
-            with open(args.baseline, "w") as handle:
-                json.dump(baseline_doc, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(
-                f"\nrecorded {len(uncovered)} new cell(s) into "
-                f"{args.baseline}: {', '.join(uncovered)}"
-            )
-        elif uncovered:
-            print(
-                f"\n{len(uncovered)} cell(s) have no baseline entry and are "
-                f"not gated: {', '.join(uncovered)}\n"
-                "record them with `repro bench --record-missing` "
-                "(keeps existing entries)"
-            )
-
-    if not args.no_artifact:
-        os.makedirs(args.out, exist_ok=True)
-        artifact = next_trajectory_path(args.out)
-        document["artifact"] = os.path.basename(artifact)
-        with open(artifact, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"\ntrajectory artifact written to {artifact}")
-
-    if args.record:
-        with open(args.baseline, "w") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"recorded this run as {args.baseline}")
-        return 0
-    if regressions:
-        print(
-            f"\n{len(regressions)} benchmark(s) regressed more than "
-            f"{args.threshold:.0%}: {', '.join(regressions)}"
-        )
-        return 1
-    if baseline is not None:
-        print("\nno regressions past the threshold")
     return 0

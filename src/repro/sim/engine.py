@@ -262,8 +262,8 @@ class Timeout(Event):
         processed one already has.  Returns True when the entry is (now
         or already) elided, False when it cannot be; an elided timer
         releases its value.  A no-op returning False when the
-        environment was created with ``elide_dead_timers=False``, so
-        one flag disables the whole elision machinery.
+        environment's ``_elide`` is false, so one attribute disables
+        the whole elision machinery.
         """
         if self._cancelled:
             return True
@@ -554,34 +554,30 @@ class Environment:
     arbitrary units; the reproduction's protocol code treats the unit as
     one second.
 
-    ``elide_dead_timers`` (default True) enables dead-timer elision:
-    Timeouts that lost an ``any_of`` race (or were explicitly
-    ``cancel()``-ed while unobserved) are popped from the queue without
-    being processed.  Elision is behaviour-preserving — a dead timer has
-    no waiter and no callbacks, so processing it was a no-op — and time
-    still advances over dead pops exactly as it did when they were
-    processed.  ``dead_pops`` counts them (the benchmark suite asserts
-    the machinery is actually engaged on protocol workloads); pass
-    ``elide_dead_timers=False`` to disable the whole mechanism, which
-    the equivalence property test uses as its reference.
+    Dead-timer elision is always on: Timeouts that lost an ``any_of``
+    race (or were explicitly ``cancel()``-ed while unobserved) are
+    popped from the queue without being processed.  Elision is
+    behaviour-preserving — a dead timer has no waiter and no callbacks,
+    so processing it was a no-op — and time still advances over dead
+    pops exactly as it did when they were processed.  ``dead_pops``
+    counts them (``repro bench``'s ``timer_elision`` cell asserts the
+    machinery is engaged).  The instance attribute ``_elide`` gates the
+    mechanism; the equivalence property tests set it false on a
+    test-local subclass to get their non-eliding reference.
 
     The pending-event queue is one ``heapq`` list of ``(time, eid,
     event)`` entries; ``eid`` increases with every insertion, so the
     ``(time, eid)`` total order is the schedule.
     """
 
-    def __init__(
-        self,
-        initial_time: float = 0.0,
-        elide_dead_timers: bool = True,
-    ):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         #: The pending entries, a ``heapq`` list.  Read by tests and
         #: introspection; only ``_schedule``/``step``/``run`` mutate it.
         self._queue: list[tuple[float, int, Any]] = []
         self._eid = itertools.count()
         self._active = False
-        self._elide = bool(elide_dead_timers)
+        self._elide = True
         #: Number of dead (cancelled) entries popped unprocessed so far.
         self.dead_pops = 0
 

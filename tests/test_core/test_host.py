@@ -112,6 +112,15 @@ class TestBasicDecisions:
         assert decision.latency == 0.0
         assert harness.host.cache_for(APP).hits == 1
 
+    def test_burst_of_warm_checks_all_hit_cache(self):
+        harness = Harness(policy())
+        harness.grant_everywhere("alice")
+        harness.check("alice")
+        processes = [harness.host.request_access(APP, "alice") for _ in range(1_000)]
+        harness.env.run(until=harness.env.now + 1.0)
+        assert all(p.value.reason == DecisionReason.CACHE for p in processes)
+        assert harness.host.cache_for(APP).hits == 1_000
+
     def test_denials_not_cached(self):
         harness = Harness(policy())
         first = harness.check("mallory")

@@ -1,6 +1,6 @@
 """Docs/code consistency checks.
 
-DESIGN.md promises an experiment index and bench targets; EXPERIMENTS.md
+DESIGN.md promises an experiment index and pinning tests; EXPERIMENTS.md
 records ids; README names example scripts.  These tests keep the
 documentation honest as the code moves.
 """
@@ -28,9 +28,13 @@ class TestDesignDoc:
             assert f"`{experiment_id}`" in design, experiment_id
 
     def test_every_bench_target_exists(self):
+        """Each experiment's pinning test names a real file and class."""
         design = read("DESIGN.md")
-        for target in re.findall(r"`(benchmarks/bench_\w+\.py)`", design):
-            assert (ROOT / target).exists(), target
+        targets = re.findall(r"`(tests/[\w/]+\.py)::(\w+)`", design)
+        assert len(targets) >= len(EXPERIMENTS)
+        for path, cls in targets:
+            assert (ROOT / path).exists(), path
+            assert f"class {cls}" in read(path), f"{path}::{cls}"
 
     def test_confirms_paper_identity(self):
         design = read("DESIGN.md")

@@ -34,30 +34,23 @@ class TestProfileFlag:
 
 
 class TestBenchDispatch:
-    def test_bench_subcommand_runs_and_profiles(self, tmp_path, capsys):
+    def test_bench_subcommand_runs_and_profiles(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
         rc = main(
-            [
-                "bench",
-                "cache_hit_checks",
-                "--quick",
-                "--repeats",
-                "1",
-                "--profile",
-                "--out",
-                str(tmp_path),
-                "--baseline",
-                str(tmp_path / "missing-baseline.json"),
-            ]
+            ["bench", "cache_hit_checks", "--quick", "--repeats", "1", "--profile"]
         )
         assert rc == 0
         assert (tmp_path / "repro-bench.prof").exists()
-        assert (tmp_path / "BENCH_1.json").exists()
-        out = capsys.readouterr().out
-        assert "cache_hit_checks" in out
-        assert "no baseline" in out
+        # A cell run records nothing: no trajectory or baseline file.
+        assert [path.name for path in tmp_path.iterdir()] == ["repro-bench.prof"]
+        assert "cache_hit_checks: best" in capsys.readouterr().out
 
     def test_bench_list(self, capsys):
-        rc = main(["bench", "--list"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "msg_send_deliver" in out
+        """An unknown cell name fails with the list of valid names."""
+        rc = main(["bench", "nope"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "unknown cells: nope" in err
+        assert "msg_send_deliver" in err and "live_fanout" in err

@@ -106,9 +106,19 @@ class TestTable2Experiment:
 
 class TestFigure5Experiment:
     def test_full_curve(self):
+        """Low security at C=1, low availability at C=M, and a wide
+        sweet spot around M/2 where both are close to 1."""
         result = figure5.run(m=10, pi=0.1)
         assert len(result.rows) == 10
         assert result.extra_text  # the plot
+        rows = {row["C"]: row for row in result.as_dicts()}
+        assert rows[1]["PS(C)"] < 0.4
+        assert rows[10]["PA(C)"] < 0.4
+        sweet = [
+            c for c in range(1, 11)
+            if rows[c]["PA(C)"] > 0.98 and rows[c]["PS(C)"] > 0.98
+        ]
+        assert 5 in sweet and len(sweet) >= 4
 
     def test_best_c_noted(self):
         assert "C=5" in figure5.run(m=10, pi=0.1).notes
@@ -117,7 +127,7 @@ class TestFigure5Experiment:
 class TestValidationExperiment:
     def test_analytic_within_simulated_ci(self):
         result = validation.run(
-            m=10, cs=(1, 5, 10), pis=(0.1,), trials=250, seed=0
+            m=10, cs=(1, 5, 10), pis=(0.1, 0.2), trials=250, seed=0
         )
         eps = 1e-9
         for row in result.as_dicts():
@@ -146,19 +156,38 @@ class TestOverheadExperiment:
 
 class TestLatencyExperiment:
     def test_predictions_match_measurements(self):
-        result = latency.run(seed=0)
-        for row in result.as_dicts():
+        rows = latency.run(seed=0).as_dicts()
+        for row in rows:
             assert row["measured s"] == pytest.approx(
                 row["predicted s"], abs=0.02
             ), row
+        sequential = {
+            row["C"]: row["measured s"]
+            for row in rows
+            if row["scenario"] == "miss/sequential"
+        }
+        assert sequential[5] > sequential[1] * 4  # the literal O(C)
+        unreachable = {
+            row["R"]: row["measured s"]
+            for row in rows
+            if row["scenario"] == "unreachable"
+        }
+        assert unreachable[8] > unreachable[1] * 7  # the O(R) worst case
 
 
 class TestRevocationExperiment:
     def test_bound_never_violated(self):
-        result = revocation.run(te_bound=30.0, clock_bound=1.1)
-        for row in result.as_dicts():
+        rows = revocation.run(te_bound=30.0, clock_bound=1.1).as_dicts()
+        lag = "last allow after revoke (s)"
+        for row in rows:
             assert row["bound"] == "OK"
-            assert row["last allow after revoke (s)"] < 30.0
+            assert row[lag] < 30.0
+        # Partitioned hosts ride the cache; connected hosts are flushed
+        # almost at once by the forwarded Revoke.
+        partitioned = [r[lag] for r in rows if r["network"] == "partitioned"]
+        connected = [r[lag] for r in rows if r["network"] == "connected"]
+        assert min(partitioned) > 10.0
+        assert max(connected) < 5.0
 
 
 class TestAblationExperiment:
@@ -169,20 +198,30 @@ class TestAblationExperiment:
             for row in result.as_dicts()
         }
         assert cells[("quorum (C=2)", "during")] == pytest.approx(1.0)
+        assert cells[("freeze (Ti=30)", "before")] == pytest.approx(1.0)
         assert cells[("freeze (Ti=30)", "during")] == pytest.approx(0.0)
         assert cells[("freeze (Ti=30)", "after")] == pytest.approx(1.0)
 
 
 class TestBaselinesExperiment:
     def test_paper_protocol_has_zero_violations(self):
-        result = baselines.run(seed=0, duration=600.0)
-        rows = {row["system"]: row for row in result.as_dicts()}
-        assert rows["paper (cached quorum)"]["Te VIOLATIONS"] == 0
-        # Local-only pays in availability.
-        assert (
-            rows["local only"]["availability"]
-            < rows["paper (cached quorum)"]["availability"]
-        )
+        # The long horizon is what lets full replication's missing
+        # expiry surface as a violation.
+        rows = {
+            row["system"]: row
+            for row in baselines.run(seed=0, duration=1500.0).as_dicts()
+        }
+        paper = rows["paper (cached quorum)"]
+        assert paper["Te VIOLATIONS"] == 0
+        assert paper["availability"] > 0.9
+        assert rows["full replication"]["Te VIOLATIONS"] > 0
+        assert rows["temporal auth"]["Te VIOLATIONS"] > 0
+        assert rows["local only"]["availability"] < paper["availability"]
+        assert rows["local only"]["ctrl msg/s"] > paper["ctrl msg/s"]
+        # Temporal auth's lease (>> Te) lets far more revoked accesses
+        # through than the paper's protocol.
+        stale = lambda row: row["stale allows <= Te"] + row["Te VIOLATIONS"]
+        assert stale(rows["temporal auth"]) > 5 * max(1, stale(paper))
 
 
 class TestHeterogeneousExperiment:
@@ -194,7 +233,7 @@ class TestHeterogeneousExperiment:
         }
         uniform = rows[("security", "system", "uniform weights")]
         weighted = rows[("security", "system", "flaky issues 80%")]
-        assert weighted < uniform
+        assert weighted < uniform - 0.2
 
     def test_correlation_reduces_availability_at_mid_c(self):
         result = heterogeneous.run(samples=4000, seed=0)
@@ -204,7 +243,7 @@ class TestHeterogeneousExperiment:
         }
         assert (
             rows[("availability", "C=4", "correlated (MC)")]
-            < rows[("availability", "C=4", "independent approx")]
+            < rows[("availability", "C=4", "independent approx")] - 0.05
         )
 
 
@@ -212,7 +251,9 @@ class TestWeightedQuorumsExperiment:
     def test_weighted_beats_counts_and_removal(self):
         result = run_experiment("weighted_quorums")
         rows = {row["scheme"]: row["min(PA, PS)"] for row in result.as_dicts()}
-        assert rows["optimal weights <= 3"] >= rows["unit weights (paper)"]
+        # Counts are in weighted voting's space, and the finer threshold
+        # splits actually improve on them here.
+        assert rows["optimal weights <= 3"] > rows["unit weights (paper)"] + 1e-4
         assert rows["remove flaky (M-1)"] < rows["unit weights (paper)"]
 
 
@@ -223,7 +264,12 @@ class TestMobilityExperiment:
             (row["policy"], row["disconnected fraction"]): row["availability"]
             for row in result.as_dicts()
         }
-        assert cells[("default-allow (Te=30)", 0.5)] == 1.0
+        strict = lambda f: cells[("strict (Te=30)", f)]
+        assert strict(0.1) > strict(0.5)
+        assert strict(0.5) < 0.8
+        for fraction in (0.1, 0.5):
+            assert cells[("long cache (Te=300)", fraction)] >= strict(fraction)
+            assert cells[("default-allow (Te=30)", fraction)] == 1.0
         assert (
             cells[("long cache (Te=300)", 0.5)]
             > cells[("strict (Te=30)", 0.5)]
@@ -238,10 +284,13 @@ class TestCacheExtensionsExperiment:
         }
         on_p99 = float(rows[("refresh-ahead", "on")]["metric 2"].split()[1])
         off_p99 = float(rows[("refresh-ahead", "off")]["metric 2"].split()[1])
-        assert on_p99 < off_p99
+        # Refresh-ahead: p99 collapses from ~1 RTT to ~0.
+        assert off_p99 > 50.0
+        assert on_p99 < 5.0
         on_q = int(rows[("deny-cache", "on")]["traffic"].split()[0])
         off_q = int(rows[("deny-cache", "off")]["traffic"].split()[0])
-        assert on_q < off_q
+        # Deny-cache: query traffic drops by an order of magnitude.
+        assert on_q * 10 < off_q
 
 
 class TestByzantineExperiment:
@@ -255,16 +304,26 @@ class TestByzantineExperiment:
         assert (
             rows["f=1 vouching, 1 liar"]["fabricated grants accepted"] == 0.0
         )
+        fabricated = lambda name: rows[name]["fabricated grants accepted"]
+        assert fabricated("crash-only combine, honest") == 0.0
+        assert fabricated("f=1 vouching, 2 colluding liars") == 1.0
+        assert fabricated("f=2 vouching, 2 colluding liars") == 0.0
+        for row in rows.values():
+            assert row["legitimate grants accepted"] == 1.0
 
 
 class TestCachingExperiment:
     def test_cache_buys_queries_and_latency(self):
         result = run_experiment("caching", seed=0)
         rows = {row["configuration"]: row for row in result.as_dicts()}
-        assert (
-            rows["caching on (Te=300)"]["queries / access"]
-            < rows["caching off (te ~ 0)"]["queries / access"]
-        )
+        on = rows["caching on (Te=300)"]
+        off = rows["caching off (te ~ 0)"]
+        assert off["cache hit rate"] == 0.0
+        assert on["cache hit rate"] > 0.8
+        # ~8x fewer control messages per access, and typical latency
+        # collapses.
+        assert on["queries / access"] * 6 < off["queries / access"]
+        assert on["mean ms"] * 4 < off["mean ms"]
 
 
 class TestJobsInvariance:

@@ -5,9 +5,10 @@ skip + the Condition loser-detach) is pure bookkeeping: a cancelled
 timer had no waiter and no callbacks, so processing it would have been
 a no-op.  The safety property is exact equivalence of the *observable
 schedule*: for any protocol-shaped program — request/reply races,
-retry-until-acked pacing loops, interrupts — running with
-``elide_dead_timers=True`` and ``False`` must produce identical
-``(time, actor, happening)`` streams and identical final clocks.
+retry-until-acked pacing loops, interrupts — running on the eliding
+``Environment`` and on the non-eliding reference below must produce
+identical ``(time, actor, happening)`` streams and identical final
+clocks.
 """
 
 from __future__ import annotations
@@ -16,6 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.engine import Environment, Interrupt
+
+
+class NonElidingEnvironment(Environment):
+    """The reference engine: dead-timer elision switched off."""
+
+    def __init__(self):
+        super().__init__()
+        self._elide = False
+
 
 # Delays drawn from a tiny grid so simultaneous events (the tie-break
 # path) occur constantly.
@@ -31,7 +41,7 @@ hosts = st.tuples(delays, st.lists(rounds, min_size=1, max_size=4))
 
 
 def _run(schedule, elide):
-    env = Environment(elide_dead_timers=elide)
+    env = Environment() if elide else NonElidingEnvironment()
     log = []
 
     def host(pid, start, ops):

@@ -15,6 +15,8 @@ from repro.sim.engine import (
     Timeout,
 )
 
+from .test_elision_property import NonElidingEnvironment
+
 
 class TestEnvironment:
     def test_time_starts_at_zero(self, env):
@@ -410,7 +412,7 @@ class TestFastPaths:
         # into a value that is only inspected later.  Elision is disabled
         # so the losing timeout still fires and could leak if the
         # snapshot were taken lazily.
-        env = Environment(elide_dead_timers=False)
+        env = NonElidingEnvironment()
         fast = env.timeout(1, value="fast")
         slow = env.timeout(9, value="slow")
         condition = env.any_of([fast, slow])
@@ -549,7 +551,7 @@ class TestTimerElision:
         assert timer.cancel() is False
 
     def test_cancel_refused_when_elision_disabled(self):
-        env = Environment(elide_dead_timers=False)
+        env = NonElidingEnvironment()
         timer = env.timeout(1.0)
         assert timer.cancel() is False
         env.run()

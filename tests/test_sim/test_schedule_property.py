@@ -6,7 +6,7 @@ observed.  This test pins both differentially: random protocol-shaped
 schedules — request/reply timer races (cancel churn), batched
 ``send_many`` multicast fan-outs, zero-delay self-reschedules, and
 far-future lease timers that usually die unobserved — are run with
-dead-timer elision on and off (``elide_dead_timers=False`` is the
+dead-timer elision on and off (``NonElidingEnvironment`` is the
 reference), and both runs must produce the identical ``(time, actor,
 happening)`` stream and final clock.
 """
@@ -19,6 +19,8 @@ from hypothesis import strategies as st
 from repro.sim.engine import Environment
 from repro.sim.network import FixedLatency, Network
 from repro.sim.node import Node
+
+from .test_elision_property import NonElidingEnvironment
 
 # A tiny delay grid so simultaneous events (the eid tie-break path)
 # occur constantly; 0.0 exercises same-tick inserts during a drain.
@@ -48,7 +50,7 @@ class _Recorder(Node):
 
 
 def _run(schedule, elide):
-    env = Environment(elide_dead_timers=elide)
+    env = Environment() if elide else NonElidingEnvironment()
     log = []
     network = Network(env, latency=FixedLatency(0.05))
     nodes = [_Recorder(address, log) for address in ADDRESSES]
