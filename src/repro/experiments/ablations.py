@@ -28,7 +28,7 @@ from typing import List, Optional, Tuple
 from ..core.policy import AccessPolicy, ExhaustedAction
 from ..core.rights import Right
 from ..core.system import AccessControlSystem
-from ..runtime import run_trials
+from ..runtime import run_parallel
 from ..sim.network import FixedLatency
 from ..sim.partitions import ScriptedConnectivity
 from .base import ExperimentResult
@@ -132,17 +132,10 @@ def measure_phases(
     return phases, revoke_quorum_before_heal
 
 
-def _measure_strategy(use_freeze: bool, _trials: int, seed: int) -> Tuple[dict, bool]:
-    """One coordination strategy — the unit of parallel dispatch."""
-    return measure_phases(use_freeze, seed=seed)
-
-
 def run(seed: int = 0, jobs: Optional[int] = 1) -> ExperimentResult:
     rows: List[List] = []
     quorum_revokes = {}
-    results = run_trials(
-        _measure_strategy, [False, True], trials=1, seed=seed, jobs=jobs
-    )
+    results = run_parallel(measure_phases, [(False, seed), (True, seed)], jobs)
     for use_freeze, (phases, revoked) in zip((False, True), results):
         name = "freeze (Ti=30)" if use_freeze else "quorum (C=2)"
         quorum_revokes[name] = revoked

@@ -22,7 +22,7 @@ staleness only by its (long) lease term.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..baselines.eventual import EventualSystem
 from ..baselines.full_replication import FullReplicationSystem
@@ -32,7 +32,7 @@ from ..core.policy import AccessPolicy, ExhaustedAction
 from ..core.system import AccessControlSystem
 from ..metrics.collectors import MessageCountCollector, overhead_report
 from ..metrics.streaming import AvailabilityAccumulator, StalenessAccumulator
-from ..runtime import run_trials
+from ..runtime import run_parallel
 from ..sim.partitions import PairEpochModel
 from ..workloads.generators import AccessWorkload, AuthorizationOracle, UpdateWorkload
 from ..workloads.population import UserPopulation
@@ -128,7 +128,7 @@ def run_one(
     AccessWorkload(
         system, "app", population, oracle,
         rate=access_rate, rng=system.streams.stream("access-workload"),
-        on_decision=observe, keep_observations=False,
+        on_decision=observe,
     )
     UpdateWorkload(
         system, "app", population, oracle,
@@ -150,17 +150,10 @@ def run_one(
     ]
 
 
-def _run_config(config: Tuple[str, float], _trials: int, seed: int) -> List:
-    """One baseline system under the common workload — the dispatch unit."""
-    name, duration = config
-    return run_one(name, seed=seed, duration=duration)
-
-
 def run(
     seed: int = 0, duration: float = 1500.0, jobs: Optional[int] = 1
 ) -> ExperimentResult:
-    configs = [(name, duration) for name in SYSTEMS]
-    rows = run_trials(_run_config, configs, trials=1, seed=seed, jobs=jobs)
+    rows = run_parallel(run_one, [(name, seed, duration) for name in SYSTEMS], jobs)
     return ExperimentResult(
         experiment_id="baselines",
         title="The paper's protocol vs alternative designs under partitions",

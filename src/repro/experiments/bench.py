@@ -10,8 +10,8 @@ It is a diagnostic, not a judge: timings are not compared against any
 recorded baseline.  Performance claims are judged end to end by
 ``bench_e2e`` with ``tools/ab_pairs.py`` running parent and change on the
 same machine.  What does gate here are the in-cell assertions (the
-codec's size and speed ratios, the IPC saving, live dead-timer
-elision), which fail the run when the mechanism they pin stops working.
+codec's size and speed ratios, live dead-timer elision), which fail
+the run when the mechanism they pin stops working.
 
 Workloads are fully deterministic (fixed seeds, fixed message counts);
 only the wall-clock measurement varies between runs.
@@ -19,6 +19,7 @@ only the wall-clock measurement varies between runs.
 
 from __future__ import annotations
 
+import argparse
 import random
 import statistics
 import sys
@@ -239,62 +240,6 @@ def bench_cell_sharded(repeats: int) -> Dict[str, Any]:
             "principals": 20_000,
             "shards": 3,
             "attempts": attempts,
-        },
-    }
-
-
-def _sweep_trial(_index: int, seed: int):
-    """One replication of the synthetic sweep: a latency summary."""
-    import random as _random
-
-    from ..metrics.streaming import StreamingSummary
-
-    rng = _random.Random(seed)
-    summary = StreamingSummary(seed=seed, capacity=256)
-    for _ in range(2_000):
-        summary.add(rng.expovariate(10.0))
-    return summary
-
-
-def _merge_mergeable(a, b):
-    return a.merge(b)
-
-
-def bench_sweep_reduce(trials: int) -> Dict[str, Any]:
-    """Pooled sweep IPC: in-worker reduction vs raw per-trial gather.
-
-    Runs the same replication sweep twice with IPC accounting on — once
-    shipping every per-trial summary to the parent, once folding each
-    chunk in-worker — and times the reduce-path wall-clock.  The meta
-    records both payload sizes; the reduce hook must cut parent-side
-    bytes by at least 2x (the acceptance floor; in practice it is
-    roughly the chunk size).
-    """
-    from ..runtime import last_ipc_bytes, run_parallel
-    from ..runtime.seeds import trial_seed
-
-    tasks = [(i, trial_seed(7, i)) for i in range(trials)]
-    run_parallel(_sweep_trial, tasks, jobs=2, measure_ipc=True)
-    bytes_raw = last_ipc_bytes()
-    started = time.perf_counter()
-    merged = run_parallel(
-        _sweep_trial, tasks, jobs=2, reduce=_merge_mergeable, measure_ipc=True
-    )
-    elapsed = time.perf_counter() - started
-    bytes_reduced = last_ipc_bytes()
-    ratio = bytes_raw / bytes_reduced if bytes_reduced else float("inf")
-    assert ratio >= 2.0, (
-        f"in-worker reduction must cut IPC at least 2x, got {ratio:.2f}x "
-        f"({bytes_raw} -> {bytes_reduced} bytes)"
-    )
-    return {
-        "elapsed": elapsed,
-        "meta": {
-            "trials": trials,
-            "observations": merged.n,
-            "bytes_raw": bytes_raw,
-            "bytes_reduced": bytes_reduced,
-            "ipc_ratio": round(ratio, 2),
         },
     }
 
@@ -548,7 +493,6 @@ BENCHMARKS: Dict[str, Tuple[Callable[[int], Dict[str, Any]], int, int]] = {
     "cell_quorum": (bench_cell_quorum, 10, 2),
     "cell_freeze": (bench_cell_freeze, 10, 2),
     "cell_sharded": (bench_cell_sharded, 6, 2),
-    "sweep_reduce": (bench_sweep_reduce, 64, 16),
     "timer_elision": (bench_timer_elision, 150_000, 30_000),
     "batched_fanout": (bench_batched_fanout, 8_000, 1_500),
     "wire_codec": (bench_wire_codec, 200_000, 30_000),
@@ -598,10 +542,20 @@ def run_suite(
     }
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: a malformed or non-positive value is reported
+    against its flag with exit status 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """The ``repro bench`` subcommand body (parsed by the caller)."""
-    import argparse
-
     from .cli import _profiled
 
     parser = argparse.ArgumentParser(
@@ -619,7 +573,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="smaller workloads for CI smoke runs",
     )
     parser.add_argument(
-        "--repeats", type=int, default=3, metavar="K",
+        "--repeats", type=_positive_int, default=3, metavar="K",
         help="timing repeats per cell (default: 3)",
     )
     parser.add_argument(

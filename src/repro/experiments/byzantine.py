@@ -20,7 +20,7 @@ rate across configurations with 0–2 liars.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..core.byzantine import GRANT_ALL, LyingManager
 from ..core.host import AccessControlHost
@@ -29,7 +29,7 @@ from ..core.policy import AccessPolicy, ExhaustedAction, QueryStrategy
 from ..core.rights import AclEntry, Right, Version
 from ..sim.clock import LocalClock
 from ..sim.engine import Environment
-from ..runtime import run_trials
+from ..runtime import run_parallel
 from ..sim.network import FixedLatency, Network
 from ..sim.trace import Tracer
 from .base import ExperimentResult
@@ -100,17 +100,6 @@ def measure_rates(
     }
 
 
-def _measure_config(
-    config: Tuple[str, int, int, int, int, bool], trials: int, seed: int
-) -> dict:
-    """One configuration row — the unit of parallel dispatch."""
-    _label, m, c, f, liars, collude = config
-    return measure_rates(
-        n_managers=m, check_quorum=c, byzantine_f=f,
-        liars=liars, collude=collude, trials=trials, seed=seed,
-    )
-
-
 def run(trials: int = 40, seed: int = 0, jobs: Optional[int] = 1) -> ExperimentResult:
     configs = [
         # label, M, C, f, liars, collude
@@ -120,7 +109,11 @@ def run(trials: int = 40, seed: int = 0, jobs: Optional[int] = 1) -> ExperimentR
         ("f=1 vouching, 2 colluding liars", 5, 3, 1, 2, True),
         ("f=2 vouching, 2 colluding liars", 7, 5, 2, 2, True),
     ]
-    rates_per_config = run_trials(_measure_config, configs, trials, seed, jobs=jobs)
+    rates_per_config = run_parallel(
+        measure_rates,
+        [config[1:] + (trials, seed) for config in configs],
+        jobs,
+    )
     rows: List[List] = [
         [label, m, c, f, liars,
          rates["fabricated_rate"], rates["legitimate_rate"]]

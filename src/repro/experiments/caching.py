@@ -16,13 +16,13 @@ latency, and manager query load.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..core.policy import AccessPolicy
 from ..core.system import AccessControlSystem
 from ..metrics.collectors import MessageCountCollector
 from ..metrics.streaming import StreamingSummary
-from ..runtime import run_trials
+from ..runtime import run_parallel
 from ..sim.network import FixedLatency
 from ..workloads.generators import AuthorizationOracle, FlashCrowdWorkload
 from ..workloads.population import UserPopulation
@@ -69,7 +69,7 @@ def measure_crowd(te: float, label: str, seed: int = 0) -> List:
         system, "app", list(population), oracle,
         start=1.0, accesses_per_user=8, think_time=3.0,
         rng=system.streams.stream("crowd"),
-        on_decision=observe, keep_observations=False,
+        on_decision=observe,
     )
     system.run(until=120.0)
     assert crowd.done.triggered
@@ -87,18 +87,12 @@ def measure_crowd(te: float, label: str, seed: int = 0) -> List:
     ]
 
 
-def _measure_config(config: Tuple[float, str], _trials: int, seed: int) -> List:
-    """One cache configuration — the unit of parallel dispatch."""
-    te, label = config
-    return measure_crowd(te=te, label=label, seed=seed)
-
-
 def run(seed: int = 0, jobs: Optional[int] = 1) -> ExperimentResult:
-    configs = [
-        (0.001, "caching off (te ~ 0)"),
-        (300.0, "caching on (Te=300)"),
+    tasks = [
+        (0.001, "caching off (te ~ 0)", seed),
+        (300.0, "caching on (Te=300)", seed),
     ]
-    rows = run_trials(_measure_config, configs, trials=1, seed=seed, jobs=jobs)
+    rows = run_parallel(measure_crowd, tasks, jobs)
     return ExperimentResult(
         experiment_id="caching",
         title="What the ACL cache buys (the paper's core design choice)",

@@ -9,34 +9,15 @@ M/2 where both availability and security are very close to 1."
 
 from __future__ import annotations
 
-import operator
-from typing import List, Optional, Tuple
-
-from ..analysis.quorum_math import QuorumPoint, quorum_curve
-from ..runtime import run_trials
+from ..analysis.quorum_math import quorum_curve
 from .base import ExperimentResult, ascii_plot
 
 __all__ = ["run"]
 
 
-def _curve_cell(
-    config: Tuple[int, int, float], _trials: int, _seed: int
-) -> List[QuorumPoint]:
-    """One check-quorum value of the curve — the unit of parallel dispatch."""
-    c, m, pi = config
-    return quorum_curve(m, pi, cs=[c])
-
-
-def run(m: int = 10, pi: float = 0.1, jobs: Optional[int] = 1) -> ExperimentResult:
+def run(m: int = 10, pi: float = 0.1) -> ExperimentResult:
     """Compute the Figure 5 curves for ``M`` managers at inaccessibility ``Pi``."""
-    points = run_trials(
-        _curve_cell,
-        [(c, m, pi) for c in range(1, m + 1)],
-        trials=1,
-        seed=0,
-        jobs=jobs,
-        reduce=operator.add,
-    )
+    points = quorum_curve(m, pi)
     rows = [[p.c, p.availability, p.security, p.worst] for p in points]
     plot = ascii_plot(
         {

@@ -21,13 +21,13 @@ from the revocation, must be below ``Te``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..core.host import AccessControlHost
 from ..core.manager import AccessControlManager
 from ..core.policy import AccessPolicy, DeltaMode, ExhaustedAction
 from ..core.rights import Right
-from ..runtime import run_trials
+from ..runtime import run_parallel
 from ..sim.clock import LocalClock
 from ..sim.engine import Environment
 from ..sim.network import FixedLatency, Network
@@ -121,33 +121,21 @@ def last_allowed_offset(
     return last_allowed - revoke_at
 
 
-def _measure_config(
-    config: Tuple[bool, float, DeltaMode, float, float], _trials: int, _seed: int
-) -> float:
-    """One (partition, clock-rate, delta-mode) cell — fully deterministic."""
-    partitioned, rate, mode, te_bound, clock_bound = config
-    return last_allowed_offset(
-        clock_rate=rate,
-        delta_mode=mode,
-        partitioned=partitioned,
-        te_bound=te_bound,
-        clock_bound=clock_bound,
-    )
-
-
 def run(
     te_bound: float = 60.0,
     clock_bound: float = 1.1,
     jobs: Optional[int] = 1,
 ) -> ExperimentResult:
     slowest = 1.0 / clock_bound
-    configs = [
-        (partitioned, rate, mode, te_bound, clock_bound)
+    # One fully deterministic (clock-rate, delta-mode, partition) cell
+    # per task, in last_allowed_offset's positional order.
+    tasks = [
+        (rate, mode, partitioned, te_bound, clock_bound)
         for partitioned in (True, False)
         for rate in (slowest, 0.95, 1.0)
         for mode in (DeltaMode.FULL_ROUND_TRIP, DeltaMode.HALF_ROUND_TRIP)
     ]
-    offsets = run_trials(_measure_config, configs, trials=1, seed=0, jobs=jobs)
+    offsets = run_parallel(last_allowed_offset, tasks, jobs)
     rows: List[List] = [
         [
             "partitioned" if partitioned else "connected",
@@ -157,7 +145,7 @@ def run(
             offset,
             "OK" if offset < te_bound else "VIOLATION",
         ]
-        for (partitioned, rate, mode, _te, _b), offset in zip(configs, offsets)
+        for (rate, mode, partitioned, _te, _b), offset in zip(tasks, offsets)
     ]
     return ExperimentResult(
         experiment_id="revocation",

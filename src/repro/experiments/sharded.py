@@ -23,7 +23,7 @@ from ..core.policy import AccessPolicy, ExhaustedAction, QueryStrategy
 from ..core.system import AccessControlSystem
 from ..metrics.estimators import wilson_interval
 from ..protocols.sharding import ShardRouter
-from ..runtime import run_trials
+from ..runtime import run_parallel
 from ..sim.network import FixedLatency
 from ..sim.partitions import SampledConnectivity
 from .base import ExperimentResult
@@ -65,11 +65,10 @@ def app_for_shard(shards: int, n_managers: int, shard: int) -> str:
 
 
 def simulate_shard_pa(
-    config: Tuple[int, int, int, int, float], trials: int, seed: int
+    m: int, k: int, shard: int, c: int, pi: float, trials: int, seed: int
 ) -> Tuple[int, int]:
     """One ``(M, K, shard, C, Pi)`` cell: availability counts for
     access checks served by that shard's manager group."""
-    m, k, shard, c, pi = config
     application = app_for_shard(k, m, shard)
     connectivity = SampledConnectivity(pi)
     system = AccessControlSystem(
@@ -111,16 +110,18 @@ def run(
     ``jobs`` fans the (shard, C) cells out over worker processes; any
     value produces byte-identical tables.
     """
-    configs = [
-        (m, shards, shard, c, pi) for c in cs for shard in range(shards)
+    tasks = [
+        (m, shards, shard, c, pi, trials, seed)
+        for c in cs
+        for shard in range(shards)
     ]
-    cells = run_trials(simulate_shard_pa, configs, trials, seed, jobs=jobs)
+    cells = run_parallel(simulate_shard_pa, tasks, jobs)
     columns = [
         "C", "shard", "PA analytic", "PA simulated", "ci-low", "ci-high",
     ]
     rows: List[List[float]] = []
     all_within = True
-    for (_m, _k, shard, c, _pi), (hits, n) in zip(configs, cells):
+    for (_m, _k, shard, c, _pi, _t, _s), (hits, n) in zip(tasks, cells):
         pa_hat = hits / n
         lo, hi = wilson_interval(hits, n)
         pa_true = availability(m, c, pi)

@@ -9,11 +9,9 @@ binomials and must equal the paper's printed five-decimal numbers
 
 from __future__ import annotations
 
-import operator
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..analysis.quorum_math import availability, security
-from ..runtime import run_trials
 from .base import ExperimentResult
 
 __all__ = ["run", "PAPER_TABLE1"]
@@ -34,30 +32,20 @@ PAPER_TABLE1 = {
 }
 
 
-def _table_row(
-    config: Tuple[int, int, Tuple[float, ...]], _trials: int, _seed: int
-) -> List[List]:
-    """One check-quorum row of the table — the unit of parallel dispatch."""
-    c, m, pis = config
+def _table_row(c: int, m: int, pis: Tuple[float, ...]) -> List:
+    """One check-quorum row of the table."""
     row = [c]
     for pi in pis:
         row += [availability(m, c, pi), security(m, c, pi)]
-    return [row]
+    return row
 
 
-def run(m: int = 10, pis=(0.1, 0.2), jobs: Optional[int] = 1) -> ExperimentResult:
+def run(m: int = 10, pis=(0.1, 0.2)) -> ExperimentResult:
     """Regenerate Table 1."""
     columns = ["C"]
     for pi in pis:
         columns += [f"PA(C) Pi={pi}", f"PS(C) Pi={pi}"]
-    rows = run_trials(
-        _table_row,
-        [(c, m, tuple(pis)) for c in range(1, m + 1)],
-        trials=1,
-        seed=0,
-        jobs=jobs,
-        reduce=operator.add,
-    )
+    rows = [_table_row(c, m, pis) for c in range(1, m + 1)]
     return ExperimentResult(
         experiment_id="table1",
         title="Effects of C on availability and security (paper Table 1)",

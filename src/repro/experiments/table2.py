@@ -10,11 +10,9 @@ solve the problem is to increase the cardinality of this set."
 
 from __future__ import annotations
 
-import operator
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..analysis.quorum_math import availability, security
-from ..runtime import run_trials
 from .base import ExperimentResult
 
 __all__ = ["run", "PAPER_TABLE2"]
@@ -41,31 +39,21 @@ ROW_ORDER = [
 ]
 
 
-def _table_row(
-    config: Tuple[int, int, Tuple[float, ...]], _trials: int, _seed: int
-) -> List[List]:
-    """One (M, C) row of the table — the unit of parallel dispatch."""
-    m, c, pis = config
+def _table_row(m: int, c: int, pis: Tuple[float, ...]) -> List:
+    """One (M, C) row of the table."""
     row = [m, c]
     for pi in pis:
         row += [availability(m, c, pi), security(m, c, pi)]
-    return [row]
+    return row
 
 
-def run(pis=(0.1, 0.2), jobs: Optional[int] = 1) -> ExperimentResult:
+def run(pis=(0.1, 0.2)) -> ExperimentResult:
     """Regenerate Table 2 (the (4,2) row appears in both halves, as
     printed in the paper)."""
     columns = ["M", "C"]
     for pi in pis:
         columns += [f"PA(C) Pi={pi}", f"PS(C) Pi={pi}"]
-    rows = run_trials(
-        _table_row,
-        [(m, c, tuple(pis)) for m, c in ROW_ORDER],
-        trials=1,
-        seed=0,
-        jobs=jobs,
-        reduce=operator.add,
-    )
+    rows = [_table_row(m, c, pis) for m, c in ROW_ORDER]
     return ExperimentResult(
         experiment_id="table2",
         title="Effects of M and C on availability and security (paper Table 2)",

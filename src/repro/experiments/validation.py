@@ -24,7 +24,7 @@ from ..analysis.quorum_math import availability, security
 from ..core.policy import AccessPolicy, ExhaustedAction, QueryStrategy
 from ..core.system import AccessControlSystem
 from ..metrics.estimators import wilson_interval
-from ..runtime import run_trials
+from ..runtime import run_parallel
 from ..sim.network import FixedLatency
 from ..sim.partitions import SampledConnectivity
 from .base import ExperimentResult
@@ -108,14 +108,13 @@ def simulate_ps(m: int, c: int, pi: float, trials: int, seed: int) -> Tuple[int,
 
 
 def simulate_cell(
-    config: Tuple[int, int, float], trials: int, seed: int
+    m: int, c: int, pi: float, trials: int, seed: int
 ) -> Tuple[int, int, int, int]:
     """One ``(m, C, Pi)`` cell: both PA and PS counts for that cell.
 
     The unit of parallel dispatch — a pure function of its arguments,
     so a worker process produces exactly what the sequential loop would.
     """
-    m, c, pi = config
     pa_hits, pa_n = simulate_pa(m, c, pi, trials, seed)
     ps_hits, ps_n = simulate_ps(m, c, pi, trials, seed)
     return pa_hits, pa_n, ps_hits, ps_n
@@ -140,11 +139,11 @@ def run(
         "PA analytic", "PA simulated", "PA ci-low", "PA ci-high",
         "PS analytic", "PS simulated", "PS ci-low", "PS ci-high",
     ]
-    configs = [(m, c, pi) for pi in pis for c in cs]
-    cells = run_trials(simulate_cell, configs, trials, seed, jobs=jobs)
+    tasks = [(m, c, pi, trials, seed) for pi in pis for c in cs]
+    cells = run_parallel(simulate_cell, tasks, jobs)
     rows: List[List[float]] = []
     all_within = True
-    for (_m, c, pi), (pa_hits, pa_n, ps_hits, ps_n) in zip(configs, cells):
+    for (_m, c, pi, _t, _s), (pa_hits, pa_n, ps_hits, ps_n) in zip(tasks, cells):
         pa_hat, ps_hat = pa_hits / pa_n, ps_hits / ps_n
         pa_lo, pa_hi = wilson_interval(pa_hits, pa_n)
         ps_lo, ps_hi = wilson_interval(ps_hits, ps_n)

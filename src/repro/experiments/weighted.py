@@ -25,7 +25,7 @@ from ..analysis.weighted import (
     best_thresholds,
     best_unit_counts,
 )
-from ..runtime import run_trials
+from ..runtime import run_parallel
 from .base import ExperimentResult
 
 __all__ = ["run", "build_setting", "simulate_scheme"]
@@ -109,29 +109,17 @@ def build_setting(m: int = 5, base_pi: float = 0.1, flaky_pi: float = 0.45):
 
 
 def _score_candidate(
-    config: Tuple[int, Tuple[int, ...], Tuple[str, ...], float, float],
-    _trials: int,
-    _seed: int,
-) -> Tuple[float, int, WeightedQuorumSystem]:
+    candidate: Tuple[int, ...],
+    managers: Tuple[str, ...],
+    base_pi: float,
+    flaky_pi: float,
+) -> Tuple[float, WeightedQuorumSystem]:
     """Score one weight assignment (the unit of parallel dispatch)."""
-    index, candidate, managers, base_pi, flaky_pi = config
     _managers, _flaky, host_pi, manager_pi = build_setting(
         len(managers), base_pi, flaky_pi
     )
     system = best_thresholds(dict(zip(managers, candidate)), host_pi, manager_pi)
-    return (system.worst(host_pi, manager_pi), index, system)
-
-
-def _better(
-    a: Tuple[float, int, WeightedQuorumSystem],
-    b: Tuple[float, int, WeightedQuorumSystem],
-) -> Tuple[float, int, WeightedQuorumSystem]:
-    """Associative argmax with the sequential loop's first-wins tie rule:
-    ``b`` replaces ``a`` only on a strictly better value, or on an equal
-    value from an earlier enumeration index."""
-    if b[0] > a[0] or (b[0] == a[0] and b[1] < a[1]):
-        return b
-    return a
+    return (system.worst(host_pi, manager_pi), system)
 
 
 def run(m: int = 5, base_pi: float = 0.1, flaky_pi: float = 0.45,
@@ -165,16 +153,18 @@ def run(m: int = 5, base_pi: float = 0.1, flaky_pi: float = 0.45,
     weighted = best_thresholds(weights, host_pi, manager_pi)
     weighted_worst = describe("down-weight flaky", weighted, host_pi, manager_pi)
 
-    # 2b. Brute-force optimal small weights (exhaustive over {1,2,3}^M),
-    # fanned out with an in-worker argmax fold: each chunk returns one
-    # (value, index, system) partial instead of 3^M scored candidates.
-    candidates = [
-        (index, candidate, tuple(managers), base_pi, flaky_pi)
-        for index, candidate in enumerate(product((1, 2, 3), repeat=m))
-    ]
-    _value, _index, optimal = run_trials(
-        _score_candidate, candidates, trials=1, seed=0, jobs=jobs, reduce=_better
+    # 2b. Brute-force optimal small weights (exhaustive over {1,2,3}^M).
+    # Results come back in enumeration order and max() keeps the first
+    # maximum, so ties go to the earliest candidate for any ``jobs``.
+    scored = run_parallel(
+        _score_candidate,
+        [
+            (candidate, tuple(managers), base_pi, flaky_pi)
+            for candidate in product((1, 2, 3), repeat=m)
+        ],
+        jobs,
     )
+    _value, optimal = max(scored, key=lambda pair: pair[0])
     optimal_worst = describe("optimal weights <= 3", optimal, host_pi, manager_pi)
 
     # 3. Remove the flaky manager entirely.

@@ -6,21 +6,19 @@ both memory and IPC grow linearly with simulated traffic.  The classes
 here are the streaming replacements: each consumes observations one at
 a time in O(1) state (exact counts, exact moments, min/max, plus a
 seeded bounded reservoir for quantiles) and implements the
-:class:`Mergeable` protocol so per-chunk partials can be folded
-in-worker (see ``run_parallel(reduce=...)``) and combined again in the
-parent.
+:class:`Mergeable` protocol so partial accumulators — per trial, per
+shard — can be combined into one.
 
 Merge contract
 --------------
 ``a.merge(b)`` returns a **new** accumulator equivalent to having fed
 ``a``'s and then ``b``'s observations into a fresh instance; neither
-operand is mutated.  All merges here are associative, which is the
-property :func:`repro.runtime.merge.combine_partials` relies on for
-pooled results to equal the sequential fold.  Counts and sums are exact
-(integer or Shewchuk-compensated float), so they are additionally
-commutative; the quantile reservoir keys every value by a hash of
-``(seed, arrival index)``, making the survivor set a pure function of
-the multiset of keyed entries — independent of merge shape.
+operand is mutated.  All merges here are associative, so any grouping
+of partials folds to the same result as one sequential stream.  Counts
+and sums are exact (integer or Shewchuk-compensated float), so they are
+additionally commutative; the quantile reservoir keys every value by a
+hash of ``(seed, arrival index)``, making the survivor set a pure
+function of the multiset of keyed entries — independent of merge shape.
 """
 
 from __future__ import annotations

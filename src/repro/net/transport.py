@@ -85,8 +85,7 @@ class Transport:
 
     def multicast(self, src: Address, dsts: Iterable[Address], message: Any) -> None:
         """Unreliable multicast: an independent unicast per destination."""
-        for dst in dsts:
-            self.send(src, dst, message)
+        self.send_many(src, [(dst, message) for dst in dsts])
 
     def send_many(
         self,

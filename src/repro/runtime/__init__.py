@@ -12,9 +12,10 @@ is the dispatch layer they share:
     on which worker ran it.
 
 ``pool``
-    :func:`run_parallel` / :func:`run_trials` / :func:`run_replications`
-    — chunked dispatch over a ``ProcessPoolExecutor`` with graceful
-    inline fallback when ``jobs=1`` or the platform cannot fork.
+    :func:`run_parallel` ``(fn, tasks, jobs)`` — the one dispatch
+    shape: gather ``fn(*task)`` for every task, in task order, over a
+    ``ProcessPoolExecutor`` with graceful inline fallback when
+    ``jobs=1`` or the platform cannot fork.
 
 ``merge``
     Order-independent result merging: workers return ``(index, value)``
@@ -23,37 +24,22 @@ is the dispatch layer they share:
 
 Determinism contract
 --------------------
-For every helper here, the result of ``jobs=N`` is **identical** to
-``jobs=1`` for any ``N``: work is partitioned by index, each unit's
-seed is a pure function of the master seed and the unit's index, and
-results are re-ordered by index before they are returned.
+The result of ``jobs=N`` is **identical** to ``jobs=1`` for any ``N``:
+work is partitioned by index, each unit's seed is a pure function of
+the master seed and the unit's index, and results are re-ordered by
+index before they are returned.
 """
 
-from .merge import MergeError, combine_partials, merge_counts, merge_ordered
-from .pool import (
-    available_cpus,
-    last_ipc_bytes,
-    last_run_mode,
-    resolve_jobs,
-    run_parallel,
-    run_replications,
-    run_trials,
-)
-from .seeds import seed_sequence, trial_seed, trial_streams
+from .merge import MergeError, merge_ordered
+from .pool import available_cpus, last_run_mode, resolve_jobs, run_parallel
+from .seeds import trial_seed
 
 __all__ = [
     "MergeError",
     "available_cpus",
-    "combine_partials",
-    "last_ipc_bytes",
     "last_run_mode",
-    "merge_counts",
     "merge_ordered",
     "resolve_jobs",
     "run_parallel",
-    "run_replications",
-    "run_trials",
-    "seed_sequence",
     "trial_seed",
-    "trial_streams",
 ]

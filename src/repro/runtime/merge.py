@@ -5,23 +5,13 @@ Workers finish in whatever order the scheduler pleases; each returns
 of work.  :func:`merge_ordered` restores submission order and verifies
 completeness, which is what makes parallel output bit-identical to the
 sequential loop it replaced.
-
-:func:`combine_partials` is the reduce-mode counterpart: workers fold
-their own chunk down to a single partial before crossing the process
-boundary, and the parent verifies the ``(start, count)`` spans tile the
-task range exactly before folding the partials in submission order.
-For an associative ``reduce`` the result is identical to the plain
-sequential left fold.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
-__all__ = ["MergeError", "merge_ordered", "merge_counts", "combine_partials"]
-
-#: Sentinel distinguishing "no initial value supplied" from ``initial=None``.
-_MISSING: Any = object()
+__all__ = ["MergeError", "merge_ordered"]
 
 
 class MergeError(Exception):
@@ -51,68 +41,3 @@ def merge_ordered(
                 f"missing {missing or 'none'}, unexpected {extra or 'none'}"
             )
     return [value for _index, value in pairs]
-
-
-def combine_partials(
-    chunks: Iterable[Tuple[int, int, Any]],
-    reduce: Callable[[Any, Any], Any],
-    expected: int,
-    initial: Any = _MISSING,
-) -> Any:
-    """Fold per-chunk partials ``(start, count, partial)`` in task order.
-
-    Each worker returns the in-order fold of its own chunk (without any
-    initial value) plus the span it covered.  The spans must tile
-    ``0 .. expected - 1`` exactly — overlaps, gaps, or stray indexes
-    raise :class:`MergeError`, because a lost or doubled chunk silently
-    skews an aggregate in a way a wrong-length list never could.
-
-    The partials are folded left-to-right by ascending ``start``; with
-    an associative ``reduce`` this equals the sequential
-    ``functools.reduce(reduce, values[, initial])``.
-    """
-    spans = sorted(chunks, key=lambda chunk: chunk[0])
-    cursor = 0
-    for start, count, _partial in spans:
-        if count < 1:
-            raise MergeError(f"chunk at index {start} reports count {count}")
-        if start != cursor:
-            what = "overlapping" if start < cursor else "missing"
-            raise MergeError(
-                f"{what} chunk coverage: expected a chunk starting at "
-                f"{cursor}, got one starting at {start}"
-            )
-        cursor += count
-    if cursor != expected:
-        raise MergeError(
-            f"chunks cover indexes 0..{cursor - 1} but {expected} tasks "
-            f"were submitted"
-        )
-    if not spans:
-        if initial is _MISSING:
-            raise MergeError("no chunks and no initial value to return")
-        return initial
-    accumulator = spans[0][2] if initial is _MISSING else initial
-    for _start, _count, partial in spans[1 if initial is _MISSING else 0:]:
-        accumulator = reduce(accumulator, partial)
-    return accumulator
-
-
-def merge_counts(results: Iterable[Sequence[float]]) -> Tuple[float, ...]:
-    """Element-wise sum of fixed-width count tuples.
-
-    The common reduction for ``(successes, trials)``-shaped replication
-    results; the sum is order-independent by construction.
-    """
-    total: Optional[List[float]] = None
-    for result in results:
-        if total is None:
-            total = list(result)
-        elif len(result) != len(total):
-            raise MergeError(
-                f"count tuples disagree on width: {len(total)} vs {len(result)}"
-            )
-        else:
-            for i, value in enumerate(result):
-                total[i] += value
-    return tuple(total or ())

@@ -11,11 +11,9 @@ have used for trial ``i``.
 
 from __future__ import annotations
 
-from typing import List
+from ..sim.rng import derive_seed
 
-from ..sim.rng import RngStreams, derive_seed
-
-__all__ = ["trial_seed", "trial_streams", "seed_sequence"]
+__all__ = ["trial_seed"]
 
 
 def trial_seed(master_seed: int, trial_index: int, label: str = "trial") -> int:
@@ -28,19 +26,3 @@ def trial_seed(master_seed: int, trial_index: int, label: str = "trial") -> int:
     if trial_index < 0:
         raise ValueError(f"trial_index must be non-negative, got {trial_index}")
     return derive_seed(master_seed, f"{label}[{trial_index}]")
-
-
-def trial_streams(
-    master_seed: int, trial_index: int, label: str = "trial"
-) -> RngStreams:
-    """A fully independent :class:`RngStreams` family for one trial."""
-    return RngStreams(trial_seed(master_seed, trial_index, label=label))
-
-
-def seed_sequence(
-    master_seed: int, n: int, label: str = "trial"
-) -> List[int]:
-    """Seeds for trials ``0 .. n-1`` (convenience for bulk dispatch)."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    return [trial_seed(master_seed, i, label=label) for i in range(n)]

@@ -34,8 +34,9 @@ recompute as little as possible per message:
   call; stochastic models keep drawing per message, in the same order
   as always, so seeded runs stay byte-identical.
 * Deliveries are queued as :class:`_Delivery` entries — bare schedulable
-  objects, not full events — and ``multicast`` with a constant-latency
-  model batches the whole fan-out into a single queue insertion.
+  objects, not full events — and ``send_many`` (which ``multicast``
+  calls) with a constant-latency model batches the whole fan-out into a
+  single queue insertion.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ class LatencyModel:
         """The model's delay when it is constant, else ``None``.
 
         A non-None answer lets the network skip the per-message
-        ``sample`` call (and batch multicasts); models that consume
+        ``sample`` call (and batch fan-outs); models that consume
         randomness must return ``None`` so their draw order is
         preserved.
         """
@@ -147,42 +148,14 @@ class _Delivery:
         self.network._deliver(self.src, self.dst, self.message)
 
 
-class _MulticastDelivery:
-    """Queue entry for a batched constant-latency multicast fan-out.
-
-    One heap insertion delivers to every surviving destination, in the
-    order the per-destination events would have fired (they would have
-    occupied consecutive tie-break slots at the same timestamp).
-    """
-
-    __slots__ = ("network", "src", "dsts", "message")
-
-    _cancelled = False  # read by the engine's dead-entry check on pop
-
-    def __init__(
-        self, network: "Network", src: Address, dsts: List[Address], message: Any
-    ):
-        self.network = network
-        self.src = src
-        self.dsts = dsts
-        self.message = message
-
-    def _process(self) -> None:
-        network = self.network
-        src = self.src
-        message = self.message
-        for dst in self.dsts:
-            network._deliver(src, dst, message)
-
-
 class _FanoutDelivery:
-    """Queue entry for a batched constant-latency fan-out of *distinct*
-    messages (one per destination), e.g. a planner's per-manager queries
-    or a freeze monitor's nonce'd pings.
+    """Queue entry for a batched constant-latency fan-out of
+    ``(dst, message)`` pairs, e.g. a multicast, a planner's per-manager
+    queries or a freeze monitor's nonce'd pings.
 
-    The batched-multicast trick generalised: all surviving copies land
-    at the same instant, so one scheduler insertion delivers the whole
-    batch in the order the per-message events would have fired.
+    All surviving copies land at the same instant, so one scheduler
+    insertion delivers the whole batch in the order the per-message
+    events would have fired.
     """
 
     __slots__ = ("network", "src", "items")
@@ -430,65 +403,6 @@ class Network(Transport):
                 on_sent(dst, message)
         if survivors:
             self.env._schedule(_FanoutDelivery(self, src, survivors), fixed)
-
-    def multicast(self, src: Address, dsts: Iterable[Address], message: Any) -> None:
-        """Unreliable multicast: an independent unicast per destination.
-
-        With a constant-latency model every surviving copy lands at the
-        same instant, so the whole fan-out is batched into one queue
-        insertion; per-destination checks, drops, traces, and loss /
-        duplication draws still happen per destination, in order, and
-        delivery order is identical to the unbatched loop.
-        """
-        fixed = self._fixed_delay
-        dsts = list(dsts)
-        if fixed is None or src in dsts:
-            # Stochastic latency (per-destination delays differ) or a
-            # self-destination (delivered at zero delay): per-dst sends.
-            for dst in dsts:
-                self.send(src, dst, message)
-            return
-        nodes = self.nodes
-        src_node = nodes.get(src)
-        if src_node is None:
-            raise ValueError(f"unknown source {src!r}")
-        tracer = self.tracer
-        wants_sent = tracer.wants(TraceKind.MSG_SENT)
-        loss_rate = self.loss_rate
-        duplicate_rate = self.duplicate_rate
-        rng = self.rng
-        src_up = src_node.up
-        survivors: List[Address] = []
-        for dst in dsts:
-            if dst not in nodes:
-                raise ValueError(f"unknown destination {dst!r}")
-            self.messages_sent += 1
-            if wants_sent:
-                tracer.publish(
-                    TraceKind.MSG_SENT,
-                    src,
-                    dst=dst,
-                    message_kind=type(message).__name__,
-                )
-            else:
-                tracer.bump(TraceKind.MSG_SENT)
-            if not src_up:
-                self._drop(src, dst, message, "source down")
-                continue
-            if not self._connected(src, dst):
-                self._drop(src, dst, message, "partitioned")
-                continue
-            if loss_rate > 0 and rng.random() < loss_rate:
-                self._drop(src, dst, message, "random loss")
-                continue
-            survivors.append(dst)
-            if duplicate_rate > 0 and rng.random() < duplicate_rate:
-                survivors.append(dst)
-                self.messages_duplicated += 1
-        if survivors:
-            self.env._schedule(
-                _MulticastDelivery(self, src, survivors, message), fixed
-            )
 
     def _deliver(self, src: Address, dst: Address, message: Any) -> None:
         dst_node = self.nodes.get(dst)

@@ -243,9 +243,6 @@ def run_cell(
         population,
         oracle,
         rate=spec.access_rate,
-        # The oracles subscribe to the tracer; the per-decision list is
-        # never read, only its length — the counter covers that.
-        keep_observations=False,
     )
     updates = UpdateWorkload(
         system,

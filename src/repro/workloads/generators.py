@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Set, Tuple, Union
 
 from ..core.host import AccessControlHost, AccessDecision
 from ..core.manager import AccessControlManager
@@ -119,7 +119,6 @@ class AccessWorkload:
         rng: Optional[random.Random] = None,
         hosts: Optional[Sequence[AccessControlHost]] = None,
         on_decision: Optional[Callable[[ObservedDecision], None]] = None,
-        keep_observations: bool = True,
     ):
         if not isinstance(rate, DiurnalRate) and rate <= 0:
             raise ValueError("access rate must be positive")
@@ -132,13 +131,10 @@ class AccessWorkload:
         self.hosts = list(hosts) if hosts is not None else list(system.hosts)
         if not self.hosts:
             raise ValueError("workload needs at least one host")
+        #: Consumers subscribe to decisions via ``on_decision``; nothing
+        #: is retained, so memory stays O(1) in simulated traffic.
+        #: ``decisions`` counts completed decisions.
         self.on_decision = on_decision
-        #: ``keep_observations=False`` turns off the per-decision list —
-        #: streaming consumers subscribe via ``on_decision`` instead and
-        #: memory stays O(1) in simulated traffic.  ``decisions`` counts
-        #: completed decisions either way.
-        self.keep_observations = keep_observations
-        self.observations: List[ObservedDecision] = []
         self.attempts = 0
         self.decisions = 0
         self._process = system.env.process(self._drive(), name="access-workload")
@@ -181,8 +177,6 @@ class AccessWorkload:
             authorized=authorized,
         )
         self.decisions += 1
-        if self.keep_observations:
-            self.observations.append(observed)
         if self.on_decision is not None:
             self.on_decision(observed)
 
@@ -210,7 +204,6 @@ class FlashCrowdWorkload:
         rng: Optional[random.Random] = None,
         hosts: Optional[Sequence[AccessControlHost]] = None,
         on_decision: Optional[Callable[[ObservedDecision], None]] = None,
-        keep_observations: bool = True,
     ):
         if accesses_per_user < 1:
             raise ValueError("each user must access at least once")
@@ -226,8 +219,6 @@ class FlashCrowdWorkload:
         self.rng = rng or system.streams.stream("flash-crowd")
         self.hosts = list(hosts) if hosts is not None else list(system.hosts)
         self.on_decision = on_decision
-        self.keep_observations = keep_observations
-        self.observations: List[ObservedDecision] = []
         self.decisions = 0
         self.done = system.env.event()
         self._remaining = len(self.users)
@@ -261,8 +252,6 @@ class FlashCrowdWorkload:
                 authorized=authorized,
             )
             self.decisions += 1
-            if self.keep_observations:
-                self.observations.append(observed)
             if self.on_decision is not None:
                 self.on_decision(observed)
             if self.think_time > 0:

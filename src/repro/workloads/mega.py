@@ -218,7 +218,6 @@ def run_mega_cell(
                 rate=profile,
                 rng=system.streams.stream(f"mega-access-{index}"),
                 on_decision=observe,
-                keep_observations=False,  # streaming: O(1) memory
             )
         )
         if update_rate > 0:

@@ -87,7 +87,7 @@ class TestMergeSemantics:
         b.apply(grant_m1)
         assert a.check("u", Right.USE) == b.check("u", Right.USE) is False
 
-    def test_merge_counts_new(self):
+    def test_merge_returns_number_applied(self):
         acl = AccessControlList("app")
         acl.apply(grant("u", 1))
         applied = acl.merge([grant("u", 1), grant("v", 2), revoke("u", 3)])

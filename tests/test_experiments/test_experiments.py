@@ -13,6 +13,7 @@ from repro.experiments import EXPERIMENTS, run_experiment
 from repro.experiments import (
     ablations,
     baselines,
+    caching,
     figure5,
     heterogeneous,
     latency,
@@ -327,19 +328,17 @@ class TestCachingExperiment:
 
 
 class TestJobsInvariance:
-    """Migrated in-worker-reduce runners: ``jobs=N`` must render
-    byte-identically to the sequential fold for every experiment that
-    grew a ``reduce=`` path."""
+    """Runners that hand their own task tuples to ``run_parallel``:
+    ``jobs=N`` must render byte-identically to ``jobs=1``."""
 
     @pytest.mark.parametrize(
         "module, kwargs",
         [
-            (figure5, dict(m=4, pi=0.1)),
-            (table1, dict(m=4, pis=(0.1,))),
-            (table2, dict(pis=(0.1,))),
             (ablations, dict(seed=0)),
+            (baselines, dict(seed=0, duration=200.0)),
+            (caching, dict(seed=0)),
         ],
-        ids=["figure5", "table1", "table2", "ablations"],
+        ids=["ablations", "baselines", "caching"],
     )
     def test_render_identical_across_jobs(self, module, kwargs):
         sequential = module.run(**kwargs, jobs=1)

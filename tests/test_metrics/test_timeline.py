@@ -93,9 +93,10 @@ class TestTimelineShowsPartitionDip:
         for user in population:
             system.seed_grant(APP, user)
             oracle.grant(APP, user)
-        workload = AccessWorkload(
+        decisions = []
+        AccessWorkload(
             system, APP, population, oracle, rate=5.0,
-            rng=system.streams.stream("w"),
+            rng=system.streams.stream("w"), on_decision=decisions.append,
         )
 
         def script():
@@ -107,7 +108,7 @@ class TestTimelineShowsPartitionDip:
         system.env.process(script(), name="script")
         system.run(until=300.0)
         points = availability_timeline(
-            workload.observations, window=50.0, end_time=300.0
+            decisions, window=50.0, end_time=300.0
         )
         # Windows: [0,50) fine, [100,150)+[150,200) partitioned, [250,300) fine.
         assert points[0].availability > 0.95

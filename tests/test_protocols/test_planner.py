@@ -223,7 +223,7 @@ class TestSameOutagesSameAvailability:
 
         AccessWorkload(
             system, "app", population, oracle, rate=2.0,
-            on_decision=observe, keep_observations=False,
+            on_decision=observe,
         )
         system.run(until=600.0)
         return tally[DecisionReason.EXHAUSTED], tally["allowed"]

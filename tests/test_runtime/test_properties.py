@@ -11,8 +11,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.runtime.merge import merge_counts, merge_ordered
-from repro.runtime.seeds import seed_sequence, trial_seed
+from repro.runtime.merge import merge_ordered
+from repro.runtime.seeds import trial_seed
 
 masters = st.integers(min_value=0, max_value=2**63 - 1)
 indexes = st.integers(min_value=0, max_value=10_000)
@@ -62,13 +62,6 @@ class TestSeedProperties:
         assert trial_seed(7, 3) == 18368835593159575832
         assert trial_seed(7, 3, label="fuzz") == 7290522525737761144
 
-    @given(master=masters, n=st.integers(0, 50))
-    @settings(max_examples=50)
-    def test_sequence_matches_pointwise_derivation(self, master, n):
-        assert seed_sequence(master, n) == [
-            trial_seed(master, i) for i in range(n)
-        ]
-
 
 class TestMergeProperties:
     @given(
@@ -80,19 +73,3 @@ class TestMergeProperties:
         indexed = list(enumerate(values))
         shuffled = data.draw(st.permutations(indexed))
         assert merge_ordered(shuffled, expected=len(values)) == values
-
-    @given(
-        rows=st.lists(
-            st.tuples(st.integers(-100, 100), st.integers(-100, 100)),
-            min_size=1,
-            max_size=20,
-        ),
-        data=st.data(),
-    )
-    @settings(max_examples=100)
-    def test_merge_counts_is_permutation_invariant(self, rows, data):
-        shuffled = data.draw(st.permutations(rows))
-        assert merge_counts(shuffled) == merge_counts(rows)
-        total = merge_counts(rows)
-        assert total[0] == sum(row[0] for row in rows)
-        assert total[1] == sum(row[1] for row in rows)

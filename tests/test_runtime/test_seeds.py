@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.runtime.seeds import seed_sequence, trial_seed, trial_streams
+from repro.runtime.seeds import trial_seed
 from repro.sim.rng import derive_seed
 
 
@@ -40,30 +40,3 @@ class TestTrialSeed:
         # SHA-256 backed, so this literal must hold on any machine.
         assert trial_seed(0, 0) == derive_seed(0, "trial[0]")
         assert trial_seed(0, 0) == trial_seed(0, 0)
-
-
-class TestTrialStreams:
-    def test_family_seeded_by_trial_seed(self):
-        streams = trial_streams(9, 4)
-        assert streams.master_seed == trial_seed(9, 4)
-
-    def test_independent_trials_draw_independently(self):
-        a = trial_streams(0, 0).stream("network").random()
-        b = trial_streams(0, 1).stream("network").random()
-        assert a != b
-
-    def test_same_trial_reproduces_draws(self):
-        a = [trial_streams(3, 2).stream("x").random() for _ in range(2)]
-        assert a[0] == a[1]
-
-
-class TestSeedSequence:
-    def test_matches_individual_derivation(self):
-        assert seed_sequence(7, 5) == [trial_seed(7, i) for i in range(5)]
-
-    def test_empty(self):
-        assert seed_sequence(0, 0) == []
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            seed_sequence(0, -1)

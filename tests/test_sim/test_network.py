@@ -214,19 +214,36 @@ def _world(seed: int = 7, latency=None, **net_kwargs):
 
 
 class TestSendMany:
-    """``send_many`` must be observably identical to a ``send`` loop."""
+    """``send_many`` — and ``multicast``, which is built on it — must be
+    observably identical to a ``send`` loop."""
 
     ITEMS = [(f"n{i}", ("payload", i)) for i in (1, 2, 3, 1)]
+    FANOUT = ["n1", "n2", "n3", "n1"]
+    SHARED = ("payload", 0)
 
-    def _run_both(self, **net_kwargs):
-        batched = _world(**net_kwargs)
-        unbatched = _world(**net_kwargs)
-        batched[2].send_many("n0", self.ITEMS)
-        for dst, message in self.ITEMS:
-            unbatched[2].send("n0", dst, message)
-        batched[0].run()
-        unbatched[0].run()
-        return batched, unbatched
+    def _inputs(self):
+        """``(items, batched send)`` for each batched entry point."""
+        return [
+            (self.ITEMS, lambda network: network.send_many("n0", self.ITEMS)),
+            (
+                [(dst, self.SHARED) for dst in self.FANOUT],
+                lambda network: network.multicast("n0", self.FANOUT, self.SHARED),
+            ),
+        ]
+
+    def _run_both(self, crash_source=False, **net_kwargs):
+        for items, send_batch in self._inputs():
+            batched = _world(**net_kwargs)
+            unbatched = _world(**net_kwargs)
+            if crash_source:
+                batched[3][0].crash()
+                unbatched[3][0].crash()
+            send_batch(batched[2])
+            for dst, message in items:
+                unbatched[2].send("n0", dst, message)
+            batched[0].run()
+            unbatched[0].run()
+            yield items, batched, unbatched
 
     def _observables(self, world):
         env, tracer, network, nodes = world
@@ -240,32 +257,25 @@ class TestSendMany:
         )
 
     def test_matches_unbatched_loop(self):
-        batched, unbatched = self._run_both()
-        assert self._observables(batched) == self._observables(unbatched)
+        for _items, batched, unbatched in self._run_both():
+            assert self._observables(batched) == self._observables(unbatched)
 
     def test_matches_loop_under_loss_and_duplication(self):
-        batched, unbatched = self._run_both(loss_rate=0.3, duplicate_rate=0.3)
-        assert self._observables(batched) == self._observables(unbatched)
+        runs = self._run_both(loss_rate=0.3, duplicate_rate=0.3)
+        for _items, batched, unbatched in runs:
+            assert self._observables(batched) == self._observables(unbatched)
 
     def test_matches_loop_when_source_down(self):
-        batched = _world()
-        unbatched = _world()
-        batched[3][0].crash()
-        unbatched[3][0].crash()
-        batched[2].send_many("n0", self.ITEMS)
-        for dst, message in self.ITEMS:
-            unbatched[2].send("n0", dst, message)
-        batched[0].run()
-        unbatched[0].run()
-        assert self._observables(batched) == self._observables(unbatched)
-        assert batched[2].messages_dropped == len(self.ITEMS)
+        for items, batched, unbatched in self._run_both(crash_source=True):
+            assert self._observables(batched) == self._observables(unbatched)
+            assert batched[2].messages_dropped == len(items)
 
     def test_matches_loop_with_stochastic_latency(self):
         # Per-destination delays differ, so batching is impossible; the
         # fallback must still consume the rng in exactly send()'s order.
-        kwargs = {"latency": UniformLatency(0.01, 0.09)}
-        batched, unbatched = self._run_both(**kwargs)
-        assert self._observables(batched) == self._observables(unbatched)
+        runs = self._run_both(latency=UniformLatency(0.01, 0.09))
+        for _items, batched, unbatched in runs:
+            assert self._observables(batched) == self._observables(unbatched)
 
     def test_self_destination_falls_back(self):
         items = [("n1", "a"), ("n0", "loopback"), ("n2", "b")]

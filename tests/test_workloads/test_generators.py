@@ -71,14 +71,14 @@ class TestAccessWorkload:
         for user in population.head(5):
             system.seed_grant(APP, user)
             oracle.grant(APP, user)
+        finished = []
         workload = AccessWorkload(
             system, APP, population, oracle, rate=5.0,
-            rng=system.streams.stream("w"),
+            rng=system.streams.stream("w"), on_decision=finished.append,
         )
         system.run(until=60.0)
         assert workload.attempts > 100
-        finished = workload.observations
-        assert len(finished) > 100
+        assert len(finished) == workload.decisions > 100
         for obs in finished:
             assert obs.authorized == (obs.user in set(population.head(5)))
             if obs.authorized:
@@ -109,12 +109,14 @@ class TestAccessWorkload:
             host.crash()
         population = UserPopulation(3)
         oracle = AuthorizationOracle(60.0)
+        seen = []
         workload = AccessWorkload(
             system, APP, population, oracle, rate=5.0,
-            rng=system.streams.stream("w"),
+            rng=system.streams.stream("w"), on_decision=seen.append,
         )
         system.run(until=10.0)
-        assert workload.observations == []
+        assert seen == []
+        assert workload.decisions == 0
 
 
 class TestUpdateWorkload:
@@ -180,8 +182,10 @@ class TestScenario:
             n_managers=3, n_hosts=2, n_users=20, access_rate=3.0,
             update_rate=0.1, seed=1,
         )
+        seen = []
+        scenario.access.on_decision = seen.append
         scenario.run(until=60.0)
-        assert scenario.access.observations
+        assert seen
         assert scenario.updates is not None
         authorized = sum(
             1 for user in scenario.population
@@ -207,21 +211,23 @@ class TestFlashCrowd:
         for user in population:
             system.seed_grant(APP, user)
             oracle.grant(APP, user)
+        observed = []
         crowd = FlashCrowdWorkload(
             system, APP, list(population), oracle,
             start=10.0, accesses_per_user=4, think_time=1.0,
+            on_decision=observed.append,
         )
         system.run(until=60.0)
         assert crowd.done.triggered
-        assert len(crowd.observations) == 20 * 4
-        assert all(obs.decision.allowed for obs in crowd.observations)
+        assert len(observed) == crowd.decisions == 20 * 4
+        assert all(obs.decision.allowed for obs in observed)
         # First access per user misses; the rest hit the warm cache.
         misses = sum(
-            1 for obs in crowd.observations
+            1 for obs in observed
             if obs.decision.reason == "verified"
         )
         hits = sum(
-            1 for obs in crowd.observations
+            1 for obs in observed
             if obs.decision.reason == "cache"
         )
         assert misses == 20
@@ -236,11 +242,13 @@ class TestFlashCrowd:
         for user in population:
             system.seed_grant(APP, user)
             oracle.grant(APP, user)
+        seen = []
         crowd = FlashCrowdWorkload(
             system, APP, list(population), oracle, start=50.0,
+            on_decision=seen.append,
         )
         system.run(until=40.0)
-        assert crowd.observations == []
+        assert seen == []
         system.run(until=100.0)
         assert crowd.done.triggered
 
@@ -327,12 +335,13 @@ class TestDiurnalAccessWorkload:
             for user in population.head(5):
                 system.seed_grant(APP, user)
                 oracle.grant(APP, user)
-            workload = AccessWorkload(
+            observed = []
+            AccessWorkload(
                 system, APP, population, oracle, rate=5.0,
-                rng=system.streams.stream("w"),
+                rng=system.streams.stream("w"), on_decision=observed.append,
             )
             system.run(until=30.0)
-            return [(o.time, o.user) for o in workload.observations]
+            return [(o.time, o.user) for o in observed]
 
         assert run_once() == run_once()
 
@@ -346,14 +355,15 @@ class TestDiurnalAccessWorkload:
             system.seed_grant(APP, user)
             oracle.grant(APP, user)
         profile = DiurnalRate(base=20.0, amplitude=0.9, period=200.0)
+        observed = []
         workload = AccessWorkload(
             system, APP, population, oracle, rate=profile,
-            rng=system.streams.stream("w"),
+            rng=system.streams.stream("w"), on_decision=observed.append,
         )
         system.run(until=200.0)
         # Peak quarter-cycle is centred on t=50, trough on t=150.
-        peak = sum(1 for o in workload.observations if 25 <= o.time < 75)
-        trough = sum(1 for o in workload.observations if 125 <= o.time < 175)
+        peak = sum(1 for o in observed if 25 <= o.time < 75)
+        trough = sum(1 for o in observed if 125 <= o.time < 175)
         assert peak > 3 * trough
         assert workload.attempts > 0
 

@@ -70,7 +70,6 @@ def run(variant: str, seed: int, horizon: float) -> Dict[str, float]:
         ):
             tally["violations"] += 1
 
-    scenario.access.keep_observations = False
     scenario.access.on_decision = on_decision
     scenario.run(WARMUP)
     sent = scenario.tracer.counts().get("msg_sent", 0)
