@@ -10,7 +10,8 @@ It is a diagnostic, not a judge: timings are not compared against any
 recorded baseline.  Performance claims are judged end to end by
 ``bench_e2e`` with ``tools/ab_pairs.py`` running parent and change on the
 same machine.  What does gate here are the in-cell assertions (the
-codec's size and speed ratios, live dead-timer elision), which fail
+codec's size and speed ratios, live dead-timer elision and the bounded
+event queue), which fail
 the run when the mechanism they pin stops working.
 
 Workloads are fully deterministic (fixed seeds, fixed message counts);
@@ -26,7 +27,8 @@ import sys
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..sim.engine import Environment
+from ..protocols.messaging import reply_deadline, reply_won
+from ..sim.engine import _COMPACT_FLOOR, Environment
 from ..sim.network import FixedLatency, Network
 from ..sim.node import Node
 from ..sim.partitions import ScriptedConnectivity
@@ -245,14 +247,18 @@ def bench_cell_sharded(repeats: int) -> Dict[str, Any]:
 
 
 def bench_timer_elision(races: int) -> Dict[str, Any]:
-    """The won-``any_of`` race shape: every round leaves one dead timer.
+    """Both won-race shapes: every round leaves one dead timer.
 
-    Mirrors ``request``/``retry_until_acked``: a reply beats a timeout
-    timer, the loser is detached and marked dead, and the run loop
-    skips it on pop instead of processing it.  ``dead_pops`` in the
-    meta proves elision is live.
+    A requester mirrors ``request``/``retry_until_acked``: a reply beats
+    a 1 s timer in an ``any_of`` and the loser is detached and marked
+    dead.  A client mirrors ``UserClient.invoke``: a 0.1 s reply beats a
+    30 s ``reply_deadline``, so without compaction 300 dead entries
+    would sit ahead of the clock.  ``dead_pops`` in the meta proves
+    elision is live; ``max_queue`` proves compaction bounds the queue by
+    its live entries, not by rate x timeout.
     """
     env = Environment()
+    max_queue = 0
 
     def requester():
         for _ in range(races):
@@ -260,14 +266,26 @@ def bench_timer_elision(races: int) -> Dict[str, Any]:
             timer = env.timeout(1.0)
             yield env.any_of([reply, timer])
 
+    def client():
+        nonlocal max_queue
+        for _ in range(races):
+            arrival = env.event()
+            timer = reply_deadline(env, arrival, 30.0)
+            arrival.succeed("reply", delay=0.1)
+            yield arrival
+            reply_won(timer)
+            max_queue = max(max_queue, len(env._queue))
+
     env.process(requester())
+    env.process(client())
     started = time.perf_counter()
     env.run()
     elapsed = time.perf_counter() - started
-    assert env.dead_pops > 0, "elision produced no dead pops"
+    assert env.dead_pops == 2 * races, "elision missed dead timers"
+    assert max_queue < 2 * _COMPACT_FLOOR, f"dead timers piled up: {max_queue} queued"
     return {
         "elapsed": elapsed,
-        "meta": {"races": races, "dead_pops": env.dead_pops},
+        "meta": {"races": races, "dead_pops": env.dead_pops, "max_queue": max_queue},
     }
 
 
@@ -596,7 +614,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     for name, entry in document["benchmarks"].items():
         meta = entry["meta"]
-        extras = f", dead_pops={meta['dead_pops']}" if "dead_pops" in meta else ""
+        extras = "".join(
+            f", {key}={meta[key]}" for key in ("dead_pops", "max_queue") if key in meta
+        )
         print(
             f"{name}: best {format_seconds(entry['best'])}/op "
             f"(median {format_seconds(entry['median'])}/op, "

@@ -34,6 +34,7 @@ from ..core.client import UserClient
 from ..metrics.streaming import StreamingSummary
 from .cell import DEFAULT_SECRET
 from .runtime import LiveRuntime
+from .serve import positive
 
 __all__ = ["main", "build_parser", "run_load"]
 
@@ -47,9 +48,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="address directory JSON written by repro serve --role cell")
     parser.add_argument("--secret", default=None,
                         help="shared HMAC session secret (must match the cell's)")
-    parser.add_argument("--clients", type=int, default=4,
+    parser.add_argument("--clients", type=positive(int), default=4,
                         help="number of concurrent closed-loop clients (default 4)")
-    parser.add_argument("--duration", type=float, default=5.0,
+    parser.add_argument("--duration", type=positive(float), default=5.0,
                         help="measured wall seconds of load (default 5)")
     parser.add_argument("--app", default="app",
                         help="application to invoke (default: app)")
@@ -57,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="client user ids are PREFIX-<i>")
     parser.add_argument("--admin-user", default="admin",
                         help="manage-right identity used to grant the client users")
-    parser.add_argument("--time-scale", type=float, default=1.0,
+    parser.add_argument("--time-scale", type=positive(float), default=1.0,
                         help="client-side sim-seconds per wall-second")
     parser.add_argument("--json", action="store_true",
                         help="emit the report as JSON instead of text")

@@ -36,7 +36,7 @@ import asyncio
 import ctypes
 import json
 import signal
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..auth.identity import Authenticator, Principal
 from ..core.manager import AccessControlManager
@@ -81,14 +81,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shared HMAC session secret for the cell")
     parser.add_argument("--apps", default="app",
                         help="comma-separated application names (default: app)")
-    parser.add_argument("--time-scale", type=float, default=1.0,
+    parser.add_argument("--time-scale", type=positive(float), default=1.0,
                         help="sim-seconds per wall-second (default 1.0)")
     parser.add_argument("--run-for", type=float, default=None, metavar="SECONDS",
                         help="exit after this many wall seconds (default: run until signalled)")
     parser.add_argument("--check-quorum", type=int, default=None,
                         help="override the policy's check quorum C")
     # -- cell role ---------------------------------------------------------
-    parser.add_argument("--managers", type=int, default=3,
+    parser.add_argument("--managers", type=positive(int), default=3,
                         help="[cell] number of managers (default 3)")
     parser.add_argument("--hosts", type=int, default=2,
                         help="[cell] number of application hosts (default 2)")
@@ -113,6 +113,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Argument types: a malformed value raises ArgumentTypeError, which
 # argparse reports against the flag with exit status 2.
+def positive(convert: Callable[[str], float]) -> Callable[[str], float]:
+    """Argument type: ``convert(text)``, refused unless above zero."""
+
+    def parse(text: str) -> float:
+        value = convert(text)  # argparse reports a ValueError as "invalid int value"
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
 def _is_port(text: str) -> bool:
     return text.isascii() and text.isdigit() and int(text) < 65536
 
@@ -239,10 +252,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     manager_set = tuple(filter(None, args.manager_set.split(",")))
-    if args.role == "cell":
-        if args.managers < 1:
-            parser.error("argument --managers: need at least one manager")
-    else:
+    if args.role != "cell":
         if not args.address:
             parser.error("--address is required for --role manager|host")
         if not manager_set:

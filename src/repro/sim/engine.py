@@ -34,6 +34,20 @@ Concepts
 ``Interrupt``
     Exception thrown into a process by ``Process.interrupt``.
 
+Dead timers
+-----------
+Nearly every timer loses its race: the reply beats the request timeout.
+A losing Timeout that nobody observes any more is marked *dead* by
+``Timeout.cancel`` — called by protocol code, by ``Process.interrupt``
+and by a triggered condition's loser-detach — and is never
+processed.  Dead entries are dropped from the queue two ways: popped and
+skipped when their time comes, or all at once when they outnumber the
+live entries (and number at least ``_COMPACT_FLOOR``): the queue is
+rewritten to its live entries and re-heapified.  So the queue holds
+O(live entries), not O(request rate x timeout), at an amortised O(1)
+per death.  Neither path changes the ``(time, eid)`` order of live
+entries, so the schedule is the same with or without them.
+
 Example
 -------
 >>> env = Environment()
@@ -50,7 +64,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Mapping
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -66,6 +80,11 @@ __all__ = [
     "SimulationError",
     "StopSimulation",
 ]
+
+#: Fewest dead entries worth a compaction; below it, dead entries are
+#: left to be popped and skipped, so small queues never compact.
+_COMPACT_FLOOR = 64
+
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation API."""
@@ -228,10 +247,10 @@ class Timeout(Event):
     """An event that fires ``delay`` simulated time units after creation.
 
     A Timeout that lost a race (``any_of([reply, timer])``) can be
-    *cancelled*: the heap entry stays queued, but it is marked dead and
-    the run loop pops it without processing.  Cancellation never changes
-    observable behaviour — a cancelled Timeout has no waiter and no
-    callbacks by construction, so processing it would have been a no-op.
+    *cancelled*: its queue entry is marked dead and is discarded instead
+    of processed.  Cancellation never changes observable behaviour — a
+    cancelled Timeout has no waiter and no callbacks by construction, so
+    processing it would have been a no-op.
     """
 
     __slots__ = ("delay", "_cancelled")
@@ -255,29 +274,36 @@ class Timeout(Event):
         env._schedule(self, delay)
 
     def cancel(self) -> bool:
-        """Mark this Timeout dead so the run loop skips its heap entry.
+        """Mark this Timeout dead so its queue entry is never processed.
 
         Legal only while *nothing* observes the timer: a Timeout with a
         parked waiter or registered callbacks must still fire, and a
         processed one already has.  Returns True when the entry is (now
-        or already) elided, False when it cannot be; an elided timer
-        releases its value.  A no-op returning False when the
-        environment's ``_elide`` is false, so one attribute disables
-        the whole elision machinery.
+        or already) elided, False when it cannot be.  A no-op returning
+        False when the environment's ``_elide`` is false, so one
+        attribute disables the whole elision machinery.
+
+        The engine's one death path: ``Process.interrupt`` and
+        ``Condition._detach_losers`` call it too, so each entry dies and
+        is counted once, and any death may trigger a compaction.
         """
         if self._cancelled:
             return True
+        env = self.env
         if (
-            not self.env._elide
+            not env._elide
             or self._processed
             or self._waiter is not None
             or self._callbacks
         ):
             return False
         self._cancelled = True
-        # The entry may sit in the queue long after it died; nothing can
-        # read a dead timer's value, so do not keep it alive that long.
+        # Nothing can read a dead timer's value; do not keep it alive.
         self._value = None
+        env._deaths += 1
+        dead = env._deaths - env.dead_pops  # dead entries still queued
+        if dead >= _COMPACT_FLOOR and dead + dead > len(env._queue):
+            env._compact()
         return True
 
 
@@ -356,15 +382,9 @@ class Process(Event):
                     target._waiter = None
                 else:
                     target.remove_callback(self._resume)
-                # A Timeout nobody else observes is dead weight on the
-                # heap now — mark it so the run loop skips it.
-                if (
-                    type(target) is Timeout
-                    and target._waiter is None
-                    and not target._callbacks
-                    and self.env._elide
-                ):
-                    target._cancelled = True
+                # A Timeout nobody else observes is dead weight now.
+                if type(target) is Timeout:
+                    target.cancel()
             self._target = None
         interrupt_event.add_callback(self._resume)
         self.env._schedule(interrupt_event, 0.0)
@@ -491,10 +511,10 @@ class Condition(Event):
         processed (``_process`` marks itself before running callbacks),
         so only losers are touched: their ``_check`` registration is
         removed, and a losing *fresh* Timeout — no waiter, no remaining
-        callbacks — is additionally cancelled so the run loop pops it
-        dead instead of processing it.  Pure elision: ``_check`` on a
-        triggered condition was a no-op anyway, and a fresh Timeout's
-        processing had nobody to notify.
+        callbacks — additionally dies, so it is discarded instead of
+        processed.  Pure elision: ``_check`` on a triggered condition was
+        a no-op anyway, and a fresh Timeout's processing had nobody to
+        notify.
         """
         for event in self._events:
             if event._processed:
@@ -505,12 +525,8 @@ class Condition(Event):
                     callbacks.remove(self._check)
                 except ValueError:
                     pass
-            if (
-                type(event) is Timeout
-                and event._waiter is None
-                and not event._callbacks
-            ):
-                event._cancelled = True
+            if type(event) is Timeout:
+                event.cancel()
 
     def _results(self) -> ConditionValue:
         """Lazy mapping of each already-processed sub-event to its value.
@@ -556,14 +572,18 @@ class Environment:
 
     Dead-timer elision is always on: Timeouts that lost an ``any_of``
     race (or were explicitly ``cancel()``-ed while unobserved) are
-    popped from the queue without being processed.  Elision is
-    behaviour-preserving — a dead timer has no waiter and no callbacks,
-    so processing it was a no-op — and time still advances over dead
-    pops exactly as it did when they were processed.  ``dead_pops``
-    counts them (``repro bench``'s ``timer_elision`` cell asserts the
-    machinery is engaged).  The instance attribute ``_elide`` gates the
-    mechanism; the equivalence property tests set it false on a
-    test-local subclass to get their non-eliding reference.
+    discarded without being processed.  Elision is behaviour-preserving
+    — a dead timer has no waiter and no callbacks, so processing it was
+    a no-op.  A dead entry is either popped and skipped when its time
+    comes, or dropped early by a compaction once dead entries outnumber
+    live ones; either way ``dead_pops`` counts it (``repro bench``'s
+    ``timer_elision`` cell asserts the machinery is engaged and the
+    queue bounded).  A drained ``run()`` still ends at the time of the
+    latest entry, dropped or not; only :meth:`peek` sees the difference,
+    as it no longer reports dropped dead times.  The instance attribute
+    ``_elide`` gates the mechanism; the equivalence property tests set
+    it false on a test-local subclass to get their non-eliding
+    reference.
 
     The pending-event queue is one ``heapq`` list of ``(time, eid,
     event)`` entries; ``eid`` increases with every insertion, so the
@@ -573,13 +593,18 @@ class Environment:
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         #: The pending entries, a ``heapq`` list.  Read by tests and
-        #: introspection; only ``_schedule``/``step``/``run`` mutate it.
+        #: introspection; only ``_schedule``/``_compact``/``step``/``run``
+        #: mutate it.
         self._queue: list[tuple[float, int, Any]] = []
         self._eid = itertools.count()
         self._active = False
         self._elide = True
-        #: Number of dead (cancelled) entries popped unprocessed so far.
+        #: Number of dead (cancelled) entries discarded unprocessed so far.
         self.dead_pops = 0
+        #: Entries ever marked dead; minus ``dead_pops``, the dead still queued.
+        self._deaths = 0
+        #: Latest entry time a compaction saw: where a drained run() ends.
+        self._drain_time = self._now
 
     @property
     def now(self) -> float:
@@ -619,8 +644,28 @@ class Environment:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         heappush(self._queue, (self._now + delay, next(self._eid), event))
 
+    def _compact(self) -> None:
+        """Drop every dead entry from the queue and re-heapify the rest.
+
+        Rewritten in place: :meth:`run` holds an alias to the list.  The
+        live entries keep their ``(time, eid)`` keys, so their order is
+        unchanged.  Every entry here would have been popped by a drained
+        ``run()`` (the live ones still will be), so the latest of their
+        times is where such a run must leave the clock.
+        """
+        queue = self._queue
+        self._drain_time = max(self._drain_time, max(queue)[0])
+        live = [entry for entry in queue if not entry[2]._cancelled]
+        self.dead_pops += len(queue) - len(live)
+        queue[:] = live
+        heapify(queue)
+
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
+        """Time of the next queued entry, or ``inf`` if none.
+
+        Dead entries a compaction dropped are not reported, so this may
+        be later than the next time the queue would have popped.
+        """
         queue = self._queue
         return queue[0][0] if queue else float("inf")
 
@@ -668,6 +713,9 @@ class Environment:
                         self.dead_pops += 1
                         continue
                     event._process()
+                # Popping the entries compaction dropped would have left
+                # the clock here.
+                self._now = max(self._now, self._drain_time)
             else:
                 while queue and queue[0][0] <= until:
                     when, _eid, event = pop(queue)

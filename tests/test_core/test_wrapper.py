@@ -12,7 +12,7 @@ from repro.core.policy import AccessPolicy
 from repro.core.system import AccessControlSystem
 from repro.core.wrapper import Application
 from repro.core.client import UserClient
-from repro.sim.engine import Timeout
+from repro.sim.engine import _COMPACT_FLOOR, Timeout
 from repro.sim.network import FixedLatency
 
 APP = "echo"
@@ -31,7 +31,7 @@ class EchoApp(Application):
         return f"echo:{payload}"
 
 
-def build(authenticated: bool = False, seed: int = 0):
+def build(authenticated: bool = False, seed: int = 0, latency: float = 0.05):
     system = AccessControlSystem(
         n_managers=3,
         n_hosts=1,
@@ -39,7 +39,7 @@ def build(authenticated: bool = False, seed: int = 0):
         policy=AccessPolicy(
             check_quorum=2, expiry_bound=60.0, max_attempts=2, query_timeout=1.0
         ),
-        latency=FixedLatency(0.05),
+        latency=FixedLatency(latency),
         seed=seed,
     )
     host = system.hosts[0]
@@ -262,8 +262,8 @@ class TestClientWait:
     """The one-event wait: the process yields the reply event alone and
     the request timer's callback fails it on expiry."""
 
-    def _client(self, timeout=5.0):
-        system, host, app, _ = build()
+    def _client(self, timeout=5.0, latency=0.05):
+        system, host, app, _ = build(latency=latency)
         system.seed_grant(APP, "alice")
         client = UserClient("c0", "alice", request_timeout=timeout)
         system.network.register(client)
@@ -313,6 +313,26 @@ class TestClientWait:
         assert env.dead_pops == dead  # still queued, not yet reached
         system.run(until=51.0)
         assert env.dead_pops == dead + 1  # popped dead: nothing ran for it
+
+    def test_answered_invokes_leave_the_queue_bounded(self):
+        # Every reply beats its 30 s timer, so each invoke leaves one dead
+        # timer 30 s ahead of the clock; at zero latency all 10 000 land
+        # at t=0.  Compaction keeps the queue at its live entries.
+        system, host, _app, client = self._client(timeout=30.0, latency=0.0)
+        env = system.env
+        peak = 0
+
+        def invoker():
+            nonlocal peak
+            for i in range(10_000):
+                result = yield from client.invoke(host.address, APP, i)
+                assert result.allowed and not result.timed_out
+                peak = max(peak, len(env._queue))
+
+        env.process(invoker())
+        system.run(until=1.0)
+        assert peak < 2 * _COMPACT_FLOOR
+        assert env.dead_pops >= 10_000 - 2 * _COMPACT_FLOOR
 
     def test_overlapping_invokes_resolve_independently(self):
         system, host, app, client = self._client()

@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro.net import serve
+from repro.net import load, serve
 from repro.net.cell import LiveCell
 from repro.net.load import _load_directory, _print_report, run_load
 
@@ -98,6 +98,24 @@ def test_serve_rejects_malformed_arguments_naming_the_flag(argv, flag, capsys):
         serve.main(argv + ["--run-for", "0"])
     assert excinfo.value.code == 2
     assert f"argument {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "main,argv,flag",
+    [
+        (load.main, ["--time-scale", "0"], "--time-scale"),
+        (load.main, ["--clients", "0"], "--clients"),
+        (load.main, ["--duration", "0"], "--duration"),
+        (serve.main, ["--role", "cell", "--time-scale", "0", "--run-for", "0"], "--time-scale"),
+    ],
+    ids=["load-time-scale", "load-clients", "load-duration", "serve-time-scale"],
+)
+def test_nonpositive_arguments_exit_2_naming_the_flag(main, argv, flag, tmp_path, capsys):
+    # Refused while parsing: the port file is never read, no socket opened.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--port-file", str(tmp_path / "cell.json")] + argv)
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: '0' is not positive" in capsys.readouterr().err
 
 
 def test_port_file_round_trip(tmp_path):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.sim.engine import (
+    _COMPACT_FLOOR,
     AllOf,
     AnyOf,
     Environment,
@@ -606,6 +607,61 @@ class TestTimerElision:
         assert process.value == "interrupted"
         assert env.dead_pops == 1
         assert env.now == 100.0
+
+    def test_detached_loser_cancelled_again_counts_once(self, env):
+        # The ``messaging.request`` shape: the condition's loser-detach
+        # kills the timer, then the caller cancels it again.
+        def requester():
+            reply = env.timeout(0.5, value="reply")
+            timer = env.timeout(10.0, value="payload")
+            yield env.any_of([reply, timer])
+            assert timer._cancelled and timer._value is None  # released
+            assert timer.cancel() is True
+            assert env._deaths == 1
+
+        env.process(requester())
+        env.run()
+        assert env.dead_pops == env._deaths == 1
+
+    def test_interrupted_sleep_cancelled_again_counts_once(self, env):
+        def sleeper():
+            try:
+                yield env.timeout(100.0)
+            except Interrupt:
+                pass
+
+        process = env.process(sleeper())
+        env.run(until=1.0)
+        timer = process._target
+        process.interrupt()
+        assert timer.cancel() is True
+        env.run()
+        assert env.dead_pops == env._deaths == 1
+
+    def test_compaction_drops_dead_entries_once_they_outnumber_live(self, env):
+        live = env.timeout(1.0)
+        timers = [env.timeout(50.0) for _ in range(_COMPACT_FLOOR)]
+        for timer in timers[:-1]:
+            timer.cancel()
+        assert len(env._queue) == _COMPACT_FLOOR + 1  # below the floor
+        assert env.dead_pops == 0
+        timers[-1].cancel()
+        assert env._queue == [(1.0, env._queue[0][1], live)]
+        assert env.dead_pops == _COMPACT_FLOOR  # counted as discarded
+        assert env.peek() == 1.0
+        env.run()
+        assert live.processed
+        assert env.now == 50.0  # where popping the dropped entries ends
+        assert env.dead_pops == env._deaths == _COMPACT_FLOOR
+
+    def test_no_compaction_while_live_entries_dominate(self, env):
+        live = [env.timeout(1.0) for _ in range(2 * _COMPACT_FLOOR)]
+        for _ in range(_COMPACT_FLOOR):
+            env.timeout(2.0).cancel()
+        assert len(env._queue) == 3 * _COMPACT_FLOOR
+        env.run()
+        assert all(timer.processed for timer in live)
+        assert env.dead_pops == _COMPACT_FLOOR and env.now == 2.0
 
     def test_heap_entries_are_time_eid_event_triples(self, env):
         env.timeout(1.0)
