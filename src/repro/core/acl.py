@@ -11,19 +11,23 @@ tombstones so that merges between managers converge regardless of
 message ordering (the merge is commutative, associative, and
 idempotent).
 
-Storage is columnar: entries live in parallel flat arrays (granted
-flags, version counters, origin ids) indexed by a dict-of-int slot map
-keyed on packed ``uid*2 + right`` ints.  User and origin names are
-interned (:mod:`repro.core.ids`), so the per-entry cost is a few
-machine words instead of an ``AclEntry`` object — what makes
-million-principal ACLs fit in memory.  ``AclEntry`` objects are
-materialised only at the API boundary (``entry``/``snapshot``).
+Storage is columnar: parallel flat arrays (packed keys, granted flags,
+version counters, origin ids) in first-apply order.  Interned ids
+(:mod:`repro.core.ids`) are dense, so the index from a packed
+``uid*2 + right`` key to its slot is a flat array too: ``_index[key]``
+is ``slot + 1``, 0 for never set.  An entry costs 25 bytes of columns,
+and the index 8 bytes per interned user whatever this ACL holds; a dict
+index cost ~100 bytes per entry, so the flat one is smaller once about
+a tenth of the interned users have an entry here (many small ACLs on one
+huge shared interner fall below that).
+``AclEntry`` objects are materialised only at the API boundary
+(``entry``/``snapshot``).
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from .ids import RIGHT_INDEX, RIGHTS, Interner, pack_key
 from .rights import AclEntry, Right, Version, ZERO_VERSION
@@ -48,20 +52,22 @@ class AccessControlList:
         self.application = application
         self._ids = interner if interner is not None else Interner()
         self._origins = origins if origins is not None else Interner()
-        # packed (uid, right) key -> slot index into the columns below.
-        self._slot: Dict[int, int] = {}
+        # packed key -> slot + 1; 0 or past the end: never set.
+        self._index = array("i")
         self._keys = array("q")  # packed key per slot (insertion order)
         self._granted = bytearray()  # 0/1 per slot
         self._counter = array("q")  # version counter per slot
         self._origin = array("q")  # interned version origin per slot
 
     # -- key helpers ---------------------------------------------------------
-    def _probe_key(self, user: str, right: Right) -> Optional[int]:
-        """Packed key if ``user`` is known; None never grows the interner."""
+    def _find(self, user: str, right: Right) -> int:
+        """Slot of ``(user, right)``, or -1; never grows the interner."""
         uid = self._ids.get(user)
         if uid is None:
-            return None
-        return pack_key(uid, RIGHT_INDEX[right])
+            return -1
+        key = pack_key(uid, RIGHT_INDEX[right])
+        index = self._index
+        return index[key] - 1 if key < len(index) else -1
 
     def _slot_entry(self, slot: int) -> AclEntry:
         """Materialise the AclEntry stored at ``slot`` (API boundary)."""
@@ -78,23 +84,30 @@ class AccessControlList:
     # -- queries ---------------------------------------------------------------
     def check(self, user: str, right: Right) -> bool:
         """Does ``user`` currently hold ``right``?"""
-        key = self._probe_key(user, right)
-        if key is None:
+        # The lookup is inlined here and in ``entry``/``apply``: they run
+        # once per query or update.  ``uid * 2 + right`` is ``pack_key``.
+        uid = self._ids.get(user)
+        if uid is None:
             return False
-        slot = self._slot.get(key)
-        return slot is not None and bool(self._granted[slot])
+        key = uid * 2 + RIGHT_INDEX[right]
+        index = self._index
+        slot = index[key] if key < len(index) else 0
+        return slot != 0 and self._granted[slot - 1] == 1
 
     def entry(self, user: str, right: Right) -> Optional[AclEntry]:
         """The stored entry (grant or tombstone), or None if never set."""
-        key = self._probe_key(user, right)
-        slot = self._slot.get(key) if key is not None else None
-        return self._slot_entry(slot) if slot is not None else None
+        uid = self._ids.get(user)
+        if uid is None:
+            return None
+        key = uid * 2 + RIGHT_INDEX[right]
+        index = self._index
+        slot = index[key] if key < len(index) else 0
+        return self._slot_entry(slot - 1) if slot != 0 else None
 
     def version_of(self, user: str, right: Right) -> Version:
         """Version of the stored entry; ZERO_VERSION if never set."""
-        key = self._probe_key(user, right)
-        slot = self._slot.get(key) if key is not None else None
-        if slot is None:
+        slot = self._find(user, right)
+        if slot < 0:
             return ZERO_VERSION
         return Version(
             self._counter[slot], self._origins.name_of(self._origin[slot])
@@ -111,11 +124,10 @@ class AccessControlList:
 
     def __len__(self) -> int:
         """Number of stored entries, tombstones included."""
-        return len(self._slot)
+        return len(self._keys)
 
     def __contains__(self, key: Tuple[str, Right]) -> bool:
-        packed = self._probe_key(key[0], key[1])
-        return packed is not None and packed in self._slot
+        return self._find(key[0], key[1]) >= 0
 
     # -- mutation ---------------------------------------------------------------
     def apply(self, entry: AclEntry) -> bool:
@@ -123,11 +135,15 @@ class AccessControlList:
 
         Equal versions are idempotent re-deliveries and are ignored.
         """
-        key = pack_key(self._ids.intern(entry.user), RIGHT_INDEX[entry.right])
+        key = self._ids.intern(entry.user) * 2 + RIGHT_INDEX[entry.right]
         version = entry.version
-        slot = self._slot.get(key)
-        if slot is None:
-            self._slot[key] = len(self._keys)
+        index = self._index
+        if key >= len(index):
+            # Geometric growth (x1.125, like ``list``): amortised O(1).
+            index.frombytes(bytes((key + 1 + (key >> 3) - len(index)) * index.itemsize))
+        slot = index[key] - 1
+        if slot < 0:
+            index[key] = len(self._keys) + 1
             self._keys.append(key)
             self._granted.append(1 if entry.granted else 0)
             self._counter.append(version.counter)
@@ -151,13 +167,17 @@ class AccessControlList:
         return sum(1 for entry in entries if self.apply(entry))
 
     # -- synchronisation -----------------------------------------------------------
+    def __iter__(self) -> Iterator[AclEntry]:
+        """Every entry (tombstones included), materialised one at a time."""
+        return map(self._slot_entry, range(len(self._keys)))
+
     def snapshot(self) -> List[AclEntry]:
         """All entries (tombstones included), for recovery resync.
 
         First-apply insertion order, matching the historical dict-backed
         behaviour (golden traces depend on resync message contents).
         """
-        return [self._slot_entry(slot) for slot in range(len(self._keys))]
+        return list(self)
 
     def highest_version(self) -> Version:
         """The largest version present (ZERO_VERSION when empty)."""
@@ -172,18 +192,18 @@ class AccessControlList:
         return Version(best_counter, best_origin)
 
     def nbytes(self) -> int:
-        """Approximate bytes held by the columnar storage (diagnostics)."""
+        """Bytes held by the columns and the index (diagnostics)."""
         return (
             len(self._keys) * self._keys.itemsize
             + len(self._granted)
             + len(self._counter) * self._counter.itemsize
             + len(self._origin) * self._origin.itemsize
-            + len(self._slot) * 16  # rough dict-of-int footprint
+            + len(self._index) * self._index.itemsize
         )
 
     def __repr__(self) -> str:
         grants = sum(self._granted)
         return (
             f"<ACL {self.application!r} grants={grants} "
-            f"tombstones={len(self._slot) - grants}>"
+            f"tombstones={len(self._keys) - grants}>"
         )

@@ -47,7 +47,7 @@ from .messages import (
     UpdateMsg,
 )
 from .policy import AccessPolicy
-from .rights import AclEntry, Right
+from .rights import AclEntry, Right, well_formed
 
 __all__ = ["AccessControlManager", "UpdateHandle"]
 
@@ -86,6 +86,9 @@ class AccessControlManager(Node):
         #: for tagging its answers (:mod:`repro.protocols.query`).
         self._host_keys: Dict[Address, Tuple[int, bytes]] = {}
         self.rejected_key_offers = 0
+        #: ACL entries dropped at ingress (peer update, resync snapshot,
+        #: stable store) for failing :func:`~repro.core.rights.well_formed`.
+        self.rejected_entries = 0
         #: Explicit stable storage.  When provided, in-memory ACL state
         #: is lost on crash and reloaded from here on recovery; when
         #: None, memory itself is treated as stable (the paper's
@@ -259,10 +262,19 @@ class AccessControlManager(Node):
             )
 
     def _handle_update(self, src: Address, update: AclUpdate) -> None:
+        entry = update.entry() if type(update) is AclUpdate else None
+        if not (
+            well_formed(entry)
+            and type(update.update_id) is str
+            and type(update.application) is str
+            and type(update.origin) is str
+        ):
+            self.rejected_entries += 1
+            return
         if update.application not in self.acls:
             return
         self._counter = max(self._counter, update.version.counter)
-        applied = self._apply_entry(update.application, update.entry())
+        applied = self._apply_entry(update.application, entry)
         # Ack regardless of novelty: re-deliveries must also be acked.
         self.send(src, UpdateAck(update_id=update.update_id, acker=self.address))
         if applied and not update.grant:

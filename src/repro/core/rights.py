@@ -23,7 +23,7 @@ import enum
 from dataclasses import dataclass
 from functools import total_ordering
 
-__all__ = ["Right", "Version", "AclEntry", "ZERO_VERSION", "hlc_counter"]
+__all__ = ["Right", "Version", "AclEntry", "ZERO_VERSION", "hlc_counter", "well_formed"]
 
 
 class Right(enum.Enum):
@@ -100,3 +100,25 @@ class AclEntry:
     def dominates(self, other: "AclEntry") -> bool:
         """True if this entry should replace ``other`` on merge."""
         return self.version > other.version
+
+
+def well_formed(entry: object) -> bool:
+    """Can an ACL store ``entry``?
+
+    The shape check for entries from peers and the stable store: an
+    :class:`AclEntry` with strings where strings belong, a :class:`Right`,
+    a ``bool`` and an ``int`` counter in ``[0, 2**63)``.  Anything else
+    would fail part-way through ``apply``.  It says nothing about whether
+    an in-range counter is honest.
+    """
+    if type(entry) is not AclEntry or type(entry.version) is not Version:
+        return False
+    counter = entry.version.counter
+    return (
+        type(entry.user) is str
+        and type(entry.right) is Right
+        and type(entry.granted) is bool
+        and type(counter) is int
+        and 0 <= counter < 2**63  # a signed 64-bit ACL column
+        and type(entry.version.origin) is str
+    )

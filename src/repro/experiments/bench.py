@@ -205,6 +205,12 @@ def bench_cell_freeze(repeats: int) -> Dict[str, Any]:
     return _bench_cell(3, repeats)
 
 
+#: ``cell_sharded``'s bound on ``acl_bytes_per_entry``: 25 bytes of
+#: columns plus the index's share at 60 % occupancy (8 x 1.125 / 0.6 = 15),
+#: with 10 % slack.
+_ACL_BYTES_PER_ENTRY = 44
+
+
 def bench_cell_sharded(repeats: int) -> Dict[str, Any]:
     """The sharded mega-population cell at bench scale.
 
@@ -214,7 +220,8 @@ def bench_cell_sharded(repeats: int) -> Dict[str, Any]:
     bootstrap path.  Times the per-run wall-clock of everything the
     10^5-10^6 configurations exercise (arithmetic name ranges, the O(1)
     harmonic sampler, shard routing, streamed seeding) at a size small
-    enough to repeat.
+    enough to repeat.  The in-cell gate is ACL memory per seeded entry,
+    columns plus index (``_ACL_BYTES_PER_ENTRY``).
     """
     from ..workloads.mega import run_mega_cell
 
@@ -233,6 +240,9 @@ def bench_cell_sharded(repeats: int) -> Dict[str, Any]:
             seed=index,
         )
         assert document["violations"] == 0, document
+        assert document["acl_bytes_per_entry"] <= _ACL_BYTES_PER_ENTRY, (
+            f"ACL memory grew: {document['acl_bytes_per_entry']} bytes/entry"
+        )
         attempts += document["attempts"]
     elapsed = time.perf_counter() - started
     return {
@@ -242,6 +252,7 @@ def bench_cell_sharded(repeats: int) -> Dict[str, Any]:
             "principals": 20_000,
             "shards": 3,
             "attempts": attempts,
+            "acl_bytes_per_entry": document["acl_bytes_per_entry"],
         },
     }
 
@@ -615,7 +626,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     for name, entry in document["benchmarks"].items():
         meta = entry["meta"]
         extras = "".join(
-            f", {key}={meta[key]}" for key in ("dead_pops", "max_queue") if key in meta
+            f", {key}={meta[key]}"
+            for key in ("dead_pops", "max_queue", "acl_bytes_per_entry")
+            if key in meta
         )
         print(
             f"{name}: best {format_seconds(entry['best'])}/op "

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import List
 
 from ..core.messages import SyncRequest, SyncResponse
+from ..core.rights import well_formed
 from ..sim.node import Address
 from ..sim.trace import TraceKind
 
@@ -20,13 +21,20 @@ __all__ = ["RecoverySync"]
 
 class RecoverySync:
     """The resync protocol; ``recovering`` / ``_synced_peers`` state
-    stays on the manager."""
+    stays on the manager.
+
+    Entries from the store and from peers' snapshots pass
+    :func:`~repro.core.rights.well_formed` first; a bad one is dropped and
+    counted in ``manager.rejected_entries``."""
 
     def reload_from_store(self, manager) -> None:
         """Rebuild in-memory ACLs from the explicit stable store."""
         assert manager.store is not None
         for key in manager.store.keys("acl:"):
             entry = manager.store.read(key)
+            if not well_formed(entry):
+                manager.rejected_entries += 1
+                continue
             application = key.split(":", 2)[1]
             if application in manager.acls:
                 manager.acls[application].apply(entry)
@@ -64,8 +72,11 @@ class RecoverySync:
 
     def handle_sync_response(self, manager, message: SyncResponse) -> None:
         for application, entries in message.snapshots:
-            if application in manager.acls:
+            if type(application) is str and application in manager.acls:
                 for entry in entries:
+                    if not well_formed(entry):
+                        manager.rejected_entries += 1
+                        continue
                     manager._apply_entry(application, entry)
                     manager._counter = max(
                         manager._counter, entry.version.counter

@@ -524,21 +524,16 @@ class ConvergenceInvariant(Invariant):
             if len(live) < 2:
                 continue
             reference = live[0]
-            ref_state = {
-                (e.user, e.right): (e.granted, e.version)
-                for e in reference.acl(application).snapshot()
-            }
+            ref_acl = reference.acl(application)
             for manager in live[1:]:
-                state = {
-                    (e.user, e.right): (e.granted, e.version)
-                    for e in manager.acl(application).snapshot()
-                }
-                if state != ref_state:
-                    differing = sorted(
-                        str(key)
-                        for key in set(state) | set(ref_state)
-                        if state.get(key) != ref_state.get(key)
-                    )
+                # Entry by entry, never a whole ACL's objects at once: a
+                # 10^6-principal ACL would hold hundreds of MB of them.
+                acl = manager.acl(application)
+                differing = sorted(
+                    {str((e.user, e.right)) for e in ref_acl if acl.entry(e.user, e.right) != e}
+                    | {str((e.user, e.right)) for e in acl if (e.user, e.right) not in ref_acl}
+                )
+                if differing:
                     self.report(
                         None,
                         f"manager ACLs for {application!r} did not converge: "
@@ -548,11 +543,6 @@ class ConvergenceInvariant(Invariant):
                         managers=[reference.address, manager.address],
                         keys=differing[:20],
                     )
-            granted = {
-                (e.user, e.right)
-                for e in reference.acl(application).snapshot()
-                if e.granted
-            }
             for host in system.hosts:
                 if not host.up:
                     continue
@@ -563,7 +553,7 @@ class ConvergenceInvariant(Invariant):
                 for entry in cache.entries():
                     if entry.limit <= now_local:
                         continue  # expired, just not swept yet
-                    if (entry.user, entry.right) not in granted:
+                    if not ref_acl.check(entry.user, entry.right):
                         self.report(
                             None,
                             f"after drain, host {host.address!r} still caches "

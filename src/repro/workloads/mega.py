@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from typing import Any, Dict, List, Optional
@@ -153,7 +154,10 @@ def run_mega_cell(
     """Build, seed and drive the sharded mega-population system.
 
     Returns a flat result document (counts, per-shard load, memory and
-    wall-clock diagnostics) suitable for JSON dumping.
+    wall-clock diagnostics) suitable for JSON dumping.  ``acl_bytes`` is
+    what the ACLs' columns and indexes hold (``nbytes``); ``peak_rss_mb``
+    is the process's peak resident set, so it covers earlier work in the
+    same process too.
     """
     if n_principals < 1:
         raise ValueError("need at least one principal")
@@ -269,6 +273,10 @@ def run_mega_cell(
     }
     if system.checker is not None:
         document["invariant_violations"] = len(system.checker.finalize())
+    # ru_maxrss is in KiB on Linux.
+    document["peak_rss_mb"] = round(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
+    )
     return document
 
 
@@ -322,7 +330,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for key in (
         "n_principals", "shards", "granted", "attempts", "allowed", "denied",
         "violations", "acl_bytes", "acl_bytes_per_entry", "interned_extras",
-        "seed_seconds", "wall_seconds",
+        "seed_seconds", "wall_seconds", "peak_rss_mb",
     ):
         print(f"{key}: {document[key]}")
     print(f"attempts_by_shard: {document['attempts_by_shard']}")

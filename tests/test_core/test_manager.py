@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.host import AccessControlHost, DecisionReason
 from repro.core.manager import AccessControlManager
+from repro.core.messages import AclUpdate, SyncResponse, UpdateMsg
 from repro.core.policy import AccessPolicy, ExhaustedAction, QueryStrategy
 from repro.core.rights import AclEntry, Right, Version
 from repro.sim.clock import LocalClock
 from repro.sim.engine import Environment
 from repro.sim.network import FixedLatency, Network
 from repro.sim.partitions import ScriptedConnectivity
+from repro.sim.storage import StableStore
 from repro.sim.trace import TraceKind, Tracer
 
 APP = "app"
@@ -386,3 +390,103 @@ class TestCrashRecovery:
         harness.run(10.0)
         assert not harness.managers[0].recovering
         assert not harness.managers[1].recovering
+
+
+_UPDATE = AclUpdate(
+    update_id="x9:1", application=APP, user="mallory", right=Right.USE,
+    grant=True, version=Version(5, "m1"), origin="m1",
+)
+
+
+def _bad(**fields):
+    return dataclasses.replace(_UPDATE, **fields)
+
+
+class TestIngressShapeCheck:
+    """A peer's update, a resync snapshot or a stable-store record that an
+    ACL cannot store is dropped and counted, and the manager carries on.
+    Each shape here used to raise out of ``handle_message``."""
+
+    CRASHING = {
+        "counter-2**63": _bad(version=Version(2**63, "m1")),
+        "counter-str": _bad(version=Version("x", "m1")),
+        "counter-float": _bad(version=Version(1.5, "m1")),
+        "counter-none": _bad(version=Version(None, "m1")),
+        "application-list": _bad(application=["app"]),
+        "right-str": _bad(right="use"),
+        "version-none": _bad(version=None),
+    }
+    #: Stored without complaint before, but not an AclEntry's shape.
+    MISSHAPEN = {
+        "counter-negative": _bad(version=Version(-1, "m1")),
+        "counter-bool": _bad(version=Version(True, "m1")),
+        "grant-int": _bad(grant=1),
+        "user-int": _bad(user=5),
+        "origin-none": _bad(version=Version(5, None)),
+        "update-id-int": _bad(update_id=7),
+    }
+
+    def assert_still_serves(self, harness, manager):
+        """Local Add/Revoke and queries work after the drop."""
+        handle = manager.add(APP, "carol")
+        harness.run(5.0)
+        assert handle.quorum.triggered
+        assert manager.acl(APP).check("carol", Right.USE)
+        check = harness.hosts[0].request_access(APP, "carol")
+        harness.run(5.0)
+        assert check.value.allowed
+
+    @pytest.mark.parametrize("name", sorted(CRASHING) + sorted(MISSHAPEN))
+    def test_malformed_update_dropped_and_counted(self, name):
+        update = {**self.CRASHING, **self.MISSHAPEN}[name]
+        harness = ManagerHarness(policy())
+        manager = harness.managers[0]
+        counter = manager._counter
+        manager.handle_message("x9", UpdateMsg(update))
+        assert manager.rejected_entries == 1
+        assert manager._counter == counter
+        assert len(manager.acl(APP)) == 0
+        self.assert_still_serves(harness, manager)
+
+    def test_well_formed_update_still_applies(self):
+        harness = ManagerHarness(policy())
+        manager = harness.managers[0]
+        manager.handle_message("m1", UpdateMsg(_UPDATE))
+        assert manager.rejected_entries == 0
+        assert manager.acl(APP).check("mallory", Right.USE)
+        assert manager._counter == 5
+
+    def test_sync_response_drops_bad_entries_only(self):
+        harness = ManagerHarness(policy())
+        manager = harness.managers[0]
+        good = AclEntry("alice", Right.USE, True, Version(3, "m1"))
+        snapshot = (
+            good,
+            ("mallory", "use", True, 9),
+            AclEntry("mallory", Right.USE, True, Version(2**63, "m1")),
+            AclEntry("mallory", Right.USE, True, Version(1.5, "m1")),
+        )
+        manager.handle_message(
+            "m1",
+            SyncResponse("m1", ((APP, snapshot), (["app"], (good,)))),
+        )
+        assert manager.rejected_entries == 3
+        assert manager.acl(APP).snapshot() == [good]
+        assert manager._counter == 3
+        assert "m1" in manager._synced_peers
+        self.assert_still_serves(harness, manager)
+
+    def test_store_reload_drops_bad_entries(self):
+        harness = ManagerHarness(policy())
+        manager = harness.managers[0]
+        manager.store = StableStore("m0")
+        good = AclEntry("alice", Right.USE, True, Version(3, "m1"))
+        manager.store.write(f"acl:{APP}:alice:use", good)
+        manager.store.write(
+            f"acl:{APP}:mallory:use",
+            AclEntry("mallory", Right.USE, True, Version(2**63, "m1")),
+        )
+        manager.on_crash()
+        manager.recovery.reload_from_store(manager)
+        assert manager.rejected_entries == 1
+        assert manager.acl(APP).snapshot() == [good]

@@ -21,7 +21,7 @@ import pytest
 
 from repro.auth.identity import SignedMessage
 from repro.auth.signatures import Tag
-from repro.core.messages import Ping, QueryResponse, Verdict
+from repro.core.messages import AclUpdate, Ping, QueryResponse, UpdateMsg, Verdict
 from repro.core.policy import AccessPolicy
 from repro.core.rights import Right, Version
 from repro.net.cell import LiveCell
@@ -312,3 +312,34 @@ class TestForgedTaggedAnswerOverTheWire:
         assert rejected == 3 and reached == [] and pending
         assert late == 1
         assert bob_allowed and not mallory_allowed
+
+
+class TestMalformedPeerUpdateOverTheWire:
+    """A cell member forges a peer update whose counter no ACL column can
+    hold: the manager drops it, counts it and keeps answering queries."""
+
+    def test_out_of_range_counter_dropped_and_the_manager_keeps_answering(self):
+        async def scenario():
+            # C = M: every check needs m0's answer.
+            cell = LiveCell(n_managers=3, n_hosts=1, policy=AccessPolicy(check_quorum=3),
+                            secret=SECRET, time_scale=20.0)
+            cell.seed_grant("app", "alice")
+            async with cell:
+                manager = cell.managers[0]
+                forged = UpdateMsg(AclUpdate("x9:1", "app", "mallory", Right.USE, True,
+                                             Version(2**63, "x9"), "x9"))
+                _, writer = await asyncio.open_connection(*cell.directory["m0"])
+                writer.write(_bframe(_seal(SessionAuth(SECRET), forged, "x9", "m0")))
+                await writer.drain()
+                # A runtime whose pass raised re-raises here.
+                await asyncio.wait_for(cell.settle(1.0), 10.0)
+                writer.close()
+                decision = await asyncio.wait_for(cell.check(0, "app", "alice"), 10.0)
+                denied = await asyncio.wait_for(cell.check(0, "app", "mallory"), 10.0)
+                return (manager.rejected_entries, manager._counter, manager.stats["queries"],
+                        decision.allowed, denied.allowed)
+
+        rejected, counter, queries, alice_allowed, mallory_allowed = asyncio.run(scenario())
+        assert rejected == 1 and counter < 2**63
+        assert queries >= 2
+        assert alice_allowed and not mallory_allowed

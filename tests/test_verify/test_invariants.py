@@ -374,6 +374,20 @@ class TestConvergenceOracle:
         checker.finalize()
         assert any(v.invariant == "convergence" for v in checker.violations)
 
+    @pytest.mark.parametrize("holder", [0, 2])
+    def test_entry_on_one_replica_only_reported(self, holder):
+        """The reference (m0) or another replica holds a key the other lacks."""
+        system = make_system()
+        checker = system.attach_invariant_checker(raise_on_violation=False)
+        system.run(until=10.0)
+        system.managers[holder].acl(APP).apply(
+            AclEntry(user="carol", right=Right.USE, granted=True, version=Version(7, "m0"))
+        )
+        checker.finalize()
+        keys = [v.details["keys"] for v in checker.violations if v.invariant == "convergence"]
+        # Against the reference, m1 and m2 both lack it; else only m2 has it.
+        assert keys == [[str(("carol", Right.USE))]] * (2 if holder == 0 else 1)
+
     def test_stale_live_cache_entry_reported(self):
         system = make_system()
         checker = system.attach_invariant_checker(raise_on_violation=False)
