@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test test-slow lint fuzz bench-smoke bench-e2e bench-e2e-smoke net-smoke population-smoke mega profile experiments examples all clean
+.PHONY: install test test-slow lint loc fuzz bench-smoke bench-e2e bench-e2e-smoke net-smoke population-smoke mega profile experiments examples all clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -23,6 +23,10 @@ lint:
 	else \
 		python tools/lint_fallback.py $(LINT_PATHS) src/repro/auth tools; \
 	fi
+
+# The src/ line count that ROADMAP.md and CHANGES.md track.
+loc:
+	@find src -name '*.py' | xargs wc -l | tail -1
 
 fuzz:
 	PYTHONPATH=src python -m repro fuzz --cells 50 --seed 7 --jobs 4

@@ -30,8 +30,11 @@ from ..baselines.local_only import LocalOnlySystem
 from ..baselines.temporal_auth import TemporalAuthSystem
 from ..core.policy import AccessPolicy, ExhaustedAction
 from ..core.system import AccessControlSystem
-from ..metrics.collectors import MessageCountCollector, overhead_report
-from ..metrics.streaming import AvailabilityAccumulator, StalenessAccumulator
+from ..metrics.streaming import (
+    AvailabilityAccumulator,
+    OverheadAccumulator,
+    StalenessAccumulator,
+)
 from ..runtime import run_parallel
 from ..sim.partitions import PairEpochModel
 from ..workloads.generators import AccessWorkload, AuthorizationOracle, UpdateWorkload
@@ -102,28 +105,15 @@ def run_one(
     for user in authorized:
         system.seed_grant("app", user)
         oracle.grant("app", user)
-    collector = MessageCountCollector(system.tracer)
-    # Streaming collection: exact counters for PA, plus the staleness
-    # candidates that the (final) oracle classifies after the run —
-    # identical numbers to the old end-of-run list scans, without the
-    # O(observations) list.
+    overhead = OverheadAccumulator(system.tracer)
+    # Exact counters for PA, plus the staleness candidates that the
+    # (final) oracle classifies after the run.
     availability = AvailabilityAccumulator()
     staleness = StalenessAccumulator()
 
     def observe(observed):
-        availability.observe(
-            observed.authorized,
-            observed.decision.allowed,
-            observed.decision.latency,
-        )
-        staleness.observe(
-            observed.application,
-            observed.user,
-            observed.time,
-            observed.decision.latency,
-            observed.decision.allowed,
-            observed.authorized,
-        )
+        availability.observe(observed)
+        staleness.observe(observed)
 
     AccessWorkload(
         system, "app", population, oracle,
@@ -139,14 +129,13 @@ def run_one(
 
     report = availability.report()
     grace, violations = staleness.finalize(oracle)
-    overhead = overhead_report(collector, duration)
     return [
         name,
         report.availability,
         report.authorized_attempts,
         grace,
         violations,
-        overhead.control_rate,
+        overhead.report(duration).control_rate,
     ]
 
 

@@ -27,6 +27,7 @@ import sys
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..argtypes import positive
 from ..protocols.messaging import reply_deadline, reply_won
 from ..sim.engine import _COMPACT_FLOOR, Environment
 from ..sim.network import FixedLatency, Network
@@ -571,18 +572,6 @@ def run_suite(
     }
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: a malformed or non-positive value is reported
-    against its flag with exit status 2."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """The ``repro bench`` subcommand body (parsed by the caller)."""
     from .cli import _profiled
@@ -602,7 +591,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="smaller workloads for CI smoke runs",
     )
     parser.add_argument(
-        "--repeats", type=_positive_int, default=3, metavar="K",
+        "--repeats", type=positive(int), default=3, metavar="K",
         help="timing repeats per cell (default: 3)",
     )
     parser.add_argument(

@@ -22,12 +22,9 @@ hot-unauthorized-user pattern.
 
 from __future__ import annotations
 
-from typing import List
-
 from ..core.policy import AccessPolicy
 from ..core.system import AccessControlSystem
-from ..metrics.collectors import MessageCountCollector
-from ..metrics.estimators import summarize
+from ..metrics.streaming import OverheadAccumulator, StreamingSummary
 from ..sim.network import FixedLatency
 from .base import ExperimentResult
 
@@ -56,19 +53,20 @@ def measure_refresh_ahead(enabled: bool, seed: int = 0) -> dict:
     )
     system.seed_grant("app", "u")
     host = system.hosts[0]
-    collector = MessageCountCollector(system.tracer)
-    latencies: List[float] = []
+    collector = OverheadAccumulator(system.tracer)
+    # ~400 accesses fit the default reservoir: the percentiles are exact.
+    latencies = StreamingSummary()
     duration = 40 * te
 
     def driver():
         while system.env.now < duration:
             decision = yield host.request_access("app", "u")
-            latencies.append(decision.latency)
+            latencies.add(decision.latency)
             yield system.env.timeout(2.0)
 
     system.env.process(driver(), name="driver")
     system.run(until=duration + 10.0)
-    stats = summarize(latencies)
+    stats = latencies.summary()
     control = sum(
         count for kind, count in collector.by_kind.items()
         if kind in ("QueryRequest", "QueryResponse")
@@ -101,7 +99,7 @@ def measure_deny_cache(enabled: bool, seed: int = 0) -> dict:
         seed=seed,
     )
     host = system.hosts[0]
-    collector = MessageCountCollector(system.tracer)
+    collector = OverheadAccumulator(system.tracer)
     denials = 0
     duration = 600.0
 

@@ -20,8 +20,7 @@ from typing import List, Optional
 
 from ..core.policy import AccessPolicy
 from ..core.system import AccessControlSystem
-from ..metrics.collectors import MessageCountCollector
-from ..metrics.streaming import StreamingSummary
+from ..metrics.streaming import OverheadAccumulator, StreamingSummary
 from ..runtime import run_parallel
 from ..sim.network import FixedLatency
 from ..workloads.generators import AuthorizationOracle, FlashCrowdWorkload
@@ -53,7 +52,7 @@ def measure_crowd(te: float, label: str, seed: int = 0) -> List:
     for user in population:
         system.seed_grant("app", user)
         oracle.grant("app", user)
-    collector = MessageCountCollector(system.tracer)
+    collector = OverheadAccumulator(system.tracer)
     # Streaming collection: the 320-access crowd fits the reservoir, so
     # the percentiles are exact; no per-decision list is kept.
     latency = StreamingSummary(seed=seed, capacity=1024)

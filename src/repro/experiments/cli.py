@@ -24,6 +24,7 @@ import sys
 import time
 from typing import Iterator, List, Optional
 
+from ..argtypes import positive
 from . import EXPERIMENTS, run_experiment
 
 __all__ = ["main"]
@@ -66,7 +67,7 @@ def _fuzz_main(argv: List[str]) -> int:
         ),
     )
     parser.add_argument(
-        "--cells", type=int, default=25, metavar="N",
+        "--cells", type=positive(int), default=25, metavar="N",
         help="number of fuzz cells to derive and run (default: 25)",
     )
     parser.add_argument(
@@ -115,8 +116,6 @@ def _fuzz_main(argv: List[str]) -> int:
             )
         return 1
 
-    if args.cells < 1:
-        parser.error(f"--cells must be positive, got {args.cells}")
     started = time.perf_counter()
     with _profiled(args.profile, prof_path):
         report = run_fuzz(

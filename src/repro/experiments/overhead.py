@@ -22,7 +22,7 @@ from typing import List, Sequence
 from ..core.policy import AccessPolicy, QueryStrategy
 from ..core.rights import Right
 from ..core.system import AccessControlSystem
-from ..metrics.collectors import MessageCountCollector, overhead_report
+from ..metrics.streaming import OverheadAccumulator
 from ..sim.network import FixedLatency
 from .base import ExperimentResult
 
@@ -59,7 +59,7 @@ def measure_rate(
     users = [f"u{i}" for i in range(n_users)]
     system.seed_grants("app", users)
     host = system.hosts[0]
-    collector = MessageCountCollector(system.tracer)
+    collector = OverheadAccumulator(system.tracer)
     duration = duration_expiries * te
 
     def driver(user: str):
@@ -70,7 +70,7 @@ def measure_rate(
     for user in users:
         system.env.process(driver(user), name=f"drive:{user}")
     system.run(until=duration)
-    report = overhead_report(collector, duration)
+    report = collector.report(duration)
     predicted = n_users * 2.0 * c / policy.te_local
     return {
         "C": c,

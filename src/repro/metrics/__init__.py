@@ -1,24 +1,20 @@
-"""Measurement of simulated runs: availability, security, overhead, latency."""
+"""Measurement of simulated runs: availability, security, overhead, latency.
 
-from .collectors import (
-    CONTROL_MESSAGE_KINDS,
-    AvailabilityReport,
-    MessageCountCollector,
-    OverheadReport,
-    QuorumLatencyCollector,
-    SecurityReport,
-    availability_report,
-    latency_by_reason,
-    overhead_report,
-    security_report,
-)
-from .estimators import SummaryStats, percentile, summarize, wilson_interval
+One collector per quantity, all in :mod:`.streaming`: each consumes
+observations one at a time and merges with its peers, so no run keeps
+a per-decision list to re-scan.
+"""
+
+from .estimators import SummaryStats, percentile, wilson_interval
 from .streaming import (
+    CONTROL_MESSAGE_KINDS,
     AvailabilityAccumulator,
+    AvailabilityReport,
     ExactSum,
     LatencyAccumulator,
     Mergeable,
     OverheadAccumulator,
+    OverheadReport,
     StalenessAccumulator,
     StreamingSummary,
 )
@@ -31,22 +27,14 @@ __all__ = [
     "ExactSum",
     "LatencyAccumulator",
     "Mergeable",
-    "MessageCountCollector",
     "OverheadAccumulator",
     "OverheadReport",
-    "QuorumLatencyCollector",
-    "SecurityReport",
     "StalenessAccumulator",
     "StreamingSummary",
     "SummaryStats",
     "TimelinePoint",
-    "availability_report",
-    "latency_by_reason",
-    "overhead_report",
     "percentile",
-    "security_report",
     "availability_timeline",
     "sparkline",
-    "summarize",
     "wilson_interval",
 ]

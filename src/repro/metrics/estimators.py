@@ -1,12 +1,12 @@
-"""Statistical helpers shared by the metric reports."""
+"""Statistical helpers shared by the metric accumulators."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
-__all__ = ["SummaryStats", "summarize", "percentile", "wilson_interval"]
+__all__ = ["SummaryStats", "percentile", "wilson_interval"]
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -46,22 +46,6 @@ class SummaryStats:
             f"p95={self.p95:.4f} p99={self.p99:.4f} "
             f"min={self.minimum:.4f} max={self.maximum:.4f}"
         )
-
-
-def summarize(values: Iterable[float]) -> Optional[SummaryStats]:
-    """Summary statistics, or None for an empty sample."""
-    data: List[float] = list(values)
-    if not data:
-        return None
-    return SummaryStats(
-        n=len(data),
-        mean=sum(data) / len(data),
-        p50=percentile(data, 50),
-        p95=percentile(data, 95),
-        p99=percentile(data, 99),
-        minimum=min(data),
-        maximum=max(data),
-    )
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96

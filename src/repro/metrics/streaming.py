@@ -1,11 +1,25 @@
-"""Streaming, mergeable metric accumulators.
+"""Streaming, mergeable metric accumulators — the one collector per
+measured quantity.
 
-The sweep experiments replay millions of simulated decisions; holding a
-``List[ObservedDecision]`` per trial and re-scanning it per report makes
-both memory and IPC grow linearly with simulated traffic.  The classes
-here are the streaming replacements: each consumes observations one at
-a time in O(1) state (exact counts, exact moments, min/max, plus a
-seeded bounded reservoir for quantiles) and implements the
+The empirical counterparts of the paper's quantities:
+
+* **Availability** (``PA``) — "the probability that a host is able to
+  verify the access control information of a legitimate user in a
+  timely fashion": :class:`AvailabilityAccumulator`, the fraction of
+  access attempts by *authorized* users that were allowed (optionally
+  within a latency bound).
+* **Security** — the hard invariant that no access is allowed past
+  ``t_revoke + Te``: :class:`StalenessAccumulator` splits allowed
+  accesses by unauthorized users into Te-window grace and violations.
+* **Overhead** — control messages per simulated second, the measured
+  side of the paper's ``O(C/Te)``: :class:`OverheadAccumulator`.
+* **Latency** — decision latency split by path (cache hit, verified,
+  default-allow, ...), the measured side of ``O(C)`` / ``O(R)``:
+  :class:`LatencyAccumulator` over :class:`StreamingSummary`.
+
+Each consumes observations one at a time in O(1) state (exact counts,
+exact moments, min/max, plus a seeded bounded reservoir for quantiles),
+so no run keeps a per-decision list, and implements the
 :class:`Mergeable` protocol so partial accumulators — per trial, per
 shard — can be combined into one.
 
@@ -24,6 +38,7 @@ function of the multiset of keyed entries — independent of merge shape.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
@@ -36,14 +51,13 @@ from typing import (
 )
 
 from ..sim.trace import TraceKind, TraceRecord, Tracer
-from .collectors import (
-    CONTROL_MESSAGE_KINDS,
-    AvailabilityReport,
-    OverheadReport,
-)
+from ..workloads.generators import ObservedDecision
 from .estimators import SummaryStats, percentile, wilson_interval
 
 __all__ = [
+    "CONTROL_MESSAGE_KINDS",
+    "AvailabilityReport",
+    "OverheadReport",
     "Mergeable",
     "ExactSum",
     "StreamingSummary",
@@ -56,6 +70,48 @@ __all__ = [
 M = TypeVar("M", bound="Mergeable")
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+#: Message kinds that constitute protocol (control) traffic, as opposed
+#: to application payload traffic.
+CONTROL_MESSAGE_KINDS = frozenset(
+    {
+        "QueryRequest",
+        "QueryResponse",
+        "UpdateMsg",
+        "UpdateAck",
+        "RevokeNotify",
+        "RevokeNotifyAck",
+        "SyncRequest",
+        "SyncResponse",
+        "Ping",
+        "Pong",
+        "NameLookup",
+        "NameResult",
+    }
+)
+
+
+@dataclass(frozen=True)
+class AvailabilityReport:
+    """Empirical ``PA`` over a run."""
+
+    authorized_attempts: int
+    authorized_allowed: int
+    unauthorized_attempts: int
+    unauthorized_allowed: int  # default-allow lets these through by design
+    availability: float
+    confidence: Tuple[float, float]
+
+
+@dataclass(frozen=True)
+class OverheadReport:
+    """Protocol message traffic over a run."""
+
+    duration: float
+    control_messages: int
+    app_messages: int
+    by_kind: Dict[str, int]
+    control_rate: float  # control messages per simulated second
 
 
 @runtime_checkable
@@ -147,8 +203,8 @@ _Entry = Tuple[int, int, int, float]
 
 
 class StreamingSummary:
-    """Streaming replacement for ``summarize``: exact n/mean/min/max
-    plus reservoir-estimated percentiles.
+    """Summary of a sample: exact n/mean/min/max plus
+    reservoir-estimated percentiles.
 
     The reservoir is *bottom-k by keyed priority*: each added value gets
     the key ``_mix(seed, arrival_index)`` and the ``capacity`` smallest
@@ -214,7 +270,7 @@ class StreamingSummary:
         return merged
 
     def summary(self) -> Optional[SummaryStats]:
-        """The same shape ``estimators.summarize`` returns (None if empty)."""
+        """The sample's :class:`SummaryStats` (None if empty)."""
         if self.n == 0:
             return None
         self._trim()
@@ -243,10 +299,12 @@ class StreamingSummary:
 
 
 class AvailabilityAccumulator:
-    """Streaming, mergeable counterpart of ``availability_report``.
+    """Empirical ``PA``: four exact counters over observed decisions.
 
-    Four exact counters; ``report()`` emits the identical
-    :class:`AvailabilityReport` the list-scanning function produces.
+    ``latency_bound`` tightens "timely fashion": an allowed decision
+    slower than the bound counts as unavailable.  :meth:`report` emits
+    the :class:`AvailabilityReport`; an empty run is vacuously
+    available.
     """
 
     __slots__ = (
@@ -264,11 +322,13 @@ class AvailabilityAccumulator:
         self.unauthorized_attempts = 0
         self.unauthorized_allowed = 0
 
-    def observe(self, authorized: bool, allowed: bool, latency: float) -> None:
+    def observe(self, observed: ObservedDecision) -> None:
+        decision = observed.decision
+        allowed = decision.allowed
         timely = allowed and (
-            self.latency_bound is None or latency <= self.latency_bound
+            self.latency_bound is None or decision.latency <= self.latency_bound
         )
-        if authorized:
+        if observed.authorized:
             self.authorized_attempts += 1
             if timely:
                 self.authorized_allowed += 1
@@ -327,9 +387,8 @@ class StalenessAccumulator:
     record (a decision made before the revocation was even issued is
     still "within the window" in the paper's accounting), so candidates
     — allowed decisions by unauthorized users — are kept and classified
-    once at :meth:`finalize`, exactly like the end-of-run scan in
-    ``security_report``.  Only the (rare) suspicious decisions are
-    stored, not the full observation list.
+    once, at the end of the run, by :meth:`finalize`.  Only the (rare)
+    suspicious decisions are stored, not the full observation list.
     """
 
     __slots__ = ("_candidates",)
@@ -337,17 +396,12 @@ class StalenessAccumulator:
     def __init__(self) -> None:
         self._candidates: List[Tuple[str, str, float]] = []
 
-    def observe(
-        self,
-        application: str,
-        user: str,
-        time: float,
-        latency: float,
-        allowed: bool,
-        authorized: bool,
-    ) -> None:
-        if allowed and not authorized:
-            self._candidates.append((application, user, time + latency))
+    def observe(self, observed: ObservedDecision) -> None:
+        decision = observed.decision
+        if decision.allowed and not observed.authorized:
+            self._candidates.append(
+                (observed.application, observed.user, observed.time + decision.latency)
+            )
 
     def merge(self, other: "StalenessAccumulator") -> "StalenessAccumulator":
         merged = StalenessAccumulator()
@@ -374,11 +428,12 @@ class StalenessAccumulator:
 
 
 class OverheadAccumulator:
-    """Streaming, mergeable counterpart of ``MessageCountCollector`` +
-    ``overhead_report``.
+    """Sent messages counted by kind; :meth:`report` splits them into
+    control and application traffic over a run's duration.
 
-    Pass a tracer to subscribe to ``MSG_SENT`` live, or feed kinds via
-    :meth:`observe` when replaying.
+    Pass a tracer to subscribe to ``MSG_SENT`` live (create it *before*
+    running the simulation), or feed kinds via :meth:`observe` when
+    replaying.
     """
 
     __slots__ = ("by_kind",)
@@ -389,8 +444,7 @@ class OverheadAccumulator:
             tracer.subscribe([TraceKind.MSG_SENT], self._on_record)
 
     def _on_record(self, record: TraceRecord) -> None:
-        kind = record.data.get("message_kind", "?")
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
+        self.observe(record.data.get("message_kind", "?"))
 
     def observe(self, kind: str) -> None:
         self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
@@ -402,17 +456,15 @@ class OverheadAccumulator:
             merged.by_kind[kind] = merged.by_kind.get(kind, 0) + count
         return merged
 
-    def report(
-        self, duration: float, control_kinds: frozenset = CONTROL_MESSAGE_KINDS
-    ) -> OverheadReport:
+    def report(self, duration: float) -> OverheadReport:
         if duration <= 0:
             raise ValueError("duration must be positive")
         control = sum(
-            count for kind, count in self.by_kind.items() if kind in control_kinds
+            count
+            for kind, count in self.by_kind.items()
+            if kind in CONTROL_MESSAGE_KINDS
         )
-        app = sum(
-            count for kind, count in self.by_kind.items() if kind not in control_kinds
-        )
+        app = sum(self.by_kind.values()) - control
         return OverheadReport(
             duration=duration,
             control_messages=control,
@@ -428,7 +480,11 @@ class OverheadAccumulator:
 
 
 class LatencyAccumulator:
-    """Streaming, mergeable counterpart of ``latency_by_reason``.
+    """Decision latency summaries keyed by decision reason.
+
+    The paper's cost claims map onto reasons: ``cache`` should be ~0,
+    ``verified`` ~ one round trip (parallel) or C round trips
+    (sequential), ``default_allow``/``exhausted`` ~ R timeouts.
 
     One :class:`StreamingSummary` per decision reason; each bucket's
     reservoir seed is derived from ``(seed, reason)`` so bucket

@@ -26,9 +26,9 @@ from ..core.manager import AccessControlManager
 from ..core.policy import AccessPolicy
 from ..core.rights import AclEntry, Right, Version
 from ..core.wrapper import Application, ApplicationHost
+from ..sim.partitions import ScriptedConnectivity
 from .runtime import LiveRuntime
 from .session import DEFAULT_LIFETIME
-from .tcp import LiveConnectivity
 
 __all__ = ["LiveCell", "EchoApplication", "DEFAULT_SECRET"]
 
@@ -90,7 +90,9 @@ class LiveCell:
         self.lifetime = lifetime
         self.admin_user = admin_user
         self.bind_host = bind_host
-        self.connectivity = LiveConnectivity()
+        # Scripted partitions shared by every runtime of the cell,
+        # consulted at send time; never attached, so it traces nothing.
+        self.connectivity = ScriptedConnectivity()
         self.directory: Dict[str, Tuple[str, int]] = {}
         self._started = False
 

@@ -29,12 +29,12 @@ import secrets
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..argtypes import positive
 from ..core.admin import AdminClient
 from ..core.client import UserClient
 from ..metrics.streaming import StreamingSummary
 from .cell import DEFAULT_SECRET
 from .runtime import LiveRuntime
-from .serve import positive
 
 __all__ = ["main", "build_parser", "run_load"]
 

@@ -36,9 +36,10 @@ from functools import partial
 from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from ..sim.engine import Environment
+from ..sim.partitions import ScriptedConnectivity
 from ..sim.trace import Tracer
 from .session import DEFAULT_LIFETIME
-from .tcp import LiveConnectivity, SocketTransport
+from .tcp import SocketTransport
 
 __all__ = ["LiveRuntime"]
 
@@ -70,7 +71,7 @@ class LiveRuntime:
         secret: bytes,
         time_scale: float = 1.0,
         lifetime: float = DEFAULT_LIFETIME,
-        connectivity: Optional[LiveConnectivity] = None,
+        connectivity: Optional[ScriptedConnectivity] = None,
         keep_log: bool = False,
         codec: str = "binary",
     ) -> None:

@@ -36,8 +36,9 @@ import asyncio
 import ctypes
 import json
 import signal
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from ..argtypes import positive
 from ..auth.identity import Authenticator, Principal
 from ..core.manager import AccessControlManager
 from ..core.policy import AccessPolicy
@@ -113,19 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Argument types: a malformed value raises ArgumentTypeError, which
 # argparse reports against the flag with exit status 2.
-def positive(convert: Callable[[str], float]) -> Callable[[str], float]:
-    """Argument type: ``convert(text)``, refused unless above zero."""
-
-    def parse(text: str) -> float:
-        value = convert(text)  # argparse reports a ValueError as "invalid int value"
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"{text!r} is not positive")
-        return value
-
-    parse.__name__ = convert.__name__
-    return parse
-
-
 def _is_port(text: str) -> bool:
     return text.isascii() and text.isdigit() and int(text) < 65536
 

@@ -48,15 +48,16 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
+from ..sim.partitions import ScriptedConnectivity
 from ..sim.trace import TraceKind
 from .codec import CodecError, FrameError, FrameReader, encode_frame
 from .codec_bin import BinaryDecoder, BinaryEncoder, decode_bin, encode_bin
 from .session import DEFAULT_LIFETIME, AuthError, SessionAuth
 from .transport import Address, Transport
 
-__all__ = ["SocketTransport", "LiveConnectivity"]
+__all__ = ["SocketTransport"]
 
 #: Bound on batches parked on one link (connecting, or the peer not
 #: reading) before further batches drop.
@@ -72,41 +73,6 @@ _Batch = List[Tuple[Address, Address, Any]]
 
 _KIND_SEGMENT = 0x42  # 'B'
 _SEGMENT_PREFIX = bytes((_KIND_SEGMENT,))
-
-
-class LiveConnectivity:
-    """Scripted partitions for a live cell (shared across its runtimes).
-
-    The live analogue of :class:`~repro.sim.partitions.ScriptedConnectivity`:
-    a mutable set of blocked (src, dst) directed pairs consulted at send
-    time.  All runtimes of an in-process cell share one instance, so a
-    test partitions the cell with plain method calls.
-    """
-
-    def __init__(self) -> None:
-        self._blocked: set[Tuple[Address, Address]] = set()
-
-    def allows(self, src: Address, dst: Address) -> bool:
-        return (src, dst) not in self._blocked
-
-    def set_down(self, a: Address, b: Address) -> None:
-        self._blocked.add((a, b))
-        self._blocked.add((b, a))
-
-    def set_up(self, a: Address, b: Address) -> None:
-        self._blocked.discard((a, b))
-        self._blocked.discard((b, a))
-
-    def isolate(self, address: Address, others: Iterable[Address]) -> None:
-        for other in others:
-            self.set_down(address, other)
-
-    def reconnect(self, address: Address, others: Iterable[Address]) -> None:
-        for other in others:
-            self.set_up(address, other)
-
-    def heal(self) -> None:
-        self._blocked.clear()
 
 
 class _Link(asyncio.Protocol):
@@ -386,7 +352,7 @@ class SocketTransport(Transport):
         runtime: Any,
         secret: bytes,
         lifetime: float = DEFAULT_LIFETIME,
-        connectivity: Optional[LiveConnectivity] = None,
+        connectivity: Optional[ScriptedConnectivity] = None,
         connect_retries: int = 5,
         connect_backoff: float = 0.05,
     ) -> None:
@@ -486,7 +452,7 @@ class SocketTransport(Transport):
         if src_node is not None and not src_node.up:
             self._count_drop(dst, "sender down")
             return
-        if self.connectivity is not None and not self.connectivity.allows(src, dst):
+        if self.connectivity is not None and not self.connectivity.is_reachable(src, dst):
             self._count_drop(dst, "partitioned")
             return
         self.messages_sent += 1

@@ -222,12 +222,13 @@ class ScriptedConnectivity(ConnectivityModel):
         """Fully restore connectivity: remove the grouping AND revive
         every individually downed link.
 
-        This matches the live backend's ``LiveConnectivity.heal()``
-        semantics (clear all blocked pairs); the historical behaviour —
-        healing only the grouping and leaving ``set_down``/``isolate``
-        links severed — forced differential scenarios to issue manual
-        ``reconnect`` steps as a workaround.  Use ``set_up``/
-        ``reconnect`` to restore individual links selectively.
+        The live backend holds this same class (unattached, so it
+        traces nothing), so both backends heal alike.  The historical
+        behaviour — healing only the grouping and leaving
+        ``set_down``/``isolate`` links severed — forced differential
+        scenarios to issue manual ``reconnect`` steps as a workaround.
+        Use ``set_up``/``reconnect`` to restore individual links
+        selectively.
         """
         self._down.clear()
         self._component = None

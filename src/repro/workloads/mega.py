@@ -21,10 +21,11 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
+from ..argtypes import fraction, positive
 from ..core.policy import AccessPolicy
 from ..core.rights import AclEntry, Right, Version
 from ..core.system import AccessControlSystem
-from .generators import AccessWorkload, UpdateWorkload
+from .generators import AccessWorkload, AuthorizationOracle, UpdateWorkload
 from .population import DiurnalRate, UserPopulation
 
 __all__ = ["ThresholdOracle", "run_mega_cell", "main"]
@@ -34,15 +35,15 @@ __all__ = ["ThresholdOracle", "run_mega_cell", "main"]
 _SEED_ORIGIN = ""
 
 
-class ThresholdOracle:
+class ThresholdOracle(AuthorizationOracle):
     """Ground truth over a mega population in O(updates) memory.
 
     The initial authorization set is ``uid < granted`` — a pure
     predicate, nothing stored.  Only users the update workload touches
     get an override entry, so memory is proportional to update traffic,
-    never to the population.  Implements the same surface as
-    :class:`~repro.workloads.generators.AuthorizationOracle` for one
-    application (the ``application`` argument is accepted and ignored).
+    never to the population.  Serves one application: the
+    ``application`` argument is ignored except as the key of the
+    inherited revocation record behind ``in_grace``/``violation``.
     """
 
     def __init__(
@@ -50,12 +51,11 @@ class ThresholdOracle:
     ):
         if not 0 <= granted <= len(population):
             raise ValueError("granted must be within the population")
-        self.expiry_bound = expiry_bound
+        super().__init__(expiry_bound)
         self._population = population
         self._granted_below = granted
         self._count = granted
         self._overrides: Dict[str, bool] = {}
-        self._revoked_at: Dict[str, float] = {}
 
     def is_authorized(self, application: str, user: str) -> bool:
         override = self._overrides.get(user)
@@ -74,22 +74,13 @@ class ThresholdOracle:
         if not self.is_authorized(application, user):
             self._count += 1
         self._overrides[user] = True
-        self._revoked_at.pop(user, None)
+        self._revoked_at.pop((application, user), None)
 
     def revoke(self, application: str, user: str, time: float) -> None:
         if self.is_authorized(application, user):
             self._count -= 1
         self._overrides[user] = False
-        self._revoked_at[user] = time
-
-    def in_grace(self, application: str, user: str, time: float) -> bool:
-        revoked_at = self._revoked_at.get(user)
-        return revoked_at is not None and time <= revoked_at + self.expiry_bound
-
-    def violation(self, application: str, user: str, time: float) -> bool:
-        if self.is_authorized(application, user):
-            return False
-        return not self.in_grace(application, user, time)
+        self._revoked_at[(application, user)] = time
 
 
 def _seed_threshold(
@@ -163,6 +154,8 @@ def run_mega_cell(
         raise ValueError("need at least one principal")
     if n_apps < 1:
         raise ValueError("need at least one application")
+    if not 0.0 <= granted_fraction <= 1.0:
+        raise ValueError("granted_fraction must be in [0, 1]")
     wall_start = time.perf_counter()
     population = UserPopulation(n_principals, zipf_s=zipf_s, sampler="harmonic")
     applications = tuple(f"svc{i}" for i in range(n_apps))
@@ -289,18 +282,18 @@ def main(argv: Optional[List[str]] = None) -> int:
             "arrivals over 10^5-10^6 interned principals."
         ),
     )
-    parser.add_argument("--principals", type=int, default=100_000)
-    parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--managers", type=int, default=3,
+    parser.add_argument("--principals", type=positive(int), default=100_000)
+    parser.add_argument("--shards", type=positive(int), default=4)
+    parser.add_argument("--managers", type=positive(int), default=3,
                         help="managers per group")
-    parser.add_argument("--hosts", type=int, default=4)
-    parser.add_argument("--apps", type=int, default=4)
-    parser.add_argument("--duration", type=float, default=200.0,
+    parser.add_argument("--hosts", type=positive(int), default=4)
+    parser.add_argument("--apps", type=positive(int), default=4)
+    parser.add_argument("--duration", type=positive(float), default=200.0,
                         help="simulated seconds")
-    parser.add_argument("--rate", type=float, default=40.0,
+    parser.add_argument("--rate", type=positive(float), default=40.0,
                         help="aggregate access rate (1/s)")
     parser.add_argument("--update-rate", type=float, default=0.2)
-    parser.add_argument("--granted-fraction", type=float, default=0.6)
+    parser.add_argument("--granted-fraction", type=fraction, default=0.6)
     parser.add_argument("--zipf", type=float, default=1.0)
     parser.add_argument("--flat", action="store_true",
                         help="disable the diurnal profile")

@@ -15,7 +15,7 @@ pytestmark = pytest.mark.slow
 from repro.core.policy import AccessPolicy, ExhaustedAction
 from repro.core.rights import Right
 from repro.core.system import AccessControlSystem
-from repro.metrics.collectors import availability_report
+from repro.metrics.streaming import AvailabilityAccumulator
 from repro.sim.partitions import PairEpochModel
 from repro.workloads.generators import (
     AccessWorkload,
@@ -99,8 +99,10 @@ class TestChaos:
         attempt; retries and caching should keep the realized figure in
         the same region even with crashes layered on."""
         _system, _oracle, decisions, _updates = chaos_run
-        report = availability_report(decisions)
-        assert report.availability > 0.85
+        availability = AvailabilityAccumulator()
+        for observed in decisions:
+            availability.observe(observed)
+        assert availability.report().availability > 0.85
 
     def test_unauthorized_never_verified(self, chaos_run):
         """An unauthorized user may slip through only inside the Te

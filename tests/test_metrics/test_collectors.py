@@ -1,22 +1,19 @@
-"""Tests for the metric collectors and reports."""
+"""Behaviour of the metric collectors: the streaming accumulators fed
+real observed decisions, a real ``Tracer`` and a real oracle."""
 
 from __future__ import annotations
-
-import random
 
 import pytest
 
 from repro.core.host import AccessDecision, DecisionReason
 from repro.core.rights import Right
-from repro.metrics.collectors import (
-    MessageCountCollector,
-    QuorumLatencyCollector,
-    availability_report,
-    latency_by_reason,
-    overhead_report,
-    security_report,
+from repro.metrics.streaming import (
+    AvailabilityAccumulator,
+    LatencyAccumulator,
+    OverheadAccumulator,
+    StalenessAccumulator,
 )
-from repro.sim.trace import TraceKind, Tracer
+from repro.sim.trace import TraceKind
 from repro.workloads.generators import AuthorizationOracle, ObservedDecision
 
 APP = "app"
@@ -44,9 +41,16 @@ def observed(user, allowed, authorized, time=0.0, latency=0.1,
     )
 
 
+def availability(observations, latency_bound=None):
+    accumulator = AvailabilityAccumulator(latency_bound)
+    for decision in observations:
+        accumulator.observe(decision)
+    return accumulator.report()
+
+
 class TestAvailabilityReport:
     def test_counts_authorized_only(self):
-        report = availability_report(
+        report = availability(
             [
                 observed("a", allowed=True, authorized=True),
                 observed("b", allowed=False, authorized=True),
@@ -62,82 +66,42 @@ class TestAvailabilityReport:
             observed("a", allowed=True, authorized=True, latency=0.1),
             observed("b", allowed=True, authorized=True, latency=5.0),
         ]
-        assert availability_report(observations).availability == 1.0
-        report = availability_report(observations, latency_bound=1.0)
+        assert availability(observations).availability == 1.0
+        report = availability(observations, latency_bound=1.0)
         assert report.availability == pytest.approx(0.5)
 
     def test_unauthorized_allows_counted(self):
-        report = availability_report(
+        report = availability(
             [observed("x", allowed=True, authorized=False,
                       reason=DecisionReason.DEFAULT_ALLOW)]
         )
         assert report.unauthorized_allowed == 1
 
     def test_empty_is_vacuously_available(self):
-        report = availability_report([])
+        report = availability([])
         assert report.availability == 1.0
+        assert report.confidence == (0.0, 1.0)
 
 
-class TestSecurityReport:
-    def build_collector(self, env_tracer, latencies):
-        collector = QuorumLatencyCollector(env_tracer)
-        for latency in latencies:
-            env_tracer.publish(
-                TraceKind.UPDATE_QUORUM_REACHED, "m0",
-                elapsed=latency, grant=False,
-            )
-        return collector
-
-    def test_timely_fraction(self, env, tracer):
-        collector = self.build_collector(tracer, [0.5, 2.0, 10.0])
-        report = security_report(
-            [], AuthorizationOracle(30.0), revocations_issued=3,
-            quorum_collector=collector, timeliness_bound=5.0,
-        )
-        assert report.security == pytest.approx(2 / 3)
-        assert report.quorums_reached == 3
-
-    def test_grant_quorums_filtered_out(self, env, tracer):
-        collector = QuorumLatencyCollector(tracer, grants=False)
-        tracer.publish(TraceKind.UPDATE_QUORUM_REACHED, "m0",
-                       elapsed=0.1, grant=True)
-        tracer.publish(TraceKind.UPDATE_QUORUM_REACHED, "m0",
-                       elapsed=0.2, grant=False)
-        assert collector.reached == 1
-
-    def test_te_violation_detection(self, env, tracer):
+class TestStaleness:
+    def test_te_violation_detection(self):
         oracle = AuthorizationOracle(expiry_bound=10.0)
         oracle.grant(APP, "u")
         oracle.revoke(APP, "u", time=100.0)
-        observations = [
-            # inside the grace window
-            observed("u", allowed=True, authorized=False, time=105.0),
-            # past revoke + Te: a violation
-            observed("u", allowed=True, authorized=False, time=120.0),
-        ]
-        collector = self.build_collector(tracer, [0.1])
-        report = security_report(
-            observations, oracle, revocations_issued=1,
-            quorum_collector=collector, timeliness_bound=5.0,
-        )
-        assert report.grace_window_allows == 1
-        assert report.te_violations == 1
-
-    def test_no_revocations_is_vacuously_secure(self, env, tracer):
-        collector = QuorumLatencyCollector(tracer)
-        report = security_report(
-            [], AuthorizationOracle(10.0), revocations_issued=0,
-            quorum_collector=collector, timeliness_bound=1.0,
-        )
-        assert report.security == 1.0
+        staleness = StalenessAccumulator()
+        # inside the grace window
+        staleness.observe(observed("u", allowed=True, authorized=False, time=105.0))
+        # past revoke + Te: a violation
+        staleness.observe(observed("u", allowed=True, authorized=False, time=120.0))
+        assert staleness.finalize(oracle) == (1, 1)
 
 
 class TestOverheadReport:
     def test_classifies_control_vs_app(self, env, tracer):
-        collector = MessageCountCollector(tracer)
+        collector = OverheadAccumulator(tracer)
         for kind in ("QueryRequest", "QueryResponse", "AppRequest"):
             tracer.publish(TraceKind.MSG_SENT, "n", dst="x", message_kind=kind)
-        report = overhead_report(collector, duration=10.0)
+        report = collector.report(duration=10.0)
         assert report.control_messages == 2
         assert report.app_messages == 1
         assert report.control_rate == pytest.approx(0.2)
@@ -145,75 +109,25 @@ class TestOverheadReport:
 
     def test_zero_duration_rejected(self, env, tracer):
         with pytest.raises(ValueError):
-            overhead_report(MessageCountCollector(tracer), duration=0.0)
+            OverheadAccumulator(tracer).report(duration=0.0)
 
 
 class TestLatencyByReason:
     def test_buckets_by_reason(self):
-        observations = [
+        accumulator = LatencyAccumulator()
+        for decision in (
             observed("a", allowed=True, authorized=True, latency=0.0,
                      reason=DecisionReason.CACHE),
             observed("b", allowed=True, authorized=True, latency=0.2,
                      reason=DecisionReason.VERIFIED),
             observed("c", allowed=True, authorized=True, latency=0.4,
                      reason=DecisionReason.VERIFIED),
-        ]
-        buckets = latency_by_reason(observations)
+        ):
+            accumulator.observe(decision.decision.reason, decision.decision.latency)
+        buckets = accumulator.summaries()
         assert buckets[DecisionReason.CACHE].mean == 0.0
         assert buckets[DecisionReason.VERIFIED].n == 2
         assert buckets[DecisionReason.VERIFIED].mean == pytest.approx(0.3)
 
     def test_empty(self):
-        assert latency_by_reason([]) == {}
-
-
-class TestQuorumLatencyTimely:
-    """Regression for the O(n) per-call re-scan: ``timely`` now answers
-    from an insort-maintained sorted mirror and must keep agreeing with
-    the naive linear count for arbitrary arrival orders."""
-
-    def _fill(self, tracer, latencies):
-        collector = QuorumLatencyCollector(tracer)
-        for latency in latencies:
-            tracer.publish(
-                TraceKind.UPDATE_QUORUM_REACHED, "m0",
-                elapsed=latency, grant=False,
-            )
-        return collector
-
-    def test_matches_linear_scan_for_unsorted_arrivals(self, env, tracer):
-        rng = random.Random(13)
-        latencies = [rng.uniform(0.0, 10.0) for _ in range(200)]
-        collector = self._fill(tracer, latencies)
-        for bound in (0.0, 0.5, 3.3, 5.0, 9.99, 20.0):
-            assert collector.timely(bound) == sum(
-                1 for latency in latencies if latency <= bound
-            )
-
-    def test_bound_is_inclusive(self, env, tracer):
-        collector = self._fill(tracer, [1.0, 2.0, 2.0, 3.0])
-        assert collector.timely(2.0) == 3
-
-    def test_arrival_order_preserved_in_latencies(self, env, tracer):
-        # The sorted mirror must not disturb the public arrival-order
-        # list that summarize() and existing callers rely on.
-        arrivals = [5.0, 1.0, 3.0]
-        collector = self._fill(tracer, arrivals)
-        assert collector.latencies == arrivals
-        assert collector.timely(3.0) == 2
-
-    def test_interleaved_queries_stay_consistent(self, env, tracer):
-        collector = QuorumLatencyCollector(tracer)
-        seen = []
-        rng = random.Random(7)
-        for _ in range(50):
-            latency = rng.uniform(0.0, 4.0)
-            tracer.publish(
-                TraceKind.UPDATE_QUORUM_REACHED, "m0",
-                elapsed=latency, grant=False,
-            )
-            seen.append(latency)
-            bound = rng.uniform(0.0, 4.0)
-            assert collector.timely(bound) == sum(
-                1 for value in seen if value <= bound
-            )
+        assert LatencyAccumulator().summaries() == {}

@@ -1,5 +1,6 @@
 """Streaming mergeable accumulators: associativity, identity, exactness,
-reservoir determinism, and agreement with the list-scanning reports."""
+reservoir determinism, and agreement with reference values computed in
+the test."""
 
 from __future__ import annotations
 
@@ -10,8 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.collectors import availability_report, latency_by_reason
-from repro.metrics.estimators import summarize
+from repro.metrics.estimators import percentile
 from repro.metrics.streaming import (
     AvailabilityAccumulator,
     ExactSum,
@@ -79,11 +79,12 @@ class TestStreamingSummary:
         rng = random.Random(5)
         values = [rng.uniform(0, 100) for _ in range(300)]
         got = _filled_summary(values, capacity=1024).summary()
-        ref = summarize(values)
-        assert got.n == ref.n
-        assert got.p50 == ref.p50 and got.p95 == ref.p95 and got.p99 == ref.p99
-        assert got.minimum == ref.minimum and got.maximum == ref.maximum
-        assert got.mean == pytest.approx(ref.mean, rel=1e-12)
+        assert got.n == 300
+        assert got.p50 == percentile(values, 50)
+        assert got.p95 == percentile(values, 95)
+        assert got.p99 == percentile(values, 99)
+        assert got.minimum == min(values) and got.maximum == max(values)
+        assert got.mean == pytest.approx(sum(values) / 300, rel=1e-12)
 
     def test_empty_summary_is_none(self):
         assert StreamingSummary().summary() is None
@@ -159,11 +160,7 @@ class TestStreamingSummary:
 
 def _observe_all(accumulator, observations):
     for observed in observations:
-        accumulator.observe(
-            observed.authorized,
-            observed.decision.allowed,
-            observed.decision.latency,
-        )
+        accumulator.observe(observed)
     return accumulator
 
 
@@ -174,7 +171,10 @@ class _FakeDecision:
 
 
 class _FakeObserved:
-    def __init__(self, authorized, allowed, latency):
+    def __init__(self, authorized, allowed, latency, user="u", time=0.0):
+        self.application = "app"
+        self.user = user
+        self.time = time
         self.authorized = authorized
         self.decision = _FakeDecision(allowed, latency)
 
@@ -190,8 +190,19 @@ class TestAvailabilityAccumulator:
     @pytest.mark.parametrize("bound", [None, 1.0])
     def test_matches_list_scan(self, bound):
         observations = self._sample()
-        streamed = _observe_all(AvailabilityAccumulator(bound), observations)
-        assert streamed.report() == availability_report(observations, bound)
+        report = _observe_all(AvailabilityAccumulator(bound), observations).report()
+        authorized = [o for o in observations if o.authorized]
+        timely = [
+            o for o in authorized
+            if o.decision.allowed and (bound is None or o.decision.latency <= bound)
+        ]
+        assert report.authorized_attempts == len(authorized)
+        assert report.authorized_allowed == len(timely)
+        assert report.unauthorized_attempts == len(observations) - len(authorized)
+        assert report.unauthorized_allowed == sum(
+            1 for o in observations if not o.authorized and o.decision.allowed
+        )
+        assert report.availability == len(timely) / len(authorized)
 
     def test_merge_matches_whole(self):
         observations = self._sample(seed=2, n=80)
@@ -217,20 +228,23 @@ class _FakeOracle:
 
 
 class TestStalenessAccumulator:
-    def test_finalize_classifies_like_security_report_loop(self):
+    def test_finalize_splits_grace_and_violations(self):
         acc = StalenessAccumulator()
-        # (time, latency, allowed, authorized)
-        acc.observe("app", "u1", 95.0, 0.0, True, False)   # grace
-        acc.observe("app", "u2", 100.0, 5.0, True, False)  # violation
-        acc.observe("app", "u3", 10.0, 0.0, True, False)   # neither
-        acc.observe("app", "u4", 99.0, 0.0, False, False)  # denied: ignored
-        acc.observe("app", "u5", 99.0, 0.0, True, True)    # authorized: ignored
+        # (authorized, allowed, latency, user, time)
+        for args in (
+            (False, True, 0.0, "u1", 95.0),   # grace
+            (False, True, 5.0, "u2", 100.0),  # violation: decided at 105
+            (False, True, 0.0, "u3", 10.0),   # neither
+            (False, False, 0.0, "u4", 99.0),  # denied: ignored
+            (True, True, 0.0, "u5", 99.0),    # authorized: ignored
+        ):
+            acc.observe(_FakeObserved(*args))
         assert acc.finalize(_FakeOracle()) == (1, 1)
 
     def test_merge(self):
         a, b = StalenessAccumulator(), StalenessAccumulator()
-        a.observe("app", "u1", 95.0, 0.0, True, False)
-        b.observe("app", "u2", 101.0, 0.0, True, False)
+        a.observe(_FakeObserved(False, True, 0.0, "u1", 95.0))
+        b.observe(_FakeObserved(False, True, 0.0, "u2", 101.0))
         assert a.merge(b).finalize(_FakeOracle()) == (1, 1)
 
 
@@ -249,29 +263,22 @@ class TestOverheadAccumulator:
 
 
 class TestLatencyAccumulator:
-    def test_matches_latency_by_reason_below_capacity(self):
+    def test_exact_per_reason_below_capacity(self):
         rng = random.Random(9)
-
-        class _Obs:
-            def __init__(self, reason, latency):
-                self.decision = type(
-                    "D", (), {"reason": reason, "latency": latency}
-                )()
-
-        observations = [
-            _Obs(rng.choice(["cache", "verified"]), rng.uniform(0, 1))
+        samples = [
+            (rng.choice(["cache", "verified"]), rng.uniform(0, 1))
             for _ in range(100)
         ]
         acc = LatencyAccumulator(seed=1, capacity=1024)
-        for observed in observations:
-            acc.observe(observed.decision.reason, observed.decision.latency)
-        ref = latency_by_reason(observations)
+        for reason, latency in samples:
+            acc.observe(reason, latency)
         got = acc.summaries()
-        assert set(got) == set(ref)
-        for reason in ref:
-            assert got[reason].n == ref[reason].n
-            assert got[reason].p50 == ref[reason].p50
-            assert got[reason].minimum == ref[reason].minimum
+        assert set(got) == {"cache", "verified"}
+        for reason, summary in got.items():
+            values = [latency for bucket, latency in samples if bucket == reason]
+            assert summary.n == len(values)
+            assert summary.p50 == percentile(values, 50)
+            assert summary.minimum == min(values)
 
     def test_merge_unions_buckets(self):
         a = LatencyAccumulator(seed=1)

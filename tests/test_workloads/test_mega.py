@@ -113,6 +113,10 @@ class TestRunMegaCell:
             run_mega_cell(n_principals=0)
         with pytest.raises(ValueError):
             run_mega_cell(n_apps=0)
+        # Checked before seeding, which would index past the population.
+        for granted_fraction in (1.5, -0.1):
+            with pytest.raises(ValueError, match="granted_fraction"):
+                run_mega_cell(n_principals=100, granted_fraction=granted_fraction)
 
 
 class TestMegaCli:
@@ -135,3 +139,23 @@ class TestMegaCli:
         ])
         assert code == 1
         assert "budget exceeded" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--principals", "0"),
+            ("--shards", "0"),
+            ("--managers", "0"),
+            ("--hosts", "0"),
+            ("--apps", "0"),
+            ("--rate", "0"),
+            ("--granted-fraction", "1.5"),
+            ("--granted-fraction", "-0.1"),
+        ],
+    )
+    def test_bad_flag_exits_2_naming_it(self, capsys, flag, value):
+        argv = ["--principals", "200", "--duration", "5", flag, value]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
