@@ -61,9 +61,10 @@ class AccessControlSystem:
     policy:
         Default :class:`~repro.core.policy.AccessPolicy` for hosts and
         managers.
-    connectivity / latency / loss_rate:
-        Network behaviour; defaults to full connectivity with
-        WAN-shaped latency.
+    connectivity / latency / loss_rate / duplicate_rate:
+        Network behaviour, passed to
+        :class:`~repro.sim.network.Network`; defaults to full
+        connectivity with WAN-shaped latency and no loss.
     use_name_service:
         Resolve manager sets through a :class:`TrustedNameService`
         instead of static host configuration.
@@ -118,7 +119,6 @@ class AccessControlSystem:
         manager_failures: Optional[Tuple[float, float]] = None,
         seed: int = 0,
         keep_trace_log: bool = False,
-        recheck_on_delivery: bool = False,
         check_invariants: Optional[bool] = None,
         shards: int = 1,
         interner: Optional[Interner] = None,
@@ -146,7 +146,6 @@ class AccessControlSystem:
             duplicate_rate=duplicate_rate,
             tracer=self.tracer,
             rng=self.streams.stream("network"),
-            recheck_on_delivery=recheck_on_delivery,
         )
 
         # Manager groups.  The flat (K=1) deployment keeps the classic

@@ -28,19 +28,15 @@ from .network import (
     LatencyModel,
     Network,
     ShiftedExponentialLatency,
-    UniformLatency,
 )
 from .node import Address, Node
 from .partitions import (
-    BernoulliPerMessage,
     ConnectivityModel,
     DutyCycleModel,
     FullConnectivity,
-    GroupPartitionModel,
     PairEpochModel,
     SampledConnectivity,
     ScriptedConnectivity,
-    StaticPartition,
     pair_key,
 )
 from .rng import RngStreams, derive_seed
@@ -51,7 +47,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Address",
-    "BernoulliPerMessage",
     "ClockFactory",
     "Condition",
     "ConnectivityModel",
@@ -61,7 +56,6 @@ __all__ = [
     "Event",
     "FixedLatency",
     "FullConnectivity",
-    "GroupPartitionModel",
     "Interrupt",
     "LatencyModel",
     "LocalClock",
@@ -75,12 +69,10 @@ __all__ = [
     "ShiftedExponentialLatency",
     "StableStore",
     "SimulationError",
-    "StaticPartition",
     "Timeout",
     "TraceKind",
     "TraceRecord",
     "Tracer",
-    "UniformLatency",
     "WEEKS",
     "derive_seed",
     "pair_key",

@@ -90,18 +90,12 @@ class CrashRecoveryInjector:
                 node.crash()
                 self.crashes_injected += 1
                 if tracer is not None:
-                    if tracer.wants(TraceKind.HOST_CRASHED):
-                        tracer.publish(TraceKind.HOST_CRASHED, node.address)
-                    else:
-                        tracer.bump(TraceKind.HOST_CRASHED)
+                    tracer.publish(TraceKind.HOST_CRASHED, node.address)
             yield self.env.timeout(self.rng.expovariate(1.0 / self.mttr))
             if not node.up:
                 node.recover()
                 if tracer is not None:
-                    if tracer.wants(TraceKind.HOST_RECOVERED):
-                        tracer.publish(TraceKind.HOST_RECOVERED, node.address)
-                    else:
-                        tracer.bump(TraceKind.HOST_RECOVERED)
+                    tracer.publish(TraceKind.HOST_RECOVERED, node.address)
 
 
 def schedule_crash(
@@ -116,10 +110,7 @@ def schedule_crash(
         yield env.timeout(delay)
         node.crash()
         if tracer is not None:
-            if tracer.wants(TraceKind.HOST_CRASHED):
-                tracer.publish(TraceKind.HOST_CRASHED, node.address)
-            else:
-                tracer.bump(TraceKind.HOST_CRASHED)
+            tracer.publish(TraceKind.HOST_CRASHED, node.address)
 
     return env.process(_proc(), name=f"crash:{node.address}")
 
@@ -136,9 +127,6 @@ def schedule_recovery(
         yield env.timeout(delay)
         node.recover()
         if tracer is not None:
-            if tracer.wants(TraceKind.HOST_RECOVERED):
-                tracer.publish(TraceKind.HOST_RECOVERED, node.address)
-            else:
-                tracer.bump(TraceKind.HOST_RECOVERED)
+            tracer.publish(TraceKind.HOST_RECOVERED, node.address)
 
     return env.process(_proc(), name=f"recover:{node.address}")

@@ -54,7 +54,6 @@ __all__ = [
     "Network",
     "LatencyModel",
     "FixedLatency",
-    "UniformLatency",
     "ShiftedExponentialLatency",
 ]
 
@@ -89,22 +88,6 @@ class FixedLatency(LatencyModel):
 
     def constant_delay(self) -> float:
         return self.delay
-
-
-class UniformLatency(LatencyModel):
-    """Latency uniform in ``[low, high]``."""
-
-    def __init__(self, low: float, high: float):
-        if not 0 <= low <= high:
-            raise ValueError(f"need 0 <= low <= high, got [{low}, {high}]")
-        self.low = low
-        self.high = high
-
-    def sample(self, rng: random.Random, src: Address, dst: Address) -> float:
-        return rng.uniform(self.low, self.high)
-
-    def constant_delay(self) -> Optional[float]:
-        return self.low if self.low == self.high else None
 
 
 class ShiftedExponentialLatency(LatencyModel):
@@ -199,11 +182,10 @@ class Network(Transport):
         Optional tracer; message sends/deliveries/drops are published.
     rng:
         Random stream for latency and loss draws.
-    recheck_on_delivery:
-        When True, a message is also dropped if the endpoints are
-        partitioned at *delivery* time (a partition that begins while
-        the message is in flight kills it).  The paper's protocol must
-        tolerate either semantics; tests exercise both.
+
+    Reachability is decided once, at send time: a partition that begins
+    while a message is in flight does not kill it (a crash of the
+    destination does).
     """
 
     def __init__(
@@ -215,7 +197,6 @@ class Network(Transport):
         duplicate_rate: float = 0.0,
         tracer: Optional[Tracer] = None,
         rng: Optional[random.Random] = None,
-        recheck_on_delivery: bool = False,
     ):
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate}")
@@ -230,7 +211,6 @@ class Network(Transport):
         self.duplicate_rate = duplicate_rate
         self.tracer = tracer or Tracer(env)
         self.rng = rng or random.Random(0)
-        self.recheck_on_delivery = recheck_on_delivery
         self.nodes: Dict[Address, Node] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
@@ -240,7 +220,6 @@ class Network(Transport):
         # matches ``_reach_epoch``.  ``_component_table`` serves answers
         # with two flat lookups when the model's state is a clean
         # partition; ``_pair_cache`` memoises per-pair answers otherwise.
-        self._conn_cacheable = self.connectivity.cacheable
         self._reach_epoch = -1
         self._component_table: Optional[Dict[Address, int]] = None
         self._pair_cache: Dict[tuple, bool] = {}
@@ -266,8 +245,6 @@ class Network(Transport):
     def _connected(self, a: Address, b: Address) -> bool:
         """Connectivity-model answer for ``a != b``, via the epoch cache."""
         connectivity = self.connectivity
-        if not self._conn_cacheable:
-            return connectivity.is_reachable(a, b)
         if connectivity.epoch != self._reach_epoch:
             self._reach_epoch = connectivity.epoch
             self._component_table = connectivity.component_table()
@@ -296,13 +273,15 @@ class Network(Transport):
         return a == b or self._connected(a, b)
 
     # -- transmission -----------------------------------------------------------
-    def send(self, src: Address, dst: Address, message: Any) -> None:
-        """Fire-and-forget unicast from ``src`` to ``dst``."""
-        nodes = self.nodes
-        src_node = nodes.get(src)
-        if src_node is None:
-            raise ValueError(f"unknown source {src!r}")
-        if dst not in nodes:
+    def _admit(self, src: Address, src_node: Node, dst: Address, message: Any) -> int:
+        """Count, trace and admit one unicast from ``src_node``.
+
+        The single admission path behind ``send`` and ``send_many``:
+        unknown destination -> count -> trace -> source down ->
+        partition -> loss -> duplicate.  Returns how many copies to
+        deliver (0, 1 or 2); drops are counted and traced here.
+        """
+        if dst not in self.nodes:
             raise ValueError(f"unknown destination {dst!r}")
         self.messages_sent += 1
         tracer = self.tracer
@@ -314,18 +293,25 @@ class Network(Transport):
             tracer.bump(TraceKind.MSG_SENT)
         if not src_node.up:
             self._drop(src, dst, message, "source down")
-            return
+            return 0
         if src != dst and not self._connected(src, dst):
             self._drop(src, dst, message, "partitioned")
-            return
+            return 0
         rng = self.rng
         if self.loss_rate > 0 and rng.random() < self.loss_rate:
             self._drop(src, dst, message, "random loss")
-            return
-        copies = 1
+            return 0
         if self.duplicate_rate > 0 and rng.random() < self.duplicate_rate:
-            copies = 2
             self.messages_duplicated += 1
+            return 2
+        return 1
+
+    def send(self, src: Address, dst: Address, message: Any) -> None:
+        """Fire-and-forget unicast from ``src`` to ``dst``."""
+        src_node = self.nodes.get(src)
+        if src_node is None:
+            raise ValueError(f"unknown source {src!r}")
+        copies = self._admit(src, src_node, dst, message)
         fixed = self._fixed_delay
         env = self.env
         for _ in range(copies):
@@ -334,7 +320,7 @@ class Network(Transport):
             elif fixed is not None:
                 delay = fixed
             else:
-                delay = self.latency.sample(rng, src, dst)
+                delay = self.latency.sample(self.rng, src, dst)
             env._schedule(_Delivery(self, src, dst, message), delay)
 
     def send_many(
@@ -346,13 +332,13 @@ class Network(Transport):
         """Unicast a batch of ``(dst, message)`` pairs from one source.
 
         Observably identical to ``for dst, m in items: send(src, dst, m)``
-        — same per-destination checks, traces, loss/duplication draws,
-        counters, and delivery order — but with a constant-latency model
-        the surviving copies (which all land at the same instant) are
-        queued as a single scheduler insertion instead of one per
-        message.  ``on_sent(dst, message)`` is invoked right after each
-        pair's send bookkeeping, so callers can interleave their own
-        per-destination traces exactly as an unbatched loop would.
+        — every pair goes through the same admission path — but with a
+        constant-latency model the surviving copies (which all land at
+        the same instant) are queued as a single scheduler insertion
+        instead of one per message.  ``on_sent(dst, message)`` is
+        invoked right after each pair's send bookkeeping, so callers can
+        interleave their own per-destination traces exactly as an
+        unbatched loop would.
         """
         fixed = self._fixed_delay
         items = list(items)
@@ -364,41 +350,13 @@ class Network(Transport):
                 if on_sent is not None:
                     on_sent(dst, message)
             return
-        nodes = self.nodes
-        src_node = nodes.get(src)
+        src_node = self.nodes.get(src)
         if src_node is None:
             raise ValueError(f"unknown source {src!r}")
-        tracer = self.tracer
-        wants_sent = tracer.wants(TraceKind.MSG_SENT)
-        loss_rate = self.loss_rate
-        duplicate_rate = self.duplicate_rate
-        rng = self.rng
-        src_up = src_node.up
+        admit = self._admit
         survivors: List[tuple] = []
         for dst, message in items:
-            if dst not in nodes:
-                raise ValueError(f"unknown destination {dst!r}")
-            self.messages_sent += 1
-            if wants_sent:
-                tracer.publish(
-                    TraceKind.MSG_SENT,
-                    src,
-                    dst=dst,
-                    message_kind=type(message).__name__,
-                )
-            else:
-                tracer.bump(TraceKind.MSG_SENT)
-            if not src_up:
-                self._drop(src, dst, message, "source down")
-            elif not self._connected(src, dst):
-                self._drop(src, dst, message, "partitioned")
-            elif loss_rate > 0 and rng.random() < loss_rate:
-                self._drop(src, dst, message, "random loss")
-            else:
-                survivors.append((dst, message))
-                if duplicate_rate > 0 and rng.random() < duplicate_rate:
-                    survivors.append((dst, message))
-                    self.messages_duplicated += 1
+            survivors.extend(((dst, message),) * admit(src, src_node, dst, message))
             if on_sent is not None:
                 on_sent(dst, message)
         if survivors:
@@ -409,10 +367,6 @@ class Network(Transport):
         if dst_node is None or not dst_node.up:
             self._drop(src, dst, message, "destination down")
             return
-        if self.recheck_on_delivery and src != dst:
-            if not self._connected(src, dst):
-                self._drop(src, dst, message, "partitioned in flight")
-                return
         self.messages_delivered += 1
         tracer = self.tracer
         if tracer.wants(TraceKind.MSG_DELIVERED):

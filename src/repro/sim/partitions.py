@@ -11,29 +11,25 @@ evolve that answer over time.  Models:
 
 :class:`FullConnectivity`
     Never partitioned.
-:class:`StaticPartition`
-    A fixed grouping of addresses into components.
 :class:`ScriptedConnectivity`
-    Tests and experiments toggle individual links or impose/heal whole
-    partitions at chosen times.
-:class:`BernoulliPerMessage`
-    Memoryless: each reachability *query* independently answers "down"
-    with probability ``pi``.  This matches the analysis's independence
-    assumption literally but makes a query and its response independent
-    coin flips, so it is used where that is acceptable (overhead
-    benches), not for validating Table 1.
+    Tests, experiments, the fuzzer and the live cell toggle individual
+    links or impose/heal whole partitions at chosen times.
 :class:`PairEpochModel`
     Each unordered pair alternates between UP and DOWN periods with
     exponential durations chosen so the stationary probability of DOWN
     is ``pi``.  With outage durations much longer than a query round
     trip and accesses spaced far apart, successive accesses see
     approximately independent Bernoulli(``pi``) inaccessibility — the
-    regime the paper's analysis describes.  Used by the Table 1
-    validation experiment.
-:class:`GroupPartitionModel`
-    Congestion events split the whole node set into components for a
-    random duration — correlated inaccessibility, used by the
-    heterogeneous-analysis experiment.
+    regime the paper's analysis describes.  Drives the simulated cell.
+:class:`SampledConnectivity`
+    Pair states redrawn i.i.d. Bernoulli(``pi``) only on an explicit
+    ``resample()`` — the paper's Section 4.1 model exactly, used by the
+    Table 1 validation experiment.
+:class:`DutyCycleModel`
+    Per-node connect/disconnect cycling, the mobile-client model.
+
+Topology transitions are cold (never per message), so they trace with
+a plain :meth:`~repro.sim.trace.Tracer.publish`.
 """
 
 from __future__ import annotations
@@ -47,13 +43,10 @@ from .trace import TraceKind, Tracer
 __all__ = [
     "ConnectivityModel",
     "FullConnectivity",
-    "StaticPartition",
     "ScriptedConnectivity",
-    "BernoulliPerMessage",
     "PairEpochModel",
     "SampledConnectivity",
     "DutyCycleModel",
-    "GroupPartitionModel",
     "pair_key",
 ]
 
@@ -68,7 +61,7 @@ class ConnectivityModel:
 
     Topology epoch
     --------------
-    Every model except :class:`BernoulliPerMessage` answers reachability
+    Every model answers reachability
     from state that changes only at discrete events (a scripted toggle,
     a renewal-process transition, a resample).  Such models carry a
     monotonically increasing :attr:`epoch` and bump it on *every* state
@@ -83,15 +76,7 @@ class ConnectivityModel:
     unlisted addresses share the implicit component ``-1``.  Models with
     per-link state (individual downed links, per-pair renewal processes)
     return ``None`` and are served from a per-pair memo instead.
-
-    :attr:`cacheable` is False only for models whose answer is a fresh
-    random draw per query; the network bypasses the cache entirely for
-    those.
     """
-
-    #: False when each reachability query is an independent random draw
-    #: (the answer cannot be cached between queries).
-    cacheable: bool = True
 
     def __init__(self) -> None:
         self.env: Optional[Environment] = None
@@ -133,28 +118,6 @@ class FullConnectivity(ConnectivityModel):
         return True
 
 
-class StaticPartition(ConnectivityModel):
-    """A fixed partition into components; unlisted addresses form an
-    implicit shared component."""
-
-    def __init__(self, groups: Sequence[Iterable[str]]):
-        super().__init__()
-        self._component: Dict[str, int] = {}
-        for index, group in enumerate(groups):
-            for address in group:
-                if address in self._component:
-                    raise ValueError(f"address {address!r} appears in two groups")
-                self._component[address] = index
-
-    def component_table(self) -> Dict[str, int]:
-        return self._component
-
-    def is_reachable(self, a: str, b: str) -> bool:
-        ca = self._component.get(a, -1)
-        cb = self._component.get(b, -1)
-        return ca == cb
-
-
 class ScriptedConnectivity(ConnectivityModel):
     """Link state driven explicitly by the test or experiment.
 
@@ -174,20 +137,14 @@ class ScriptedConnectivity(ConnectivityModel):
         self.bump_epoch()
         tracer = self.tracer
         if tracer is not None:
-            if tracer.wants(TraceKind.LINK_DOWN):
-                tracer.publish(TraceKind.LINK_DOWN, "scripted", a=a, b=b)
-            else:
-                tracer.bump(TraceKind.LINK_DOWN)
+            tracer.publish(TraceKind.LINK_DOWN, "scripted", a=a, b=b)
 
     def set_up(self, a: str, b: str) -> None:
         self._down.discard(pair_key(a, b))
         self.bump_epoch()
         tracer = self.tracer
         if tracer is not None:
-            if tracer.wants(TraceKind.LINK_UP):
-                tracer.publish(TraceKind.LINK_UP, "scripted", a=a, b=b)
-            else:
-                tracer.bump(TraceKind.LINK_UP)
+            tracer.publish(TraceKind.LINK_UP, "scripted", a=a, b=b)
 
     def isolate(self, address: str, others: Iterable[str]) -> None:
         """Cut every link between ``address`` and each of ``others``."""
@@ -211,34 +168,24 @@ class ScriptedConnectivity(ConnectivityModel):
         self.bump_epoch()
         tracer = self.tracer
         if tracer is not None:
-            if tracer.wants(TraceKind.PARTITION_STARTED):
-                tracer.publish(
-                    TraceKind.PARTITION_STARTED, "scripted", groups=len(groups)
-                )
-            else:
-                tracer.bump(TraceKind.PARTITION_STARTED)
+            tracer.publish(
+                TraceKind.PARTITION_STARTED, "scripted", groups=len(groups)
+            )
 
     def heal(self) -> None:
         """Fully restore connectivity: remove the grouping AND revive
         every individually downed link.
 
         The live backend holds this same class (unattached, so it
-        traces nothing), so both backends heal alike.  The historical
-        behaviour — healing only the grouping and leaving
-        ``set_down``/``isolate`` links severed — forced differential
-        scenarios to issue manual ``reconnect`` steps as a workaround.
-        Use ``set_up``/``reconnect`` to restore individual links
-        selectively.
+        traces nothing), so both backends heal alike.  Use
+        ``set_up``/``reconnect`` to restore individual links selectively.
         """
         self._down.clear()
         self._component = None
         self.bump_epoch()
         tracer = self.tracer
         if tracer is not None:
-            if tracer.wants(TraceKind.PARTITION_HEALED):
-                tracer.publish(TraceKind.PARTITION_HEALED, "scripted")
-            else:
-                tracer.bump(TraceKind.PARTITION_HEALED)
+            tracer.publish(TraceKind.PARTITION_HEALED, "scripted")
 
     def component_table(self) -> Optional[Dict[str, int]]:
         if self._down:
@@ -254,25 +201,6 @@ class ScriptedConnectivity(ConnectivityModel):
             if self._component.get(a, -1) != self._component.get(b, -1):
                 return False
         return True
-
-
-class BernoulliPerMessage(ConnectivityModel):
-    """Each reachability query independently fails with probability pi."""
-
-    #: Every query is a fresh coin flip; caching would change the model.
-    cacheable = False
-
-    def __init__(self, pi: float):
-        super().__init__()
-        if not 0.0 <= pi < 1.0:
-            raise ValueError(f"pi must be in [0, 1), got {pi}")
-        self.pi = pi
-
-    def is_reachable(self, a: str, b: str) -> bool:
-        if self.pi == 0.0:
-            return True
-        assert self.rng is not None, "model not attached"
-        return self.rng.random() >= self.pi
 
 
 class _PairState:
@@ -321,8 +249,10 @@ class PairEpochModel(ConnectivityModel):
         return state
 
     def _toggle(self, key: Tuple[str, str], state: _PairState):
+        # Ends once ``pi`` drops to 0: every pair is then reachable and
+        # an UP period would be infinite.
         assert self.rng is not None and self.env is not None
-        while True:
+        while self.pi > 0.0:
             if state.down:
                 duration = self.rng.expovariate(1.0 / self.mean_outage)
             else:
@@ -333,20 +263,12 @@ class PairEpochModel(ConnectivityModel):
             tracer = self.tracer
             if tracer is not None:
                 kind = TraceKind.LINK_DOWN if state.down else TraceKind.LINK_UP
-                if tracer.wants(kind):
-                    tracer.publish(kind, "pair_epoch", a=key[0], b=key[1])
-                else:
-                    tracer.bump(kind)
+                tracer.publish(kind, "pair_epoch", a=key[0], b=key[1])
 
     def is_reachable(self, a: str, b: str) -> bool:
         if self.pi == 0.0:
             return True
         return not self._state(pair_key(a, b)).down
-
-    def force_resample(self) -> None:
-        """Drop all lazily created pair state (fresh stationary draws)."""
-        self._pairs.clear()
-        self.bump_epoch()
 
 
 class SampledConnectivity(ConnectivityModel):
@@ -366,7 +288,6 @@ class SampledConnectivity(ConnectivityModel):
             raise ValueError(f"pi must be in [0, 1), got {pi}")
         self.pi = pi
         self._down: Dict[Tuple[str, str], bool] = {}
-        self.resamples = 0
 
     def _state(self, key: Tuple[str, str]) -> bool:
         if key not in self._down:
@@ -377,7 +298,6 @@ class SampledConnectivity(ConnectivityModel):
     def resample(self) -> None:
         """Redraw the state of every known pair (new pairs draw lazily)."""
         assert self.rng is not None, "model not attached"
-        self.resamples += 1
         for key in self._down:
             self._down[key] = self.rng.random() < self.pi
         self.bump_epoch()
@@ -442,20 +362,14 @@ class DutyCycleModel(ConnectivityModel):
                 self._disconnected.discard(target)
                 self.bump_epoch()
                 if tracer is not None:
-                    if tracer.wants(TraceKind.LINK_UP):
-                        tracer.publish(TraceKind.LINK_UP, "duty_cycle", a=target, b="*")
-                    else:
-                        tracer.bump(TraceKind.LINK_UP)
+                    tracer.publish(TraceKind.LINK_UP, "duty_cycle", a=target, b="*")
             else:
                 self._disconnected.add(target)
                 self.bump_epoch()
                 if tracer is not None:
-                    if tracer.wants(TraceKind.LINK_DOWN):
-                        tracer.publish(
-                            TraceKind.LINK_DOWN, "duty_cycle", a=target, b="*"
-                        )
-                    else:
-                        tracer.bump(TraceKind.LINK_DOWN)
+                    tracer.publish(
+                        TraceKind.LINK_DOWN, "duty_cycle", a=target, b="*"
+                    )
 
     def is_connected(self, target: str) -> bool:
         return target not in self._disconnected
@@ -470,83 +384,3 @@ class DutyCycleModel(ConnectivityModel):
 
     def is_reachable(self, a: str, b: str) -> bool:
         return a not in self._disconnected and b not in self._disconnected
-
-
-class GroupPartitionModel(ConnectivityModel):
-    """Whole-network congestion events: at exponential intervals the
-    address set splits into ``n_groups`` random components for an
-    exponential duration, then heals.
-
-    Produces *correlated* inaccessibility (one event isolates many
-    pairs at once), the regime the paper's Section 4.1 closing
-    paragraph warns about.
-    """
-
-    def __init__(
-        self,
-        addresses: Sequence[str],
-        event_rate: float,
-        mean_duration: float,
-        n_groups: int = 2,
-    ):
-        super().__init__()
-        if event_rate <= 0 or mean_duration <= 0:
-            raise ValueError("event_rate and mean_duration must be positive")
-        if n_groups < 2:
-            raise ValueError("a partition needs at least 2 groups")
-        self.addresses = list(addresses)
-        self.event_rate = event_rate
-        self.mean_duration = mean_duration
-        self.n_groups = n_groups
-        self._component: Optional[Dict[str, int]] = None
-
-    def attach(self, env: Environment, rng: random.Random, tracer: Tracer) -> None:
-        super().attach(env, rng, tracer)
-        env.process(self._drive(), name="group_partitions")
-
-    def _drive(self):
-        assert self.env is not None and self.rng is not None
-        while True:
-            yield self.env.timeout(self.rng.expovariate(self.event_rate))
-            shuffled = list(self.addresses)
-            self.rng.shuffle(shuffled)
-            component: Dict[str, int] = {}
-            for index, address in enumerate(shuffled):
-                component[address] = index % self.n_groups
-            self._component = component
-            self.bump_epoch()
-            tracer = self.tracer
-            if tracer is not None:
-                if tracer.wants(TraceKind.PARTITION_STARTED):
-                    tracer.publish(
-                        TraceKind.PARTITION_STARTED,
-                        "group_model",
-                        groups=self.n_groups,
-                    )
-                else:
-                    tracer.bump(TraceKind.PARTITION_STARTED)
-            yield self.env.timeout(self.rng.expovariate(1.0 / self.mean_duration))
-            self._component = None
-            self.bump_epoch()
-            tracer = self.tracer
-            if tracer is not None:
-                if tracer.wants(TraceKind.PARTITION_HEALED):
-                    tracer.publish(TraceKind.PARTITION_HEALED, "group_model")
-                else:
-                    tracer.bump(TraceKind.PARTITION_HEALED)
-
-    def component_table(self) -> Dict[str, int]:
-        component = self._component
-        if component is None:
-            return {}
-        # ``is_reachable`` defaults unlisted addresses to group 0, so the
-        # flat table maps group 0 onto the implicit shared component -1.
-        return {
-            address: (group if group != 0 else -1)
-            for address, group in component.items()
-        }
-
-    def is_reachable(self, a: str, b: str) -> bool:
-        if self._component is None:
-            return True
-        return self._component.get(a, 0) == self._component.get(b, 0)

@@ -45,6 +45,17 @@ class PartitionEvent:
     end: float
     groups: Tuple[Tuple[str, ...], ...]
 
+    def __post_init__(self) -> None:
+        # Checked here, not in ``ScriptedConnectivity.partition``: a
+        # replay imposes the groups from inside a sim process, where an
+        # exception would be swallowed and the later group would win.
+        seen = set()
+        for group in self.groups:
+            for address in group:
+                if address in seen:
+                    raise ValueError(f"address {address!r} is listed twice in the groups")
+                seen.add(address)
+
     def to_dict(self) -> Dict[str, Any]:
         return {
             "start": self.start,

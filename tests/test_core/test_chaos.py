@@ -125,11 +125,9 @@ class TestChaos:
         # Tear down remaining chaos by healing everything and letting
         # retransmissions drain.  (Stops only the connectivity model's
         # influence; crashed managers recover via their injectors.)
-        system.network.connectivity.pi = 0.0
-        system.network.connectivity.force_resample = getattr(
-            system.network.connectivity, "force_resample", lambda: None
-        )
-        system.network.connectivity._pairs.clear()
+        connectivity = system.network.connectivity
+        connectivity.pi = 0.0  # every pair reachable; toggles wind down
+        connectivity.bump_epoch()
         system.run(until=system.env.now + 600.0)
         live = [m for m in system.managers if m.up and not m.recovering]
         assert len(live) >= 2

@@ -16,7 +16,7 @@ from repro.core.system import AccessControlSystem
 from repro.core.wrapper import Application, ApplicationHost
 from repro.sim.clock import LocalClock
 from repro.sim.engine import Environment
-from repro.sim.network import FixedLatency, Network, UniformLatency
+from repro.sim.network import FixedLatency, Network, ShiftedExponentialLatency
 from repro.sim.partitions import ScriptedConnectivity
 from repro.sim.trace import Tracer
 
@@ -225,13 +225,13 @@ class TestNameServiceOutage:
         assert second.value.allowed
 
 
-class TestUniformLatencyIntegration:
+class TestJitteryLatency:
     def test_protocol_works_with_jittery_latency(self):
         system = AccessControlSystem(
             n_managers=3, n_hosts=1,
             policy=AccessPolicy(check_quorum=2, expiry_bound=60.0,
                                 query_timeout=2.0),
-            latency=UniformLatency(0.01, 0.4),
+            latency=ShiftedExponentialLatency(0.01, 0.1),
             seed=9,
         )
         system.seed_grant(APP, "u")

@@ -8,13 +8,10 @@ import pytest
 
 from repro.sim.engine import Environment
 from repro.sim.partitions import (
-    BernoulliPerMessage,
     FullConnectivity,
-    GroupPartitionModel,
     PairEpochModel,
     SampledConnectivity,
     ScriptedConnectivity,
-    StaticPartition,
     pair_key,
 )
 from repro.sim.trace import Tracer
@@ -39,24 +36,6 @@ class TestFullConnectivity:
         model = FullConnectivity()
         attach(model)
         assert model.is_reachable("x", "y")
-
-
-class TestStaticPartition:
-    def test_groups_separate(self):
-        model = StaticPartition([["a", "b"], ["c"]])
-        attach(model)
-        assert model.is_reachable("a", "b")
-        assert not model.is_reachable("a", "c")
-
-    def test_unlisted_share_component(self):
-        model = StaticPartition([["a"]])
-        attach(model)
-        assert model.is_reachable("x", "y")
-        assert not model.is_reachable("a", "x")
-
-    def test_duplicate_membership_rejected(self):
-        with pytest.raises(ValueError):
-            StaticPartition([["a"], ["a", "b"]])
 
 
 class TestScriptedConnectivity:
@@ -93,6 +72,22 @@ class TestScriptedConnectivity:
         model.heal()
         assert model.is_reachable("a", "c")
 
+    def test_groups_separate(self):
+        model = ScriptedConnectivity()
+        attach(model)
+        model.partition([["a", "b"], ["c"]])
+        assert model.is_reachable("a", "b")
+        assert not model.is_reachable("a", "c")
+        assert model.component_table() == {"a": 0, "b": 0, "c": 1}
+
+    def test_unlisted_share_component(self):
+        model = ScriptedConnectivity()
+        attach(model)
+        model.partition([["a"]])
+        assert model.is_reachable("x", "y")
+        assert not model.is_reachable("a", "x")
+        assert model.component_table() == {"a": 0}
+
     def test_heal_revives_downed_links(self):
         # Regression (PR-7 known bug): heal() used to remove only the
         # grouping, leaving explicitly downed links severed — unlike the
@@ -121,25 +116,6 @@ class TestScriptedConnectivity:
         assert model.component_table() is None
         model.heal()
         assert model.component_table() == {}
-
-
-class TestBernoulliPerMessage:
-    def test_zero_pi_always_reachable(self):
-        model = BernoulliPerMessage(0.0)
-        attach(model)
-        assert all(model.is_reachable("a", "b") for _ in range(100))
-
-    def test_rate_approximates_pi(self):
-        model = BernoulliPerMessage(0.3)
-        attach(model, seed=2)
-        downs = sum(not model.is_reachable("a", "b") for _ in range(5000))
-        assert downs / 5000 == pytest.approx(0.3, abs=0.03)
-
-    def test_invalid_pi_rejected(self):
-        with pytest.raises(ValueError):
-            BernoulliPerMessage(1.0)
-        with pytest.raises(ValueError):
-            BernoulliPerMessage(-0.1)
 
 
 class TestSampledConnectivity:
@@ -190,10 +166,6 @@ class TestPairEpochModel:
         env.run(until=100)
         assert model.is_reachable("a", "b")
 
-    def test_mean_uptime_matches_stationarity(self):
-        model = PairEpochModel(0.25, mean_outage=30.0)
-        assert model.mean_uptime == pytest.approx(90.0)
-
     def test_long_run_down_fraction(self):
         model = PairEpochModel(0.2, mean_outage=10.0)
         env = attach(model, seed=6)
@@ -206,58 +178,39 @@ class TestPairEpochModel:
             env.run(until=env.now + step)
         assert down_time / (steps * step) == pytest.approx(0.2, abs=0.04)
 
+    def test_mean_uptime_matches_stationarity(self):
+        model = PairEpochModel(0.25, mean_outage=30.0)
+        assert model.mean_uptime == pytest.approx(90.0)
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
             PairEpochModel(1.0)
         with pytest.raises(ValueError):
             PairEpochModel(0.1, mean_outage=0.0)
 
-    def test_force_resample_clears_state(self):
-        model = PairEpochModel(0.5, mean_outage=1000.0)
-        attach(model, seed=7)
-        model.is_reachable("a", "b")
-        assert model._pairs
-        model.force_resample()
-        assert not model._pairs
+    def test_toggles_end_cleanly_when_pi_drops_to_zero(self):
+        # Setting pi to 0 stops every pair's renewal process: each ends
+        # with a normal return, not an exception the engine swallows.
+        env = Environment()
+        toggles = []
+        spawn = env.process
 
+        def capture(generator, name=None):
+            process = spawn(generator, name=name)
+            toggles.append(process)
+            return process
 
-class TestGroupPartitionModel:
-    def test_partitions_come_and_go(self):
-        addresses = [f"n{i}" for i in range(6)]
-        model = GroupPartitionModel(
-            addresses, event_rate=0.1, mean_duration=5.0, n_groups=2
-        )
-        env = attach(model, seed=8)
-        saw_partition = saw_healed = False
-        for _ in range(500):
-            env.run(until=env.now + 1.0)
-            separated = any(
-                not model.is_reachable(a, b)
-                for a in addresses
-                for b in addresses
-                if a < b
-            )
-            if separated:
-                saw_partition = True
-            else:
-                saw_healed = True
-        assert saw_partition and saw_healed
-
-    def test_within_group_reachable(self):
-        addresses = ["a", "b", "c", "d"]
-        model = GroupPartitionModel(addresses, event_rate=1.0, mean_duration=1000.0)
-        env = attach(model, seed=9)
-        env.run(until=10.0)  # a partition is almost surely active
-        groups = {}
-        for address in addresses:
-            groups.setdefault(model._component[address], []).append(address)
-        for members in groups.values():
-            for x in members:
-                for y in members:
-                    assert model.is_reachable(x, y)
-
-    def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            GroupPartitionModel(["a"], event_rate=0.0, mean_duration=1.0)
-        with pytest.raises(ValueError):
-            GroupPartitionModel(["a"], event_rate=1.0, mean_duration=1.0, n_groups=1)
+        env.process = capture
+        model = PairEpochModel(0.5, mean_outage=1.0)
+        model.attach(env, random.Random(7), Tracer(env))
+        for pair in [("a", "b"), ("a", "c"), ("b", "c")]:
+            model.is_reachable(*pair)
+        env.run(until=20.0)
+        model.pi = 0.0
+        model.bump_epoch()
+        env.run(until=500.0)
+        assert len(toggles) == 3
+        for process in toggles:
+            assert not process.is_alive
+            assert process.ok, process.value
+        assert model.is_reachable("a", "b")

@@ -9,6 +9,7 @@ import pytest
 from repro.runtime.seeds import trial_seed
 from repro.verify.schedules import (
     ClockDriftSpec,
+    PartitionEvent,
     Schedule,
     generate_schedule,
 )
@@ -86,6 +87,16 @@ class TestSerialization:
         payload = generate_schedule(7, 0).to_dict()
         payload["format"] = 999
         with pytest.raises(ValueError):
+            Schedule.from_dict(payload)
+
+    def test_duplicate_membership_rejected(self):
+        with pytest.raises(ValueError, match="'a'"):
+            PartitionEvent(start=1.0, end=2.0, groups=(("a",), ("a", "b")))
+        # A replayed file is checked too, before any group is imposed.
+        payload = generate_schedule(7, 0).to_dict()
+        groups = payload["partitions"][0]["groups"]
+        groups[1].append(groups[0][0])
+        with pytest.raises(ValueError, match=repr(groups[0][0])):
             Schedule.from_dict(payload)
 
 
