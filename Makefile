@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test test-slow lint loc fuzz bench-smoke bench-e2e bench-e2e-smoke net-smoke population-smoke mega profile experiments examples all clean
+.PHONY: install test test-slow lint loc fuzz bench-smoke bench-e2e bench-e2e-smoke net-smoke population-smoke mega profile experiments experiments-check examples all clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -83,6 +83,13 @@ profile:
 
 experiments:
 	PYTHONPATH=src python -m repro.experiments.cli
+
+# Every experiment must print results/experiments_output.txt exactly,
+# apart from the "completed in" timing lines (about 6 s).
+experiments-check: SHELL := /bin/bash
+experiments-check:
+	set -o pipefail; PYTHONPATH=src python -m repro | grep -v "completed in" \
+		| diff -u <(grep -v "completed in" results/experiments_output.txt) -
 
 examples:
 	@for script in examples/*.py; do \

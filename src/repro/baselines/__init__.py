@@ -13,6 +13,14 @@ implements the four that are distinct systems:
 * :mod:`~repro.baselines.temporal_auth` — fixed-term leases
   ([4]-style): revocation bounded only by the (long) lease term.
 
+All four sit on one substrate, :mod:`~repro.baselines.common`: one
+issue path (``add``/``revoke``), one answer to a ``QueryRequest``, one
+host check loop (query round, attempt/backoff, decision record) and
+one seeding path.  Each module keeps only what makes its system
+distinct — a follow-up to an issued update, the answer's ``te``, and
+the host's own state (replica, forever-cache or leases) — so every
+system answers, decides and is measured through the same code.
+
 (The paper's *second* option — "disseminate the access control
 information just among the managers" with per-access manager checks —
 is the paper's own protocol with caching disabled; the benches get it

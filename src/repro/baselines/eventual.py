@@ -24,11 +24,9 @@ Semantics implemented here (reconstructed from that description):
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Callable, Dict, Sequence, Set, Tuple
+from typing import Any, Dict, Sequence, Set, Tuple
 
-from ..core.acl import AccessControlList
-from ..core.host import AccessDecision, DecisionReason
+from ..core.host import DecisionReason
 from ..core.messages import (
     AclUpdate,
     QueryRequest,
@@ -38,16 +36,22 @@ from ..core.messages import (
     SyncResponse,
     Verdict,
 )
-from ..core.rights import Right, Version, hlc_counter
-from ..sim.node import Address, Node
+from ..core.rights import Right
+from ..protocols.messaging import ReplyTable, retry_until_acked
+from ..sim.node import Address
 from ..sim.trace import TraceKind
-from .common import BaselineSystem
+from .common import BaselineHost, BaselineManager, BaselineSystem
 
 __all__ = ["EventualManager", "EventualHost", "EventualSystem"]
 
+#: Seconds between re-sends of an unacked revocation notice.
+REVOKE_RETRY_INTERVAL = 5.0
 
-class EventualManager(Node):
+
+class EventualManager(BaselineManager):
     """Gossip-replicated manager with no timeliness guarantees."""
+
+    te = float("inf")  # no expiry in this design
 
     def __init__(
         self,
@@ -55,23 +59,15 @@ class EventualManager(Node):
         applications: Sequence[str],
         peers: Sequence[Address],
         gossip_interval: float = 10.0,
-        revoke_retry_interval: float = 5.0,
     ):
-        super().__init__(address)
-        self.acls: Dict[str, AccessControlList] = {
-            app: AccessControlList(app) for app in applications
-        }
+        super().__init__(address, applications)
         self.peers = tuple(p for p in peers if p != address)
         self.gossip_interval = gossip_interval
-        self.revoke_retry_interval = revoke_retry_interval
-        self._counter = 0
-        self._notify_ids = itertools.count(1)
-        self._pending_notifies: Dict[int, Any] = {}
+        self._notifies = ReplyTable()
         # grant_table[app][(user, right)] -> set of host addresses
         self._grant_table: Dict[str, Dict[Tuple[str, Right], Set[Address]]] = {
             app: {} for app in applications
         }
-        self.recovering = False
 
     def attach(self, network) -> None:
         super().attach(network)
@@ -90,36 +86,16 @@ class EventualManager(Node):
             )
             self.send(peer, SyncResponse(responder=self.address, snapshots=snapshots))
 
-    # -- operations ----------------------------------------------------------
-    def add(self, application: str, user: str, right: Right = Right.USE):
-        return self._issue(application, user, right, grant=True)
-
-    def revoke(self, application: str, user: str, right: Right = Right.USE):
-        return self._issue(application, user, right, grant=False)
-
-    def _issue(self, application: str, user: str, right: Right, grant: bool):
-        current = self.acls[application].version_of(user, right)
-        self._counter = hlc_counter(
-            self.env.now, max(self._counter, current.counter)
-        )
-        update = AclUpdate(
-            update_id=f"{self.address}:{self._counter}",
-            application=application,
-            user=user,
-            right=right,
-            grant=grant,
-            version=Version(self._counter, self.address),
-            origin=self.address,
-        )
-        self.acls[application].apply(update.entry())
-        self.network.tracer.publish(
-            TraceKind.UPDATE_ISSUED, self.address,
-            application=application, user=user, grant=grant,
-            update_id=update.update_id,
-        )
-        if not grant:
+    # -- revocation forwarding -------------------------------------------------
+    def _issued(self, update: AclUpdate) -> None:
+        if not update.grant:
             self._forward_revocation(update)
-        return update
+
+    def _granted(self, src: Address, query: QueryRequest) -> None:
+        holders = self._grant_table[query.application].setdefault(
+            (query.user, query.right), set()
+        )
+        holders.add(src)
 
     def _forward_revocation(self, update: AclUpdate) -> None:
         holders = self._grant_table[update.application].pop(
@@ -133,9 +109,8 @@ class EventualManager(Node):
 
     def _notify_host(self, host: Address, update: AclUpdate):
         """Retry forever — "eventually" is the only guarantee."""
-        notify_id = next(self._notify_ids)
         acked = self.env.event()
-        self._pending_notifies[notify_id] = acked
+        notify_id = self._notifies.allocate(lambda ack: acked.succeed())
         message = RevokeNotify(
             application=update.application,
             user=update.user,
@@ -143,46 +118,24 @@ class EventualManager(Node):
             version=update.version,
             notify_id=notify_id,
         )
+
+        def trace_forwarded() -> None:
+            self.network.tracer.publish(
+                TraceKind.REVOKE_FORWARDED, self.address,
+                host=host, application=update.application, user=update.user,
+            )
+
         try:
-            while not acked.triggered:
-                if self.up:
-                    self.send(host, message)
-                    self.network.tracer.publish(
-                        TraceKind.REVOKE_FORWARDED, self.address,
-                        host=host, application=update.application, user=update.user,
-                    )
-                timer = self.env.timeout(self.revoke_retry_interval)
-                yield self.env.any_of([acked, timer])
+            yield from retry_until_acked(
+                self, host, message, REVOKE_RETRY_INTERVAL, acked,
+                on_sent=trace_forwarded,
+            )
         finally:
-            self._pending_notifies.pop(notify_id, None)
+            self._notifies.discard(notify_id)
 
     # -- messages -------------------------------------------------------------
     def handle_message(self, src: Address, message: Any) -> None:
-        if isinstance(message, QueryRequest):
-            acl = self.acls.get(message.application)
-            if acl is None:
-                return
-            entry = acl.entry(message.user, message.right)
-            granted = entry is not None and entry.granted
-            if granted:
-                holders = self._grant_table[message.application].setdefault(
-                    (message.user, message.right), set()
-                )
-                holders.add(src)
-            self.send(
-                src,
-                QueryResponse(
-                    query_id=message.query_id,
-                    application=message.application,
-                    user=message.user,
-                    right=message.right,
-                    verdict=Verdict.GRANT if granted else Verdict.DENY,
-                    te=float("inf"),  # no expiry in this design
-                    version=acl.version_of(message.user, message.right),
-                    manager=self.address,
-                ),
-            )
-        elif isinstance(message, SyncResponse):
+        if isinstance(message, SyncResponse):
             for application, entries in message.snapshots:
                 acl = self.acls.get(application)
                 if acl is None:
@@ -207,117 +160,34 @@ class EventualManager(Node):
                 for entry in entries:
                     self._counter = max(self._counter, entry.version.counter)
         elif isinstance(message, RevokeNotifyAck):
-            event = self._pending_notifies.get(message.notify_id)
-            if event is not None and not event.triggered:
-                event.succeed()
+            self._notifies.dispatch(message.notify_id, message)
+        else:
+            super().handle_message(src, message)
 
 
-class EventualHost(Node):
+class EventualHost(BaselineHost):
     """Caches grants forever; trusts any single manager."""
 
-    def __init__(
-        self,
-        address: Address,
-        managers: Sequence[Address],
-        query_timeout: float = 1.0,
-        max_attempts: int = 3,
-        retry_backoff: float = 1.0,
-    ):
-        super().__init__(address)
-        self.managers = tuple(managers)
-        self.query_timeout = query_timeout
-        self.max_attempts = max_attempts
-        self.retry_backoff = retry_backoff
-        self._query_ids = itertools.count(1)
-        self._pending: Dict[int, Callable[[QueryResponse], None]] = {}
+    def __init__(self, address: Address, managers: Sequence[Address]):
+        super().__init__(address, managers)
         # cache[app] -> set of (user, right) believed granted
         self._cache: Dict[str, Set[Tuple[str, Right]]] = {}
-        self.stats = {"checks": 0, "allowed": 0, "denied": 0, "cache_hits": 0}
+        self.stats["cache_hits"] = 0
 
-    def check_access(self, application: str, user: str, right: Right = Right.USE):
-        self.stats["checks"] += 1
-        start = self.env.now
-        cache = self._cache.setdefault(application, set())
-        if (user, right) in cache:
+    def _local(self, application: str, user: str, right: Right):
+        if (user, right) in self._cache.setdefault(application, set()):
             self.stats["cache_hits"] += 1
-            self.stats["allowed"] += 1
-            self.network.tracer.publish(
-                TraceKind.ACCESS_ALLOWED, self.address,
-                application=application, user=user, reason="cache",
-                attempts=0, latency=0.0,
-            )
-            return AccessDecision(
-                application=application, user=user, right=right,
-                allowed=True, reason=DecisionReason.CACHE,
-                attempts=0, responses=0, latency=0.0,
-            )
-        attempts = 0
-        while attempts < self.max_attempts:
-            attempts += 1
-            manager = self.managers[(attempts - 1) % len(self.managers)]
-            qid = next(self._query_ids)
-            arrival = self.env.event()
-            self._pending[qid] = (
-                lambda response, ev=arrival: ev.succeed(response)
-                if not ev.triggered
-                else None
-            )
-            self.send(
-                manager,
-                QueryRequest(
-                    query_id=qid, application=application, user=user, right=right
-                ),
-            )
-            timer = self.env.timeout(self.query_timeout)
-            yield self.env.any_of([arrival, timer])
-            self._pending.pop(qid, None)
-            if arrival.triggered and arrival.ok:
-                response: QueryResponse = arrival.value
-                allowed = response.verdict == Verdict.GRANT
-                if allowed:
-                    cache.add((user, right))
-                self.stats["allowed" if allowed else "denied"] += 1
-                kind = (
-                    TraceKind.ACCESS_ALLOWED if allowed else TraceKind.ACCESS_DENIED
-                )
-                self.network.tracer.publish(
-                    kind, self.address, application=application, user=user,
-                    reason="verified", attempts=attempts,
-                    latency=self.env.now - start,
-                )
-                return AccessDecision(
-                    application=application, user=user, right=right,
-                    allowed=allowed,
-                    reason=(
-                        DecisionReason.VERIFIED if allowed else DecisionReason.DENIED
-                    ),
-                    attempts=attempts,
-                    responses=1,
-                    latency=self.env.now - start,
-                )
-            if attempts < self.max_attempts:
-                yield self.env.timeout(self.retry_backoff)
-        self.stats["denied"] += 1
-        self.network.tracer.publish(
-            TraceKind.ACCESS_UNRESOLVED, self.address,
-            application=application, user=user, reason="exhausted",
-            attempts=attempts, latency=self.env.now - start,
-        )
-        return AccessDecision(
-            application=application, user=user, right=right,
-            allowed=False, reason=DecisionReason.EXHAUSTED,
-            attempts=attempts, responses=0, latency=self.env.now - start,
-        )
+            return True, DecisionReason.CACHE, "cache"
+        return None
 
-    def request_access(self, application: str, user: str, right: Right = Right.USE):
-        return self.env.process(self.check_access(application, user, right))
+    def _remember(self, application: str, user: str, right: Right,
+                  reply: QueryResponse, sent_local: float) -> None:
+        cache = self._cache.get(application)  # None once a crash wiped it
+        if cache is not None and reply.verdict == Verdict.GRANT:
+            cache.add((user, right))
 
     def handle_message(self, src: Address, message: Any) -> None:
-        if isinstance(message, QueryResponse):
-            callback = self._pending.pop(message.query_id, None)
-            if callback is not None:
-                callback(message)
-        elif isinstance(message, RevokeNotify):
+        if isinstance(message, RevokeNotify):
             cache = self._cache.setdefault(message.application, set())
             cache.discard((message.user, message.right))
             self.network.tracer.publish(
@@ -327,10 +197,12 @@ class EventualHost(Node):
             self.send(
                 src, RevokeNotifyAck(notify_id=message.notify_id, host=self.address)
             )
+        else:
+            super().handle_message(src, message)
 
     def on_crash(self) -> None:
+        super().on_crash()
         self._cache.clear()
-        self._pending.clear()
 
 
 class EventualSystem(BaselineSystem):
@@ -340,21 +212,15 @@ class EventualSystem(BaselineSystem):
         self.gossip_interval = gossip_interval
         super().__init__(*args, **kwargs)
 
-    def _build(self, n_managers: int, n_hosts: int) -> None:
-        for addr in self.manager_addrs:
-            manager = EventualManager(
+    def _build(self, host_addrs):
+        managers = [
+            EventualManager(
                 addr,
                 self.applications,
                 self.manager_addrs,
                 gossip_interval=self.gossip_interval,
             )
-            self.network.register(manager)
-            self.managers.append(manager)
-        for i in range(n_hosts):
-            host = EventualHost(f"h{i}", self.manager_addrs)
-            self.network.register(host)
-            self.hosts.append(host)
-
-    def _seed_entry(self, application: str, entry) -> None:
-        for manager in self.managers:
-            manager.acls[application].apply(entry)
+            for addr in self.manager_addrs
+        ]
+        hosts = [EventualHost(addr, self.manager_addrs) for addr in host_addrs]
+        return managers, hosts

@@ -21,11 +21,10 @@ Semantics implemented here:
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Dict, Sequence, Set
 
 from ..core.acl import AccessControlList
-from ..core.host import AccessDecision, DecisionReason
+from ..core.host import DecisionReason
 from ..core.messages import (
     AclUpdate,
     SyncRequest,
@@ -33,54 +32,34 @@ from ..core.messages import (
     UpdateAck,
     UpdateMsg,
 )
-from ..core.rights import Right, Version, hlc_counter
-from ..sim.node import Address, Node
+from ..core.rights import Right
+from ..sim.node import Address
 from ..sim.trace import TraceKind
-from .common import BaselineSystem
+from .common import BaselineHost, BaselineManager, BaselineSystem
 
 __all__ = ["FullReplicationManager", "FullReplicationHost", "FullReplicationSystem"]
 
+#: Seconds between a recovering host's snapshot requests.
+RESYNC_INTERVAL = 2.0
+#: Seconds between a manager's re-sends of an unacked update.
+RETRY_INTERVAL = 2.0
 
-class FullReplicationHost(Node):
+
+class FullReplicationHost(BaselineHost):
     """Holds a full ACL replica; every check is local."""
 
     def __init__(self, address: Address, applications: Sequence[str],
-                 manager_addrs: Sequence[Address] = (),
-                 resync_interval: float = 2.0):
-        super().__init__(address)
+                 manager_addrs: Sequence[Address] = ()):
+        super().__init__(address, manager_addrs)
         self.replicas: Dict[str, AccessControlList] = {
             app: AccessControlList(app) for app in applications
         }
-        self.manager_addrs = tuple(manager_addrs)
-        self.resync_interval = resync_interval
         self._resynced = False
-        self.stats = {"checks": 0, "allowed": 0, "denied": 0}
 
-    def check_access(self, application: str, user: str, right: Right = Right.USE):
-        """Local decision; still a generator for workload compatibility."""
-        self.stats["checks"] += 1
-        replica = self.replicas[application]
-        allowed = replica.check(user, right)
-        self.stats["allowed" if allowed else "denied"] += 1
-        kind = TraceKind.ACCESS_ALLOWED if allowed else TraceKind.ACCESS_DENIED
-        self.network.tracer.publish(
-            kind, self.address, application=application, user=user,
-            reason="local_replica", attempts=0, latency=0.0,
-        )
-        return AccessDecision(
-            application=application,
-            user=user,
-            right=right,
-            allowed=allowed,
-            reason=DecisionReason.VERIFIED if allowed else DecisionReason.DENIED,
-            attempts=0,
-            responses=0,
-            latency=0.0,
-        )
-        yield  # pragma: no cover - makes this a generator
-
-    def request_access(self, application: str, user: str, right: Right = Right.USE):
-        return self.env.process(self.check_access(application, user, right))
+    def _local(self, application: str, user: str, right: Right):
+        allowed = self.replicas[application].check(user, right)
+        reason = DecisionReason.VERIFIED if allowed else DecisionReason.DENIED
+        return allowed, reason, "local_replica"
 
     def handle_message(self, src: Address, message: Any) -> None:
         if isinstance(message, UpdateMsg):
@@ -96,11 +75,12 @@ class FullReplicationHost(Node):
 
     def on_crash(self) -> None:
         """The replica is volatile; recovery resyncs it from a manager."""
-        for app, replica in self.replicas.items():
+        super().on_crash()
+        for app in self.replicas:
             self.replicas[app] = AccessControlList(app)
 
     def on_recover(self) -> None:
-        if self.manager_addrs:
+        if self.managers:
             self._resynced = False
             self.spawn(self._resync(), name=f"{self.address}/fr-resync")
 
@@ -109,13 +89,13 @@ class FullReplicationHost(Node):
         apps = tuple(sorted(self.replicas))
         index = 0
         while self.up and not self._resynced:
-            manager = self.manager_addrs[index % len(self.manager_addrs)]
+            manager = self.managers[index % len(self.managers)]
             index += 1
             self.send(manager, SyncRequest(requester=self.address, applications=apps))
-            yield self.env.timeout(self.resync_interval)
+            yield self.env.timeout(RESYNC_INTERVAL)
 
 
-class FullReplicationManager(Node):
+class FullReplicationManager(BaselineManager):
     """Disseminates every update to all managers and all hosts."""
 
     def __init__(
@@ -124,50 +104,15 @@ class FullReplicationManager(Node):
         applications: Sequence[str],
         peers: Sequence[Address],
         host_addrs: Sequence[Address],
-        retry_interval: float = 2.0,
     ):
-        super().__init__(address)
-        self.acls: Dict[str, AccessControlList] = {
-            app: AccessControlList(app) for app in applications
-        }
+        super().__init__(address, applications)
         self.peers = tuple(p for p in peers if p != address)
         self.host_addrs = tuple(host_addrs)
-        self.retry_interval = retry_interval
-        self._counter = 0
-        self._update_ids = itertools.count(1)
         self._pending: Dict[str, Set[Address]] = {}
-        self.recovering = False  # workload-compatibility flag
 
-    def add(self, application: str, user: str, right: Right = Right.USE):
-        return self._issue(application, user, right, grant=True)
-
-    def revoke(self, application: str, user: str, right: Right = Right.USE):
-        return self._issue(application, user, right, grant=False)
-
-    def _issue(self, application: str, user: str, right: Right, grant: bool):
-        current = self.acls[application].version_of(user, right)
-        self._counter = hlc_counter(
-            self.env.now, max(self._counter, current.counter)
-        )
-        update = AclUpdate(
-            update_id=f"{self.address}:{next(self._update_ids)}",
-            application=application,
-            user=user,
-            right=right,
-            grant=grant,
-            version=Version(self._counter, self.address),
-            origin=self.address,
-        )
-        self.acls[application].apply(update.entry())
-        self.network.tracer.publish(
-            TraceKind.UPDATE_ISSUED, self.address,
-            application=application, user=user, grant=grant,
-            update_id=update.update_id,
-        )
-        targets = set(self.peers) | set(self.host_addrs)
-        self._pending[update.update_id] = targets
+    def _issued(self, update: AclUpdate) -> None:
+        self._pending[update.update_id] = set(self.peers) | set(self.host_addrs)
         self.spawn(self._disseminate(update), name=f"{self.address}/fr-update")
-        return update
 
     def _disseminate(self, update: AclUpdate):
         message = UpdateMsg(update=update)
@@ -175,7 +120,7 @@ class FullReplicationManager(Node):
         while pending:
             if self.up:
                 self.multicast(sorted(pending), message)
-            yield self.env.timeout(self.retry_interval)
+            yield self.env.timeout(RETRY_INTERVAL)
         self._pending.pop(update.update_id, None)
         self.network.tracer.publish(
             TraceKind.UPDATE_FULLY_PROPAGATED, self.address,
@@ -206,23 +151,20 @@ class FullReplicationManager(Node):
 class FullReplicationSystem(BaselineSystem):
     """A wired full-replication deployment."""
 
-    def _build(self, n_managers: int, n_hosts: int) -> None:
-        host_addrs = tuple(f"h{i}" for i in range(n_hosts))
-        for addr in self.manager_addrs:
-            manager = FullReplicationManager(
+    def _build(self, host_addrs):
+        managers = [
+            FullReplicationManager(
                 addr, self.applications, self.manager_addrs, host_addrs
             )
-            self.network.register(manager)
-            self.managers.append(manager)
-        for addr in host_addrs:
-            host = FullReplicationHost(
-                addr, self.applications, manager_addrs=self.manager_addrs
-            )
-            self.network.register(host)
-            self.hosts.append(host)
+            for addr in self.manager_addrs
+        ]
+        hosts = [
+            FullReplicationHost(addr, self.applications, self.manager_addrs)
+            for addr in host_addrs
+        ]
+        return managers, hosts
 
     def _seed_entry(self, application: str, entry) -> None:
-        for manager in self.managers:
-            manager.acls[application].apply(entry)
+        super()._seed_entry(application, entry)
         for host in self.hosts:
             host.replicas[application].apply(entry)

@@ -25,22 +25,20 @@ days-to-months vs the paper's seconds-to-minutes ``Te``), overhead is
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.acl import AccessControlList
-from ..core.host import AccessDecision, DecisionReason
+from ..core.host import DecisionReason
 from ..core.messages import QueryRequest, QueryResponse, Verdict
-from ..core.rights import Right, Version, hlc_counter
-from ..protocols.messaging import ReplyTable, request
-from ..sim.clock import LocalClock
-from ..sim.node import Address, Node
-from ..sim.trace import TraceKind
-from .common import BaselineSystem
+from ..core.rights import Right
+from ..sim.clock import ClockFactory, LocalClock
+from ..sim.node import Address
+from .common import BaselineHost, BaselineManager, BaselineSystem
 
 __all__ = ["TemporalAuthority", "TemporalHost", "TemporalAuthSystem"]
 
 
-class TemporalAuthority(Node):
+class TemporalAuthority(BaselineManager):
     """Issues fixed-duration leases from its authorization list."""
 
     def __init__(
@@ -48,177 +46,56 @@ class TemporalAuthority(Node):
         address: Address,
         applications: Sequence[str],
         lease_duration: float,
-        shared_acls: Dict[str, AccessControlList] = None,
+        shared_acls: Optional[Dict[str, AccessControlList]] = None,
     ):
-        super().__init__(address)
         if lease_duration <= 0:
             raise ValueError("lease duration must be positive")
         # [4] is a single-database model: authorities may share one
         # authorization store (replicated only for read availability).
-        self.acls: Dict[str, AccessControlList] = (
-            shared_acls
-            if shared_acls is not None
-            else {app: AccessControlList(app) for app in applications}
-        )
+        super().__init__(address, applications, acls=shared_acls)
         self.lease_duration = lease_duration
-        self._counter = 0
         self.leases_issued = 0
-        self.recovering = False
 
-    def add(self, application: str, user: str, right: Right = Right.USE):
-        self._apply(application, user, right, grant=True)
+    @property
+    def te(self) -> float:
+        return self.lease_duration
 
-    def revoke(self, application: str, user: str, right: Right = Right.USE):
-        self._apply(application, user, right, grant=False)
-
-    def _apply(self, application: str, user: str, right: Right, grant: bool) -> None:
-        current = self.acls[application].version_of(user, right)
-        self._counter = hlc_counter(
-            self.env.now, max(self._counter, current.counter)
-        )
-        from ..core.rights import AclEntry
-
-        self.acls[application].apply(
-            AclEntry(
-                user=user,
-                right=right,
-                granted=grant,
-                version=Version(self._counter, self.address),
-            )
-        )
-        self.network.tracer.publish(
-            TraceKind.UPDATE_ISSUED, self.address,
-            application=application, user=user, grant=grant,
-            update_id=f"{self.address}:{self._counter}",
-        )
-
-    def handle_message(self, src: Address, message: Any) -> None:
-        if isinstance(message, QueryRequest):
-            acl = self.acls.get(message.application)
-            if acl is None:
-                return
-            granted = acl.check(message.user, message.right)
-            if granted:
-                self.leases_issued += 1
-            self.send(
-                src,
-                QueryResponse(
-                    query_id=message.query_id,
-                    application=message.application,
-                    user=message.user,
-                    right=message.right,
-                    verdict=Verdict.GRANT if granted else Verdict.DENY,
-                    te=self.lease_duration,
-                    version=acl.version_of(message.user, message.right),
-                    manager=self.address,
-                ),
-            )
+    def _granted(self, src: Address, query: QueryRequest) -> None:
+        self.leases_issued += 1
 
 
-class TemporalHost(Node):
+class TemporalHost(BaselineHost):
     """Caches leases until their fixed term ends."""
 
-    def __init__(
-        self,
-        address: Address,
-        authorities: Sequence[Address],
-        clock: LocalClock = None,
-        query_timeout: float = 1.0,
-        max_attempts: int = 3,
-        retry_backoff: float = 1.0,
-    ):
-        super().__init__(address)
-        self.authorities = tuple(authorities)
+    round_reason = "lease_renewal"
+
+    def __init__(self, address: Address, authorities: Sequence[Address],
+                 clock: Optional[LocalClock] = None):
+        super().__init__(address, authorities)
         self.clock = clock
-        self.query_timeout = query_timeout
-        self.max_attempts = max_attempts
-        self.retry_backoff = retry_backoff
-        self._pending = ReplyTable()
         # leases[app][(user, right)] = local-clock expiry
         self._leases: Dict[str, Dict[Tuple[str, Right], float]] = {}
-        self.stats = {"checks": 0, "allowed": 0, "denied": 0, "lease_hits": 0}
+        self.stats["lease_hits"] = 0
 
-    def attach(self, network) -> None:
-        super().attach(network)
-        if self.clock is None:
-            self.clock = LocalClock(self.env)
-
-    def check_access(self, application: str, user: str, right: Right = Right.USE):
-        self.stats["checks"] += 1
-        start = self.env.now
+    def _local(self, application: str, user: str, right: Right):
         leases = self._leases.setdefault(application, {})
         expiry = leases.get((user, right))
         if expiry is not None and self.clock.now() < expiry:
             self.stats["lease_hits"] += 1
-            self.stats["allowed"] += 1
-            self.network.tracer.publish(
-                TraceKind.ACCESS_ALLOWED, self.address,
-                application=application, user=user, reason="lease",
-                attempts=0, latency=0.0,
-            )
-            return AccessDecision(
-                application=application, user=user, right=right,
-                allowed=True, reason=DecisionReason.CACHE,
-                attempts=0, responses=0, latency=0.0,
-            )
+            return True, DecisionReason.CACHE, "lease"
         if expiry is not None:
             del leases[(user, right)]
-        attempts = 0
-        while attempts < self.max_attempts:
-            attempts += 1
-            authority = self.authorities[(attempts - 1) % len(self.authorities)]
-            send_local = self.clock.now()
-            response = yield from request(
-                self,
-                self._pending,
-                authority,
-                lambda qid: QueryRequest(
-                    query_id=qid, application=application, user=user, right=right
-                ),
-                self.query_timeout,
-            )
-            if response is not None:
-                allowed = response.verdict == Verdict.GRANT
-                if allowed:
-                    leases[(user, right)] = send_local + response.te
-                self.stats["allowed" if allowed else "denied"] += 1
-                kind = (
-                    TraceKind.ACCESS_ALLOWED if allowed else TraceKind.ACCESS_DENIED
-                )
-                self.network.tracer.publish(
-                    kind, self.address, application=application, user=user,
-                    reason="lease_renewal", attempts=attempts,
-                    latency=self.env.now - start,
-                )
-                return AccessDecision(
-                    application=application, user=user, right=right,
-                    allowed=allowed,
-                    reason=(
-                        DecisionReason.VERIFIED if allowed else DecisionReason.DENIED
-                    ),
-                    attempts=attempts,
-                    responses=1,
-                    latency=self.env.now - start,
-                )
-            if attempts < self.max_attempts:
-                yield self.env.timeout(self.retry_backoff)
-        self.stats["denied"] += 1
-        return AccessDecision(
-            application=application, user=user, right=right,
-            allowed=False, reason=DecisionReason.EXHAUSTED,
-            attempts=attempts, responses=0, latency=self.env.now - start,
-        )
+        return None
 
-    def request_access(self, application: str, user: str, right: Right = Right.USE):
-        return self.env.process(self.check_access(application, user, right))
-
-    def handle_message(self, src: Address, message: Any) -> None:
-        if isinstance(message, QueryResponse):
-            self._pending.dispatch(message.query_id, message)
+    def _remember(self, application: str, user: str, right: Right,
+                  reply: QueryResponse, sent_local: float) -> None:
+        leases = self._leases.get(application)  # None once a crash wiped them
+        if leases is not None and reply.verdict == Verdict.GRANT:
+            leases[(user, right)] = sent_local + reply.te
 
     def on_crash(self) -> None:
+        super().on_crash()
         self._leases.clear()
-        self._pending.clear()
 
 
 class TemporalAuthSystem(BaselineSystem):
@@ -228,24 +105,20 @@ class TemporalAuthSystem(BaselineSystem):
         self.lease_duration = lease_duration
         super().__init__(*args, **kwargs)
 
-    def _build(self, n_managers: int, n_hosts: int) -> None:
+    def _build(self, host_addrs):
         shared = {app: AccessControlList(app) for app in self.applications}
-        for addr in self.manager_addrs:
-            authority = TemporalAuthority(
+        managers = [
+            TemporalAuthority(
                 addr,
                 self.applications,
                 lease_duration=self.lease_duration,
                 shared_acls=shared,
             )
-            self.network.register(authority)
-            self.managers.append(authority)
-        for i in range(n_hosts):
-            host = TemporalHost(
-                f"h{i}", self.manager_addrs, clock=self._make_clock()
-            )
-            self.network.register(host)
-            self.hosts.append(host)
-
-    def _seed_entry(self, application: str, entry) -> None:
-        for authority in self.managers:
-            authority.acls[application].apply(entry)
+            for addr in self.manager_addrs
+        ]
+        clocks = ClockFactory(self.env, rng=self.streams.stream("clocks"))
+        hosts = [
+            TemporalHost(addr, self.manager_addrs, clock=clocks.make())
+            for addr in host_addrs
+        ]
+        return managers, hosts

@@ -23,7 +23,10 @@ import enum
 from dataclasses import dataclass
 from functools import total_ordering
 
-__all__ = ["Right", "Version", "AclEntry", "ZERO_VERSION", "hlc_counter", "well_formed"]
+__all__ = [
+    "Right", "Version", "AclEntry", "ZERO_VERSION", "SEED_ORIGIN", "hlc_counter",
+    "well_formed",
+]
 
 
 class Right(enum.Enum):
@@ -60,6 +63,10 @@ class Version:
 
 #: The version that precedes every real update (used for "never granted").
 ZERO_VERSION = Version(0, "")
+
+#: Version origin for grants seeded before time zero: the empty string
+#: sorts below every real manager id, so ties go to real operations.
+SEED_ORIGIN = ""
 
 #: Millisecond granularity of the hybrid-logical-clock counters.
 HLC_TICKS_PER_SECOND = 1_000

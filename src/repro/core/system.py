@@ -35,14 +35,10 @@ from .ids import Interner
 from .manager import AccessControlManager
 from .name_service import TrustedNameService
 from .policy import AccessPolicy
-from .rights import AclEntry, Right, Version
+from .rights import SEED_ORIGIN, AclEntry, Right, Version
 from .wrapper import ApplicationHost
 
 __all__ = ["AccessControlSystem"]
-
-#: Version origin for ``seed_grant`` entries: the empty string
-#: sorts below every real manager id, so ties go to real operations.
-_SEED_ORIGIN = ""
 
 
 class AccessControlSystem:
@@ -325,7 +321,7 @@ class AccessControlSystem:
         full propagation before time zero.
         """
         entry = AclEntry(
-            user=user, right=right, granted=True, version=Version(1, _SEED_ORIGIN)
+            user=user, right=right, granted=True, version=Version(1, SEED_ORIGIN)
         )
         for manager in self.managers_for(application):
             manager.bootstrap(application, [entry])

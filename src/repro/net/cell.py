@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 from ..auth.identity import Authenticator, Principal
 from ..core.manager import AccessControlManager
 from ..core.policy import AccessPolicy
-from ..core.rights import AclEntry, Right, Version
+from ..core.rights import SEED_ORIGIN, AclEntry, Right, Version
 from ..core.wrapper import Application, ApplicationHost
 from ..sim.partitions import ScriptedConnectivity
 from .runtime import LiveRuntime
@@ -36,9 +36,6 @@ T = TypeVar("T")
 
 #: Default shared HMAC secret for ad-hoc localhost cells.
 DEFAULT_SECRET = b"repro-localhost-cell"
-
-#: Version origin for seeded grants — matches the sim system's.
-_SEED_ORIGIN = ""
 
 
 class EchoApplication(Application):
@@ -167,7 +164,7 @@ class LiveCell:
     # -- construction-time setup ------------------------------------------------
     def seed_grant(self, application: str, user: str, right: Right = Right.USE) -> None:
         """Install a grant on all managers outside the protocol (pre-start)."""
-        entry = AclEntry(user=user, right=right, granted=True, version=Version(1, _SEED_ORIGIN))
+        entry = AclEntry(user=user, right=right, granted=True, version=Version(1, SEED_ORIGIN))
         for manager in self.managers:
             manager.bootstrap(application, [entry])
 

@@ -1,7 +1,8 @@
 """Shared request/reply and retry messaging substrate.
 
-Host query rounds, name-service lookups, lease renewals, and manager
-revocation forwarding all follow the same two wire patterns the paper
+Host query rounds, name-service lookups, manager revocation
+forwarding, and the comparison baselines' query rounds and
+revocation retries all follow the same two wire patterns the paper
 relies on:
 
 * **request/reply with a timer** — send a request carrying a fresh id,

@@ -312,15 +312,7 @@ class UpdateWorkload:
             user = self.population.sample(self.rng)
             authorized = self.oracle.is_authorized(self.application, user)
             # Bias the flip towards maintaining the target fraction.
-            counter = getattr(self.oracle, "authorized_count", None)
-            if counter is not None:
-                n_authorized = counter(self.application)
-            else:  # custom oracle without the O(1) counter: full scan
-                n_authorized = sum(
-                    1
-                    for candidate in self.population
-                    if self.oracle.is_authorized(self.application, candidate)
-                )
+            n_authorized = self.oracle.authorized_count(self.application)
             fraction = n_authorized / len(self.population)
             if authorized and fraction > self.target_fraction:
                 self._revoke(manager, user)

@@ -23,16 +23,12 @@ from typing import Any, Dict, List, Optional
 
 from ..argtypes import fraction, positive
 from ..core.policy import AccessPolicy
-from ..core.rights import AclEntry, Right, Version
+from ..core.rights import SEED_ORIGIN, AclEntry, Right, Version
 from ..core.system import AccessControlSystem
 from .generators import AccessWorkload, AuthorizationOracle, UpdateWorkload
 from .population import DiurnalRate, UserPopulation
 
 __all__ = ["ThresholdOracle", "run_mega_cell", "main"]
-
-#: Version origin for threshold-seeded entries (matches
-#: ``AccessControlSystem.seed_grant``: sorts below real managers).
-_SEED_ORIGIN = ""
 
 
 class ThresholdOracle(AuthorizationOracle):
@@ -104,7 +100,7 @@ def _seed_threshold(
                     user=population.name_of(uid),
                     right=Right.USE,
                     granted=True,
-                    version=Version(1, _SEED_ORIGIN),
+                    version=Version(1, SEED_ORIGIN),
                 )
                 for uid in range(granted)
             ),

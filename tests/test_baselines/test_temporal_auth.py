@@ -17,7 +17,6 @@ def build(lease_duration=50.0, seed=0):
     system = TemporalAuthSystem(
         2, 1, applications=(APP,), connectivity=connectivity,
         latency=FixedLatency(0.05), seed=seed, lease_duration=lease_duration,
-        clock_drift=False,
     )
     return system, connectivity
 
@@ -89,6 +88,18 @@ class TestLeases:
         system.run(until=30.0)
         assert not probe.value.allowed
         assert probe.value.attempts == 3
+
+    def test_exhaustion_is_traced_as_unresolved(self):
+        """Like every other host, a temporal host that runs out of
+        attempts publishes one ACCESS_UNRESOLVED record."""
+        system, connectivity = build()
+        system.seed_grant(APP, "u")
+        connectivity.isolate("h0", ["m0", "m1"])
+        probe = system.hosts[0].request_access(APP, "u")
+        system.run(until=30.0)
+        assert probe.value.reason == "exhausted"
+        assert system.tracer.count("access_unresolved") == 1
+        assert system.tracer.count("access_denied") == 0
 
     def test_invalid_lease_duration(self):
         with pytest.raises(ValueError):

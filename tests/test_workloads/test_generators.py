@@ -297,33 +297,6 @@ class TestAuthorizedCount:
         # One membership probe per issued update, not one per user.
         assert 0 < CountingOracle.calls < 1000
 
-    def test_fallback_scan_for_counterless_oracles(self):
-        system = small_system()
-        population = UserPopulation(10)
-
-        class BareOracle:
-            """Duck-typed oracle without authorized_count."""
-
-            def __init__(self):
-                self.granted = set()
-
-            def is_authorized(self, application, user):
-                return user in self.granted
-
-            def grant(self, application, user):
-                self.granted.add(user)
-
-            def revoke(self, application, user, time):
-                self.granted.discard(user)
-
-        oracle = BareOracle()
-        workload = UpdateWorkload(
-            system, APP, population, oracle, rate=1.0,
-            rng=system.streams.stream("u"),
-        )
-        system.run(until=30.0)
-        assert workload.adds > 0
-
 
 class TestDiurnalAccessWorkload:
     def test_flat_float_path_draw_identical(self):
