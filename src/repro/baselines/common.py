@@ -24,7 +24,7 @@ apples-to-apples.  The mechanisms behind that surface exist here once:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import rights
 from ..core.acl import AccessControlList
@@ -113,27 +113,28 @@ class BaselineManager(Node):
     def _granted(self, src: Address, query: QueryRequest) -> None:
         """Record that ``src`` was just told ``query`` is granted."""
 
-    def handle_message(self, src: Address, message: Any) -> None:
-        if isinstance(message, QueryRequest):
-            acl = self.acls.get(message.application)
-            if acl is None:
-                return
-            granted = acl.check(message.user, message.right)
-            if granted:
-                self._granted(src, message)
-            self.send(
-                src,
-                QueryResponse(
-                    query_id=message.query_id,
-                    application=message.application,
-                    user=message.user,
-                    right=message.right,
-                    verdict=Verdict.GRANT if granted else Verdict.DENY,
-                    te=self.te,
-                    version=acl.version_of(message.user, message.right),
-                    manager=self.address,
-                ),
-            )
+    handlers = {QueryRequest: "_answer_query"}
+
+    def _answer_query(self, src: Address, query: QueryRequest) -> None:
+        acl = self.acls.get(query.application)
+        if acl is None:
+            return
+        granted = acl.check(query.user, query.right)
+        if granted:
+            self._granted(src, query)
+        self.send(
+            src,
+            QueryResponse(
+                query_id=query.query_id,
+                application=query.application,
+                user=query.user,
+                right=query.right,
+                verdict=Verdict.GRANT if granted else Verdict.DENY,
+                te=self.te,
+                version=acl.version_of(query.user, query.right),
+                manager=self.address,
+            ),
+        )
 
 
 class BaselineHost(Node):
@@ -256,9 +257,10 @@ class BaselineHost(Node):
             latency=latency,
         )
 
-    def handle_message(self, src: Address, message: Any) -> None:
-        if isinstance(message, QueryResponse):
-            self._pending.dispatch(message.query_id, message)
+    handlers = {QueryResponse: "_on_response"}
+
+    def _on_response(self, src: Address, response: QueryResponse) -> None:
+        self._pending.dispatch(response.query_id, response)
 
     def on_crash(self) -> None:
         self._pending.clear()

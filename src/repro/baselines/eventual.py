@@ -24,7 +24,7 @@ Semantics implemented here (reconstructed from that description):
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence, Set, Tuple
+from typing import Dict, Sequence, Set, Tuple
 
 from ..core.host import DecisionReason
 from ..core.messages import (
@@ -134,35 +134,39 @@ class EventualManager(BaselineManager):
             self._notifies.discard(notify_id)
 
     # -- messages -------------------------------------------------------------
-    def handle_message(self, src: Address, message: Any) -> None:
-        if isinstance(message, SyncResponse):
-            for application, entries in message.snapshots:
-                acl = self.acls.get(application)
-                if acl is None:
-                    continue
-                newly_revoked = [
-                    e for e in entries
-                    if not e.granted and acl.apply(e)
-                ]
-                acl.merge(e for e in entries if e.granted)
-                for entry in newly_revoked:
-                    self._forward_revocation(
-                        AclUpdate(
-                            update_id=f"gossip:{entry.version}",
-                            application=application,
-                            user=entry.user,
-                            right=entry.right,
-                            grant=False,
-                            version=entry.version,
-                            origin=message.responder,
-                        )
+    handlers = {
+        **BaselineManager.handlers,
+        SyncResponse: "_on_gossip",
+        RevokeNotifyAck: "_on_notify_ack",
+    }
+
+    def _on_gossip(self, src: Address, message: SyncResponse) -> None:
+        for application, entries in message.snapshots:
+            acl = self.acls.get(application)
+            if acl is None:
+                continue
+            newly_revoked = [
+                e for e in entries
+                if not e.granted and acl.apply(e)
+            ]
+            acl.merge(e for e in entries if e.granted)
+            for entry in newly_revoked:
+                self._forward_revocation(
+                    AclUpdate(
+                        update_id=f"gossip:{entry.version}",
+                        application=application,
+                        user=entry.user,
+                        right=entry.right,
+                        grant=False,
+                        version=entry.version,
+                        origin=message.responder,
                     )
-                for entry in entries:
-                    self._counter = max(self._counter, entry.version.counter)
-        elif isinstance(message, RevokeNotifyAck):
-            self._notifies.dispatch(message.notify_id, message)
-        else:
-            super().handle_message(src, message)
+                )
+            for entry in entries:
+                self._counter = max(self._counter, entry.version.counter)
+
+    def _on_notify_ack(self, src: Address, ack: RevokeNotifyAck) -> None:
+        self._notifies.dispatch(ack.notify_id, ack)
 
 
 class EventualHost(BaselineHost):
@@ -186,19 +190,16 @@ class EventualHost(BaselineHost):
         if cache is not None and reply.verdict == Verdict.GRANT:
             cache.add((user, right))
 
-    def handle_message(self, src: Address, message: Any) -> None:
-        if isinstance(message, RevokeNotify):
-            cache = self._cache.setdefault(message.application, set())
-            cache.discard((message.user, message.right))
-            self.network.tracer.publish(
-                TraceKind.CACHE_FLUSHED, self.address,
-                application=message.application, user=message.user, removed=1,
-            )
-            self.send(
-                src, RevokeNotifyAck(notify_id=message.notify_id, host=self.address)
-            )
-        else:
-            super().handle_message(src, message)
+    handlers = {**BaselineHost.handlers, RevokeNotify: "_on_revoke"}
+
+    def _on_revoke(self, src: Address, notify: RevokeNotify) -> None:
+        cache = self._cache.setdefault(notify.application, set())
+        cache.discard((notify.user, notify.right))
+        self.network.tracer.publish(
+            TraceKind.CACHE_FLUSHED, self.address,
+            application=notify.application, user=notify.user, removed=1,
+        )
+        self.send(src, RevokeNotifyAck(notify_id=notify.notify_id, host=self.address))
 
     def on_crash(self) -> None:
         super().on_crash()

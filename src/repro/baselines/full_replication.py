@@ -21,7 +21,7 @@ Semantics implemented here:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence, Set
+from typing import Dict, Sequence, Set
 
 from ..core.acl import AccessControlList
 from ..core.host import DecisionReason
@@ -61,17 +61,19 @@ class FullReplicationHost(BaselineHost):
         reason = DecisionReason.VERIFIED if allowed else DecisionReason.DENIED
         return allowed, reason, "local_replica"
 
-    def handle_message(self, src: Address, message: Any) -> None:
-        if isinstance(message, UpdateMsg):
-            update = message.update
-            if update.application in self.replicas:
-                self.replicas[update.application].apply(update.entry())
-            self.send(src, UpdateAck(update_id=update.update_id, acker=self.address))
-        elif isinstance(message, SyncResponse):
-            for application, entries in message.snapshots:
-                if application in self.replicas:
-                    self.replicas[application].merge(entries)
-            self._resynced = True
+    handlers = {UpdateMsg: "_on_update", SyncResponse: "_on_snapshot"}
+
+    def _on_update(self, src: Address, message: UpdateMsg) -> None:
+        update = message.update
+        if update.application in self.replicas:
+            self.replicas[update.application].apply(update.entry())
+        self.send(src, UpdateAck(update_id=update.update_id, acker=self.address))
+
+    def _on_snapshot(self, src: Address, message: SyncResponse) -> None:
+        for application, entries in message.snapshots:
+            if application in self.replicas:
+                self.replicas[application].merge(entries)
+        self._resynced = True
 
     def on_crash(self) -> None:
         """The replica is volatile; recovery resyncs it from a manager."""
@@ -128,24 +130,27 @@ class FullReplicationManager(BaselineManager):
             elapsed=0.0,
         )
 
-    def handle_message(self, src: Address, message: Any) -> None:
-        if isinstance(message, UpdateMsg):
-            update = message.update
-            if update.application in self.acls:
-                self._counter = max(self._counter, update.version.counter)
-                self.acls[update.application].apply(update.entry())
-            self.send(src, UpdateAck(update_id=update.update_id, acker=self.address))
-        elif isinstance(message, UpdateAck):
-            pending = self._pending.get(message.update_id)
-            if pending is not None:
-                pending.discard(message.acker)
-        elif isinstance(message, SyncRequest):
-            snapshots = tuple(
-                (app, tuple(self.acls[app].snapshot()))
-                for app in message.applications
-                if app in self.acls
-            )
-            self.send(src, SyncResponse(responder=self.address, snapshots=snapshots))
+    handlers = {UpdateMsg: "_on_update", UpdateAck: "_on_ack", SyncRequest: "_on_sync"}
+
+    def _on_update(self, src: Address, message: UpdateMsg) -> None:
+        update = message.update
+        if update.application in self.acls:
+            self._counter = max(self._counter, update.version.counter)
+            self.acls[update.application].apply(update.entry())
+        self.send(src, UpdateAck(update_id=update.update_id, acker=self.address))
+
+    def _on_ack(self, src: Address, ack: UpdateAck) -> None:
+        pending = self._pending.get(ack.update_id)
+        if pending is not None:
+            pending.discard(ack.acker)
+
+    def _on_sync(self, src: Address, message: SyncRequest) -> None:
+        snapshots = tuple(
+            (app, tuple(self.acls[app].snapshot()))
+            for app in message.applications
+            if app in self.acls
+        )
+        self.send(src, SyncResponse(responder=self.address, snapshots=snapshots))
 
 
 class FullReplicationSystem(BaselineSystem):

@@ -15,13 +15,12 @@ semantics.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from ..auth.identity import Principal
-from ..protocols.messaging import ReplyTimeout, reply_deadline, reply_won
-from ..sim.node import Address, Node
+from ..sim.node import Address
+from .client import RequestClient
 from .messages import AdminRequest, AdminResponse
 from .rights import Right
 
@@ -42,8 +41,10 @@ class AdminResult:
         return self.accepted and not self.timed_out
 
 
-class AdminClient(Node):
+class AdminClient(RequestClient):
     """A manager-user's machine."""
+
+    handlers = {AdminResponse: "_on_reply"}
 
     def __init__(
         self,
@@ -52,12 +53,8 @@ class AdminClient(Node):
         principal: Optional[Principal] = None,
         request_timeout: float = 30.0,
     ):
-        super().__init__(address)
+        super().__init__(address, principal, request_timeout)
         self.admin_id = admin_id
-        self.principal = principal
-        self.request_timeout = request_timeout
-        self._request_ids = itertools.count(1)
-        self._pending: Dict[int, Any] = {}
 
     # -- the Section 2.3 operations, issued remotely ----------------------------
     def add(self, manager: Address, application: str, subject: str,
@@ -72,40 +69,32 @@ class AdminClient(Node):
 
     def _operate(self, manager: Address, application: str, subject: str,
                  right: Right, grant: bool):
-        request_id = next(self._request_ids)
-        request = AdminRequest(
-            request_id=request_id,
-            application=application,
-            subject=subject,
-            right=right,
-            grant=grant,
-            admin=self.admin_id,
-        )
-        message: Any = request
-        if self.principal is not None:
-            message = self.principal.sign(request)
-        arrival = self.env.event()
-        self._pending[request_id] = arrival
         start = self.env.now
-        self.send(manager, message)
-        timer = reply_deadline(self.env, arrival, self.request_timeout)
-        try:
-            response: AdminResponse = yield arrival
-        except ReplyTimeout:
-            self._pending.pop(request_id, None)
+        response = yield from self._exchange(
+            manager,
+            lambda request_id: AdminRequest(
+                request_id=request_id,
+                application=application,
+                subject=subject,
+                right=right,
+                grant=grant,
+                admin=self.admin_id,
+            ),
+        )
+        latency = self.env.now - start
+        if response is None:
             return AdminResult(
                 accepted=False,
                 reason="request timed out",
                 update_id="",
-                latency=self.env.now - start,
+                latency=latency,
                 timed_out=True,
             )
-        reply_won(timer)
         return AdminResult(
             accepted=response.accepted,
             reason=response.reason,
             update_id=response.update_id,
-            latency=self.env.now - start,
+            latency=latency,
         )
 
     def add_process(self, manager: Address, application: str, subject: str,
@@ -117,12 +106,3 @@ class AdminClient(Node):
                        right: Right = Right.USE):
         """Convenience: run :meth:`revoke` as a process."""
         return self.env.process(self.revoke(manager, application, subject, right))
-
-    def handle_message(self, src: Address, message: Any) -> None:
-        if isinstance(message, AdminResponse):
-            event = self._pending.pop(message.request_id, None)
-            if event is not None and not event.triggered:
-                event.succeed(message)
-
-    def on_crash(self) -> None:
-        self._pending.clear()

@@ -11,16 +11,15 @@ assumption end to end.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Optional
 
 from ..auth.identity import Principal
-from ..protocols.messaging import ReplyTimeout, reply_deadline, reply_won
+from ..protocols.messaging import ReplyTable, request
 from ..sim.node import Address, Node
 from .messages import AppRequest, AppResponse
 
-__all__ = ["UserClient", "InvokeResult"]
+__all__ = ["RequestClient", "UserClient", "InvokeResult"]
 
 
 @dataclass(frozen=True)
@@ -37,8 +36,43 @@ class InvokeResult:
         return self.allowed and not self.timed_out
 
 
-class UserClient(Node):
+class RequestClient(Node):
+    """The one request path of the user and admin clients: each request
+    is signed when the client holds a :class:`~repro.auth.Principal` and
+    awaited under ``request_timeout`` by
+    :func:`~repro.protocols.messaging.request`."""
+
+    def __init__(
+        self,
+        address: Address,
+        principal: Optional[Principal] = None,
+        request_timeout: float = 30.0,
+    ):
+        super().__init__(address)
+        self.principal = principal
+        self.request_timeout = request_timeout
+        self._pending = ReplyTable()
+
+    def _exchange(self, dest: Address, build_request: Callable[[int], Any]):
+        """Process generator: the reply, or None on timeout."""
+
+        def build(request_id: int) -> Any:
+            message = build_request(request_id)
+            return message if self.principal is None else self.principal.sign(message)
+
+        return request(self, self._pending, dest, build, self.request_timeout)
+
+    def _on_reply(self, src: Address, reply: Any) -> None:
+        self._pending.dispatch(reply.request_id, reply)
+
+    def on_crash(self) -> None:
+        self._pending.clear()
+
+
+class UserClient(RequestClient):
     """A user's machine issuing application requests."""
+
+    handlers = {AppResponse: "_on_reply"}
 
     def __init__(
         self,
@@ -47,12 +81,8 @@ class UserClient(Node):
         principal: Optional[Principal] = None,
         request_timeout: float = 30.0,
     ):
-        super().__init__(address)
+        super().__init__(address, principal, request_timeout)
         self.user_id = user_id
-        self.principal = principal
-        self.request_timeout = request_timeout
-        self._request_ids = itertools.count(1)
-        self._pending: Dict[int, Any] = {}
 
     def invoke(self, host: Address, application: str, payload: Any = None):
         """Process generator: invoke ``application`` on ``host``.
@@ -61,38 +91,30 @@ class UserClient(Node):
         request or response surfaces as ``timed_out=True`` — the user
         "simply has to locate a new host" (Section 3.4).
         """
-        request_id = next(self._request_ids)
-        request = AppRequest(
-            request_id=request_id,
-            application=application,
-            user=self.user_id,
-            payload=payload,
-        )
-        message: Any = request
-        if self.principal is not None:
-            message = self.principal.sign(request)
-        arrival = self.env.event()
-        self._pending[request_id] = arrival
         start = self.env.now
-        self.send(host, message)
-        timer = reply_deadline(self.env, arrival, self.request_timeout)
-        try:
-            response: AppResponse = yield arrival
-        except ReplyTimeout:
-            self._pending.pop(request_id, None)
+        response = yield from self._exchange(
+            host,
+            lambda request_id: AppRequest(
+                request_id=request_id,
+                application=application,
+                user=self.user_id,
+                payload=payload,
+            ),
+        )
+        latency = self.env.now - start
+        if response is None:
             return InvokeResult(
                 allowed=False,
                 result=None,
                 reason="request timed out",
-                latency=self.env.now - start,
+                latency=latency,
                 timed_out=True,
             )
-        reply_won(timer)
         return InvokeResult(
             allowed=response.allowed,
             result=response.result,
             reason=response.reason,
-            latency=self.env.now - start,
+            latency=latency,
         )
 
     def request(self, host: Address, application: str, payload: Any = None):
@@ -101,12 +123,3 @@ class UserClient(Node):
             self.invoke(host, application, payload),
             name=f"{self.address}/invoke:{application}",
         )
-
-    def handle_message(self, src: Address, message: Any) -> None:
-        if isinstance(message, AppResponse):
-            event = self._pending.pop(message.request_id, None)
-            if event is not None and not event.triggered:
-                event.succeed(message)
-
-    def on_crash(self) -> None:
-        self._pending.clear()

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import Any, Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from ..auth.identity import Authenticator, SignedMessage
 from ..auth.signatures import PAIRWISE_KEY_BYTES, Tag, check_tag, key_fingerprint
@@ -196,43 +196,45 @@ class AccessControlHost(Node):
             )
 
     # -- message handling -----------------------------------------------------------
-    def handle_message(self, src: Address, message: Any) -> None:
-        if isinstance(message, SignedMessage) and isinstance(
-            message.payload, QueryResponse
-        ):
-            if message.payload.query_id not in self._pending_queries:
-                # Late (the round already has its quorum, or timed out):
-                # ``dispatch`` below would drop it whatever the signature
-                # says, so do not pay an RSA verify to find that out.
-                self.late_manager_responses += 1
-                self._silent.discard(src)
-                return
-            if self.manager_authenticator is not None and not self._authentic(message):
-                self.rejected_manager_signatures += 1
-                return
-            message = message.payload  # authentic, or signatures not in use
-        elif (
-            isinstance(message, QueryResponse)
-            and self.manager_authenticator is not None
-        ):
+    handlers = {
+        (SignedMessage, QueryResponse): "_on_signed_response",
+        QueryResponse: "_on_response",
+        RevokeNotify: "_handle_revoke",
+        NameResult: "_on_name_result",
+    }
+
+    def _on_signed_response(self, src: Address, message: SignedMessage) -> None:
+        if message.payload.query_id not in self._pending_queries:
+            # Late (the round already has its quorum, or timed out):
+            # ``dispatch`` would drop it whatever the signature says, so
+            # do not pay an RSA verify to find that out.
+            self.late_manager_responses += 1
+            self._silent.discard(src)
+            return
+        if self.manager_authenticator is not None and not self._authentic(message):
+            self.rejected_manager_signatures += 1
+            return
+        self._accept_response(src, message.payload)  # authentic, or signatures not in use
+
+    def _on_response(self, src: Address, response: QueryResponse) -> None:
+        if self.manager_authenticator is not None:
             # Signatures required but this response is bare: discard.
             self.rejected_manager_signatures += 1
             return
-        if isinstance(message, QueryResponse):
-            # A response arriving after its timer was discarded by the
-            # ReplyTable, per the paper: "only accepting access control
-            # messages if they arrive before a timeout of a timer set
-            # at the time the query ... was sent."  Late or not, its
-            # sender is no longer silent.
-            self._silent.discard(src)
-            if not self._pending_queries.dispatch(message.query_id, message):
-                self.late_manager_responses += 1
-        elif isinstance(message, RevokeNotify):
-            self._handle_revoke(src, message)
-        elif isinstance(message, NameResult):
-            self._pending_lookups.dispatch(message.lookup_id, message)
-        else:
-            self.handle_other_message(src, message)
+        self._accept_response(src, response)
+
+    def _accept_response(self, src: Address, response: QueryResponse) -> None:
+        # A response arriving after its timer was discarded by the
+        # ReplyTable, per the paper: "only accepting access control
+        # messages if they arrive before a timeout of a timer set at the
+        # time the query ... was sent."  Late or not, its sender is no
+        # longer silent.
+        self._silent.discard(src)
+        if not self._pending_queries.dispatch(response.query_id, response):
+            self.late_manager_responses += 1
+
+    def _on_name_result(self, src: Address, result: NameResult) -> None:
+        self._pending_lookups.dispatch(result.lookup_id, result)
 
     def key_offer(self, manager: Address) -> Tuple[int, int]:
         """``(key_id, wrapped_key)`` for a query to ``manager``.
@@ -280,12 +282,6 @@ class AccessControlHost(Node):
             return False
         self._offered.discard(manager)
         return True
-
-    def handle_other_message(self, src: Address, message: Any) -> None:
-        """Hook for subclasses (the application wrapper lives here)."""
-        raise NotImplementedError(
-            f"{type(self).__name__} cannot handle {type(message).__name__}"
-        )
 
     def _handle_revoke(self, src: Address, message: RevokeNotify) -> None:
         cache = self.cache_for(message.application)

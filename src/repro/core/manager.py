@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..auth.identity import Authenticator, Principal, SignedMessage
 from ..protocols.admin import AdminService
 from ..protocols.dissemination import PendingUpdate, dissemination_strategy_for
+from ..protocols.messaging import ReplyTable
 from ..protocols.query import QueryAnswerer
 from ..protocols.recovery import RecoverySync
 from ..protocols.revocation import RevocationForwarder
@@ -103,14 +104,14 @@ class AccessControlManager(Node):
         self._peers: Dict[str, Tuple[Address, ...]] = {}
         self._counter = 0
         self._update_ids = itertools.count(1)
-        self._notify_ids = itertools.count(1)
         # grant_table[app][(user, right)][host] = real-time deadline after
         # which the host's cached copy must have expired.
         self._grant_table: Dict[
             str, Dict[Tuple[str, Right], Dict[Address, float]]
         ] = {}
         self._pending_updates: Dict[str, PendingUpdate] = {}
-        self._pending_notifies: Dict[int, Event] = {}
+        #: notify id -> the ack callback of a RevokeNotify still retrying.
+        self._notifies = ReplyTable()
         self._synced_peers: Set[Address] = set()
         self._last_heard: Dict[Address, float] = {}
         self._frozen_apps: Set[str] = set()  # for trace edges only
@@ -217,51 +218,56 @@ class AccessControlManager(Node):
         )
 
     # -- message handling ----------------------------------------------------------------
-    def handle_message(self, src: Address, message: Any) -> None:
-        if isinstance(message, SignedMessage) and isinstance(
-            message.payload, AdminRequest
-        ):
-            if self.admin_authenticator is not None and (
-                not self.admin_authenticator.authenticate(message)
-                or message.signature.signer != message.payload.admin
-            ):
-                self.admin_requests_rejected += 1
-                self.admin.reject(self, src, message.payload, "authentication failed")
-            else:
-                self.admin.handle_request(self, src, message.payload)
-            return
-        if isinstance(message, AdminRequest):
-            if self.admin_authenticator is not None:
-                # Signatures required but the request arrived bare.
-                self.admin_requests_rejected += 1
-                self.admin.reject(self, src, message, "unsigned request")
-                return
-            self.admin.handle_request(self, src, message)
-        elif isinstance(message, QueryRequest):
-            self._answer_query(src, message)
-        elif isinstance(message, UpdateMsg):
-            self._handle_update(src, message.update)
-        elif isinstance(message, UpdateAck):
-            self._handle_update_ack(message)
-        elif isinstance(message, RevokeNotifyAck):
-            event = self._pending_notifies.get(message.notify_id)
-            if event is not None and not event.triggered:
-                event.succeed()
-        elif isinstance(message, SyncRequest):
-            self.recovery.handle_sync_request(self, src, message)
-        elif isinstance(message, SyncResponse):
-            self.recovery.handle_sync_response(self, message)
-        elif isinstance(message, Ping):
-            self._last_heard[src] = self.env.now
-            self.send(src, Pong(nonce=message.nonce, sender=self.address))
-        elif isinstance(message, Pong):
-            self._last_heard[src] = self.env.now
-        else:
-            raise NotImplementedError(
-                f"manager cannot handle {type(message).__name__}"
-            )
+    handlers = {
+        (SignedMessage, AdminRequest): "_on_signed_admin",
+        AdminRequest: "_on_admin",
+        QueryRequest: "_answer_query",
+        UpdateMsg: "_handle_update",
+        UpdateAck: "_handle_update_ack",
+        RevokeNotifyAck: "_on_notify_ack",
+        SyncRequest: "_on_sync_request",
+        SyncResponse: "_on_sync_response",
+        Ping: "_on_ping",
+        Pong: "_on_pong",
+    }
 
-    def _handle_update(self, src: Address, update: AclUpdate) -> None:
+    def _on_signed_admin(self, src: Address, message: SignedMessage) -> None:
+        request = message.payload
+        if self.admin_authenticator is not None and (
+            not self.admin_authenticator.authenticate(message)
+            or message.signature.signer != request.admin
+        ):
+            self.admin_requests_rejected += 1
+            self.admin.reject(self, src, request, "authentication failed")
+        else:
+            self.admin.handle_request(self, src, request)
+
+    def _on_admin(self, src: Address, request: AdminRequest) -> None:
+        if self.admin_authenticator is not None:
+            # Signatures required but the request arrived bare.
+            self.admin_requests_rejected += 1
+            self.admin.reject(self, src, request, "unsigned request")
+        else:
+            self.admin.handle_request(self, src, request)
+
+    def _on_notify_ack(self, src: Address, ack: RevokeNotifyAck) -> None:
+        self._notifies.dispatch(ack.notify_id, ack)
+
+    def _on_sync_request(self, src: Address, message: SyncRequest) -> None:
+        self.recovery.handle_sync_request(self, src, message)
+
+    def _on_sync_response(self, src: Address, message: SyncResponse) -> None:
+        self.recovery.handle_sync_response(self, message)
+
+    def _on_ping(self, src: Address, ping: Ping) -> None:
+        self._last_heard[src] = self.env.now
+        self.send(src, Pong(nonce=ping.nonce, sender=self.address))
+
+    def _on_pong(self, src: Address, pong: Pong) -> None:
+        self._last_heard[src] = self.env.now
+
+    def _handle_update(self, src: Address, message: UpdateMsg) -> None:
+        update = message.update
         entry = update.entry() if type(update) is AclUpdate else None
         if not (
             well_formed(entry)
@@ -283,7 +289,7 @@ class AccessControlManager(Node):
             # manager covers the hosts in its *own* grant table.
             self.revocation.forward(self, update)
 
-    def _handle_update_ack(self, message: UpdateAck) -> None:
+    def _handle_update_ack(self, src: Address, message: UpdateAck) -> None:
         pending = self._pending_updates.get(message.update_id)
         if pending is None:
             return
@@ -298,7 +304,7 @@ class AccessControlManager(Node):
         lost here."""
         for table in self._grant_table.values():
             table.clear()
-        self._pending_notifies.clear()
+        self._notifies.clear()
         self._host_keys.clear()
         if self.store is not None:
             for application in list(self.acls):

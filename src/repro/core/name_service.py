@@ -12,7 +12,7 @@ authoritative registry.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from ..sim.node import Address, Node
 from .messages import NameLookup, NameResult
@@ -40,17 +40,18 @@ class TrustedNameService(Node):
     def managers_of(self, application: str) -> Tuple[Address, ...]:
         return self._registry.get(application, ())
 
-    def handle_message(self, src: Address, message: Any) -> None:
-        if isinstance(message, NameLookup):
-            self.lookups_served += 1
-            self.send(
-                src,
-                NameResult(
-                    lookup_id=message.lookup_id,
-                    application=message.application,
-                    managers=self._registry.get(message.application, ()),
-                ),
-            )
+    handlers = {NameLookup: "_on_lookup"}
+
+    def _on_lookup(self, src: Address, lookup: NameLookup) -> None:
+        self.lookups_served += 1
+        self.send(
+            src,
+            NameResult(
+                lookup_id=lookup.lookup_id,
+                application=lookup.application,
+                managers=self._registry.get(lookup.application, ()),
+            ),
+        )
 
     def __repr__(self) -> str:
         return f"<TrustedNameService apps={len(self._registry)}>"

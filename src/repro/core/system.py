@@ -21,7 +21,7 @@ True
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..protocols.sharding import ShardRouter
 from ..sim.clock import ClockFactory
@@ -201,35 +201,21 @@ class AccessControlSystem:
         self.hosts: List[ApplicationHost] = []
         for i in range(n_hosts):
             clock = clock_factory.make() if clock_drift else clock_factory.perfect()
+            resolution: Dict[str, Any]
             if use_name_service:
-                host = ApplicationHost(
-                    f"h{i}",
-                    self.policy,
-                    name_service=self.name_service.address,
-                    clock=clock,
-                    interner=self.interner,
-                )
+                resolution = {"name_service": self.name_service.address}
             elif self.shard_router is not None:
                 # Sharded: hosts carry no static maps — the router is
                 # the (load-bearing) resolution path, a pure function
                 # of the application name and the ring.
-                host = ApplicationHost(
-                    f"h{i}",
-                    self.policy,
-                    clock=clock,
-                    interner=self.interner,
-                    shard_router=self.shard_router,
-                )
+                resolution = {"shard_router": self.shard_router}
             else:
-                host = ApplicationHost(
-                    f"h{i}",
-                    self.policy,
-                    managers={
-                        app: self.manager_addrs for app in self.applications
-                    },
-                    clock=clock,
-                    interner=self.interner,
-                )
+                resolution = {
+                    "managers": {app: self.manager_addrs for app in self.applications}
+                }
+            host = ApplicationHost(
+                f"h{i}", self.policy, clock=clock, interner=self.interner, **resolution
+            )
             self.network.register(host)
             self.hosts.append(host)
 

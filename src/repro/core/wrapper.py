@@ -17,7 +17,7 @@ the payload to the application.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from ..auth.identity import Authenticator, SignedMessage
 from ..sim.node import Address
@@ -51,35 +51,22 @@ class Application:
 class ApplicationHost(AccessControlHost):
     """An application host: access-control wrapper + applications.
 
-    Parameters are those of :class:`AccessControlHost` plus an optional
-    ``authenticator``.  When an authenticator is present, app requests
-    must arrive as :class:`~repro.auth.SignedMessage` and the signature
-    must verify for the claimed user; unauthenticated or forged
-    requests are rejected before any access check.
+    Takes :class:`AccessControlHost`'s parameters (by keyword after
+    ``policy``) and an optional ``authenticator``.  When one is present,
+    app requests must arrive as :class:`~repro.auth.SignedMessage` and
+    the signature must verify for the claimed user; unauthenticated or
+    forged requests are rejected before any access check.
     """
 
     def __init__(
         self,
         address: Address,
         policy: AccessPolicy,
-        managers: Optional[Dict[str, Sequence[Address]]] = None,
-        name_service: Optional[Address] = None,
+        *,
         authenticator: Optional[Authenticator] = None,
-        clock=None,
-        manager_authenticator: Optional[Authenticator] = None,
-        interner=None,
-        shard_router=None,
+        **host_options: Any,
     ):
-        super().__init__(
-            address,
-            policy,
-            managers=managers,
-            name_service=name_service,
-            clock=clock,
-            manager_authenticator=manager_authenticator,
-            interner=interner,
-            shard_router=shard_router,
-        )
+        super().__init__(address, policy, **host_options)
         self.authenticator = authenticator
         self.applications: Dict[str, Application] = {}
         self.rejected_signatures = 0
@@ -94,33 +81,34 @@ class ApplicationHost(AccessControlHost):
         return application
 
     # -- request interception -----------------------------------------------------
-    def handle_other_message(self, src: Address, message: Any) -> None:
-        request: Optional[AppRequest] = None
-        if isinstance(message, SignedMessage):
-            if self.authenticator is None or not self.authenticator.authenticate(message):
-                self.rejected_signatures += 1
-                if isinstance(message.payload, AppRequest):
-                    self._reject(src, message.payload, "authentication failed")
-                return
-            payload = message.payload
-            if isinstance(payload, AppRequest):
-                if payload.user != message.signature.signer:
-                    # Signed by someone other than the claimed user.
-                    self.rejected_signatures += 1
-                    self._reject(src, payload, "signer mismatch")
-                    return
-                request = payload
-        elif isinstance(message, AppRequest):
-            if self.authenticator is not None:
-                # Policy: when authentication is configured, unsigned
-                # requests are rejected outright.
-                self._reject(src, message, "unsigned request")
-                return
-            request = message
-        if request is None:
-            raise NotImplementedError(
-                f"application host cannot handle {type(message).__name__}"
-            )
+    handlers = {
+        **AccessControlHost.handlers,
+        (SignedMessage, AppRequest): "_on_signed_request",
+        AppRequest: "_on_request",
+    }
+
+    def _on_signed_request(self, src: Address, message: SignedMessage) -> None:
+        request = message.payload
+        if self.authenticator is None or not self.authenticator.authenticate(message):
+            self.rejected_signatures += 1
+            self._reject(src, request, "authentication failed")
+        elif request.user != message.signature.signer:
+            # Signed by someone other than the claimed user.
+            self.rejected_signatures += 1
+            self._reject(src, request, "signer mismatch")
+        else:
+            self._admit(src, request)
+
+    def _on_request(self, src: Address, request: AppRequest) -> None:
+        if self.authenticator is not None:
+            # Policy: when authentication is configured, unsigned
+            # requests are rejected outright.
+            self._reject(src, request, "unsigned request")
+        else:
+            self._admit(src, request)
+
+    def _admit(self, src: Address, request: AppRequest) -> None:
+        """Serve an authenticated request if its sender holds the use right."""
         application = self.applications.get(request.application)
         if application is None:
             self._reject(src, request, "no such application")

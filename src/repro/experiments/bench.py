@@ -261,10 +261,10 @@ def bench_cell_sharded(repeats: int) -> Dict[str, Any]:
 def bench_timer_elision(races: int) -> Dict[str, Any]:
     """Both won-race shapes: every round leaves one dead timer.
 
-    A requester mirrors ``request``/``retry_until_acked``: a reply beats
-    a 1 s timer in an ``any_of`` and the loser is detached and marked
-    dead.  A client mirrors ``UserClient.invoke``: a 0.1 s reply beats a
-    30 s ``reply_deadline``, so without compaction 300 dead entries
+    A requester mirrors ``retry_until_acked``: a reply beats a 1 s
+    timer in an ``any_of`` and the loser is detached and marked dead.
+    A client mirrors ``request`` (``UserClient.invoke``): a 0.1 s reply
+    beats a 30 s ``reply_deadline``, so without compaction 300 dead entries
     would sit ahead of the clock.  ``dead_pops`` in the meta proves
     elision is live; ``max_queue`` proves compaction bounds the queue by
     its live entries, not by rate x timeout.

@@ -1,9 +1,9 @@
 """Shared request/reply and retry messaging substrate.
 
-Host query rounds, name-service lookups, manager revocation
-forwarding, and the comparison baselines' query rounds and
-revocation retries all follow the same two wire patterns the paper
-relies on:
+Host query rounds, name-service lookups, user and admin client
+requests, manager revocation forwarding, and the comparison baselines'
+query rounds and revocation retries all follow the same two wire
+patterns the paper relies on:
 
 * **request/reply with a timer** — send a request carrying a fresh id,
   accept the matching reply only "if [it] arrive[s] before a timeout of
@@ -14,7 +14,9 @@ relies on:
   Section 3.4).
 
 This module gives both patterns one implementation so the protocol
-strategies stop hand-rolling pending tables and timer races.
+strategies stop hand-rolling pending tables and timer races: every
+reply reaches its waiter through a :class:`ReplyTable`, and
+:func:`request` serves name-service lookups and both clients.
 """
 
 from __future__ import annotations
@@ -78,6 +80,16 @@ class ReplyTable:
         return f"<ReplyTable pending={len(self._pending)}>"
 
 
+class ReplyTimeout(Exception):
+    """Thrown into the process waiting on a reply whose timer fired first."""
+
+
+def _expire(timer) -> None:
+    arrival = timer.value
+    if not arrival.triggered:
+        arrival.fail(ReplyTimeout())
+
+
 def request(
     node,
     table: ReplyTable,
@@ -90,9 +102,10 @@ def request(
 
     Process generator: allocates an id, sends ``build_message(id)`` to
     ``dest``, and waits until the reply arrives or ``timeout`` elapses.
-    Returns the reply, or ``None`` on timeout.  The pending entry is
-    discarded either way, so a reply that loses the race is dropped by
-    :meth:`ReplyTable.dispatch`.
+    Returns the reply, or ``None`` on timeout, when the pending entry is
+    discarded so a reply that loses the race is dropped by
+    :meth:`ReplyTable.dispatch`.  The wait is the one-event shape of
+    :func:`reply_deadline`: the process yields the reply event alone.
     """
     arrival = node.env.event()
 
@@ -104,25 +117,14 @@ def request(
     node.send(dest, build_message(request_id))
     if on_sent is not None:
         on_sent()
-    timer = node.env.timeout(timeout)
-    yield node.env.any_of([arrival, timer])
-    table.discard(request_id)
-    # Belt and braces with the Condition's loser-detach: an elided dead
-    # timer is skipped by the run loop instead of churning the heap.
-    timer.cancel()
-    if arrival.triggered and arrival.ok:
-        return arrival.value
-    return None
-
-
-class ReplyTimeout(Exception):
-    """Thrown into the process waiting on a reply whose timer fired first."""
-
-
-def _expire(timer) -> None:
-    arrival = timer.value
-    if not arrival.triggered:
-        arrival.fail(ReplyTimeout())
+    timer = reply_deadline(node.env, arrival, timeout)
+    try:
+        reply = yield arrival
+    except ReplyTimeout:
+        table.discard(request_id)
+        return None
+    reply_won(timer)
+    return reply
 
 
 def reply_deadline(env, arrival, timeout: float):

@@ -36,9 +36,8 @@ class RevocationForwarder:
     def notify(self, manager, host: Address, update: AclUpdate, deadline: float):
         """Retry ``RevokeNotify`` until acked or the Te deadline."""
         policy = manager.policy_for(update.application)
-        notify_id = next(manager._notify_ids)
         acked = manager.env.event()
-        manager._pending_notifies[notify_id] = acked
+        notify_id = manager._notifies.allocate(lambda ack: acked.succeed())
         message = RevokeNotify(
             application=update.application,
             user=update.user,
@@ -70,4 +69,4 @@ class RevocationForwarder:
                 on_sent=trace_forwarded,
             )
         finally:
-            manager._pending_notifies.pop(notify_id, None)
+            manager._notifies.discard(notify_id)

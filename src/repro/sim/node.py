@@ -15,8 +15,9 @@ initialized to null").
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional
 
+from ..auth.identity import SignedMessage
 from .engine import Environment, Process
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -32,10 +33,17 @@ Address = str
 class Node:
     """Base class for every addressable process in the simulation."""
 
+    #: The kinds this role accepts: message type -> name of the method
+    #: called as ``method(src, message)``.  A signed kind is keyed
+    #: ``(SignedMessage, payload type)``: a role must name it to accept it.
+    handlers: Dict[Any, str] = {}
+
     def __init__(self, address: Address):
         self.address: Address = address
         self.network: Optional["Network"] = None
         self.up: bool = True
+        #: Deliveries of a kind outside :attr:`handlers`, dropped unread.
+        self.rejected_kinds = 0
 
     # -- wiring --------------------------------------------------------------
     def attach(self, network: "Network") -> None:
@@ -73,8 +81,20 @@ class Node:
         self.network.send_many(self.address, items, on_sent)
 
     def handle_message(self, src: Address, message: Any) -> None:
-        """Deliver a message to this node; subclasses implement."""
-        raise NotImplementedError
+        """Deliver a message to this node: the one ingress path.
+
+        The handler is looked up on ``self`` by name, so an override
+        still wins.  A kind outside :attr:`handlers` (a stray or hostile
+        frame) is dropped and counted instead of raising.
+        """
+        kind = type(message)
+        if kind is SignedMessage:
+            kind = (SignedMessage, type(message.payload))
+        name = self.handlers.get(kind)
+        if name is None:
+            self.rejected_kinds += 1
+            return
+        getattr(self, name)(src, message)
 
     # -- failure hooks ------------------------------------------------------------
     def crash(self) -> None:

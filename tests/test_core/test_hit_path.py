@@ -1,8 +1,8 @@
 """The synchronous Figure-3 hit path of the wrapper.
 
-A cached grant is decided inside message delivery: ``handle_other_message``
-calls ``VerificationPipeline.probe`` and answers on the spot, and only a
-miss spawns a ``_serve`` process.  Two things are pinned here:
+A cached grant is decided inside message delivery: the wrapper's
+``_admit`` calls ``VerificationPipeline.probe`` and answers on the spot,
+and only a miss spawns a ``_serve`` process.  Two things are pinned here:
 
 * **structure** — hits create no :class:`Process` and schedule nothing
   on the engine at the host (no timing involved);

@@ -207,10 +207,17 @@ class TestWrapperRobustness:
         aware = DeployAwareApp()
         assert host.deploy(aware) is aware
 
-    def test_unknown_message_type_raises(self):
-        _system, host, _app, _ = build()
-        with pytest.raises(NotImplementedError):
-            host.handle_other_message("c0", object())
+    def test_unknown_message_type_is_dropped_and_counted(self):
+        system, host, app, _ = build()
+        host.handle_message("c0", object())
+        assert host.rejected_kinds == 1
+        system.seed_grant(APP, "alice")
+        client = UserClient("c0", "alice")
+        system.network.register(client)
+        request = client.request(host.address, APP, "x")
+        system.run(until=10)
+        assert request.value.result == "echo:x"  # the host still serves
+        assert host.rejected_kinds == 1
 
     def test_denied_response_carries_protocol_reason(self):
         system, host, app, _ = build()
@@ -255,7 +262,7 @@ class TestClient:
         system.network.register(client)
         client.request(host.address, APP, "x")
         client.crash()
-        assert client._pending == {}
+        assert len(client._pending) == 0
 
 
 class TestClientWait:
@@ -280,7 +287,7 @@ class TestClientWait:
         assert result.timed_out and not result.allowed and not result
         assert result.reason == "request timed out" and result.result is None
         assert result.latency == client.request_timeout
-        assert client._pending == {}
+        assert len(client._pending) == 0
 
     def test_reply_after_the_timeout_is_ignored(self):
         system, host, app, client = self._client(timeout=0.1)  # < 4 hops of 0.05
@@ -289,7 +296,7 @@ class TestClientWait:
         assert request.value.timed_out
         assert request.value.latency == 0.1
         assert app.seen == [("alice", "x")]  # it was served; the reply came late
-        assert client._pending == {}
+        assert len(client._pending) == 0
         client.request_timeout = 5.0
         follow_up = client.request(host.address, APP, "y")
         system.run(until=20)
@@ -346,14 +353,14 @@ class TestClientWait:
         assert fast.value.result == "echo:third" and fast.value.latency == pytest.approx(0.1)
         assert "no such application" in lost.value.reason
         assert not any(r.value.timed_out for r in (slow, lost, fast))
-        assert client._pending == {}
+        assert len(client._pending) == 0
 
     def test_crash_clears_pending_and_the_waiter_times_out(self):
         system, host, _app, client = self._client()
         request = client.request(host.address, APP, "x")
         system.run(until=0.01)
         client.crash()
-        assert client._pending == {}
+        assert len(client._pending) == 0
         system.run(until=20)
         assert request.value.timed_out and request.value.latency == 5.0
 
@@ -367,7 +374,7 @@ class TestClientWait:
         lost = admin.add_process(system.managers[0].address, APP, "carol")
         system.run(until=10)
         assert lost.value.timed_out and lost.value.latency == 3.0
-        assert not lost.value.accepted and admin._pending == {}
+        assert not lost.value.accepted and len(admin._pending) == 0
 
 
 def _drop_replies(send):

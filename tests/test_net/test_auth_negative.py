@@ -21,7 +21,7 @@ import pytest
 
 from repro.auth.identity import SignedMessage
 from repro.auth.signatures import Tag
-from repro.core.messages import AclUpdate, Ping, QueryResponse, UpdateMsg, Verdict
+from repro.core.messages import AclUpdate, Ping, QueryResponse, RevokeNotify, UpdateMsg, Verdict
 from repro.core.policy import AccessPolicy
 from repro.core.rights import Right, Version
 from repro.net.cell import LiveCell
@@ -343,3 +343,40 @@ class TestMalformedPeerUpdateOverTheWire:
         assert rejected == 1 and counter < 2**63
         assert queries >= 2
         assert alice_allowed and not mallory_allowed
+
+
+class TestStrayKindsOverTheWire:
+    """A cell member sends a kind the target's role does not accept: the
+    target drops and counts it, and its runtime keeps serving."""
+
+    def test_stray_ping_to_a_host_and_revoke_notify_to_a_manager(self):
+        async def scenario():
+            cell = LiveCell(n_managers=3, n_hosts=1, policy=AccessPolicy(check_quorum=2),
+                            secret=SECRET, time_scale=20.0)
+            cell.seed_grant("app", "alice")
+            await cell.start()
+            try:
+                host, manager = cell.hosts[0], cell.managers[0]
+                stray = RevokeNotify("app", "alice", Right.USE, Version(2, "m1"), notify_id=1)
+                for dst, message in (("h0", Ping(1, "m1")), ("m0", stray)):
+                    _, writer = await asyncio.open_connection(*cell.directory[dst])
+                    writer.write(_bframe(_seal(SessionAuth(SECRET), message, "m1", dst)))
+                    await writer.drain()
+                    writer.close()
+                for _ in range(300):
+                    if host.rejected_kinds and manager.rejected_kinds:
+                        break
+                    await asyncio.sleep(0.01)
+                running = [
+                    cell.runtime_of(addr)._running and cell.runtime_of(addr)._failure is None
+                    for addr in ("h0", "m0")
+                ]
+                decision = await asyncio.wait_for(cell.check(0, "app", "alice"), 10.0)
+                return running, decision.allowed, host.rejected_kinds, manager.rejected_kinds
+            finally:
+                await cell.stop()  # a runtime whose pass raised re-raises here
+
+        running, allowed, host_rejected, manager_rejected = asyncio.run(scenario())
+        assert running == [True, True]
+        assert allowed
+        assert host_rejected == 1 and manager_rejected == 1
