@@ -27,7 +27,7 @@ from ..protocols.sharding import ShardRouter
 from ..sim.clock import ClockFactory
 from ..sim.engine import Environment
 from ..sim.failures import CrashRecoveryInjector
-from ..sim.network import LatencyModel, Network, ShiftedExponentialLatency
+from ..sim.network import FixedLatency, LatencyModel, Network, ShiftedExponentialLatency
 from ..sim.partitions import ConnectivityModel, FullConnectivity
 from ..sim.rng import RngStreams
 from ..sim.trace import TraceKind, Tracer
@@ -171,9 +171,7 @@ class AccessControlSystem:
             ]
             members: List[AccessControlManager] = []
             for addr in group:
-                manager = AccessControlManager(
-                    addr, self.policy, interner=self.interner
-                )
+                manager = self._new_manager(addr)
                 # manage() before register(): attach spawns the per-app
                 # dissemination monitors from the declared memberships.
                 for app in owned:
@@ -249,6 +247,20 @@ class AccessControlSystem:
             check_invariants = checking_enabled()
         if check_invariants:
             self.attach_invariant_checker(raise_on_violation=True)
+
+    def _new_manager(self, address: str) -> AccessControlManager:
+        """One manager-group member; a subclass may build another
+        manager class (the experiments' lying managers)."""
+        return AccessControlManager(address, self.policy, interner=self.interner)
+
+    @classmethod
+    def experiment_cell(
+        cls, policy: AccessPolicy, one_way: float = 0.05, **params: Any
+    ) -> "AccessControlSystem":
+        """The deployment every simulated experiment cell runs on: a
+        fixed ``one_way`` latency and perfect host clocks, so what a cell
+        measures depends only on its policy, connectivity and seed."""
+        return cls(policy=policy, latency=FixedLatency(one_way), clock_drift=False, **params)
 
     # -- invariant checking --------------------------------------------------------
     def attach_invariant_checker(self, raise_on_violation: bool = True):

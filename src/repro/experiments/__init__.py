@@ -4,6 +4,12 @@ The registry maps experiment ids (the ones DESIGN.md and EXPERIMENTS.md
 use) to runner callables returning
 :class:`~repro.experiments.base.ExperimentResult`.
 
+The closed-form runners (``figure5``, ``table1``, ``table2``, and
+``heterogeneous``, whose Monte Carlo draws every ``C`` from one RNG) are
+plain functions.  Every :data:`SIMULATED` runner is a grid of pure cells
+run by :func:`~repro.experiments.base.run_grid` (see that module), so
+each takes ``seed`` and ``jobs`` and any ``jobs`` prints the same table.
+
 >>> from repro.experiments import run_experiment
 >>> result = run_experiment("table1")
 >>> print(result.render())  # doctest: +SKIP
@@ -34,6 +40,8 @@ from .base import ExperimentResult, ascii_plot, format_table
 __all__ = [
     "EXPERIMENTS",
     "ExperimentResult",
+    "SEEDED",
+    "SIMULATED",
     "ascii_plot",
     "format_table",
     "run_experiment",
@@ -57,6 +65,12 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "byzantine": byzantine.run,
     "caching": caching.run,
 }
+
+
+#: The ids whose runners take ``seed`` and ``jobs``.
+SIMULATED = frozenset(EXPERIMENTS) - {"figure5", "table1", "table2", "heterogeneous"}
+#: The ids whose runners take ``seed``.
+SEEDED = SIMULATED | {"heterogeneous"}
 
 
 def run_experiment(experiment_id: str, **kwargs) -> ExperimentResult:

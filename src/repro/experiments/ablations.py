@@ -23,20 +23,19 @@ issued during the partition still reaches its update quorum.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..core.policy import AccessPolicy, ExhaustedAction
 from ..core.rights import Right
 from ..core.system import AccessControlSystem
-from ..runtime import run_parallel
-from ..sim.network import FixedLatency
 from ..sim.partitions import ScriptedConnectivity
-from .base import ExperimentResult
+from ..workloads.generators import ObservedDecision, PeriodicWorkload
+from .base import ExperimentResult, cell_policy, run_grid
 
 __all__ = ["run", "measure_phases"]
 
 # Timeline (seconds): partition one manager, then heal.
 _PARTITION_AT = 60.0
+_REVOKE_AT = 150.0  # mid-partition
 _HEAL_AT = 300.0
 _END_AT = 420.0
 # Phase windows leave margin around transitions (freeze detection lag
@@ -50,81 +49,45 @@ _PHASES = {
 
 def measure_phases(
     use_freeze: bool, seed: int = 0
-) -> Tuple[dict, bool]:
+) -> Tuple[Dict[str, Tuple[float, int]], bool]:
     """Per-phase availability; plus whether a mid-partition revoke
     reached its quorum before the heal."""
-    if use_freeze:
-        policy = AccessPolicy(
-            check_quorum=2,
-            expiry_bound=40.0,
-            clock_bound=1.0,
-            use_freeze=True,
-            inaccessibility_period=30.0,
-            max_attempts=2,
-            exhausted_action=ExhaustedAction.DENY,
-            query_timeout=1.0,
-            retry_backoff=0.5,
-            ping_interval=5.0,
-        )
-    else:
-        policy = AccessPolicy(
-            check_quorum=2,
-            expiry_bound=40.0,
-            clock_bound=1.0,
-            max_attempts=2,
-            exhausted_action=ExhaustedAction.DENY,
-            query_timeout=1.0,
-            retry_backoff=0.5,
-        )
+    freeze = dict(use_freeze=True, inaccessibility_period=30.0) if use_freeze else {}
+    policy = cell_policy(
+        check_quorum=2,
+        expiry_bound=40.0,
+        max_attempts=2,
+        retry_backoff=0.5,
+        cache_cleanup_interval=60.0,
+        **freeze,
+    )
     connectivity = ScriptedConnectivity()
-    system = AccessControlSystem(
-        n_managers=3,
-        n_hosts=1,
-        policy=policy,
-        connectivity=connectivity,
-        latency=FixedLatency(0.05),
-        clock_drift=False,
-        seed=seed,
+    system = AccessControlSystem.experiment_cell(
+        policy, n_managers=3, n_hosts=1, connectivity=connectivity, seed=seed
     )
     system.seed_grant("app", "alice")
-    host = system.hosts[0]
-    outcomes: List[Tuple[float, bool]] = []
+    observed: List[ObservedDecision] = []
+    PeriodicWorkload(
+        system, "app", ["alice"], think_time=2.0, until=_END_AT,
+        on_decision=observed.append,
+    )
 
-    def driver():
-        while system.env.now < _END_AT:
-            start = system.env.now
-            decision = yield host.request_access("app", "alice")
-            outcomes.append((start, decision.allowed))
-            yield system.env.timeout(2.0)
-
-    system.env.process(driver(), name="driver")
-
-    def partition_script():
-        yield system.env.timeout(_PARTITION_AT)
-        # m2 loses contact with its peers only; hosts still reach it.
-        connectivity.set_down("m2", "m0")
-        connectivity.set_down("m2", "m1")
-        yield system.env.timeout(_HEAL_AT - _PARTITION_AT)
-        connectivity.set_up("m2", "m0")
-        connectivity.set_up("m2", "m1")
-
-    system.env.process(partition_script(), name="partition-script")
-
-    revoke_quorum_before_heal = False
-
-    def revoker():
-        nonlocal revoke_quorum_before_heal
-        yield system.env.timeout(150.0)  # mid-partition
-        handle = system.managers[0].revoke("app", "bob", Right.USE)
-        yield system.env.timeout(_HEAL_AT - 150.0 - 5.0)
-        revoke_quorum_before_heal = handle.quorum.triggered
-
-    system.env.process(revoker(), name="revoker")
+    system.run(until=_PARTITION_AT)
+    # m2 loses contact with its peers only; hosts still reach it.
+    connectivity.set_down("m2", "m0")
+    connectivity.set_down("m2", "m1")
+    system.run(until=_REVOKE_AT)
+    handle = system.managers[0].revoke("app", "bob", Right.USE)
+    system.run(until=_HEAL_AT - 5.0)
+    revoke_quorum_before_heal = handle.quorum.triggered
+    system.run(until=_HEAL_AT)
+    connectivity.set_up("m2", "m0")
+    connectivity.set_up("m2", "m1")
     system.run(until=_END_AT)
 
     phases = {}
     for phase, (lo, hi) in _PHASES.items():
-        window = [ok for (t, ok) in outcomes if lo <= t <= hi]
+        window = [o.decision.allowed for o in observed if lo <= o.time <= hi]
         phases[phase] = (
             sum(window) / len(window) if window else float("nan"),
             len(window),
@@ -132,16 +95,17 @@ def measure_phases(
     return phases, revoke_quorum_before_heal
 
 
+def _rows(use_freeze: bool, _seed: int, result) -> Tuple[List[List], bool]:
+    phases, revoked = result
+    name = "freeze (Ti=30)" if use_freeze else "quorum (C=2)"
+    return [[name, phase, count, fraction] for phase, (fraction, count) in phases.items()], revoked
+
+
 def run(seed: int = 0, jobs: Optional[int] = 1) -> ExperimentResult:
-    rows: List[List] = []
-    quorum_revokes = {}
-    results = run_parallel(measure_phases, [(False, seed), (True, seed)], jobs)
-    for use_freeze, (phases, revoked) in zip((False, True), results):
-        name = "freeze (Ti=30)" if use_freeze else "quorum (C=2)"
-        quorum_revokes[name] = revoked
-        for phase in ("before", "during", "after"):
-            fraction, count = phases[phase]
-            rows.append([name, phase, count, fraction])
+    (quorum_rows, quorum_revoked), (freeze_rows, freeze_revoked) = run_grid(
+        measure_phases, [(False, seed), (True, seed)], jobs, _rows
+    )
+    rows = quorum_rows + freeze_rows
     return ExperimentResult(
         experiment_id="freeze_vs_quorum",
         title="Manager-partition strategies: freeze vs quorum (Section 3.3)",
@@ -152,9 +116,9 @@ def run(seed: int = 0, jobs: Optional[int] = 1) -> ExperimentResult:
             "'during' phase; hosts can reach all managers throughout.  "
             "Freeze: availability collapses once Ti elapses (and a revoke "
             "issued mid-partition cannot complete: quorum-before-heal="
-            f"{quorum_revokes['freeze (Ti=30)']}).  Quorum: availability "
+            f"{freeze_revoked}).  Quorum: availability "
             "is unaffected and the mid-partition revoke reaches its update "
-            f"quorum={quorum_revokes['quorum (C=2)']}."
+            f"quorum={quorum_revoked}."
         ),
         params={"M": 3, "seed": seed},
     )

@@ -5,14 +5,98 @@ reproduce one table or figure of the paper (or a validation/ablation
 the paper's claims imply).  Results render as aligned text tables —
 the same rows EXPERIMENTS.md records — and as machine-readable dicts
 for tests.
+
+The simulated runners share one harness: :func:`run_grid` runs a cell
+function over a runner's task tuples and formats each result with a row
+function.  A cell builds :meth:`AccessControlSystem.experiment_cell`
+with :func:`cell_policy` or :func:`analysis_policy`, and drives it with
+a :mod:`repro.workloads.generators` workload or :func:`run_trials`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-__all__ = ["ExperimentResult", "format_table", "ascii_plot"]
+from ..core.policy import AccessPolicy, QueryStrategy
+from ..core.rights import Right
+from ..runtime import run_parallel
+from ..sim.engine import Environment
+
+__all__ = [
+    "ExperimentResult", "TRIAL_WINDOW", "access_trial", "analysis_policy",
+    "ascii_plot", "cell_policy", "format_table", "run_grid", "run_trials",
+]
+
+#: One trial's budget (simulated seconds).  With 50 ms fixed latency and
+#: a 1 s query timeout, every decision lands well inside it.
+TRIAL_WINDOW = 3.0
+
+
+def cell_policy(**knobs: Any) -> AccessPolicy:
+    """The policy every simulated cell starts from, with ``knobs`` on
+    top: ``b = 1`` (an experiment cell's clocks are perfect) and no
+    background cache sweep, so an entry expires only when looked up."""
+    return AccessPolicy(**{"clock_bound": 1.0, "cache_cleanup_interval": None, **knobs})
+
+
+def analysis_policy(c: int, **knobs: Any) -> AccessPolicy:
+    """Section 4.1's analysis setting at check quorum ``c``: one attempt
+    (``R = 1``) denied when it fails, all managers asked at once, and
+    rights that never expire within a run."""
+    return cell_policy(**{
+        "check_quorum": c, "expiry_bound": 1_000_000.0, "max_attempts": 1,
+        "query_strategy": QueryStrategy.PARALLEL, "retry_backoff": 0.0,
+        "update_retry_interval": 0.5, **knobs,
+    })
+
+
+def run_trials(
+    env: Environment,
+    trials: int,
+    start: Callable[[int], Callable[[], bool]],
+    resample: Optional[Callable[[], None]] = None,
+) -> List[bool]:
+    """The one trial loop: trial ``i`` calls ``resample()`` (if given),
+    then ``start(i)``, runs ``env`` for :data:`TRIAL_WINDOW` seconds, and
+    records what the check ``start`` returned says at the window's end."""
+    outcomes = []
+    for i in range(trials):
+        if resample is not None:
+            resample()
+        check = start(i)
+        env.run(until=env.now + TRIAL_WINDOW)
+        outcomes.append(bool(check()))
+    return outcomes
+
+
+def access_trial(
+    host: Any, application: str, user_of: Callable[[int], str]
+) -> Callable[[int], Callable[[], bool]]:
+    """A :func:`run_trials` start: trial ``i`` is ``user_of(i)`` asking
+    ``host`` for ``application``, and succeeds if allowed."""
+
+    def start(i: int) -> Callable[[], bool]:
+        proc = host.request_access(application, user_of(i), Right.USE)
+        return lambda: proc.value.allowed
+
+    return start
+
+
+def run_grid(
+    cell: Callable[..., Any],
+    tasks: Sequence[Sequence[Any]],
+    jobs: Optional[int],
+    row: Optional[Callable[..., Any]] = None,
+) -> List[Any]:
+    """The one grid executor: ``row(*task, result)`` for each task, where
+    ``result = cell(*task)`` fans out over ``jobs`` worker processes (a
+    cell that returns its own row needs no ``row``).  Cells are pure
+    functions of their task, so any ``jobs`` gives the same rows."""
+    results = run_parallel(cell, [tuple(task) for task in tasks], jobs)
+    if row is None:
+        return results
+    return [row(*task, result) for task, result in zip(tasks, results)]
 
 
 def _format_cell(value: Any) -> str:

@@ -28,18 +28,17 @@ from ..baselines.eventual import EventualSystem
 from ..baselines.full_replication import FullReplicationSystem
 from ..baselines.local_only import LocalOnlySystem
 from ..baselines.temporal_auth import TemporalAuthSystem
-from ..core.policy import AccessPolicy, ExhaustedAction
+from ..core.policy import AccessPolicy
 from ..core.system import AccessControlSystem
 from ..metrics.streaming import (
     AvailabilityAccumulator,
     OverheadAccumulator,
     StalenessAccumulator,
 )
-from ..runtime import run_parallel
 from ..sim.partitions import PairEpochModel
 from ..workloads.generators import AccessWorkload, AuthorizationOracle, UpdateWorkload
 from ..workloads.population import UserPopulation
-from .base import ExperimentResult
+from .base import ExperimentResult, run_grid
 
 __all__ = ["run", "run_one"]
 
@@ -49,29 +48,11 @@ _PI = 0.15
 _MEAN_OUTAGE = 60.0
 
 
-def _paper_system(seed: int):
-    policy = AccessPolicy(
-        check_quorum=2,
-        expiry_bound=_TE,
-        max_attempts=3,
-        exhausted_action=ExhaustedAction.DENY,
-        query_timeout=1.0,
-        retry_backoff=1.0,
-    )
-    return AccessControlSystem(
-        n_managers=3,
-        n_hosts=5,
-        policy=policy,
-        connectivity=PairEpochModel(pi=_PI, mean_outage=_MEAN_OUTAGE),
-        seed=seed,
-    )
-
-
-def _baseline(cls, seed: int, **kwargs):
+def _deploy(cls, seed: int, **kwargs):
+    """Any of the compared systems, on the same 3-manager, 5-host WAN."""
     return cls(
         3,
         5,
-        applications=("app",),
         connectivity=PairEpochModel(pi=_PI, mean_outage=_MEAN_OUTAGE),
         seed=seed,
         **kwargs,
@@ -79,11 +60,14 @@ def _baseline(cls, seed: int, **kwargs):
 
 
 SYSTEMS: Dict[str, Callable[[int], object]] = {
-    "paper (cached quorum)": _paper_system,
-    "full replication": lambda seed: _baseline(FullReplicationSystem, seed),
-    "local only": lambda seed: _baseline(LocalOnlySystem, seed),
-    "eventual consistency": lambda seed: _baseline(EventualSystem, seed),
-    "temporal auth": lambda seed: _baseline(
+    "paper (cached quorum)": lambda seed: _deploy(
+        AccessControlSystem, seed,
+        policy=AccessPolicy(check_quorum=2, expiry_bound=_TE, max_attempts=3),
+    ),
+    "full replication": lambda seed: _deploy(FullReplicationSystem, seed),
+    "local only": lambda seed: _deploy(LocalOnlySystem, seed),
+    "eventual consistency": lambda seed: _deploy(EventualSystem, seed),
+    "temporal auth": lambda seed: _deploy(
         TemporalAuthSystem, seed, lease_duration=_LEASE
     ),
 }
@@ -142,7 +126,7 @@ def run_one(
 def run(
     seed: int = 0, duration: float = 1500.0, jobs: Optional[int] = 1
 ) -> ExperimentResult:
-    rows = run_parallel(run_one, [(name, seed, duration) for name in SYSTEMS], jobs)
+    rows = run_grid(run_one, [(name, seed, duration) for name in SYSTEMS], jobs)
     return ExperimentResult(
         experiment_id="baselines",
         title="The paper's protocol vs alternative designs under partitions",

@@ -147,12 +147,9 @@ def bench_cache_hit_checks(checks: int) -> Dict[str, Any]:
     from ..core.policy import AccessPolicy
     from ..core.system import AccessControlSystem
 
-    system = AccessControlSystem(
-        n_managers=3,
-        n_hosts=1,
-        policy=AccessPolicy(check_quorum=2, expiry_bound=1e9),
-        latency=FixedLatency(0.01),
-        clock_drift=False,
+    system = AccessControlSystem.experiment_cell(
+        AccessPolicy(check_quorum=2, expiry_bound=1e9),
+        one_way=0.01, n_managers=3, n_hosts=1,
     )
     system.seed_grant("app", "u")
     host = system.hosts[0]

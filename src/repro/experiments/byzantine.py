@@ -23,16 +23,14 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..core.byzantine import GRANT_ALL, LyingManager
-from ..core.host import AccessControlHost
-from ..core.manager import AccessControlManager
-from ..core.policy import AccessPolicy, ExhaustedAction, QueryStrategy
-from ..core.rights import AclEntry, Right, Version
-from ..sim.clock import LocalClock
-from ..sim.engine import Environment
-from ..runtime import run_parallel
-from ..sim.network import FixedLatency, Network
-from ..sim.trace import Tracer
-from .base import ExperimentResult
+from ..core.system import AccessControlSystem
+from .base import (
+    ExperimentResult,
+    access_trial,
+    analysis_policy,
+    run_grid,
+    run_trials,
+)
 
 __all__ = ["run", "measure_rates"]
 
@@ -46,57 +44,44 @@ def measure_rates(
     trials: int = 50,
     seed: int = 0,
 ) -> dict:
-    """Acceptance rates for fabricated and legitimate grants."""
-    env = Environment()
-    tracer = Tracer(env)
-    network = Network(env, latency=FixedLatency(0.02), tracer=tracer)
-    policy = AccessPolicy(
-        check_quorum=check_quorum,
-        byzantine_f=byzantine_f,
-        expiry_bound=1e6,
-        max_attempts=1,
-        exhausted_action=ExhaustedAction.DENY,
-        query_timeout=1.0,
-        # Every liar gets to answer every check: the adversary's best case.
-        query_strategy=QueryStrategy.PARALLEL,
-        cache_cleanup_interval=None,
-    )
-    manager_addrs = tuple(f"m{i}" for i in range(n_managers))
-    managers = []
-    for index, addr in enumerate(manager_addrs):
-        if index >= n_managers - liars:
-            manager = LyingManager(
-                addr, policy, mode=GRANT_ALL,
+    """Acceptance rates for fabricated and legitimate grants.
+
+    The last ``liars`` managers lie.  Every liar answers every check
+    (the analysis policy asks all managers at once): the adversary's
+    best case.
+    """
+    honest = tuple(f"m{i}" for i in range(n_managers - liars))
+
+    class Cell(AccessControlSystem):
+        def _new_manager(self, address: str):
+            if address in honest:
+                return super()._new_manager(address)
+            return LyingManager(
+                address, self.policy, mode=GRANT_ALL,
                 collude_as="cartel" if collude else None,
             )
-        else:
-            manager = AccessControlManager(addr, policy)
-        manager.manage("app", manager_addrs)
-        network.register(manager)
-        managers.append(manager)
-    host = AccessControlHost(
-        "h0", policy, managers={"app": manager_addrs}, clock=LocalClock(env)
-    )
-    network.register(host)
-    for i in range(trials):
-        entry = AclEntry(f"legit{i}", Right.USE, True, Version(1, ""))
-        for manager in managers:
-            manager.bootstrap("app", [entry])
 
-    fabricated_accepted = 0
-    legitimate_accepted = 0
-    for i in range(trials):
-        forged = host.request_access("app", f"revoked{i}")
-        env.run(until=env.now + 3.0)
-        if forged.value.allowed:
-            fabricated_accepted += 1
-        legit = host.request_access("app", f"legit{i}")
-        env.run(until=env.now + 3.0)
-        if legit.value.allowed:
-            legitimate_accepted += 1
+    # The attack admits fabricated grants on purpose, which the
+    # invariant oracles would rightly flag: this cell runs without them.
+    system = Cell.experiment_cell(
+        analysis_policy(check_quorum, byzantine_f=byzantine_f),
+        one_way=0.02, n_managers=n_managers, n_hosts=1, seed=seed,
+        check_invariants=False,
+    )
+    system.seed_grants("app", (f"legit{i}" for i in range(trials)))
+
+    # Trial 2k asks for a revoked user the liars vouch for, 2k + 1 for
+    # a legitimate one.
+    outcomes = run_trials(
+        system.env, 2 * trials,
+        access_trial(
+            system.hosts[0], "app",
+            lambda i: f"revoked{i // 2}" if i % 2 == 0 else f"legit{i // 2}",
+        ),
+    )
     return {
-        "fabricated_rate": fabricated_accepted / trials,
-        "legitimate_rate": legitimate_accepted / trials,
+        "fabricated_rate": sum(outcomes[0::2]) / trials,
+        "legitimate_rate": sum(outcomes[1::2]) / trials,
     }
 
 
@@ -109,16 +94,12 @@ def run(trials: int = 40, seed: int = 0, jobs: Optional[int] = 1) -> ExperimentR
         ("f=1 vouching, 2 colluding liars", 5, 3, 1, 2, True),
         ("f=2 vouching, 2 colluding liars", 7, 5, 2, 2, True),
     ]
-    rates_per_config = run_parallel(
-        measure_rates,
-        [config[1:] + (trials, seed) for config in configs],
-        jobs,
+    rates = run_grid(
+        measure_rates, [config[1:] + (trials, seed) for config in configs], jobs
     )
     rows: List[List] = [
-        [label, m, c, f, liars,
-         rates["fabricated_rate"], rates["legitimate_rate"]]
-        for (label, m, c, f, liars, _collude), rates
-        in zip(configs, rates_per_config)
+        [label, m, c, f, liars, rate["fabricated_rate"], rate["legitimate_rate"]]
+        for (label, m, c, f, liars, _collude), rate in zip(configs, rates)
     ]
     return ExperimentResult(
         experiment_id="byzantine",

@@ -22,125 +22,97 @@ hot-unauthorized-user pattern.
 
 from __future__ import annotations
 
-from ..core.policy import AccessPolicy
+from typing import List, Optional
+
 from ..core.system import AccessControlSystem
 from ..metrics.streaming import OverheadAccumulator, StreamingSummary
-from ..sim.network import FixedLatency
-from .base import ExperimentResult
+from ..workloads.generators import ObservedDecision, PeriodicWorkload
+from .base import ExperimentResult, cell_policy, run_grid
 
 __all__ = ["run", "measure_refresh_ahead", "measure_deny_cache"]
 
 
-def measure_refresh_ahead(enabled: bool, seed: int = 0) -> dict:
-    """Latency profile of a user accessing every 2 s for 40 te-periods."""
+def measure_refresh_ahead(enabled: bool, seed: int = 0) -> List[str]:
+    """Latency profile of a user accessing every 2 s for 40 te-periods:
+    mean and p99 decision latency, and query traffic per te."""
     te = 20.0
-    policy = AccessPolicy(
+    policy = cell_policy(
         check_quorum=2,
         expiry_bound=te,
-        clock_bound=1.0,
-        query_timeout=1.0,
         refresh_ahead_fraction=0.3 if enabled else None,
         refresh_check_interval=2.0,
-        cache_cleanup_interval=None,
     )
-    system = AccessControlSystem(
-        n_managers=3,
-        n_hosts=1,
-        policy=policy,
-        latency=FixedLatency(0.05),
-        clock_drift=False,
-        seed=seed,
+    system = AccessControlSystem.experiment_cell(
+        policy, n_managers=3, n_hosts=1, seed=seed
     )
     system.seed_grant("app", "u")
-    host = system.hosts[0]
     collector = OverheadAccumulator(system.tracer)
     # ~400 accesses fit the default reservoir: the percentiles are exact.
     latencies = StreamingSummary()
     duration = 40 * te
-
-    def driver():
-        while system.env.now < duration:
-            decision = yield host.request_access("app", "u")
-            latencies.add(decision.latency)
-            yield system.env.timeout(2.0)
-
-    system.env.process(driver(), name="driver")
+    PeriodicWorkload(
+        system, "app", ["u"], think_time=2.0, until=duration,
+        on_decision=lambda observed: latencies.add(observed.decision.latency),
+    )
     system.run(until=duration + 10.0)
     stats = latencies.summary()
     control = sum(
         count for kind, count in collector.by_kind.items()
         if kind in ("QueryRequest", "QueryResponse")
     )
-    return {
-        "mean_ms": stats.mean * 1000.0,
-        "p99_ms": stats.p99 * 1000.0,
-        "max_ms": stats.maximum * 1000.0,
-        "query_msgs_per_te": control / 40.0,
-    }
+    return [
+        f"mean {stats.mean * 1000.0:.1f} ms",
+        f"p99 {stats.p99 * 1000.0:.1f} ms",
+        f"{control / 40.0:.1f} query msgs / te",
+    ]
 
 
-def measure_deny_cache(enabled: bool, seed: int = 0) -> dict:
-    """Query load from a bot hammering with an unauthorized identity."""
-    policy = AccessPolicy(
+def measure_deny_cache(enabled: bool, seed: int = 0) -> List[str]:
+    """Query load from a bot hammering with an unauthorized identity:
+    how many of its requests were denied, and the queries they cost."""
+    policy = cell_policy(
         check_quorum=2,
         expiry_bound=300.0,
-        clock_bound=1.0,
         max_attempts=1,
-        query_timeout=1.0,
         deny_cache_ttl=60.0 if enabled else None,
-        cache_cleanup_interval=None,
     )
-    system = AccessControlSystem(
-        n_managers=3,
-        n_hosts=1,
-        policy=policy,
-        latency=FixedLatency(0.05),
-        clock_drift=False,
-        seed=seed,
+    system = AccessControlSystem.experiment_cell(
+        policy, n_managers=3, n_hosts=1, seed=seed
     )
-    host = system.hosts[0]
     collector = OverheadAccumulator(system.tracer)
-    denials = 0
     duration = 600.0
-
-    def bot():
-        nonlocal denials
-        while system.env.now < duration:
-            decision = yield host.request_access("app", "bot")
-            if not decision.allowed:
-                denials += 1
-            yield system.env.timeout(1.0)
-
-    system.env.process(bot(), name="bot")
+    observed: List[ObservedDecision] = []
+    PeriodicWorkload(
+        system, "app", ["bot"], think_time=1.0, until=duration,
+        on_decision=observed.append,
+    )
     system.run(until=duration + 10.0)
-    queries = collector.by_kind.get("QueryRequest", 0)
-    return {"denials": denials, "queries": queries}
+    denials = sum(not o.decision.allowed for o in observed)
+    return [f"{denials} denials", "-", f"{collector.by_kind.get('QueryRequest', 0)} queries"]
 
 
-def run(seed: int = 0) -> ExperimentResult:
-    rows: List[List] = []
-    for enabled in (False, True):
-        profile = measure_refresh_ahead(enabled, seed=seed)
-        rows.append(
-            [
-                "refresh-ahead",
-                "on" if enabled else "off",
-                f"mean {profile['mean_ms']:.1f} ms",
-                f"p99 {profile['p99_ms']:.1f} ms",
-                f"{profile['query_msgs_per_te']:.1f} query msgs / te",
-            ]
-        )
-    for enabled in (False, True):
-        load = measure_deny_cache(enabled, seed=seed)
-        rows.append(
-            [
-                "deny-cache",
-                "on" if enabled else "off",
-                f"{load['denials']} denials",
-                "-",
-                f"{load['queries']} queries",
-            ]
-        )
+_MEASURES = {
+    "refresh-ahead": measure_refresh_ahead,
+    "deny-cache": measure_deny_cache,
+}
+
+
+def _measure(extension: str, enabled: bool, seed: int) -> List[str]:
+    return _MEASURES[extension](enabled, seed)
+
+
+def run(seed: int = 0, jobs: Optional[int] = 1) -> ExperimentResult:
+    tasks = [
+        (extension, enabled, seed)
+        for extension in _MEASURES
+        for enabled in (False, True)
+    ]
+    rows = run_grid(
+        _measure, tasks, jobs,
+        lambda extension, enabled, _seed, metrics: [
+            extension, "on" if enabled else "off", *metrics
+        ],
+    )
     return ExperimentResult(
         experiment_id="cache_extensions",
         title="Host cache extensions: refresh-ahead and negative caching "

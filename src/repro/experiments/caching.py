@@ -18,34 +18,20 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..core.policy import AccessPolicy
 from ..core.system import AccessControlSystem
 from ..metrics.streaming import OverheadAccumulator, StreamingSummary
-from ..runtime import run_parallel
-from ..sim.network import FixedLatency
 from ..workloads.generators import AuthorizationOracle, FlashCrowdWorkload
 from ..workloads.population import UserPopulation
-from .base import ExperimentResult
+from .base import ExperimentResult, cell_policy, run_grid
 
 __all__ = ["run", "measure_crowd"]
 
 
 def measure_crowd(te: float, label: str, seed: int = 0) -> List:
     """Serve a 40-user flash crowd (8 accesses each) under one Te."""
-    policy = AccessPolicy(
-        check_quorum=2,
-        expiry_bound=te,
-        clock_bound=1.0,
-        query_timeout=1.0,
-        cache_cleanup_interval=None,
-    )
-    system = AccessControlSystem(
-        n_managers=3,
-        n_hosts=2,
-        policy=policy,
-        latency=FixedLatency(0.05),
-        clock_drift=False,
-        seed=seed,
+    system = AccessControlSystem.experiment_cell(
+        cell_policy(check_quorum=2, expiry_bound=te),
+        n_managers=3, n_hosts=2, seed=seed,
     )
     population = UserPopulation(40, prefix="fan")
     oracle = AuthorizationOracle(te)
@@ -75,11 +61,10 @@ def measure_crowd(te: float, label: str, seed: int = 0) -> List:
     stats = latency.summary()
     queries = collector.by_kind.get("QueryRequest", 0)
     accesses = crowd.decisions
-    hit_rate = cache_hits / accesses
     return [
         label,
         accesses,
-        hit_rate,
+        cache_hits / accesses,
         queries / accesses,
         stats.mean * 1000.0,
         stats.p99 * 1000.0,
@@ -91,7 +76,7 @@ def run(seed: int = 0, jobs: Optional[int] = 1) -> ExperimentResult:
         (0.001, "caching off (te ~ 0)", seed),
         (300.0, "caching on (Te=300)", seed),
     ]
-    rows = run_parallel(measure_crowd, tasks, jobs)
+    rows = run_grid(measure_crowd, tasks, jobs)
     return ExperimentResult(
         experiment_id="caching",
         title="What the ACL cache buys (the paper's core design choice)",

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import inspect
+import importlib
 import os
 import sys
 import time
 from typing import Iterator, List, Optional
 
 from ..argtypes import positive
-from . import EXPERIMENTS, run_experiment
+from . import EXPERIMENTS, SEEDED, SIMULATED, run_experiment
 
 __all__ = ["main"]
 
@@ -36,7 +36,7 @@ def _profiled(enabled: bool, path: str) -> Iterator[None]:
 
     A no-op when ``enabled`` is false, so call sites stay branch-free.
     The dump is written even when the block raises, so a crashed run
-    still leaves its profile behind for inspection.
+    still leaves its profile behind to be read.
     """
     if not enabled:
         yield
@@ -134,9 +134,13 @@ def _fuzz_main(argv: List[str]) -> int:
     return 0 if report.ok else 1
 
 
-def _accepts(experiment_id: str, parameter: str) -> bool:
-    signature = inspect.signature(EXPERIMENTS[experiment_id])
-    return parameter in signature.parameters
+#: Subcommand -> module whose ``main(argv)`` runs it, imported on use.
+_SUBCOMMANDS = {
+    "bench": ".bench",
+    "mega": "..workloads.mega",
+    "serve": "..net.serve",
+    "load": "..net.load",
+}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -144,22 +148,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv = sys.argv[1:]
     if argv and argv[0] == "fuzz":
         return _fuzz_main(argv[1:])
-    if argv and argv[0] == "bench":
-        from .bench import main as bench_main
-
-        return bench_main(argv[1:])
-    if argv and argv[0] == "mega":
-        from ..workloads.mega import main as mega_main
-
-        return mega_main(argv[1:])
-    if argv and argv[0] == "serve":
-        from ..net.serve import main as serve_main
-
-        return serve_main(argv[1:])
-    if argv and argv[0] == "load":
-        from ..net.load import main as load_main
-
-        return load_main(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        module = importlib.import_module(_SUBCOMMANDS[argv[0]], __package__)
+        return module.main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description=(
@@ -237,11 +228,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     prof_path = os.path.join(args.out, "repro-experiments.prof")
     with _profiled(args.profile, prof_path):
         for experiment_id in ids:
-            kwargs = {}
-            if args.seed is not None and _accepts(experiment_id, "seed"):
+            kwargs = {"jobs": args.jobs} if experiment_id in SIMULATED else {}
+            if args.seed is not None and experiment_id in SEEDED:
                 kwargs["seed"] = args.seed
-            if args.jobs != 1 and _accepts(experiment_id, "jobs"):
-                kwargs["jobs"] = args.jobs
             started = time.perf_counter()
             result = run_experiment(experiment_id, **kwargs)
             elapsed = time.perf_counter() - started

@@ -80,12 +80,8 @@ def run(check_quorum: int = 3, samples: int = 20_000, seed: int = 0
 
     # -- 1. the flaky-manager warning -----------------------------------------
     model = flaky_manager_model()
-    per_manager = {
-        origin: model.manager_security(origin, check_quorum)
-        for origin in model.managers
-    }
     for origin in model.managers:
-        rows.append(["security", origin, "-", per_manager[origin]])
+        rows.append(["security", origin, "-", model.manager_security(origin, check_quorum)])
     uniform = model.system_security(check_quorum)
     # The flaky manager issues 80% of all updates.
     heavy_flaky = {mgr: 0.04 for mgr in model.managers}

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..core.policy import AccessPolicy, ExhaustedAction, QueryStrategy
+from ..core.policy import QueryStrategy
 from ..core.system import AccessControlSystem
-from ..sim.network import FixedLatency
 from ..sim.partitions import ScriptedConnectivity
-from .base import ExperimentResult
+from .base import ExperimentResult, cell_policy, run_grid
 
 __all__ = ["run", "measure_decision_latency"]
 
@@ -38,31 +37,22 @@ def measure_decision_latency(
     strategy: QueryStrategy,
     partitioned: bool,
     attempts: Optional[int],
-    n_managers: int = 5,
     warm_cache: bool = False,
     seed: int = 0,
+    n_managers: int = 5,
 ) -> float:
     """Latency of a single access decision under controlled conditions."""
-    policy = AccessPolicy(
+    policy = cell_policy(
         check_quorum=c,
         expiry_bound=600.0,
-        clock_bound=1.0,
         max_attempts=attempts,
-        exhausted_action=ExhaustedAction.DENY,
-        query_timeout=1.0,
         query_strategy=strategy,
         retry_backoff=0.5,
-        cache_cleanup_interval=None,
     )
     connectivity = ScriptedConnectivity()
-    system = AccessControlSystem(
-        n_managers=n_managers,
-        n_hosts=1,
-        policy=policy,
-        connectivity=connectivity,
-        latency=FixedLatency(_ONE_WAY),
-        clock_drift=False,
-        seed=seed,
+    system = AccessControlSystem.experiment_cell(
+        policy, one_way=_ONE_WAY, n_managers=n_managers, n_hosts=1,
+        connectivity=connectivity, seed=seed,
     )
     system.seed_grant("app", "alice")
     host = system.hosts[0]
@@ -77,39 +67,31 @@ def measure_decision_latency(
     return proc.value.latency
 
 
-def run(seed: int = 0) -> ExperimentResult:
-    rows: List[List] = []
-    # 1. cache hit
-    hit = measure_decision_latency(
-        3, QueryStrategy.PARALLEL, partitioned=False, attempts=None,
-        warm_cache=True, seed=seed,
-    )
-    rows.append(["cache hit", "-", "-", 0.0, hit])
-    # 2. miss, parallel — constant in C
-    for c in (1, 3, 5):
-        missed = measure_decision_latency(
-            c, QueryStrategy.PARALLEL, partitioned=False, attempts=None, seed=seed
+def _row(c, strategy, partitioned, attempts, warm_cache, _seed, measured) -> List:
+    if warm_cache:
+        return ["cache hit", "-", "-", 0.0, measured]
+    if partitioned:  # R timeouts + (R-1) backoffs
+        return ["unreachable", c, attempts, attempts * 1.0 + (attempts - 1) * 0.5,
+                measured]
+    # Parallel fan-out and the quorum round cost one round trip for any
+    # C; the sequential strategy one per manager asked.
+    trips = c if strategy is QueryStrategy.SEQUENTIAL else 1
+    return [f"miss/{strategy.value}", c, "-", trips * _RTT, measured]
+
+
+def run(seed: int = 0, jobs: Optional[int] = 1) -> ExperimentResult:
+    # 1. a cache hit; 2. misses, parallel and quorum, constant in C;
+    # 3. misses, sequential, linear in C; 4. unreachable, linear in R.
+    tasks = [(3, QueryStrategy.PARALLEL, False, None, True, seed)]
+    tasks += [
+        (c, strategy, False, None, False, seed)
+        for strategy in (
+            QueryStrategy.PARALLEL, QueryStrategy.QUORUM, QueryStrategy.SEQUENTIAL
         )
-        rows.append(["miss/parallel", c, "-", _RTT, missed])
-    # 2b. miss, quorum (the default) — constant in C, 2C messages
-    for c in (1, 3, 5):
-        missed = measure_decision_latency(
-            c, QueryStrategy.QUORUM, partitioned=False, attempts=None, seed=seed
-        )
-        rows.append(["miss/quorum", c, "-", _RTT, missed])
-    # 3. miss, sequential — linear in C
-    for c in (1, 3, 5):
-        missed = measure_decision_latency(
-            c, QueryStrategy.SEQUENTIAL, partitioned=False, attempts=None, seed=seed
-        )
-        rows.append(["miss/sequential", c, "-", c * _RTT, missed])
-    # 4/5. unreachable managers — linear in R
-    for r in (1, 2, 4, 8):
-        blocked = measure_decision_latency(
-            2, QueryStrategy.PARALLEL, partitioned=True, attempts=r, seed=seed
-        )
-        predicted = r * 1.0 + (r - 1) * 0.5  # R timeouts + (R-1) backoffs
-        rows.append(["unreachable", 2, r, predicted, blocked])
+        for c in (1, 3, 5)
+    ]
+    tasks += [(2, QueryStrategy.PARALLEL, True, r, False, seed) for r in (1, 2, 4, 8)]
+    rows = run_grid(measure_decision_latency, tasks, jobs, _row)
     return ExperimentResult(
         experiment_id="latency",
         title="Access-check delay: ~0 cached, O(C) on miss, O(R) when "

@@ -23,46 +23,35 @@ shifted by the client's duty cycle.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Sequence
 
 from ..core.policy import AccessPolicy, ExhaustedAction
 from ..core.system import AccessControlSystem
-from ..sim.network import FixedLatency
 from ..sim.partitions import DutyCycleModel
-from .base import ExperimentResult
+from ..workloads.generators import ObservedDecision, PeriodicWorkload
+from .base import ExperimentResult, cell_policy, run_grid
 
 __all__ = ["run", "measure_mobile_availability"]
 
+_MOBILE = dict(check_quorum=2, max_attempts=2, retry_backoff=0.5)
 
-def _policies():
-    base = dict(
-        check_quorum=2,
-        clock_bound=1.0,
-        max_attempts=2,
-        query_timeout=1.0,
-        retry_backoff=0.5,
-        cache_cleanup_interval=None,
-    )
-    return {
-        "strict (Te=30)": AccessPolicy(
-            expiry_bound=30.0, exhausted_action=ExhaustedAction.DENY, **base
-        ),
-        "long cache (Te=300)": AccessPolicy(
-            expiry_bound=300.0, exhausted_action=ExhaustedAction.DENY, **base
-        ),
-        "default-allow (Te=30)": AccessPolicy(
-            expiry_bound=30.0, exhausted_action=ExhaustedAction.ALLOW, **base
-        ),
-    }
+#: The three policies compared, by row label.
+_POLICIES = {
+    "strict (Te=30)": cell_policy(expiry_bound=30.0, **_MOBILE),
+    "long cache (Te=300)": cell_policy(expiry_bound=300.0, **_MOBILE),
+    "default-allow (Te=30)": cell_policy(
+        expiry_bound=30.0, exhausted_action=ExhaustedAction.ALLOW, **_MOBILE
+    ),
+}
 
 
 def measure_mobile_availability(
     policy: AccessPolicy,
     disconnected_fraction: float,
+    seed: int = 0,
     mean_connected: float = 60.0,
     duration: float = 3_000.0,
     access_interval: float = 5.0,
-    seed: int = 0,
 ) -> float:
     """Fraction of the mobile user's accesses that succeed."""
     mean_disconnected = (
@@ -73,38 +62,34 @@ def measure_mobile_availability(
         mean_connected=mean_connected,
         mean_disconnected=mean_disconnected,
     )
-    system = AccessControlSystem(
-        n_managers=3,
-        n_hosts=1,
-        policy=policy,
-        connectivity=connectivity,
-        latency=FixedLatency(0.05),
-        clock_drift=False,
-        seed=seed,
+    system = AccessControlSystem.experiment_cell(
+        policy, n_managers=3, n_hosts=1, connectivity=connectivity, seed=seed
     )
     system.seed_grant("app", "roamer")
-    host = system.hosts[0]
-    outcomes: List[bool] = []
-
-    def driver():
-        while system.env.now < duration:
-            decision = yield host.request_access("app", "roamer")
-            outcomes.append(decision.allowed)
-            yield system.env.timeout(access_interval)
-
-    system.env.process(driver(), name="mobile-driver")
+    observed: List[ObservedDecision] = []
+    PeriodicWorkload(
+        system, "app", ["roamer"], think_time=access_interval, until=duration,
+        on_decision=observed.append,
+    )
     system.run(until=duration + 50.0)
-    return sum(outcomes) / len(outcomes) if outcomes else float("nan")
+    if not observed:
+        return float("nan")
+    return sum(o.decision.allowed for o in observed) / len(observed)
 
 
-def run(fractions=(0.1, 0.3, 0.5), seed: int = 0) -> ExperimentResult:
-    rows: List[List] = []
-    for name, policy in _policies().items():
-        for fraction in fractions:
-            measured = measure_mobile_availability(
-                policy, disconnected_fraction=fraction, seed=seed
-            )
-            rows.append([name, fraction, measured])
+def run(
+    fractions: Sequence[float] = (0.1, 0.3, 0.5),
+    seed: int = 0,
+    jobs: Optional[int] = 1,
+) -> ExperimentResult:
+    label = {policy: name for name, policy in _POLICIES.items()}
+    rows = run_grid(
+        measure_mobile_availability,
+        [(policy, fraction, seed) for policy in _POLICIES.values()
+         for fraction in fractions],
+        jobs,
+        lambda policy, fraction, _seed, measured: [label[policy], fraction, measured],
+    )
     return ExperimentResult(
         experiment_id="mobility",
         title="Mobile clients (footnote 1): availability vs disconnected "

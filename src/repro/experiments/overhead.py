@@ -17,14 +17,13 @@ measured vs predicted rate.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Optional, Sequence, Tuple
 
-from ..core.policy import AccessPolicy, QueryStrategy
-from ..core.rights import Right
+from ..core.policy import QueryStrategy
 from ..core.system import AccessControlSystem
 from ..metrics.streaming import OverheadAccumulator
-from ..sim.network import FixedLatency
-from .base import ExperimentResult
+from ..workloads.generators import PeriodicWorkload
+from .base import ExperimentResult, cell_policy, run_grid
 
 __all__ = ["run", "measure_rate"]
 
@@ -32,75 +31,43 @@ __all__ = ["run", "measure_rate"]
 def measure_rate(
     c: int,
     te: float,
+    seed: int = 0,
     n_managers: int = 5,
     n_users: int = 5,
     access_interval: float = 1.0,
     duration_expiries: float = 20.0,
-    seed: int = 0,
-) -> dict:
-    """Measured and predicted control-message rate for one (C, Te)."""
-    policy = AccessPolicy(
+) -> Tuple[float, float]:
+    """Predicted and measured control-message rate for one (C, Te)."""
+    policy = cell_policy(  # b = 1, so te_local == Te: a clean prediction
         check_quorum=c,
         expiry_bound=te,
-        clock_bound=1.0,  # te_local == Te: clean prediction
-        query_timeout=1.0,
         query_strategy=QueryStrategy.SEQUENTIAL,
         retry_backoff=0.5,
-        cache_cleanup_interval=None,
     )
-    system = AccessControlSystem(
-        n_managers=n_managers,
-        n_hosts=1,
-        policy=policy,
-        latency=FixedLatency(0.02),
-        clock_drift=False,
-        seed=seed,
+    system = AccessControlSystem.experiment_cell(
+        policy, one_way=0.02, n_managers=n_managers, n_hosts=1, seed=seed
     )
     users = [f"u{i}" for i in range(n_users)]
     system.seed_grants("app", users)
-    host = system.hosts[0]
     collector = OverheadAccumulator(system.tracer)
     duration = duration_expiries * te
-
-    def driver(user: str):
-        while system.env.now < duration:
-            yield host.request_access("app", user, Right.USE)
-            yield system.env.timeout(access_interval)
-
-    for user in users:
-        system.env.process(driver(user), name=f"drive:{user}")
+    PeriodicWorkload(system, "app", users, think_time=access_interval, until=duration)
     system.run(until=duration)
-    report = collector.report(duration)
     predicted = n_users * 2.0 * c / policy.te_local
-    return {
-        "C": c,
-        "Te": te,
-        "measured_rate": report.control_rate,
-        "predicted_rate": predicted,
-        "ratio": report.control_rate / predicted if predicted else float("nan"),
-        "control_messages": report.control_messages,
-    }
+    return predicted, collector.report(duration).control_rate
 
 
 def run(
     cs: Sequence[int] = (1, 2, 4),
     tes: Sequence[float] = (30.0, 60.0, 120.0),
     seed: int = 0,
+    jobs: Optional[int] = 1,
 ) -> ExperimentResult:
     """Sweep C and Te; the measured/predicted ratio should stay ~1."""
-    rows: List[List[float]] = []
-    for c in cs:
-        for te in tes:
-            cell = measure_rate(c, te, seed=seed)
-            rows.append(
-                [
-                    cell["C"],
-                    cell["Te"],
-                    cell["predicted_rate"],
-                    cell["measured_rate"],
-                    cell["ratio"],
-                ]
-            )
+    rows = run_grid(
+        measure_rate, [(c, te, seed) for c in cs for te in tes], jobs,
+        lambda c, te, _seed, rates: [c, te, *rates, rates[1] / rates[0]],
+    )
     return ExperimentResult(
         experiment_id="overhead",
         title="Steady-state overhead is O(C/Te) (Section 4.1 cost model)",

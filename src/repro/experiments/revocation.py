@@ -23,17 +23,13 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..core.host import AccessControlHost
-from ..core.manager import AccessControlManager
-from ..core.policy import AccessPolicy, DeltaMode, ExhaustedAction
+from ..core.policy import DeltaMode
 from ..core.rights import Right
-from ..runtime import run_parallel
+from ..core.system import AccessControlSystem
 from ..sim.clock import LocalClock
-from ..sim.engine import Environment
-from ..sim.network import FixedLatency, Network
 from ..sim.partitions import ScriptedConnectivity
-from ..sim.trace import Tracer
-from .base import ExperimentResult
+from ..workloads.generators import ObservedDecision, PeriodicWorkload
+from .base import ExperimentResult, cell_policy, run_grid
 
 __all__ = ["run", "last_allowed_offset"]
 
@@ -44,6 +40,7 @@ def last_allowed_offset(
     partitioned: bool,
     te_bound: float = 60.0,
     clock_bound: float = 1.1,
+    seed: int = 0,
     n_managers: int = 3,
     poll_interval: float = 0.5,
 ) -> float:
@@ -52,101 +49,78 @@ def last_allowed_offset(
     Returns a negative-ish small number if no access was ever allowed
     after the revocation instant.
     """
-    env = Environment()
-    tracer = Tracer(env)
-    connectivity = ScriptedConnectivity()
-    network = Network(
-        env, connectivity=connectivity, latency=FixedLatency(0.05), tracer=tracer
-    )
-    policy = AccessPolicy(
+    policy = cell_policy(
         check_quorum=2,
         expiry_bound=te_bound,
         clock_bound=clock_bound,
         max_attempts=1,
-        exhausted_action=ExhaustedAction.DENY,
-        query_timeout=1.0,
         delta_mode=delta_mode,
-        cache_cleanup_interval=None,
     )
-    manager_addrs = tuple(f"m{i}" for i in range(n_managers))
-    managers = []
-    for addr in manager_addrs:
-        manager = AccessControlManager(addr, policy)
-        manager.manage("app", manager_addrs)
-        network.register(manager)
-        managers.append(manager)
-    host = AccessControlHost(
-        "h0",
-        policy,
-        managers={"app": manager_addrs},
-        clock=LocalClock(env, rate=clock_rate, offset=500.0),
+    connectivity = ScriptedConnectivity()
+    system = AccessControlSystem.experiment_cell(
+        policy, n_managers=n_managers, n_hosts=1,
+        connectivity=connectivity, seed=seed,
     )
-    network.register(host)
-    for manager in managers:
-        from ..core.rights import AclEntry, Version
-
-        manager.bootstrap(
-            "app",
-            [AclEntry(user="alice", right=Right.USE, granted=True,
-                      version=Version(1, "~seed"))],
-        )
+    host = system.hosts[0]
+    # The host's clock runs at ``clock_rate`` -- down to 1/b, the
+    # slowest the policy admits -- from an arbitrary offset.
+    host.clock = LocalClock(system.env, rate=clock_rate, offset=500.0)
+    system.seed_grant("app", "alice")
 
     # 1. Warm the cache with a verified grant.
     warm = host.request_access("app", "alice")
-    env.run(until=2.0)
+    system.run(until=2.0)
     assert warm.value.allowed and warm.value.reason == "verified"
 
     # 2. Partition the host from every manager (worst case).
     if partitioned:
-        connectivity.isolate(host.address, manager_addrs)
+        connectivity.isolate(host.address, system.manager_addrs)
 
     # 3. Revoke.
-    revoke_at = env.now
-    managers[0].revoke("app", "alice", Right.USE)
+    revoke_at = system.env.now
+    system.managers[0].revoke("app", "alice", Right.USE)
 
     # 4. Poll until well past the bound and record the last allow.
-    last_allowed = revoke_at - poll_interval
-    results = []
-
-    def poller():
-        nonlocal last_allowed
-        while env.now < revoke_at + 2.0 * te_bound:
-            decision = yield host.request_access("app", "alice")
-            if decision.allowed:
-                last_allowed = env.now
-            yield env.timeout(poll_interval)
-
-    env.process(poller(), name="poller")
-    env.run(until=revoke_at + 2.0 * te_bound + 5.0)
+    observed: List[ObservedDecision] = []
+    PeriodicWorkload(
+        system, "app", ["alice"], think_time=poll_interval,
+        until=revoke_at + 2.0 * te_bound, on_decision=observed.append,
+    )
+    system.run(until=revoke_at + 2.0 * te_bound + 5.0)
+    last_allowed = max(
+        (o.time for o in observed if o.decision.allowed),
+        default=revoke_at - poll_interval,
+    )
     return last_allowed - revoke_at
+
+
+def _row(rate, mode, partitioned, te_bound, _b, _seed, offset) -> List:
+    return [
+        "partitioned" if partitioned else "connected",
+        round(rate, 4),
+        mode.value,
+        te_bound,
+        offset,
+        "OK" if offset < te_bound else "VIOLATION",
+    ]
 
 
 def run(
     te_bound: float = 60.0,
     clock_bound: float = 1.1,
+    seed: int = 0,
     jobs: Optional[int] = 1,
 ) -> ExperimentResult:
     slowest = 1.0 / clock_bound
     # One fully deterministic (clock-rate, delta-mode, partition) cell
     # per task, in last_allowed_offset's positional order.
     tasks = [
-        (rate, mode, partitioned, te_bound, clock_bound)
+        (rate, mode, partitioned, te_bound, clock_bound, seed)
         for partitioned in (True, False)
         for rate in (slowest, 0.95, 1.0)
         for mode in (DeltaMode.FULL_ROUND_TRIP, DeltaMode.HALF_ROUND_TRIP)
     ]
-    offsets = run_parallel(last_allowed_offset, tasks, jobs)
-    rows: List[List] = [
-        [
-            "partitioned" if partitioned else "connected",
-            round(rate, 4),
-            mode.value,
-            te_bound,
-            offset,
-            "OK" if offset < te_bound else "VIOLATION",
-        ]
-        for (rate, mode, partitioned, _te, _b), offset in zip(tasks, offsets)
-    ]
+    rows = run_grid(last_allowed_offset, tasks, jobs, _row)
     return ExperimentResult(
         experiment_id="revocation",
         title="Time-bounded revocation holds under partitions and clock "

@@ -19,34 +19,12 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..analysis.quorum_math import availability
-from ..core.policy import AccessPolicy, ExhaustedAction, QueryStrategy
-from ..core.system import AccessControlSystem
 from ..metrics.estimators import wilson_interval
 from ..protocols.sharding import ShardRouter
-from ..runtime import run_parallel
-from ..sim.network import FixedLatency
-from ..sim.partitions import SampledConnectivity
-from .base import ExperimentResult
+from .base import ExperimentResult, run_grid
+from .validation import simulate_pa
 
 __all__ = ["run", "simulate_shard_pa", "app_for_shard"]
-
-#: One trial's budget (simulated seconds); see validation.py.
-_TRIAL_WINDOW = 3.0
-
-
-def _policy(c: int) -> AccessPolicy:
-    return AccessPolicy(
-        check_quorum=c,
-        expiry_bound=1_000_000.0,
-        clock_bound=1.0,
-        max_attempts=1,  # the analysis's R = 1 assumption
-        exhausted_action=ExhaustedAction.DENY,
-        query_timeout=1.0,
-        query_strategy=QueryStrategy.PARALLEL,
-        retry_backoff=0.0,
-        update_retry_interval=0.5,
-        cache_cleanup_interval=None,
-    )
 
 
 def app_for_shard(shards: int, n_managers: int, shard: int) -> str:
@@ -69,31 +47,15 @@ def simulate_shard_pa(
 ) -> Tuple[int, int]:
     """One ``(M, K, shard, C, Pi)`` cell: availability counts for
     access checks served by that shard's manager group."""
-    application = app_for_shard(k, m, shard)
-    connectivity = SampledConnectivity(pi)
-    system = AccessControlSystem(
-        n_managers=m,
-        n_hosts=1,
-        applications=(application,),
-        policy=_policy(c),
-        connectivity=connectivity,
-        latency=FixedLatency(0.05),
-        clock_drift=False,
-        shards=k,
-        seed=seed + shard * 101 + c,
+    return simulate_pa(
+        m, c, pi, trials, seed + shard * 101 + c, app_for_shard(k, m, shard), k
     )
-    assert system.group_index_for(application) == shard
-    host = system.hosts[0]
-    for i in range(trials):
-        system.seed_grant(application, f"u{i}")
-    successes = 0
-    for i in range(trials):
-        connectivity.resample()
-        proc = host.request_access(application, f"u{i}")
-        system.run(until=system.env.now + _TRIAL_WINDOW)
-        if proc.value.allowed:
-            successes += 1
-    return successes, trials
+
+
+def _row(m, _k, shard, c, pi, _trials, _seed, counts) -> List[float]:
+    hits, n = counts
+    lo, hi = wilson_interval(hits, n)
+    return [c, shard, availability(m, c, pi), hits / n, lo, hi]
 
 
 def run(
@@ -115,20 +77,15 @@ def run(
         for c in cs
         for shard in range(shards)
     ]
-    cells = run_parallel(simulate_shard_pa, tasks, jobs)
+    rows = run_grid(simulate_shard_pa, tasks, jobs, _row)
     columns = [
         "C", "shard", "PA analytic", "PA simulated", "ci-low", "ci-high",
     ]
-    rows: List[List[float]] = []
-    all_within = True
-    for (_m, _k, shard, c, _pi, _t, _s), (hits, n) in zip(tasks, cells):
-        pa_hat = hits / n
-        lo, hi = wilson_interval(hits, n)
-        pa_true = availability(m, c, pi)
-        eps = 1e-9
-        if not (lo - eps <= pa_true <= hi + eps):
-            all_within = False
-        rows.append([c, shard, pa_true, pa_hat, lo, hi])
+    eps = 1e-9
+    all_within = all(
+        lo - eps <= pa_true <= hi + eps
+        for _c, _shard, pa_true, _pa_hat, lo, hi in rows
+    )
     return ExperimentResult(
         experiment_id="sharded",
         title="Per-shard availability vs flat Figure-5 analysis",

@@ -9,12 +9,12 @@ binomials and must equal the paper's printed five-decimal numbers
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence
 
 from ..analysis.quorum_math import availability, security
 from .base import ExperimentResult
 
-__all__ = ["run", "PAPER_TABLE1"]
+__all__ = ["run", "PAPER_TABLE1", "pa_ps", "pa_ps_columns"]
 
 #: The paper's printed Table 1, verbatim:
 #: C -> (PA at Pi=0.1, PS at Pi=0.1, PA at Pi=0.2, PS at Pi=0.2)
@@ -32,20 +32,20 @@ PAPER_TABLE1 = {
 }
 
 
-def _table_row(c: int, m: int, pis: Tuple[float, ...]) -> List:
-    """One check-quorum row of the table."""
-    row = [c]
-    for pi in pis:
-        row += [availability(m, c, pi), security(m, c, pi)]
-    return row
+def pa_ps_columns(pis: Sequence[float]) -> List[str]:
+    """The ``PA(C)``/``PS(C)`` column pair for each ``Pi``."""
+    return [name for pi in pis for name in (f"PA(C) Pi={pi}", f"PS(C) Pi={pi}")]
+
+
+def pa_ps(m: int, c: int, pis: Sequence[float]) -> List[float]:
+    """``PA`` and ``PS`` of ``(M, C)`` at each ``Pi``: one table row's cells."""
+    return [p for pi in pis for p in (availability(m, c, pi), security(m, c, pi))]
 
 
 def run(m: int = 10, pis=(0.1, 0.2)) -> ExperimentResult:
     """Regenerate Table 1."""
-    columns = ["C"]
-    for pi in pis:
-        columns += [f"PA(C) Pi={pi}", f"PS(C) Pi={pi}"]
-    rows = [_table_row(c, m, pis) for c in range(1, m + 1)]
+    columns = ["C", *pa_ps_columns(pis)]
+    rows = [[c, *pa_ps(m, c, pis)] for c in range(1, m + 1)]
     return ExperimentResult(
         experiment_id="table1",
         title="Effects of C on availability and security (paper Table 1)",

@@ -10,10 +10,8 @@ solve the problem is to increase the cardinality of this set."
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
-from ..analysis.quorum_math import availability, security
 from .base import ExperimentResult
+from .table1 import pa_ps, pa_ps_columns
 
 __all__ = ["run", "PAPER_TABLE2"]
 
@@ -39,21 +37,11 @@ ROW_ORDER = [
 ]
 
 
-def _table_row(m: int, c: int, pis: Tuple[float, ...]) -> List:
-    """One (M, C) row of the table."""
-    row = [m, c]
-    for pi in pis:
-        row += [availability(m, c, pi), security(m, c, pi)]
-    return row
-
-
 def run(pis=(0.1, 0.2)) -> ExperimentResult:
     """Regenerate Table 2 (the (4,2) row appears in both halves, as
     printed in the paper)."""
-    columns = ["M", "C"]
-    for pi in pis:
-        columns += [f"PA(C) Pi={pi}", f"PS(C) Pi={pi}"]
-    rows = [_table_row(m, c, pis) for m, c in ROW_ORDER]
+    columns = ["M", "C", *pa_ps_columns(pis)]
+    rows = [[m, c, *pa_ps(m, c, pis)] for m, c in ROW_ORDER]
     return ExperimentResult(
         experiment_id="table2",
         title="Effects of M and C on availability and security (paper Table 2)",

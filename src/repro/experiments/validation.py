@@ -21,59 +21,39 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..analysis.quorum_math import availability, security
-from ..core.policy import AccessPolicy, ExhaustedAction, QueryStrategy
 from ..core.system import AccessControlSystem
 from ..metrics.estimators import wilson_interval
-from ..runtime import run_parallel
-from ..sim.network import FixedLatency
 from ..sim.partitions import SampledConnectivity
-from .base import ExperimentResult
+from .base import (
+    ExperimentResult,
+    access_trial,
+    analysis_policy,
+    run_grid,
+    run_trials,
+)
 
 __all__ = ["run", "simulate_pa", "simulate_ps", "simulate_cell"]
 
-#: One trial's wall-clock budget (simulated seconds).  With 50 ms fixed
-#: latency and a 1 s query timeout, every decision lands well inside it.
-_TRIAL_WINDOW = 3.0
 
-
-def _policy(c: int) -> AccessPolicy:
-    return AccessPolicy(
-        check_quorum=c,
-        expiry_bound=1_000_000.0,  # expiry is irrelevant here
-        clock_bound=1.0,
-        max_attempts=1,  # the analysis's R = 1 assumption
-        exhausted_action=ExhaustedAction.DENY,
-        query_timeout=1.0,
-        query_strategy=QueryStrategy.PARALLEL,
-        retry_backoff=0.0,
-        update_retry_interval=0.5,
-        cache_cleanup_interval=None,
-    )
-
-
-def simulate_pa(m: int, c: int, pi: float, trials: int, seed: int) -> Tuple[int, int]:
-    """Return (successes, trials) for the availability experiment."""
+def simulate_pa(
+    m: int, c: int, pi: float, trials: int, seed: int,
+    application: str = "app", shards: int = 1,
+) -> Tuple[int, int]:
+    """Return (successes, trials) for the availability experiment
+    against ``application``'s group of ``m`` managers (one of
+    ``shards``)."""
     connectivity = SampledConnectivity(pi)
-    system = AccessControlSystem(
-        n_managers=m,
-        n_hosts=1,
-        policy=_policy(c),
-        connectivity=connectivity,
-        latency=FixedLatency(0.05),
-        clock_drift=False,
-        seed=seed,
+    system = AccessControlSystem.experiment_cell(
+        analysis_policy(c), n_managers=m, n_hosts=1, applications=(application,),
+        connectivity=connectivity, shards=shards, seed=seed,
     )
-    host = system.hosts[0]
-    for i in range(trials):
-        system.seed_grant("app", f"u{i}")
-    successes = 0
-    for i in range(trials):
-        connectivity.resample()
-        proc = host.request_access("app", f"u{i}")
-        system.run(until=system.env.now + _TRIAL_WINDOW)
-        if proc.value.allowed:
-            successes += 1
-    return successes, trials
+    system.seed_grants(application, (f"u{i}" for i in range(trials)))
+    outcomes = run_trials(
+        system.env, trials,
+        access_trial(system.hosts[0], application, lambda i: f"u{i}"),
+        connectivity.resample,
+    )
+    return sum(outcomes), trials
 
 
 def simulate_ps(m: int, c: int, pi: float, trials: int, seed: int) -> Tuple[int, int]:
@@ -85,26 +65,17 @@ def simulate_ps(m: int, c: int, pi: float, trials: int, seed: int) -> Tuple[int,
     exactly "at least M - C of the other M - 1 managers reachable".
     """
     connectivity = SampledConnectivity(pi)
-    system = AccessControlSystem(
-        n_managers=m,
-        n_hosts=0,
-        policy=_policy(c),
-        connectivity=connectivity,
-        latency=FixedLatency(0.05),
-        clock_drift=False,
-        seed=seed + 7_777,
+    system = AccessControlSystem.experiment_cell(
+        analysis_policy(c), n_managers=m, n_hosts=0,
+        connectivity=connectivity, seed=seed + 7_777,
     )
-    origin = system.managers[0]
-    for i in range(trials):
-        system.seed_grant("app", f"v{i}")
-    successes = 0
-    for i in range(trials):
-        connectivity.resample()
-        handle = origin.revoke("app", f"v{i}")
-        system.run(until=system.env.now + _TRIAL_WINDOW)
-        if handle.quorum.triggered:
-            successes += 1
-    return successes, trials
+    system.seed_grants("app", (f"v{i}" for i in range(trials)))
+
+    def revoke(i: int):
+        quorum = system.managers[0].revoke("app", f"v{i}").quorum
+        return lambda: quorum.triggered
+
+    return sum(run_trials(system.env, trials, revoke, connectivity.resample)), trials
 
 
 def simulate_cell(
@@ -115,9 +86,18 @@ def simulate_cell(
     The unit of parallel dispatch — a pure function of its arguments,
     so a worker process produces exactly what the sequential loop would.
     """
-    pa_hits, pa_n = simulate_pa(m, c, pi, trials, seed)
-    ps_hits, ps_n = simulate_ps(m, c, pi, trials, seed)
-    return pa_hits, pa_n, ps_hits, ps_n
+    return (*simulate_pa(m, c, pi, trials, seed), *simulate_ps(m, c, pi, trials, seed))
+
+
+def _row(m, c, pi, _trials, _seed, counts) -> List[float]:
+    pa_hits, pa_n, ps_hits, ps_n = counts
+    pa_lo, pa_hi = wilson_interval(pa_hits, pa_n)
+    ps_lo, ps_hi = wilson_interval(ps_hits, ps_n)
+    return [
+        pi, c,
+        availability(m, c, pi), pa_hits / pa_n, pa_lo, pa_hi,
+        security(m, c, pi), ps_hits / ps_n, ps_lo, ps_hi,
+    ]
 
 
 def run(
@@ -140,22 +120,12 @@ def run(
         "PS analytic", "PS simulated", "PS ci-low", "PS ci-high",
     ]
     tasks = [(m, c, pi, trials, seed) for pi in pis for c in cs]
-    cells = run_parallel(simulate_cell, tasks, jobs)
-    rows: List[List[float]] = []
-    all_within = True
-    for (_m, c, pi, _t, _s), (pa_hits, pa_n, ps_hits, ps_n) in zip(tasks, cells):
-        pa_hat, ps_hat = pa_hits / pa_n, ps_hits / ps_n
-        pa_lo, pa_hi = wilson_interval(pa_hits, pa_n)
-        ps_lo, ps_hi = wilson_interval(ps_hits, ps_n)
-        pa_true = availability(m, c, pi)
-        ps_true = security(m, c, pi)
-        eps = 1e-9  # float slack at the CI boundaries
-        if not (pa_lo - eps <= pa_true <= pa_hi + eps
-                and ps_lo - eps <= ps_true <= ps_hi + eps):
-            all_within = False
-        rows.append(
-            [pi, c, pa_true, pa_hat, pa_lo, pa_hi, ps_true, ps_hat, ps_lo, ps_hi]
-        )
+    rows = run_grid(simulate_cell, tasks, jobs, _row)
+    eps = 1e-9  # float slack at the CI boundaries
+    all_within = all(
+        pa_lo - eps <= pa <= pa_hi + eps and ps_lo - eps <= ps <= ps_hi + eps
+        for _pi, _c, pa, _pa_hat, pa_lo, pa_hi, ps, _ps_hat, ps_lo, ps_hi in rows
+    )
     return ExperimentResult(
         experiment_id="sim_table1",
         title="Simulated protocol vs Table 1 analysis",

@@ -25,71 +25,50 @@ from ..analysis.weighted import (
     best_thresholds,
     best_unit_counts,
 )
-from ..runtime import run_parallel
-from .base import ExperimentResult
+from ..core.system import AccessControlSystem
+from ..protocols import WeightedVoteCombiner
+from .base import (
+    ExperimentResult,
+    access_trial,
+    analysis_policy,
+    run_grid,
+    run_trials,
+)
 
 __all__ = ["run", "build_setting", "simulate_scheme"]
 
 
 def simulate_scheme(
     system: WeightedQuorumSystem,
-    down: Dict[str, bool] = None,
+    down: Optional[Dict[str, bool]] = None,
     users: int = 20,
+    seed: int = 0,
 ) -> float:
     """Run a scheme in the discrete-event simulator; returns the
     fraction of fresh checks that succeed with the ``down`` managers
     crashed.
 
-    The weighted host is a pure *composition*: a stock
-    :class:`~repro.core.host.AccessControlHost` whose pipeline is given
-    a :class:`~repro.protocols.WeightedVoteCombiner` factory — no
-    subclassing, no protocol-core changes.
+    The weighted host is a pure *composition*: a stock host whose
+    pipeline is given a :class:`~repro.protocols.WeightedVoteCombiner`
+    factory — no subclassing, no protocol-core changes.
     """
-    from ..core.host import AccessControlHost
-    from ..core.manager import AccessControlManager
-    from ..core.policy import AccessPolicy, ExhaustedAction
-    from ..core.rights import AclEntry, Right, Version
-    from ..protocols import WeightedVoteCombiner
-    from ..sim.clock import LocalClock
-    from ..sim.engine import Environment
-    from ..sim.network import FixedLatency, Network
-    from ..sim.trace import Tracer
-
-    env = Environment()
-    network = Network(env, latency=FixedLatency(0.02), tracer=Tracer(env))
-    manager_addrs = tuple(sorted(system.weights))
-    policy = AccessPolicy(
-        check_quorum=len(manager_addrs),  # superseded by the combiner
-        expiry_bound=1e6,
-        max_attempts=1,
-        exhausted_action=ExhaustedAction.DENY,
-        query_timeout=1.0,
-        cache_cleanup_interval=None,
+    # The combiner's vote threshold supersedes the policy's count quorum,
+    # which is all the quorum oracle knows: this cell runs without it.
+    cell = AccessControlSystem.experiment_cell(
+        analysis_policy(len(system.weights)),
+        one_way=0.02, n_managers=len(system.weights), n_hosts=1, seed=seed,
+        check_invariants=False,
     )
-    for addr in manager_addrs:
-        manager = AccessControlManager(addr, policy)
-        manager.manage("app", manager_addrs)
-        manager.bootstrap(
-            "app",
-            [AclEntry(f"u{i}", Right.USE, True, Version(1, ""))
-             for i in range(users)],
-        )
-        network.register(manager)
-        if down and down.get(addr):
+    assert set(cell.manager_addrs) == set(system.weights)
+    cell.seed_grants("app", (f"u{i}" for i in range(users)))
+    for manager in cell.managers:
+        if down and down.get(manager.address):
             manager.crash()
-    host = AccessControlHost(
-        "h0", policy, managers={"app": manager_addrs}, clock=LocalClock(env)
-    )
+    host = cell.hosts[0]
     host.pipeline.combiner_factory = lambda _policy: WeightedVoteCombiner(
         system.weights, system.check_threshold
     )
-    network.register(host)
-    allowed = 0
-    for i in range(users):
-        proc = host.request_access("app", f"u{i}")
-        env.run(until=env.now + 3.0)
-        allowed += bool(proc.value.allowed)
-    return allowed / users
+    return sum(run_trials(cell.env, users, access_trial(host, "app", lambda i: f"u{i}"))) / users
 
 
 def build_setting(m: int = 5, base_pi: float = 0.1, flaky_pi: float = 0.45):
@@ -123,7 +102,7 @@ def _score_candidate(
 
 
 def run(m: int = 5, base_pi: float = 0.1, flaky_pi: float = 0.45,
-        jobs: Optional[int] = 1) -> ExperimentResult:
+        seed: int = 0, jobs: Optional[int] = 1) -> ExperimentResult:
     managers, flaky, host_pi, manager_pi = build_setting(m, base_pi, flaky_pi)
 
     rows: List[List] = []
@@ -156,7 +135,7 @@ def run(m: int = 5, base_pi: float = 0.1, flaky_pi: float = 0.45,
     # 2b. Brute-force optimal small weights (exhaustive over {1,2,3}^M).
     # Results come back in enumeration order and max() keeps the first
     # maximum, so ties go to the earliest candidate for any ``jobs``.
-    scored = run_parallel(
+    scored = run_grid(
         _score_candidate,
         [
             (candidate, tuple(managers), base_pi, flaky_pi)
@@ -167,13 +146,10 @@ def run(m: int = 5, base_pi: float = 0.1, flaky_pi: float = 0.45,
     _value, optimal = max(scored, key=lambda pair: pair[0])
     optimal_worst = describe("optimal weights <= 3", optimal, host_pi, manager_pi)
 
-    # 3. Remove the flaky manager entirely.
-    reduced = [mgr for mgr in managers if mgr != flaky]
-    reduced_host_pi = {mgr: host_pi[mgr] for mgr in reduced}
-    reduced_manager_pi = {
-        origin: {o: manager_pi[origin][o] for o in reduced if o != origin}
-        for origin in reduced
-    }
+    # 3. Remove the flaky manager entirely: M - 1 reliable managers.
+    reduced, _, reduced_host_pi, reduced_manager_pi = build_setting(
+        m - 1, base_pi, base_pi
+    )
     removed = best_unit_counts(reduced, reduced_host_pi, reduced_manager_pi)
     removed_worst = describe(
         "remove flaky (M-1)", removed, reduced_host_pi, reduced_manager_pi
@@ -183,7 +159,7 @@ def run(m: int = 5, base_pi: float = 0.1, flaky_pi: float = 0.45,
     # protocol layer (WeightedVoteCombiner composed onto a stock host)
     # with the flaky manager crashed — its reduced vote must not block
     # verification.
-    sim_available = simulate_scheme(weighted, down={flaky: True})
+    sim_available = simulate_scheme(weighted, down={flaky: True}, seed=seed)
 
     return ExperimentResult(
         experiment_id="weighted_quorums",

@@ -22,7 +22,9 @@ Concepts
     yielded event is processed the generator is resumed with the event's
     value (or the stored exception is thrown into it).  A ``Process`` is
     itself an event that fires when the generator returns, so processes
-    can wait on each other.
+    can wait on each other.  A process that raises fails its event; if
+    no process waits on it and no callback observes it, ``run()`` raises
+    the exception (an ``Interrupt`` from its owner counts as handled).
 
 ``Timeout``
     An event that fires after a fixed delay.
@@ -396,22 +398,18 @@ class Process(Event):
                 next_event = self._generator.send(event._value)
             else:
                 next_event = self._generator.throw(event._value)
+            if not isinstance(next_event, Event):
+                # Whatever the generator does with the error ends it:
+                # a value it yields after catching is never waited on.
+                self._generator.throw(SimulationError(
+                    f"process {self.name!r} yielded {next_event!r}, expected an Event"
+                ))
+                return
         except StopIteration as stop:
             self.succeed(stop.value)
             return
         except BaseException as exc:  # process died with an exception
-            self.fail(exc)
-            return
-        if not isinstance(next_event, Event):
-            error = SimulationError(
-                f"process {self.name!r} yielded {next_event!r}, expected an Event"
-            )
-            try:
-                self._generator.throw(error)
-            except StopIteration as stop:
-                self.succeed(stop.value)
-            except BaseException as exc:
-                self.fail(exc)
+            self._die(exc)
             return
         self._target = next_event
         # Fast path for the dominant wait shape — ``yield env.timeout(d)``
@@ -429,8 +427,38 @@ class Process(Event):
         else:
             next_event.add_callback(self._resume)
 
+    def _die(self, exc: BaseException) -> None:
+        """:meth:`Event.fail`, but queued as a :class:`_Death`, so only a
+        failing process pays for the unobserved-failure check."""
+        self._ok = False
+        self._value = exc
+        self._triggered = True
+        self.env._schedule(_Death(self), 0.0)
+
     def __repr__(self) -> str:
         return f"<Process {self.name!r} {'done' if self._triggered else 'alive'}>"
+
+
+class _Death:
+    """Queue entry that processes a failed :class:`Process`: its waiter
+    and callbacks run as for any event, and if there were none, nobody
+    observes the failure, so the exception is raised out of
+    :meth:`Environment.run` instead of being dropped.  An
+    :class:`Interrupt` is the owner stopping the process: handled."""
+
+    __slots__ = ("_dead",)
+
+    _cancelled = False
+
+    def __init__(self, process: Process):
+        self._dead = process
+
+    def _process(self) -> None:
+        process = self._dead
+        observed = process._waiter is not None or process._callbacks
+        process._process()
+        if not observed and not isinstance(process._value, Interrupt):
+            raise process._value
 
 
 class ConditionValue(Mapping):
@@ -690,7 +718,8 @@ class Environment:
 
         When ``until`` is given, time is advanced to exactly ``until``
         even if the last event fires earlier, so back-to-back ``run``
-        calls observe contiguous time.
+        calls observe contiguous time.  The exception of a process that
+        fails with nothing observing it is raised from here.
         """
         if self._active:
             raise SimulationError("environment is already running")

@@ -38,6 +38,7 @@ from ..workloads.population import UserPopulation
 from .schedules import Schedule, generate_schedule
 
 __all__ = [
+    "CRASH",
     "FuzzResult",
     "FuzzFailure",
     "FuzzReport",
@@ -50,6 +51,9 @@ __all__ = [
 
 #: The application name every fuzz cell uses.
 APPLICATION = "fuzz"
+
+#: The invariant name a cell reports when a process crashed it.
+CRASH = "process_crash"
 
 #: Trace-count keys copied into each cell's stats.
 _STAT_KINDS = (
@@ -266,25 +270,31 @@ def run_cell(
         schedule_crash(system.env, node, event.at, system.tracer)
         schedule_recovery(system.env, node, event.recover_at, system.tracer)
 
-    system.run(until=schedule.horizon)
-
-    # Quiesce: stop the traffic generators (in-flight attempts finish on
-    # their own), make sure every fault window is closed, and drain long
-    # enough for dissemination retries and every cached te to run out.
-    for driver in (access._process, updates._process):
-        if driver.is_alive:
-            driver.interrupt()
-    connectivity.heal()
-    system.run(until=schedule.horizon + schedule.drain)
-
-    checker.finalize()
+    try:
+        system.run(until=schedule.horizon)
+        # Quiesce: stop the traffic generators (in-flight attempts finish
+        # on their own), make sure every fault window is closed, and
+        # drain long enough for dissemination retries and every cached
+        # te to run out.
+        for driver in (access._process, updates._process):
+            if driver.is_alive:
+                driver.interrupt()
+        connectivity.heal()
+        system.run(until=schedule.horizon + schedule.drain)
+        checker.finalize()
+        violations = tuple(v.as_dict() for v in checker.violations)
+    except Exception as exc:
+        # A process died and nothing observed it, so the engine raised
+        # its exception: the cell fails like a broken invariant, and the
+        # shrinker minimises the schedule that crashes it.
+        violations = ({"invariant": CRASH, "time": system.env.now, "details": {},
+                       "message": f"{type(exc).__name__}: {exc}", "trace": []},)
 
     counts = system.tracer.counts()
     stats = {kind: counts.get(kind, 0) for kind in _STAT_KINDS}
     stats["observations"] = access.decisions
     stats["adds"] = updates.adds
     stats["revokes"] = updates.revokes
-    violations = tuple(v.as_dict() for v in checker.violations)
     return FuzzResult(
         cell=schedule.cell,
         ok=not violations,

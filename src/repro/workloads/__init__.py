@@ -5,6 +5,7 @@ from .generators import (
     AuthorizationOracle,
     FlashCrowdWorkload,
     ObservedDecision,
+    PeriodicWorkload,
     UpdateWorkload,
 )
 from .population import DiurnalRate, UserPopulation
@@ -16,6 +17,7 @@ __all__ = [
     "DiurnalRate",
     "FlashCrowdWorkload",
     "ObservedDecision",
+    "PeriodicWorkload",
     "Scenario",
     "UpdateWorkload",
     "UserPopulation",

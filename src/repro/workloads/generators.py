@@ -1,6 +1,6 @@
 """Workload generators that drive simulated systems.
 
-Two workloads mirror the paper's traffic assumptions (Section 2.1):
+The workloads mirror the paper's traffic assumptions (Section 2.1):
 
 * :class:`AccessWorkload` — users invoke applications at hosts, at a
   Poisson rate, with users drawn from a skewed popularity distribution.
@@ -8,6 +8,11 @@ Two workloads mirror the paper's traffic assumptions (Section 2.1):
   every decision together with whether the user *should* have been
   allowed — that pairing is what the availability and security metrics
   consume.
+
+* :class:`PeriodicWorkload` — closed-loop users, each asking one host
+  again a fixed pause after every decision: the steady access pattern
+  of the simulated experiments, and :class:`FlashCrowdWorkload`'s
+  launch-day burst.
 
 * :class:`UpdateWorkload` — managers issue Add/Revoke operations at a
   much lower Poisson rate ("the number of managers ... is relatively
@@ -18,9 +23,10 @@ Two workloads mirror the paper's traffic assumptions (Section 2.1):
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple, Union
 
 from ..core.host import AccessControlHost, AccessDecision
 from ..core.manager import AccessControlManager
@@ -32,6 +38,7 @@ __all__ = [
     "ObservedDecision",
     "AccessWorkload",
     "FlashCrowdWorkload",
+    "PeriodicWorkload",
     "UpdateWorkload",
     "AuthorizationOracle",
 ]
@@ -46,7 +53,7 @@ class ObservedDecision:
     user: str
     application: str
     decision: AccessDecision
-    authorized: bool  # ground truth when the attempt began
+    authorized: Optional[bool]  # ground truth when the attempt began
 
 
 class AuthorizationOracle:
@@ -100,7 +107,27 @@ class AuthorizationOracle:
         return not self.in_grace(application, user, time)
 
 
-class AccessWorkload:
+class _Requester:
+    """The access drivers' one request: ask, count, report."""
+
+    system: AccessControlSystem
+    application: str
+    on_decision: Optional[Callable[[ObservedDecision], None]]
+    decisions: int
+
+    def _ask(self, host: AccessControlHost, user: str, authorized: Optional[bool]):
+        """Process body: ``user`` asks ``host``; the decision is counted
+        and reported with ``authorized``, the ground truth at the ask."""
+        started = self.system.env.now
+        decision = yield host.request_access(self.application, user, Right.USE)
+        self.decisions += 1
+        if self.on_decision is not None:
+            self.on_decision(ObservedDecision(
+                started, host.address, user, self.application, decision, authorized
+            ))
+
+
+class AccessWorkload(_Requester):
     """Poisson stream of access attempts against a set of hosts.
 
     ``rate`` is either a flat float (homogeneous Poisson — the
@@ -157,31 +184,84 @@ class AccessWorkload:
             user = self.population.sample(self.rng)
             self.attempts += 1
             authorized = self.oracle.is_authorized(self.application, user)
-            start = env.now
             # Drive each attempt as its own process so attempts overlap,
             # like independent users do.
-            env.process(
-                self._attempt(host, user, authorized, start),
-                name=f"attempt:{user}",
-            )
-
-    def _attempt(self, host: AccessControlHost, user: str, authorized: bool,
-                 start: float):
-        decision = yield host.request_access(self.application, user, Right.USE)
-        observed = ObservedDecision(
-            time=start,
-            host=host.address,
-            user=user,
-            application=self.application,
-            decision=decision,
-            authorized=authorized,
-        )
-        self.decisions += 1
-        if self.on_decision is not None:
-            self.on_decision(observed)
+            env.process(self._ask(host, user, authorized), name=f"attempt:{user}")
 
 
-class FlashCrowdWorkload:
+class PeriodicWorkload(_Requester):
+    """Closed-loop users, each pinned to one host.
+
+    At ``start`` every user begins on a host drawn from ``hosts`` (all
+    of the system's by default): it asks for access, waits for the
+    decision, pauses ``think_time`` seconds, and asks again, until it
+    has made ``accesses_per_user`` requests or simulated time reaches
+    ``until``.  ``done`` fires once every user has stopped.  Each
+    decision goes to ``on_decision`` with its ground truth from
+    ``oracle`` (``authorized`` is ``None`` without one).
+    """
+
+    def __init__(
+        self,
+        system: AccessControlSystem,
+        application: str,
+        users: Sequence[str],
+        oracle: Optional[AuthorizationOracle] = None,
+        start: float = 0.0,
+        accesses_per_user: Optional[int] = None,
+        think_time: float = 2.0,
+        until: float = math.inf,
+        rng: Optional[random.Random] = None,
+        hosts: Optional[Sequence[AccessControlHost]] = None,
+        on_decision: Optional[Callable[[ObservedDecision], None]] = None,
+    ):
+        if accesses_per_user is not None and accesses_per_user < 1:
+            raise ValueError("each user must access at least once")
+        if think_time < 0:
+            raise ValueError("think_time must be non-negative")
+        self.system = system
+        self.application = application
+        self.users = list(users)
+        self.oracle = oracle
+        self.start = start
+        self.accesses_per_user = accesses_per_user
+        self.think_time = think_time
+        self.until = until
+        self.rng = rng or system.streams.stream("periodic")
+        self.hosts = list(hosts) if hosts is not None else list(system.hosts)
+        self.on_decision = on_decision
+        self.decisions = 0
+        self.done = system.env.event()
+        self._remaining = len(self.users)
+        system.env.process(self._drive(), name="periodic")
+
+    def _drive(self):
+        env = self.system.env
+        if self.start > env.now:
+            yield env.timeout(self.start - env.now)
+        if not self.users:
+            self.done.succeed()
+            return
+        for user in self.users:
+            env.process(self._user(user), name=f"periodic:{user}")
+
+    def _user(self, user: str):
+        env = self.system.env
+        application, oracle = self.application, self.oracle
+        host = self.rng.choice(self.hosts)
+        made = 0
+        while made != self.accesses_per_user and env.now < self.until:
+            authorized = None if oracle is None else oracle.is_authorized(application, user)
+            yield from self._ask(host, user, authorized)
+            made += 1
+            if self.think_time > 0:
+                yield env.timeout(self.think_time)
+        self._remaining -= 1
+        if self._remaining == 0:
+            self.done.succeed()
+
+
+class FlashCrowdWorkload(PeriodicWorkload):
     """A burst of fresh users arriving at once.
 
     Models launch-day traffic: at ``start`` every user in the crowd
@@ -202,63 +282,12 @@ class FlashCrowdWorkload:
         accesses_per_user: int = 5,
         think_time: float = 2.0,
         rng: Optional[random.Random] = None,
-        hosts: Optional[Sequence[AccessControlHost]] = None,
-        on_decision: Optional[Callable[[ObservedDecision], None]] = None,
+        **options: Any,
     ):
-        if accesses_per_user < 1:
-            raise ValueError("each user must access at least once")
-        if think_time < 0:
-            raise ValueError("think_time must be non-negative")
-        self.system = system
-        self.application = application
-        self.users = list(users)
-        self.oracle = oracle
-        self.start = start
-        self.accesses_per_user = accesses_per_user
-        self.think_time = think_time
-        self.rng = rng or system.streams.stream("flash-crowd")
-        self.hosts = list(hosts) if hosts is not None else list(system.hosts)
-        self.on_decision = on_decision
-        self.decisions = 0
-        self.done = system.env.event()
-        self._remaining = len(self.users)
-        system.env.process(self._drive(), name="flash-crowd")
-
-    def _drive(self):
-        env = self.system.env
-        if self.start > env.now:
-            yield env.timeout(self.start - env.now)
-        if not self.users:
-            self.done.succeed()
-            return
-        for user in self.users:
-            env.process(self._user(user), name=f"crowd:{user}")
-
-    def _user(self, user: str):
-        env = self.system.env
-        host = self.rng.choice(self.hosts)
-        for _ in range(self.accesses_per_user):
-            authorized = self.oracle.is_authorized(self.application, user)
-            started = env.now
-            decision = yield host.request_access(
-                self.application, user, Right.USE
-            )
-            observed = ObservedDecision(
-                time=started,
-                host=host.address,
-                user=user,
-                application=self.application,
-                decision=decision,
-                authorized=authorized,
-            )
-            self.decisions += 1
-            if self.on_decision is not None:
-                self.on_decision(observed)
-            if self.think_time > 0:
-                yield env.timeout(self.think_time)
-        self._remaining -= 1
-        if self._remaining == 0 and not self.done.triggered:
-            self.done.succeed()
+        super().__init__(
+            system, application, users, oracle, start, accesses_per_user, think_time,
+            rng=rng or system.streams.stream("flash-crowd"), **options,
+        )
 
 
 class UpdateWorkload:

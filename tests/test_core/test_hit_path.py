@@ -113,6 +113,8 @@ class TestHitsStayOutOfTheEngine:
     def test_a_miss_spawns_exactly_one_serve_process(self, monkeypatch):
         system, host = build()
         system.seed_grant(APP, "alice")
+        # The reply goes back to c0, so c0 must be a node on the network.
+        system.network.register(UserClient("c0", "alice"))
         spawned = _count_processes(monkeypatch)
         host.handle_message("c0", AppRequest(request_id=1, application=APP, user="alice"))
         assert spawned == ["h0/serve:1"]

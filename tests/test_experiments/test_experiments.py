@@ -7,21 +7,28 @@ checked for the qualitative *shape* the paper reports.
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
-from repro.experiments import EXPERIMENTS, run_experiment
+from repro.experiments import EXPERIMENTS, SEEDED, SIMULATED, run_experiment
 from repro.experiments import (
     ablations,
     baselines,
+    byzantine,
+    cache_extensions,
     caching,
     figure5,
     heterogeneous,
     latency,
+    mobility,
     overhead,
     revocation,
+    sharded,
     table1,
     table2,
     validation,
+    weighted,
 )
 from repro.experiments.base import ExperimentResult, ascii_plot, format_table
 from repro.experiments.table1 import PAPER_TABLE1
@@ -327,18 +334,36 @@ class TestCachingExperiment:
         assert on["mean ms"] * 4 < off["mean ms"]
 
 
+#: Every simulated runner at reduced size, by module.
+_REDUCED = {
+    ablations: dict(seed=0),
+    baselines: dict(seed=0, duration=200.0),
+    byzantine: dict(trials=5),
+    cache_extensions: dict(),
+    caching: dict(seed=0),
+    latency: dict(),
+    mobility: dict(fractions=(0.3,)),
+    overhead: dict(cs=(1, 2), tes=(30.0,)),
+    revocation: dict(te_bound=10.0),
+    sharded: dict(m=3, shards=2, cs=(1, 2), trials=40),
+    validation: dict(m=5, cs=(1, 3), pis=(0.2,), trials=40),
+    weighted: dict(m=4),
+}
+
+
 class TestJobsInvariance:
-    """Runners that hand their own task tuples to ``run_parallel``:
-    ``jobs=N`` must render byte-identically to ``jobs=1``."""
+    """Every simulated runner is a grid of pure cells: ``jobs=N`` must
+    render byte-identically to ``jobs=1``."""
+
+    def test_every_simulated_id_is_covered(self):
+        assert {module.run for module in _REDUCED} == {
+            EXPERIMENTS[experiment_id] for experiment_id in SIMULATED
+        }
 
     @pytest.mark.parametrize(
         "module, kwargs",
-        [
-            (ablations, dict(seed=0)),
-            (baselines, dict(seed=0, duration=200.0)),
-            (caching, dict(seed=0)),
-        ],
-        ids=["ablations", "baselines", "caching"],
+        list(_REDUCED.items()),
+        ids=[module.__name__.rsplit(".", 1)[1] for module in _REDUCED],
     )
     def test_render_identical_across_jobs(self, module, kwargs):
         sequential = module.run(**kwargs, jobs=1)
@@ -351,6 +376,52 @@ class TestJobsInvariance:
         sequential = weighted.run(m=4, jobs=1)
         pooled = weighted.run(m=4, jobs=4)
         assert pooled.render() == sequential.render()
+
+
+class TestCheckedRuns:
+    """With the invariant oracles on, every cell a runner builds carries
+    them; the two cells that break an oracle on purpose (Byzantine
+    liars, a weighted-vote combiner) opt out."""
+
+    @pytest.fixture
+    def checking(self):
+        from repro.verify import set_checking
+
+        set_checking(True)
+        yield
+        set_checking(None)
+
+    @pytest.mark.parametrize(
+        "module, kwargs",
+        [
+            (revocation, dict(te_bound=10.0)),
+            (weighted, dict(m=4)),
+            (byzantine, dict(trials=5)),
+        ],
+        ids=["revocation", "weighted", "byzantine"],
+    )
+    def test_prints_the_same_with_oracles_attached(self, module, kwargs, checking):
+        from repro.verify import set_checking
+
+        checked = module.run(**kwargs).render()
+        set_checking(False)
+        assert checked == module.run(**kwargs).render()
+
+
+class TestRunnerSignatures:
+    """The CLI passes ``seed`` and ``jobs`` by these two tables alone."""
+
+    @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
+    def test_tables_match_the_runners(self, experiment_id):
+        parameters = inspect.signature(EXPERIMENTS[experiment_id]).parameters
+        assert ("seed" in parameters) == (experiment_id in SEEDED)
+        assert ("jobs" in parameters) == (experiment_id in SIMULATED)
+
+    def test_cli_passes_seed_and_jobs(self, capsys):
+        from repro.experiments.cli import main
+
+        assert main(["overhead", "--seed", "3", "--jobs", "2"]) == 0
+        assert "params: seed=3" in capsys.readouterr().out
 
 
 class TestCli:

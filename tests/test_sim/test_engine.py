@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.protocols.messaging import reply_deadline, reply_won
 from repro.sim.engine import (
     _COMPACT_FLOOR,
     AllOf,
@@ -150,7 +151,9 @@ class TestProcess:
             raise ValueError("boom")
 
         process = env.process(proc())
-        env.run()
+        # Nothing waits on the process, so its failure is raised by run().
+        with pytest.raises(ValueError, match="boom"):
+            env.run()
         assert process.ok is False
         assert isinstance(process.value, ValueError)
 
@@ -231,6 +234,110 @@ class TestProcess:
         env.run()
         with pytest.raises(SimulationError):
             process.interrupt()
+
+
+class TestUnobservedFailures:
+    """A process that dies and that nothing observes fails the run."""
+
+    def test_unobserved_crash_raises_from_run(self, env):
+        def crashes():
+            yield env.timeout(1)
+            1 / 0
+
+        env.process(crashes())
+        with pytest.raises(ZeroDivisionError):
+            env.run(until=5)
+        assert env.now == 1.0
+
+    def test_run_continues_after_the_raise(self, env):
+        def crashes():
+            yield env.timeout(1)
+            raise ValueError("boom")
+
+        def survivor():
+            yield env.timeout(3)
+            return "done"
+
+        env.process(crashes())
+        later = env.process(survivor())
+        with pytest.raises(ValueError):
+            env.run()
+        env.run()
+        assert later.value == "done"
+
+    def test_step_raises_too(self, env):
+        def crashes():
+            yield env.timeout(1)
+            raise KeyError("k")
+
+        env.process(crashes())
+        env.step()  # bootstrap
+        env.step()  # timeout: the generator raises, the death is queued
+        with pytest.raises(KeyError):
+            env.step()
+
+    def test_a_waiting_process_observes_the_failure(self, env):
+        def crashes():
+            yield env.timeout(1)
+            raise ValueError("boom")
+
+        def parent():
+            try:
+                yield env.process(crashes())
+            except ValueError as exc:
+                return f"caught {exc}"
+
+        process = env.process(parent())
+        env.run()
+        assert process.value == "caught boom"
+
+    def test_a_callback_observes_the_failure(self, env):
+        def crashes():
+            yield env.timeout(1)
+            raise ValueError("boom")
+
+        seen = []
+        env.process(crashes()).add_callback(lambda event: seen.append(event.value))
+        env.run()
+        assert [type(exc) for exc in seen] == [ValueError]
+
+    def test_a_condition_observes_the_failure(self, env):
+        def crashes():
+            yield env.timeout(1)
+            raise ValueError("boom")
+
+        def parent():
+            try:
+                yield env.any_of([env.process(crashes()), env.timeout(5)])
+            except ValueError:
+                return "caught"
+
+        process = env.process(parent())
+        env.run()
+        assert process.value == "caught"
+
+    def test_an_interrupt_from_the_owner_counts_as_handled(self, env):
+        def worker():
+            yield env.timeout(10)
+
+        child = env.process(worker())
+
+        def owner():
+            yield env.timeout(1)
+            child.interrupt("stop")
+
+        env.process(owner())
+        env.run()
+        assert child.ok is False and isinstance(child.value, Interrupt)
+
+    def test_a_succeeding_process_is_untouched(self, env):
+        def fine():
+            yield env.timeout(1)
+            return 7
+
+        process = env.process(fine())
+        env.run()
+        assert process.ok and process.value == 7
 
 
 class TestConditions:
@@ -475,7 +582,8 @@ class TestEngineDeepEdges:
             env.run(until=10)  # illegal: already inside run()
 
         process = env.process(naughty())
-        env.run()
+        with pytest.raises(SimulationError, match="already running"):
+            env.run()
         assert process.ok is False
         assert isinstance(process.value, SimulationError)
 
@@ -485,7 +593,8 @@ class TestEngineDeepEdges:
             raise KeyError("oops")
 
         process = env.process(boom())
-        env.run()
+        with pytest.raises(KeyError):
+            env.run()
         assert isinstance(process.value, KeyError)
         # Waiting on a failed process throws into the waiter.
         def watcher():
@@ -662,6 +771,35 @@ class TestTimerElision:
         env.run()
         assert all(timer.processed for timer in live)
         assert env.dead_pops == _COMPACT_FLOOR and env.now == 2.0
+
+    def test_both_won_race_shapes_leave_one_dead_timer_each(self, env):
+        """``repro bench timer_elision``'s gates: a reply beating a 1 s
+        timer in an ``any_of``, and a 0.1 s reply beating a 30 s
+        ``reply_deadline``, each leave exactly one dead timer, and
+        compaction keeps the queue bounded instead of holding 300 dead
+        30 s deadlines."""
+        races = 3_000
+        max_queue = 0
+
+        def requester():
+            for _ in range(races):
+                yield env.any_of([env.timeout(0.1, value="reply"), env.timeout(1.0)])
+
+        def client():
+            nonlocal max_queue
+            for _ in range(races):
+                arrival = env.event()
+                timer = reply_deadline(env, arrival, 30.0)
+                arrival.succeed("reply", delay=0.1)
+                yield arrival
+                reply_won(timer)
+                max_queue = max(max_queue, len(env._queue))
+
+        env.process(requester())
+        env.process(client())
+        env.run()
+        assert env.dead_pops == 2 * races
+        assert max_queue < 2 * _COMPACT_FLOOR
 
     def test_heap_entries_are_time_eid_event_triples(self, env):
         env.timeout(1.0)

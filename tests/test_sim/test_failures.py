@@ -62,7 +62,8 @@ class TestScheduledFailures:
         node = HookedNode("n")
         env.run(until=10.0)
         process = schedule_crash(env, node, at=5.0)
-        env.run()
+        with pytest.raises(ValueError, match="in the past"):
+            env.run()
         assert process.ok is False
         assert isinstance(process.value, ValueError)
 

@@ -16,7 +16,8 @@ import pytest
 from repro.core.host import AccessControlHost
 from repro.experiments.cli import main as cli_main
 from repro.verify import Schedule, generate_schedule, run_cell, run_fuzz
-from repro.verify.fuzz import shrink_schedule
+from repro.verify import fuzz
+from repro.verify.fuzz import CRASH, shrink_schedule
 
 
 @pytest.fixture
@@ -30,12 +31,30 @@ def broken_delta(monkeypatch):
     monkeypatch.setattr(AccessControlHost, "_expiry_limit", stamp_without_delta)
 
 
+@pytest.fixture
+def crash_raises(monkeypatch):
+    """Make every scheduled node crash kill its process with an
+    exception that nothing observes."""
+
+    def raising_crash(env, node, at, tracer=None):
+        def _proc():
+            yield env.timeout(at - env.now)
+            raise RuntimeError(f"{node.address} crash handler broke")
+
+        return env.process(_proc(), name=f"crash:{node.address}")
+
+    monkeypatch.setattr(fuzz, "schedule_crash", raising_crash)
+
+
 class TestCleanRuns:
     def test_small_sweep_passes(self):
         report = run_fuzz(7, 6, jobs=1)
         assert report.ok
         assert len(report.results) == 6
         assert all(result.ok for result in report.results)
+        # ``repro bench``'s cell_quorum and cell_freeze are cells 2 and 3
+        # of seed 7: this is the home of their ``result.ok`` gates.
+        assert report.results[2].ok and report.results[3].ok
 
     def test_cells_actually_exercise_the_protocol(self):
         report = run_fuzz(7, 6, jobs=1)
@@ -100,6 +119,28 @@ class TestBrokenDeltaIsCaught:
         failure = report.failures[0]
         assert failure.minimal == failure.schedule
         assert failure.shrink_steps == 0
+
+
+class TestProcessCrashIsCaught:
+    def test_crash_fails_the_cell(self, crash_raises):
+        schedule = generate_schedule(7, 3)
+        assert schedule.crashes
+        result = run_cell(schedule)
+        assert not result.ok
+        violation = result.violations[0]
+        assert violation["invariant"] == CRASH
+        assert violation["message"].startswith("RuntimeError")
+        assert violation["time"] == schedule.crashes[0].at
+
+    def test_sweep_reports_and_shrinks_instead_of_aborting(self, crash_raises):
+        schedule = generate_schedule(7, 0)
+        report = run_fuzz(7, 1, jobs=1, schedules=[schedule])
+        assert not report.ok
+        failure = report.failures[0]
+        assert failure.violations[0]["invariant"] == CRASH
+        # One crash event is all it takes; shrinking drops the rest.
+        assert failure.minimal.fault_count() < schedule.fault_count()
+        assert len(failure.minimal.crashes) == 1
 
 
 class TestFuzzCli:

@@ -98,6 +98,19 @@ class TestRunMegaCell:
         assert 25 < document["acl_bytes_per_entry"] <= 44
         assert document["peak_rss_mb"] > 0
 
+    def test_bench_cell_sharded_gates(self):
+        """``repro bench cell_sharded``'s cell and its two gates: no
+        security violation, and ACL memory of at most 44 bytes per
+        seeded entry (25 of columns, the index's share at 60 %
+        occupancy, and 10 % slack)."""
+        document = run_mega_cell(
+            n_principals=20_000, shards=3, n_managers=3, n_hosts=3, n_apps=3,
+            duration=60.0, access_rate=30.0, update_rate=0.2, seed=0,
+        )
+        assert document["attempts"] > 0
+        assert document["violations"] == 0
+        assert document["acl_bytes_per_entry"] <= 44
+
     def test_deterministic_across_runs(self):
         kwargs = dict(
             n_principals=2_000, shards=2, n_apps=2, duration=30.0,
