@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test test-slow lint loc fuzz bench-smoke bench-e2e bench-e2e-smoke net-smoke population-smoke mega profile experiments experiments-check examples all clean
+.PHONY: install test test-slow lint loc fuzz bench-e2e bench-e2e-smoke net-smoke population-smoke mega profile experiments experiments-check examples all clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -30,10 +30,6 @@ loc:
 
 fuzz:
 	PYTHONPATH=src python -m repro fuzz --cells 50 --seed 7 --jobs 4
-
-# Every micro cell once at quick size; the cells' own assertions gate.
-bench-smoke:
-	PYTHONPATH=src python -m repro bench --quick --repeats 1
 
 # The end-to-end benchmark the PR driver measures (BENCHMARK.json): four
 # workloads at 20 s each, every metric printed by name and unit.
@@ -76,10 +72,10 @@ mega:
 	PYTHONPATH=src python -m repro.experiments.cli mega --principals 1000000 \
 		--duration 120 --check-invariants
 
-# cProfile the message-heaviest bench cell; stats land in
+# cProfile the judge's simulated workload in-process; stats land in
 # ./repro-bench.prof (readable with `python -m pstats`).
 profile:
-	PYTHONPATH=src python -m repro bench cell_quorum --quick --profile
+	python3 -m cProfile -o repro-bench.prof -m bench_e2e --workload sim_cell --seconds 5
 
 experiments:
 	PYTHONPATH=src python -m repro.experiments.cli
@@ -98,7 +94,7 @@ examples:
 		echo; \
 	done
 
-all: test bench-smoke experiments
+all: test bench-e2e-smoke experiments
 
 clean:
 	find . -type d -name __pycache__ -prune -exec rm -rf {} +

@@ -136,7 +136,6 @@ def _fuzz_main(argv: List[str]) -> int:
 
 #: Subcommand -> module whose ``main(argv)`` runs it, imported on use.
 _SUBCOMMANDS = {
-    "bench": ".bench",
     "mega": "..workloads.mega",
     "serve": "..net.serve",
     "load": "..net.load",

@@ -604,14 +604,12 @@ class Environment:
     — a dead timer has no waiter and no callbacks, so processing it was
     a no-op.  A dead entry is either popped and skipped when its time
     comes, or dropped early by a compaction once dead entries outnumber
-    live ones; either way ``dead_pops`` counts it (``repro bench``'s
-    ``timer_elision`` cell asserts the machinery is engaged and the
-    queue bounded).  A drained ``run()`` still ends at the time of the
-    latest entry, dropped or not; only :meth:`peek` sees the difference,
-    as it no longer reports dropped dead times.  The instance attribute
-    ``_elide`` gates the mechanism; the equivalence property tests set
-    it false on a test-local subclass to get their non-eliding
-    reference.
+    live ones; either way ``dead_pops`` counts it.  A drained ``run()``
+    still ends at the time of the latest entry, dropped or not; only
+    :meth:`peek` sees the difference, as it no longer reports dropped
+    dead times.  The instance attribute ``_elide`` gates the mechanism;
+    the equivalence property tests set it false on a test-local
+    subclass to get their non-eliding reference.
 
     The pending-event queue is one ``heapq`` list of ``(time, eid,
     event)`` entries; ``eid`` increases with every insertion, so the

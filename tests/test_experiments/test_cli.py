@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pstats
 
+import pytest
+
 from repro.experiments.cli import main
 
 
@@ -33,24 +35,20 @@ class TestProfileFlag:
         assert not (tmp_path / "repro-experiments.prof").exists()
 
 
-class TestBenchDispatch:
-    def test_bench_subcommand_runs_and_profiles(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        monkeypatch.chdir(tmp_path)
-        rc = main(
-            ["bench", "cache_hit_checks", "--quick", "--repeats", "1", "--profile"]
-        )
-        assert rc == 0
-        assert (tmp_path / "repro-bench.prof").exists()
-        # A cell run records nothing: no trajectory or baseline file.
-        assert [path.name for path in tmp_path.iterdir()] == ["repro-bench.prof"]
-        assert "cache_hit_checks: best" in capsys.readouterr().out
-
-    def test_bench_list(self, capsys):
-        """An unknown cell name fails with the list of valid names."""
-        rc = main(["bench", "nope"])
-        assert rc == 2
+class TestSubcommandDispatch:
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["mega", "--principals", "0"], "--principals"),
+            (["serve", "--time-scale", "0"], "--time-scale"),
+            (["load", "--port-file", "cell.json", "--clients", "0"], "--clients"),
+        ],
+        ids=["mega", "serve", "load"],
+    )
+    def test_routes_the_rest_of_argv_to_the_subcommand(self, argv, flag, capsys):
+        # Refused by the subcommand's own parser: nothing runs.
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "unknown cells: nope" in err
-        assert "msg_send_deliver" in err and "live_fanout" in err
+        assert f"{argv[0]}: error: argument {flag}" in err

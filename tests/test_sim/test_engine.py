@@ -773,9 +773,9 @@ class TestTimerElision:
         assert env.dead_pops == _COMPACT_FLOOR and env.now == 2.0
 
     def test_both_won_race_shapes_leave_one_dead_timer_each(self, env):
-        """``repro bench timer_elision``'s gates: a reply beating a 1 s
-        timer in an ``any_of``, and a 0.1 s reply beating a 30 s
-        ``reply_deadline``, each leave exactly one dead timer, and
+        """A reply beating a 1 s timer in an ``any_of``, and a 0.1 s
+        reply beating a 30 s ``reply_deadline``, each leave exactly one
+        dead timer, and
         compaction keeps the queue bounded instead of holding 300 dead
         30 s deadlines."""
         races = 3_000
@@ -800,6 +800,37 @@ class TestTimerElision:
         env.run()
         assert env.dead_pops == 2 * races
         assert max_queue < 2 * _COMPACT_FLOOR
+
+    def test_deadline_shape_without_elision_holds_every_30s_deadline(self):
+        """The 300 dead deadlines the bound above is measured against: a
+        0.1 s reply beating a 30 s ``reply_deadline`` leaves 30 / 0.1
+        timers queued on an engine that cannot cancel them, and a few
+        dozen on one that compacts."""
+        races = 1_000
+
+        def run(env):
+            max_queue = 0
+
+            def client():
+                nonlocal max_queue
+                for _ in range(races):
+                    arrival = env.event()
+                    timer = reply_deadline(env, arrival, 30.0)
+                    arrival.succeed("reply", delay=0.1)
+                    yield arrival
+                    reply_won(timer)
+                    max_queue = max(max_queue, len(env._queue))
+
+            env.process(client())
+            env.run()
+            return env.dead_pops, max_queue
+
+        dead_pops, max_queue = run(Environment())
+        assert dead_pops == races > 0
+        assert 0 < max_queue < 2 * _COMPACT_FLOOR
+        dead_pops, max_queue = run(NonElidingEnvironment())
+        assert dead_pops == 0
+        assert max_queue >= 300
 
     def test_heap_entries_are_time_eid_event_triples(self, env):
         env.timeout(1.0)

@@ -12,6 +12,7 @@ import pytest
 from repro.sim.engine import Environment
 from repro.sim.network import FixedLatency, Network, ShiftedExponentialLatency
 from repro.sim.node import Node
+from repro.sim.partitions import ScriptedConnectivity
 from repro.sim.trace import TraceKind, Tracer
 
 
@@ -203,13 +204,18 @@ class TestSendMany:
             ),
         ]
 
-    def _run_both(self, crash_source=False, **net_kwargs):
+    def _run_both(self, crash_source=False, partition=None, **net_kwargs):
         for items, send_batch in self._inputs():
-            batched = _world(**net_kwargs)
-            unbatched = _world(**net_kwargs)
-            if crash_source:
-                batched[3][0].crash()
-                unbatched[3][0].crash()
+            worlds = []
+            for _ in range(2):
+                connectivity = ScriptedConnectivity()
+                world = _world(connectivity=connectivity, **net_kwargs)
+                if crash_source:
+                    world[3][0].crash()
+                if partition:
+                    connectivity.partition(partition)
+                worlds.append(world)
+            batched, unbatched = worlds
             send_batch(batched[2])
             for dst, message in items:
                 unbatched[2].send("n0", dst, message)
@@ -241,6 +247,17 @@ class TestSendMany:
         for items, batched, unbatched in self._run_both(crash_source=True):
             assert self._observables(batched) == self._observables(unbatched)
             assert batched[2].messages_dropped == len(items)
+
+    def test_matches_loop_under_partition(self):
+        # n0 is cut off from n2 and n3: the batch drops exactly the sends
+        # a loop drops, and only those.
+        runs = self._run_both(partition=[["n0", "n1"], ["n2", "n3"]])
+        for items, batched, unbatched in runs:
+            assert self._observables(batched) == self._observables(unbatched)
+            assert 0 < batched[2].messages_dropped < len(items)
+            assert [message for _t, _src, message in batched[3][1].received] == [
+                message for dst, message in items if dst == "n1"
+            ]
 
     def test_matches_loop_with_stochastic_latency(self):
         # Per-destination delays differ, so batching is impossible; the

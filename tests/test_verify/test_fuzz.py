@@ -52,8 +52,8 @@ class TestCleanRuns:
         assert report.ok
         assert len(report.results) == 6
         assert all(result.ok for result in report.results)
-        # ``repro bench``'s cell_quorum and cell_freeze are cells 2 and 3
-        # of seed 7: this is the home of their ``result.ok`` gates.
+        # Cells 2 and 3 of seed 7: one quorum-disseminated and one
+        # freeze-disseminated protocol cell under partitions and crashes.
         assert report.results[2].ok and report.results[3].ok
 
     def test_cells_actually_exercise_the_protocol(self):

@@ -99,7 +99,7 @@ class TestRunMegaCell:
         assert document["peak_rss_mb"] > 0
 
     def test_bench_cell_sharded_gates(self):
-        """``repro bench cell_sharded``'s cell and its two gates: no
+        """A 2·10^4-principal sharded cell and its two gates: no
         security violation, and ACL memory of at most 44 bytes per
         seeded entry (25 of columns, the index's share at 60 %
         occupancy, and 10 % slack)."""

@@ -72,6 +72,10 @@ def main() -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args()
+    if args.pairs < 1:
+        parser.error(f"argument --pairs: {args.pairs} is not positive")
+    if not args.seconds > 0:
+        parser.error(f"argument --seconds: {args.seconds} is not positive")
 
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as handle:
         gated = [(m["name"], m["better"]) for m in json.load(handle)["end_to_end"]]
