@@ -22,17 +22,98 @@ a tenth of the interned users have an entry here (many small ACLs on one
 huge shared interner fall below that).
 ``AclEntry`` objects are materialised only at the API boundary
 (``entry``/``snapshot``).
+
+A whole batch loads in one write (:meth:`AccessControlList.load`): an
+:class:`AclBatch` holds entries as columns, so seeding an ACL with n
+grants interns the names once and extends each column once, instead of
+building and merging n ``AclEntry`` objects.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, List, Optional, Tuple
+from itertools import repeat
+from operator import add, mul
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .ids import RIGHT_INDEX, RIGHTS, Interner, pack_key
-from .rights import AclEntry, Right, Version, ZERO_VERSION
+from .rights import SEED_ORIGIN, AclEntry, Right, Version, ZERO_VERSION
 
-__all__ = ["AccessControlList"]
+__all__ = ["AccessControlList", "AclBatch"]
+
+
+class AclBatch(Sequence[AclEntry]):
+    """Entries as columns, the input of :meth:`AccessControlList.load`.
+
+    Entry ``i`` is ``users[i]`` holding ``RIGHTS[rights[i]]`` (granted
+    when ``granted[i]`` is 1, a tombstone when 0) at version
+    ``(counters[i], origins[i])``.  Indexing materialises an
+    :class:`AclEntry`.
+    """
+
+    __slots__ = ("users", "rights", "granted", "counters", "origins", "_keyed")
+
+    def __init__(
+        self,
+        users: Sequence[str],
+        rights: bytes,
+        granted: bytes,
+        counters: Sequence[int],
+        origins: Sequence[str],
+    ):
+        self.users = users
+        self.rights = rights
+        self.granted = granted
+        self.counters = counters
+        self.origins = origins
+        self._keyed: Optional[Tuple[Interner, array, bool]] = None
+
+    @classmethod
+    def of(cls, entries: Iterable[AclEntry]) -> "AclBatch":
+        """The columns of ``entries``, in order."""
+        entries = list(entries)
+        return cls(
+            [entry.user for entry in entries],
+            bytes([RIGHT_INDEX[entry.right] for entry in entries]),
+            bytes([entry.granted for entry in entries]),
+            array("q", [entry.version.counter for entry in entries]),
+            [entry.version.origin for entry in entries],
+        )
+
+    @classmethod
+    def seeds(cls, users: Sequence[str], rights: bytes) -> "AclBatch":
+        """Grants that predate time zero: ``users[i]`` holds
+        ``RIGHTS[rights[i]]`` at ``Version(1, SEED_ORIGIN)``."""
+        n = len(users)
+        return cls(users, rights, b"\x01" * n, array("q", [1]) * n, [SEED_ORIGIN] * n)
+
+    def keys_in(self, interner: Interner) -> Tuple[array, bool]:
+        """The entries' packed keys under ``interner``, and whether they
+        are distinct.
+
+        Interns the users on first use and remembers the result for that
+        interner (ids never change), so the managers of a cell, which
+        share one interner, intern a batch once between them.
+        """
+        keyed = self._keyed
+        if keyed is None or keyed[0] is not interner:
+            ids = interner.intern_many(self.users)
+            # pack_key over the batch, without a Python-level call per entry.
+            keys = array("q", map(add, map(mul, ids, repeat(2)), self.rights))
+            distinct = type(ids) is range or len(set(keys)) == len(keys)
+            keyed = self._keyed = (interner, keys, distinct)
+        return keyed[1], keyed[2]
+
+    def __len__(self) -> int:
+        return len(self.users)
+
+    def __getitem__(self, i):
+        return AclEntry(
+            user=self.users[i],
+            right=RIGHTS[self.rights[i]],
+            granted=bool(self.granted[i]),
+            version=Version(self.counters[i], self.origins[i]),
+        )
 
 
 class AccessControlList:
@@ -164,7 +245,57 @@ class AccessControlList:
 
     def merge(self, entries: Iterable[AclEntry]) -> int:
         """Merge many entries; returns how many were newly stored."""
-        return sum(1 for entry in entries if self.apply(entry))
+        return len(self.load(AclBatch.of(entries)))
+
+    def load(self, batch: AclBatch) -> Sequence[int]:
+        """Merge ``batch`` exactly as ``apply`` over it in order would.
+
+        The bulk path: the names are interned once, and entries whose
+        key is new to this ACL are written straight into the columns and
+        the index.  Only a key already set, or repeated within the
+        batch, goes through :meth:`apply`, at its place in the batch.
+        Returns the positions of the entries stored, ascending.
+        """
+        keys, fresh = batch.keys_in(self._ids)
+        index = self._index
+        size = len(index)
+        if fresh and size:
+            fresh = not [key for key in keys if key < size and index[key]]
+        if fresh:
+            self._append(
+                keys, batch.granted, batch.counters,
+                self._origins.intern_many(batch.origins),
+            )
+            return range(len(keys))
+        stored: List[int] = []
+        for at, key in enumerate(keys):
+            if key < len(index) and index[key]:  # set before, or earlier in the batch
+                if self.apply(batch[at]):
+                    stored.append(at)
+            else:
+                one = slice(at, at + 1)
+                self._append(
+                    keys[one], batch.granted[one], batch.counters[one],
+                    self._origins.intern_many(batch.origins[one]),
+                )
+                stored.append(at)
+        return stored
+
+    def _append(self, keys: array, granted, counters, origins) -> None:
+        """Write entries with distinct new ``keys`` into fresh slots."""
+        index = self._index
+        size = len(index)
+        for key in keys:  # the index length apply's growth would reach
+            if key >= size:
+                size = key + 1 + (key >> 3)
+        if size > len(index):
+            index.frombytes(bytes((size - len(index)) * index.itemsize))
+        for slot, key in enumerate(keys, len(self._keys) + 1):
+            index[key] = slot
+        self._keys.extend(keys)
+        self._granted.extend(granted)
+        self._counter.extend(counters)
+        self._origin.extend(origins)
 
     # -- synchronisation -----------------------------------------------------------
     def __iter__(self) -> Iterator[AclEntry]:

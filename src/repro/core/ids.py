@@ -18,11 +18,14 @@ range (manager addresses, ad-hoc users) occupy dict slots.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from .rights import Right
 
-__all__ = ["Interner", "RIGHTS", "RIGHT_INDEX", "dense_index", "pack_key", "unpack_key"]
+__all__ = [
+    "Interner", "NameRange", "RIGHTS", "RIGHT_INDEX", "dense_index", "pack_key",
+    "unpack_key",
+]
 
 #: Rights in packed-key order; ``RIGHTS[key & 1]`` recovers the right.
 RIGHTS = (Right.USE, Right.MANAGE)
@@ -54,6 +57,65 @@ def dense_index(name: str, prefix: str) -> int:
     if not (digits.isascii() and digits.isdigit()) or (len(digits) > 1 and digits[0] == "0"):
         return -1
     return int(digits)
+
+
+class NameRange(Sequence[str]):
+    """The virtual list ``[f"{prefix}{i}" for i in range(n)]``.
+
+    Supports everything list-shaped callers use — indexing, slicing,
+    iteration, ``in``, ``index`` and ``==`` against real lists —
+    without materialising n strings.  An :class:`Interner` whose dense
+    block covers it interns it without formatting a name.
+    """
+
+    __slots__ = ("prefix", "_n")
+
+    def __init__(self, prefix: str, n: int):
+        self.prefix = prefix
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self._n))]
+        if index < 0:
+            index += self._n
+        if not 0 <= index < self._n:
+            raise IndexError("name index out of range")
+        return f"{self.prefix}{index}"
+
+    def __iter__(self) -> Iterator[str]:
+        prefix = self.prefix
+        return (f"{prefix}{i}" for i in range(self._n))
+
+    def _parse(self, name: str) -> Optional[int]:
+        index = dense_index(name, self.prefix)  # -1: not a canonical spelling
+        return index if 0 <= index < self._n else None
+
+    def __contains__(self, name: object) -> bool:
+        return isinstance(name, str) and self._parse(name) is not None
+
+    def index(self, name: str, *args) -> int:  # O(1), unlike list.index
+        parsed = self._parse(name) if isinstance(name, str) else None
+        if parsed is None:
+            raise ValueError(f"{name!r} is not in the range")
+        return parsed
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, NameRange):
+            return self.prefix == other.prefix and self._n == other._n
+        if isinstance(other, (list, tuple)):
+            return len(other) == self._n and all(
+                a == b for a, b in zip(self, other)
+            )
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]  # mutable-sequence convention
+
+    def __repr__(self) -> str:
+        return f"NameRange({self.prefix!r}, {self._n})"
 
 
 class Interner:
@@ -106,6 +168,30 @@ class Interner:
             self._ids[name] = uid
             self._names.append(name)
         return uid
+
+    def intern_many(self, names: Sequence[str]) -> Sequence[int]:
+        """``[self.intern(name) for name in names]``, in bulk.
+
+        Fresh names get ids in first-sight order, exactly as interning
+        them one at a time would.  A :class:`NameRange` inside the dense
+        block maps to ``range(len(names))`` without formatting a name.
+        """
+        prefix = self._dense_prefix
+        if prefix is not None:
+            if (
+                type(names) is NameRange
+                and names.prefix == prefix
+                and len(names) <= self._dense_count
+            ):
+                return range(len(names))
+            return [self.intern(name) for name in names]
+        ids = self._ids
+        fresh = [name for name in dict.fromkeys(names) if name not in ids]
+        if fresh:
+            first = len(self._names)
+            ids.update(zip(fresh, range(first, first + len(fresh))))
+            self._names.extend(fresh)
+        return list(map(ids.__getitem__, names))
 
     def get(self, name: str) -> Optional[int]:
         """Id for ``name`` if already interned (or dense); else None."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple, Union
 
 from ..auth.identity import Authenticator, Principal, SignedMessage
 from ..protocols.admin import AdminService
@@ -33,7 +33,7 @@ from ..protocols.revocation import RevocationForwarder
 from ..sim.engine import Event
 from ..sim.node import Address, Node
 from ..sim.storage import StableStore
-from .acl import AccessControlList
+from .acl import AccessControlList, AclBatch
 from .ids import Interner
 from .messages import (
     AclUpdate,
@@ -161,11 +161,31 @@ class AccessControlManager(Node):
     def manager_set_size(self, application: str) -> int:
         return len(self._peers[application]) + 1
 
-    def bootstrap(self, application: str, entries: Sequence[AclEntry]) -> None:
-        """Pre-populate the ACL (experiment setup, not the protocol)."""
-        for entry in entries:
-            self._apply_entry(application, entry)
-            self._counter = max(self._counter, entry.version.counter)
+    def bootstrap(
+        self, application: str, entries: Union[AclBatch, Iterable[AclEntry]]
+    ) -> None:
+        """Pre-populate the ACL (experiment setup, not the protocol).
+
+        One bulk write (:meth:`AccessControlList.load`): the result, the
+        version counter and any stable-store writes are exactly those of
+        applying ``entries`` one at a time.  Callers hand over a whole
+        batch per application, ideally as an :class:`AclBatch`.
+        """
+        batch = entries if type(entries) is AclBatch else AclBatch.of(entries)
+        if not len(batch):
+            return
+        stored = self.acl(application).load(batch)
+        if self.store is not None:
+            counter, seen = self._counter, 0
+            for at in stored:  # ascending
+                counter = max(counter, *batch.counters[seen:at + 1])
+                seen = at + 1
+                entry = batch[at]
+                self.store.write(
+                    f"acl:{application}:{entry.user}:{entry.right.value}", entry
+                )
+                self.store.write("counter", counter)
+        self._counter = max(self._counter, max(batch.counters))
 
     def _apply_entry(self, application: str, entry: AclEntry) -> bool:
         """Apply an entry to the ACL and persist it to stable storage."""

@@ -31,11 +31,12 @@ from ..sim.network import FixedLatency, LatencyModel, Network, ShiftedExponentia
 from ..sim.partitions import ConnectivityModel, FullConnectivity
 from ..sim.rng import RngStreams
 from ..sim.trace import TraceKind, Tracer
-from .ids import Interner
+from .acl import AclBatch
+from .ids import RIGHT_INDEX, Interner
 from .manager import AccessControlManager
 from .name_service import TrustedNameService
 from .policy import AccessPolicy
-from .rights import SEED_ORIGIN, AclEntry, Right, Version
+from .rights import Right
 from .wrapper import ApplicationHost
 
 __all__ = ["AccessControlSystem"]
@@ -318,28 +319,33 @@ class AccessControlSystem:
         Experiment setup only: equivalent to an ``Add`` that completed
         full propagation before time zero.
         """
-        entry = AclEntry(
-            user=user, right=right, granted=True, version=Version(1, SEED_ORIGIN)
-        )
-        for manager in self.managers_for(application):
-            manager.bootstrap(application, [entry])
-        tracer = self.tracer
-        if tracer.wants(TraceKind.GRANT_SEEDED):
-            tracer.publish(
-                TraceKind.GRANT_SEEDED,
-                "system",
-                application=application,
-                user=user,
-                right=str(right),
-            )
-        else:
-            tracer.bump(TraceKind.GRANT_SEEDED)
+        self.seed_grants(application, (user,), right)
 
     def seed_grants(
         self, application: str, users: Iterable[str], right: Right = Right.USE
     ) -> None:
-        for user in users:
-            self.seed_grant(application, user, right)
+        """:meth:`seed_grant` for each of ``users``, in one bulk write.
+
+        Each manager of the owning group loads the whole batch in one
+        ``bootstrap``; one ``GRANT_SEEDED`` record per user follows, in
+        order.
+        """
+        users = list(users)
+        batch = AclBatch.seeds(users, bytes([RIGHT_INDEX[right]]) * len(users))
+        for manager in self.managers_for(application):
+            manager.bootstrap(application, batch)
+        tracer = self.tracer
+        if tracer.wants(TraceKind.GRANT_SEEDED):
+            for user in users:
+                tracer.publish(
+                    TraceKind.GRANT_SEEDED,
+                    "system",
+                    application=application,
+                    user=user,
+                    right=str(right),
+                )
+        else:
+            tracer.bump(TraceKind.GRANT_SEEDED, len(users))
 
     def set_app_policy(self, application: str, policy: AccessPolicy) -> None:
         """Install a per-application policy on every host and the

@@ -86,8 +86,8 @@ def run_one(
     population = UserPopulation(n_users, zipf_s=1.0)
     oracle = AuthorizationOracle(expiry_bound=_TE)
     authorized = population.head(int(0.8 * n_users))
+    system.seed_grants("app", authorized)
     for user in authorized:
-        system.seed_grant("app", user)
         oracle.grant("app", user)
     overhead = OverheadAccumulator(system.tracer)
     # Exact counters for PA, plus the staleness candidates that the

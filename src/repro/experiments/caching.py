@@ -35,8 +35,8 @@ def measure_crowd(te: float, label: str, seed: int = 0) -> List:
     )
     population = UserPopulation(40, prefix="fan")
     oracle = AuthorizationOracle(te)
+    system.seed_grants("app", population)
     for user in population:
-        system.seed_grant("app", user)
         oracle.grant("app", user)
     collector = OverheadAccumulator(system.tracer)
     # Streaming collection: the 320-access crowd fits the reservoir, so

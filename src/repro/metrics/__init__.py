@@ -18,7 +18,6 @@ from .streaming import (
     StalenessAccumulator,
     StreamingSummary,
 )
-from .timeline import TimelinePoint, availability_timeline, sparkline
 
 __all__ = [
     "CONTROL_MESSAGE_KINDS",
@@ -32,9 +31,6 @@ __all__ = [
     "StalenessAccumulator",
     "StreamingSummary",
     "SummaryStats",
-    "TimelinePoint",
     "percentile",
-    "availability_timeline",
-    "sparkline",
     "wilson_interval",
 ]

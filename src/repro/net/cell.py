@@ -13,7 +13,9 @@ run one scenario through both and demand identical decisions.
 
 Bootstrap order matters with ephemeral ports: every runtime binds port
 0 first, the real ports are collected into a shared address directory,
-and only then do the nodes learn their peers.
+and only then do the nodes learn their peers.  Seeded grants are recorded
+until :meth:`LiveCell.start`, which loads each application's list into
+every manager in one bulk write.
 """
 
 from __future__ import annotations
@@ -22,9 +24,11 @@ import asyncio
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..auth.identity import Authenticator, Principal
+from ..core.acl import AclBatch
+from ..core.ids import RIGHT_INDEX, Interner
 from ..core.manager import AccessControlManager
 from ..core.policy import AccessPolicy
-from ..core.rights import SEED_ORIGIN, AclEntry, Right, Version
+from ..core.rights import Right
 from ..core.wrapper import Application, ApplicationHost
 from ..sim.partitions import ScriptedConnectivity
 from .runtime import LiveRuntime
@@ -92,6 +96,12 @@ class LiveCell:
         self.connectivity = ScriptedConnectivity()
         self.directory: Dict[str, Tuple[str, int]] = {}
         self._started = False
+        #: One user-name interner for every node of the cell, as
+        #: :class:`~repro.core.system.AccessControlSystem` shares one.
+        self.interner = Interner()
+        #: application -> (users, right indices) seeded so far; None once
+        #: :meth:`start` has handed them to the managers.
+        self._seeds: Optional[Dict[str, Tuple[List[str], bytearray]]] = {}
 
         def make_runtime() -> LiveRuntime:
             return LiveRuntime(
@@ -113,7 +123,9 @@ class LiveCell:
             principal = Principal(addr) if sign_responses else None
             if manager_auth is not None and principal is not None:
                 manager_auth.register(principal)
-            manager = AccessControlManager(addr, self.policy, principal=principal)
+            manager = AccessControlManager(
+                addr, self.policy, principal=principal, interner=self.interner
+            )
             for app in self.applications:
                 manager.manage(app, self.manager_addrs)
             runtime = make_runtime()
@@ -128,6 +140,7 @@ class LiveCell:
                 self.policy,
                 managers={app: self.manager_addrs for app in self.applications},
                 manager_authenticator=manager_auth,
+                interner=self.interner,
             )
             for app in self.applications:
                 host.deploy(EchoApplication(app))
@@ -143,6 +156,7 @@ class LiveCell:
 
     # -- lifecycle -----------------------------------------------------------
     async def start(self) -> "LiveCell":
+        self._load_seeds()
         for addr, runtime in self.runtimes.items():
             port = await runtime.start(self.bind_host, 0)
             self.directory[addr] = (self.bind_host, port)
@@ -163,10 +177,31 @@ class LiveCell:
 
     # -- construction-time setup ------------------------------------------------
     def seed_grant(self, application: str, user: str, right: Right = Right.USE) -> None:
-        """Install a grant on all managers outside the protocol (pre-start)."""
-        entry = AclEntry(user=user, right=right, granted=True, version=Version(1, SEED_ORIGIN))
-        for manager in self.managers:
-            manager.bootstrap(application, [entry])
+        """Grant ``right`` to ``user`` on every manager, outside the protocol.
+
+        Pre-start only.  The grant is recorded here, and :meth:`start`
+        hands each manager every recorded grant of an application in one
+        :meth:`~repro.core.manager.AccessControlManager.bootstrap`, as an
+        ``Add`` that completed before time zero.  After ``start`` the
+        managers' state belongs to their runtimes' passes (see
+        :meth:`call`), so seeding raises ``RuntimeError``; grant through
+        the protocol instead.
+        """
+        if self._seeds is None:
+            raise RuntimeError("seed_grant after start(): the cell is running")
+        if application not in self.applications:
+            raise KeyError(f"the cell does not serve {application!r}")
+        users, rights = self._seeds.setdefault(application, ([], bytearray()))
+        users.append(user)
+        rights.append(RIGHT_INDEX[right])
+
+    def _load_seeds(self) -> None:
+        """Hand every manager the recorded grants, one batch per application."""
+        seeds, self._seeds = self._seeds, None
+        for application, (users, rights) in (seeds or {}).items():
+            batch = AclBatch.seeds(users, bytes(rights))
+            for manager in self.managers:
+                manager.bootstrap(application, batch)
 
     # -- cross-task execution -----------------------------------------------------
     def runtime_of(self, address: str) -> LiveRuntime:

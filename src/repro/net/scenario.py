@@ -239,8 +239,7 @@ def run_scenario_sim(scenario: Scenario) -> ScenarioOutcome:
         seed=scenario.seed,
         check_invariants=False,
     )
-    for user in scenario.seed_users:
-        system.seed_grant(APPLICATION, user)
+    system.seed_grants(APPLICATION, scenario.seed_users)
     # Mirror the live cell's bootstrap: its admin holds MANAGE everywhere.
     system.seed_grant(APPLICATION, "admin", Right.MANAGE)
 

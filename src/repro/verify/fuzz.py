@@ -236,10 +236,10 @@ def run_cell(
     population = UserPopulation(spec.n_users, zipf_s=spec.zipf_s)
     oracle = AuthorizationOracle(system.policy.expiry_bound)
     grant_rng = random.Random(derive_seed(schedule.seed, "fuzz-grants"))
-    for user in population:
-        if grant_rng.random() < spec.granted_fraction:
-            system.seed_grant(APPLICATION, user)
-            oracle.grant(APPLICATION, user)
+    granted = [user for user in population if grant_rng.random() < spec.granted_fraction]
+    system.seed_grants(APPLICATION, granted)
+    for user in granted:
+        oracle.grant(APPLICATION, user)
 
     access = AccessWorkload(
         system,

@@ -23,7 +23,9 @@ from typing import Any, Dict, List, Optional
 
 from ..argtypes import fraction, positive
 from ..core.policy import AccessPolicy
-from ..core.rights import SEED_ORIGIN, AclEntry, Right, Version
+from ..core.acl import AclBatch
+from ..core.ids import NameRange
+from ..core.rights import Right
 from ..core.system import AccessControlSystem
 from .generators import AccessWorkload, AuthorizationOracle, UpdateWorkload
 from .population import DiurnalRate, UserPopulation
@@ -87,24 +89,16 @@ def _seed_threshold(
 ) -> None:
     """Install ``uid < granted`` as completed grants on the owning group.
 
-    Streams :class:`AclEntry` objects through ``bootstrap`` one manager
-    at a time (the entries themselves are transient; the ACL keeps only
-    its flat columns), bypassing the per-grant trace record
-    ``seed_grant`` would emit a million times.
+    One :class:`AclBatch` per application, loaded by each manager's
+    ``bootstrap``: its users are a :class:`NameRange` the population's
+    dense interner maps to ids without formatting a name, and no
+    per-grant trace record is emitted (``seed_grant`` would emit a
+    million).
     """
+    # bytes(granted): every right index is 0, Right.USE.
+    batch = AclBatch.seeds(NameRange(population.prefix, granted), bytes(granted))
     for manager in system.managers_for(application):
-        manager.bootstrap(
-            application,
-            (
-                AclEntry(
-                    user=population.name_of(uid),
-                    right=Right.USE,
-                    granted=True,
-                    version=Version(1, SEED_ORIGIN),
-                )
-                for uid in range(granted)
-            ),
-        )
+        manager.bootstrap(application, batch)
     # One range record stands in for `granted` per-user GRANT_SEEDED
     # records; the te_bound oracle expands it lazily per accessed user.
     from ..sim.trace import TraceKind

@@ -33,69 +33,11 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
-from ..core.ids import Interner, dense_index
+from ..core.ids import Interner, NameRange
 
 __all__ = ["UserPopulation", "DiurnalRate"]
 
 _SAMPLERS = ("exact", "harmonic")
-
-
-class _NameRange(Sequence[str]):
-    """The virtual list ``[f"{prefix}{i}" for i in range(n)]``.
-
-    Supports everything list-shaped callers use — indexing, slicing,
-    iteration, ``in``, ``index`` and ``==`` against real lists —
-    without materialising n strings.
-    """
-
-    __slots__ = ("_prefix", "_n")
-
-    def __init__(self, prefix: str, n: int):
-        self._prefix = prefix
-        self._n = n
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self._n))]
-        if index < 0:
-            index += self._n
-        if not 0 <= index < self._n:
-            raise IndexError("population index out of range")
-        return f"{self._prefix}{index}"
-
-    def __iter__(self) -> Iterator[str]:
-        prefix = self._prefix
-        return (f"{prefix}{i}" for i in range(self._n))
-
-    def _parse(self, name: str) -> Optional[int]:
-        index = dense_index(name, self._prefix)  # -1: not a canonical spelling
-        return index if 0 <= index < self._n else None
-
-    def __contains__(self, name: object) -> bool:
-        return isinstance(name, str) and self._parse(name) is not None
-
-    def index(self, name: str, *args) -> int:  # O(1), unlike list.index
-        parsed = self._parse(name) if isinstance(name, str) else None
-        if parsed is None:
-            raise ValueError(f"{name!r} is not in population")
-        return parsed
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _NameRange):
-            return self._prefix == other._prefix and self._n == other._n
-        if isinstance(other, (list, tuple)):
-            return len(other) == self._n and all(
-                a == b for a, b in zip(self, other)
-            )
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]  # mutable-sequence convention
-
-    def __repr__(self) -> str:
-        return f"_NameRange({self._prefix!r}, {self._n})"
 
 
 class _RejectionInversionZipf:
@@ -186,7 +128,7 @@ class UserPopulation:
         self.zipf_s = zipf_s
         self.prefix = prefix
         self.sampler = sampler
-        self.users: _NameRange = _NameRange(prefix, n_users)
+        self.users = NameRange(prefix, n_users)
         self._cumulative: Optional[List[float]] = None  # exact, lazy
         self._rejection: Optional[_RejectionInversionZipf] = None
         self._total: Optional[float] = None  # Σ rank**-s, lazy

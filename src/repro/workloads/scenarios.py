@@ -83,8 +83,9 @@ def steady_state_scenario(
     population = UserPopulation(n_users, zipf_s=zipf_s)
     oracle = AuthorizationOracle(expiry_bound=policy.expiry_bound)
     n_authorized = int(round(authorized_fraction * n_users))
-    for user in population.head(n_authorized):
-        system.seed_grant(application, user, Right.USE)
+    authorized = population.head(n_authorized)
+    system.seed_grants(application, authorized, Right.USE)
+    for user in authorized:
         oracle.grant(application, user)
     access = AccessWorkload(
         system,

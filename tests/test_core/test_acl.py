@@ -5,12 +5,15 @@ from __future__ import annotations
 import tracemalloc
 from typing import Dict
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.core.acl import AccessControlList
-from repro.core.ids import RIGHT_INDEX, Interner, pack_key
-from repro.core.rights import AclEntry, Right, Version, ZERO_VERSION
+from repro.core.acl import AccessControlList, AclBatch
+from repro.core.ids import RIGHT_INDEX, Interner, NameRange, pack_key
+from repro.core.manager import AccessControlManager
+from repro.core.policy import AccessPolicy
+from repro.core.rights import SEED_ORIGIN, AclEntry, Right, Version, ZERO_VERSION
+from repro.sim.storage import StableStore
 
 
 def grant(user, counter, origin="m0", right=Right.USE):
@@ -250,6 +253,92 @@ class TestDirectIndexMatchesDictReference:
             assert acl.apply(entry) == reference.apply(entry)
         assert acl.entry("u7", Right.USE) == grant("u7", 2, "m2")  # "m10" < "m2"
         assert len(acl._index) > 2 * 300 * len(_USERS)
+
+
+def _manager(layout: str, store: bool) -> AccessControlManager:
+    interner = None
+    if layout != "private":
+        interner = _sparse_interner() if layout == "sparse" else Interner("u", 50)
+    manager = AccessControlManager(
+        "m0", AccessPolicy(), store=StableStore() if store else None, interner=interner
+    )
+    manager.manage("app", ("m0",))
+    return manager
+
+
+def _fold_bootstrap(manager: AccessControlManager, entries) -> None:
+    """The per-entry bootstrap the bulk load replaced."""
+    for entry in entries:
+        manager._apply_entry("app", entry)
+        manager._counter = max(manager._counter, entry.version.counter)
+
+
+def _state(manager: AccessControlManager):
+    acl = manager.acl("app")
+    versions = [acl.version_of(user, right) for user in _USERS for right in Right]
+    store = manager.store
+    return (
+        acl.snapshot(), versions, acl.highest_version(), acl.nbytes(),
+        list(manager._ids), list(acl._origins), manager._counter,
+        None if store is None else (store.writes, store._data),
+    )
+
+
+class TestBulkLoadMatchesFold:
+    """``bootstrap``'s one bulk write leaves exactly what applying the
+    entries one at a time left: the same entries in the same slots, the
+    same index length, interner ids, counter and stable-store writes."""
+
+    @given(
+        layout=st.sampled_from(["private", "sparse", "dense-prefix"]),
+        before=st.lists(_entries, max_size=8),
+        batch=st.one_of(
+            st.lists(_entries, max_size=40),
+            st.lists(_entries, max_size=18, unique_by=lambda e: (e.user, e.right)),
+        ),
+        store=st.booleans(),
+    )
+    @example(  # a losing entry still moves the counter the store records
+        layout="private", before=[grant("u0", 3)],
+        batch=[grant("u0", 2), grant("u1", 0)], store=True,
+    )
+    def test_same_state_as_a_fold_of_apply(self, layout, before, batch, store):
+        bulk, fold = _manager(layout, store), _manager(layout, store)
+        for manager in (bulk, fold):
+            for entry in before:  # straight in: ``_counter`` may trail the ACL
+                manager.acl("app").apply(entry)
+        bulk.bootstrap("app", batch)
+        _fold_bootstrap(fold, batch)
+        assert _state(bulk) == _state(fold)
+
+    def test_seeds_from_a_name_range_match_named_entries(self):
+        """mega's batch: dense ids straight from the range, no names."""
+        bulk, fold = _manager("dense-prefix", False), _manager("dense-prefix", False)
+        _fold_bootstrap(bulk, [grant("u3", 5), grant("zed", 1)])
+        _fold_bootstrap(fold, [grant("u3", 5), grant("zed", 1)])
+        bulk.bootstrap("app", AclBatch.seeds(NameRange("u", 40), bytes(40)))
+        _fold_bootstrap(
+            fold, [grant(f"u{i}", 1, SEED_ORIGIN) for i in range(40)]
+        )
+        assert _state(bulk) == _state(fold)
+        assert bulk.acl("app").entry("u3", Right.USE) == grant("u3", 5)
+
+    def test_apply_only_for_keys_already_set_or_repeated(self, monkeypatch):
+        acl = AccessControlList("app")
+        acl.apply(grant("old", 1))
+        merged = []
+        apply = AccessControlList.apply
+        monkeypatch.setattr(
+            AccessControlList, "apply",
+            lambda self, entry: merged.append(entry) or apply(self, entry),
+        )
+        fresh = [grant("a", 1), grant("b", 1), grant("a", 1, right=Right.MANAGE)]
+        assert list(acl.load(AclBatch.of(fresh))) == [0, 1, 2]
+        assert merged == []
+        batch = [grant("c", 1), grant("old", 2), grant("d", 1), revoke("c", 3), grant("e", 1)]
+        assert acl.load(AclBatch.of(batch)) == [0, 1, 2, 3, 4]
+        assert merged == [grant("old", 2), revoke("c", 3)]
+        assert [e.user for e in acl.snapshot()] == ["old", "a", "b", "a", "c", "d", "e"]
 
 
 class TestMemory:
