@@ -36,7 +36,7 @@ from itertools import repeat
 from operator import add, mul
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .ids import RIGHT_INDEX, RIGHTS, Interner, pack_key
+from .ids import RIGHTS, Interner, pack_key
 from .rights import SEED_ORIGIN, AclEntry, Right, Version, ZERO_VERSION
 
 __all__ = ["AccessControlList", "AclBatch"]
@@ -74,7 +74,7 @@ class AclBatch(Sequence[AclEntry]):
         entries = list(entries)
         return cls(
             [entry.user for entry in entries],
-            bytes([RIGHT_INDEX[entry.right] for entry in entries]),
+            bytes([entry.right.index for entry in entries]),
             bytes([entry.granted for entry in entries]),
             array("q", [entry.version.counter for entry in entries]),
             [entry.version.origin for entry in entries],
@@ -146,7 +146,7 @@ class AccessControlList:
         uid = self._ids.get(user)
         if uid is None:
             return -1
-        key = pack_key(uid, RIGHT_INDEX[right])
+        key = pack_key(uid, right.index)
         index = self._index
         return index[key] - 1 if key < len(index) else -1
 
@@ -170,7 +170,7 @@ class AccessControlList:
         uid = self._ids.get(user)
         if uid is None:
             return False
-        key = uid * 2 + RIGHT_INDEX[right]
+        key = uid * 2 + right.index
         index = self._index
         slot = index[key] if key < len(index) else 0
         return slot != 0 and self._granted[slot - 1] == 1
@@ -180,7 +180,7 @@ class AccessControlList:
         uid = self._ids.get(user)
         if uid is None:
             return None
-        key = uid * 2 + RIGHT_INDEX[right]
+        key = uid * 2 + right.index
         index = self._index
         slot = index[key] if key < len(index) else 0
         return self._slot_entry(slot - 1) if slot != 0 else None
@@ -196,7 +196,7 @@ class AccessControlList:
 
     def users_with(self, right: Right) -> List[str]:
         """All users currently holding ``right`` (sorted for determinism)."""
-        index = RIGHT_INDEX[right]
+        index = right.index
         return sorted(
             self._ids.name_of(key // 2)
             for slot, key in enumerate(self._keys)
@@ -216,7 +216,7 @@ class AccessControlList:
 
         Equal versions are idempotent re-deliveries and are ignored.
         """
-        key = self._ids.intern(entry.user) * 2 + RIGHT_INDEX[entry.right]
+        key = self._ids.intern(entry.user) * 2 + entry.right.index
         version = entry.version
         index = self._index
         if key >= len(index):

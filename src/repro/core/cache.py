@@ -17,11 +17,13 @@ Timestamps in this module are local-clock values; the cache never sees
 real simulation time.  That is exactly the paper's point: expiry must
 work from a drifting local clock alone.
 
-Internally the cache is keyed by packed ``uid*2 + right`` ints from an
-:class:`~repro.core.ids.Interner` (shareable across the caches of one
-host, or system-wide for mega populations), so the hot lookup path is
-one int-dict probe instead of a (str, enum)-tuple hash.  ``probe`` is
-the allocation-free fast path used by the verification pipeline;
+Internally the cache is keyed by packed ``uid*2 + right.index`` ints
+from an :class:`~repro.core.ids.Interner` (shared by a host's caches,
+or by a whole cell), so a probe is one int-dict lookup and no
+``Enum.__hash__`` call.  On a live node an entry's ``user`` is the
+interner's own string (the wire decoder resolves names to it), so a
+cached grant keeps no copy of the name.  ``probe`` is the
+allocation-free fast path used by the verification pipeline;
 ``lookup`` wraps it in the classic :class:`CacheLookup` result.
 """
 
@@ -32,13 +34,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .ids import RIGHT_INDEX, Interner, pack_key
+from .ids import Interner, pack_key
 from .rights import Right, Version
 
 __all__ = ["CacheEntry", "ACLCache", "CacheLookup"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CacheEntry:
     """One cached grant: the paper's ``(U, limit)`` tuple plus version."""
 
@@ -91,7 +93,7 @@ class ACLCache:
         uid = self._ids.get(user)
         if uid is None:
             return None
-        return pack_key(uid, RIGHT_INDEX[right])
+        return pack_key(uid, right.index)
 
     def probe(
         self, user: str, right: Right, now_local: float
@@ -137,7 +139,7 @@ class ACLCache:
         user's behalf); background refreshes pass ``None`` to leave the
         last-access time untouched.
         """
-        key = pack_key(self._ids.intern(entry.user), RIGHT_INDEX[entry.right])
+        key = pack_key(self._ids.intern(entry.user), entry.right.index)
         self._entries[key] = entry
         heapq.heappush(self._expiry_heap, (entry.limit, next(self._heap_seq), key))
         if len(self._expiry_heap) > 64 and len(self._expiry_heap) > 4 * len(
@@ -159,7 +161,7 @@ class ACLCache:
         if uid is None:
             return 0
         if right is not None:
-            rights = (RIGHT_INDEX[right],)
+            rights = (right.index,)
         else:
             rights = (0, 1)
         removed = 0

@@ -42,7 +42,7 @@ from ..sim.clock import LocalClock
 from ..sim.node import Address, Node
 from ..sim.trace import TraceKind
 from .cache import ACLCache
-from .ids import RIGHT_INDEX, Interner, pack_key
+from .ids import Interner, pack_key
 from .messages import NameResult, QueryResponse, RevokeNotify, RevokeNotifyAck
 from .policy import AccessPolicy
 from .rights import Right
@@ -166,7 +166,7 @@ class AccessControlHost(Node):
     # -- deny-cache keys --------------------------------------------------------
     def _deny_key(self, application: str, user: str, right: Right) -> Tuple[str, int]:
         """Deny-cache key for a write path (interns the user)."""
-        return (application, pack_key(self._ids.intern(user), RIGHT_INDEX[right]))
+        return (application, pack_key(self._ids.intern(user), right.index))
 
     def _deny_probe(
         self, application: str, user: str, right: Right
@@ -177,7 +177,7 @@ class AccessControlHost(Node):
         uid = self._ids.get(user)
         if uid is None:
             return None
-        return (application, pack_key(uid, RIGHT_INDEX[right]))
+        return (application, pack_key(uid, right.index))
 
     # -- wiring ---------------------------------------------------------------------
     def attach(self, network) -> None:

@@ -23,15 +23,12 @@ from typing import Dict, Iterator, List, Optional, Sequence
 from .rights import Right
 
 __all__ = [
-    "Interner", "NameRange", "RIGHTS", "RIGHT_INDEX", "dense_index", "pack_key",
+    "Interner", "NameRange", "RIGHTS", "dense_index", "pack_key",
     "unpack_key",
 ]
 
-#: Rights in packed-key order; ``RIGHTS[key & 1]`` recovers the right.
+#: Rights in packed-key order (``right.index``); ``RIGHTS[key & 1]`` recovers the right.
 RIGHTS = (Right.USE, Right.MANAGE)
-
-#: Right → bit used in packed keys (USE=0, MANAGE=1).
-RIGHT_INDEX: Dict[Right, int] = {Right.USE: 0, Right.MANAGE: 1}
 
 
 def pack_key(uid: int, right_index: int) -> int:
@@ -199,6 +196,13 @@ class Interner:
         if dense is not None:
             return dense
         return self._ids.get(name)
+
+    def canonical(self, name: str) -> str:
+        """The interner's own copy of ``name`` if it holds one, else ``name``.
+        Never inserts, so a decoder may pass names straight off the wire
+        (dense-block names have no stored copy)."""
+        uid = self._ids.get(name)
+        return name if uid is None else self._names[uid - self._dense_count]
 
     def name_of(self, uid: int) -> str:
         """The name behind ``uid`` (trace/debug boundary only)."""

@@ -104,10 +104,11 @@ class AccessControlManager(Node):
         self._peers: Dict[str, Tuple[Address, ...]] = {}
         self._counter = 0
         self._update_ids = itertools.count(1)
-        # grant_table[app][(user, right)][host] = real-time deadline after
-        # which the host's cached copy must have expired.
+        # grant_table[app][(user, right)] = (host, deadline, ...): the hosts
+        # granted to, in first-grant order, each with the real-time deadline
+        # its cached copy expires by (a flat tuple: no dict per served miss).
         self._grant_table: Dict[
-            str, Dict[Tuple[str, Right], Dict[Address, float]]
+            str, Dict[Tuple[str, Right], Tuple[Union[Address, float], ...]]
         ] = {}
         self._pending_updates: Dict[str, PendingUpdate] = {}
         #: notify id -> the ack callback of a RevokeNotify still retrying.

@@ -30,17 +30,24 @@ __all__ = [
 
 
 class Right(enum.Enum):
-    """The paper's two access rights."""
+    """The paper's two access rights.  Hot tables index by the plain
+    attribute ``right.index`` (USE=0, MANAGE=1): ``Enum.__hash__`` is slow."""
 
     USE = "use"
     MANAGE = "manage"
+
+    index: int
 
     def __str__(self) -> str:  # nicer trace output
         return self.value
 
 
+for _index, _right in enumerate(Right):
+    _right.index = _index
+
+
 @total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Version:
     """Lamport version: (logical counter, origin manager id).
 

@@ -32,7 +32,7 @@ from ..sim.partitions import ConnectivityModel, FullConnectivity
 from ..sim.rng import RngStreams
 from ..sim.trace import TraceKind, Tracer
 from .acl import AclBatch
-from .ids import RIGHT_INDEX, Interner
+from .ids import Interner
 from .manager import AccessControlManager
 from .name_service import TrustedNameService
 from .policy import AccessPolicy
@@ -331,7 +331,7 @@ class AccessControlSystem:
         order.
         """
         users = list(users)
-        batch = AclBatch.seeds(users, bytes([RIGHT_INDEX[right]]) * len(users))
+        batch = AclBatch.seeds(users, bytes([right.index]) * len(users))
         for manager in self.managers_for(application):
             manager.bootstrap(application, batch)
         tracer = self.tracer

@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..auth.identity import Authenticator, Principal
 from ..core.acl import AclBatch
-from ..core.ids import RIGHT_INDEX, Interner
+from ..core.ids import Interner
 from ..core.manager import AccessControlManager
 from ..core.policy import AccessPolicy
 from ..core.rights import Right
@@ -193,7 +193,7 @@ class LiveCell:
             raise KeyError(f"the cell does not serve {application!r}")
         users, rights = self._seeds.setdefault(application, ([], bytearray()))
         users.append(user)
-        rights.append(RIGHT_INDEX[right])
+        rights.append(right.index)
 
     def _load_seeds(self) -> None:
         """Hand every manager the recorded grants, one batch per application."""

@@ -33,6 +33,12 @@ reconnecting; a reference to an id the decoder never learned raises
 :class:`DictionaryError`, which the transport treats as fatal for the
 *connection* (not the process), forcing exactly that reset.
 
+Given the process's :class:`~repro.core.ids.Interner`
+(``decoder.interner``), a decoded definition the interner already holds
+*is* the interner's string, so a principal named on many connections is
+one string in memory.  The decoder never inserts into the interner, so
+hostile names cannot grow it; equal strings decode either way.
+
 ``encode_bin``/``decode_bin`` are stateless conveniences (fresh coder
 per call) for tests, benches, and the local-loopback normalisation
 path; on a real link use a persistent pair.
@@ -43,9 +49,9 @@ from __future__ import annotations
 import struct
 from dataclasses import fields
 from operator import attrgetter
-from typing import Any, Callable, Dict, List, Tuple, Type
+from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
-from ..core.ids import dense_index
+from ..core.ids import Interner, dense_index
 from ..core.rights import Right
 from .codec import CodecError, _WIRE_TYPES
 
@@ -100,7 +106,6 @@ _T_RIGHT = 0x0B     # varint index into _RIGHT_LIST
 _T_MSG = 0x0C       # varint registry index + fields in declaration order
 
 _RIGHT_LIST: Tuple[Right, ...] = tuple(Right)
-_RIGHT_INDEX: Dict[Right, int] = {right: i for i, right in enumerate(_RIGHT_LIST)}
 
 #: Registry order is the wire contract: append-only, same list the JSON
 #: codec registers, so both codecs accept exactly the same types.
@@ -235,7 +240,7 @@ class BinaryEncoder:
                     self._value(out, item)
             elif isinstance(value, Right):
                 out.append(_T_RIGHT)
-                write_varint(out, _RIGHT_INDEX[value])
+                write_varint(out, value.index)
             elif isinstance(value, (list, tuple)):
                 out.append(_T_LIST)
                 write_varint(out, len(value))
@@ -265,10 +270,12 @@ class BinaryEncoder:
 class BinaryDecoder:
     """Stateful bytes -> message decoder mirroring one encoder."""
 
-    __slots__ = ("_dict",)
+    __slots__ = ("_dict", "interner")
 
     def __init__(self) -> None:
         self._dict: List[str] = []
+        #: Names it holds decode as its own copies (looked up, never added).
+        self.interner: Optional[Interner] = None
 
     @property
     def dictionary_size(self) -> int:
@@ -340,6 +347,8 @@ class BinaryDecoder:
             if tag == _T_STR_DEF:
                 if len(self._dict) >= DICT_MAX:
                     raise CodecError("dictionary overflow")
+                if self.interner is not None:
+                    text = self.interner.canonical(text)
                 self._dict.append(text)
             return text, end
         if tag == _T_STR_DENSE:

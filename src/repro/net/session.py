@@ -61,6 +61,9 @@ DEFAULT_LIFETIME = 30.0
 
 _pack_double = struct.Struct(">d").pack
 
+#: Names :meth:`SessionAuth.open_segment` remembers before starting over.
+_NAME_TABLE_MAX = 256
+
 
 @lru_cache(maxsize=4096)
 def _name_pair(first: str, second: str) -> bytes:
@@ -112,6 +115,9 @@ class SessionAuth:
         self._clock = clock
         self._next_nonce: Dict[str, int] = {}
         self._last_seen: Dict[str, int] = {}
+        #: UTF-8 -> endpoint/node name: each decodes once, one copy is kept;
+        #: names come from the network, so the table starts over when full.
+        self._names: Dict[bytes, str] = {}
         #: Rejection counters by kind, exposed for tests and reports.
         self.rejected: Dict[str, int] = {
             "tampered": 0,
@@ -214,18 +220,13 @@ class SessionAuth:
         """
         if len(blob) < MAC_BYTES + 2:
             raise self._reject("malformed", f"segment too short ({len(blob)} bytes)")
-        mac, envelope = blob[:MAC_BYTES], blob[MAC_BYTES:]
+        mac, envelope = blob[:MAC_BYTES], bytes(blob[MAC_BYTES:])
         expected = hmac.digest(self._secret, envelope, "sha256")
         if not hmac.compare_digest(mac, expected):
             raise self._reject("tampered", "HMAC verification failed")
         try:
-            pos = 0
-            texts: List[str] = []
-            for _ in range(2):
-                length, pos = read_varint(envelope, pos)
-                texts.append(envelope[pos : pos + length].decode("utf-8"))
-                pos += length
-            sender, recipient = texts
+            sender, pos = self._name(envelope, 0)
+            recipient, pos = self._name(envelope, pos)
             nonce, pos = read_varint(envelope, pos)
             (issued_at,) = struct.unpack_from(">d", envelope, pos)
             pos += 8
@@ -234,16 +235,13 @@ class SessionAuth:
                 raise ValueError(f"segment count {count} exceeds envelope")
             items: List[Tuple[str, str, bytes]] = []
             for _ in range(count):
-                parts: List[bytes] = []
-                for _ in range(3):
-                    length, pos = read_varint(envelope, pos)
-                    if pos + length > len(envelope):
-                        raise ValueError("truncated segment item")
-                    parts.append(bytes(envelope[pos : pos + length]))
-                    pos += length
-                items.append(
-                    (parts[0].decode("utf-8"), parts[1].decode("utf-8"), parts[2])
-                )
+                src, pos = self._name(envelope, pos)
+                dst, pos = self._name(envelope, pos)
+                length, pos = read_varint(envelope, pos)
+                if pos + length > len(envelope):
+                    raise ValueError("truncated segment item")
+                items.append((src, dst, envelope[pos : pos + length]))
+                pos += length
             if pos != len(envelope):
                 raise ValueError(f"{len(envelope) - pos} trailing segment bytes")
         except (ValueError, UnicodeDecodeError, struct.error) as exc:
@@ -255,6 +253,21 @@ class SessionAuth:
             raise self._reject("replayed", f"nonce {nonce} <= last seen {last} from {sender}")
         self._last_seen[sender] = nonce
         return sender, recipient, items
+
+    def _name(self, envelope: bytes, pos: int) -> Tuple[str, int]:
+        """The varint-length UTF-8 name at ``pos``, through the name table."""
+        length, pos = read_varint(envelope, pos)
+        end = pos + length
+        if end > len(envelope):
+            raise ValueError("truncated segment name")
+        raw = envelope[pos:end]
+        name = self._names.get(raw)
+        if name is None:
+            name = raw.decode("utf-8")
+            if len(self._names) >= _NAME_TABLE_MAX:
+                self._names.clear()
+            self._names[raw] = name
+        return name, end
 
     def _reject(self, kind: str, detail: str) -> AuthError:
         self.rejected[kind] += 1

@@ -50,6 +50,7 @@ import asyncio
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
+from ..core.ids import Interner
 from ..sim.partitions import ScriptedConnectivity
 from ..sim.trace import TraceKind
 from .codec import CodecError, FrameError, FrameReader, encode_frame
@@ -120,6 +121,7 @@ class _Link(asyncio.Protocol):
         self.frames = FrameReader()
         self.encoder = BinaryEncoder()
         self.decoder = BinaryDecoder()
+        self.decoder.interner = self.owner.interner
         #: (local, remote) session names segments on this link are sealed
         #: under: set on connect for an outbound link, and from the first
         #: segment that verifies for an accepted one.
@@ -362,6 +364,8 @@ class SocketTransport(Transport):
         self.connect_retries = connect_retries
         self.connect_backoff = connect_backoff
         self.nodes: Dict[Address, Any] = {}
+        #: The first registered node's name interner, lent to every decoder.
+        self.interner: Optional[Interner] = None
         self.peers: Dict[Address, Tuple[str, int]] = {}
         self._links: Dict[Tuple[str, int], _Link] = {}   # outbound, per endpoint
         self._accepted: Set[_Link] = set()               # inbound, until they close
@@ -431,6 +435,9 @@ class SocketTransport(Transport):
         if node.address in self.nodes:
             raise ValueError(f"duplicate address {node.address!r}")
         self.nodes[node.address] = node
+        ids = getattr(node, "_ids", None)
+        if self.interner is None and isinstance(ids, Interner):
+            self.interner = ids
         node.attach(self)
         return node
 

@@ -54,6 +54,17 @@ def _pairwise_key(manager, src: Address, request: QueryRequest) -> Optional[byte
     return key
 
 
+def _hold(holders: tuple, host: Address, deadline: float) -> tuple:
+    """Grant-table holders ``(host, deadline, ...)`` with ``host`` holding
+    until at least ``deadline``; a new host goes last (first-grant order)."""
+    for i in range(0, len(holders), 2):
+        if holders[i] == host:
+            if holders[i + 1] >= deadline:
+                return holders
+            return holders[: i + 1] + (deadline,) + holders[i + 2 :]
+    return holders + (host, deadline)
+
+
 class QueryAnswerer:
     """The truthful query-answering strategy."""
 
@@ -70,11 +81,9 @@ class QueryAnswerer:
         entry = acl.entry(request.user, request.right)
         if entry is not None and entry.granted:
             manager.stats["grants"] += 1
-            deadline = manager.env.now + policy.expiry_bound
-            holders = manager._grant_table[application].setdefault(
-                (request.user, request.right), {}
-            )
-            holders[src] = max(holders.get(src, 0.0), deadline)
+            table = manager._grant_table[application]
+            key = (request.user, request.right)
+            table[key] = _hold(table.get(key, ()), src, manager.env.now + policy.expiry_bound)
             verdict, version = Verdict.GRANT, entry.version
         else:
             manager.stats["denials"] += 1

@@ -24,8 +24,8 @@ class RevocationForwarder:
     def forward(self, manager, update: AclUpdate) -> None:
         """Spawn a notify loop per host still holding the grant."""
         table = manager._grant_table.get(update.application, {})
-        holders = table.pop((update.user, update.right), {})
-        for host, deadline in holders.items():
+        holders = table.pop((update.user, update.right), ())
+        for host, deadline in zip(holders[::2], holders[1::2]):
             if manager.env.now >= deadline:
                 continue  # the cached right has already expired
             manager.spawn(

@@ -15,7 +15,7 @@ is the dispatch layer they share:
     :func:`run_parallel` ``(fn, tasks, jobs)`` — the one dispatch
     shape: gather ``fn(*task)`` for every task, in task order, over a
     ``ProcessPoolExecutor`` with graceful inline fallback when
-    ``jobs=1`` or the platform cannot fork.
+    ``jobs=1`` or the platform has no ``forkserver``.
 
 ``merge``
     Order-independent result merging: workers return ``(index, value)``

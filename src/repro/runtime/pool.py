@@ -3,7 +3,7 @@
 :func:`run_parallel` is the one dispatch primitive: apply a module-level
 function to a list of argument tuples, fanning the work out over a
 ``ProcessPoolExecutor`` when ``jobs > 1`` and the platform supports
-``fork``, and falling back to a plain in-order loop otherwise.  The two
+``forkserver``, and falling back to a plain in-order loop otherwise.  The two
 paths produce identical results (see :mod:`repro.runtime.merge`).
 
 Each experiment runner builds its own task tuples — a configuration
@@ -12,8 +12,9 @@ per-task seed itself (:func:`repro.runtime.seeds.trial_seed`), so a
 task's randomness never depends on which worker ran it.
 
 Functions dispatched here must be picklable (defined at module top
-level); with the ``fork`` start method they are pickled by reference,
-so closures over module state are fine but lambdas are not.
+level) and are imported afresh in each worker.  Workers fork from a
+single-threaded ``forkserver``, never from the caller, whose executor
+threads could hold a lock a forked child then waits on forever.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
+def _start_method_available() -> bool:
+    return "forkserver" in multiprocessing.get_all_start_methods()
 
 
 #: How the most recent :func:`run_parallel` call actually executed:
@@ -113,7 +114,7 @@ def run_parallel(
     Results come back in task order regardless of completion order.
     Runs inline (no pool, no pickling) when the effective job count is
     1 or there is at most one task.  When parallelism *was* requested
-    but the platform lacks ``fork`` (or pool creation is denied), the
+    but the platform lacks ``forkserver`` (or pool creation is denied), the
     call still runs inline — with the same results — but emits a
     ``RuntimeWarning`` and records the fact, observable via
     :func:`last_run_mode`, so a silently serial "parallel" run cannot
@@ -129,17 +130,19 @@ def run_parallel(
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(tasks) <= 1:
         return _run_inline(fn, tasks, "inline")
-    if not _fork_available():
+    if not _start_method_available():
         return _run_inline(
             fn,
             tasks,
             "inline-fallback",
-            reason=f"the 'fork' start method is unavailable on this "
+            reason=f"the 'forkserver' start method is unavailable on this "
             f"platform, cannot honour jobs={jobs}",
         )
 
     chunks = _chunked(tasks, jobs)
-    context = multiprocessing.get_context("fork")
+    context = multiprocessing.get_context("forkserver")
+    # Import the worker's module once, in the server (read at its first start).
+    context.set_forkserver_preload([fn.__module__])
     try:
         pool = ProcessPoolExecutor(
             max_workers=min(jobs, len(chunks)), mp_context=context

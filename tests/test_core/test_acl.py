@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.acl import AccessControlList, AclBatch
-from repro.core.ids import RIGHT_INDEX, Interner, NameRange, pack_key
+from repro.core.ids import Interner, NameRange, pack_key
 from repro.core.manager import AccessControlManager
 from repro.core.policy import AccessPolicy
 from repro.core.rights import SEED_ORIGIN, AclEntry, Right, Version, ZERO_VERSION
@@ -151,7 +151,7 @@ class DictIndexedAcl(AccessControlList):
         uid = self._ids.get(user)
         if uid is None:
             return -1
-        return self._slot.get(pack_key(uid, RIGHT_INDEX[right]), -1)
+        return self._slot.get(pack_key(uid, right.index), -1)
 
     def check(self, user, right):
         slot = self._lookup(user, right)
@@ -174,7 +174,7 @@ class DictIndexedAcl(AccessControlList):
         return self._lookup(key[0], key[1]) >= 0
 
     def apply(self, entry):
-        key = pack_key(self._ids.intern(entry.user), RIGHT_INDEX[entry.right])
+        key = pack_key(self._ids.intern(entry.user), entry.right.index)
         version = entry.version
         slot = self._slot.get(key)
         if slot is None:

@@ -101,3 +101,28 @@ class TestPurge:
         cache.store(entry(user="a"))
         cache.store(entry(user="b"))
         assert {e.user for e in cache.entries()} == {"a", "b"}
+
+
+def test_warm_probe_never_calls_into_enum():
+    """``Right`` is a plain attribute on the hot path: a dict keyed by the
+    member would call ``Enum.__hash__``, a Python function in ``enum.py``,
+    on every probe (and on every ACL check and every encoded right)."""
+    import sys
+
+    cache = ACLCache("app")
+    cache.store(entry(user="alice", limit=50.0))
+    cache.store(entry(user="alice", right=Right.MANAGE, limit=50.0))
+    assert cache.probe("alice", Right.USE, 1.0) is not None  # warm
+    entered = []
+
+    def watch(frame, event, arg):
+        if event == "call":
+            entered.append(frame.f_code.co_filename)
+
+    sys.setprofile(watch)
+    try:
+        hits = [cache.probe("alice", right, 2.0) for right in (Right.USE, Right.MANAGE)]
+    finally:
+        sys.setprofile(None)
+    assert all(hits)
+    assert not [path for path in entered if path.endswith("enum.py")], entered

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.ids import (
-    RIGHT_INDEX,
     RIGHTS,
     Interner,
     dense_index,
@@ -110,9 +109,9 @@ class TestPackedKeys:
                 assert unpack_key(pack_key(uid, index)) == (uid, index)
 
     def test_right_index_covers_all_rights(self):
-        assert set(RIGHT_INDEX) == set(Right)
-        assert RIGHTS[RIGHT_INDEX[Right.USE]] is Right.USE
-        assert RIGHTS[RIGHT_INDEX[Right.MANAGE]] is Right.MANAGE
+        assert set(RIGHTS) == set(Right)
+        assert RIGHTS[Right.USE.index] is Right.USE
+        assert RIGHTS[Right.MANAGE.index] is Right.MANAGE
 
     def test_keys_are_collision_free(self):
         seen = {pack_key(uid, index) for uid in range(100) for index in (0, 1)}

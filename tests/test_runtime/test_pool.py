@@ -21,7 +21,7 @@ from repro.runtime.pool import (
 )
 
 
-# Module-level workers: picklable under the fork start method.
+# Module-level workers: picklable by reference, as the pool requires.
 def _square(x):
     return x * x
 
@@ -116,7 +116,7 @@ class TestRunMode:
     def test_fork_unavailable_warns_and_records_fallback(self, monkeypatch):
         from repro.runtime import pool
 
-        monkeypatch.setattr(pool, "_fork_available", lambda: False)
+        monkeypatch.setattr(pool, "_start_method_available", lambda: False)
         tasks = [(i,) for i in range(6)]
         with pytest.warns(RuntimeWarning, match="falling back to inline"):
             results = run_parallel(_square, tasks, jobs=4)
