@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction.
 
-.PHONY: install test test-slow lint loc fuzz bench-e2e bench-e2e-smoke net-smoke population-smoke mega profile experiments experiments-check examples all clean
+.PHONY: install test test-slow lint loc reach fuzz bench-e2e bench-e2e-smoke net-smoke population-smoke mega profile experiments experiments-check examples all clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -27,6 +27,12 @@ lint:
 # The src/ line count that ROADMAP.md and CHANGES.md track.
 loc:
 	@find src -name '*.py' | xargs wc -l | tail -1
+
+# Function lines in src/repro that no entry point reaches (python -m
+# repro, examples/, bench_e2e --smoke, a 20-cell fuzz sweep; ~1 min),
+# per module, then the total.
+reach:
+	python3 tools/reach.py
 
 fuzz:
 	PYTHONPATH=src python -m repro fuzz --cells 50 --seed 7 --jobs 4

@@ -37,7 +37,6 @@ from .core import (  # noqa: F401
     ExhaustedAction,
     QueryStrategy,
     Right,
-    TrustedNameService,
     UserClient,
 )
 
@@ -56,7 +55,6 @@ __all__ = [
     "ExhaustedAction",
     "QueryStrategy",
     "Right",
-    "TrustedNameService",
     "UserClient",
     "availability",
     "security",

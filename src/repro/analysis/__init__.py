@@ -8,7 +8,6 @@
   inaccessibility estimation (Poisson-binomial and Monte-Carlo).
 """
 
-from .advisor import InfeasibleTargets, Recommendation, recommend_policy
 from .costs import (
     CostModel,
     miss_delay,
@@ -25,12 +24,10 @@ from .heterogeneous import (
 from .quorum_math import (
     QuorumPoint,
     availability,
-    availability_with_retries,
     best_check_quorum,
     binomial_tail,
     quorum_curve,
     security,
-    smallest_balanced_m,
 )
 from .weighted import (
     WeightedQuorumSystem,
@@ -41,21 +38,16 @@ from .weighted import (
 
 __all__ = [
     "CorrelatedInaccessibility",
-    "InfeasibleTargets",
-    "Recommendation",
-    "recommend_policy",
     "CostModel",
     "PairwiseInaccessibility",
     "QuorumPoint",
     "availability",
-    "availability_with_retries",
     "best_check_quorum",
     "binomial_tail",
     "miss_delay",
     "poisson_binomial_tail",
     "quorum_curve",
     "security",
-    "smallest_balanced_m",
     "steady_state_check_rate",
     "steady_state_message_rate",
     "weight_tail",

@@ -13,15 +13,17 @@ accesses at the hosts and the frequency of issuing access control
 operations at the managers are known, the average can be weighted using
 these frequencies."
 
-This module implements that calculation:
+This module implements the parts of that calculation the
+``heterogeneous`` experiment reports:
 
-* :class:`PairwiseInaccessibility` — per-(site, manager) independent
-  probabilities; quorum-reach probabilities are exact Poisson-binomial
-  tails (dynamic programming, no sampling).
-* Weighted system-level availability/security per the quoted paragraph.
+* :class:`PairwiseInaccessibility` — per-(manager, manager) independent
+  probabilities; update-quorum reach is an exact Poisson-binomial tail
+  (dynamic programming, no sampling), and system security its
+  frequency-weighted mean per the quoted paragraph.
 * :class:`CorrelatedInaccessibility` — a common-cause mixture model
-  (link failures that take out several managers at once), evaluated by
-  Monte-Carlo because the exact joint distribution is exponential in M.
+  (link failures that take out several managers at once), its check-
+  quorum availability evaluated by Monte-Carlo because the exact joint
+  distribution is exponential in M.
 """
 
 from __future__ import annotations
@@ -82,34 +84,24 @@ def weighted_average(values: Mapping[str, float],
 
 @dataclass
 class PairwiseInaccessibility:
-    """Heterogeneous but independent pairwise inaccessibility.
+    """Heterogeneous but independent pairwise inaccessibility between
+    managers.
 
     Parameters
     ----------
     managers:
         Manager site names (defines ``M``).
-    host_to_manager:
-        ``pi[host][manager]`` — probability that ``manager`` is
-        inaccessible from ``host``.
     manager_to_manager:
         ``pi[a][b]`` — probability that manager ``b`` is inaccessible
         from manager ``a``.
     """
 
     managers: Sequence[str]
-    host_to_manager: Mapping[str, Mapping[str, float]]
     manager_to_manager: Mapping[str, Mapping[str, float]]
 
     @property
     def m(self) -> int:
         return len(self.managers)
-
-    def host_availability(self, host: str, check_quorum: int) -> float:
-        """P[``host`` can reach at least C managers]."""
-        probs = [
-            1.0 - self.host_to_manager[host][manager] for manager in self.managers
-        ]
-        return poisson_binomial_tail(probs, check_quorum)
 
     def manager_security(self, origin: str, check_quorum: int) -> float:
         """P[``origin`` reaches its update quorum of M - C + 1
@@ -117,18 +109,6 @@ class PairwiseInaccessibility:
         others = [m for m in self.managers if m != origin]
         probs = [1.0 - self.manager_to_manager[origin][other] for other in others]
         return poisson_binomial_tail(probs, self.m - check_quorum)
-
-    def system_availability(
-        self,
-        check_quorum: int,
-        access_frequency: Optional[Mapping[str, float]] = None,
-    ) -> float:
-        """Frequency-weighted mean availability over all hosts."""
-        per_host = {
-            host: self.host_availability(host, check_quorum)
-            for host in self.host_to_manager
-        }
-        return weighted_average(per_host, access_frequency)
 
     def system_security(
         self,
@@ -147,20 +127,6 @@ class PairwiseInaccessibility:
             for origin in self.managers
         }
         return weighted_average(per_manager, update_frequency)
-
-    @classmethod
-    def uniform(cls, m: int, n_hosts: int, pi: float) -> "PairwiseInaccessibility":
-        """The paper's homogeneous model as a special case (for tests:
-        must reproduce the Table 1 numbers exactly)."""
-        managers = [f"m{i}" for i in range(m)]
-        hosts = [f"h{i}" for i in range(n_hosts)]
-        return cls(
-            managers=managers,
-            host_to_manager={h: {mgr: pi for mgr in managers} for h in hosts},
-            manager_to_manager={
-                a: {b: pi for b in managers if b != a} for a in managers
-            },
-        )
 
 
 @dataclass
@@ -209,23 +175,5 @@ class CorrelatedInaccessibility:
             down = self.sample_inaccessible(rng)
             accessible = m - sum(down.values())
             if accessible >= check_quorum:
-                hits += 1
-        return hits / samples
-
-    def security(
-        self,
-        origin: str,
-        check_quorum: int,
-        rng: random.Random,
-        samples: int = 20_000,
-    ) -> float:
-        """Monte-Carlo P[``origin`` reaches M - C of the other M - 1]."""
-        others = [mgr for mgr in self.managers if mgr != origin]
-        needed = len(self.managers) - check_quorum
-        hits = 0
-        for _ in range(samples):
-            down = self.sample_inaccessible(rng)
-            reachable = sum(1 for other in others if not down[other])
-            if reachable >= needed:
                 hits += 1
         return hits / samples

@@ -32,12 +32,10 @@ from typing import Iterable, List, Optional
 __all__ = [
     "binomial_tail",
     "availability",
-    "availability_with_retries",
     "security",
     "QuorumPoint",
     "quorum_curve",
     "best_check_quorum",
-    "smallest_balanced_m",
 ]
 
 
@@ -85,23 +83,6 @@ def security(m: int, c: int, pi: float) -> float:
     return binomial_tail(m - 1, m - c, 1.0 - pi)
 
 
-def availability_with_retries(m: int, c: int, pi: float, r: int) -> float:
-    """Availability after up to ``r`` independent verification rounds.
-
-    The paper's ``PA(C)`` assumes ``R = 1``.  When partition states are
-    redrawn between attempts (short congestion events, long backoffs),
-    rounds are approximately independent and the chance that at least
-    one reaches the check quorum is ``1 - (1 - PA)^R`` — the sense in
-    which "reducing R will naturally reduce this worst case delay, but
-    at the cost of reduced security" trades the other way for
-    availability.
-    """
-    if r < 1:
-        raise ValueError(f"R must be >= 1, got {r}")
-    single = availability(m, c, pi)
-    return 1.0 - (1.0 - single) ** r
-
-
 @dataclass(frozen=True)
 class QuorumPoint:
     """One point of the paper's Figure 5 curves."""
@@ -140,22 +121,3 @@ def best_check_quorum(m: int, pi: float) -> QuorumPoint:
     "there is a relatively large range of values of C around M/2 where
     both availability and security are very close to 1"."""
     return max(quorum_curve(m, pi), key=lambda point: point.worst)
-
-
-def smallest_balanced_m(
-    pi: float, target: float, max_m: int = 50
-) -> Optional[QuorumPoint]:
-    """Smallest M for which some C achieves min(PA, PS) >= target.
-
-    Implements Section 4.1's advice: "if it is impossible to satisfy
-    both availability and security goals given a set of managers, one
-    way to solve the problem is to increase the cardinality of this
-    set."  Returns None if no M up to ``max_m`` suffices.
-    """
-    if not 0.0 < target <= 1.0:
-        raise ValueError(f"target must be in (0, 1], got {target}")
-    for m in range(1, max_m + 1):
-        point = best_check_quorum(m, pi)
-        if point.worst >= target:
-            return point
-    return None

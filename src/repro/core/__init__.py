@@ -8,7 +8,7 @@ Public surface:
   (``M``/``C``/``Te``/``R``/``Ti``/``b``) and presets.
 * Nodes — :class:`AccessControlHost` (Figures 2–4),
   :class:`AccessControlManager` (Section 3.3/3.4),
-  :class:`TrustedNameService`, :class:`ApplicationHost` +
+  :class:`ApplicationHost` +
   :class:`Application` (the Figure 1 wrapper), :class:`UserClient`.
 * Wiring — :class:`AccessControlSystem`.
 """
@@ -26,8 +26,6 @@ from .messages import (
     AdminResponse,
     AppRequest,
     AppResponse,
-    NameLookup,
-    NameResult,
     Ping,
     Pong,
     QueryRequest,
@@ -40,7 +38,6 @@ from .messages import (
     UpdateMsg,
     Verdict,
 )
-from .name_service import TrustedNameService
 from .policy import (
     UNBOUNDED_ATTEMPTS,
     AccessPolicy,
@@ -81,8 +78,6 @@ __all__ = [
     "DeltaMode",
     "ExhaustedAction",
     "InvokeResult",
-    "NameLookup",
-    "NameResult",
     "Ping",
     "Pong",
     "QueryRequest",
@@ -93,7 +88,6 @@ __all__ = [
     "Right",
     "SyncRequest",
     "SyncResponse",
-    "TrustedNameService",
     "UNBOUNDED_ATTEMPTS",
     "UpdateAck",
     "UpdateHandle",

@@ -6,7 +6,7 @@ application.  The protocol logic itself lives in
 :mod:`repro.protocols`: :class:`~repro.protocols.VerificationPipeline`
 runs the cached-check algorithm of Figures 2 and 3 (and Figure 4's
 default-allow rule), composed from a query planner, a response
-combiner, a manager resolver, and a decision policy — all selected by
+combiner, and a decision policy — all selected by
 the application's :class:`~repro.core.policy.AccessPolicy`.  This
 class is the thin :class:`~repro.sim.node.Node` shell: per-host state
 (caches, pending-reply tables, stats), message dispatch, and
@@ -43,7 +43,7 @@ from ..sim.node import Address, Node
 from ..sim.trace import TraceKind
 from .cache import ACLCache
 from .ids import Interner, pack_key
-from .messages import NameResult, QueryResponse, RevokeNotify, RevokeNotifyAck
+from .messages import QueryResponse, RevokeNotify, RevokeNotifyAck
 from .policy import AccessPolicy
 from .rights import Right
 
@@ -63,11 +63,7 @@ class AccessControlHost(Node):
         host; per-application policies can be installed with
         :meth:`set_policy`.
     managers:
-        Static map ``application -> manager addresses``.  Applications
-        missing from the map are resolved through the name service.
-    name_service:
-        Address of the trusted name service (optional if every
-        application is statically configured).
+        Static map ``application -> manager addresses``.
     clock:
         The host's drifting local clock; created on attach if None
         (rate 1.0).
@@ -85,8 +81,7 @@ class AccessControlHost(Node):
     shard_router:
         Optional :class:`~repro.protocols.sharding.ShardRouter`; when
         set, applications not statically configured resolve to their
-        owning manager group through the ring instead of the name
-        service.
+        owning manager group through the ring.
     """
 
     def __init__(
@@ -94,7 +89,6 @@ class AccessControlHost(Node):
         address: Address,
         policy: AccessPolicy,
         managers: Optional[Dict[str, Sequence[Address]]] = None,
-        name_service: Optional[Address] = None,
         clock: Optional[LocalClock] = None,
         manager_authenticator: Optional[Authenticator] = None,
         interner: Optional[Interner] = None,
@@ -106,7 +100,6 @@ class AccessControlHost(Node):
         self._static_managers: Dict[str, Tuple[Address, ...]] = {
             app: tuple(addrs) for app, addrs in (managers or {}).items()
         }
-        self.name_service = name_service
         self.clock = clock
         self.manager_authenticator = manager_authenticator
         self._ids = interner if interner is not None else Interner()
@@ -115,8 +108,6 @@ class AccessControlHost(Node):
         # Negative cache: (app, packed (uid, right) key) -> local expiry.
         self._deny_cache: Dict[Tuple[str, int], float] = {}
         self._pending_queries = ReplyTable()
-        self._pending_lookups = ReplyTable()
-        self._ns_cache: Dict[str, Tuple[Tuple[Address, ...], float]] = {}
         # Query-round rotation, and the managers that let a batch timer
         # fire and have not been heard from since (asked last; see
         # :mod:`repro.protocols.planner`).  An ordering hint only.
@@ -154,6 +145,16 @@ class AccessControlHost(Node):
     def set_managers(self, application: str, managers: Sequence[Address]) -> None:
         """Statically configure ``Managers(application)``."""
         self._static_managers[application] = tuple(managers)
+
+    def manager_addrs_for(self, application: str) -> Tuple[Address, ...]:
+        """``Managers(application)``: the static map, else the shard
+        router's group, else empty (the check ends ``NO_MANAGERS``)."""
+        static = self._static_managers.get(application)
+        if static:
+            return static
+        if self.shard_router is not None:
+            return self.shard_router.group_for(application)
+        return ()
 
     def cache_for(self, application: str) -> ACLCache:
         """This host's ``ACL_cache(A)`` (created on first use)."""
@@ -200,7 +201,6 @@ class AccessControlHost(Node):
         (SignedMessage, QueryResponse): "_on_signed_response",
         QueryResponse: "_on_response",
         RevokeNotify: "_handle_revoke",
-        NameResult: "_on_name_result",
     }
 
     def _on_signed_response(self, src: Address, message: SignedMessage) -> None:
@@ -232,9 +232,6 @@ class AccessControlHost(Node):
         self._silent.discard(src)
         if not self._pending_queries.dispatch(response.query_id, response):
             self.late_manager_responses += 1
-
-    def _on_name_result(self, src: Address, result: NameResult) -> None:
-        self._pending_lookups.dispatch(result.lookup_id, result)
 
     def key_offer(self, manager: Address) -> Tuple[int, int]:
         """``(key_id, wrapped_key)`` for a query to ``manager``.
@@ -303,14 +300,12 @@ class AccessControlHost(Node):
 
     # -- failure hooks -----------------------------------------------------------------
     def on_crash(self) -> None:
-        """Volatile state is lost: caches, pending queries, NS cache."""
+        """Volatile state is lost: caches, pending queries, answer keys."""
         self._incarnation += 1
         for cache in self.caches.values():
             cache.clear()
         self._deny_cache.clear()
         self._pending_queries.clear()
-        self._pending_lookups.clear()
-        self._ns_cache.clear()
         self._answer_keys.clear()
         self._offered.clear()
         self._silent.clear()

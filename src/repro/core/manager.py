@@ -27,7 +27,7 @@ from ..auth.identity import Authenticator, Principal, SignedMessage
 from ..protocols.admin import AdminService
 from ..protocols.dissemination import PendingUpdate, dissemination_strategy_for
 from ..protocols.messaging import ReplyTable
-from ..protocols.query import QueryAnswerer
+from ..protocols.query import GrantTable, QueryAnswerer
 from ..protocols.recovery import RecoverySync
 from ..protocols.revocation import RevocationForwarder
 from ..sim.engine import Event
@@ -107,9 +107,7 @@ class AccessControlManager(Node):
         # grant_table[app][(user, right)] = (host, deadline, ...): the hosts
         # granted to, in first-grant order, each with the real-time deadline
         # its cached copy expires by (a flat tuple: no dict per served miss).
-        self._grant_table: Dict[
-            str, Dict[Tuple[str, Right], Tuple[Union[Address, float], ...]]
-        ] = {}
+        self._grant_table: Dict[str, GrantTable] = {}
         self._pending_updates: Dict[str, PendingUpdate] = {}
         #: notify id -> the ack callback of a RevokeNotify still retrying.
         self._notifies = ReplyTable()
@@ -140,7 +138,7 @@ class AccessControlManager(Node):
         self.acls.setdefault(
             application, AccessControlList(application, self._ids)
         )
-        self._grant_table.setdefault(application, {})
+        self._grant_table.setdefault(application, GrantTable())
 
     def policy_for(self, application: str) -> AccessPolicy:
         return self._policies.get(application, self.default_policy)

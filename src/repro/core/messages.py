@@ -1,7 +1,6 @@
 """The wire protocol.
 
-Every message exchanged between hosts, managers, clients, and the name
-service.  Messages are frozen dataclasses; the network layer treats
+Every message exchanged between hosts, managers, and clients.  Messages are frozen dataclasses; the network layer treats
 them as opaque payloads.  Where the paper names a message we keep its
 name: a manager's positive answer to an access query is ``Add(A, U,
 te)`` (Figure 3) and the revocation notification is ``Revoke(A, U)``
@@ -35,8 +34,6 @@ __all__ = [
     "SyncResponse",
     "Ping",
     "Pong",
-    "NameLookup",
-    "NameResult",
     "AppRequest",
     "AppResponse",
 ]
@@ -172,23 +169,6 @@ class Pong:
 
     nonce: int
     sender: str
-
-
-@dataclass(frozen=True)
-class NameLookup:
-    """Host -> name service: who manages ``application``?"""
-
-    lookup_id: int
-    application: str
-
-
-@dataclass(frozen=True)
-class NameResult:
-    """Name service -> host: the manager set (empty = unknown app)."""
-
-    lookup_id: int
-    application: str
-    managers: Tuple[str, ...]
 
 
 @dataclass(frozen=True)

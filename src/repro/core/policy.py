@@ -126,9 +126,6 @@ class AccessPolicy:
     cache_cleanup_interval:
         Period of the host's background expired-entry sweep; ``None``
         disables the sweep (entries still expire lazily on lookup).
-    name_service_ttl:
-        How long a host trusts a manager-set answer from the name
-        service before re-querying (Section 3.2, last paragraph).
     refresh_ahead_fraction:
         Extension: when set (in (0, 1)), cached entries whose remaining
         lifetime drops below this fraction of ``te`` are re-verified in
@@ -166,7 +163,6 @@ class AccessPolicy:
     revoke_retry_interval: float = 2.0
     ping_interval: float = 5.0
     cache_cleanup_interval: Optional[float] = 60.0
-    name_service_ttl: float = 600.0
     refresh_ahead_fraction: Optional[float] = None
     refresh_check_interval: float = 5.0
     idle_eviction_ttl: Optional[float] = None
@@ -250,8 +246,8 @@ class AccessPolicy:
     def required_responses(self, n_managers: int) -> int:
         """Responses a verification round must gather against a manager
         set of ``n_managers``: the effective check quorum, clamped so a
-        smaller-than-C manager set (e.g. from a stale name-service
-        answer) can still complete a round instead of stalling forever."""
+        smaller-than-C manager set can still complete a round instead of
+        stalling forever."""
         return min(self.effective_check_quorum, n_managers)
 
     # -- presets ---------------------------------------------------------------

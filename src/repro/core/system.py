@@ -2,9 +2,9 @@
 
 :class:`AccessControlSystem` wires together everything a study needs:
 an environment, a traced network with a chosen partition model, ``M``
-managers, ``N`` application hosts with drifting clocks, optionally a
-trusted name service and a host-failure injector.  It is the backbone
-of the examples, the simulation experiments, and the integration tests.
+managers, ``N`` application hosts with drifting clocks, and optionally
+crash/recovery injectors.  It is the backbone of the examples, the
+simulation experiments, and the integration tests.
 
 Example
 -------
@@ -34,7 +34,6 @@ from ..sim.trace import TraceKind, Tracer
 from .acl import AclBatch
 from .ids import Interner
 from .manager import AccessControlManager
-from .name_service import TrustedNameService
 from .policy import AccessPolicy
 from .rights import Right
 from .wrapper import ApplicationHost
@@ -62,9 +61,6 @@ class AccessControlSystem:
         Network behaviour, passed to
         :class:`~repro.sim.network.Network`; defaults to full
         connectivity with WAN-shaped latency and no loss.
-    use_name_service:
-        Resolve manager sets through a :class:`TrustedNameService`
-        instead of static host configuration.
     clock_drift:
         Give hosts drifting clocks within the policy's bound ``b``
         (managers' timers use real-time intervals, which is equivalent
@@ -110,7 +106,6 @@ class AccessControlSystem:
         latency: Optional[LatencyModel] = None,
         loss_rate: float = 0.0,
         duplicate_rate: float = 0.0,
-        use_name_service: bool = False,
         clock_drift: bool = True,
         host_failures: Optional[Tuple[float, float]] = None,
         manager_failures: Optional[Tuple[float, float]] = None,
@@ -185,13 +180,6 @@ class AccessControlSystem:
             addr for group in self.group_addrs for addr in group
         )
 
-        self.name_service: Optional[TrustedNameService] = None
-        if use_name_service:
-            self.name_service = TrustedNameService()
-            for app in self.applications:
-                self.name_service.register(app, self.manager_addrs_for(app))
-            self.network.register(self.name_service)
-
         clock_factory = ClockFactory(
             self.env,
             b=self.policy.clock_bound,
@@ -201,9 +189,7 @@ class AccessControlSystem:
         for i in range(n_hosts):
             clock = clock_factory.make() if clock_drift else clock_factory.perfect()
             resolution: Dict[str, Any]
-            if use_name_service:
-                resolution = {"name_service": self.name_service.address}
-            elif self.shard_router is not None:
+            if self.shard_router is not None:
                 # Sharded: hosts carry no static maps — the router is
                 # the (load-bearing) resolution path, a pure function
                 # of the application name and the ring.
@@ -364,10 +350,8 @@ class AccessControlSystem:
         owners = self.manager_addrs_for(application)
         for manager in self.managers_for(application):
             manager.manage(application, owners)
-        if self.name_service is not None:
-            self.name_service.register(application, owners)
-        for host in self.hosts:
-            if self.name_service is None and self.shard_router is None:
+        if self.shard_router is None:
+            for host in self.hosts:
                 host.set_managers(application, owners)
 
     def reachable_managers_from(

@@ -46,13 +46,8 @@ def flaky_manager_model(
     def pi_between(a: str, b: str) -> float:
         return flaky_pi if flaky in (a, b) else base_pi
 
-    hosts = ["h0"]
     return PairwiseInaccessibility(
         managers=managers,
-        host_to_manager={
-            h: {mgr: (flaky_pi if mgr == flaky else base_pi) for mgr in managers}
-            for h in hosts
-        },
         manager_to_manager={
             a: {b: pi_between(a, b) for b in managers if b != a} for a in managers
         },

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..core.policy import QueryStrategy
+from ..analysis.costs import CostModel
+from ..core.policy import AccessPolicy, QueryStrategy
 from ..core.system import AccessControlSystem
 from ..sim.partitions import ScriptedConnectivity
 from .base import ExperimentResult, cell_policy, run_grid
@@ -30,6 +31,16 @@ __all__ = ["run", "measure_decision_latency"]
 
 _ONE_WAY = 0.05
 _RTT = 2 * _ONE_WAY
+
+
+def _policy(c: int, strategy: QueryStrategy, attempts: Optional[int]) -> AccessPolicy:
+    return cell_policy(
+        check_quorum=c,
+        expiry_bound=600.0,
+        max_attempts=attempts,
+        query_strategy=strategy,
+        retry_backoff=0.5,
+    )
 
 
 def measure_decision_latency(
@@ -42,13 +53,7 @@ def measure_decision_latency(
     n_managers: int = 5,
 ) -> float:
     """Latency of a single access decision under controlled conditions."""
-    policy = cell_policy(
-        check_quorum=c,
-        expiry_bound=600.0,
-        max_attempts=attempts,
-        query_strategy=strategy,
-        retry_backoff=0.5,
-    )
+    policy = _policy(c, strategy, attempts)
     connectivity = ScriptedConnectivity()
     system = AccessControlSystem.experiment_cell(
         policy, one_way=_ONE_WAY, n_managers=n_managers, n_hosts=1,
@@ -70,13 +75,10 @@ def measure_decision_latency(
 def _row(c, strategy, partitioned, attempts, warm_cache, _seed, measured) -> List:
     if warm_cache:
         return ["cache hit", "-", "-", 0.0, measured]
-    if partitioned:  # R timeouts + (R-1) backoffs
-        return ["unreachable", c, attempts, attempts * 1.0 + (attempts - 1) * 0.5,
-                measured]
-    # Parallel fan-out and the quorum round cost one round trip for any
-    # C; the sequential strategy one per manager asked.
-    trips = c if strategy is QueryStrategy.SEQUENTIAL else 1
-    return [f"miss/{strategy.value}", c, "-", trips * _RTT, measured]
+    model = CostModel(_policy(c, strategy, attempts), _RTT)
+    if partitioned:
+        return ["unreachable", c, attempts, model.unreachable_delay, measured]
+    return [f"miss/{strategy.value}", c, "-", model.cache_miss_delay, measured]
 
 
 def run(seed: int = 0, jobs: Optional[int] = 1) -> ExperimentResult:

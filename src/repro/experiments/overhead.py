@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
 
+from ..analysis.costs import CostModel
 from ..core.policy import QueryStrategy
 from ..core.system import AccessControlSystem
 from ..metrics.streaming import OverheadAccumulator
@@ -26,6 +27,8 @@ from ..workloads.generators import PeriodicWorkload
 from .base import ExperimentResult, cell_policy, run_grid
 
 __all__ = ["run", "measure_rate"]
+
+_ONE_WAY = 0.02
 
 
 def measure_rate(
@@ -45,7 +48,7 @@ def measure_rate(
         retry_backoff=0.5,
     )
     system = AccessControlSystem.experiment_cell(
-        policy, one_way=0.02, n_managers=n_managers, n_hosts=1, seed=seed
+        policy, one_way=_ONE_WAY, n_managers=n_managers, n_hosts=1, seed=seed
     )
     users = [f"u{i}" for i in range(n_users)]
     system.seed_grants("app", users)
@@ -53,7 +56,8 @@ def measure_rate(
     duration = duration_expiries * te
     PeriodicWorkload(system, "app", users, think_time=access_interval, until=duration)
     system.run(until=duration)
-    predicted = n_users * 2.0 * c / policy.te_local
+    # A refresh is a query and an answer per manager asked.
+    predicted = n_users * 2.0 * CostModel(policy, 2 * _ONE_WAY).message_rate
     return predicted, collector.report(duration).control_rate
 
 

@@ -85,8 +85,6 @@ CONTROL_MESSAGE_KINDS = frozenset(
         "SyncResponse",
         "Ping",
         "Pong",
-        "NameLookup",
-        "NameResult",
     }
 )
 

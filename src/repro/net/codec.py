@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import fields, is_dataclass
-from typing import Any, Dict, List, Type
+from typing import Any, Dict, List, Optional, Type
 
 from ..auth.identity import SignedMessage
 from ..auth.signatures import Signature, Tag
@@ -64,8 +64,11 @@ MAX_FRAME = 1 << 20
 #: ~64 KiB consumed keeps steady-state cost O(bytes), not O(frames^2).
 _COMPACT_BYTES = 1 << 16
 
-#: Every dataclass that may appear on the wire, top-level or embedded.
-_WIRE_TYPES: List[Type[Any]] = [
+#: Every dataclass that may appear on the wire, top-level or embedded, at
+#: its binary type number.  Append-only: a retired kind leaves ``None`` in
+#: its slot, which is never reused (11 and 12 carried the name-service
+#: lookup and its answer), and a frame naming it is a :class:`CodecError`.
+_WIRE_SLOTS: List[Optional[Type[Any]]] = [
     _messages.QueryRequest,
     _messages.QueryResponse,
     _messages.AclUpdate,
@@ -77,8 +80,8 @@ _WIRE_TYPES: List[Type[Any]] = [
     _messages.SyncResponse,
     _messages.Ping,
     _messages.Pong,
-    _messages.NameLookup,
-    _messages.NameResult,
+    None,
+    None,
     _messages.AdminRequest,
     _messages.AdminResponse,
     _messages.AppRequest,
@@ -90,6 +93,7 @@ _WIRE_TYPES: List[Type[Any]] = [
     Tag,
 ]
 
+_WIRE_TYPES: List[Type[Any]] = [cls for cls in _WIRE_SLOTS if cls is not None]
 _REGISTRY: Dict[str, Type[Any]] = {cls.__name__: cls for cls in _WIRE_TYPES}
 
 

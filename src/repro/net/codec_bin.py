@@ -4,7 +4,7 @@ The tagged-JSON codec (:mod:`repro.net.codec`) is self-describing and
 canonical, which suits fixtures and trace dumps — but it ships every
 field name, every type tag, and every principal name as text on every
 message.  This module is the codec the live wire uses: struct-packed
-frames over the same ``_WIRE_TYPES`` registry with
+frames over the same ``_WIRE_SLOTS`` registry with
 
 * **positional fields** — a message is its registry index plus its
   field values in declaration order; field names never hit the wire;
@@ -53,7 +53,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Type
 
 from ..core.ids import Interner, dense_index
 from ..core.rights import Right
-from .codec import CodecError, _WIRE_TYPES
+from .codec import CodecError, _WIRE_SLOTS
 
 __all__ = [
     "BinaryEncoder",
@@ -107,11 +107,15 @@ _T_MSG = 0x0C       # varint registry index + fields in declaration order
 
 _RIGHT_LIST: Tuple[Right, ...] = tuple(Right)
 
-#: Registry order is the wire contract: append-only, same list the JSON
-#: codec registers, so both codecs accept exactly the same types.
-_TYPE_INDEX: Dict[Type[Any], int] = {cls: i for i, cls in enumerate(_WIRE_TYPES)}
-_TYPE_FIELDS: List[Tuple[Type[Any], Tuple[str, ...]]] = [
-    (cls, tuple(f.name for f in fields(cls))) for cls in _WIRE_TYPES
+#: Slot order is the wire contract: append-only, same list the JSON codec
+#: registers, so both codecs accept exactly the same types.  A retired
+#: slot keeps ``(None, ())``.
+_TYPE_INDEX: Dict[Type[Any], int] = {
+    cls: i for i, cls in enumerate(_WIRE_SLOTS) if cls is not None
+}
+_TYPE_FIELDS: List[Tuple[Optional[Type[Any]], Tuple[str, ...]]] = [
+    (cls, tuple(f.name for f in fields(cls)) if cls is not None else ())
+    for cls in _WIRE_SLOTS
 ]
 
 _pack_double = struct.Struct(">d").pack
@@ -170,6 +174,7 @@ def _message_head(index: int) -> bytes:
 _ENCODE_PLAN: Dict[Type[Any], Tuple[bytes, Callable[[Any], Tuple[Any, ...]]]] = {
     cls: (_message_head(index), _fields_getter(names))
     for index, (cls, names) in enumerate(_TYPE_FIELDS)
+    if cls is not None
 }
 
 
@@ -317,6 +322,8 @@ class BinaryDecoder:
             if index >= len(_TYPE_FIELDS):
                 raise CodecError(f"unknown wire type index {index}")
             cls, names = _TYPE_FIELDS[index]
+            if cls is None:
+                raise CodecError(f"retired wire type index {index}")
             values = []
             for _ in names:
                 value, pos = self._value(data, pos)

@@ -19,8 +19,6 @@ voting — is a *composition* rather than a branch inside a god-class:
 * :mod:`~repro.protocols.decision` — terminal decision policy
   (verified / denied / Figure 4 default-allow / exhausted) and the
   Figure 3 expiry stamp.
-* :mod:`~repro.protocols.resolver` — ``Managers(A)`` resolution
-  (static config, TTL cache, trusted name service).
 * :mod:`~repro.protocols.pipeline` — the host-side verification
   pipeline wiring cache, planner, combiner, and decision together.
 * :mod:`~repro.protocols.maintenance` — background cache upkeep
@@ -68,7 +66,6 @@ from .pipeline import VerificationPipeline
 from .query import QueryAnswerer
 from .planner import QueryPlanner, planner_for
 from .recovery import RecoverySync
-from .resolver import ManagerResolver
 from .revocation import RevocationForwarder
 
 __all__ = [
@@ -80,7 +77,6 @@ __all__ = [
     "ExpiryStamper",
     "FreezeStrategy",
     "HighestVersionCombiner",
-    "ManagerResolver",
     "PendingUpdate",
     "QueryAnswerer",
     "QueryPlanner",

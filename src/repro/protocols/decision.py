@@ -29,7 +29,7 @@ class DecisionReason:
     DEFAULT_ALLOW = "default_allow"  # Figure 4: R attempts failed, allow
     EXHAUSTED = "exhausted"  # R attempts failed, deny policy
     HOST_CRASHED = "host_crashed"  # this host crashed mid-check
-    NO_MANAGERS = "no_managers"  # name service knows no managers
+    NO_MANAGERS = "no_managers"  # no manager set configured for the app
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,6 @@
 """Shared request/reply and retry messaging substrate.
 
-Host query rounds, name-service lookups, user and admin client
-requests, manager revocation forwarding, and the comparison baselines'
+Host query rounds, user and admin client requests, manager revocation forwarding, and the comparison baselines'
 query rounds and revocation retries all follow the same two wire
 patterns the paper relies on:
 
@@ -16,7 +15,7 @@ patterns the paper relies on:
 This module gives both patterns one implementation so the protocol
 strategies stop hand-rolling pending tables and timer races: every
 reply reaches its waiter through a :class:`ReplyTable`, and
-:func:`request` serves name-service lookups and both clients.
+:func:`request` serves both clients.
 """
 
 from __future__ import annotations

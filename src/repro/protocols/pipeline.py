@@ -5,8 +5,8 @@ together:
 
 1. **cache lookup** — the Figure 3 fast path (plus the negative-cache
    extension);
-2. **manager resolution** — :class:`~repro.protocols.resolver.
-   ManagerResolver`;
+2. **manager resolution** — the host's static map or shard router
+   (:meth:`~repro.core.host.AccessControlHost.manager_addrs_for`);
 3. **query rounds** — a :class:`~repro.protocols.planner.QueryPlanner`
    gathers responses, a :class:`~repro.protocols.combiner.
    ResponseCombiner` judges them, repeated up to ``R`` attempts;
@@ -34,7 +34,6 @@ from ..sim.trace import TraceKind
 from .combiner import ResponseCombiner, combiner_for
 from .decision import AccessDecision, DecisionPolicy, DecisionReason, ExpiryStamper
 from .planner import QueryPlanner, planner_for
-from .resolver import ManagerResolver
 
 __all__ = [
     "VerificationPipeline",
@@ -58,14 +57,12 @@ class VerificationPipeline:
         host,
         planner_factory: Callable[[AccessPolicy], QueryPlanner] = planner_for,
         combiner_factory: Callable[[AccessPolicy], ResponseCombiner] = combiner_for,
-        resolver: ManagerResolver = None,
         decision_policy: DecisionPolicy = None,
         stamper: ExpiryStamper = None,
     ):
         self.host = host
         self.planner_factory = planner_factory
         self.combiner_factory = combiner_factory
-        self.resolver = resolver or ManagerResolver()
         self.decision_policy = decision_policy or DecisionPolicy()
         self.stamper = stamper or ExpiryStamper()
 
@@ -227,7 +224,7 @@ class VerificationPipeline:
         (and a denial negative-cached, when enabled) as a side effect.
         """
         host = self.host
-        managers = yield from self.resolver.resolve(host, application, policy)
+        managers = host.manager_addrs_for(application)
         if not managers:
             return (NO_MANAGERS, 0, 0)
         required = policy.required_responses(len(managers))

@@ -21,11 +21,18 @@ from ..auth.signatures import PAIRWISE_KEY_BYTES, key_fingerprint, make_tag
 from ..core.messages import QueryRequest, QueryResponse, Verdict
 from ..sim.node import Address
 
-__all__ = ["QueryAnswerer", "MAX_HOST_KEYS"]
+__all__ = ["GrantTable", "QueryAnswerer", "MAX_HOST_KEYS", "SWEEP_FLOOR"]
 
 #: Pairwise keys a manager keeps, one per asking host; the host offered
 #: longest ago is evicted (and simply offers again).
 MAX_HOST_KEYS = 1024
+
+#: Keys a grant table holds before its first sweep of expired holders.
+#: A holder the sweep drops goes last if it is granted again, which can
+#: reorder a later revocation's notifies and so a simulation's events.
+#: The experiments' cells and ``bench_e2e``'s ``sim_cell`` (5 000
+#: principals) stay below it, so their runs are the unswept ones.
+SWEEP_FLOOR = 8192
 
 
 def _pairwise_key(manager, src: Address, request: QueryRequest) -> Optional[bytes]:
@@ -65,6 +72,41 @@ def _hold(holders: tuple, host: Address, deadline: float) -> tuple:
     return holders + (host, deadline)
 
 
+class GrantTable(dict):
+    """``(user, right) -> (host, deadline, ...)`` for one application.
+
+    A holder whose deadline has passed can never be sent a
+    ``RevokeNotify`` (:meth:`RevocationForwarder.forward` skips it), so
+    :meth:`sweep` drops it, and a key with none left; the answerer sweeps
+    whenever the table has doubled since the last sweep, which keeps the
+    table within twice its live keys at amortised O(1) per grant.
+    """
+
+    __slots__ = ("sweep_at",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sweep_at = SWEEP_FLOOR
+
+    def sweep(self, now: float) -> None:
+        """Drop holders with ``now >= deadline``; survivors keep their
+        first-grant order."""
+        stale = [key for key, holders in self.items() if now >= min(holders[1::2])]
+        for key in stale:
+            holders = self[key]
+            live = tuple(
+                item
+                for i in range(0, len(holders), 2)
+                if now < holders[i + 1]
+                for item in holders[i : i + 2]
+            )
+            if live:
+                self[key] = live
+            else:
+                del self[key]
+        self.sweep_at = max(2 * len(self), SWEEP_FLOOR)
+
+
 class QueryAnswerer:
     """The truthful query-answering strategy."""
 
@@ -83,7 +125,10 @@ class QueryAnswerer:
             manager.stats["grants"] += 1
             table = manager._grant_table[application]
             key = (request.user, request.right)
-            table[key] = _hold(table.get(key, ()), src, manager.env.now + policy.expiry_bound)
+            now = manager.env.now
+            table[key] = _hold(table.get(key, ()), src, now + policy.expiry_bound)
+            if len(table) >= table.sweep_at:
+                table.sweep(now)
             verdict, version = Verdict.GRANT, entry.version
         else:
             manager.stats["denials"] += 1

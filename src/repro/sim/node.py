@@ -1,8 +1,7 @@
 """Addressable simulation nodes.
 
 A :class:`Node` is anything with a network address that can receive
-messages: application hosts, managers, the name service, workload
-drivers.  Nodes are attached to a :class:`~repro.sim.network.Network`,
+messages: application hosts, managers, workload drivers.  Nodes are attached to a :class:`~repro.sim.network.Network`,
 which gives them ``env``, ``tracer`` and send primitives.
 
 Crash semantics follow the paper's model: a crashed node neither sends

@@ -113,3 +113,46 @@ class TestCostModel:
         assert model.cache_miss_delay == pytest.approx(0.1)
         # The default QUORUM strategy: C managers, then the rest.
         assert model.unreachable_delay == pytest.approx(4.0)
+
+
+class TestRunnersPredictWithTheModel:
+    """Every predicted cell of the ``overhead`` and ``latency`` tables is
+    the cost model's number for that row's policy: the runners hold no
+    second copy of Section 4.1's formulas."""
+
+    def test_overhead_rows(self):
+        from repro.experiments import overhead
+        from repro.experiments.base import cell_policy
+
+        rows = overhead.run(seed=0).as_dicts()
+        assert len(rows) == 9
+        for row in rows:
+            policy = cell_policy(
+                check_quorum=row["C"], expiry_bound=row["Te"],
+                query_strategy=QueryStrategy.SEQUENTIAL, retry_backoff=0.5,
+            )
+            users = 5  # measure_rate's default; a refresh is a query and an answer
+            model = CostModel(policy=policy, round_trip=0.04)
+            assert row["predicted msg/s"] == users * 2.0 * model.message_rate, row
+
+    def test_latency_rows(self):
+        from repro.experiments import latency
+        from repro.experiments.base import cell_policy
+
+        rows = latency.run(seed=0).as_dicts()
+        assert len(rows) == 14
+        for row in rows:
+            if row["scenario"] == "cache hit":
+                assert row["predicted s"] == 0.0
+                continue
+            unreachable = row["scenario"] == "unreachable"
+            policy = cell_policy(
+                check_quorum=row["C"], expiry_bound=600.0,
+                max_attempts=row["R"] if unreachable else None,
+                query_strategy=(QueryStrategy.PARALLEL if unreachable
+                                else QueryStrategy(row["scenario"].split("/")[1])),
+                retry_backoff=0.5,
+            )
+            model = CostModel(policy=policy, round_trip=0.1)
+            expected = model.unreachable_delay if unreachable else model.cache_miss_delay
+            assert row["predicted s"] == expected, row

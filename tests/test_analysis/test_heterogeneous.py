@@ -12,7 +12,7 @@ from repro.analysis.heterogeneous import (
     poisson_binomial_tail,
     weighted_average,
 )
-from repro.analysis.quorum_math import availability, binomial_tail, security
+from repro.analysis.quorum_math import binomial_tail, security
 
 
 class TestPoissonBinomial:
@@ -58,21 +58,26 @@ class TestWeightedAverage:
             weighted_average({"a": 1.0}, {"a": 0.0})
 
 
+def uniform(m: int, pi: float) -> PairwiseInaccessibility:
+    """The paper's homogeneous model as a special case."""
+    managers = [f"m{i}" for i in range(m)]
+    return PairwiseInaccessibility(
+        managers=managers,
+        manager_to_manager={a: {b: pi for b in managers if b != a} for a in managers},
+    )
+
+
 class TestPairwiseModel:
     def test_uniform_model_reproduces_paper_formulas(self):
         """The homogeneous special case must agree with Table 1."""
-        model = PairwiseInaccessibility.uniform(m=10, n_hosts=2, pi=0.1)
+        model = uniform(m=10, pi=0.1)
         for c in (1, 4, 7, 10):
-            assert model.host_availability("h0", c) == pytest.approx(
-                availability(10, c, 0.1)
-            )
             assert model.manager_security("m0", c) == pytest.approx(
                 security(10, c, 0.1)
             )
 
     def test_system_aggregates_match_uniform(self):
-        model = PairwiseInaccessibility.uniform(m=6, n_hosts=3, pi=0.2)
-        assert model.system_availability(3) == pytest.approx(availability(6, 3, 0.2))
+        model = uniform(m=6, pi=0.2)
         assert model.system_security(3) == pytest.approx(security(6, 3, 0.2))
 
     def test_flaky_manager_hurts_when_it_issues_updates(self):
@@ -84,7 +89,6 @@ class TestPairwiseModel:
         }
         model = PairwiseInaccessibility(
             managers=managers,
-            host_to_manager={"h0": {m: 0.05 for m in managers}},
             manager_to_manager=pi,
         )
         uniform = model.system_security(2)
@@ -92,20 +96,6 @@ class TestPairwiseModel:
             2, update_frequency={"m0": 0.05, "m1": 0.05, "m2": 0.05, "m3": 0.85}
         )
         assert flaky_heavy < uniform
-
-    def test_unreliable_host_link_lowers_its_availability(self):
-        managers = ["m0", "m1", "m2"]
-        model = PairwiseInaccessibility(
-            managers=managers,
-            host_to_manager={
-                "good": {m: 0.05 for m in managers},
-                "bad": {m: 0.4 for m in managers},
-            },
-            manager_to_manager={
-                a: {b: 0.05 for b in managers if b != a} for a in managers
-            },
-        )
-        assert model.host_availability("bad", 2) < model.host_availability("good", 2)
 
 
 class TestCorrelatedModel:
@@ -141,8 +131,3 @@ class TestCorrelatedModel:
             [1 - model.marginal_pi(m) for m in model.managers], 3
         )
         assert mc < independent
-
-    def test_security_estimate_in_range(self):
-        model = self.model()
-        value = model.security("m2", 2, random.Random(2), samples=5_000)
-        assert 0.0 <= value <= 1.0

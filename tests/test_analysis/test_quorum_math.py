@@ -12,7 +12,6 @@ from repro.analysis.quorum_math import (
     binomial_tail,
     quorum_curve,
     security,
-    smallest_balanced_m,
 )
 
 
@@ -112,46 +111,3 @@ class TestCurveHelpers:
     def test_worst_is_min(self):
         point = quorum_curve(10, 0.1)[0]
         assert point.worst == min(point.availability, point.security)
-
-    def test_smallest_balanced_m_monotone_need(self):
-        modest = smallest_balanced_m(0.1, 0.99)
-        strict = smallest_balanced_m(0.1, 0.9999)
-        assert modest is not None and strict is not None
-        assert strict.m >= modest.m
-        assert strict.worst >= 0.9999
-
-    def test_smallest_balanced_m_unreachable_returns_none(self):
-        assert smallest_balanced_m(0.45, 0.999999999, max_m=4) is None
-
-    def test_smallest_balanced_m_invalid_target(self):
-        with pytest.raises(ValueError):
-            smallest_balanced_m(0.1, 0.0)
-
-
-class TestAvailabilityWithRetries:
-    def test_r1_equals_base(self):
-        from repro.analysis.quorum_math import availability_with_retries
-
-        assert availability_with_retries(10, 5, 0.2, 1) == pytest.approx(
-            availability(10, 5, 0.2)
-        )
-
-    def test_monotone_in_r(self):
-        from repro.analysis.quorum_math import availability_with_retries
-
-        values = [availability_with_retries(10, 8, 0.2, r) for r in (1, 2, 4, 8)]
-        assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-
-    def test_matches_independent_rounds_formula(self):
-        from repro.analysis.quorum_math import availability_with_retries
-
-        base = availability(5, 4, 0.3)
-        assert availability_with_retries(5, 4, 0.3, 3) == pytest.approx(
-            1 - (1 - base) ** 3
-        )
-
-    def test_invalid_r(self):
-        from repro.analysis.quorum_math import availability_with_retries
-
-        with pytest.raises(ValueError):
-            availability_with_retries(5, 3, 0.1, 0)

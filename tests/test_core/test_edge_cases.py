@@ -176,53 +176,25 @@ class TestWrapperEdges:
         system.run(until=20)
         assert healthy.value.allowed and healthy.value.result == "ok"
 
-    def test_empty_manager_set_from_name_service(self):
+    def test_empty_manager_set_from_static_config(self):
+        """A host configured with no managers for an application denies
+        at once: ``NO_MANAGERS``, no query round, nothing cached."""
         system = AccessControlSystem(
-            n_managers=2, n_hosts=1, use_name_service=True,
+            n_managers=2, n_hosts=1,
             policy=AccessPolicy(check_quorum=1, expiry_bound=60.0,
                                 max_attempts=1, query_timeout=0.5),
             latency=FixedLatency(0.02), seed=6,
         )
-        system.name_service.deregister("app")
-        process = system.hosts[0].request_access(APP, "u")
+        host = system.hosts[0]
+        assert host.manager_addrs_for("unconfigured") == ()
+        process = host.request_access("unconfigured", "u")
         system.run(until=10)
-        assert process.value.reason == DecisionReason.NO_MANAGERS
-
-
-class TestNameServiceOutage:
-    def test_lookup_times_out_when_ns_down_finite_attempts(self):
-        system = AccessControlSystem(
-            n_managers=2, n_hosts=1, use_name_service=True,
-            policy=AccessPolicy(check_quorum=1, expiry_bound=60.0,
-                                max_attempts=2, query_timeout=0.5,
-                                retry_backoff=0.2),
-            latency=FixedLatency(0.02), seed=7,
-        )
-        system.seed_grant(APP, "u")
-        system.name_service.crash()
-        process = system.hosts[0].request_access(APP, "u")
-        system.run(until=30)
-        assert process.triggered
-        assert not process.value.allowed
-        assert process.value.reason == DecisionReason.NO_MANAGERS
-
-    def test_recovered_ns_serves_again(self):
-        system = AccessControlSystem(
-            n_managers=2, n_hosts=1, use_name_service=True,
-            policy=AccessPolicy(check_quorum=1, expiry_bound=60.0,
-                                max_attempts=2, query_timeout=0.5,
-                                retry_backoff=0.2),
-            latency=FixedLatency(0.02), seed=8,
-        )
-        system.seed_grant(APP, "u")
-        system.name_service.crash()
-        first = system.hosts[0].request_access(APP, "u")
-        system.run(until=10)
-        assert not first.value.allowed
-        system.name_service.recover()
-        second = system.hosts[0].request_access(APP, "u")
-        system.run(until=20)
-        assert second.value.allowed
+        decision = process.value
+        assert not decision.allowed
+        assert decision.reason == DecisionReason.NO_MANAGERS
+        assert (decision.attempts, decision.responses) == (0, 0)
+        assert sum(manager.stats["queries"] for manager in system.managers) == 0
+        assert host.cache_for("unconfigured").probe("u", Right.USE, host.clock.now()) is None
 
 
 class TestJitteryLatency:

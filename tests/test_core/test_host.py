@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.host import AccessControlHost, DecisionReason
 from repro.core.manager import AccessControlManager
-from repro.core.name_service import TrustedNameService
 from repro.core.policy import (
     AccessPolicy,
     DeltaMode,
@@ -31,7 +30,6 @@ class Harness:
         policy: AccessPolicy,
         n_managers: int = 3,
         clock_rate: float = 1.0,
-        use_name_service: bool = False,
         latency: float = 0.05,
     ):
         self.env = Environment()
@@ -50,17 +48,10 @@ class Harness:
             manager.manage(APP, self.manager_addrs)
             self.network.register(manager)
             self.managers.append(manager)
-        name_service = None
-        if use_name_service:
-            self.name_service = TrustedNameService()
-            self.name_service.register(APP, self.manager_addrs)
-            self.network.register(self.name_service)
-            name_service = self.name_service.address
         self.host = AccessControlHost(
             "h0",
             policy,
-            managers=None if use_name_service else {APP: self.manager_addrs},
-            name_service=name_service,
+            managers={APP: self.manager_addrs},
             clock=LocalClock(self.env, rate=clock_rate),
         )
         self.network.register(self.host)
@@ -354,34 +345,9 @@ class TestHostCrash:
         assert decision.allowed and decision.reason == DecisionReason.VERIFIED
 
 
-class TestNameService:
-    def test_managers_resolved_through_name_service(self):
-        harness = Harness(policy(), use_name_service=True)
-        harness.grant_everywhere("alice")
-        decision = harness.check("alice")
-        assert decision.allowed
-        assert harness.name_service.lookups_served == 1
-
-    def test_lookup_cached_until_ttl(self):
-        harness = Harness(policy(name_service_ttl=600.0), use_name_service=True)
-        harness.grant_everywhere("alice")
-        harness.grant_everywhere("bob")
-        harness.check("alice")
-        harness.check("bob")
-        assert harness.name_service.lookups_served == 1
-
-    def test_lookup_requeried_after_ttl(self):
-        harness = Harness(
-            policy(name_service_ttl=5.0, expiry_bound=2.0), use_name_service=True
-        )
-        harness.grant_everywhere("alice")
-        harness.check("alice")
-        harness.env.run(until=harness.env.now + 10.0)
-        harness.check("alice")
-        assert harness.name_service.lookups_served == 2
-
+class TestManagerResolution:
     def test_unknown_application_denied(self):
-        harness = Harness(policy(), use_name_service=True)
+        harness = Harness(policy())
         process = harness.host.request_access("ghost-app", "alice")
         harness.env.run(until=30.0)
         assert process.value.reason == DecisionReason.NO_MANAGERS

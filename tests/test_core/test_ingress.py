@@ -24,7 +24,6 @@ from repro.core.admin import AdminClient
 from repro.core.client import UserClient
 from repro.core.policy import AccessPolicy
 from repro.core.rights import AclEntry, Right, Version
-from repro.core.name_service import TrustedNameService
 from repro.core.system import AccessControlSystem
 from repro.net.cell import LiveCell
 from repro.net.codec import _WIRE_TYPES
@@ -49,12 +48,11 @@ ACCEPTED = {
         m.UpdateAck, m.RevokeNotifyAck, m.SyncRequest, m.SyncResponse, m.Ping, m.Pong,
     },
     "host": {
-        (SignedMessage, m.QueryResponse), m.QueryResponse, m.RevokeNotify, m.NameResult,
+        (SignedMessage, m.QueryResponse), m.QueryResponse, m.RevokeNotify,
         (SignedMessage, m.AppRequest), m.AppRequest,
     },
     "user": {m.AppResponse},
     "admin": {m.AdminResponse},
-    "name_service": {m.NameLookup},
 }
 
 
@@ -79,7 +77,6 @@ def _cell():
         applications=("app",),
         policy=AccessPolicy(check_quorum=2, max_attempts=2, query_timeout=1.0),
         latency=FixedLatency(0.01),
-        use_name_service=True,
     )
     source = system.network.register(Node("src"))
     roles = {
@@ -87,7 +84,6 @@ def _cell():
         "host": system.hosts[0],
         "user": system.network.register(UserClient("c0", "alice")),
         "admin": system.network.register(AdminClient("a0", "root")),
-        "name_service": system.name_service,
     }
     return system, source, roles
 
@@ -153,14 +149,13 @@ def test_every_kind_over_the_wire_to_one_live_cell():
             "host": cell.hosts[0],
             "user": clients.register(UserClient("c0", "alice")),
             "admin": clients.register(AdminClient("a0", "root")),
-            "name_service": clients.register(TrustedNameService()),
         }
         source = probe.register(Node("src"))
         await cell.start()
         runtimes = [*cell.runtimes.values(), clients, probe]
         try:
             directory = dict(cell.directory)
-            directory["c0"] = directory["a0"] = directory["name-service"] = (
+            directory["c0"] = directory["a0"] = (
                 cell.bind_host, await clients.start(cell.bind_host, 0),
             )
             await probe.start(cell.bind_host, 0)

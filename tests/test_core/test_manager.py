@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.host import AccessControlHost, DecisionReason
 from repro.core.manager import AccessControlManager
-from repro.core.messages import AclUpdate, SyncResponse, UpdateMsg
+from repro.core.messages import AclUpdate, QueryRequest, SyncResponse, UpdateMsg
 from repro.core.policy import AccessPolicy, ExhaustedAction, QueryStrategy
 from repro.core.rights import AclEntry, Right, Version
 from repro.sim.clock import LocalClock
@@ -249,6 +249,44 @@ class TestQueryAnswering:
             ("alice", Right.USE) in m._grant_table[APP] for m in harness.managers
         )
         assert granted_anywhere
+
+    def test_expired_holders_leave_the_grant_table(self):
+        """A grant table keeps only holders whose ``Te`` deadline is still
+        ahead once it sweeps, so it cannot grow with every principal ever
+        granted; survivors keep their first-grant order."""
+        from repro.protocols.query import SWEEP_FLOOR
+
+        te = 5.0
+        harness = ManagerHarness(policy(check_quorum=1, expiry_bound=te), n_hosts=3)
+        manager = harness.managers[0]
+        users = [f"u{i}" for i in range(SWEEP_FLOOR + 1)]
+        manager.bootstrap(
+            APP, [AclEntry(user, Right.USE, True, Version(1, "~seed")) for user in users]
+        )
+
+        def grant(user, host="h0"):
+            manager.answerer.answer(
+                manager, host, QueryRequest(query_id=1, application=APP, user=user,
+                                            right=Right.USE)
+            )
+
+        for user in users[:-2]:  # one short of the floor: no sweep yet
+            grant(user)
+        grant(users[0], "h1")
+        harness.run(te / 2)
+        grant(users[0], "h2")
+        grant(users[0], "h1")  # a repeat grant keeps h1 ahead of h2
+        harness.run(te / 2)  # every h0 deadline and h1's first have passed
+        table = manager._grant_table[APP]
+        assert len(table) == SWEEP_FLOOR - 1
+        grant(users[-2])  # the table reaches the floor and sweeps
+        grant(users[-1])
+        now = harness.env.now
+        assert dict(table) == {
+            (users[0], Right.USE): ("h1", now - te / 2 + te, "h2", now - te / 2 + te),
+            (users[-2], Right.USE): ("h0", now + te),
+            (users[-1], Right.USE): ("h0", now + te),
+        }
 
     def test_unmanaged_application_silent(self):
         harness = ManagerHarness(policy(max_attempts=1))

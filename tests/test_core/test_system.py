@@ -1,11 +1,9 @@
-"""Tests for the AccessControlSystem builder and the name service."""
+"""Tests for the AccessControlSystem builder."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.messages import NameLookup
-from repro.core.name_service import TrustedNameService
 from repro.core.policy import AccessPolicy
 from repro.core.rights import Right
 from repro.core.system import AccessControlSystem
@@ -96,57 +94,6 @@ class TestBuilder:
         assert system.reachable_managers_from(0) == 4
         system.managers[0].crash()
         assert system.reachable_managers_from(0) == 3
-
-
-class TestNameServiceNode:
-    def test_register_and_lookup(self):
-        service = TrustedNameService()
-        service.register("app", ("m0", "m1"))
-        assert service.managers_of("app") == ("m0", "m1")
-        assert service.managers_of("ghost") == ()
-
-    def test_empty_manager_set_rejected(self):
-        with pytest.raises(ValueError):
-            TrustedNameService().register("app", ())
-
-    def test_deregister(self):
-        service = TrustedNameService()
-        service.register("app", ("m0",))
-        service.deregister("app")
-        assert service.managers_of("app") == ()
-
-    def test_system_wires_name_service(self):
-        system = AccessControlSystem(
-            n_managers=3, n_hosts=1, use_name_service=True
-        )
-        system.seed_grant("app", "u")
-        process = system.hosts[0].request_access("app", "u")
-        system.run(until=10)
-        assert process.value.allowed
-        assert system.name_service.lookups_served == 1
-
-    def test_manager_set_change_visible_after_ttl(self):
-        """Section 3.2: "if the set of managers changes, a scheme
-        similar to the time-based expiration ... can be used to trigger
-        a new query to the name service."""
-        policy = AccessPolicy(
-            check_quorum=1, name_service_ttl=5.0, expiry_bound=1.0,
-            max_attempts=2, query_timeout=0.5, retry_backoff=0.1,
-        )
-        system = AccessControlSystem(
-            n_managers=3, n_hosts=1, use_name_service=True, policy=policy
-        )
-        system.seed_grant("app", "u")
-        first = system.hosts[0].request_access("app", "u")
-        system.run(until=5)
-        assert first.value.allowed
-        # The manager set shrinks to just m2.
-        system.name_service.register("app", ("m2",))
-        system.run(until=20)  # TTL expires
-        second = system.hosts[0].request_access("app", "u")
-        system.run(until=30)
-        assert second.value.allowed
-        assert system.hosts[0]._ns_cache["app"][0] == ("m2",)
 
 
 class TestSetAppPolicy:

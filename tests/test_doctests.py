@@ -10,7 +10,6 @@ import doctest
 
 import pytest
 
-import repro.analysis.advisor
 import repro.sim.clock
 import repro.sim.engine
 import repro.sim.rng
@@ -19,7 +18,6 @@ MODULES = [
     repro.sim.engine,
     repro.sim.clock,
     repro.sim.rng,
-    repro.analysis.advisor,
 ]
 
 

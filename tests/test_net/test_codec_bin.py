@@ -112,6 +112,9 @@ class TestBinaryRoundTrip:
             decode_bin(b"")
         with pytest.raises(CodecError):
             decode_bin(b"\xff")  # unknown tag
+        for index in (11, 12, 0x7F):  # retired name-service slots; past the registry
+            with pytest.raises(CodecError):
+                decode_bin(bytes((0x0C, index)))
         with pytest.raises(CodecError):
             decode_bin(encode_bin(_MIX[0]) + b"\x00")  # trailing bytes
         with pytest.raises(CodecError):

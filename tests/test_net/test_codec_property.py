@@ -105,10 +105,6 @@ bare_messages = st.one_of(
     ),
     st.builds(m.Ping, nonce=ids, sender=names),
     st.builds(m.Pong, nonce=ids, sender=names),
-    st.builds(m.NameLookup, lookup_id=ids, application=names),
-    st.builds(
-        m.NameResult, lookup_id=ids, application=names, managers=st.tuples(names, names)
-    ),
     st.builds(
         m.AdminRequest,
         request_id=ids,

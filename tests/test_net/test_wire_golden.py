@@ -11,12 +11,15 @@ from the commit before the codec and session fast paths went in
 (``python tests/test_net/test_wire_golden.py`` rewrites it); a mixed-
 version cell interoperates exactly as long as it still matches.
 
-Re-recorded once since, explicitly: ``QueryRequest`` gained two trailing
+Re-recorded twice since, explicitly: ``QueryRequest`` gained two trailing
 fields (``key_id``, ``wrapped_key``), which moved the three
 ``QueryRequest`` bodies and the one segment that carries one; the keyed
 ``QueryRequest`` and the tagged ``SignedMessage`` were appended.  Every
 other vector stayed byte-identical
-(``test_rerecording_moved_only_the_query_request_vectors``).
+(``test_rerecording_moved_only_the_query_request_vectors``).  Then the
+name-service kinds (type numbers 11 and 12) were retired: their two
+bodies were dropped and every other vector, the dictionary size
+included, stayed byte-identical (the same digest test).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from repro.auth.identity import SignedMessage
 from repro.auth.signatures import Signature, Tag
 from repro.core import messages as m
 from repro.core.rights import AclEntry, Right, Version
-from repro.net.codec import _WIRE_TYPES, encode_message
+from repro.net.codec import _WIRE_SLOTS, encode_message
 from repro.net.codec_bin import BinaryDecoder, BinaryEncoder
 from repro.net.session import SessionAuth
 
@@ -67,8 +70,6 @@ MESSAGES = (
     ),
     m.Ping(nonce=2**62, sender="m0"),
     m.Pong(nonce=0, sender="m1"),
-    m.NameLookup(lookup_id=16384, application="app"),
-    m.NameResult(lookup_id=16384, application="app", managers=("m0", "m1", "m2")),
     m.AdminRequest(
         request_id=5, application="app", subject="p5@d5.example.org",
         right=Right.USE, grant=True, admin="root",
@@ -91,16 +92,18 @@ MESSAGES = (
                   signature=Tag(signer="m0", key_id=2**63 + 5, value=2**127 + 99)),
 )
 
-#: sha256 over the vectors the re-recording must not have moved, taken
-#: from the fixture as it stood before ``QueryRequest`` grew: bodies 3-22
-#: and the dictionary size, segments 0 and 2, and the JSON frame.
-_UNMOVED_SHA256 = "a71dc71d4b874dcb03715120f846eed006f987e40bfc2561f2cecb71cfa911e5"
+#: sha256 over the vectors neither re-recording may have moved, taken
+#: from the fixture as it stood before ``QueryRequest`` grew, minus the two
+#: retired name-service bodies: bodies 3-20 and the dictionary size,
+#: segments 0 and 2, and the JSON frame.
+_UNMOVED_SHA256 = "8c316880875dbe895c7339e745aa623035fcac25929465441ce8703dfe27a3ed"
 
-#: The registry order is the binary wire's type numbering: append-only.
+#: The registry order is the binary wire's type numbering: append-only,
+#: with ``None`` for a retired slot, never reused.
 _WIRE_INDEX = (
     "QueryRequest", "QueryResponse", "AclUpdate", "UpdateMsg", "UpdateAck", "RevokeNotify",
-    "RevokeNotifyAck", "SyncRequest", "SyncResponse", "Ping", "Pong", "NameLookup",
-    "NameResult", "AdminRequest", "AdminResponse", "AppRequest", "AppResponse",
+    "RevokeNotifyAck", "SyncRequest", "SyncResponse", "Ping", "Pong", None,
+    None, "AdminRequest", "AdminResponse", "AppRequest", "AppResponse",
     "SignedMessage", "Signature", "AclEntry", "Version", "Tag",
 )
 
@@ -115,11 +118,11 @@ def vectors() -> dict:
     bodies = [encoder.encode(message) for message in MESSAGES]
     auth = _session([1_700_000_000.25, 1_700_000_001.5, 1_700_000_002.0, 1_700_000_003.0])
     segments = [
-        auth.seal_segment("rt-a", "rt-b", [("c0", "h0", bodies[17]), ("c1", "h0", bodies[18])]),
+        auth.seal_segment("rt-a", "rt-b", [("c0", "h0", bodies[15]), ("c1", "h0", bodies[16])]),
         auth.seal_segment("rt-a", "rt-b", [("h0", "m0", bodies[0])]),
         auth.seal_segment("rt-é", "rt-b", []),
     ]
-    frame = auth.seal("c0", "h0", encode_message(MESSAGES[17]))
+    frame = auth.seal("c0", "h0", encode_message(MESSAGES[15]))
     return {
         "bodies": [body.hex() for body in bodies],
         "dictionary_size": encoder.dictionary_size,
@@ -138,7 +141,7 @@ def test_encoder_and_sealed_layouts_match_the_recorded_bytes():
 
 
 def _unmoved_digest(golden: dict) -> str:
-    kept = [golden["bodies"][3:23], golden["dictionary_size"],
+    kept = [golden["bodies"][3:21], golden["dictionary_size"],
             golden["segments"][0], golden["segments"][2], golden["json_frame"]]
     return hashlib.sha256(json.dumps(kept).encode("utf-8")).hexdigest()
 
@@ -148,7 +151,7 @@ def test_rerecording_moved_only_the_query_request_vectors():
 
 
 def test_wire_type_indices_are_pinned():
-    assert tuple(cls.__name__ for cls in _WIRE_TYPES) == _WIRE_INDEX
+    assert tuple(cls and cls.__name__ for cls in _WIRE_SLOTS) == _WIRE_INDEX
 
 
 def test_recorded_bytes_decode_and_open():
@@ -162,11 +165,11 @@ def test_recorded_bytes_decode_and_open():
     sender, recipient, items = receiver.open_segment(bytes.fromhex(golden["segments"][0]))
     assert (sender, recipient) == ("rt-a", "rt-b")
     assert [(src, dst) for src, dst, _body in items] == [("c0", "h0"), ("c1", "h0")]
-    assert [body.hex() for _src, _dst, body in items] == golden["bodies"][17:19]
+    assert [body.hex() for _src, _dst, body in items] == golden["bodies"][15:17]
     assert receiver.open_segment(bytes.fromhex(golden["segments"][1]))[2][0][:2] == ("h0", "m0")
     assert receiver.open_segment(bytes.fromhex(golden["segments"][2])) == ("rt-é", "rt-b", [])
     assert receiver.open(bytes.fromhex(golden["json_frame"])) == (
-        "c0", "h0", encode_message(MESSAGES[17]),
+        "c0", "h0", encode_message(MESSAGES[15]),
     )
 
 

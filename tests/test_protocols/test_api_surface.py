@@ -22,7 +22,7 @@ def params(func):
 class TestHostSurface:
     def test_constructor_signature(self):
         assert params(AccessControlHost.__init__) == [
-            "self", "address", "policy", "managers", "name_service",
+            "self", "address", "policy", "managers",
             "clock", "manager_authenticator", "interner", "shard_router",
         ]
 
@@ -39,7 +39,8 @@ class TestHostSurface:
         ]
 
     def test_configuration_methods_exist(self):
-        for name in ("policy_for", "set_policy", "set_managers", "cache_for"):
+        for name in ("policy_for", "set_policy", "set_managers", "manager_addrs_for",
+                     "cache_for"):
             assert callable(getattr(AccessControlHost, name))
 
     def test_check_access_is_a_generator(self):
