@@ -104,9 +104,9 @@ class AccessControlManager(Node):
         self._peers: Dict[str, Tuple[Address, ...]] = {}
         self._counter = 0
         self._update_ids = itertools.count(1)
-        # grant_table[app][(user, right)] = (host, deadline, ...): the hosts
-        # granted to, in first-grant order, each with the real-time deadline
-        # its cached copy expires by (a flat tuple: no dict per served miss).
+        # grant_table[app]: for each (user, right), the hosts granted to, in
+        # first-grant order, each with the real-time deadline its cached
+        # copy expires by (packed columns keyed by interned id).
         self._grant_table: Dict[str, GrantTable] = {}
         self._pending_updates: Dict[str, PendingUpdate] = {}
         #: notify id -> the ack callback of a RevokeNotify still retrying.
@@ -138,7 +138,7 @@ class AccessControlManager(Node):
         self.acls.setdefault(
             application, AccessControlList(application, self._ids)
         )
-        self._grant_table.setdefault(application, GrantTable())
+        self._grant_table.setdefault(application, GrantTable(self._ids))
 
     def policy_for(self, application: str) -> AccessPolicy:
         return self._policies.get(application, self.default_policy)

@@ -11,11 +11,12 @@ frames over the same ``_WIRE_SLOTS`` registry with
 * **varint integers** (LEB128, zigzag for signed) — query ids, nonces,
   and HLC counters are 1–9 bytes instead of decimal text, and Python's
   arbitrary precision survives (RSA signature values included);
-* a **per-session string dictionary** — the first occurrence of a name
+* a **per-session string dictionary** — the second occurrence of a name
   on a stream is a definition (``STR_DEF`` + UTF-8 bytes, id assigned
   implicitly in order), every later occurrence a 2-byte reference
-  (``STR_REF`` + varint id).  Principal, manager, application, origin
-  and verdict strings collapse to small integers after the first frame;
+  (``STR_REF`` + varint id).  Manager, application, origin and verdict
+  strings, and every principal a stream names twice, collapse to small
+  integers after their first frames;
 * **dense-block names** — names matching ``u<i>`` (canonical decimal,
   mirroring :class:`repro.core.ids.Interner`'s arithmetic dense prefix)
   are encoded as ``STR_DENSE`` + varint ``i`` with *no dictionary entry
@@ -33,11 +34,28 @@ reconnecting; a reference to an id the decoder never learned raises
 :class:`DictionaryError`, which the transport treats as fatal for the
 *connection* (not the process), forcing exactly that reset.
 
+A name enters the dictionary on its *second* sight, not its first.  The
+first goes out as ``STR_INLINE`` (the same bytes a definition costs)
+and is remembered only as the CRC32 of its UTF-8 bytes in a fixed
+table of :data:`SEEN_SLOTS` 32-bit slots; a name whose checksum already
+sits in its slot is defined.  A served miss names a principal once per
+connection, so under a define-on-first-sight rule every principal a
+cell ever served held an entry in every dictionary it crossed until
+:data:`DICT_MAX`, after which no new name compressed at all.  Under
+this rule a one-off name costs the encoder nothing and the decoder
+nothing, while a name that recurs is a reference from its third sight
+on.  A slot collision only moves a name between inline and definition,
+which the decoder follows from the tags alone, so the rule needs no
+agreement between peers: a decoder reads a stream whose every first
+occurrence is a definition exactly as before.  The checksum, not
+``hash()``, keeps the bytes identical in every process.
+
 Given the process's :class:`~repro.core.ids.Interner`
-(``decoder.interner``), a decoded definition the interner already holds
-*is* the interner's string, so a principal named on many connections is
-one string in memory.  The decoder never inserts into the interner, so
-hostile names cannot grow it; equal strings decode either way.
+(``decoder.interner``), a decoded definition or short inline text the
+interner already holds *is* the interner's string, so a principal named
+on many connections is one string in memory.  The decoder never inserts
+into the interner, so hostile names cannot grow it; equal strings
+decode either way.
 
 ``encode_bin``/``decode_bin`` are stateless conveniences (fresh coder
 per call) for tests, benches, and the local-loopback normalisation
@@ -47,9 +65,11 @@ path; on a real link use a persistent pair.
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import fields
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from zlib import crc32
 
 from ..core.ids import Interner, dense_index
 from ..core.rights import Right
@@ -66,6 +86,7 @@ __all__ = [
     "DENSE_PREFIX",
     "INTERN_MAX",
     "DICT_MAX",
+    "SEEN_SLOTS",
 ]
 
 
@@ -89,6 +110,13 @@ INTERN_MAX = 64
 #: Hard cap on dictionary entries per session; beyond it new strings go
 #: inline so a hostile peer cannot grow receiver memory without bound.
 DICT_MAX = 65536
+
+#: Slots of an encoder's first-sight table (a power of two): the CRC32
+#: of a name seen once, indexed by its low bits.
+SEEN_SLOTS = 4096
+
+_SEEN_MASK = SEEN_SLOTS - 1
+_NO_SIGHTINGS = bytes(4 * SEEN_SLOTS)
 
 # -- value tags ----------------------------------------------------------------
 _T_NONE = 0x00
@@ -181,10 +209,14 @@ _ENCODE_PLAN: Dict[Type[Any], Tuple[bytes, Callable[[Any], Tuple[Any, ...]]]] = 
 class BinaryEncoder:
     """Stateful message -> bytes encoder for one stream direction."""
 
-    __slots__ = ("_dict",)
+    __slots__ = ("_dict", "_seen")
 
     def __init__(self) -> None:
         self._dict: Dict[str, int] = {}
+        #: CRC32 of names seen once, by low bits; made on the first such
+        #: name, so a one-shot ``encode_bin`` of a message without one
+        #: never allocates it.
+        self._seen: Optional[array] = None
 
     @property
     def dictionary_size(self) -> int:
@@ -214,8 +246,17 @@ class BinaryEncoder:
             return
         raw = value.encode("utf-8")
         if len(raw) <= INTERN_MAX and len(self._dict) < DICT_MAX:
-            self._dict[value] = len(self._dict)
-            out.append(_T_STR_DEF)
+            seen = self._seen
+            if seen is None:
+                seen = self._seen = array("I", _NO_SIGHTINGS)
+            check = crc32(raw)
+            slot = check & _SEEN_MASK
+            if seen[slot] == check:  # second sight: define it
+                self._dict[value] = len(self._dict)
+                out.append(_T_STR_DEF)
+            else:
+                seen[slot] = check
+                out.append(_T_STR_INLINE)
         else:
             out.append(_T_STR_INLINE)
         write_varint(out, len(raw))
@@ -351,11 +392,11 @@ class BinaryDecoder:
                 text = bytes(data[pos:end]).decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise CodecError(f"undecodable string: {exc}") from None
+            if self.interner is not None and length <= INTERN_MAX:
+                text = self.interner.canonical(text)
             if tag == _T_STR_DEF:
                 if len(self._dict) >= DICT_MAX:
                     raise CodecError("dictionary overflow")
-                if self.interner is not None:
-                    text = self.interner.canonical(text)
                 self._dict.append(text)
             return text, end
         if tag == _T_STR_DENSE:

@@ -14,11 +14,14 @@ learns that its key was lost and must be offered again.
 
 from __future__ import annotations
 
-from typing import Optional
+from array import array
+from typing import Dict, List, Optional, Tuple
 
 from ..auth.identity import SignedMessage
 from ..auth.signatures import PAIRWISE_KEY_BYTES, key_fingerprint, make_tag
+from ..core.ids import Interner
 from ..core.messages import QueryRequest, QueryResponse, Verdict
+from ..core.rights import Right
 from ..sim.node import Address
 
 __all__ = ["GrantTable", "QueryAnswerer", "MAX_HOST_KEYS", "SWEEP_FLOOR"]
@@ -61,50 +64,144 @@ def _pairwise_key(manager, src: Address, request: QueryRequest) -> Optional[byte
     return key
 
 
-def _hold(holders: tuple, host: Address, deadline: float) -> tuple:
-    """Grant-table holders ``(host, deadline, ...)`` with ``host`` holding
-    until at least ``deadline``; a new host goes last (first-grant order)."""
-    for i in range(0, len(holders), 2):
-        if holders[i] == host:
-            if holders[i + 1] >= deadline:
-                return holders
-            return holders[: i + 1] + (deadline,) + holders[i + 2 :]
-    return holders + (host, deadline)
+class GrantTable:
+    """Which hosts were granted ``(user, right)`` of one application, and
+    until when: the hosts a revocation must chase (Section 3.1).
 
-
-class GrantTable(dict):
-    """``(user, right) -> (host, deadline, ...)`` for one application.
+    Keys are ``uid * 2 + right.index`` under the manager's interner, so
+    the table holds no name.  Each key maps to a chain of records in
+    typed columns — host index, ``Te`` deadline, next record — with
+    freed records kept on a free list: a single-holder key costs a dict
+    slot from an ``int`` key to an ``int`` record and 16 bytes of
+    columns, not a key tuple, a holders tuple and a boxed deadline.  A chain is in first-grant order: :meth:`hold` raises a
+    host's deadline in place and appends a new host last, and
+    :meth:`pop` returns the holders in that order, which is the order
+    :meth:`RevocationForwarder.forward` spawns its notifies in.
 
     A holder whose deadline has passed can never be sent a
-    ``RevokeNotify`` (:meth:`RevocationForwarder.forward` skips it), so
-    :meth:`sweep` drops it, and a key with none left; the answerer sweeps
-    whenever the table has doubled since the last sweep, which keeps the
-    table within twice its live keys at amortised O(1) per grant.
+    ``RevokeNotify`` (the forwarder skips it), so :meth:`sweep` drops
+    it, and a key with none left; the answerer sweeps whenever the
+    table has doubled since the last sweep, which keeps the table
+    within twice its live keys at amortised O(1) per grant.
     """
 
-    __slots__ = ("sweep_at",)
+    __slots__ = (
+        "_ids", "_head", "_host", "_deadline", "_next", "_free", "_hosts",
+        "_host_index", "sweep_at",
+    )
 
-    def __init__(self) -> None:
-        super().__init__()
+    def __init__(self, interner: Interner) -> None:
+        self._ids = interner
+        self._hosts: List[Address] = []  # host index -> address
+        self._host_index: Dict[Address, int] = {}
+        self.clear()
         self.sweep_at = SWEEP_FLOOR
+
+    def clear(self) -> None:
+        """Forget every holder (a crash: the table is volatile)."""
+        self._head: Dict[int, int] = {}  # packed key -> its first record
+        self._host = array("i")  # host index per record
+        self._deadline = array("d")  # Te deadline per record
+        self._next = array("i")  # next record of the chain (or free list); -1 ends it
+        self._free = -1
+
+    def _key(self, user: str, right: Right) -> int:
+        """Packed key of a held pair, or -1 if ``user`` was never interned."""
+        uid = self._ids.get(user)
+        return -1 if uid is None else uid * 2 + right.index
+
+    def _record(self, host: int, deadline: float) -> int:
+        """A record holding ``host`` until ``deadline``, ending a chain."""
+        record = self._free
+        if record < 0:
+            self._host.append(host)
+            self._deadline.append(deadline)
+            self._next.append(-1)
+            return len(self._next) - 1
+        self._free = self._next[record]
+        self._host[record] = host
+        self._deadline[record] = deadline
+        self._next[record] = -1
+        return record
+
+    def _release(self, record: int) -> None:
+        self._next[record] = self._free
+        self._free = record
+
+    def hold(self, user: str, right: Right, host: Address, deadline: float) -> None:
+        """Record that ``host`` holds ``(user, right)`` until at least
+        ``deadline``: a deadline only rises, a new host goes last."""
+        index = self._host_index.get(host)
+        if index is None:
+            index = self._host_index[host] = len(self._hosts)
+            self._hosts.append(host)
+        key = self._ids.intern(user) * 2 + right.index
+        record = self._head.get(key, -1)
+        if record < 0:
+            self._head[key] = self._record(index, deadline)
+            return
+        hosts, nexts = self._host, self._next
+        while hosts[record] != index:
+            last, record = record, nexts[record]
+            if record < 0:
+                nexts[last] = self._record(index, deadline)
+                return
+        if self._deadline[record] < deadline:
+            self._deadline[record] = deadline
+
+    def _walk(self, record: int) -> List[Tuple[Address, float]]:
+        held = []
+        while record >= 0:
+            held.append((self._hosts[self._host[record]], self._deadline[record]))
+            record = self._next[record]
+        return held
+
+    def holders(self, user: str, right: Right) -> List[Tuple[Address, float]]:
+        """``[(host, deadline), ...]`` of ``(user, right)``, first-grant order."""
+        return self._walk(self._head.get(self._key(user, right), -1))
+
+    def pop(self, user: str, right: Right) -> List[Tuple[Address, float]]:
+        """Remove ``(user, right)`` and return its holders, first-grant order."""
+        record = self._head.pop(self._key(user, right), -1)
+        held = self._walk(record)
+        while record >= 0:
+            following = self._next[record]
+            self._release(record)
+            record = following
+        return held
 
     def sweep(self, now: float) -> None:
         """Drop holders with ``now >= deadline``; survivors keep their
         first-grant order."""
-        stale = [key for key, holders in self.items() if now >= min(holders[1::2])]
-        for key in stale:
-            holders = self[key]
-            live = tuple(
-                item
-                for i in range(0, len(holders), 2)
-                if now < holders[i + 1]
-                for item in holders[i : i + 2]
-            )
-            if live:
-                self[key] = live
+        head, deadlines, nexts = self._head, self._deadline, self._next
+        for key, first in list(head.items()):
+            kept = last = -1
+            record = first
+            while record >= 0:
+                following = nexts[record]
+                if now >= deadlines[record]:
+                    self._release(record)
+                else:
+                    if last < 0:
+                        kept = record
+                    else:
+                        nexts[last] = record
+                    last = record
+                record = following
+            if last < 0:
+                del head[key]
             else:
-                del self[key]
-        self.sweep_at = max(2 * len(self), SWEEP_FLOOR)
+                nexts[last] = -1
+                if kept != first:
+                    head[key] = kept
+        self.sweep_at = max(2 * len(head), SWEEP_FLOOR)
+
+    def __len__(self) -> int:
+        """Keys with at least one holder."""
+        return len(self._head)
+
+    def __contains__(self, key: Tuple[str, Right]) -> bool:
+        return self._key(key[0], key[1]) in self._head
 
 
 class QueryAnswerer:
@@ -124,9 +221,8 @@ class QueryAnswerer:
         if entry is not None and entry.granted:
             manager.stats["grants"] += 1
             table = manager._grant_table[application]
-            key = (request.user, request.right)
             now = manager.env.now
-            table[key] = _hold(table.get(key, ()), src, now + policy.expiry_bound)
+            table.hold(request.user, request.right, src, now + policy.expiry_bound)
             if len(table) >= table.sweep_at:
                 table.sweep(now)
             verdict, version = Verdict.GRANT, entry.version

@@ -9,6 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.auth import signatures as signature_module
 from repro.auth.keys import PrivateKey, generate_keypair
 from repro.auth.signatures import (
     PAIRWISE_KEY_BYTES,
@@ -268,6 +269,24 @@ class TestTags:
     def test_values_no_mac_can_be_fail_without_raising(self, value):
         tag = make_tag("payload", "m0", self.KEY, 7)
         assert not check_tag("payload", dataclasses.replace(tag, value=value), self.KEY)
+
+    def test_tag_is_compared_in_constant_time_once(self, monkeypatch):
+        calls = []
+        compare = signature_module.hmac.compare_digest
+
+        def recording_compare(a, b):
+            calls.append((bytes(a), bytes(b)))
+            return compare(a, b)
+
+        monkeypatch.setattr(signature_module.hmac, "compare_digest", recording_compare)
+        tag = make_tag("payload", "m0", self.KEY, 7)
+        assert check_tag("payload", tag, self.KEY)
+        assert len(calls) == 1
+        assert calls[0][0] == tag.value.to_bytes(PAIRWISE_KEY_BYTES, "big")
+        assert not check_tag("payload", dataclasses.replace(tag, value=tag.value ^ 1), self.KEY)
+        assert len(calls) == 2 and calls[1][1] == calls[0][1]
+        assert not check_tag("payload", dataclasses.replace(tag, value=-1), self.KEY)
+        assert len(calls) == 2  # a value no MAC can be is refused before comparing
 
     def test_tag_covers_every_field_of_a_wire_message(self):
         message = MESSAGES[3]  # the QueryResponse

@@ -9,10 +9,11 @@ serve distinct misses through a client on its own runtime (so every
 name a node sees came off the wire) and check:
 
 (a) the bytes those misses leave allocated stay under a bound;
-(b) the host's cache entries and the managers' grant-table keys name
-    their users by the interner's own strings;
+(b) the host's cache entries name their users by the interner's own
+    strings, and the managers' grant tables key them by interned id;
 (c) a decoder that knows the interner never grows it;
-(d) the segment layer's name table stays bounded.
+(d) the segment layer's name table stays bounded;
+(e) a grant-table key with one holder costs a bounded number of bytes.
 """
 
 from __future__ import annotations
@@ -24,13 +25,15 @@ import tracemalloc
 import pytest
 
 from repro.core.client import UserClient
+from repro.core.ids import Interner
 from repro.core.messages import Ping
 from repro.core.policy import AccessPolicy
+from repro.core.rights import Right
 from repro.net.cell import LiveCell
 from repro.net.codec_bin import BinaryDecoder, BinaryEncoder
 from repro.net.runtime import LiveRuntime
 from repro.net.session import SessionAuth
-from repro.protocols.query import _hold
+from repro.protocols.query import GrantTable
 
 APP = "app"
 SEEDED = 2000
@@ -39,9 +42,15 @@ MISSES = 1000
 #: Retained bytes per served miss, allocated by ``repro`` code.  The
 #: count is deterministic per interpreter: with a separate copy of each
 #: name per decode and a dict of holders per grant-table key it read
-#: 2 089 / 1 984 / 1 904 on CPython 3.10 / 3.11 / 3.12, and with one
-#: copy per principal 1 303 / 1 197 / 1 189.
-BOUND_PER_MISS = 1600
+#: 2 089 / 1 984 / 1 904 on CPython 3.10 / 3.11 / 3.12, with one copy per
+#: principal 1 303 / 1 197 / 1 189; with second-sight dictionary
+#: admission and a columnar grant table 655 / 651 / 651.
+BOUND_PER_MISS = 800
+
+#: Grant-table bytes per key with one holder, at 20 000 keys: a key tuple
+#: and a holders tuple per key read 166 B on CPython 3.11, an int key to
+#: a chain of packed column records 102 / 110 / 110 B on 3.10 / 3.11 / 3.12.
+BOUND_PER_GRANT_KEY = 128
 
 
 def principal(index: int) -> str:
@@ -107,11 +116,13 @@ def test_cache_and_grant_table_name_users_by_the_interners_strings(served):
         return name is interner.name_of(interner.get(name))
 
     cached = [entry.user for host in cell.hosts for entry in host.cache_for(APP).entries()]
-    granted = [user for manager in cell.managers for user, _ in manager._grant_table[APP]]
+    tables = [manager._grant_table[APP] for manager in cell.managers]
     assert len(cached) == MISSES + WARM_UP
-    assert len(granted) == 2 * (MISSES + WARM_UP)  # C = 2 answers per miss
+    assert sum(map(len, tables)) == 2 * (MISSES + WARM_UP)  # C = 2 answers per miss
     assert all(map(own, cached)), "a cache entry holds its own copy of the user's name"
-    assert all(map(own, granted)), "a grant-table key holds its own copy of the user's name"
+    for index in range(MISSES + WARM_UP):
+        key = (principal(index), Right.USE)
+        assert sum(key in table for table in tables) == 2, index
 
 
 def test_decoder_never_grows_the_interner():
@@ -145,6 +156,50 @@ def test_segment_name_table_is_bounded():
 def test_grant_table_holders_keep_first_grant_order():
     """Revocation forwarding walks holders in the order hosts were first
     granted to; a repeat grant only moves that host's deadline later."""
-    holders = _hold(_hold(_hold((), "h1", 5.0), "h0", 3.0), "h1", 9.0)
-    assert holders == ("h1", 9.0, "h0", 3.0)
-    assert _hold(holders, "h0", 1.0) is holders
+    table = GrantTable(Interner())
+    for host, deadline in (("h1", 5.0), ("h0", 3.0), ("h1", 9.0), ("h0", 1.0)):
+        table.hold("alice", Right.USE, host, deadline)
+    assert table.holders("alice", Right.USE) == [("h1", 9.0), ("h0", 3.0)]
+    assert ("alice", Right.USE) in table and ("alice", Right.MANAGE) not in table
+    assert table.pop("alice", Right.USE) == [("h1", 9.0), ("h0", 3.0)]
+    assert len(table) == 0 and table.pop("alice", Right.USE) == []
+
+
+def test_grant_table_reuses_the_records_it_frees():
+    table = GrantTable(Interner())
+    for index in range(100):
+        table.hold(f"p{index}", Right.USE, "h0", 1.0)
+        table.hold(f"p{index}", Right.USE, "h1", 2.0)
+    table.sweep(1.5)  # every h0 holder has expired
+    assert table.holders("p7", Right.USE) == [("h1", 2.0)]
+    for index in range(50):
+        table.pop(f"p{index}", Right.USE)
+    records = len(table._next)
+    for index in range(100, 250):
+        table.hold(f"p{index}", Right.USE, "h2", 3.0)
+    assert len(table) == 200 and len(table._next) == records
+    table.clear()
+    assert len(table) == 0 and ("p7", Right.USE) not in table
+
+
+def test_grant_table_bytes_per_single_holder_key_are_bounded():
+    keys = 20_000
+    interner = Interner()
+    users = [f"p{index}@d{index % 251}.example.org" for index in range(keys)]
+    interner.intern_many(users)
+    table = GrantTable(interner)
+    table.hold("warm-up", Right.USE, "h0", 1.0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for index, user in enumerate(users):
+            table.hold(user, Right.USE, "h0", 1_000.0 + index)
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    # Unfiltered: a deadline float or key tuple the caller made counts too.
+    per_key = sum(stat.size_diff for stat in after.compare_to(before, "filename")) / keys
+    assert len(table) == keys + 1
+    assert per_key < BOUND_PER_GRANT_KEY, f"{per_key:.0f} bytes per grant-table key"

@@ -20,6 +20,18 @@ other vector stayed byte-identical
 name-service kinds (type numbers 11 and 12) were retired: their two
 bodies were dropped and every other vector, the dictionary size
 included, stayed byte-identical (the same digest test).
+
+Re-recorded a third time when encoders began defining a name on its
+second sight instead of its first: a name's first occurrence is now
+``STR_INLINE``, its second the definition, so every later id shifts.
+That moved every body but 21 (the keyed ``QueryRequest``, whose strings
+were all references already), segments 0 and 1 (which carry bodies 15,
+16 and 0), and the dictionary size (20 -> 9); segment 2 and the JSON
+frame stayed.  An encoder told it has seen every name reproduces the
+previous fixture byte for byte
+(``test_second_sight_admission_moved_only_string_tokens``), so the
+rule is the only change, and the older digest test still pins that
+previous fixture.
 """
 
 from __future__ import annotations
@@ -92,11 +104,15 @@ MESSAGES = (
                   signature=Tag(signer="m0", key_id=2**63 + 5, value=2**127 + 99)),
 )
 
-#: sha256 over the vectors neither re-recording may have moved, taken
-#: from the fixture as it stood before ``QueryRequest`` grew, minus the two
-#: retired name-service bodies: bodies 3-20 and the dictionary size,
-#: segments 0 and 2, and the JSON frame.
+#: sha256 over the vectors neither of the first two re-recordings may have
+#: moved, taken from the fixture as it stood before ``QueryRequest`` grew,
+#: minus the two retired name-service bodies: bodies 3-20 and the
+#: dictionary size, segments 0 and 2, and the JSON frame.
 _UNMOVED_SHA256 = "8c316880875dbe895c7339e745aa623035fcac25929465441ce8703dfe27a3ed"
+
+#: sha256 over the whole fixture as it stood before the second-sight
+#: admission rule (``json.dumps(..., sort_keys=True)``).
+_FIRST_SIGHT_SHA256 = "223ec3828f3f1d39e979d237ff920c7d68fdaca8a864ee41d437607947b8ecda"
 
 #: The registry order is the binary wire's type numbering: append-only,
 #: with ``None`` for a retired slot, never reused.
@@ -113,8 +129,23 @@ def _session(clock_values):
     return SessionAuth(b"golden-secret", clock=lambda: next(ticks))
 
 
-def vectors() -> dict:
+class _SeenBefore:
+    """A first-sight table that has seen every name: an encoder given it
+    defines each name on first sight, as encoders did before the
+    second-sight admission rule."""
+
+    class _Any:
+        def __eq__(self, other):
+            return True
+
+    def __getitem__(self, slot):
+        return self._Any()
+
+
+def vectors(define_on_first_sight: bool = False) -> dict:
     encoder = BinaryEncoder()
+    if define_on_first_sight:
+        encoder._seen = _SeenBefore()
     bodies = [encoder.encode(message) for message in MESSAGES]
     auth = _session([1_700_000_000.25, 1_700_000_001.5, 1_700_000_002.0, 1_700_000_003.0])
     segments = [
@@ -147,7 +178,12 @@ def _unmoved_digest(golden: dict) -> str:
 
 
 def test_rerecording_moved_only_the_query_request_vectors():
-    assert _unmoved_digest(json.loads(FIXTURE.read_text())) == _UNMOVED_SHA256
+    assert _unmoved_digest(vectors(define_on_first_sight=True)) == _UNMOVED_SHA256
+
+
+def test_second_sight_admission_moved_only_string_tokens():
+    before = json.dumps(vectors(define_on_first_sight=True), sort_keys=True)
+    assert hashlib.sha256(before.encode("utf-8")).hexdigest() == _FIRST_SIGHT_SHA256
 
 
 def test_wire_type_indices_are_pinned():
