@@ -54,8 +54,10 @@ bench-e2e-smoke:
 	sys.exit(1 if summary['problems'] or failed else 0)"
 
 # Boot a live cell, hit it with a closed-loop load burst (the report's
-# wire line shows the segments coalescing), then run the sim<->socket
-# differential suite (slow fuzz sample included).
+# wire line shows the segments coalescing), do the same to a hand-wired
+# one-manager/one-host cell, then run the sim<->socket differential
+# suite (slow fuzz sample included).
+net-smoke: SHELL := /bin/bash
 net-smoke:
 	rm -f /tmp/repro-cell.json
 	PYTHONPATH=src python -m repro serve --role cell --managers 3 --hosts 2 \
@@ -64,6 +66,21 @@ net-smoke:
 	PYTHONPATH=src python -m repro load --port-file /tmp/repro-cell.json \
 		--secret smoke --clients 4 --duration 5; status=$$?; \
 	kill $$pid 2>/dev/null; rm -f /tmp/repro-cell.json; exit $$status
+	peers=m0=127.0.0.1:7100,h0=127.0.0.1:7200; pids=; \
+	for node in manager:m0:7100 host:h0:7200; do \
+		IFS=: read role addr port <<< "$$node"; \
+		PYTHONPATH=src python -u -m repro serve --role $$role --address $$addr \
+			--listen 127.0.0.1:$$port --peers $$peers --manager-set m0 --check-quorum 1 \
+			--secret smoke --run-for 120 > /tmp/repro-$$addr.log & pids="$$pids $$!"; \
+	done; \
+	for addr in m0 h0; do for i in $$(seq 1 50); do \
+		grep -q "listening on" /tmp/repro-$$addr.log && break; sleep 0.2; done; done; \
+	echo '{"m0": ["127.0.0.1", 7100], "h0": ["127.0.0.1", 7200]}' > /tmp/repro-wired.json; \
+	PYTHONPATH=src python -m repro load --port-file /tmp/repro-wired.json \
+		--secret smoke --clients 4 --duration 5 --json > /tmp/repro-load.json \
+		&& python tools/check_load_report.py /tmp/repro-load.json; status=$$?; \
+	kill $$pids 2>/dev/null; rm -f /tmp/repro-wired.json /tmp/repro-load.json \
+		/tmp/repro-m0.log /tmp/repro-h0.log; exit $$status
 	PYTHONPATH=src python -m pytest -q tests/test_net -m ""
 
 # The CI population gate at local speed: 10^5 principals, K=4 shards,

@@ -12,7 +12,7 @@ drop that assumption:
   the rest of the protocol so they are indistinguishable by timing.
 
 * The defence lives in the regular components: managers sign their
-  responses (``AccessControlManager(principal=...)``), hosts verify
+  responses (a manager's ``principal``), hosts verify
   them (``manager_authenticator=...``) so a liar cannot impersonate an
   honest manager, and ``AccessPolicy(byzantine_f=f)`` makes hosts
   require ``f + 1`` managers vouching for the same (verdict, version)

@@ -21,9 +21,9 @@ True
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
-from ..protocols.sharding import ShardRouter
 from ..sim.clock import ClockFactory
 from ..sim.engine import Environment
 from ..sim.failures import CrashRecoveryInjector
@@ -32,6 +32,7 @@ from ..sim.partitions import ConnectivityModel, FullConnectivity
 from ..sim.rng import RngStreams
 from ..sim.trace import TraceKind, Tracer
 from .acl import AclBatch
+from .cellspec import CellSpec
 from .ids import Interner
 from .manager import AccessControlManager
 from .policy import AccessPolicy
@@ -51,9 +52,7 @@ class AccessControlSystem:
     n_hosts:
         Number of application hosts (``Hosts(A)``).
     applications:
-        Application names; every host serves all of them (deploy
-        concrete :class:`~repro.core.wrapper.Application` objects to
-        individual hosts as needed).
+        Application names; every host serves all of them.
     policy:
         Default :class:`~repro.core.policy.AccessPolicy` for hosts and
         managers.
@@ -63,37 +62,26 @@ class AccessControlSystem:
         connectivity with WAN-shaped latency and no loss.
     clock_drift:
         Give hosts drifting clocks within the policy's bound ``b``
-        (managers' timers use real-time intervals, which is equivalent
-        to rate-1 clocks; only host expiry depends on drift).
+        (managers run rate-1 clocks; only host expiry depends on drift).
     host_failures / manager_failures:
         Optional ``(mttf, mttr)`` pairs enabling crash/recovery
         injection for that node class.
     keep_trace_log:
         Retain every trace record in memory (tests, debugging).
     check_invariants:
-        Attach a :class:`repro.verify.InvariantChecker` that raises
-        :class:`repro.verify.InvariantViolation` the moment a protocol
-        invariant breaks.  ``None`` (the default) defers to
-        :func:`repro.verify.checking_enabled`, so exporting
-        ``REPRO_CHECK_INVARIANTS=1`` (or the CLI's
-        ``--check-invariants``) turns checking on for every system any
-        experiment constructs.
+        Attach a :class:`repro.verify.InvariantChecker` that raises the
+        moment a protocol invariant breaks.  ``None`` (the default)
+        defers to :func:`repro.verify.checking_enabled`
+        (``REPRO_CHECK_INVARIANTS=1``, the CLI's ``--check-invariants``).
     shards:
-        ``K`` — number of independent manager *groups*.  With the
-        default ``K=1`` the system is the classic flat deployment
-        (manager addresses ``m0..m{M-1}``), byte-identical to every
-        historical trace.  With ``K>1``, group ``g`` runs its own
-        unmodified quorum/freeze dissemination instance over managers
-        ``s{g}m0..s{g}m{M-1}``, applications are consistent-hashed onto
-        groups by a :class:`~repro.protocols.sharding.ShardRouter`, and
-        hosts resolve ``Managers(A)`` through the ring.  ``n_managers``
-        is the *per-group* size ``M`` throughout.
+        ``K`` — number of independent manager *groups*, each running its
+        own dissemination instance; ``n_managers`` is the *per-group*
+        size ``M``.  :meth:`~repro.core.cellspec.CellSpec.sized` names
+        the addresses and routes applications to groups.
     interner:
         Shared :class:`~repro.core.ids.Interner` backing every node's
-        hot state (ACL columns, cache keys, deny tables); created
-        fresh when omitted.  Mega-population runs pass
-        ``population.interner()`` so principal names are stored nowhere
-        but the population itself.
+        hot state; fresh when omitted.  Mega-population runs pass
+        ``population.interner()``, so names are stored only there.
     """
 
     def __init__(
@@ -115,17 +103,8 @@ class AccessControlSystem:
         shards: int = 1,
         interner: Optional[Interner] = None,
     ):
-        if n_managers < 1:
-            raise ValueError("need at least one manager")
-        if n_hosts < 0:
-            raise ValueError("host count cannot be negative")
-        if not applications:
-            raise ValueError("need at least one application")
-        if shards < 1:
-            raise ValueError("need at least one shard")
-        self.policy = policy or AccessPolicy()
-        self.policy.validate_for(n_managers)
-        self.applications = tuple(applications)
+        self.spec = CellSpec.sized(n_managers, n_hosts, applications, policy, shards)
+        self.policy = self.spec.policy
         self.interner = interner if interner is not None else Interner()
         self.streams = RngStreams(seed)
         self.env = Environment()
@@ -139,93 +118,30 @@ class AccessControlSystem:
             tracer=self.tracer,
             rng=self.streams.stream("network"),
         )
-
-        # Manager groups.  The flat (K=1) deployment keeps the classic
-        # ``m{i}`` addresses; sharded groups are ``s{g}m{i}`` so group
-        # membership is visible in every trace and log line.
-        self.shards = shards
-        self._group_size = n_managers
-        if shards == 1:
-            group_addrs = [tuple(f"m{i}" for i in range(n_managers))]
-        else:
-            group_addrs = [
-                tuple(f"s{g}m{i}" for i in range(n_managers))
-                for g in range(shards)
-            ]
-        self.group_addrs: Tuple[Tuple[str, ...], ...] = tuple(group_addrs)
-        self.shard_router: Optional[ShardRouter] = None
-        if shards > 1:
-            self.shard_router = ShardRouter(self.group_addrs)
-
-        self.managers: List[AccessControlManager] = []
-        self.manager_groups: List[List[AccessControlManager]] = []
-        for index, group in enumerate(self.group_addrs):
-            owned = [
-                app
-                for app in self.applications
-                if self.group_index_for(app) == index
-            ]
-            members: List[AccessControlManager] = []
-            for addr in group:
-                manager = self._new_manager(addr)
-                # manage() before register(): attach spawns the per-app
-                # dissemination monitors from the declared memberships.
-                for app in owned:
-                    manager.manage(app, group)
-                self.network.register(manager)
-                members.append(manager)
-                self.managers.append(manager)
-            self.manager_groups.append(members)
-        self.manager_addrs = tuple(
-            addr for group in self.group_addrs for addr in group
+        # Group by group, each manager registered as it is built (manage()
+        # before register(): attach spawns the per-app dissemination
+        # monitors), then the hosts, each drawing its clock in index order.
+        self.manager_groups: List[List[AccessControlManager]] = [
+            [self.network.register(self._new_manager(addr)) for addr in group]
+            for group in self.spec.groups
+        ]
+        self.managers = [manager for group in self.manager_groups for manager in group]
+        clocks = ClockFactory(
+            self.env, b=self.policy.clock_bound, rng=self.streams.stream("clocks")
         )
+        self.hosts: List[ApplicationHost] = [
+            self.network.register(self.spec.host(
+                addr,
+                clock=clocks.make() if clock_drift else clocks.perfect(),
+                interner=self.interner,
+            ))
+            for addr in self.spec.hosts
+        ]
 
-        clock_factory = ClockFactory(
-            self.env,
-            b=self.policy.clock_bound,
-            rng=self.streams.stream("clocks"),
+        self.host_injector = self._injector(self.hosts, host_failures, "host-failures")
+        self.manager_injector = self._injector(
+            self.managers, manager_failures, "manager-failures"
         )
-        self.hosts: List[ApplicationHost] = []
-        for i in range(n_hosts):
-            clock = clock_factory.make() if clock_drift else clock_factory.perfect()
-            resolution: Dict[str, Any]
-            if self.shard_router is not None:
-                # Sharded: hosts carry no static maps — the router is
-                # the (load-bearing) resolution path, a pure function
-                # of the application name and the ring.
-                resolution = {"shard_router": self.shard_router}
-            else:
-                resolution = {
-                    "managers": {app: self.manager_addrs for app in self.applications}
-                }
-            host = ApplicationHost(
-                f"h{i}", self.policy, clock=clock, interner=self.interner, **resolution
-            )
-            self.network.register(host)
-            self.hosts.append(host)
-
-        self.host_injector: Optional[CrashRecoveryInjector] = None
-        if host_failures is not None:
-            mttf, mttr = host_failures
-            self.host_injector = CrashRecoveryInjector(
-                self.env,
-                self.hosts,
-                mttf=mttf,
-                mttr=mttr,
-                rng=self.streams.stream("host-failures"),
-                tracer=self.tracer,
-            )
-        self.manager_injector: Optional[CrashRecoveryInjector] = None
-        if manager_failures is not None:
-            mttf, mttr = manager_failures
-            self.manager_injector = CrashRecoveryInjector(
-                self.env,
-                self.managers,
-                mttf=mttf,
-                mttr=mttr,
-                rng=self.streams.stream("manager-failures"),
-                tracer=self.tracer,
-            )
 
         self.checker = None
         if check_invariants is None:
@@ -237,8 +153,18 @@ class AccessControlSystem:
 
     def _new_manager(self, address: str) -> AccessControlManager:
         """One manager-group member; a subclass may build another
-        manager class (the experiments' lying managers)."""
-        return AccessControlManager(address, self.policy, interner=self.interner)
+        manager class through the spec (the experiments' lying managers)."""
+        return self.spec.manager(address, interner=self.interner)
+
+    def _injector(self, nodes: List[Any], failures: Optional[Tuple[float, float]],
+                  stream: str) -> Optional[CrashRecoveryInjector]:
+        if failures is None:
+            return None
+        mttf, mttr = failures
+        return CrashRecoveryInjector(
+            self.env, nodes, mttf=mttf, mttr=mttr,
+            rng=self.streams.stream(stream), tracer=self.tracer,
+        )
 
     @classmethod
     def experiment_cell(
@@ -264,16 +190,19 @@ class AccessControlSystem:
         )
         return self.checker
 
-    # -- shard routing -----------------------------------------------------------
+    # -- the cell's shape, as its spec describes it -------------------------------
+    applications = property(lambda self: self.spec.applications)
+    group_addrs = property(lambda self: self.spec.groups)
+    shard_router = property(lambda self: self.spec.shard_router)
+    manager_addrs = property(lambda self: self.spec.manager_addrs)
+
     def group_index_for(self, application: str) -> int:
         """Index of the manager group owning ``application`` (0 flat)."""
-        if self.shard_router is None:
-            return 0
-        return self.shard_router.shard_of(application)
+        return self.spec.group_index_for(application)
 
     def manager_addrs_for(self, application: str) -> Tuple[str, ...]:
         """Addresses of the group serving ``application``."""
-        return self.group_addrs[self.group_index_for(application)]
+        return self.spec.manager_addrs_for(application)
 
     def managers_for(self, application: str) -> List[AccessControlManager]:
         """The manager objects serving ``application``."""
@@ -281,13 +210,12 @@ class AccessControlSystem:
 
     def n_managers_for(self, application: str) -> int:
         """``M`` for the group serving ``application``."""
-        return len(self.group_addrs[self.group_index_for(application)])
+        return len(self.manager_addrs_for(application))
 
-    # -- convenience ------------------------------------------------------------
     @property
     def n_managers(self) -> int:
         """Per-group manager count ``M`` (= total managers when K=1)."""
-        return self._group_size
+        return len(self.spec.groups[0])
 
     @property
     def n_hosts(self) -> int:
@@ -346,7 +274,7 @@ class AccessControlSystem:
         """Add a new application to its owning group and every host."""
         if application in self.applications:
             return
-        self.applications = self.applications + (application,)
+        self.spec = replace(self.spec, applications=self.applications + (application,))
         owners = self.manager_addrs_for(application)
         for manager in self.managers_for(application):
             manager.manage(application, owners)
@@ -371,7 +299,8 @@ class AccessControlSystem:
         )
 
     def __repr__(self) -> str:
-        shard_note = f" shards={self.shards}" if self.shards > 1 else ""
+        shards = len(self.spec.groups)
+        shard_note = f" shards={shards}" if shards > 1 else ""
         return (
             f"<AccessControlSystem M={self.n_managers} hosts={self.n_hosts}"
             f"{shard_note} apps={list(self.applications)}>"

@@ -56,8 +56,8 @@ def measure_rates(
         def _new_manager(self, address: str):
             if address in honest:
                 return super()._new_manager(address)
-            return LyingManager(
-                address, self.policy, mode=GRANT_ALL,
+            return self.spec.manager(
+                address, LyingManager, mode=GRANT_ALL,
                 collude_as="cartel" if collude else None,
             )
 

@@ -1,21 +1,17 @@
 """:class:`LiveCell` — an in-process localhost deployment of the protocol.
 
-The live analogue of :class:`~repro.core.system.AccessControlSystem`:
-``M`` managers and ``N`` application hosts, each on its *own*
-:class:`~repro.net.runtime.LiveRuntime` (private environment, private
-frame server, real TCP between them), all inside one asyncio loop so a
-test can boot a whole cell in milliseconds and tear it down cleanly.
+The live analogue of :class:`~repro.core.system.AccessControlSystem`,
+built from the same :class:`~repro.core.cellspec.CellSpec` (which is what
+lets the differential suite demand identical decisions from both): each
+node on its *own* :class:`~repro.net.runtime.LiveRuntime` (private
+environment, private frame server, real TCP between them), all inside
+one asyncio loop.  :class:`LiveRecipe` and :func:`bootstrap_seeds` add
+what only live nodes carry — manager principals, the hosts'
+authenticator, :class:`EchoApplication`, the admin's ``MANAGE`` — for
+both :class:`LiveCell` and ``repro serve``'s single-node roles.
 
-Construction mirrors the sim system exactly — same policy object, same
-seed-grant versions, RSA principals on the managers with an
-authenticator on the hosts — which is what lets the differential suite
-run one scenario through both and demand identical decisions.
-
-Bootstrap order matters with ephemeral ports: every runtime binds port
-0 first, the real ports are collected into a shared address directory,
-and only then do the nodes learn their peers.  Seeded grants are recorded
-until :meth:`LiveCell.start`, which loads each application's list into
-every manager in one bulk write.
+Every runtime binds port 0 first; the real ports are collected into a
+shared address directory, and only then do the nodes learn their peers.
 """
 
 from __future__ import annotations
@@ -25,6 +21,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..auth.identity import Authenticator, Principal
 from ..core.acl import AclBatch
+from ..core.cellspec import CellSpec
 from ..core.ids import Interner
 from ..core.manager import AccessControlManager
 from ..core.policy import AccessPolicy
@@ -32,14 +29,21 @@ from ..core.rights import Right
 from ..core.wrapper import Application, ApplicationHost
 from ..sim.partitions import ScriptedConnectivity
 from .runtime import LiveRuntime
-from .session import DEFAULT_LIFETIME
 
-__all__ = ["LiveCell", "EchoApplication", "DEFAULT_SECRET"]
+__all__ = ["LiveCell", "LiveRecipe", "EchoApplication", "manager_principals", "bootstrap_seeds",
+           "load_seeds", "DEFAULT_SECRET", "ADMIN_USER"]
 
 T = TypeVar("T")
 
 #: Default shared HMAC secret for ad-hoc localhost cells.
 DEFAULT_SECRET = b"repro-localhost-cell"
+
+#: Bootstrapped with ``Right.MANAGE`` on every application of a live
+#: cell, so ``repro load`` can grant through the admin protocol.
+ADMIN_USER = "admin"
+
+#: application -> (users, right indices) a live manager is seeded with.
+Seeds = Dict[str, Tuple[List[str], bytearray]]
 
 
 class EchoApplication(Application):
@@ -52,17 +56,67 @@ class EchoApplication(Application):
         return {"echo": payload, "user": user}
 
 
+def manager_principals(spec: CellSpec) -> Dict[str, Principal]:
+    """Every manager's signing identity, by address: the one place live
+    manager keys come from.  Still :class:`Principal`'s name-derived
+    default, so separately booted processes agree — and so does anyone
+    who knows a manager's name (ROADMAP item 10)."""
+    return {address: Principal(address) for address in spec.manager_addrs}
+
+
+class LiveRecipe:
+    """What only live nodes carry on top of :class:`CellSpec`'s: managers
+    sign answers with their principal; hosts check them against one
+    authenticator of every manager's key, and run an
+    :class:`EchoApplication` per application."""
+
+    def __init__(self, spec: CellSpec, interner: Optional[Interner] = None) -> None:
+        self.spec = spec
+        self.interner = interner
+        self.principals = manager_principals(spec)
+        self.authenticator = Authenticator()
+        for principal in self.principals.values():
+            self.authenticator.register(principal)
+
+    def manager(self, address: str) -> AccessControlManager:
+        return self.spec.manager(address, principal=self.principals.get(address),
+                                 interner=self.interner)
+
+    def host(self, address: str) -> ApplicationHost:
+        host = self.spec.host(address, manager_authenticator=self.authenticator,
+                              interner=self.interner)
+        for app in self.spec.applications:
+            host.deploy(EchoApplication(app))
+        return host
+
+
+def bootstrap_seeds(spec: CellSpec, grants: Sequence[Tuple[str, Right]] = ()) -> Seeds:
+    """The ACL every live manager starts from: on each application, the
+    admin's ``MANAGE`` and then each ``(user, right)`` of ``grants``."""
+    users = [ADMIN_USER, *(user for user, _ in grants)]
+    rights = [Right.MANAGE.index, *(right.index for _, right in grants)]
+    return {app: (list(users), bytearray(rights)) for app in spec.applications}
+
+
+def load_seeds(managers: Sequence[AccessControlManager], seeds: Seeds) -> None:
+    """Hand each manager every application's seeds in one bulk write."""
+    for application, (users, rights) in seeds.items():
+        batch = AclBatch.seeds(users, bytes(rights))
+        for manager in managers:
+            manager.bootstrap(application, batch)
+
+
 class LiveCell:
     """An M-manager / N-host cell over localhost TCP.
 
     Use as an async context manager, or call :meth:`start` /
-    :meth:`stop` explicitly.  ``admin_user`` is bootstrapped with
-    ``Right.MANAGE`` on every application so ``repro load`` (and the
-    admin path of the differential scenarios) can issue grants through
-    the real :class:`~repro.protocols.admin.AdminService`.
-
+    :meth:`stop` explicitly.  Every manager starts from
+    :func:`bootstrap_seeds` plus what :meth:`seed_grant` recorded.
     ``codec`` accepts only ``"binary"``, as :class:`LiveRuntime` does.
     """
+
+    admin_user = ADMIN_USER
+    bind_host = "127.0.0.1"
 
     def __init__(
         self,
@@ -72,87 +126,31 @@ class LiveCell:
         policy: Optional[AccessPolicy] = None,
         secret: bytes = DEFAULT_SECRET,
         time_scale: float = 1.0,
-        lifetime: float = DEFAULT_LIFETIME,
-        admin_user: str = "admin",
-        sign_responses: bool = True,
-        bind_host: str = "127.0.0.1",
-        keep_log: bool = False,
         codec: str = "binary",
     ) -> None:
         if codec != "binary":
             raise ValueError(f"unknown codec {codec!r}: the live wire is binary")
-        if n_managers < 1:
-            raise ValueError("need at least one manager")
-        self.policy = policy or AccessPolicy()
-        self.policy.validate_for(n_managers)
-        self.applications = tuple(applications)
+        self.spec = CellSpec.sized(n_managers, n_hosts, applications, policy)
+        self.manager_addrs = self.spec.manager_addrs
         self.secret = secret
-        self.time_scale = float(time_scale)
-        self.lifetime = lifetime
-        self.admin_user = admin_user
-        self.bind_host = bind_host
         # Scripted partitions shared by every runtime of the cell,
         # consulted at send time; never attached, so it traces nothing.
         self.connectivity = ScriptedConnectivity()
         self.directory: Dict[str, Tuple[str, int]] = {}
-        self._started = False
         #: One user-name interner for every node of the cell, as
         #: :class:`~repro.core.system.AccessControlSystem` shares one.
         self.interner = Interner()
-        #: application -> (users, right indices) seeded so far; None once
-        #: :meth:`start` has handed them to the managers.
-        self._seeds: Optional[Dict[str, Tuple[List[str], bytearray]]] = {}
-
-        def make_runtime() -> LiveRuntime:
-            return LiveRuntime(
-                secret,
-                time_scale=self.time_scale,
-                lifetime=lifetime,
-                connectivity=self.connectivity,
-                keep_log=keep_log,
-            )
-
-        self.manager_addrs = tuple(f"m{i}" for i in range(n_managers))
-        manager_auth: Optional[Authenticator] = None
-        if sign_responses:
-            manager_auth = Authenticator()
-
+        #: Seeded grants so far; None once :meth:`start` has loaded them.
+        self._seeds: Optional[Seeds] = bootstrap_seeds(self.spec)
+        recipe = LiveRecipe(self.spec, self.interner)
+        self.managers = [recipe.manager(addr) for addr in self.manager_addrs]
+        self.hosts = [recipe.host(addr) for addr in self.spec.hosts]
         self.runtimes: Dict[str, LiveRuntime] = {}
-        self.managers: List[AccessControlManager] = []
-        for addr in self.manager_addrs:
-            principal = Principal(addr) if sign_responses else None
-            if manager_auth is not None and principal is not None:
-                manager_auth.register(principal)
-            manager = AccessControlManager(
-                addr, self.policy, principal=principal, interner=self.interner
+        for node in [*self.managers, *self.hosts]:
+            runtime = self.runtimes[node.address] = LiveRuntime(
+                secret, time_scale=time_scale, connectivity=self.connectivity
             )
-            for app in self.applications:
-                manager.manage(app, self.manager_addrs)
-            runtime = make_runtime()
-            runtime.register(manager)
-            self.runtimes[addr] = runtime
-            self.managers.append(manager)
-
-        self.hosts: List[ApplicationHost] = []
-        for i in range(n_hosts):
-            host = ApplicationHost(
-                f"h{i}",
-                self.policy,
-                managers={app: self.manager_addrs for app in self.applications},
-                manager_authenticator=manager_auth,
-                interner=self.interner,
-            )
-            for app in self.applications:
-                host.deploy(EchoApplication(app))
-            runtime = make_runtime()
-            runtime.register(host)
-            self.runtimes[host.address] = runtime
-            self.hosts.append(host)
-
-        # Out-of-protocol bootstrap, exactly like the sim system: seeded
-        # grants predate time zero, and the admin holds MANAGE everywhere.
-        for app in self.applications:
-            self.seed_grant(app, admin_user, Right.MANAGE)
+            runtime.register(node)
 
     # -- lifecycle -----------------------------------------------------------
     async def start(self) -> "LiveCell":
@@ -162,11 +160,9 @@ class LiveCell:
             self.directory[addr] = (self.bind_host, port)
         for runtime in self.runtimes.values():
             runtime.set_peers(self.directory)
-        self._started = True
         return self
 
     async def stop(self) -> None:
-        self._started = False
         await asyncio.gather(*(runtime.stop() for runtime in self.runtimes.values()))
 
     async def __aenter__(self) -> "LiveCell":
@@ -179,41 +175,25 @@ class LiveCell:
     def seed_grant(self, application: str, user: str, right: Right = Right.USE) -> None:
         """Grant ``right`` to ``user`` on every manager, outside the protocol.
 
-        Pre-start only.  The grant is recorded here, and :meth:`start`
-        hands each manager every recorded grant of an application in one
-        :meth:`~repro.core.manager.AccessControlManager.bootstrap`, as an
-        ``Add`` that completed before time zero.  After ``start`` the
-        managers' state belongs to their runtimes' passes (see
-        :meth:`call`), so seeding raises ``RuntimeError``; grant through
-        the protocol instead.
+        Recorded here; :meth:`start` loads each application's grants in
+        one bulk write, as an ``Add`` that completed before time zero.
+        After ``start`` the managers' state belongs to their runtimes'
+        passes, so seeding raises ``RuntimeError``.
         """
         if self._seeds is None:
             raise RuntimeError("seed_grant after start(): the cell is running")
-        if application not in self.applications:
-            raise KeyError(f"the cell does not serve {application!r}")
-        users, rights = self._seeds.setdefault(application, ([], bytearray()))
+        users, rights = self._seeds[application]  # KeyError: not an application of the cell
         users.append(user)
         rights.append(right.index)
 
     def _load_seeds(self) -> None:
-        """Hand every manager the recorded grants, one batch per application."""
         seeds, self._seeds = self._seeds, None
-        for application, (users, rights) in (seeds or {}).items():
-            batch = AclBatch.seeds(users, bytes(rights))
-            for manager in self.managers:
-                manager.bootstrap(application, batch)
+        load_seeds(self.managers, seeds or {})
 
     # -- cross-task execution -----------------------------------------------------
-    def runtime_of(self, address: str) -> LiveRuntime:
-        return self.runtimes[address]
-
     def call(self, address: str, fn: Callable[[], T]) -> "asyncio.Future[T]":
-        """Run ``fn()`` inside a pass of ``address``'s runtime; await the result.
-
-        This is how tests touch node state (issue an update, script a
-        crash) without racing the protocol: everything that reads or
-        writes a node happens in its own runtime's pass.
-        """
+        """Run ``fn()`` inside a pass of ``address``'s runtime; await the
+        result.  Node state is read and written only inside its passes."""
         runtime = self.runtimes[address]
         assert runtime.loop is not None, "cell not started"
         future: "asyncio.Future[T]" = runtime.loop.create_future()
@@ -238,13 +218,19 @@ class LiveCell:
             name=f"{host.address}/check:{user}@{application}",
         )
 
-    async def settle(self, sim_delta: float) -> None:
-        """Let every node's clock advance ``sim_delta`` more sim-seconds.
+    async def issue(self, address: str, application: str, user: str, grant: bool) -> None:
+        """Grant (or revoke) ``user`` through manager ``address``; returns
+        once every manager has applied the update."""
+        manager = self.node(address)
+        handle = await self.call(
+            address, lambda: (manager.add if grant else manager.revoke)(application, user)
+        )
+        await self.runtimes[address].when(handle.complete)
 
-        The live analogue of ``env.run(until=now + delta)``: a barrier on
-        the *laggiest* runtime, so all retries/expiries due in the window
-        have fired everywhere before the test proceeds.
-        """
+    async def settle(self, sim_delta: float) -> None:
+        """Let every node's clock advance ``sim_delta`` more sim-seconds:
+        a barrier on the *laggiest* runtime, so every retry and expiry
+        due in the window has fired everywhere before this returns."""
         target = max(rt.env.now for rt in self.runtimes.values()) + sim_delta
         await asyncio.gather(*(rt.wait_until(target) for rt in self.runtimes.values()))
 

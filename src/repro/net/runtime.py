@@ -38,7 +38,6 @@ from typing import Any, Callable, Deque, Dict, Optional, Tuple
 from ..sim.engine import Environment
 from ..sim.partitions import ScriptedConnectivity
 from ..sim.trace import Tracer
-from .session import DEFAULT_LIFETIME
 from .tcp import SocketTransport
 
 __all__ = ["LiveRuntime"]
@@ -70,7 +69,6 @@ class LiveRuntime:
         self,
         secret: bytes,
         time_scale: float = 1.0,
-        lifetime: float = DEFAULT_LIFETIME,
         connectivity: Optional[ScriptedConnectivity] = None,
         keep_log: bool = False,
         codec: str = "binary",
@@ -82,9 +80,7 @@ class LiveRuntime:
         self.env = Environment()
         self.tracer = Tracer(self.env, keep_log=keep_log)
         self.time_scale = float(time_scale)
-        self.transport = SocketTransport(
-            self, secret, lifetime=lifetime, connectivity=connectivity
-        )
+        self.transport = SocketTransport(self, secret, connectivity=connectivity)
         self.loop: Optional[asyncio.AbstractEventLoop] = None
         self._inbox: Deque[Tuple[str, str, Any]] = deque()
         self._calls: Deque[Callable[[], None]] = deque()

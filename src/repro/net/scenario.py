@@ -23,6 +23,10 @@ same checks hit the same caches, the same quorums see the same
 versions, the same revocations kill the same entries — which is
 exactly the equivalence the paper's deployment story needs.
 
+One interpreter, :func:`_interpret`, drives both legs through the same
+methods of a :class:`~repro.net.cell.LiveCell` or a :class:`_SimCell`;
+the sim leg runs it inside one sim process, event for event.
+
 Version canonicalisation: version counters are hybrid logical clocks
 embedding physical milliseconds, so raw counters differ across
 backends.  Outcomes instead rank the distinct versions in each run
@@ -34,8 +38,10 @@ same operations in the same dominance order.
 from __future__ import annotations
 
 import random
+import types
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Coroutine, Dict, List, Optional, Tuple
 
 from ..core.policy import AccessPolicy
 from ..core.rights import Right
@@ -43,8 +49,7 @@ from ..core.system import AccessControlSystem
 from ..sim.network import FixedLatency
 from ..sim.partitions import ScriptedConnectivity
 from ..verify.schedules import Schedule
-from .cell import DEFAULT_SECRET, LiveCell
-from .session import DEFAULT_LIFETIME
+from .cell import LiveCell
 
 __all__ = [
     "Scenario",
@@ -71,8 +76,8 @@ class Scenario:
 
     ``steps`` is a sequence of tuples; the first element names the
     operation (``check``/``grant``/``revoke``/``settle``/``partition``/
-    ``heal``/``crash``/``recover``), interpreted identically by both
-    executors.
+    ``heal``/``crash``/``recover``), interpreted by :func:`_interpret`
+    on both backends.
     """
 
     name: str
@@ -147,9 +152,7 @@ def derive_scenario(schedule: Schedule, name: Optional[str] = None) -> Scenario:
         ("settle", 0.5),
         ("check", checker, "alice", "partitioned-cached"),
         ("check", checker, "carol", "partitioned-exhausted"),
-        # heal() revives explicitly isolated links on both backends (the
-        # sim historically left them down, forcing a manual reconnect
-        # workaround here).
+        # heal() revives explicitly isolated links on both backends.
         ("heal",),
         ("settle", 1.0),
     ]
@@ -224,15 +227,79 @@ def _canonicalise(
     }
 
 
+def _cell_shape(scenario: Scenario) -> Dict[str, Any]:
+    """The constructor arguments both legs' cells share."""
+    return dict(
+        n_managers=scenario.n_managers, n_hosts=scenario.n_hosts,
+        applications=(APPLICATION,), policy=AccessPolicy(**scenario.policy),
+    )
+
+
+async def _interpret(cell: Any, scenario: Scenario) -> List[Tuple[str, bool, str]]:
+    """Run ``scenario``'s steps on ``cell``; the ``check`` decisions, in order."""
+    decisions = []
+    for op, *args in scenario.steps:
+        if op == "check":
+            index, user, label = args
+            decision = await cell.check(index, APPLICATION, user)
+            decisions.append((label, decision.allowed, decision.reason))
+        elif op in ("grant", "revoke"):
+            await cell.issue(args[0], APPLICATION, args[1], grant=op == "grant")
+        elif op in ("settle", "crash", "recover"):
+            await getattr(cell, op)(*args)
+        else:  # partition, heal
+            getattr(cell, op)(*args)
+    return decisions
+
+
 # -- the sim leg ---------------------------------------------------------------
+def _drive(coroutine: Coroutine[Any, Any, Any]) -> Any:
+    """A sim process running ``coroutine``: each event it awaits is
+    yielded to the environment and its value sent back."""
+    value = None
+    while True:
+        try:
+            event = coroutine.send(value)
+        except StopIteration as stop:
+            return stop.value
+        value = yield event
+
+
+class _SimCell:
+    """The :class:`~repro.net.cell.LiveCell` methods the interpreter
+    calls, on an :class:`~repro.core.AccessControlSystem`; awaited
+    inside :func:`_drive`, each yields its events to the environment."""
+
+    def __init__(self, system: Any, connectivity: ScriptedConnectivity) -> None:
+        self.system = system
+        self.partition, self.heal = connectivity.isolate, connectivity.heal
+        self.nodes = {node.address: node for node in [*system.managers, *system.hosts]}
+
+    @types.coroutine
+    def check(self, index: int, application: str, user: str) -> Any:
+        return (yield from self.system.hosts[index].check_access(application, user))
+
+    @types.coroutine
+    def issue(self, address: str, application: str, user: str, grant: bool) -> Any:
+        manager = self.nodes[address]
+        yield (manager.add if grant else manager.revoke)(application, user).complete
+
+    @types.coroutine
+    def settle(self, sim_delta: float) -> Any:
+        yield self.system.env.timeout(sim_delta)
+
+    async def crash(self, address: str) -> None:
+        self.nodes[address].crash()
+
+    async def recover(self, address: str) -> None:
+        self.nodes[address].recover()
+
+
 def run_scenario_sim(scenario: Scenario) -> ScenarioOutcome:
     """Execute ``scenario`` on the in-simulation backend."""
     connectivity = ScriptedConnectivity()
     system = AccessControlSystem(
-        n_managers=scenario.n_managers,
-        n_hosts=scenario.n_hosts,
-        applications=(APPLICATION,),
-        policy=AccessPolicy(**scenario.policy),
+        **_cell_shape(scenario),
         connectivity=connectivity,
         latency=FixedLatency(_SIM_LATENCY),
         clock_drift=False,
@@ -243,110 +310,30 @@ def run_scenario_sim(scenario: Scenario) -> ScenarioOutcome:
     # Mirror the live cell's bootstrap: its admin holds MANAGE everywhere.
     system.seed_grant(APPLICATION, "admin", Right.MANAGE)
 
-    outcome = ScenarioOutcome()
-    managers = {manager.address: manager for manager in system.managers}
-    nodes = {**managers, **{host.address: host for host in system.hosts}}
-
-    def driver():
-        for step in scenario.steps:
-            op = step[0]
-            if op == "check":
-                _, index, user, label = step
-                decision = yield from system.hosts[index].check_access(
-                    APPLICATION, user
-                )
-                outcome.decisions.append((label, decision.allowed, decision.reason))
-            elif op == "grant":
-                handle = managers[step[1]].add(APPLICATION, step[2])
-                yield handle.complete
-            elif op == "revoke":
-                handle = managers[step[1]].revoke(APPLICATION, step[2])
-                yield handle.complete
-            elif op == "settle":
-                yield system.env.timeout(step[1])
-            elif op == "partition":
-                connectivity.isolate(step[1], step[2])
-            elif op == "reconnect":
-                connectivity.reconnect(step[1], step[2])
-            elif op == "heal":
-                connectivity.heal()
-            elif op == "crash":
-                nodes[step[1]].crash()
-            elif op == "recover":
-                nodes[step[1]].recover()
-            else:  # pragma: no cover - derive_scenario only emits the above
-                raise ValueError(f"unknown scenario op {op!r}")
-
-    process = system.env.process(driver(), name=f"scenario:{scenario.name}")
+    driver = _drive(_interpret(_SimCell(system, connectivity), scenario))
+    process = system.env.process(driver, name=f"scenario:{scenario.name}")
     # Background maintenance (pings, cache sweeps) never drains the event
     # queue, so step until the driver itself completes.
     while not process.triggered:
         system.env.step()
     if not process.ok:
         raise process.value
-
-    outcome.acls = _canonicalise(
-        {addr: _snapshot_acl(manager) for addr, manager in managers.items()}
+    return ScenarioOutcome(
+        process.value,
+        _canonicalise({m.address: _snapshot_acl(m) for m in system.managers}),
     )
-    return outcome
 
 
 # -- the live leg --------------------------------------------------------------
-async def run_scenario_live(
-    scenario: Scenario,
-    time_scale: float = 40.0,
-    secret: bytes = DEFAULT_SECRET,
-    lifetime: float = DEFAULT_LIFETIME,
-) -> ScenarioOutcome:
+async def run_scenario_live(scenario: Scenario, time_scale: float = 40.0) -> ScenarioOutcome:
     """Execute ``scenario`` on the localhost TCP backend."""
-    cell = LiveCell(
-        n_managers=scenario.n_managers,
-        n_hosts=scenario.n_hosts,
-        applications=(APPLICATION,),
-        policy=AccessPolicy(**scenario.policy),
-        secret=secret,
-        time_scale=time_scale,
-        lifetime=lifetime,
-    )
+    cell = LiveCell(**_cell_shape(scenario), time_scale=time_scale)
     for user in scenario.seed_users:
         cell.seed_grant(APPLICATION, user)
-
-    outcome = ScenarioOutcome()
     async with cell:
-        for step in scenario.steps:
-            op = step[0]
-            if op == "check":
-                _, index, user, label = step
-                decision = await cell.check(index, APPLICATION, user)
-                outcome.decisions.append((label, decision.allowed, decision.reason))
-            elif op in ("grant", "revoke"):
-                _, manager_addr, user = step
-                manager = cell.node(manager_addr)
-                issue = manager.add if op == "grant" else manager.revoke
-                handle = await cell.call(
-                    manager_addr, lambda: issue(APPLICATION, user)
-                )
-                await cell.runtime_of(manager_addr).when(handle.complete)
-            elif op == "settle":
-                await cell.settle(step[1])
-            elif op == "partition":
-                cell.partition(step[1], step[2])
-            elif op == "reconnect":
-                cell.connectivity.reconnect(step[1], step[2])
-            elif op == "heal":
-                cell.heal()
-            elif op == "crash":
-                await cell.crash(step[1])
-            elif op == "recover":
-                await cell.recover(step[1])
-            else:  # pragma: no cover
-                raise ValueError(f"unknown scenario op {op!r}")
-
-        raw = {}
-        for manager_addr in cell.manager_addrs:
-            raw[manager_addr] = await cell.call(
-                manager_addr,
-                lambda m=cell.node(manager_addr): _snapshot_acl(m),
-            )
-    outcome.acls = _canonicalise(raw)
-    return outcome
+        decisions = await _interpret(cell, scenario)
+        raw = {
+            addr: await cell.call(addr, partial(_snapshot_acl, cell.node(addr)))
+            for addr in cell.manager_addrs
+        }
+    return ScenarioOutcome(decisions, _canonicalise(raw))

@@ -9,11 +9,13 @@ Three roles:
   with an explicit ``--listen`` endpoint and a static ``--peers``
   directory — the shape a real multi-machine deployment uses.
 
-All roles speak the same wire protocol: query responses RSA-signed or,
-once a host has handed a manager its pairwise key, tagged under it
-(:class:`~repro.auth.Principal`'s default key is a function of the
-identity alone, so separate processes agree), and length-prefixed
-binary segments sealed under ``--secret`` with replay nonces.
+Every role builds through one recipe (:class:`~repro.net.cell.LiveRecipe`
+over a :class:`~repro.core.cellspec.CellSpec`), so a manager booted alone
+starts from the ACL its address has inside ``--role cell`` with the same
+flags: the admin's ``MANAGE`` and every ``--grant``.  All roles speak one
+wire: answers RSA-signed or tagged under a pairwise key (manager keys are
+still derived from the address, so separate processes agree), in binary
+segments sealed under ``--secret`` with replay nonces.
 
 Examples
 --------
@@ -39,15 +41,13 @@ import signal
 from typing import Dict, List, Optional, Tuple
 
 from ..argtypes import positive
-from ..auth.identity import Authenticator, Principal
-from ..core.manager import AccessControlManager
+from ..core.cellspec import CellSpec
 from ..core.policy import AccessPolicy
 from ..core.rights import Right
-from ..core.wrapper import ApplicationHost
-from .cell import DEFAULT_SECRET, EchoApplication, LiveCell
+from .cell import DEFAULT_SECRET, LiveCell, LiveRecipe, bootstrap_seeds, load_seeds
 from .runtime import LiveRuntime
 
-__all__ = ["main", "build_parser", "pin_allocator"]
+__all__ = ["main", "build_parser", "cell_spec", "build_node", "pin_allocator"]
 
 
 def pin_allocator() -> bool:
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--secret", default=None,
                         help="shared HMAC session secret for the cell")
-    parser.add_argument("--apps", default="app",
+    parser.add_argument("--apps", default="app", type=_parse_names,
                         help="comma-separated application names (default: app)")
     parser.add_argument("--time-scale", type=positive(float), default=1.0,
                         help="sim-seconds per wall-second (default 1.0)")
@@ -88,16 +88,16 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit after this many wall seconds (default: run until signalled)")
     parser.add_argument("--check-quorum", type=int, default=None,
                         help="override the policy's check quorum C")
+    parser.add_argument("--grant", action="append", default=[], metavar="USER[:RIGHT]",
+                        type=_parse_grant,
+                        help="seed a grant on every manager before start (repeatable)")
     # -- cell role ---------------------------------------------------------
     parser.add_argument("--managers", type=positive(int), default=3,
                         help="[cell] number of managers (default 3)")
-    parser.add_argument("--hosts", type=int, default=2,
+    parser.add_argument("--hosts", type=positive(int), default=2,
                         help="[cell] number of application hosts (default 2)")
     parser.add_argument("--port-file", default=None,
                         help="[cell] write the address->host:port directory as JSON here")
-    parser.add_argument("--grant", action="append", default=[], metavar="USER[:RIGHT]",
-                        type=_parse_grant,
-                        help="[cell] seed a grant before start (repeatable)")
     # -- single-node roles ---------------------------------------------------
     parser.add_argument("--address", default=None,
                         help="[manager|host] this node's protocol address, e.g. m0")
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--peers", default="", metavar="ADDR=HOST:PORT,...",
                         type=_parse_peers,
                         help="[manager|host] static peer directory")
-    parser.add_argument("--manager-set", default="", metavar="m0,m1,...",
+    parser.add_argument("--manager-set", default=(), metavar="m0,m1,...", type=_parse_names,
                         help="[manager|host] the full Managers(A) address set")
     return parser
 
@@ -136,6 +136,13 @@ def _parse_peers(spec: str) -> Dict[str, Tuple[str, int]]:
     return directory
 
 
+def _parse_names(spec: str) -> Tuple[str, ...]:
+    names = tuple(filter(None, (part.strip() for part in spec.split(","))))
+    if not names:
+        raise argparse.ArgumentTypeError(f"{spec!r} names nothing")
+    return names
+
+
 def _parse_grant(spec: str) -> Tuple[str, Right]:
     user, _, right = spec.partition(":")
     rights = {r.value: r for r in Right}
@@ -146,51 +153,51 @@ def _parse_grant(spec: str) -> Tuple[str, Right]:
     return user, rights.get(right, Right.USE)
 
 
-def _policy(args: argparse.Namespace, n_managers: int) -> AccessPolicy:
+def cell_spec(args: argparse.Namespace) -> CellSpec:
+    """The cell the flags describe; ValueError if ``--check-quorum`` does
+    not fit it.  A single-node role knows only the manager set."""
     policy = AccessPolicy()
     if args.check_quorum is not None:
         policy = AccessPolicy(check_quorum=args.check_quorum)
-    policy.validate_for(n_managers)
-    return policy
+    if args.role == "cell":
+        return CellSpec.sized(args.managers, args.hosts, args.apps, policy)
+    return CellSpec(args.apps, (args.manager_set,), (), policy)
+
+
+def build_node(args: argparse.Namespace, spec: CellSpec) -> object:
+    """This process's one node, built and seeded as ``--role cell`` would."""
+    recipe = LiveRecipe(spec)
+    if args.role == "host":
+        return recipe.host(args.address)
+    manager = recipe.manager(args.address)
+    load_seeds([manager], bootstrap_seeds(spec, args.grant))
+    return manager
 
 
 async def _run_until_signalled(run_for: Optional[float]) -> None:
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
-    for signame in ("SIGINT", "SIGTERM"):
+    for signum in (signal.SIGINT, signal.SIGTERM):
         try:
-            loop.add_signal_handler(getattr(signal, signame), stop.set)
+            loop.add_signal_handler(signum, stop.set)
         except (NotImplementedError, RuntimeError):  # pragma: no cover
             pass
-    if run_for is not None:
-        try:
-            await asyncio.wait_for(stop.wait(), timeout=run_for)
-        except asyncio.TimeoutError:
-            pass
-    else:
-        await stop.wait()
+    try:  # a timeout of None waits for the signal alone
+        await asyncio.wait_for(stop.wait(), timeout=run_for)
+    except asyncio.TimeoutError:
+        pass
 
 
-async def _serve_cell(args: argparse.Namespace, secret: bytes, policy: AccessPolicy) -> int:
-    applications = tuple(filter(None, args.apps.split(",")))
-    cell = LiveCell(
-        n_managers=args.managers,
-        n_hosts=args.hosts,
-        applications=applications,
-        policy=policy,
-        secret=secret,
-        time_scale=args.time_scale,
-    )
+async def _serve_cell(args: argparse.Namespace, spec: CellSpec, secret: bytes) -> int:
+    cell = LiveCell(n_managers=args.managers, n_hosts=args.hosts, applications=spec.applications,
+                    policy=spec.policy, secret=secret, time_scale=args.time_scale)
     for user, right in args.grant:
-        for app in applications:
+        for app in spec.applications:
             cell.seed_grant(app, user, right)
     async with cell:
         if args.port_file:
-            directory = {
-                addr: [host, port] for addr, (host, port) in cell.directory.items()
-            }
             with open(args.port_file, "w", encoding="utf-8") as handle:
-                json.dump(directory, handle)
+                json.dump(cell.directory, handle)
         print(f"cell up: {args.managers} managers, {args.hosts} hosts")
         for addr, (host, port) in sorted(cell.directory.items()):
             print(f"  {addr} -> {host}:{port}")
@@ -199,31 +206,9 @@ async def _serve_cell(args: argparse.Namespace, secret: bytes, policy: AccessPol
     return 0
 
 
-async def _serve_node(
-    args: argparse.Namespace, secret: bytes, policy: AccessPolicy, manager_set: Tuple[str, ...]
-) -> int:
-    applications = tuple(filter(None, args.apps.split(",")))
+async def _serve_node(args: argparse.Namespace, spec: CellSpec, secret: bytes) -> int:
     runtime = LiveRuntime(secret, time_scale=args.time_scale)
-    if args.role == "manager":
-        node: object = AccessControlManager(
-            args.address, policy, principal=Principal(args.address)
-        )
-        for app in applications:
-            node.manage(app, manager_set)
-    else:
-        authenticator = Authenticator()
-        for addr in manager_set:
-            authenticator.register(Principal(addr))
-        node = ApplicationHost(
-            args.address,
-            policy,
-            managers={app: manager_set for app in applications},
-            manager_authenticator=authenticator,
-        )
-        for app in applications:
-            node.deploy(EchoApplication(app))
-    runtime.register(node)
-
+    runtime.register(build_node(args, spec))
     bind_host, bind_port = args.listen
     port = await runtime.start(bind_host, bind_port)
     runtime.set_peers(args.peers)
@@ -239,18 +224,15 @@ async def _serve_node(
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    manager_set = tuple(filter(None, args.manager_set.split(",")))
-    if args.role != "cell":
-        if not args.address:
-            parser.error("--address is required for --role manager|host")
-        if not manager_set:
-            parser.error("--manager-set is required for --role manager|host")
+    if args.role != "cell" and not (args.address and args.manager_set):
+        parser.error("--address and --manager-set are required for --role manager|host")
+    if args.role == "manager" and args.address not in args.manager_set:
+        parser.error(f"--address {args.address} is not in --manager-set")
     try:
-        policy = _policy(args, args.managers if args.role == "cell" else len(manager_set))
-    except ValueError as exc:
+        spec = cell_spec(args)
+    except ValueError as exc:  # the one check the argument types cannot make
         parser.error(f"argument --check-quorum: {exc}")
     secret = args.secret.encode("utf-8") if args.secret else DEFAULT_SECRET
     pin_allocator()
-    if args.role == "cell":
-        return asyncio.run(_serve_cell(args, secret, policy))
-    return asyncio.run(_serve_node(args, secret, policy, manager_set))
+    serve = _serve_cell if args.role == "cell" else _serve_node
+    return asyncio.run(serve(args, spec, secret))

@@ -368,7 +368,7 @@ class TestStrayKindsOverTheWire:
                         break
                     await asyncio.sleep(0.01)
                 running = [
-                    cell.runtime_of(addr)._running and cell.runtime_of(addr)._failure is None
+                    cell.runtimes[addr]._running and cell.runtimes[addr]._failure is None
                     for addr in ("h0", "m0")
                 ]
                 decision = await asyncio.wait_for(cell.check(0, "app", "alice"), 10.0)
