@@ -69,7 +69,7 @@ net-smoke:
 	peers=m0=127.0.0.1:7100,h0=127.0.0.1:7200; pids=; \
 	for node in manager:m0:7100 host:h0:7200; do \
 		IFS=: read role addr port <<< "$$node"; \
-		PYTHONPATH=src python -u -m repro serve --role $$role --address $$addr \
+		PYTHONPATH=src python -m repro serve --role $$role --address $$addr \
 			--listen 127.0.0.1:$$port --peers $$peers --manager-set m0 --check-quorum 1 \
 			--secret smoke --run-for 120 > /tmp/repro-$$addr.log & pids="$$pids $$!"; \
 	done; \

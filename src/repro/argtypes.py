@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 from typing import Callable
 
-__all__ = ["positive", "fraction"]
+__all__ = ["positive", "count", "fraction"]
 
 
 def positive(convert: Callable[[str], float]) -> Callable[[str], float]:
@@ -24,6 +24,13 @@ def positive(convert: Callable[[str], float]) -> Callable[[str], float]:
 
     parse.__name__ = convert.__name__
     return parse
+
+
+def count(text: str) -> int:
+    """Argument type: an int, refused if negative."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return int(text)
 
 
 def fraction(text: str) -> float:

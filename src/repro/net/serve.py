@@ -40,14 +40,14 @@ import json
 import signal
 from typing import Dict, List, Optional, Tuple
 
-from ..argtypes import positive
+from ..argtypes import count, positive
 from ..core.cellspec import CellSpec
 from ..core.policy import AccessPolicy
 from ..core.rights import Right
 from .cell import DEFAULT_SECRET, LiveCell, LiveRecipe, bootstrap_seeds, load_seeds
 from .runtime import LiveRuntime
 
-__all__ = ["main", "build_parser", "cell_spec", "build_node", "pin_allocator"]
+__all__ = ["main", "build_parser", "pin_allocator"]
 
 
 def pin_allocator() -> bool:
@@ -86,15 +86,15 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sim-seconds per wall-second (default 1.0)")
     parser.add_argument("--run-for", type=float, default=None, metavar="SECONDS",
                         help="exit after this many wall seconds (default: run until signalled)")
-    parser.add_argument("--check-quorum", type=int, default=None,
-                        help="override the policy's check quorum C")
+    parser.add_argument("--check-quorum", type=int, default=AccessPolicy.check_quorum,
+                        help="the policy's check quorum C (default %(default)s)")
     parser.add_argument("--grant", action="append", default=[], metavar="USER[:RIGHT]",
                         type=_parse_grant,
                         help="seed a grant on every manager before start (repeatable)")
     # -- cell role ---------------------------------------------------------
     parser.add_argument("--managers", type=positive(int), default=3,
                         help="[cell] number of managers (default 3)")
-    parser.add_argument("--hosts", type=positive(int), default=2,
+    parser.add_argument("--hosts", type=count, default=2,
                         help="[cell] number of application hosts (default 2)")
     parser.add_argument("--port-file", default=None,
                         help="[cell] write the address->host:port directory as JSON here")
@@ -153,24 +153,14 @@ def _parse_grant(spec: str) -> Tuple[str, Right]:
     return user, rights.get(right, Right.USE)
 
 
-def cell_spec(args: argparse.Namespace) -> CellSpec:
-    """The cell the flags describe; ValueError if ``--check-quorum`` does
-    not fit it.  A single-node role knows only the manager set."""
-    policy = AccessPolicy()
-    if args.check_quorum is not None:
-        policy = AccessPolicy(check_quorum=args.check_quorum)
-    if args.role == "cell":
-        return CellSpec.sized(args.managers, args.hosts, args.apps, policy)
-    return CellSpec(args.apps, (args.manager_set,), (), policy)
-
-
-def build_node(args: argparse.Namespace, spec: CellSpec) -> object:
-    """This process's one node, built and seeded as ``--role cell`` would."""
-    recipe = LiveRecipe(spec)
+def _build_node(args: argparse.Namespace, policy: AccessPolicy) -> object:
+    """This process's one node, built and seeded as ``--role cell`` builds
+    its address; ValueError if the policy does not fit the manager set."""
+    recipe = LiveRecipe(CellSpec(args.apps, (args.manager_set,), (), policy))
     if args.role == "host":
         return recipe.host(args.address)
     manager = recipe.manager(args.address)
-    load_seeds([manager], bootstrap_seeds(spec, args.grant))
+    load_seeds([manager], bootstrap_seeds(recipe.spec, args.grant))
     return manager
 
 
@@ -188,31 +178,31 @@ async def _run_until_signalled(run_for: Optional[float]) -> None:
         pass
 
 
-async def _serve_cell(args: argparse.Namespace, spec: CellSpec, secret: bytes) -> int:
-    cell = LiveCell(n_managers=args.managers, n_hosts=args.hosts, applications=spec.applications,
-                    policy=spec.policy, secret=secret, time_scale=args.time_scale)
+async def _serve_cell(args: argparse.Namespace, cell: LiveCell) -> int:
     for user, right in args.grant:
-        for app in spec.applications:
+        for app in cell.spec.applications:
             cell.seed_grant(app, user, right)
     async with cell:
         if args.port_file:
             with open(args.port_file, "w", encoding="utf-8") as handle:
                 json.dump(cell.directory, handle)
-        print(f"cell up: {args.managers} managers, {args.hosts} hosts")
+        lines = [f"cell up: {args.managers} managers, {args.hosts} hosts"]
         for addr, (host, port) in sorted(cell.directory.items()):
-            print(f"  {addr} -> {host}:{port}")
+            lines.append(f"  {addr} -> {host}:{port}")
+        print(*lines, sep="\n", flush=True)  # readiness must reach a pipe now, not at exit
         await _run_until_signalled(args.run_for)
     print("cell stopped")
     return 0
 
 
-async def _serve_node(args: argparse.Namespace, spec: CellSpec, secret: bytes) -> int:
+async def _serve_node(args: argparse.Namespace, node: object, secret: bytes) -> int:
     runtime = LiveRuntime(secret, time_scale=args.time_scale)
-    runtime.register(build_node(args, spec))
+    runtime.register(node)
     bind_host, bind_port = args.listen
     port = await runtime.start(bind_host, bind_port)
     runtime.set_peers(args.peers)
-    print(f"{args.role} {args.address} listening on {bind_host}:{port}")
+    # Flushed: readiness must reach a pipe now, not at exit.
+    print(f"{args.role} {args.address} listening on {bind_host}:{port}", flush=True)
     try:
         await _run_until_signalled(args.run_for)
     finally:
@@ -228,11 +218,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--address and --manager-set are required for --role manager|host")
     if args.role == "manager" and args.address not in args.manager_set:
         parser.error(f"--address {args.address} is not in --manager-set")
-    try:
-        spec = cell_spec(args)
-    except ValueError as exc:  # the one check the argument types cannot make
-        parser.error(f"argument --check-quorum: {exc}")
     secret = args.secret.encode("utf-8") if args.secret else DEFAULT_SECRET
     pin_allocator()
-    serve = _serve_cell if args.role == "cell" else _serve_node
-    return asyncio.run(serve(args, spec, secret))
+    try:  # the one check the argument types cannot make: C against the managers
+        policy = AccessPolicy(check_quorum=args.check_quorum)
+        if args.role == "cell":
+            cell = LiveCell(n_managers=args.managers, n_hosts=args.hosts, applications=args.apps,
+                            policy=policy, secret=secret, time_scale=args.time_scale)
+        else:
+            node = _build_node(args, policy)
+    except ValueError as exc:
+        parser.error(f"argument --check-quorum: {exc}")
+    if args.role == "cell":
+        return asyncio.run(_serve_cell(args, cell))
+    return asyncio.run(_serve_node(args, node, secret))
