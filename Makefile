@@ -53,31 +53,33 @@ bench-e2e-smoke:
 	print('problems:', summary['problems'], 'failed ops:', failed); \
 	sys.exit(1 if summary['problems'] or failed else 0)"
 
-# Boot a live cell, hit it with a closed-loop load burst (the report's
-# wire line shows the segments coalescing), do the same to a hand-wired
-# one-manager/one-host cell, then run the sim<->socket differential
-# suite (slow fuzz sample included).
+# Boot a live cell that writes its cell file, hit it with a closed-loop
+# load burst (the report's wire line shows the segments coalescing), do
+# the same to a hand-wired one-manager/one-host cell booted node by node
+# from a hand-written cell file, then run the sim<->socket differential
+# suite (slow fuzz sample included).  CI's net-smoke job runs this.
+LOAD_CHECKED = set -o pipefail; PYTHONPATH=src python -m repro load --secret smoke --clients 4 \
+	--duration 5 --json --cell
 net-smoke: SHELL := /bin/bash
 net-smoke:
 	rm -f /tmp/repro-cell.json
 	PYTHONPATH=src python -m repro serve --role cell --managers 3 --hosts 2 \
-		--secret smoke --port-file /tmp/repro-cell.json --run-for 120 & pid=$$!; \
+		--secret smoke --cell /tmp/repro-cell.json --run-for 120 & pid=$$!; \
 	for i in $$(seq 1 50); do [ -f /tmp/repro-cell.json ] && break; sleep 0.2; done; \
-	PYTHONPATH=src python -m repro load --port-file /tmp/repro-cell.json \
-		--secret smoke --clients 4 --duration 5; status=$$?; \
-	kill $$pid 2>/dev/null; rm -f /tmp/repro-cell.json; exit $$status
-	peers=m0=127.0.0.1:7100,h0=127.0.0.1:7200; pids=; \
-	for node in manager:m0:7100 host:h0:7200; do \
-		IFS=: read role addr port <<< "$$node"; \
+	$(LOAD_CHECKED) /tmp/repro-cell.json | tee /tmp/repro-load.json \
+		&& python tools/check_load_report.py /tmp/repro-load.json; status=$$?; \
+	kill $$pid 2>/dev/null; rm -f /tmp/repro-cell.json /tmp/repro-load.json; exit $$status
+	echo '{"applications": ["app"], "groups": [["m0"]], "hosts": ["h0"], "policy": {"check_quorum": 1},' \
+		'"endpoints": {"m0": ["127.0.0.1", 7100], "h0": ["127.0.0.1", 7200]}}' > /tmp/repro-wired.json; \
+	pids=; for node in manager:m0 host:h0; do \
+		IFS=: read role addr <<< "$$node"; \
 		PYTHONPATH=src python -m repro serve --role $$role --address $$addr \
-			--listen 127.0.0.1:$$port --peers $$peers --manager-set m0 --check-quorum 1 \
-			--secret smoke --run-for 120 > /tmp/repro-$$addr.log & pids="$$pids $$!"; \
+			--cell /tmp/repro-wired.json --secret smoke --run-for 120 > /tmp/repro-$$addr.log & \
+		pids="$$pids $$!"; \
 	done; \
 	for addr in m0 h0; do for i in $$(seq 1 50); do \
 		grep -q "listening on" /tmp/repro-$$addr.log && break; sleep 0.2; done; done; \
-	echo '{"m0": ["127.0.0.1", 7100], "h0": ["127.0.0.1", 7200]}' > /tmp/repro-wired.json; \
-	PYTHONPATH=src python -m repro load --port-file /tmp/repro-wired.json \
-		--secret smoke --clients 4 --duration 5 --json > /tmp/repro-load.json \
+	$(LOAD_CHECKED) /tmp/repro-wired.json | tee /tmp/repro-load.json \
 		&& python tools/check_load_report.py /tmp/repro-load.json; status=$$?; \
 	kill $$pids 2>/dev/null; rm -f /tmp/repro-wired.json /tmp/repro-load.json \
 		/tmp/repro-m0.log /tmp/repro-h0.log; exit $$status

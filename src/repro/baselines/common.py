@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core import rights
 from ..core.acl import AccessControlList
+from ..core.cellspec import CellSpec
 from ..core.host import AccessDecision, DecisionReason
 from ..core.messages import AclUpdate, QueryRequest, QueryResponse, Verdict
 from ..core.rights import SEED_ORIGIN, AclEntry, Right, Version
@@ -296,10 +297,8 @@ class BaselineSystem:
             tracer=self.tracer,
             rng=self.streams.stream("network"),
         )
-        self.manager_addrs: Tuple[str, ...] = tuple(
-            f"m{i}" for i in range(n_managers)
-        )
-        managers, hosts = self._build(tuple(f"h{i}" for i in range(n_hosts)))
+        (self.manager_addrs,), host_addrs = CellSpec.names(n_managers, n_hosts)
+        managers, hosts = self._build(host_addrs)
         for node in (*managers, *hosts):
             self.network.register(node)
         self.managers: List = list(managers)

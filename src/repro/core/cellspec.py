@@ -47,31 +47,37 @@ class CellSpec:
             raise ValueError("need at least one manager")
         for group in self.groups:
             self.policy.validate_for(len(group))
+        nodes = [*self.manager_addrs, *self.hosts]
+        if len(set(nodes)) != len(nodes):
+            raise ValueError("node names must be unique across groups and hosts")
         if self.shard_router is None and len(self.groups) > 1:
             object.__setattr__(self, "shard_router", ShardRouter(self.groups))
+
+    @staticmethod
+    def names(n_managers: int, n_hosts: int = 0, shards: int = 1
+              ) -> Tuple[Tuple[Tuple[Address, ...], ...], Tuple[Address, ...]]:
+        """The one naming rule, as ``(groups, hosts)``: a single group is
+        ``m0..m{M-1}``, group ``g`` of several is ``s{g}m0..s{g}m{M-1}``
+        (so membership shows in every trace line), and hosts are
+        ``h0..h{N-1}``.  Policy-free, so analyses that only need the
+        names of a cell's nodes share it without building one."""
+        prefixes = [""] if shards == 1 else [f"s{g}" for g in range(shards)]
+        return (tuple(tuple(f"{p}m{i}" for i in range(n_managers)) for p in prefixes),
+                tuple(f"h{i}" for i in range(n_hosts)))
 
     @classmethod
     def sized(cls, n_managers: int, n_hosts: int, applications: Sequence[str] = ("app",),
               policy: Optional[AccessPolicy] = None, shards: int = 1) -> "CellSpec":
-        """``shards`` groups of ``n_managers`` managers and ``n_hosts`` hosts.
-
-        The one naming rule: a single group is ``m0..m{M-1}``, group ``g``
-        of several is ``s{g}m0..s{g}m{M-1}`` (so membership shows in every
-        trace line), and hosts are ``h0..h{N-1}``.
-        """
+        """``shards`` groups of ``n_managers`` managers and ``n_hosts``
+        hosts, named by :meth:`names`."""
         if n_managers < 1:
             raise ValueError("need at least one manager")
         if n_hosts < 0:
             raise ValueError("host count cannot be negative")
         if shards < 1:
             raise ValueError("need at least one shard")
-        prefixes = [""] if shards == 1 else [f"s{g}" for g in range(shards)]
-        return cls(
-            tuple(applications),
-            tuple(tuple(f"{p}m{i}" for i in range(n_managers)) for p in prefixes),
-            tuple(f"h{i}" for i in range(n_hosts)),
-            policy or AccessPolicy(),
-        )
+        groups, hosts = cls.names(n_managers, n_hosts, shards)
+        return cls(tuple(applications), groups, hosts, policy or AccessPolicy())
 
     @property
     def manager_addrs(self) -> Tuple[Address, ...]:

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..core.byzantine import GRANT_ALL, LyingManager
+from ..core.cellspec import CellSpec
 from ..core.system import AccessControlSystem
 from .base import (
     ExperimentResult,
@@ -50,7 +51,7 @@ def measure_rates(
     (the analysis policy asks all managers at once): the adversary's
     best case.
     """
-    honest = tuple(f"m{i}" for i in range(n_managers - liars))
+    (honest,), _ = CellSpec.names(n_managers - liars)
 
     class Cell(AccessControlSystem):
         def _new_manager(self, address: str):

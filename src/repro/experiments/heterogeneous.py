@@ -31,6 +31,7 @@ from ..analysis.heterogeneous import (
     PairwiseInaccessibility,
     poisson_binomial_tail,
 )
+from ..core.cellspec import CellSpec
 from .base import ExperimentResult
 
 __all__ = ["run", "flaky_manager_model", "shared_link_model"]
@@ -40,7 +41,7 @@ def flaky_manager_model(
     m: int = 6, base_pi: float = 0.05, flaky_pi: float = 0.5
 ) -> PairwiseInaccessibility:
     """m managers, the last one hard to reach from everywhere."""
-    managers = [f"m{i}" for i in range(m)]
+    (managers,), _ = CellSpec.names(m)
     flaky = managers[-1]
 
     def pi_between(a: str, b: str) -> float:
@@ -58,7 +59,7 @@ def shared_link_model(
     m: int = 6, private_pi: float = 0.05, shared_pi: float = 0.2
 ) -> CorrelatedInaccessibility:
     """Half the managers sit behind one failure-prone shared link."""
-    managers = [f"m{i}" for i in range(m)]
+    (managers,), _ = CellSpec.names(m)
     groups = {mgr: ("behind-link" if i < m // 2 else "direct")
               for i, mgr in enumerate(managers)}
     return CorrelatedInaccessibility(

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..analysis.quorum_math import availability
+from ..core.cellspec import CellSpec
 from ..metrics.estimators import wilson_interval
 from ..protocols.sharding import ShardRouter
 from .base import ExperimentResult, run_grid
@@ -30,9 +31,7 @@ __all__ = ["run", "simulate_shard_pa", "app_for_shard"]
 def app_for_shard(shards: int, n_managers: int, shard: int) -> str:
     """Deterministically find an application name the ring places on
     ``shard`` (pure function of the ring, so every process agrees)."""
-    groups = [
-        tuple(f"s{g}m{i}" for i in range(n_managers)) for g in range(shards)
-    ]
+    groups, _ = CellSpec.names(n_managers, shards=shards)
     router = ShardRouter(groups)
     index = 0
     while True:

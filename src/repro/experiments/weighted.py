@@ -25,6 +25,7 @@ from ..analysis.weighted import (
     best_thresholds,
     best_unit_counts,
 )
+from ..core.cellspec import CellSpec
 from ..core.system import AccessControlSystem
 from ..protocols import WeightedVoteCombiner
 from .base import (
@@ -73,7 +74,7 @@ def simulate_scheme(
 
 def build_setting(m: int = 5, base_pi: float = 0.1, flaky_pi: float = 0.45):
     """m managers, the last one hard to reach from everywhere."""
-    managers = [f"m{i}" for i in range(m)]
+    (managers,), _ = CellSpec.names(m)
     flaky = managers[-1]
 
     def pi_of(target: str) -> float:

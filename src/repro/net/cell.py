@@ -12,11 +12,17 @@ both :class:`LiveCell` and ``repro serve``'s single-node roles.
 
 Every runtime binds port 0 first; the real ports are collected into a
 shared address directory, and only then do the nodes learn their peers.
+
+Outside a process, a live cell is a *cell file*: the spec plus each
+node's endpoint (:func:`write_cell`, :func:`read_cell`).
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
+import os
+import tempfile
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..auth.identity import Authenticator, Principal
@@ -31,7 +37,7 @@ from ..sim.partitions import ScriptedConnectivity
 from .runtime import LiveRuntime
 
 __all__ = ["LiveCell", "LiveRecipe", "EchoApplication", "manager_principals", "bootstrap_seeds",
-           "load_seeds", "DEFAULT_SECRET", "ADMIN_USER"]
+           "load_seeds", "read_cell", "write_cell", "DEFAULT_SECRET", "ADMIN_USER"]
 
 T = TypeVar("T")
 
@@ -44,6 +50,11 @@ ADMIN_USER = "admin"
 
 #: application -> (users, right indices) a live manager is seeded with.
 Seeds = Dict[str, Tuple[List[str], bytearray]]
+
+#: node address -> (host, port) it listens on.
+Directory = Dict[str, Tuple[str, int]]
+
+_CELL_KEYS = {"applications", "groups", "hosts", "policy", "endpoints"}
 
 
 class EchoApplication(Application):
@@ -99,11 +110,71 @@ def bootstrap_seeds(spec: CellSpec, grants: Sequence[Tuple[str, Right]] = ()) ->
 
 
 def load_seeds(managers: Sequence[AccessControlManager], seeds: Seeds) -> None:
-    """Hand each manager every application's seeds in one bulk write."""
+    """Hand each manager the seeds of every application it manages (its
+    group's, in a cell of several), one bulk write each."""
     for application, (users, rights) in seeds.items():
         batch = AclBatch.seeds(users, bytes(rights))
         for manager in managers:
-            manager.bootstrap(application, batch)
+            if application in manager.acls:
+                manager.bootstrap(application, batch)
+
+
+def write_cell(path: str, spec: CellSpec, directory: Directory) -> None:
+    """Write the cell file for ``spec`` at ``path``, atomically: a reader
+    polling for the path sees no file or the whole one."""
+    document = {"applications": spec.applications, "groups": spec.groups, "hosts": spec.hosts,
+                "policy": {"check_quorum": spec.policy.check_quorum}, "endpoints": directory}
+    fd, temp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
+def _expect(ok: Any, fault: str) -> None:
+    if not ok:
+        raise ValueError(fault)
+
+
+def _distinct_names(value: Any) -> bool:
+    return (isinstance(value, list) and all(isinstance(name, str) and name for name in value)
+            and len(set(value)) == len(value))
+
+
+def read_cell(path: str) -> Tuple[CellSpec, Directory]:
+    """The spec and endpoint directory of the cell file at ``path``.
+
+    Outside input: OSError if unreadable, else ValueError naming the
+    first fault against the form :func:`write_cell` writes (``policy``
+    optional), one ``[host, port 0-65535]`` endpoint per node, unique
+    names and the spec's own checks.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        raw = json.load(handle)
+    _expect(isinstance(raw, dict) and _CELL_KEYS - {"policy"} <= set(raw) <= _CELL_KEYS,
+            f"a cell file is an object of the keys {sorted(_CELL_KEYS)} (policy optional)")
+    policy, groups, endpoints = raw.get("policy", {}), raw["groups"], raw["endpoints"]
+    _expect(isinstance(policy, dict) and set(policy) <= {"check_quorum"}
+            and type(policy.get("check_quorum", 1)) is int,
+            "'policy' holds only an integer 'check_quorum'")
+    for key in ("applications", "hosts"):
+        _expect(_distinct_names(raw[key]), f"{key!r} must be a list of distinct names")
+    _expect(isinstance(groups, list) and all(map(_distinct_names, groups)),
+            "'groups' must be a list of lists of distinct names")
+    spec = CellSpec(tuple(raw["applications"]), tuple(map(tuple, groups)), tuple(raw["hosts"]),
+                    AccessPolicy(**policy))
+    nodes = {*spec.manager_addrs, *spec.hosts}
+    _expect(isinstance(endpoints, dict), "'endpoints' must map each node to [host, port]")
+    _expect(set(endpoints) == nodes, f"nodes without an endpoint: {sorted(nodes - set(endpoints))}"
+                                     f", endpoints of no node: {sorted(set(endpoints) - nodes)}")
+    for address, endpoint in endpoints.items():
+        _expect(isinstance(endpoint, list) and len(endpoint) == 2 and isinstance(endpoint[0], str)
+                and endpoint[0] and type(endpoint[1]) is int and 0 <= endpoint[1] <= 65535,
+                f"endpoint of {address!r} is not [host, port 0-65535]: {endpoint!r}")
+    return spec, {address: (host, port) for address, (host, port) in endpoints.items()}
 
 
 class LiveCell:
@@ -136,7 +207,7 @@ class LiveCell:
         # Scripted partitions shared by every runtime of the cell,
         # consulted at send time; never attached, so it traces nothing.
         self.connectivity = ScriptedConnectivity()
-        self.directory: Dict[str, Tuple[str, int]] = {}
+        self.directory: Directory = {}
         #: One user-name interner for every node of the cell, as
         #: :class:`~repro.core.system.AccessControlSystem` shares one.
         self.interner = Interner()

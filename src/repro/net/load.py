@@ -1,18 +1,18 @@
 """``repro load`` — a closed-loop load generator for a live cell.
 
 Boots ``--clients`` :class:`~repro.core.client.UserClient` nodes in one
-local runtime, points them at the cell described by ``--port-file``
-(written by ``repro serve --role cell``), and drives a closed loop:
-each client issues an application request, awaits the response, and
+local runtime, points them at the hosts of the cell file ``--cell``
+(:func:`~repro.net.cell.read_cell`), and drives a closed loop: each
+client issues an application request, awaits the response, and
 immediately issues the next, for ``--duration`` wall seconds.
 
 Each client's user is first granted access *through the protocol*: an
 :class:`~repro.core.admin.AdminClient` (identity ``--admin-user``,
 which the cell bootstraps with the manage right) sends a signed-path
-``AdminRequest`` to a manager and waits for the quorum-acknowledged
-``AdminResponse`` — so a load run exercises administration,
-dissemination, verification, caching, and the application wrapper over
-real sockets before the first measured request.
+``AdminRequest`` to a manager of ``Managers(--app)`` and waits for the
+quorum-acknowledged ``AdminResponse`` — so a load run exercises
+administration, dissemination, verification, caching, and the
+application wrapper over real sockets before the first measured request.
 
 The report uses the PR-5 streaming summaries: wall-clock request
 latency quantiles (p50/p95/p99), throughput, and outcome counts,
@@ -27,13 +27,14 @@ import itertools
 import json
 import secrets
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..argtypes import positive
 from ..core.admin import AdminClient
+from ..core.cellspec import CellSpec
 from ..core.client import UserClient
 from ..metrics.streaming import StreamingSummary
-from .cell import DEFAULT_SECRET
+from .cell import DEFAULT_SECRET, Directory, read_cell
 from .runtime import LiveRuntime
 
 __all__ = ["main", "build_parser", "run_load"]
@@ -44,8 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro load",
         description="Drive a live cell with closed-loop client traffic.",
     )
-    parser.add_argument("--port-file", required=True,
-                        help="address directory JSON written by repro serve --role cell")
+    parser.add_argument("--cell", required=True, metavar="FILE",
+                        help="the cell file, as repro serve --role cell writes it")
     parser.add_argument("--secret", default=None,
                         help="shared HMAC session secret (must match the cell's)")
     parser.add_argument("--clients", type=positive(int), default=4,
@@ -65,14 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_directory(path: str) -> Dict[str, Tuple[str, int]]:
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
-    return {addr: (host, int(port)) for addr, (host, port) in raw.items()}
-
-
 async def run_load(
-    directory: Dict[str, Tuple[str, int]],
+    spec: CellSpec,
+    directory: Directory,
     secret: bytes,
     n_clients: int = 4,
     duration: float = 5.0,
@@ -81,12 +77,8 @@ async def run_load(
     admin_user: str = "admin",
     time_scale: float = 1.0,
 ) -> Dict[str, Any]:
-    """Drive the cell; returns the report dict (pure-Python entry point)."""
-    manager_addrs = sorted(a for a in directory if a.startswith("m"))
-    host_addrs = sorted(a for a in directory if a.startswith("h"))
-    if not manager_addrs or not host_addrs:
-        raise ValueError("directory must contain manager (m*) and host (h*) addresses")
-
+    """Drive the hosts of ``spec``, whose nodes listen at ``directory``;
+    returns the report dict (pure-Python entry point)."""
     # Client node addresses carry a per-run tag: the cell's session auth
     # tracks replay nonces per sender name, so a second load run reusing
     # the previous run's names would start its nonces over and be
@@ -110,6 +102,7 @@ async def run_load(
 
         # Phase 1: grant every client user through the admin protocol.
         grant_started = time.monotonic()
+        manager_addrs = spec.manager_addrs_for(application)
         for index, client in enumerate(clients):
             manager = manager_addrs[index % len(manager_addrs)]
             result = await runtime.run_process(
@@ -147,7 +140,7 @@ async def run_load(
         deadline = start + duration
         totals = await asyncio.gather(
             *(
-                closed_loop(client, host_addrs[index % len(host_addrs)])
+                closed_loop(client, spec.hosts[index % len(spec.hosts)])
                 for index, client in enumerate(clients)
             )
         )
@@ -205,11 +198,21 @@ def _print_report(report: Dict[str, Any]) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        spec, directory = read_cell(args.cell)
+    except (OSError, ValueError) as exc:
+        parser.error(f"argument --cell: {exc}")
+    if not spec.hosts:
+        parser.error(f"argument --cell: {args.cell} has no hosts to load")
+    if args.app not in spec.applications:
+        parser.error(f"argument --app: {args.app!r} is not an application of {args.cell}")
     secret = args.secret.encode("utf-8") if args.secret else DEFAULT_SECRET
     report = asyncio.run(
         run_load(
-            _load_directory(args.port_file),
+            spec,
+            directory,
             secret,
             n_clients=args.clients,
             duration=args.duration,

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Coroutine, Dict, List, Optional, Tuple
 
+from ..core.cellspec import CellSpec
 from ..core.policy import AccessPolicy
 from ..core.rights import Right
 from ..core.system import AccessControlSystem
@@ -121,7 +122,7 @@ def derive_scenario(schedule: Schedule, name: Optional[str] = None) -> Scenario:
     rng = random.Random(schedule.seed ^ 0x5CE9A810)
     n_managers = schedule.n_managers
     n_hosts = max(2, schedule.n_hosts)
-    manager_addrs = [f"m{i}" for i in range(n_managers)]
+    (manager_addrs,), host_addrs = CellSpec.names(n_managers, n_hosts)
 
     policy = dict(schedule.policy)
     # The differential discipline needs bounded checks (exhaustion must
@@ -148,7 +149,7 @@ def derive_scenario(schedule: Schedule, name: Optional[str] = None) -> Scenario:
         ("check", other, "bob", "revoked-denied"),
         # Partition the checking host away from every manager: cached
         # rights survive (Figure 3), uncached checks exhaust R and deny.
-        ("partition", f"h{checker}", tuple(manager_addrs)),
+        ("partition", host_addrs[checker], manager_addrs),
         ("settle", 0.5),
         ("check", checker, "alice", "partitioned-cached"),
         ("check", checker, "carol", "partitioned-exhausted"),
@@ -164,7 +165,7 @@ def derive_scenario(schedule: Schedule, name: Optional[str] = None) -> Scenario:
             # Isolate one manager from its peers: the freeze strategy
             # freezes *every* manager (each has an unreachable peer), so
             # the cell goes silent and uncached checks exhaust.
-            ("partition", "m0", tuple(a for a in manager_addrs if a != "m0")),
+            ("partition", manager_addrs[0], manager_addrs[1:]),
             ("settle", t_i + ping + 2.0),
             ("check", other, "dave", "frozen-exhausted"),
             ("heal",),
@@ -177,9 +178,9 @@ def derive_scenario(schedule: Schedule, name: Optional[str] = None) -> Scenario:
     steps += [
         # Crash loses the volatile cache (Section 3.4): the next check
         # re-verifies instead of hitting the cache.
-        ("crash", f"h{checker}"),
+        ("crash", host_addrs[checker]),
         ("settle", 0.5),
-        ("recover", f"h{checker}"),
+        ("recover", host_addrs[checker]),
         ("settle", 0.5),
         ("check", checker, "alice", "post-crash-verified"),
     ]

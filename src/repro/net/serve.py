@@ -1,34 +1,33 @@
 """``repro serve`` — boot live protocol endpoints on real sockets.
 
-Three roles:
+Three roles, one description of the cell between them: the *cell file*
+(:func:`~repro.net.cell.read_cell`), the spec plus each node's endpoint.
 
 * ``--role cell`` (the common one): an entire M-manager/N-host cell in
-  one process, ephemeral ports, with the address directory written to
-  ``--port-file`` for ``repro load`` (and CI) to consume.
-* ``--role manager`` / ``--role host``: a single node in this process,
-  with an explicit ``--listen`` endpoint and a static ``--peers``
-  directory — the shape a real multi-machine deployment uses.
+  one process on ephemeral ports, its cell file written to ``--cell``
+  for ``repro load`` (and CI) to read.
+* ``--role manager`` / ``--role host``: node ``--address`` of the cell
+  file ``--cell``, alone in this process, on its own endpoint with the
+  rest as peers — the shape a multi-process deployment uses.
 
 Every role builds through one recipe (:class:`~repro.net.cell.LiveRecipe`
-over a :class:`~repro.core.cellspec.CellSpec`), so a manager booted alone
-starts from the ACL its address has inside ``--role cell`` with the same
-flags: the admin's ``MANAGE`` and every ``--grant``.  All roles speak one
-wire: answers RSA-signed or tagged under a pairwise key (manager keys are
-still derived from the address, so separate processes agree), in binary
-segments sealed under ``--secret`` with replay nonces.
+over the spec), so a manager booted alone starts from the ACL its address
+has inside ``--role cell``: the admin's ``MANAGE`` and every ``--grant``.
+All roles speak one wire: answers RSA-signed or tagged under a pairwise
+key (manager keys are still derived from the address, so separate
+processes agree), in binary segments sealed under ``--secret`` with
+replay nonces.
 
 Examples
 --------
 Boot a 3-manager/2-host cell for 30 seconds::
 
     repro serve --role cell --managers 3 --hosts 2 \\
-        --secret demo --port-file /tmp/cell.json --run-for 30
+        --secret demo --cell /tmp/cell.json --run-for 30
 
-Boot one manager of a hand-wired cell::
+Boot manager ``m0`` of a hand-written cell file::
 
-    repro serve --role manager --address m0 --listen 127.0.0.1:7100 \\
-        --peers m1=127.0.0.1:7101,m2=127.0.0.1:7102,h0=127.0.0.1:7200 \\
-        --manager-set m0,m1,m2 --secret demo
+    repro serve --role manager --cell cell.json --address m0 --secret demo
 """
 
 from __future__ import annotations
@@ -36,15 +35,15 @@ from __future__ import annotations
 import argparse
 import asyncio
 import ctypes
-import json
 import signal
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..argtypes import count, positive
 from ..core.cellspec import CellSpec
 from ..core.policy import AccessPolicy
 from ..core.rights import Right
-from .cell import DEFAULT_SECRET, LiveCell, LiveRecipe, bootstrap_seeds, load_seeds
+from .cell import (DEFAULT_SECRET, Directory, LiveCell, LiveRecipe, bootstrap_seeds, load_seeds,
+                   read_cell, write_cell)
 from .runtime import LiveRuntime
 
 __all__ = ["main", "build_parser", "pin_allocator"]
@@ -81,13 +80,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--secret", default=None,
                         help="shared HMAC session secret for the cell")
     parser.add_argument("--apps", default="app", type=_parse_names,
-                        help="comma-separated application names (default: app)")
+                        help="[cell] comma-separated application names (default: app)")
     parser.add_argument("--time-scale", type=positive(float), default=1.0,
                         help="sim-seconds per wall-second (default 1.0)")
     parser.add_argument("--run-for", type=float, default=None, metavar="SECONDS",
                         help="exit after this many wall seconds (default: run until signalled)")
     parser.add_argument("--check-quorum", type=int, default=AccessPolicy.check_quorum,
-                        help="the policy's check quorum C (default %(default)s)")
+                        help="[cell] the policy's check quorum C (default %(default)s)")
     parser.add_argument("--grant", action="append", default=[], metavar="USER[:RIGHT]",
                         type=_parse_grant,
                         help="seed a grant on every manager before start (repeatable)")
@@ -96,46 +95,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="[cell] number of managers (default 3)")
     parser.add_argument("--hosts", type=count, default=2,
                         help="[cell] number of application hosts (default 2)")
-    parser.add_argument("--port-file", default=None,
-                        help="[cell] write the address->host:port directory as JSON here")
+    parser.add_argument("--cell", default=None, metavar="FILE",
+                        help="[cell] write the cell file here once up; "
+                             "[manager|host] the cell file this node belongs to")
     # -- single-node roles ---------------------------------------------------
     parser.add_argument("--address", default=None,
-                        help="[manager|host] this node's protocol address, e.g. m0")
-    parser.add_argument("--listen", default="127.0.0.1:0", metavar="HOST:PORT",
-                        type=_parse_listen,
-                        help="[manager|host] bind endpoint (default 127.0.0.1:0)")
-    parser.add_argument("--peers", default="", metavar="ADDR=HOST:PORT,...",
-                        type=_parse_peers,
-                        help="[manager|host] static peer directory")
-    parser.add_argument("--manager-set", default=(), metavar="m0,m1,...", type=_parse_names,
-                        help="[manager|host] the full Managers(A) address set")
+                        help="[manager|host] this node's address in the cell file, e.g. m0")
     return parser
 
 
 # Argument types: a malformed value raises ArgumentTypeError, which
 # argparse reports against the flag with exit status 2.
-def _is_port(text: str) -> bool:
-    return text.isascii() and text.isdigit() and int(text) < 65536
-
-
-def _parse_listen(spec: str) -> Tuple[str, int]:
-    host, sep, port = spec.rpartition(":")
-    if not (sep and _is_port(port)):
-        raise argparse.ArgumentTypeError(f"{spec!r} is not HOST:PORT")
-    return host or "127.0.0.1", int(port)
-
-
-def _parse_peers(spec: str) -> Dict[str, Tuple[str, int]]:
-    directory: Dict[str, Tuple[str, int]] = {}
-    for item in filter(None, (part.strip() for part in spec.split(","))):
-        addr, _, endpoint = item.partition("=")
-        host, _, port = endpoint.rpartition(":")
-        if not (addr and host and _is_port(port)):
-            raise argparse.ArgumentTypeError(f"{item!r} is not ADDR=HOST:PORT")
-        directory[addr] = (host, int(port))
-    return directory
-
-
 def _parse_names(spec: str) -> Tuple[str, ...]:
     names = tuple(filter(None, (part.strip() for part in spec.split(","))))
     if not names:
@@ -153,14 +123,14 @@ def _parse_grant(spec: str) -> Tuple[str, Right]:
     return user, rights.get(right, Right.USE)
 
 
-def _build_node(args: argparse.Namespace, policy: AccessPolicy) -> object:
+def _build_node(args: argparse.Namespace, spec: CellSpec) -> object:
     """This process's one node, built and seeded as ``--role cell`` builds
-    its address; ValueError if the policy does not fit the manager set."""
-    recipe = LiveRecipe(CellSpec(args.apps, (args.manager_set,), (), policy))
+    its address."""
+    recipe = LiveRecipe(spec)
     if args.role == "host":
         return recipe.host(args.address)
     manager = recipe.manager(args.address)
-    load_seeds([manager], bootstrap_seeds(recipe.spec, args.grant))
+    load_seeds([manager], bootstrap_seeds(spec, args.grant))
     return manager
 
 
@@ -183,9 +153,8 @@ async def _serve_cell(args: argparse.Namespace, cell: LiveCell) -> int:
         for app in cell.spec.applications:
             cell.seed_grant(app, user, right)
     async with cell:
-        if args.port_file:
-            with open(args.port_file, "w", encoding="utf-8") as handle:
-                json.dump(cell.directory, handle)
+        if args.cell:
+            write_cell(args.cell, cell.spec, cell.directory)
         lines = [f"cell up: {args.managers} managers, {args.hosts} hosts"]
         for addr, (host, port) in sorted(cell.directory.items()):
             lines.append(f"  {addr} -> {host}:{port}")
@@ -195,12 +164,13 @@ async def _serve_cell(args: argparse.Namespace, cell: LiveCell) -> int:
     return 0
 
 
-async def _serve_node(args: argparse.Namespace, node: object, secret: bytes) -> int:
+async def _serve_node(args: argparse.Namespace, node: object, directory: Directory,
+                      secret: bytes) -> int:
     runtime = LiveRuntime(secret, time_scale=args.time_scale)
     runtime.register(node)
-    bind_host, bind_port = args.listen
+    bind_host, bind_port = directory[args.address]
     port = await runtime.start(bind_host, bind_port)
-    runtime.set_peers(args.peers)
+    runtime.set_peers(directory)
     # Flushed: readiness must reach a pipe now, not at exit.
     print(f"{args.role} {args.address} listening on {bind_host}:{port}", flush=True)
     try:
@@ -214,21 +184,22 @@ async def _serve_node(args: argparse.Namespace, node: object, secret: bytes) -> 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.role != "cell" and not (args.address and args.manager_set):
-        parser.error("--address and --manager-set are required for --role manager|host")
-    if args.role == "manager" and args.address not in args.manager_set:
-        parser.error(f"--address {args.address} is not in --manager-set")
     secret = args.secret.encode("utf-8") if args.secret else DEFAULT_SECRET
     pin_allocator()
-    try:  # the one check the argument types cannot make: C against the managers
-        policy = AccessPolicy(check_quorum=args.check_quorum)
-        if args.role == "cell":
-            cell = LiveCell(n_managers=args.managers, n_hosts=args.hosts, applications=args.apps,
-                            policy=policy, secret=secret, time_scale=args.time_scale)
-        else:
-            node = _build_node(args, policy)
-    except ValueError as exc:
-        parser.error(f"argument --check-quorum: {exc}")
     if args.role == "cell":
+        try:  # the one check the argument types cannot make: C against the managers
+            cell = LiveCell(n_managers=args.managers, n_hosts=args.hosts, applications=args.apps,
+                            policy=AccessPolicy(check_quorum=args.check_quorum), secret=secret,
+                            time_scale=args.time_scale)
+        except ValueError as exc:
+            parser.error(f"argument --check-quorum: {exc}")
         return asyncio.run(_serve_cell(args, cell))
-    return asyncio.run(_serve_node(args, node, secret))
+    if not (args.address and args.cell):
+        parser.error("--address and --cell are required for --role manager|host")
+    try:
+        spec, directory = read_cell(args.cell)
+    except (OSError, ValueError) as exc:
+        parser.error(f"argument --cell: {exc}")
+    if args.address not in (spec.manager_addrs if args.role == "manager" else spec.hosts):
+        parser.error(f"argument --address: {args.address!r} is not a {args.role} of {args.cell}")
+    return asyncio.run(_serve_node(args, _build_node(args, spec), directory, secret))

@@ -55,7 +55,7 @@ from ..sim.partitions import ScriptedConnectivity
 from ..sim.trace import TraceKind
 from .codec import CodecError, FrameError, FrameReader, encode_frame
 from .codec_bin import BinaryDecoder, BinaryEncoder, decode_bin, encode_bin
-from .session import DEFAULT_LIFETIME, AuthError, SessionAuth
+from .session import AuthError, SessionAuth
 from .transport import Address, Transport
 
 __all__ = ["SocketTransport"]
@@ -353,13 +353,12 @@ class SocketTransport(Transport):
         self,
         runtime: Any,
         secret: bytes,
-        lifetime: float = DEFAULT_LIFETIME,
         connectivity: Optional[ScriptedConnectivity] = None,
         connect_retries: int = 5,
         connect_backoff: float = 0.05,
     ) -> None:
         self._runtime = runtime
-        self.auth = SessionAuth(secret, lifetime=lifetime)
+        self.auth = SessionAuth(secret)
         self.connectivity = connectivity
         self.connect_retries = connect_retries
         self.connect_backoff = connect_backoff

@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
+from ..core.cellspec import CellSpec
 from ..runtime.seeds import trial_seed
 
 __all__ = [
@@ -255,12 +256,6 @@ class Schedule:
         )
 
 
-def _addresses(n_managers: int, n_hosts: int) -> List[str]:
-    return [f"m{i}" for i in range(n_managers)] + [
-        f"h{i}" for i in range(n_hosts)
-    ]
-
-
 def _random_split(rng: random.Random, addresses: List[str]) -> Tuple[Tuple[str, ...], ...]:
     """Split the address set into two non-empty groups."""
     shuffled = list(addresses)
@@ -305,7 +300,8 @@ def generate_schedule(master_seed: int, cell: int) -> Schedule:
     # notifications, and every stale cache entry's te to run out.
     drain = round(expiry_bound * 1.25 + 40.0, 1)
 
-    addresses = _addresses(n_managers, n_hosts)
+    (managers,), hosts = CellSpec.names(n_managers, n_hosts)
+    addresses = [*managers, *hosts]
 
     partitions: List[PartitionEvent] = []
     cursor = horizon * 0.1
@@ -337,7 +333,7 @@ def generate_schedule(master_seed: int, cell: int) -> Schedule:
             continue
         crashes.append(
             CrashEvent(
-                node=f"h{rng.randrange(n_hosts)}",
+                node=hosts[rng.randrange(n_hosts)],
                 at=round(at, 3),
                 recover_at=round(recover_at, 3),
             )

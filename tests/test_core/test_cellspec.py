@@ -4,6 +4,7 @@ every manager and host of a cell, for the sim and the live backends."""
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,18 @@ class TestSized:
     def test_invalid_shapes_refused(self, args, kwargs):
         with pytest.raises(ValueError):
             CellSpec.sized(*args, **kwargs)
+
+    def test_names_are_the_rule_sized_uses(self):
+        assert CellSpec.names(2, 1) == ((("m0", "m1"),), ("h0",))
+        assert CellSpec.names(1, shards=2) == ((("s0m0",), ("s1m0",)), ())
+        spec = CellSpec.sized(2, 3, shards=2, policy=C1)
+        assert (spec.groups, spec.hosts) == CellSpec.names(2, 3, shards=2)
+
+    def test_node_names_are_unique(self):
+        with pytest.raises(ValueError, match="unique"):
+            CellSpec(("a",), (("n0",), ("n0",)), (), C1)
+        with pytest.raises(ValueError, match="unique"):
+            CellSpec(("a",), (("n0",),), ("n0",), C1)
 
     def test_replace_keeps_the_router(self):
         from dataclasses import replace
@@ -106,3 +119,20 @@ def test_nodes_are_built_in_one_place():
     # CellSpec.manager as ``cls(...)``, AccessControlManager by default.
     assert _call_sites("ApplicationHost") == ["core/cellspec.py"]
     assert _call_sites("AccessControlManager") == _call_sites("LyingManager") == []
+
+
+#: A node address built by hand (``f"m{i}"``, ``f"h{i}"``, ``f"s{g}m{i}"``)
+#: or a node's role guessed from its first letter.
+NAMING_RULE = re.compile(r"""f["'][mhs]\{|startswith\(["'][mh]["']\)""")
+
+
+def test_nodes_are_named_in_one_place():
+    # CellSpec.names is the one copy of the naming rule; everything else
+    # takes node names from a spec, so a cell may name its nodes freely.
+    copies = [
+        f"{path.relative_to(SRC).as_posix()}:{number}"
+        for path in sorted(SRC.rglob("*.py")) if path.relative_to(SRC).as_posix() != "core/cellspec.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if NAMING_RULE.search(line)
+    ]
+    assert copies == []

@@ -41,7 +41,7 @@ class TestSubcommandDispatch:
         [
             (["mega", "--principals", "0"], "--principals"),
             (["serve", "--time-scale", "0"], "--time-scale"),
-            (["load", "--port-file", "cell.json", "--clients", "0"], "--clients"),
+            (["load", "--cell", "cell.json", "--clients", "0"], "--clients"),
         ],
         ids=["mega", "serve", "load"],
     )

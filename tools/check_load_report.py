@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Assert that a ``repro load --json`` report is healthy, as both
-net-smoke legs (CI and ``make net-smoke``) do::
+"""Assert that a ``repro load --json`` report is healthy, as both legs
+of ``make net-smoke`` (a ``--role cell`` cell and a hand-wired one) do::
 
     python3 tools/check_load_report.py /tmp/load.json
 
