@@ -16,7 +16,7 @@ Public surface:
 from .acl import AccessControlList
 from .admin import AdminClient, AdminResult
 from .byzantine import DENY_ALL, FLIP, GRANT_ALL, LyingManager, required_quorum
-from .cache import ACLCache, CacheEntry, CacheLookup
+from .cache import ACLCache, CacheEntry
 from .client import InvokeResult, UserClient
 from .host import AccessControlHost, AccessDecision, DecisionReason
 from .manager import AccessControlManager, UpdateHandle
@@ -73,7 +73,6 @@ __all__ = [
     "Application",
     "ApplicationHost",
     "CacheEntry",
-    "CacheLookup",
     "DecisionReason",
     "DeltaMode",
     "ExhaustedAction",

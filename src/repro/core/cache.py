@@ -6,7 +6,8 @@ for some subset of the users of A" (Section 3.1).  The extended
 protocol (Figure 3) timestamps every cached tuple: ``lookup`` returns
 ``(U, limit)`` where ``limit`` is the expiration timestamp on the
 *local* clock, and expired tuples are removed and re-checked with a
-manager.
+manager.  Here ``lookup`` is :meth:`ACLCache.probe`: the live entry or
+None, with ``last_probe_expired`` telling an expiry from a cold miss.
 
 Only grants are cached — a denial is never cached, because a stale
 cached denial could not be bounded the way a stale grant is (a grant is
@@ -22,9 +23,9 @@ from an :class:`~repro.core.ids.Interner` (shared by a host's caches,
 or by a whole cell), so a probe is one int-dict lookup and no
 ``Enum.__hash__`` call.  On a live node an entry's ``user`` is the
 interner's own string (the wire decoder resolves names to it), so a
-cached grant keeps no copy of the name.  ``probe`` is the
-allocation-free fast path used by the verification pipeline;
-``lookup`` wraps it in the classic :class:`CacheLookup` result.
+cached grant keeps no copy of the name.  An entry lives until it
+expires or is flushed: the cache keeps nothing per grant beyond the
+entry and its expiry-heap record.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Dict, List, Optional
 from .ids import Interner, pack_key
 from .rights import Right, Version
 
-__all__ = ["CacheEntry", "ACLCache", "CacheLookup"]
+__all__ = ["CacheEntry", "ACLCache"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,18 +51,6 @@ class CacheEntry:
     version: Version
 
 
-@dataclass(frozen=True)
-class CacheLookup:
-    """Result of a cache probe: the entry (if live) and what happened."""
-
-    entry: Optional[CacheEntry]
-    expired: bool  # an entry existed but its limit had passed
-
-    @property
-    def hit(self) -> bool:
-        return self.entry is not None
-
-
 class ACLCache:
     """Per-application cache of granted rights with local-clock expiry."""
 
@@ -69,7 +58,6 @@ class ACLCache:
         self.application = application
         self._ids = interner if interner is not None else Interner()
         self._entries: Dict[int, CacheEntry] = {}
-        self._last_access: Dict[int, float] = {}
         # Min-heap of (limit, seq, key) so ``purge_expired`` pops only
         # the entries actually past their limit instead of scanning the
         # whole cache per sweep.  Records are never removed eagerly on
@@ -81,7 +69,6 @@ class ACLCache:
         self.misses = 0
         self.expirations = 0
         self.flushes = 0
-        self.idle_evictions = 0
         #: Set by ``probe``: the last miss was an expiry, not a cold miss.
         self.last_probe_expired = False
 
@@ -98,10 +85,11 @@ class ACLCache:
     def probe(
         self, user: str, right: Right, now_local: float
     ) -> Optional[CacheEntry]:
-        """Allocation-free ``lookup``: the live entry or None.
+        """Figure 3's ``lookup``: the live entry or None, allocating nothing.
 
         On None, ``last_probe_expired`` tells an expiry apart from a
-        cold miss.  Counters update exactly as in ``lookup``.
+        cold miss.  An expired entry is removed as a side effect ("the
+        access control tuple is removed and the access is rechecked").
         """
         key = self._probe_key(user, right)
         entry = self._entries.get(key) if key is not None else None
@@ -111,34 +99,15 @@ class ACLCache:
             return None
         if now_local < entry.limit:
             self.hits += 1
-            self._last_access[key] = now_local  # type: ignore[index]
             self.last_probe_expired = False
             return entry
         del self._entries[key]  # type: ignore[arg-type]
-        self._last_access.pop(key, None)  # type: ignore[arg-type]
         self.expirations += 1
         self.last_probe_expired = True
         return None
 
-    def lookup(self, user: str, right: Right, now_local: float) -> CacheLookup:
-        """Figure 3's ``lookup``: return the live entry or classify the miss.
-
-        An expired entry is removed as a side effect ("the access
-        control tuple is removed and the access is rechecked").
-        """
-        entry = self.probe(user, right, now_local)
-        if entry is not None:
-            return CacheLookup(entry=entry, expired=False)
-        return CacheLookup(entry=None, expired=self.last_probe_expired)
-
-    def store(self, entry: CacheEntry, now_local: Optional[float] = None) -> None:
-        """Insert or refresh a cached grant (``ACL_cache(A) += (U, ...)``).
-
-        The store counts as an access for idle-eviction purposes when
-        ``now_local`` is supplied (the entry was just fetched on some
-        user's behalf); background refreshes pass ``None`` to leave the
-        last-access time untouched.
-        """
+    def store(self, entry: CacheEntry) -> None:
+        """Insert or refresh a cached grant (``ACL_cache(A) += (U, ...)``)."""
         key = pack_key(self._ids.intern(entry.user), entry.right.index)
         self._entries[key] = entry
         heapq.heappush(self._expiry_heap, (entry.limit, next(self._heap_seq), key))
@@ -146,10 +115,6 @@ class ACLCache:
             self._entries
         ):
             self._compact_heap()
-        if now_local is not None:
-            self._last_access[key] = now_local
-        else:
-            self._last_access.setdefault(key, float("-inf"))
 
     def flush(self, user: str, right: Optional[Right] = None) -> int:
         """Remove cached grants for ``user`` (``ACL_cache(A) -= U``).
@@ -166,17 +131,14 @@ class ACLCache:
             rights = (0, 1)
         removed = 0
         for index in rights:
-            key = pack_key(uid, index)
-            if self._entries.pop(key, None) is not None:
+            if self._entries.pop(pack_key(uid, index), None) is not None:
                 removed += 1
-            self._last_access.pop(key, None)
         self.flushes += removed
         return removed
 
     def clear(self) -> None:
         """Drop everything (host recovery: "initialized to null")."""
         self._entries.clear()
-        self._last_access.clear()
         self._expiry_heap.clear()
 
     def _compact_heap(self) -> None:
@@ -192,7 +154,7 @@ class ACLCache:
 
         O(k log n) for k expirations via the expiry heap: pops stop at
         the first record whose limit is still in the future.  A popped
-        record whose key was flushed, already expired via ``lookup``,
+        record whose key was flushed, already expired via ``probe``,
         or refreshed with a different limit is stale and skipped — the
         refreshed entry has its own, newer record.
         """
@@ -205,36 +167,9 @@ class ACLCache:
             if entry is None or entry.limit != limit:
                 continue  # stale heap record
             del entries[key]
-            self._last_access.pop(key, None)
             removed += 1
         self.expirations += removed
         return removed
-
-    def purge_idle(self, now_local: float, idle_ttl: float) -> int:
-        """The paper's memory-saving sweep: "eliminate entries of users
-        who have not accessed the application recently, which can save
-        memory and processing overhead."  Removes (still valid) entries
-        whose last access is older than ``idle_ttl``; they will simply
-        be re-verified if the user returns.  Returns count removed.
-        """
-        if idle_ttl <= 0:
-            raise ValueError("idle_ttl must be positive")
-        idle = [
-            key
-            for key in self._entries
-            if now_local - self._last_access.get(key, float("-inf")) > idle_ttl
-        ]
-        for key in idle:
-            del self._entries[key]
-            self._last_access.pop(key, None)
-        self.idle_evictions += len(idle)
-        return len(idle)
-
-    def last_access(self, user: str, right: Right) -> Optional[float]:
-        """Local-clock time of the entry's last use (None if untracked)."""
-        key = self._probe_key(user, right)
-        value = self._last_access.get(key) if key is not None else None
-        return None if value in (None, float("-inf")) else value
 
     def entries(self) -> List[CacheEntry]:
         """All live-or-stale entries currently stored (for inspection)."""

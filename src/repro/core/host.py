@@ -5,18 +5,19 @@ Management* components of Figure 1 as they exist on a host running the
 application.  The protocol logic itself lives in
 :mod:`repro.protocols`: :class:`~repro.protocols.VerificationPipeline`
 runs the cached-check algorithm of Figures 2 and 3 (and Figure 4's
-default-allow rule), composed from a query planner, a response
-combiner, and a decision policy — all selected by
-the application's :class:`~repro.core.policy.AccessPolicy`.  This
-class is the thin :class:`~repro.sim.node.Node` shell: per-host state
-(caches, pending-reply tables, stats), message dispatch, and
-crash/recovery behaviour (Section 3.4: on recovery "ACL_cache(A) can
-simply be initialized to null").
+default-allow rule) with the query planner and response combiner that
+the application's :class:`~repro.core.policy.AccessPolicy` selects.
+This class is the :class:`~repro.sim.node.Node` shell: per-host state
+(caches, pending-reply tables, stats), message dispatch, the Figure 3
+expiry stamp (:meth:`AccessControlHost._expiry_limit`), the background
+cache sweep and refresh-ahead loops, and crash/recovery behaviour
+(Section 3.4: on recovery "ACL_cache(A) can simply be initialized to
+null").
 
-The optional extensions (refresh-ahead, negative caching, Byzantine
-``f + 1`` vouching per footnote 2) are compositions in the protocol
-layer; see :mod:`repro.protocols` and :class:`~repro.core.policy.
-AccessPolicy`.
+The optional extensions are switched on by :class:`~repro.core.policy.
+AccessPolicy`: refresh-ahead runs here, negative caching in the
+pipeline, and Byzantine ``f + 1`` vouching (footnote 2) is a combiner in
+:mod:`repro.protocols`.
 
 The central entry point is :meth:`AccessControlHost.check_access`, a
 process generator that resolves to an :class:`AccessDecision`::
@@ -35,16 +36,15 @@ from typing import Dict, Optional, Sequence, Set, Tuple
 from ..auth.identity import Authenticator, SignedMessage
 from ..auth.signatures import PAIRWISE_KEY_BYTES, Tag, check_tag, key_fingerprint
 from ..protocols.decision import AccessDecision, DecisionReason
-from ..protocols.maintenance import CacheMaintenance
 from ..protocols.messaging import ReplyTable
 from ..protocols.pipeline import VerificationPipeline
 from ..sim.clock import LocalClock
 from ..sim.node import Address, Node
 from ..sim.trace import TraceKind
-from .cache import ACLCache
+from .cache import ACLCache, CacheEntry
 from .ids import Interner, pack_key
 from .messages import QueryResponse, RevokeNotify, RevokeNotifyAck
-from .policy import AccessPolicy
+from .policy import AccessPolicy, DeltaMode
 from .rights import Right
 
 __all__ = ["AccessControlHost", "AccessDecision", "DecisionReason"]
@@ -122,7 +122,6 @@ class AccessControlHost(Node):
         self._answer_keys: Dict[Address, Tuple[bytes, int, int]] = {}
         self._offered: Set[Address] = set()
         self.pipeline = VerificationPipeline(self)
-        self.maintenance = CacheMaintenance()
         # counters for quick inspection (metrics use the tracer)
         self.stats = {
             "checks": 0,
@@ -186,15 +185,57 @@ class AccessControlHost(Node):
         if self.clock is None:
             self.clock = LocalClock(self.env)
         if self.default_policy.cache_cleanup_interval is not None:
-            self.spawn(
-                self.maintenance.cleanup_loop(self),
-                name=f"{self.address}/cache-cleanup",
-            )
+            self.spawn(self._cleanup_loop(), name=f"{self.address}/cache-cleanup")
         if self.default_policy.refresh_ahead_fraction is not None:
-            self.spawn(
-                self.maintenance.refresh_loop(self),
-                name=f"{self.address}/refresh-ahead",
-            )
+            self.spawn(self._refresh_loop(), name=f"{self.address}/refresh-ahead")
+
+    # -- background cache upkeep -----------------------------------------------
+    def _cleanup_loop(self):
+        """Periodic sweep of expired cache and deny-cache entries: the
+        caches shed expired entries lazily on probe (Section 3.2), and
+        this reclaims the ones nobody probes."""
+        interval = self.default_policy.cache_cleanup_interval
+        while True:
+            yield self.env.timeout(interval)
+            if not self.up:
+                continue
+            now_local = self.clock.now()
+            for cache in self.caches.values():
+                cache.purge_expired(now_local)
+            stale = [key for key, limit in self._deny_cache.items() if now_local >= limit]
+            for key in stale:
+                del self._deny_cache[key]
+
+    def _refresh_loop(self):
+        """Refresh-ahead (extension): an entry whose remaining local
+        lifetime is below ``refresh_ahead_fraction * te`` is re-verified
+        in the background so the next user access stays a cache hit."""
+        interval = self.default_policy.refresh_check_interval
+        while True:
+            yield self.env.timeout(interval)
+            if not self.up:
+                continue
+            for application, cache in self.caches.items():
+                app_policy = self.policy_for(application)
+                fraction = app_policy.refresh_ahead_fraction
+                if fraction is None:
+                    continue
+                threshold = fraction * app_policy.te_local
+                now_local = self.clock.now()
+                for entry in cache.entries():
+                    remaining = entry.limit - now_local
+                    if 0 < remaining < threshold:
+                        self.stats["refreshes"] += 1
+                        self.spawn(
+                            self._refresh_entry(application, entry),
+                            name=f"{self.address}/refresh:{entry.user}",
+                        )
+
+    def _refresh_entry(self, application: str, entry: CacheEntry):
+        policy = self.policy_for(application)
+        yield from self.pipeline.verify(
+            application, entry.user, entry.right, policy, self._incarnation
+        )
 
     # -- message handling -----------------------------------------------------------
     handlers = {
@@ -332,8 +373,16 @@ class AccessControlHost(Node):
 
     # -- expiry stamping (Figure 3 + delta) ------------------------------------------
     def _expiry_limit(self, send_local: float, te: float, policy: AccessPolicy) -> float:
-        """Compute the cached entry's limit: ``Time() + te - delta``."""
-        return self.pipeline.stamper.limit(self.clock, send_local, te, policy)
+        """The cached entry's limit: ``Time() + te - delta``.
+
+        ``send_local`` is the local clock when the deciding query round
+        started; the local time elapsed since then bounds the
+        transmission delay delta from above.
+        """
+        now_local = self.clock.now()
+        if policy.delta_mode is DeltaMode.HALF_ROUND_TRIP:
+            return now_local - (now_local - send_local) / 2.0 + te
+        return send_local + te  # delta = full round trip, always safe
 
     # -- plumbing -----------------------------------------------------------------------
     @property

@@ -3,16 +3,16 @@
 A manager (Section 2.2) "is an application level entity that issues
 commands to change access rights"; the access-control-management
 component on a manager host "stores the local copy of the current
-access control list".  This class is the thin :class:`~repro.sim.node.
-Node` shell — state, message dispatch, and the Section 2.3 entry
-points — while the protocol machinery lives in :mod:`repro.protocols`:
+access control list".  This class is the :class:`~repro.sim.node.
+Node` shell — state, message dispatch, the Section 2.3 entry points,
+and Section 3.4's crash recovery (stable-store reload, then peer resync
+before answering again) — while the protocol machinery with more than
+one variant lives in :mod:`repro.protocols`:
 
 * update dissemination and the quorum vs freeze alternatives of
   Section 3.3 — :mod:`repro.protocols.dissemination`;
 * revocation forwarding to caching hosts (Sections 3.1 and 3.4) —
   :mod:`repro.protocols.revocation`;
-* crash recovery, stable-store reload, and peer resync (Section 3.4)
-  — :mod:`repro.protocols.recovery`;
 * delegated administration (the *manage* right) —
   :mod:`repro.protocols.admin`.
 """
@@ -28,11 +28,11 @@ from ..protocols.admin import AdminService
 from ..protocols.dissemination import PendingUpdate, dissemination_strategy_for
 from ..protocols.messaging import ReplyTable
 from ..protocols.query import GrantTable, QueryAnswerer
-from ..protocols.recovery import RecoverySync
 from ..protocols.revocation import RevocationForwarder
 from ..sim.engine import Event
 from ..sim.node import Address, Node
 from ..sim.storage import StableStore
+from ..sim.trace import TraceKind
 from .acl import AccessControlList, AclBatch
 from .ids import Interner
 from .messages import (
@@ -116,7 +116,6 @@ class AccessControlManager(Node):
         self._frozen_apps: Set[str] = set()  # for trace edges only
         self.recovering = False
         self.revocation = RevocationForwarder()
-        self.recovery = RecoverySync()
         self.admin = AdminService()
         self.answerer = QueryAnswerer()
         self.stats = {"queries": 0, "grants": 0, "denials": 0, "silent": 0}
@@ -273,10 +272,25 @@ class AccessControlManager(Node):
         self._notifies.dispatch(ack.notify_id, ack)
 
     def _on_sync_request(self, src: Address, message: SyncRequest) -> None:
-        self.recovery.handle_sync_request(self, src, message)
+        snapshots = tuple(
+            (app, tuple(self.acls[app].snapshot()))
+            for app in message.applications
+            if app in self.acls
+        )
+        self.send(src, SyncResponse(responder=self.address, snapshots=snapshots))
 
     def _on_sync_response(self, src: Address, message: SyncResponse) -> None:
-        self.recovery.handle_sync_response(self, message)
+        """Merge a peer's snapshot; a malformed entry is dropped and
+        counted in ``rejected_entries``."""
+        for application, entries in message.snapshots:
+            if type(application) is str and application in self.acls:
+                for entry in entries:
+                    if not well_formed(entry):
+                        self.rejected_entries += 1
+                        continue
+                    self._apply_entry(application, entry)
+                    self._counter = max(self._counter, entry.version.counter)
+        self._synced_peers.add(message.responder)
 
     def _on_ping(self, src: Address, ping: Ping) -> None:
         self._last_heard[src] = self.env.now
@@ -335,7 +349,7 @@ class AccessControlManager(Node):
         """Reload from stable storage, then resync from peers before
         answering queries again."""
         if self.store is not None:
-            self.recovery.reload_from_store(self)
+            self.reload_from_store()
         peers = sorted({p for ps in self._peers.values() for p in ps})
         now = self.env.now
         for peer in peers:
@@ -344,7 +358,38 @@ class AccessControlManager(Node):
             return
         self.recovering = True
         self._synced_peers.clear()
-        self.spawn(self.recovery.resync(self, peers), name=f"{self.address}/resync")
+        self.spawn(self._resync(peers), name=f"{self.address}/resync")
+
+    def reload_from_store(self) -> None:
+        """Rebuild the in-memory ACLs from the explicit stable store; a
+        malformed entry is dropped and counted in ``rejected_entries``."""
+        assert self.store is not None
+        for key in self.store.keys("acl:"):
+            entry = self.store.read(key)
+            if not well_formed(entry):
+                self.rejected_entries += 1
+                continue
+            application = key.split(":", 2)[1]
+            if application in self.acls:
+                self.acls[application].apply(entry)
+        self._counter = max(self._counter, self.store.read("counter", 0))
+
+    def _resync(self, peers: List[Address]):
+        """Multicast SyncRequests until some peer's snapshot merges,
+        staying silent (``recovering``) the whole time."""
+        apps, timeout = tuple(self.applications()), self.default_policy.query_timeout
+        while self.up and self.recovering and not self._synced_peers:
+            self.multicast(peers, SyncRequest(requester=self.address, applications=apps))
+            yield self.env.timeout(timeout)
+        if self._synced_peers and self.up:
+            self.recovering = False
+            tracer = self.tracer
+            if tracer.wants(TraceKind.MANAGER_RESYNCED):
+                tracer.publish(
+                    TraceKind.MANAGER_RESYNCED, self.address, peers=len(self._synced_peers)
+                )
+            else:
+                tracer.bump(TraceKind.MANAGER_RESYNCED)
 
     # -- plumbing ------------------------------------------------------------------------------
     @property

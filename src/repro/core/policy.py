@@ -125,7 +125,7 @@ class AccessPolicy:
         Manager peer-liveness probe period (freeze strategy).
     cache_cleanup_interval:
         Period of the host's background expired-entry sweep; ``None``
-        disables the sweep (entries still expire lazily on lookup).
+        disables the sweep (entries still expire lazily on probe).
     refresh_ahead_fraction:
         Extension: when set (in (0, 1)), cached entries whose remaining
         lifetime drops below this fraction of ``te`` are re-verified in
@@ -137,10 +137,6 @@ class AccessPolicy:
         local-clock units (sheds repeated unauthorized query load; can
         only delay a fresh Add, never extend access).  ``None``
         disables.
-    idle_eviction_ttl:
-        Section 3.2's memory optimisation: cache entries not accessed
-        for this many local-clock units are evicted during the cleanup
-        sweep even if unexpired.  ``None`` disables.
     byzantine_f:
         Extension (paper footnote 2): number of lying managers to
         tolerate.  With ``f > 0``, a verdict needs ``f + 1`` managers
@@ -165,7 +161,6 @@ class AccessPolicy:
     cache_cleanup_interval: Optional[float] = 60.0
     refresh_ahead_fraction: Optional[float] = None
     refresh_check_interval: float = 5.0
-    idle_eviction_ttl: Optional[float] = None
     deny_cache_ttl: Optional[float] = None
     byzantine_f: int = 0
 
@@ -200,8 +195,6 @@ class AccessPolicy:
             raise ValueError("refresh_check_interval must be positive")
         if self.deny_cache_ttl is not None and self.deny_cache_ttl <= 0:
             raise ValueError("deny_cache_ttl must be positive or None")
-        if self.idle_eviction_ttl is not None and self.idle_eviction_ttl <= 0:
-            raise ValueError("idle_eviction_ttl must be positive or None")
         if self.byzantine_f < 0:
             raise ValueError("byzantine_f must be non-negative")
         if self.byzantine_f > 0 and self.check_quorum < self.byzantine_f + 1:

@@ -10,6 +10,11 @@ Three roles, one description of the cell between them: the *cell file*
   file ``--cell``, alone in this process, on its own endpoint with the
   rest as peers — the shape a multi-process deployment uses.
 
+A flag that shapes only the other kind of role (``--apps``,
+``--check-quorum``, ``--managers`` and ``--hosts`` shape a whole cell;
+``--address`` names a node) is refused with exit status 2, never
+silently ignored.
+
 Every role builds through one recipe (:class:`~repro.net.cell.LiveRecipe`
 over the spec), so a manager booted alone starts from the ACL its address
 has inside ``--role cell``: the admin's ``MANAGE`` and every ``--grant``.
@@ -123,6 +128,26 @@ def _parse_grant(spec: str) -> Tuple[str, Right]:
     return user, rights.get(right, Right.USE)
 
 
+#: Flags (by dest) that shape one kind of role, and that kind.
+_ROLE_FLAGS = {"apps": "cell", "check_quorum": "cell", "managers": "cell", "hosts": "cell",
+               "address": "node"}
+
+
+def _stray_flag(parser: argparse.ArgumentParser, argv: Optional[List[str]],
+                role: str) -> Optional[str]:
+    """The first flag on the command line that shapes only roles other
+    than ``role``, else None.  Parsed again into a namespace that already
+    holds a marker for each such dest: argparse writes a dest only when
+    its flag is given, so a marker left in place means the flag was not."""
+    unset = object()
+    given = parser.parse_args(argv, argparse.Namespace(**dict.fromkeys(_ROLE_FLAGS, unset)))
+    kind = "cell" if role == "cell" else "node"
+    for dest, shapes in _ROLE_FLAGS.items():
+        if shapes != kind and getattr(given, dest) is not unset:
+            return "--" + dest.replace("_", "-")
+    return None
+
+
 def _build_node(args: argparse.Namespace, spec: CellSpec) -> object:
     """This process's one node, built and seeded as ``--role cell`` builds
     its address."""
@@ -184,6 +209,9 @@ async def _serve_node(args: argparse.Namespace, node: object, directory: Directo
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    stray = _stray_flag(parser, argv, args.role)
+    if stray is not None:
+        parser.error(f"argument {stray}: not allowed with --role {args.role}")
     secret = args.secret.encode("utf-8") if args.secret else DEFAULT_SECRET
     pin_allocator()
     if args.role == "cell":

@@ -1,12 +1,15 @@
-"""Pluggable protocol strategies — the paper's *family* of protocols.
+"""Protocol machinery — the paper's *family* of protocols.
 
 The paper's contribution is not one algorithm but a family: the basic
 cached check (Figure 2), time-bounded revocation (Figure 3), the
 high-availability default-allow rule (Figure 4), and the freeze vs.
-quorum manager-coordination strategies (Section 3.3).  This package
-decomposes the protocol into strategy objects over a common substrate
-so each member of the family — and new members, such as weighted
-voting — is a *composition* rather than a branch inside a god-class:
+quorum manager-coordination strategies (Section 3.3).  Where the family
+has real variants (query planning, response combining, dissemination),
+each is a strategy object over a common substrate, so a new member —
+weighted voting, say — is a *composition* rather than a branch inside a
+node class.  A mechanism with one implementation (the Figure 3 expiry
+stamp, the host's background cache loops, Section 3.4's manager resync)
+is a method of the node that owns its state.
 
 * :mod:`~repro.protocols.messaging` — the shared request/reply and
   retry-until-acked substrate both sides are built on.
@@ -16,13 +19,10 @@ voting — is a *composition* rather than a branch inside a god-class:
 * :mod:`~repro.protocols.combiner` — how a round's responses are
   combined into a verdict (highest version, Byzantine ``f + 1``
   vouching, weighted voting).
-* :mod:`~repro.protocols.decision` — terminal decision policy
-  (verified / denied / Figure 4 default-allow / exhausted) and the
-  Figure 3 expiry stamp.
+* :mod:`~repro.protocols.decision` — what a check decides and why
+  (verified / denied / Figure 4 default-allow / exhausted).
 * :mod:`~repro.protocols.pipeline` — the host-side verification
-  pipeline wiring cache, planner, combiner, and decision together.
-* :mod:`~repro.protocols.maintenance` — background cache upkeep
-  (expiry sweep, refresh-ahead).
+  pipeline: cache probe, planner, combiner, decision.
 * :mod:`~repro.protocols.query` — answering ``Query(A, U, R)`` at a
   manager, including grant-table bookkeeping and freeze/recovery
   silence.
@@ -31,8 +31,6 @@ voting — is a *composition* rather than a branch inside a god-class:
   strategy vs Section 3.3's freeze strategy.
 * :mod:`~repro.protocols.revocation` — grant-table bookkeeping and
   revocation forwarding to caching hosts.
-* :mod:`~repro.protocols.recovery` — Section 3.4 crash recovery
-  (stable-store reload + peer resync).
 * :mod:`~repro.protocols.admin` — delegated administration (the
   *manage* right exercised remotely).
 
@@ -52,7 +50,6 @@ from .combiner import (
     WeightedVoteCombiner,
     combiner_for,
 )
-from .decision import DecisionPolicy, ExpiryStamper
 from .dissemination import (
     DisseminationStrategy,
     FreezeStrategy,
@@ -60,21 +57,16 @@ from .dissemination import (
     QuorumStrategy,
     dissemination_strategy_for,
 )
-from .maintenance import CacheMaintenance
 from .messaging import ReplyTable, request, retry_until_acked
 from .pipeline import VerificationPipeline
 from .query import QueryAnswerer
 from .planner import QueryPlanner, planner_for
-from .recovery import RecoverySync
 from .revocation import RevocationForwarder
 
 __all__ = [
     "AdminService",
     "ByzantineVouchCombiner",
-    "CacheMaintenance",
-    "DecisionPolicy",
     "DisseminationStrategy",
-    "ExpiryStamper",
     "FreezeStrategy",
     "HighestVersionCombiner",
     "PendingUpdate",
@@ -82,7 +74,6 @@ __all__ = [
     "QueryPlanner",
     "QuorumStrategy",
     "ReplyTable",
-    "RecoverySync",
     "ResponseCombiner",
     "RevocationForwarder",
     "VerificationPipeline",

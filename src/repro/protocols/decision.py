@@ -1,22 +1,18 @@
-"""Terminal decision policy and the Figure 3 expiry stamp.
+"""What one access check decides: :class:`AccessDecision` and its
+:class:`DecisionReason`.
 
-:class:`ExpiryStamper` computes the cached entry's limit
-(``Time() + te - delta``); :class:`DecisionPolicy` maps a verification
-outcome to the final :class:`AccessDecision` — the
-verified / denied paths, Figure 4's default-allow escape hatch, and the
-deny-on-exhaustion alternative — and publishes the access-level trace
-record every oracle and metrics collector keys on.
+The verification pipeline (:mod:`repro.protocols.pipeline`) makes and
+records the decision; the host stamps cached grants
+(:meth:`~repro.core.host.AccessControlHost._expiry_limit`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.policy import AccessPolicy, DeltaMode, ExhaustedAction
 from ..core.rights import Right
-from ..sim.trace import TraceKind
 
-__all__ = ["AccessDecision", "DecisionReason", "ExpiryStamper", "DecisionPolicy"]
+__all__ = ["AccessDecision", "DecisionReason"]
 
 
 class DecisionReason:
@@ -47,60 +43,3 @@ class AccessDecision:
 
     def __bool__(self) -> bool:
         return self.allowed
-
-
-class ExpiryStamper:
-    """Figure 3's stamp: ``Time() + te - delta``.
-
-    ``send_local`` is the local clock when the deciding query round
-    started; the elapsed local time since then upper-bounds the
-    transmission delay delta.
-    """
-
-    def limit(
-        self, clock, send_local: float, te: float, policy: AccessPolicy
-    ) -> float:
-        now_local = clock.now()
-        elapsed = now_local - send_local
-        if policy.delta_mode is DeltaMode.HALF_ROUND_TRIP:
-            return now_local - elapsed / 2.0 + te
-        return send_local + te  # delta = full round trip, always safe
-
-
-class DecisionPolicy:
-    """Maps one check's outcome to its decision, stats, and trace."""
-
-    def allow_on_exhaustion(self, policy: AccessPolicy) -> bool:
-        """Figure 4's rule vs the deny-on-exhaustion alternative."""
-        return policy.exhausted_action is ExhaustedAction.ALLOW
-
-    def record(self, host, decision) -> None:
-        """Publish the access-level trace record and bump host stats."""
-        if decision.allowed:
-            if decision.reason == "default_allow":
-                host.stats["default_allowed"] += 1
-                kind = TraceKind.ACCESS_DEFAULT_ALLOWED
-            else:
-                kind = TraceKind.ACCESS_ALLOWED
-            host.stats["allowed"] += 1
-        else:
-            host.stats["denied"] += 1
-            kind = (
-                TraceKind.ACCESS_UNRESOLVED
-                if decision.reason in ("exhausted", "host_crashed")
-                else TraceKind.ACCESS_DENIED
-            )
-        tracer = host.tracer
-        if tracer.wants(kind):
-            tracer.publish(
-                kind,
-                host.address,
-                application=decision.application,
-                user=decision.user,
-                reason=decision.reason,
-                attempts=decision.attempts,
-                responses=decision.responses,
-                latency=decision.latency,
-            )
-        else:
-            tracer.bump(kind)

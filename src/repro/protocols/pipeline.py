@@ -1,39 +1,35 @@
 """The host-side verification pipeline (Figures 2, 3, and 4).
 
-One :class:`VerificationPipeline` per host wires the strategy layers
-together:
+One :class:`VerificationPipeline` per host runs the one check path:
 
-1. **cache lookup** — the Figure 3 fast path (plus the negative-cache
+1. **cache probe** — the Figure 3 fast path (plus the negative-cache
    extension);
 2. **manager resolution** — the host's static map or shard router
    (:meth:`~repro.core.host.AccessControlHost.manager_addrs_for`);
 3. **query rounds** — a :class:`~repro.protocols.planner.QueryPlanner`
    gathers responses, a :class:`~repro.protocols.combiner.
-   ResponseCombiner` judges them, repeated up to ``R`` attempts;
-4. **decision** — :class:`~repro.protocols.decision.DecisionPolicy`
-   maps the outcome (verified / denied / Figure 4 default-allow /
-   exhausted) to the final :class:`AccessDecision`, and
-   :class:`~repro.protocols.decision.ExpiryStamper` stamps cached
-   grants with ``Time() + te - delta``.
+   ResponseCombiner` judges them, repeated up to ``R`` attempts; a
+   grant is cached with the host's ``Time() + te - delta`` stamp
+   (:meth:`~repro.core.host.AccessControlHost._expiry_limit`);
+4. **decision** — the outcome (verified / denied / Figure 4
+   default-allow / exhausted) becomes the final :class:`AccessDecision`,
+   counted in the host's stats and traced.
 
-Strategies are selected per call from the application's
-:class:`AccessPolicy` through the ``planner_factory`` /
-``combiner_factory`` hooks; replacing a factory composes a new protocol
-variant (e.g. weighted voting) without touching the host class.
+The planner and combiner are selected per call from the application's
+:class:`AccessPolicy`; replacing ``combiner_factory`` composes a new
+protocol variant (e.g. weighted voting) without touching the host class.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from ..core.cache import CacheEntry
 from ..core.messages import Verdict
-from ..core.policy import AccessPolicy
+from ..core.policy import AccessPolicy, ExhaustedAction
 from ..core.rights import Right
 from ..sim.trace import TraceKind
-from .combiner import ResponseCombiner, combiner_for
-from .decision import AccessDecision, DecisionPolicy, DecisionReason, ExpiryStamper
-from .planner import QueryPlanner, planner_for
+from .combiner import combiner_for
+from .decision import AccessDecision, DecisionReason
+from .planner import planner_for
 
 __all__ = [
     "VerificationPipeline",
@@ -52,19 +48,10 @@ NO_MANAGERS = "no_managers"
 class VerificationPipeline:
     """Cache -> planner -> combiner -> decision, for one host."""
 
-    def __init__(
-        self,
-        host,
-        planner_factory: Callable[[AccessPolicy], QueryPlanner] = planner_for,
-        combiner_factory: Callable[[AccessPolicy], ResponseCombiner] = combiner_for,
-        decision_policy: DecisionPolicy = None,
-        stamper: ExpiryStamper = None,
-    ):
+    def __init__(self, host):
         self.host = host
-        self.planner_factory = planner_factory
-        self.combiner_factory = combiner_factory
-        self.decision_policy = decision_policy or DecisionPolicy()
-        self.stamper = stamper or ExpiryStamper()
+        #: ``policy -> ResponseCombiner``; replace it to compose a variant.
+        self.combiner_factory = combiner_for
 
     # -- the access check (Figures 2/3/4) ----------------------------------
     def probe(self, application: str, user: str, right: Right):
@@ -92,9 +79,8 @@ class VerificationPipeline:
             )
         else:
             tracer.bump(TraceKind.ACCESS_REQUESTED)
-        # ``cache.probe`` is the allocation-free lookup: no CacheLookup
-        # object on the hot path, and unknown users never grow the
-        # interner.
+        # ``cache.probe`` allocates nothing, and unknown users never
+        # grow the interner.
         cache = host.cache_for(application)
         now_local = host.clock.now()
         cached = cache.probe(user, right, now_local)
@@ -140,7 +126,39 @@ class VerificationPipeline:
         responses: int,
         latency: float,
     ):
-        decision = AccessDecision(
+        """Make the decision, count it in the host's stats and trace the
+        access-level record every oracle and metrics collector keys on."""
+        host = self.host
+        stats = host.stats
+        if allowed:
+            if reason == DecisionReason.DEFAULT_ALLOW:
+                stats["default_allowed"] += 1
+                kind = TraceKind.ACCESS_DEFAULT_ALLOWED
+            else:
+                kind = TraceKind.ACCESS_ALLOWED
+            stats["allowed"] += 1
+        else:
+            stats["denied"] += 1
+            kind = (
+                TraceKind.ACCESS_UNRESOLVED
+                if reason in (DecisionReason.EXHAUSTED, DecisionReason.HOST_CRASHED)
+                else TraceKind.ACCESS_DENIED
+            )
+        tracer = host.tracer
+        if tracer.wants(kind):
+            tracer.publish(
+                kind,
+                host.address,
+                application=application,
+                user=user,
+                reason=reason,
+                attempts=attempts,
+                responses=responses,
+                latency=latency,
+            )
+        else:
+            tracer.bump(kind)
+        return AccessDecision(
             application=application,
             user=user,
             right=right,
@@ -150,8 +168,6 @@ class VerificationPipeline:
             responses=responses,
             latency=latency,
         )
-        self.decision_policy.record(self.host, decision)
-        return decision
 
     def check(self, application: str, user: str, right: Right, missed: bool = False):
         """Process generator deciding one ``Invoke(A)``.
@@ -204,7 +220,7 @@ class VerificationPipeline:
             return decide(False, DecisionReason.NO_MANAGERS, attempts, 0)
 
         # -- R attempts exhausted: Figure 4 or deny ------------------------
-        if self.decision_policy.allow_on_exhaustion(policy):
+        if policy.exhausted_action is ExhaustedAction.ALLOW:
             return decide(True, DecisionReason.DEFAULT_ALLOW, attempts, 0)
         return decide(False, DecisionReason.EXHAUSTED, attempts, 0)
 
@@ -216,7 +232,6 @@ class VerificationPipeline:
         right: Right,
         policy: AccessPolicy,
         incarnation: int,
-        user_driven: bool = True,
     ):
         """Run verification rounds until decided or R is exhausted.
 
@@ -228,7 +243,7 @@ class VerificationPipeline:
         if not managers:
             return (NO_MANAGERS, 0, 0)
         required = policy.required_responses(len(managers))
-        planner = self.planner_factory(policy)
+        planner = planner_for(policy)
         combiner = self.combiner_factory(policy)
         attempts = 0
         while policy.max_attempts is None or attempts < policy.max_attempts:
@@ -247,8 +262,7 @@ class VerificationPipeline:
                     host.cache_for(application).store(
                         CacheEntry(
                             user=user, right=right, limit=limit, version=best.version
-                        ),
-                        now_local=host.clock.now() if user_driven else None,
+                        )
                     )
                     tracer = host.tracer
                     if tracer.wants(TraceKind.CACHE_STORED):

@@ -2,8 +2,18 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 from repro.core.cache import ACLCache, CacheEntry
+from repro.core.ids import Interner
 from repro.core.rights import Right, Version
+
+#: Bytes a stored grant keeps in the cache, at 20 000 grants: its index
+#: slot and packed key, and its expiry-heap record, read 162 B on CPython
+#: 3.11; a per-grant last-access table (a dict slot and a float) made it
+#: 215 B.
+BOUND_PER_GRANT = 184
 
 
 def entry(user="u", right=Right.USE, limit=100.0, counter=1):
@@ -13,16 +23,16 @@ def entry(user="u", right=Right.USE, limit=100.0, counter=1):
 class TestLookup:
     def test_miss_on_empty(self):
         cache = ACLCache("app")
-        result = cache.lookup("u", Right.USE, now_local=0.0)
-        assert not result.hit and not result.expired
+        assert cache.probe("u", Right.USE, now_local=0.0) is None
+        assert not cache.last_probe_expired
         assert cache.misses == 1
 
     def test_hit_before_limit(self):
         cache = ACLCache("app")
         cache.store(entry(limit=50.0))
-        result = cache.lookup("u", Right.USE, now_local=49.9)
-        assert result.hit
-        assert result.entry.limit == 50.0
+        hit = cache.probe("u", Right.USE, now_local=49.9)
+        assert hit is not None
+        assert hit.limit == 50.0
         assert cache.hits == 1
 
     def test_expired_at_limit(self):
@@ -30,23 +40,23 @@ class TestLookup:
         instant itself is expired."""
         cache = ACLCache("app")
         cache.store(entry(limit=50.0))
-        result = cache.lookup("u", Right.USE, now_local=50.0)
-        assert not result.hit and result.expired
+        assert cache.probe("u", Right.USE, now_local=50.0) is None
+        assert cache.last_probe_expired
 
     def test_expired_entry_removed(self):
         cache = ACLCache("app")
         cache.store(entry(limit=50.0))
-        cache.lookup("u", Right.USE, now_local=60.0)
+        cache.probe("u", Right.USE, now_local=60.0)
         assert len(cache) == 0
-        # The followup lookup is a plain miss, not another expiry.
-        followup = cache.lookup("u", Right.USE, now_local=61.0)
-        assert not followup.expired
+        # The followup probe is a plain miss, not another expiry.
+        assert cache.probe("u", Right.USE, now_local=61.0) is None
+        assert not cache.last_probe_expired
         assert cache.expirations == 1
 
     def test_rights_cached_separately(self):
         cache = ACLCache("app")
         cache.store(entry(right=Right.USE))
-        assert not cache.lookup("u", Right.MANAGE, 0.0).hit
+        assert cache.probe("u", Right.MANAGE, 0.0) is None
 
 
 class TestStoreAndFlush:
@@ -54,7 +64,7 @@ class TestStoreAndFlush:
         cache = ACLCache("app")
         cache.store(entry(limit=10.0))
         cache.store(entry(limit=99.0, counter=2))
-        assert cache.lookup("u", Right.USE, 50.0).hit
+        assert cache.probe("u", Right.USE, 50.0) is not None
 
     def test_flush_specific_right(self):
         cache = ACLCache("app")
@@ -91,7 +101,7 @@ class TestPurge:
         cache.store(entry(user="fresh", limit=100.0))
         removed = cache.purge_expired(now_local=50.0)
         assert removed == 1
-        assert cache.lookup("fresh", Right.USE, 50.0).hit
+        assert cache.probe("fresh", Right.USE, 50.0) is not None
 
     def test_purge_empty(self):
         assert ACLCache("app").purge_expired(0.0) == 0
@@ -126,3 +136,28 @@ def test_warm_probe_never_calls_into_enum():
         sys.setprofile(None)
     assert all(hits)
     assert not [path for path in entered if path.endswith("enum.py")], entered
+
+
+def test_cache_bytes_per_stored_grant_are_bounded():
+    grants = 20_000
+    interner = Interner()
+    users = [f"p{index}@d{index % 251}.example.org" for index in range(grants)]
+    interner.intern_many(users)
+    version = Version(1, "m0")
+    entries = [CacheEntry(user=user, right=Right.USE, limit=1_000.0 + index, version=version)
+               for index, user in enumerate(users)]
+    cache = ACLCache("app", interner)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        for stored in entries:
+            cache.store(stored)
+        gc.collect()
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    # Unfiltered: whatever the store allocates counts, wherever it is filed.
+    per_grant = sum(stat.size_diff for stat in after.compare_to(before, "filename")) / grants
+    assert len(cache) == grants
+    assert per_grant < BOUND_PER_GRANT, f"{per_grant:.0f} bytes per cached grant"

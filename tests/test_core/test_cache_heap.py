@@ -3,7 +3,7 @@
 ``ACLCache.purge_expired`` now pops a ``(limit, key)`` min-heap instead
 of scanning every entry.  These tests drive the real cache and a
 reference implementation of the old O(n) sweep through the same
-store/flush/lookup/expire interleavings and require identical entries,
+store/flush/probe/expire interleavings and require identical entries,
 return values, and counters at every step.
 """
 
@@ -30,7 +30,6 @@ class ReferenceCache(ACLCache):
         ]
         for key in expired:
             del self._entries[key]
-            self._last_access.pop(key, None)
         self.expirations += len(expired)
         return len(expired)
 
@@ -58,7 +57,7 @@ class TestHeapExpiryTargeted:
         cache.store(entry(limit=10.0))
         cache.store(entry(limit=99.0, counter=2))  # stale (10.0, key) remains
         assert cache.purge_expired(50.0) == 0
-        assert cache.lookup("u", Right.USE, 60.0).hit
+        assert cache.probe("u", Right.USE, 60.0) is not None
         assert cache.purge_expired(100.0) == 1
 
     def test_refresh_with_earlier_limit_expires_early(self):
@@ -80,7 +79,8 @@ class TestHeapExpiryTargeted:
     def test_lookup_expiry_then_purge_counts_once(self):
         cache = ACLCache("app")
         cache.store(entry(limit=10.0))
-        assert cache.lookup("u", Right.USE, 20.0).expired
+        assert cache.probe("u", Right.USE, 20.0) is None
+        assert cache.last_probe_expired
         assert cache.purge_expired(30.0) == 0
         assert cache.expirations == 1
 
@@ -110,7 +110,7 @@ class TestHeapExpiryTargeted:
         # 64-record floor plus a growth margin over the live entries.
         assert len(cache._expiry_heap) <= max(65, 4 * len(cache._entries) + 1)
         assert cache.purge_expired(600.0) == 1  # steady expired, churn not
-        assert cache.lookup("churn", Right.USE, 600.0).hit
+        assert cache.probe("churn", Right.USE, 600.0) is not None
 
 
 class TestHeapMatchesLinearSweepUnderInterleavings:
@@ -130,18 +130,17 @@ class TestHeapMatchesLinearSweepUnderInterleavings:
                     limit=now + rng.choice([-5.0, 0.0, 2.0, 10.0, 80.0]),
                     counter=step,
                 )
-                stamp = now if rng.random() < 0.5 else None
-                cache.store(e, stamp)
-                reference.store(e, stamp)
+                cache.store(e)
+                reference.store(e)
             elif op < 0.6:
                 user = rng.choice(users)
                 right = rng.choice([None, Right.USE, Right.MANAGE])
                 assert cache.flush(user, right) == reference.flush(user, right)
             elif op < 0.8:
                 user, right = rng.choice(users), rng.choice(rights)
-                a = cache.lookup(user, right, now)
-                b = reference.lookup(user, right, now)
-                assert (a.hit, a.expired) == (b.hit, b.expired)
+                a = cache.probe(user, right, now)
+                b = reference.probe(user, right, now)
+                assert (a, cache.last_probe_expired) == (b, reference.last_probe_expired)
             else:
                 assert cache.purge_expired(now) == reference.purge_expired(now)
             if step % 100 == 0:

@@ -3,8 +3,7 @@
 The production cache keeps a lazy-deletion min-heap so expiry sweeps
 are O(k log n); the reference model below is the obviously-correct
 version — a plain dict plus linear scans.  Hypothesis drives random
-interleavings of insert / lookup / revoke / expire / idle-purge /
-compact and checks the two stay in lockstep, contents and counters
+interleavings of insert / probe / revoke / expire / compact and checks the two stay in lockstep, contents and counters
 alike.
 """
 
@@ -31,12 +30,10 @@ class CacheAgainstModel(RuleBasedStateMachine):
         super().__init__()
         self.cache = ACLCache("app")
         self.entries = {}  # key -> CacheEntry (the model)
-        self.last = {}  # key -> last-access local time
         self.hits = 0
         self.misses = 0
         self.expirations = 0
         self.flushes = 0
-        self.idle_evictions = 0
 
     # -- operations ---------------------------------------------------------
     @rule(
@@ -44,38 +41,31 @@ class CacheAgainstModel(RuleBasedStateMachine):
         right=rights,
         limit=limits,
         counter=st.integers(1, 9),
-        now=st.one_of(st.none(), clocks),
     )
-    def insert(self, user, right, limit, counter, now):
+    def insert(self, user, right, limit, counter):
         entry = CacheEntry(
             user=user, right=right, limit=limit, version=Version(counter, "m0")
         )
-        self.cache.store(entry, now_local=now)
-        key = (user, right)
-        self.entries[key] = entry
-        if now is not None:
-            self.last[key] = now
-        else:
-            self.last.setdefault(key, float("-inf"))
+        self.cache.store(entry)
+        self.entries[(user, right)] = entry
 
     @rule(user=users, right=rights, now=clocks)
-    def lookup(self, user, right, now):
-        result = self.cache.lookup(user, right, now)
+    def probe(self, user, right, now):
+        found = self.cache.probe(user, right, now)
+        expired = self.cache.last_probe_expired
         key = (user, right)
         expected = self.entries.get(key)
         if expected is None:
-            assert result.entry is None and not result.expired
+            assert found is None and not expired
             self.misses += 1
         elif now < expected.limit:
-            assert result.entry == expected and not result.expired
+            assert found == expected and not expired
             self.hits += 1
-            self.last[key] = now
         else:
             # Figure 3: "the access control tuple is removed and the
             # access is rechecked".
-            assert result.entry is None and result.expired
+            assert found is None and expired
             del self.entries[key]
-            self.last.pop(key, None)
             self.expirations += 1
 
     @rule(user=users, right=st.one_of(st.none(), rights))
@@ -87,7 +77,6 @@ class CacheAgainstModel(RuleBasedStateMachine):
             keys = [key for key in self.entries if key[0] == user]
         for key in keys:
             del self.entries[key]
-            self.last.pop(key, None)
         assert removed == len(keys)
         self.flushes += len(keys)
 
@@ -99,23 +88,8 @@ class CacheAgainstModel(RuleBasedStateMachine):
         ]
         for key in keys:
             del self.entries[key]
-            self.last.pop(key, None)
         assert removed == len(keys)
         self.expirations += len(keys)
-
-    @rule(now=clocks, ttl=st.integers(1, 40).map(float))
-    def purge_idle(self, now, ttl):
-        removed = self.cache.purge_idle(now, ttl)
-        keys = [
-            key
-            for key in self.entries
-            if now - self.last.get(key, float("-inf")) > ttl
-        ]
-        for key in keys:
-            del self.entries[key]
-            self.last.pop(key, None)
-        assert removed == len(keys)
-        self.idle_evictions += len(keys)
 
     @rule()
     def compact(self):
@@ -127,7 +101,6 @@ class CacheAgainstModel(RuleBasedStateMachine):
     def clear(self):
         self.cache.clear()
         self.entries.clear()
-        self.last.clear()
 
     # -- lockstep invariants ------------------------------------------------
     @invariant()
@@ -142,17 +115,6 @@ class CacheAgainstModel(RuleBasedStateMachine):
         assert self.cache.misses == self.misses
         assert self.cache.expirations == self.expirations
         assert self.cache.flushes == self.flushes
-        assert self.cache.idle_evictions == self.idle_evictions
-
-    @invariant()
-    def last_access_agrees(self):
-        for key in self.entries:
-            recorded = self.cache.last_access(*key)
-            expected = self.last.get(key, float("-inf"))
-            if expected == float("-inf"):
-                assert recorded is None
-            else:
-                assert recorded == expected
 
 
 TestCacheAgainstModel = CacheAgainstModel.TestCase

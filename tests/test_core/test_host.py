@@ -174,10 +174,10 @@ class TestExpiry:
         harness.grant_everywhere("alice")
         harness.check("alice")
         harness.env.run(until=41.0)
-        lookup = harness.host.cache_for(APP).lookup(
+        hit = harness.host.cache_for(APP).probe(
             "alice", Right.USE, harness.host.clock.now()
         )
-        assert not lookup.hit
+        assert hit is None
 
     def test_half_round_trip_delta_gives_later_expiry(self):
         harness_full = Harness(policy(delta_mode=DeltaMode.FULL_ROUND_TRIP))

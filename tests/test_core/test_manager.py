@@ -527,6 +527,6 @@ class TestIngressShapeCheck:
             AclEntry("mallory", Right.USE, True, Version(2**63, "m1")),
         )
         manager.on_crash()
-        manager.recovery.reload_from_store(manager)
+        manager.reload_from_store()
         assert manager.rejected_entries == 1
         assert manager.acl(APP).snapshot() == [good]

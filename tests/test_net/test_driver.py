@@ -615,12 +615,13 @@ def test_protocol_exception_stops_the_runtime_and_surfaces_from_stop(caplog):
     assert [r for r in caplog.records if r.name == "asyncio"] == []
 
 
-def test_segment_frames_on_the_wire_keep_their_layout():
+def test_segment_frames_on_the_wire_keep_their_layout(caplog):
     """What a link writes is ``len || 'B' || seal_segment(...)`` from its first byte."""
 
     async def scenario():
         seen = bytearray()
         got_one = asyncio.Event()
+        captured = asyncio.Event()
 
         async def capture(reader, writer):
             try:
@@ -629,6 +630,7 @@ def test_segment_frames_on_the_wire_keep_their_layout():
                     got_one.set()
             finally:
                 writer.close()
+                captured.set()
 
         sink = await asyncio.start_server(capture, LOCAL, 0)
         runtime = LiveRuntime(SECRET, time_scale=10.0)
@@ -642,11 +644,16 @@ def test_segment_frames_on_the_wire_keep_their_layout():
             await asyncio.wait_for(got_one.wait(), 5.0)
         finally:
             await runtime.stop()
+            # The stopped link's EOF ends the handler; teardown must not
+            # have to cancel it.
+            await asyncio.wait_for(captured.wait(), 5.0)
             sink.close()
             await sink.wait_closed()
         return bytes(seen), sink_port
 
-    raw, sink_port = asyncio.run(scenario())
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        raw, sink_port = asyncio.run(scenario())
+    assert not caplog.records, [r.getMessage() for r in caplog.records]
     (body,) = FrameReader().feed(raw)
     assert body[:1] == b"B"
     sender, recipient, items = SessionAuth(SECRET).open_segment(body[1:])

@@ -116,3 +116,23 @@ class TestRoles:
                 ["--role", "host", "--address", "h0", "--secret", "x",
                  "--run-for", "0.1"]
             )
+
+    @pytest.mark.parametrize("role, flag", [
+        ("manager", ["--apps", "a,b"]),
+        ("manager", ["--check-quorum", "1"]),
+        ("host", ["--managers", "3"]),
+        ("host", ["--hosts=2"]),
+        ("cell", ["--address", "m0"]),
+    ])
+    def test_a_flag_of_another_role_is_refused(self, tmp_path, capsys, role, flag):
+        # Even at its default value: the node takes its shape from --cell.
+        cell = _cell_file(tmp_path / "cell.json",
+                          {"m0": ("127.0.0.1", 0), "h0": ("127.0.0.1", 0)})
+        argv = ["--role", role, "--cell", cell, "--secret", "x", "--run-for", "0.1"]
+        if role != "cell":
+            argv += ["--address", "m0" if role == "manager" else "h0"]
+        with pytest.raises(SystemExit) as exited:
+            main(argv + flag)
+        assert exited.value.code == 2
+        name = flag[0].partition("=")[0]
+        assert f"argument {name}: not allowed with --role {role}" in capsys.readouterr().err

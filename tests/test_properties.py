@@ -153,9 +153,9 @@ class TestCacheProperties:
                            version=Version(1, "m"))
             )
         for user, _limit in stores:
-            result = cache.lookup(user, Right.USE, now)
-            if result.hit:
-                assert now < result.entry.limit
+            hit = cache.probe(user, Right.USE, now)
+            if hit is not None:
+                assert now < hit.limit
 
     @given(st.lists(users, max_size=20), st.floats(0, 100, allow_nan=False))
     def test_flush_then_lookup_misses(self, user_list, now):
@@ -167,7 +167,7 @@ class TestCacheProperties:
             )
         for user in user_list:
             cache.flush(user)
-            assert not cache.lookup(user, Right.USE, now).hit
+            assert cache.probe(user, Right.USE, now) is None
 
     @given(
         st.lists(
@@ -185,9 +185,8 @@ class TestCacheProperties:
             lazy.store(entry)
         eager.purge_expired(now)
         for user, _ in stores:
-            assert (
-                eager.lookup(user, Right.USE, now).hit
-                == lazy.lookup(user, Right.USE, now).hit
+            assert (eager.probe(user, Right.USE, now) is None) == (
+                lazy.probe(user, Right.USE, now) is None
             )
 
 

@@ -14,7 +14,9 @@ the outermost unreached function::
 An entry is the argument list of one ``python`` command, run from the
 repository root with ``src`` on ``PYTHONPATH``.  The defaults are
 ``-m repro`` (all experiments), every ``examples/*.py``, ``-m bench_e2e
---smoke`` and ``-m repro fuzz --cells 20 --seed 7``.  Worker processes
+--smoke``, ``-m repro fuzz --cells 20 --seed 7`` and
+``tools/serve_load.py`` (``repro serve --role cell --cell F`` under a
+one-second ``repro load --cell F``, the server then stopped).  Worker processes
 that leave through ``os._exit`` report nothing, so run entries with
 their default job count.  The last stdout line is the report as one
 JSON object; exit status 1 when an entry fails, 2 on a bad argument.
@@ -64,7 +66,8 @@ Function = Tuple[int, int, Tuple[int, ...], str]  # first, last, start lines, na
 
 def default_entries() -> List[str]:
     examples = sorted(str(p.relative_to(_ROOT)) for p in (_ROOT / "examples").glob("*.py"))
-    return ["-m repro", *examples, "-m bench_e2e --smoke", "-m repro fuzz --cells 20 --seed 7"]
+    return ["-m repro", *examples, "-m bench_e2e --smoke", "-m repro fuzz --cells 20 --seed 7",
+            "tools/serve_load.py"]
 
 
 def _functions(tree: ast.AST) -> Iterator[Tuple[Function, Optional[Function]]]:
