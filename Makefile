@@ -29,8 +29,9 @@ loc:
 	@find src -name '*.py' | xargs wc -l | tail -1
 
 # Function lines in src/repro that no entry point reaches (python -m
-# repro, examples/, bench_e2e --smoke, a 20-cell fuzz sweep, a served
-# cell under a one-second load; ~1 min), per module, then the total.
+# repro, examples/, bench_e2e --smoke, a 20-cell fuzz sweep, a
+# 2000-principal mega run, a served cell under a one-second load;
+# ~1 min), per module, then the total.
 reach:
 	python3 tools/reach.py
 

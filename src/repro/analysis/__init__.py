@@ -11,7 +11,6 @@
 from .costs import (
     CostModel,
     miss_delay,
-    steady_state_check_rate,
     steady_state_message_rate,
     worst_case_delay,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "poisson_binomial_tail",
     "quorum_curve",
     "security",
-    "steady_state_check_rate",
     "steady_state_message_rate",
     "weight_tail",
     "weighted_average",

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from ..core.policy import AccessPolicy, QueryStrategy
 
 __all__ = [
-    "steady_state_check_rate",
     "steady_state_message_rate",
     "miss_messages",
     "miss_delay",
@@ -29,19 +28,13 @@ __all__ = [
 ]
 
 
-def steady_state_check_rate(te_local: float) -> float:
-    """Cache-refresh checks per unit time for one active (host, user)
-    pair: rights must be re-verified every ``te`` time units."""
-    if te_local <= 0:
-        raise ValueError("te must be positive")
-    return 1.0 / te_local
-
-
 def steady_state_message_rate(check_quorum: int, te_local: float) -> float:
     """The paper's ``O(C/Te)``: query+response message pairs per unit
     time for one continuously active (host, user) pair."""
     if check_quorum < 1:
         raise ValueError("C must be >= 1")
+    if te_local <= 0:
+        raise ValueError("te must be positive")
     return check_quorum / te_local
 
 
@@ -96,10 +89,6 @@ class CostModel:
 
     policy: AccessPolicy
     round_trip: float
-
-    @property
-    def check_rate(self) -> float:
-        return steady_state_check_rate(self.policy.te_local)
 
     @property
     def message_rate(self) -> float:

@@ -231,11 +231,9 @@ class BaselineHost(Node):
                     right=right,
                 ),
             )
-        timer = self.env.timeout(QUERY_TIMEOUT)
-        yield self.env.any_of([done, timer])
+        yield self.env.any_of([done, self.env.timeout(QUERY_TIMEOUT)])
         for query_id in query_ids:
             self._pending.discard(query_id)
-        timer.cancel()
         return replies if len(replies) >= len(targets) else None
 
     def _decide(self, application: str, user: str, right: Right, allowed: bool,

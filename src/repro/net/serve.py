@@ -10,10 +10,10 @@ Three roles, one description of the cell between them: the *cell file*
   file ``--cell``, alone in this process, on its own endpoint with the
   rest as peers — the shape a multi-process deployment uses.
 
-A flag that shapes only the other kind of role (``--apps``,
+A flag that does not shape the role booted (``--apps``,
 ``--check-quorum``, ``--managers`` and ``--hosts`` shape a whole cell;
-``--address`` names a node) is refused with exit status 2, never
-silently ignored.
+``--address`` names a node; ``--grant`` seeds managers, so a host
+refuses it) is refused with exit status 2, never silently ignored.
 
 Every role builds through one recipe (:class:`~repro.net.cell.LiveRecipe`
 over the spec), so a manager booted alone starts from the ACL its address
@@ -94,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="[cell] the policy's check quorum C (default %(default)s)")
     parser.add_argument("--grant", action="append", default=[], metavar="USER[:RIGHT]",
                         type=_parse_grant,
-                        help="seed a grant on every manager before start (repeatable)")
+                        help="[cell|manager] seed a grant on every manager before start "
+                             "(repeatable)")
     # -- cell role ---------------------------------------------------------
     parser.add_argument("--managers", type=positive(int), default=3,
                         help="[cell] number of managers (default 3)")
@@ -128,22 +129,22 @@ def _parse_grant(spec: str) -> Tuple[str, Right]:
     return user, rights.get(right, Right.USE)
 
 
-#: Flags (by dest) that shape one kind of role, and that kind.
-_ROLE_FLAGS = {"apps": "cell", "check_quorum": "cell", "managers": "cell", "hosts": "cell",
-               "address": "node"}
+#: Flags (by dest) that shape only some roles, and those roles.
+_ROLE_FLAGS = {"apps": {"cell"}, "check_quorum": {"cell"}, "managers": {"cell"},
+               "hosts": {"cell"}, "address": {"manager", "host"},
+               "grant": {"cell", "manager"}}
 
 
 def _stray_flag(parser: argparse.ArgumentParser, argv: Optional[List[str]],
                 role: str) -> Optional[str]:
-    """The first flag on the command line that shapes only roles other
-    than ``role``, else None.  Parsed again into a namespace that already
-    holds a marker for each such dest: argparse writes a dest only when
-    its flag is given, so a marker left in place means the flag was not."""
-    unset = object()
-    given = parser.parse_args(argv, argparse.Namespace(**dict.fromkeys(_ROLE_FLAGS, unset)))
-    kind = "cell" if role == "cell" else "node"
-    for dest, shapes in _ROLE_FLAGS.items():
-        if shapes != kind and getattr(given, dest) is not unset:
+    """The first flag on the command line that does not shape ``role``,
+    else None.  Parsed again into a namespace that already holds None for
+    each such dest: argparse writes a dest only when its flag is given (an
+    appending flag turns the None into a list), so a None left in place
+    means the flag was not."""
+    given = parser.parse_args(argv, argparse.Namespace(**dict.fromkeys(_ROLE_FLAGS)))
+    for dest, roles in _ROLE_FLAGS.items():
+        if role not in roles and getattr(given, dest) is not None:
             return "--" + dest.replace("_", "-")
     return None
 

@@ -150,9 +150,9 @@ class DisseminationStrategy:
         while pending.unacked:
             if manager.up:
                 manager.multicast(sorted(pending.unacked), message)
-            timer = manager.env.timeout(policy.update_retry_interval)
-            yield manager.env.any_of([pending.done_event, timer])
-            timer.cancel()
+            yield manager.env.any_of(
+                [pending.done_event, manager.env.timeout(policy.update_retry_interval)]
+            )
 
     def check_progress(self, manager, pending: PendingUpdate) -> None:
         """Fire the quorum / completion events as acks arrive."""

@@ -167,6 +167,4 @@ def retry_until_acked(
             node.send(dest, message)
             if on_sent is not None:
                 on_sent()
-        timer = node.env.timeout(interval)
-        yield node.env.any_of([acked, timer])
-        timer.cancel()  # dead on the ack path; no-op when the timer won
+        yield node.env.any_of([acked, node.env.timeout(interval)])

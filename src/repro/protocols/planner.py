@@ -120,9 +120,7 @@ class QueryPlanner:
             # it is one scheduler insertion; ``on_sent`` keeps the
             # per-manager QUERY_SENT trace interleaved with MSG_SENT.
             host.send_many(items, on_sent)
-            timer = env.timeout(policy.query_timeout)
-            yield env.any_of([done, timer])
-            timer.cancel()  # dead once the answers won the race
+            yield env.any_of([done, env.timeout(policy.query_timeout)])
             timed_out = not done.triggered
             for qid, manager in asked.items():  # discard late responses
                 if timed_out and qid in pending:

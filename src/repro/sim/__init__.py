@@ -12,9 +12,7 @@ Everything the reproduction's protocol code runs on: the event loop
 
 from .clock import ClockFactory, LocalClock, slowness_bound
 from .engine import (
-    AllOf,
     AnyOf,
-    Condition,
     Environment,
     Event,
     Interrupt,
@@ -44,11 +42,9 @@ from .storage import StableStore
 from .trace import TraceKind, TraceRecord, Tracer
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Address",
     "ClockFactory",
-    "Condition",
     "ConnectivityModel",
     "CrashRecoveryInjector",
     "DutyCycleModel",

@@ -29,9 +29,10 @@ Concepts
 ``Timeout``
     An event that fires after a fixed delay.
 
-``AnyOf`` / ``AllOf``
-    Composite conditions, used throughout the protocol code for
-    "response or timeout" races.
+``AnyOf``
+    The one composite event, used by the protocol code for its
+    "response or timeout" races: it fires with whichever sub-event is
+    processed first.
 
 ``Interrupt``
     Exception thrown into a process by ``Process.interrupt``.
@@ -41,7 +42,7 @@ Dead timers
 Nearly every timer loses its race: the reply beats the request timeout.
 A losing Timeout that nobody observes any more is marked *dead* by
 ``Timeout.cancel`` — called by protocol code, by ``Process.interrupt``
-and by a triggered condition's loser-detach — and is never
+and by a triggered ``AnyOf``'s loser-detach — and is never
 processed.  Dead entries are dropped from the queue two ways: popped and
 skipped when their time comes, or all at once when they outnumber the
 live entries (and number at least ``_COMPACT_FLOOR``): the queue is
@@ -65,7 +66,6 @@ Example
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -74,13 +74,9 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "Condition",
-    "ConditionValue",
     "AnyOf",
-    "AllOf",
     "Interrupt",
     "SimulationError",
-    "StopSimulation",
 ]
 
 #: Fewest dead entries worth a compaction; below it, dead entries are
@@ -90,10 +86,6 @@ _COMPACT_FLOOR = 64
 
 class SimulationError(Exception):
     """Raised for misuse of the simulation API."""
-
-
-class StopSimulation(Exception):
-    """Raised internally to abort ``Environment.run``."""
 
 
 class Interrupt(Exception):
@@ -111,9 +103,8 @@ class Event:
     """A one-shot occurrence that can be waited upon.
 
     Life cycle: *pending* -> *triggered* (``succeed``/``fail`` called, the
-    event sits in the queue) -> *processed* (callbacks have run).
-    Callbacks appended after processing would never run, so appending to
-    ``callbacks`` once the event is processed raises ``SimulationError``.
+    event sits in the queue) -> *processed* (callbacks have run).  A
+    callback added once the event is processed runs at once.
     """
 
     __slots__ = (
@@ -230,12 +221,6 @@ class Event:
             for callback in callbacks:
                 callback(self)
 
-    def __and__(self, other: "Event") -> "Condition":
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return AnyOf(self.env, [self, other])
-
     def __repr__(self) -> str:
         state = (
             "processed"
@@ -286,7 +271,7 @@ class Timeout(Event):
         attribute disables the whole elision machinery.
 
         The engine's one death path: ``Process.interrupt`` and
-        ``Condition._detach_losers`` call it too, so each entry dies and
+        ``AnyOf._detach_losers`` call it too, so each entry dies and
         is counted once, and any death may trigger a compaction.
         """
         if self._cancelled:
@@ -461,49 +446,16 @@ class _Death:
             raise process._value
 
 
-class ConditionValue(Mapping):
-    """Lazily-materialized value of a fired condition.
+class AnyOf(Event):
+    """Fires as soon as any sub-event is processed.
 
-    Behaves exactly like the dict ``{event: value}`` of the sub-events
-    that had succeeded when the condition triggered, but the dict is
-    only built if somebody actually inspects the value.  The protocol
-    code almost never does — it yields ``env.any_of([response, timer])``
-    and then checks ``response.triggered`` directly — so the common case
-    pays for a tuple snapshot instead of a dict per wait.
+    The one composite event: every protocol race is ``any_of([reply,
+    timer])``.  It succeeds with the winning sub-event itself, or fails
+    with the exception of the sub-event that failed; an empty list
+    succeeds at once with ``None``.
     """
 
-    __slots__ = ("_events", "_map")
-
-    def __init__(self, events: tuple):
-        self._events = events  # sub-events already succeeded at trigger time
-        self._map: Optional[dict] = None
-
-    def _materialize(self) -> dict:
-        mapping = self._map
-        if mapping is None:
-            mapping = self._map = {event: event._value for event in self._events}
-        return mapping
-
-    def __getitem__(self, key: Any) -> Any:
-        return self._materialize()[key]
-
-    def __iter__(self):
-        return iter(self._materialize())
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._materialize()
-
-    def __repr__(self) -> str:
-        return repr(self._materialize())
-
-
-class Condition(Event):
-    """Base for composite events over a list of sub-events."""
-
-    __slots__ = ("_events", "_pending")
+    __slots__ = ("_events",)
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
@@ -511,25 +463,20 @@ class Condition(Event):
         for event in self._events:
             if event.env is not env:
                 raise SimulationError("all condition events must share one environment")
-        self._pending = len(self._events)
         if not self._events:
-            self.succeed({})
+            self.succeed(None)
             return
         for event in self._events:
             event.add_callback(self._check)
 
-    def _evaluate(self, event: Event) -> None:
-        raise NotImplementedError
-
     def _check(self, event: Event) -> None:
         if self._triggered:
             return
-        if not event._ok:
-            self.fail(event._value)
+        if event._ok:
+            self.succeed(event)
         else:
-            self._pending -= 1
-            self._evaluate(event)
-        if self._triggered and self.env._elide:
+            self.fail(event._value)
+        if self.env._elide:
             self._detach_losers()
 
     def _detach_losers(self) -> None:
@@ -542,7 +489,7 @@ class Condition(Event):
         callbacks — additionally dies, so it is discarded instead of
         processed.  Pure elision: ``_check`` on a triggered condition was
         a no-op anyway, and a fresh Timeout's processing had nobody to
-        notify.
+        notify.  So a caller never needs to cancel its own losing timer.
         """
         for event in self._events:
             if event._processed:
@@ -555,39 +502,6 @@ class Condition(Event):
                     pass
             if type(event) is Timeout:
                 event.cancel()
-
-    def _results(self) -> ConditionValue:
-        """Lazy mapping of each already-processed sub-event to its value.
-
-        The snapshot of *which* events count is taken now (trigger
-        time); the backing dict is only built if the value is used.
-        """
-        return ConditionValue(
-            tuple(e for e in self._events if e._processed and e._ok)
-        )
-
-
-class AnyOf(Condition):
-    """Fires as soon as any sub-event succeeds.
-
-    The value is a dict of the sub-events that had succeeded at that
-    point, mapped to their values.
-    """
-
-    __slots__ = ()
-
-    def _evaluate(self, event: Event) -> None:
-        self.succeed(self._results())
-
-
-class AllOf(Condition):
-    """Fires once all sub-events have succeeded; value maps events to values."""
-
-    __slots__ = ()
-
-    def _evaluate(self, event: Event) -> None:
-        if self._pending == 0:
-            self.succeed(self._results())
 
 
 class Environment:
@@ -653,12 +567,8 @@ class Environment:
         return Process(self, generator, name=name)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event firing when any of ``events`` succeeds."""
+        """Composite event firing with the first of ``events`` processed."""
         return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Composite event firing when all of ``events`` have succeeded."""
-        return AllOf(self, events)
 
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, event: Event, delay: float) -> None:

@@ -8,7 +8,6 @@ from repro.analysis.costs import (
     CostModel,
     miss_delay,
     miss_messages,
-    steady_state_check_rate,
     steady_state_message_rate,
     worst_case_delay,
 )
@@ -16,9 +15,6 @@ from repro.core.policy import AccessPolicy, QueryStrategy
 
 
 class TestRates:
-    def test_check_rate_is_inverse_te(self):
-        assert steady_state_check_rate(50.0) == pytest.approx(0.02)
-
     def test_message_rate_scales_with_c(self):
         assert steady_state_message_rate(4, 100.0) == pytest.approx(
             2 * steady_state_message_rate(2, 100.0)
@@ -31,9 +27,9 @@ class TestRates:
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            steady_state_check_rate(0.0)
-        with pytest.raises(ValueError):
             steady_state_message_rate(0, 10.0)
+        with pytest.raises(ValueError):
+            steady_state_message_rate(2, 0.0)
 
 
 class TestMissDelay:
@@ -108,7 +104,6 @@ class TestCostModel:
             max_attempts=2, query_timeout=1.0, retry_backoff=0.0,
         )
         model = CostModel(policy=policy, round_trip=0.1)
-        assert model.check_rate == pytest.approx(0.01)
         assert model.message_rate == pytest.approx(0.02)
         assert model.cache_miss_delay == pytest.approx(0.1)
         # The default QUORUM strategy: C managers, then the rest.

@@ -123,6 +123,7 @@ class TestRoles:
         ("host", ["--managers", "3"]),
         ("host", ["--hosts=2"]),
         ("cell", ["--address", "m0"]),
+        ("host", ["--grant", "alice"]),
     ])
     def test_a_flag_of_another_role_is_refused(self, tmp_path, capsys, role, flag):
         # Even at its default value: the node takes its shape from --cell.

@@ -1,7 +1,7 @@
 """Property test: dead-timer elision never changes event ordering.
 
 The elision machinery (``Timeout.cancel`` + the run loop's dead-entry
-skip + the Condition loser-detach) is pure bookkeeping: a cancelled
+skip + the AnyOf loser-detach) is pure bookkeeping: a cancelled
 timer had no waiter and no callbacks, so processing it would have been
 a no-op.  The safety property is exact equivalence of the *observable
 schedule*: for any protocol-shaped program — request/reply races,
@@ -66,7 +66,7 @@ def _run(schedule, engine, clients=()):
             reply = env.timeout(reply_delay, value=("reply", pid, op_index))
             timer = env.timeout(timer_delay)
             result = yield env.any_of([reply, timer])
-            winner = "reply" if reply in result else "timeout"
+            winner = "reply" if result is reply else "timeout"
             log.append((env.now, pid, op_index, winner))
             yield env.timeout(pause)
         log.append((env.now, pid, "done"))
@@ -91,7 +91,7 @@ def _run(schedule, engine, clients=()):
             reply = env.timeout(0.5, value=("reply", pid, op_index))
             timer = env.timeout(100.0)
             result = yield env.any_of([reply, timer])
-            log.append((env.now, pid, op_index, reply in result))
+            log.append((env.now, pid, op_index, result is reply))
             peak[0] = max(peak[0], len(env._queue))
 
     def acker(acked, delay):

@@ -7,8 +7,6 @@ import pytest
 from repro.protocols.messaging import reply_deadline, reply_won
 from repro.sim.engine import (
     _COMPACT_FLOOR,
-    AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -351,55 +349,26 @@ class TestConditions:
 
         process = env.process(proc())
         env.run()
-        assert fast in process.value
-        assert slow not in process.value
-        assert process.value[fast] == "fast"
+        assert process.value is fast
+        assert fast.value == "fast"
 
-    def test_all_of_waits_for_all(self, env):
-        a = env.timeout(3, value="a")
-        b = env.timeout(7, value="b")
-
-        def proc():
-            result = yield env.all_of([a, b])
-            return result
-
-        process = env.process(proc())
+    def test_any_of_resolves_to_the_winning_event(self, env):
+        reply = env.event()
+        timer = env.timeout(5, value="timeout")
+        condition = env.any_of([reply, timer])
+        reply.succeed("answer", delay=1)
         env.run()
-        assert process.value == {a: "a", b: "b"}
+        assert condition.value is reply
 
     def test_empty_condition_fires_immediately(self, env):
         def proc():
-            result = yield env.all_of([])
+            result = yield env.any_of([])
             return result
 
         process = env.process(proc())
         env.run()
-        assert process.value == {}
+        assert process.ok and process.value is None
         assert env.now == 0.0
-
-    def test_operator_or(self, env):
-        fast = env.timeout(1, value=1)
-        slow = env.timeout(5, value=2)
-
-        def proc():
-            yield fast | slow
-            return env.now
-
-        process = env.process(proc())
-        env.run()
-        assert process.value == 1
-
-    def test_operator_and(self, env):
-        a = env.timeout(1)
-        b = env.timeout(5)
-
-        def proc():
-            yield a & b
-            return env.now
-
-        process = env.process(proc())
-        env.run()
-        assert process.value == 5
 
     def test_condition_failure_propagates(self, env):
         bad = env.event()
@@ -497,37 +466,6 @@ class TestFastPaths:
         env.run()
         assert order == ["process", "callback"]
 
-    def test_condition_value_behaves_like_dict(self, env):
-        fast = env.timeout(1, value="fast")
-        slow = env.timeout(9, value="slow")
-
-        def proc():
-            result = yield env.any_of([fast, slow])
-            return result
-
-        process = env.process(proc())
-        env.run()
-        value = process.value
-        assert value == {fast: "fast"}
-        assert fast in value and slow not in value
-        assert list(value) == [fast]
-        assert len(value) == 1
-        assert value.get(slow, "absent") == "absent"
-        assert dict(value) == {fast: "fast"}
-
-    def test_condition_value_snapshot_taken_at_trigger(self):
-        # Sub-events succeeding after the condition fired must not leak
-        # into a value that is only inspected later.  Elision is disabled
-        # so the losing timeout still fires and could leak if the
-        # snapshot were taken lazily.
-        env = NonElidingEnvironment()
-        fast = env.timeout(1, value="fast")
-        slow = env.timeout(9, value="slow")
-        condition = env.any_of([fast, slow])
-        env.run()  # both timeouts processed; condition fired at t=1
-        assert slow.processed
-        assert condition.value == {fast: "fast"}
-
     def test_bootstrap_start_order_matches_schedule_order(self, env):
         order = []
 
@@ -545,8 +483,6 @@ class TestFastPaths:
 
 class TestEngineDeepEdges:
     def test_interrupt_process_waiting_on_condition(self, env):
-        from repro.sim.engine import AnyOf
-
         def waiter():
             try:
                 yield env.any_of([env.timeout(50), env.timeout(60)])
@@ -672,11 +608,11 @@ class TestTimerElision:
             reply = env.timeout(0.5, value="reply")
             timer = env.timeout(10.0)
             result = yield env.any_of([reply, timer])
-            return dict(result)
+            return result.value
 
         process = env.process(racer())
         env.run()
-        assert list(process.value.values()) == ["reply"]
+        assert process.value == "reply"
         assert env.dead_pops == 1
         assert env.now == 10.0  # the dead entry still drained the heap
 
@@ -718,8 +654,8 @@ class TestTimerElision:
         assert env.now == 100.0
 
     def test_detached_loser_cancelled_again_counts_once(self, env):
-        # The ``messaging.request`` shape: the condition's loser-detach
-        # kills the timer, then the caller cancels it again.
+        # The loser-detach kills the timer; a later cancel by the
+        # caller is a no-op that neither counts nor compacts again.
         def requester():
             reply = env.timeout(0.5, value="reply")
             timer = env.timeout(10.0, value="payload")

@@ -67,7 +67,7 @@ def _run(schedule, elide):
             reply = env.timeout(reply_delay, value=("reply", pid, op_index))
             timer = env.timeout(timer_delay)
             result = yield env.any_of([reply, timer])
-            winner = "reply" if reply in result else "timeout"
+            winner = "reply" if result is reply else "timeout"
             log.append((env.now, pid, op_index, winner))
             # Batched fan-out at the current instant: every peer gets a
             # distinct payload through one scheduler insertion.

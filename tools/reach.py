@@ -14,7 +14,8 @@ the outermost unreached function::
 An entry is the argument list of one ``python`` command, run from the
 repository root with ``src`` on ``PYTHONPATH``.  The defaults are
 ``-m repro`` (all experiments), every ``examples/*.py``, ``-m bench_e2e
---smoke``, ``-m repro fuzz --cells 20 --seed 7`` and
+--smoke``, ``-m repro fuzz --cells 20 --seed 7``, a small ``-m repro
+mega`` population run (CI's population gate, scaled down) and
 ``tools/serve_load.py`` (``repro serve --role cell --cell F`` under a
 one-second ``repro load --cell F``, the server then stopped).  Worker processes
 that leave through ``os._exit`` report nothing, so run entries with
@@ -67,6 +68,7 @@ Function = Tuple[int, int, Tuple[int, ...], str]  # first, last, start lines, na
 def default_entries() -> List[str]:
     examples = sorted(str(p.relative_to(_ROOT)) for p in (_ROOT / "examples").glob("*.py"))
     return ["-m repro", *examples, "-m bench_e2e --smoke", "-m repro fuzz --cells 20 --seed 7",
+            "-m repro mega --principals 2000 --duration 20 --check-invariants",
             "tools/serve_load.py"]
 
 
