@@ -15,13 +15,13 @@ test-slow:
 
 # ruff + mypy where they are installed (CI); otherwise the stdlib
 # unused-import scan, so a dev container without them still gates F401.
-LINT_PATHS = src/repro/core src/repro/protocols src/repro/sim src/repro/net src/repro/metrics src/repro/runtime src/repro/workloads
+LINT_PATHS = src/repro/core src/repro/protocols src/repro/sim src/repro/net src/repro/metrics src/repro/runtime.py src/repro/workloads
 
 lint:
 	@if python -c "import ruff" 2>/dev/null; then \
 		ruff check $(LINT_PATHS) && mypy; \
 	else \
-		python tools/lint_fallback.py $(LINT_PATHS) src/repro/auth tools; \
+		python tools/lint_fallback.py $(LINT_PATHS) src/repro/auth tools tests; \
 	fi
 
 # The src/ line count that ROADMAP.md and CHANGES.md track.

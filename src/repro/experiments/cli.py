@@ -102,7 +102,10 @@ def _fuzz_main(argv: List[str]) -> int:
 
     prof_path = os.path.join(args.out, "repro-fuzz.prof")
     if args.schedule is not None:
-        schedule = Schedule.load(args.schedule)
+        try:
+            schedule = Schedule.load(args.schedule)
+        except (OSError, ValueError) as exc:
+            parser.error(f"--schedule {args.schedule}: {exc}")
         print(f"replaying {args.schedule}: {schedule.describe()}")
         with _profiled(args.profile, prof_path):
             result = run_cell(schedule)
@@ -202,11 +205,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.check_invariants:
-        from ..verify import set_checking
-
-        set_checking(True)
-        # Worker processes inherit the environment, not this module's
-        # flag, so parallel cells stay checked too.
+        # Worker processes inherit the environment, so parallel cells
+        # stay checked too.
         os.environ["REPRO_CHECK_INVARIANTS"] = "1"
 
     if args.jobs < 0:

@@ -48,13 +48,5 @@ class RngStreams:
             self._streams[name] = random.Random(derive_seed(self.master_seed, name))
         return self._streams[name]
 
-    def spawn(self, name: str) -> "RngStreams":
-        """Return a child family whose master seed is derived from ``name``.
-
-        Useful for giving each replication of an experiment its own
-        fully independent family of streams.
-        """
-        return RngStreams(derive_seed(self.master_seed, name))
-
     def __repr__(self) -> str:
         return f"<RngStreams seed={self.master_seed} streams={sorted(self._streams)}>"

@@ -12,16 +12,14 @@ Two halves:
   clock-drift / workload schedules against the oracles in parallel and
   shrinks any failure to a minimal replayable schedule.
 
-Checking can be switched on globally for a process (every system any
-experiment constructs) with :func:`set_checking` or the
+Checking is switched on for every system a process constructs by the
 ``REPRO_CHECK_INVARIANTS`` environment variable, which is what the CLI
-``--check-invariants`` flag uses.
+``--check-invariants`` flag sets (worker processes inherit it).
 """
 
 from __future__ import annotations
 
 import os
-from typing import Optional
 
 from .invariants import (
     CacheExpiryInvariant,
@@ -64,30 +62,15 @@ __all__ = [
     "run_fuzz",
     "shrink_schedule",
     "checking_enabled",
-    "set_checking",
 ]
 
 _ENV_FLAG = "REPRO_CHECK_INVARIANTS"
-_enabled: Optional[bool] = None
 
 
 def checking_enabled() -> bool:
-    """Whether systems should attach invariant checkers by default.
-
-    :func:`set_checking` wins; otherwise the ``REPRO_CHECK_INVARIANTS``
-    environment variable (``1``/``true``/``yes``/``on``) decides.
-    """
-    if _enabled is not None:
-        return _enabled
+    """Whether systems should attach invariant checkers by default: the
+    ``REPRO_CHECK_INVARIANTS`` environment variable
+    (``1``/``true``/``yes``/``on``) decides."""
     return os.environ.get(_ENV_FLAG, "").strip().lower() in (
         "1", "true", "yes", "on",
     )
-
-
-def set_checking(enabled: Optional[bool]) -> None:
-    """Force default invariant checking on/off process-wide.
-
-    ``None`` restores deferral to the environment variable.
-    """
-    global _enabled
-    _enabled = enabled

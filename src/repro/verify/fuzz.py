@@ -6,7 +6,7 @@ oracles in collect mode, drives partitions / host crashes / drifting
 clocks / access + update workloads against it, heals everything, drains
 long past ``Te``, and finally runs the end-state convergence checks.
 Cells are pure functions of their schedule, so they fan out over the
-deterministic process pool (:func:`repro.runtime.pool.run_parallel`)
+deterministic process pool (:func:`repro.runtime.run_parallel`)
 and replay bit-for-bit from a serialized schedule.
 
 On failure the harness *shrinks*: it greedily drops fault events,
@@ -23,7 +23,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.policy import AccessPolicy
 from ..core.system import AccessControlSystem
-from ..runtime.pool import run_parallel
+from ..runtime import run_parallel
 from ..sim.clock import LocalClock
 from ..sim.failures import schedule_crash, schedule_recovery
 from ..sim.partitions import ScriptedConnectivity

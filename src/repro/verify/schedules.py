@@ -7,9 +7,9 @@ so a failing schedule can be written to disk, attached to a bug report,
 and replayed bit-for-bit with ``repro fuzz --schedule file.json``.
 
 :func:`generate_schedule` derives cell ``i`` of master seed ``S``
-deterministically via :func:`repro.runtime.seeds.trial_seed`, the same
-derivation the parallel experiment runtime uses, so a cell's schedule
-is identical no matter which worker runs it or in what order.
+deterministically via :func:`repro.sim.rng.derive_seed` (the stream
+``fuzz[i]``), so a cell's schedule is identical no matter which worker
+runs it or in what order.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Tuple
 
 from ..core.cellspec import CellSpec
-from ..runtime.seeds import trial_seed
+from ..sim.rng import derive_seed
 
 __all__ = [
     "PartitionEvent",
@@ -34,6 +34,12 @@ __all__ = [
 
 #: Schema tag written into serialized schedules (bump on layout change).
 SCHEDULE_FORMAT = 1
+
+#: The keys every serialized schedule must carry, with their JSON types.
+_REQUIRED = {
+    "cell": int, "seed": int, "n_managers": int, "n_hosts": int,
+    "horizon": (int, float), "drain": (int, float), "drift": dict, "workload": dict,
+}
 
 
 @dataclass(frozen=True)
@@ -196,30 +202,40 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Schedule":
+        """Outside input: ValueError naming the first missing or mistyped key."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a schedule is a JSON object, not a {type(data).__name__}")
         version = data.get("format", SCHEDULE_FORMAT)
         if version != SCHEDULE_FORMAT:
             raise ValueError(
                 f"unsupported schedule format {version} "
                 f"(this build reads format {SCHEDULE_FORMAT})"
             )
-        return cls(
-            cell=data["cell"],
-            seed=data["seed"],
-            n_managers=data["n_managers"],
-            n_hosts=data["n_hosts"],
-            horizon=data["horizon"],
-            drain=data["drain"],
-            policy=dict(data.get("policy", {})),
-            partitions=tuple(
-                PartitionEvent.from_dict(event)
-                for event in data.get("partitions", [])
-            ),
-            crashes=tuple(
-                CrashEvent.from_dict(event) for event in data.get("crashes", [])
-            ),
-            drift=ClockDriftSpec.from_dict(data["drift"]),
-            workload=WorkloadSpec.from_dict(data["workload"]),
-        )
+        for key, kind in _REQUIRED.items():
+            if not isinstance(data.get(key), kind):
+                expected = getattr(kind, "__name__", "a number")
+                raise ValueError(f"schedule key {key!r} is missing or not {expected}")
+        try:
+            return cls(
+                cell=data["cell"],
+                seed=data["seed"],
+                n_managers=data["n_managers"],
+                n_hosts=data["n_hosts"],
+                horizon=data["horizon"],
+                drain=data["drain"],
+                policy=dict(data.get("policy", {})),
+                partitions=tuple(
+                    PartitionEvent.from_dict(event)
+                    for event in data.get("partitions", [])
+                ),
+                crashes=tuple(
+                    CrashEvent.from_dict(event) for event in data.get("crashes", [])
+                ),
+                drift=ClockDriftSpec.from_dict(data["drift"]),
+                workload=WorkloadSpec.from_dict(data["workload"]),
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed schedule entry: {exc!r}") from exc
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -271,7 +287,7 @@ def generate_schedule(master_seed: int, cell: int) -> Schedule:
     private ``random.Random``), so every worker and every replay agrees
     on what cell ``i`` contains.
     """
-    seed = trial_seed(master_seed, cell, label="fuzz")
+    seed = derive_seed(master_seed, f"fuzz[{cell}]")
     rng = random.Random(seed)
 
     n_managers = rng.choice([3, 4, 5])

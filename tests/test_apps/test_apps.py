@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.apps.infoservice import InfoCommand, InfoResult, OrgInfoService
+from repro.apps.infoservice import InfoCommand, OrgInfoService
 from repro.apps.newspaper import OnlineNewspaper
 from repro.apps.stockquote import StockQuoteService
 

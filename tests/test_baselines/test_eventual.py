@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.baselines.eventual import EventualSystem
 from repro.core.rights import Right
 from repro.sim.network import FixedLatency

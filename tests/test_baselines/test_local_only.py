@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.baselines.local_only import LocalOnlySystem
 from repro.core.rights import Right
 from repro.sim.network import FixedLatency

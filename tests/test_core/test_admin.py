@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.auth.identity import Authenticator, Principal
 from repro.auth.keys import generate_keypair
 from repro.core.admin import AdminClient

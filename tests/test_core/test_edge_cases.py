@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.host import AccessControlHost, DecisionReason
 from repro.core.manager import AccessControlManager
 from repro.core.policy import (
@@ -13,7 +11,7 @@ from repro.core.policy import (
 )
 from repro.core.rights import AclEntry, Right, Version
 from repro.core.system import AccessControlSystem
-from repro.core.wrapper import Application, ApplicationHost
+from repro.core.wrapper import Application
 from repro.sim.clock import LocalClock
 from repro.sim.engine import Environment
 from repro.sim.network import FixedLatency, Network, ShiftedExponentialLatency

@@ -22,7 +22,7 @@ from repro.core.byzantine import (
 from repro.core.host import AccessControlHost, DecisionReason
 from repro.core.manager import AccessControlManager
 from repro.core.messages import QueryRequest
-from repro.core.policy import AccessPolicy, ExhaustedAction, QueryStrategy
+from repro.core.policy import AccessPolicy, QueryStrategy
 from repro.core.rights import AclEntry, Right, Version
 from repro.protocols import query as query_module
 from repro.sim.clock import LocalClock

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.host import AccessControlHost, DecisionReason
 from repro.core.manager import AccessControlManager
 from repro.core.policy import (

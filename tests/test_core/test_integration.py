@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.host import DecisionReason
-from repro.core.policy import AccessPolicy, DeltaMode, ExhaustedAction
+from repro.core.policy import AccessPolicy, DeltaMode
 from repro.core.rights import Right
 from repro.core.system import AccessControlSystem
 from repro.sim.failures import schedule_crash, schedule_recovery

@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.host import AccessControlHost, DecisionReason
+from repro.core.host import AccessControlHost
 from repro.core.manager import AccessControlManager
 from repro.core.messages import AclUpdate, QueryRequest, SyncResponse, UpdateMsg
 from repro.core.policy import AccessPolicy, ExhaustedAction, QueryStrategy

@@ -8,8 +8,6 @@ sets do not overlap, with independent policies, caches, and failures.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.host import AccessControlHost, DecisionReason
 from repro.core.manager import AccessControlManager
 from repro.core.policy import AccessPolicy

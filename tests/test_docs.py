@@ -10,8 +10,6 @@ from __future__ import annotations
 import pathlib
 import re
 
-import pytest
-
 from repro.experiments import EXPERIMENTS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent

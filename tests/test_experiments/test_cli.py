@@ -1,4 +1,4 @@
-"""CLI surface: subcommand dispatch and the ``--profile`` flag."""
+"""CLI surface: subcommand dispatch, the ``--profile`` flag and fuzz replay input."""
 
 from __future__ import annotations
 
@@ -52,3 +52,23 @@ class TestSubcommandDispatch:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert f"{argv[0]}: error: argument {flag}" in err
+
+
+class TestScheduleFile:
+    @pytest.mark.parametrize(
+        "text,named",
+        [
+            ('{"cell": 0}', "'seed'"),
+            ("[1, 2]", "JSON object"),
+            ("not json", "Expecting value"),
+        ],
+        ids=["no-seed", "list", "not-json"],
+    )
+    def test_malformed_schedule_exits_2_naming_the_flag(self, tmp_path, capsys, text, named):
+        path = tmp_path / "schedule.json"
+        path.write_text(text)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fuzz", "--schedule", str(path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "fuzz: error: --schedule" in err and named in err

@@ -383,14 +383,6 @@ class TestCheckedRuns:
     them; the two cells that break an oracle on purpose (Byzantine
     liars, a weighted-vote combiner) opt out."""
 
-    @pytest.fixture
-    def checking(self):
-        from repro.verify import set_checking
-
-        set_checking(True)
-        yield
-        set_checking(None)
-
     @pytest.mark.parametrize(
         "module, kwargs",
         [
@@ -400,11 +392,10 @@ class TestCheckedRuns:
         ],
         ids=["revocation", "weighted", "byzantine"],
     )
-    def test_prints_the_same_with_oracles_attached(self, module, kwargs, checking):
-        from repro.verify import set_checking
-
+    def test_prints_the_same_with_oracles_attached(self, module, kwargs, monkeypatch):
+        monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
         checked = module.run(**kwargs).render()
-        set_checking(False)
+        monkeypatch.delenv("REPRO_CHECK_INVARIANTS")
         assert checked == module.run(**kwargs).render()
 
 

@@ -4,9 +4,8 @@ the analysis invariants."""
 from __future__ import annotations
 
 import math
-import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.analysis.heterogeneous import poisson_binomial_tail, weighted_average
 from repro.analysis.quorum_math import availability, binomial_tail, security

@@ -1,4 +1,4 @@
-"""Tests for the parallel dispatch layer and result merging.
+"""Tests for the parallel dispatch layer.
 
 The load-bearing property throughout: for every helper, ``jobs=N``
 returns exactly what ``jobs=1`` returns, for any ``N``.
@@ -10,15 +10,9 @@ import time
 
 import pytest
 
+from repro import runtime
 from repro.experiments.validation import simulate_cell
-from repro.runtime.merge import MergeError, merge_ordered
-from repro.runtime.pool import (
-    _chunked,
-    available_cpus,
-    last_run_mode,
-    resolve_jobs,
-    run_parallel,
-)
+from repro.runtime import available_cpus, resolve_jobs, run_parallel
 
 
 # Module-level workers: picklable by reference, as the pool requires.
@@ -48,18 +42,6 @@ class TestResolveJobs:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             resolve_jobs(-2)
-
-
-class TestChunking:
-    def test_covers_all_tasks_contiguously(self):
-        tasks = [(i,) for i in range(50)]
-        chunks = _chunked(tasks, jobs=2)
-        assert len(chunks) > 1
-        rebuilt = []
-        for start, chunk in chunks:
-            assert tasks[start:start + len(chunk)] == list(chunk)
-            rebuilt.extend(chunk)
-        assert rebuilt == tasks
 
 
 class TestRunParallel:
@@ -101,50 +83,46 @@ class TestRunParallel:
 class TestRunMode:
     def test_single_job_is_inline_and_silent(self, recwarn):
         run_parallel(_square, [(1,), (2,)], jobs=1)
-        assert last_run_mode() == "inline"
         assert not [w for w in recwarn if w.category is RuntimeWarning]
 
     def test_single_task_is_inline_and_silent(self, recwarn):
         run_parallel(_square, [(1,)], jobs=4)
-        assert last_run_mode() == "inline"
         assert not [w for w in recwarn if w.category is RuntimeWarning]
 
-    def test_pooled_run_records_pool_mode(self):
-        run_parallel(_square, [(i,) for i in range(8)], jobs=2)
-        assert last_run_mode() == "pool"
+    def test_pooled_run_records_pool_mode(self, recwarn):
+        # A pooled run that got its pool says nothing.
+        assert run_parallel(_square, [(i,) for i in range(8)], jobs=2) == [
+            i * i for i in range(8)
+        ]
+        assert not [w for w in recwarn if w.category is RuntimeWarning]
 
     def test_fork_unavailable_warns_and_records_fallback(self, monkeypatch):
-        from repro.runtime import pool
+        def unavailable(method):
+            raise ValueError(f"cannot find context for {method!r}")
 
-        monkeypatch.setattr(pool, "_start_method_available", lambda: False)
+        monkeypatch.setattr(runtime.multiprocessing, "get_context", unavailable)
         tasks = [(i,) for i in range(6)]
-        with pytest.warns(RuntimeWarning, match="falling back to inline"):
+        with pytest.warns(RuntimeWarning, match="falling back to inline.*ValueError"):
             results = run_parallel(_square, tasks, jobs=4)
         assert results == [i * i for i in range(6)]
-        assert last_run_mode() == "inline-fallback"
 
     def test_pool_creation_failure_warns_and_records_fallback(
         self, monkeypatch
     ):
-        from repro.runtime import pool
-
         def denied(*args, **kwargs):
             raise PermissionError("no subprocesses here")
 
-        monkeypatch.setattr(pool, "ProcessPoolExecutor", denied)
+        monkeypatch.setattr(runtime, "ProcessPoolExecutor", denied)
         tasks = [(i,) for i in range(6)]
-        with pytest.warns(RuntimeWarning, match="pool creation failed"):
+        with pytest.warns(RuntimeWarning, match="falling back to inline"):
             results = run_parallel(_square, tasks, jobs=4)
         assert results == [i * i for i in range(6)]
-        assert last_run_mode() == "inline-fallback"
 
     def test_fallback_warning_names_exception_class(self, monkeypatch):
-        from repro.runtime import pool
-
         def denied(*args, **kwargs):
             raise PermissionError("no subprocesses here")
 
-        monkeypatch.setattr(pool, "ProcessPoolExecutor", denied)
+        monkeypatch.setattr(runtime, "ProcessPoolExecutor", denied)
         with pytest.warns(
             RuntimeWarning, match=r"PermissionError: no subprocesses here"
         ):
@@ -168,28 +146,6 @@ class TestProtocolLevelInvariance:
         assert four.render() == one.render()
 
 
-class TestMergeOrdered:
-    def test_restores_submission_order(self):
-        assert merge_ordered([(2, "c"), (0, "a"), (1, "b")]) == ["a", "b", "c"]
-
-    def test_duplicate_index_raises(self):
-        with pytest.raises(MergeError, match="duplicate"):
-            merge_ordered([(0, "a"), (0, "b")])
-
-    def test_missing_index_raises_when_expected_given(self):
-        with pytest.raises(MergeError, match="missing"):
-            merge_ordered([(0, "a"), (2, "c")], expected=3)
-
-    def test_unexpected_index_raises(self):
-        with pytest.raises(MergeError, match="unexpected"):
-            merge_ordered([(0, "a"), (5, "x")], expected=2)
-
-    def test_unorderable_values_are_fine(self):
-        # Sorting must key on the index alone, never compare values.
-        values = [(1, {"b": 2}), (0, {"a": 1})]
-        assert merge_ordered(values, expected=2) == [{"a": 1}, {"b": 2}]
-
-
 class TestAvailableCpus:
     """``available_cpus`` must reflect the CPUs this process may *use*
     (the affinity mask a cgroup-limited CI runner pins), not the host's
@@ -199,14 +155,12 @@ class TestAvailableCpus:
     def test_respects_affinity_mask(self, monkeypatch):
         import os as os_module
 
-        import repro.runtime.pool as pool_module
-
         monkeypatch.setattr(
             os_module, "sched_getaffinity", lambda pid: {0, 2, 5},
             raising=False,
         )
         monkeypatch.setattr(os_module, "cpu_count", lambda: 64)
-        assert pool_module.available_cpus() == 3
+        assert available_cpus() == 3
 
     def test_empty_mask_clamps_to_one(self, monkeypatch):
         import os as os_module

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from repro.sim.clock import ClockFactory, LocalClock, slowness_bound
-from repro.sim.engine import Environment
 
 
 class TestLocalClock:

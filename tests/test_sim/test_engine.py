@@ -8,9 +8,7 @@ from repro.protocols.messaging import reply_deadline, reply_won
 from repro.sim.engine import (
     _COMPACT_FLOOR,
     Environment,
-    Event,
     Interrupt,
-    Process,
     SimulationError,
     Timeout,
 )

@@ -6,10 +6,9 @@ import random
 
 import pytest
 
-from repro.sim.engine import Environment
 from repro.sim.failures import CrashRecoveryInjector, schedule_crash, schedule_recovery
 from repro.sim.node import Node
-from repro.sim.trace import TraceKind, Tracer
+from repro.sim.trace import TraceKind
 
 
 class HookedNode(Node):

@@ -40,13 +40,3 @@ class TestRngStreams:
 
     def test_different_master_seeds_differ(self):
         assert RngStreams(1).stream("x").random() != RngStreams(2).stream("x").random()
-
-    def test_spawn_creates_independent_family(self):
-        parent = RngStreams(3)
-        child_a = parent.spawn("rep1")
-        child_b = parent.spawn("rep2")
-        assert child_a.master_seed != child_b.master_seed
-        assert child_a.stream("x").random() != child_b.stream("x").random()
-
-    def test_spawn_deterministic(self):
-        assert RngStreams(3).spawn("r").master_seed == RngStreams(3).spawn("r").master_seed

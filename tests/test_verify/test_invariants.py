@@ -14,12 +14,7 @@ from repro.core.policy import AccessPolicy
 from repro.core.rights import AclEntry, Right, Version
 from repro.core.system import AccessControlSystem
 from repro.sim.trace import TraceKind
-from repro.verify import (
-    InvariantChecker,
-    InvariantViolation,
-    checking_enabled,
-    set_checking,
-)
+from repro.verify import InvariantChecker, InvariantViolation, checking_enabled
 
 APP = "app"
 
@@ -65,20 +60,14 @@ class TestCheckerWiring:
 
     def test_checking_enabled_env_and_override(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHECK_INVARIANTS", raising=False)
-        set_checking(None)
         assert not checking_enabled()
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-        assert checking_enabled()
-        set_checking(False)
-        assert not checking_enabled()
-        set_checking(None)
         assert checking_enabled()
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "off")
         assert not checking_enabled()
 
     def test_env_flag_attaches_by_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHECK_INVARIANTS", "1")
-        set_checking(None)
         system = AccessControlSystem(
             n_managers=3, n_hosts=1, applications=(APP,), seed=0
         )
@@ -429,9 +418,3 @@ class TestViolationStructure:
         round_tripped = json.loads(json.dumps(payload))
         assert round_tripped["invariant"] == "cache_expiry"
         assert round_tripped["trace"][-1]["data"]["user"] == "alice"
-
-
-@pytest.fixture(autouse=True)
-def _reset_checking_flag():
-    yield
-    set_checking(None)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.runtime.seeds import trial_seed
+from repro.sim.rng import derive_seed
 from repro.verify.schedules import (
     ClockDriftSpec,
     PartitionEvent,
@@ -27,10 +27,10 @@ class TestGeneration:
         assert generate_schedule(1, 0) != generate_schedule(2, 0)
 
     def test_seed_uses_runtime_derivation(self):
-        # Pinned to the parallel runtime's SHA-256 scheme so workers and
+        # Pinned to the SHA-256 stream ``fuzz[i]`` so workers and
         # replays agree on what cell i contains.
         schedule = generate_schedule(5, 9)
-        assert schedule.seed == trial_seed(5, 9, label="fuzz")
+        assert schedule.seed == derive_seed(5, "fuzz[9]")
 
     @pytest.mark.parametrize("cell", range(30))
     def test_well_formed(self, cell):
