@@ -31,7 +31,9 @@ loc:
 # Function lines in src/repro that no entry point reaches (python -m
 # repro, examples/, bench_e2e --smoke, a 20-cell fuzz sweep, a
 # 2000-principal mega run, a served cell under a one-second load;
-# ~1 min), per module, then the total.
+# ~30 s), per module, then the total; fails unless every unreached
+# function has its line, and only those, in tools/reach_reasons.txt
+# (CI's gate).
 reach:
 	python3 tools/reach.py
 

@@ -82,12 +82,6 @@ class Authenticator:
         """Register (or re-register) a principal's public key."""
         self._keys[principal.user_id] = principal.public_key
 
-    def register_key(self, user_id: str, key: PublicKey) -> None:
-        self._keys[user_id] = key
-
-    def knows(self, user_id: str) -> bool:
-        return user_id in self._keys
-
     def key_of(self, user_id: str) -> Optional[PublicKey]:
         return self._keys.get(user_id)
 

@@ -302,10 +302,6 @@ class BaselineSystem:
         self.managers: List = list(managers)
         self.hosts: List = list(hosts)
 
-    def _build(self, host_addrs: Tuple[str, ...]) -> Tuple[Sequence, Sequence]:
-        """The (managers, hosts) nodes, at ``manager_addrs``/``host_addrs``."""
-        raise NotImplementedError
-
     def run(self, until: Optional[float] = None) -> None:
         self.env.run(until=until)
 
@@ -326,11 +322,3 @@ class BaselineSystem:
         # every manager long ago.
         for manager in self.managers:
             manager.acls[application].apply(entry)
-
-    @property
-    def n_managers(self) -> int:
-        return len(self.managers)
-
-    @property
-    def n_hosts(self) -> int:
-        return len(self.hosts)

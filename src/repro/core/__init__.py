@@ -15,7 +15,7 @@ Public surface:
 
 from .acl import AccessControlList
 from .admin import AdminClient, AdminResult
-from .byzantine import DENY_ALL, FLIP, GRANT_ALL, LyingManager, required_quorum
+from .byzantine import DENY_ALL, FLIP, GRANT_ALL, LyingManager
 from .cache import ACLCache, CacheEntry
 from .client import InvokeResult, UserClient
 from .host import AccessControlHost, AccessDecision, DecisionReason
@@ -59,7 +59,6 @@ __all__ = [
     "FLIP",
     "GRANT_ALL",
     "LyingManager",
-    "required_quorum",
     "AccessControlHost",
     "AccessControlList",
     "AccessControlManager",

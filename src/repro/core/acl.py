@@ -194,15 +194,6 @@ class AccessControlList:
             self._counter[slot], self._origins.name_of(self._origin[slot])
         )
 
-    def users_with(self, right: Right) -> List[str]:
-        """All users currently holding ``right`` (sorted for determinism)."""
-        index = right.index
-        return sorted(
-            self._ids.name_of(key // 2)
-            for slot, key in enumerate(self._keys)
-            if (key & 1) == index and self._granted[slot]
-        )
-
     def __len__(self) -> int:
         """Number of stored entries, tombstones included."""
         return len(self._keys)
@@ -309,18 +300,6 @@ class AccessControlList:
         behaviour (golden traces depend on resync message contents).
         """
         return list(self)
-
-    def highest_version(self) -> Version:
-        """The largest version present (ZERO_VERSION when empty)."""
-        best_counter, best_origin = ZERO_VERSION.counter, ZERO_VERSION.origin
-        for slot in range(len(self._keys)):
-            counter = self._counter[slot]
-            if counter < best_counter:
-                continue
-            origin = self._origins.name_of(self._origin[slot])
-            if counter > best_counter or origin > best_origin:
-                best_counter, best_origin = counter, origin
-        return Version(best_counter, best_origin)
 
     def nbytes(self) -> int:
         """Bytes held by the columns and the index (diagnostics)."""

@@ -37,9 +37,6 @@ class AdminResult:
     latency: float
     timed_out: bool = False
 
-    def __bool__(self) -> bool:
-        return self.accepted and not self.timed_out
-
 
 class AdminClient(RequestClient):
     """A manager-user's machine."""
@@ -96,13 +93,3 @@ class AdminClient(RequestClient):
             update_id=response.update_id,
             latency=latency,
         )
-
-    def add_process(self, manager: Address, application: str, subject: str,
-                    right: Right = Right.USE):
-        """Convenience: run :meth:`add` as a process."""
-        return self.env.process(self.add(manager, application, subject, right))
-
-    def revoke_process(self, manager: Address, application: str, subject: str,
-                       right: Right = Right.USE):
-        """Convenience: run :meth:`revoke` as a process."""
-        return self.env.process(self.revoke(manager, application, subject, right))

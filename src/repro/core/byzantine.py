@@ -21,8 +21,8 @@ drop that assumption:
 Sizing: to tolerate ``f`` liars the check quorum must satisfy
 ``C >= f + 1`` for safety (a fabrication needs f + 1 voices) and, for
 the verdict to be decidable when liars answer too, the honest managers
-in any answering set must still out-vouch them; :func:`required_quorum`
-gives the standard ``2f + 1``-style sizing against ``M`` managers.
+in any answering set must still out-vouch them: the standard
+``C = 2f + 1`` sizing against ``M`` managers.
 """
 
 from __future__ import annotations
@@ -41,25 +41,12 @@ __all__ = [
     "GRANT_ALL",
     "DENY_ALL",
     "FLIP",
-    "required_quorum",
 ]
 
 #: Lying modes.
 GRANT_ALL = "grant_all"  # fabricate grants (e.g. for revoked users)
 DENY_ALL = "deny_all"  # censor: deny every query
 FLIP = "flip"  # invert whatever the truthful answer would be
-
-
-def required_quorum(f: int) -> int:
-    """Check-quorum size needed to decide against ``f`` liars.
-
-    ``2f + 1`` responses guarantee at least ``f + 1`` honest matching
-    answers whenever the honest managers agree, so a verdict is always
-    both *safe* (no believed fabrication) and *live* (decidable).
-    """
-    if f < 0:
-        raise ValueError("f must be non-negative")
-    return 2 * f + 1
 
 
 class LyingManager(AccessControlManager):

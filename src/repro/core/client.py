@@ -32,9 +32,6 @@ class InvokeResult:
     latency: float
     timed_out: bool = False
 
-    def __bool__(self) -> bool:
-        return self.allowed and not self.timed_out
-
 
 class RequestClient(Node):
     """The one request path of the user and admin clients: each request

@@ -58,10 +58,8 @@ class AccessControlHost(Node):
     address:
         Network address of this host.
     policy:
-        The application's :class:`~repro.core.policy.AccessPolicy`.
-        One policy instance governs every application served by this
-        host; per-application policies can be installed with
-        :meth:`set_policy`.
+        The cell's :class:`~repro.core.policy.AccessPolicy`; one policy
+        instance governs every application served by this host.
     managers:
         Static map ``application -> manager addresses``.
     clock:
@@ -96,7 +94,6 @@ class AccessControlHost(Node):
     ):
         super().__init__(address)
         self.default_policy = policy
-        self._policies: Dict[str, AccessPolicy] = {}
         self._static_managers: Dict[str, Tuple[Address, ...]] = {
             app: tuple(addrs) for app, addrs in (managers or {}).items()
         }
@@ -134,16 +131,8 @@ class AccessControlHost(Node):
 
     # -- configuration ----------------------------------------------------------
     def policy_for(self, application: str) -> AccessPolicy:
-        """The policy governing ``application``."""
-        return self._policies.get(application, self.default_policy)
-
-    def set_policy(self, application: str, policy: AccessPolicy) -> None:
-        """Install a per-application policy override."""
-        self._policies[application] = policy
-
-    def set_managers(self, application: str, managers: Sequence[Address]) -> None:
-        """Statically configure ``Managers(application)``."""
-        self._static_managers[application] = tuple(managers)
+        """The cell's one policy (every application shares it)."""
+        return self.default_policy
 
     def manager_addrs_for(self, application: str) -> Tuple[Address, ...]:
         """``Managers(application)``: the static map, else the shard

@@ -24,7 +24,6 @@ from .rights import Right
 
 __all__ = [
     "Interner", "NameRange", "RIGHTS", "dense_index", "pack_key",
-    "unpack_key",
 ]
 
 #: Rights in packed-key order (``right.index``); ``RIGHTS[key & 1]`` recovers the right.
@@ -34,11 +33,6 @@ RIGHTS = (Right.USE, Right.MANAGE)
 def pack_key(uid: int, right_index: int) -> int:
     """Pack a (user id, right) pair into one int key."""
     return uid * 2 + right_index
-
-
-def unpack_key(key: int) -> "tuple[int, int]":
-    """Inverse of :func:`pack_key`: ``(uid, right_index)``."""
-    return key // 2, key & 1
 
 
 def dense_index(name: str, prefix: str) -> int:
@@ -91,25 +85,11 @@ class NameRange(Sequence[str]):
         index = dense_index(name, self.prefix)  # -1: not a canonical spelling
         return index if 0 <= index < self._n else None
 
-    def __contains__(self, name: object) -> bool:
-        return isinstance(name, str) and self._parse(name) is not None
-
     def index(self, name: str, *args) -> int:  # O(1), unlike list.index
         parsed = self._parse(name) if isinstance(name, str) else None
         if parsed is None:
             raise ValueError(f"{name!r} is not in the range")
         return parsed
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, NameRange):
-            return self.prefix == other.prefix and self._n == other._n
-        if isinstance(other, (list, tuple)):
-            return len(other) == self._n and all(
-                a == b for a, b in zip(self, other)
-            )
-        return NotImplemented
-
-    __hash__ = None  # type: ignore[assignment]  # mutable-sequence convention
 
     def __repr__(self) -> str:
         return f"NameRange({self.prefix!r}, {self._n})"
@@ -216,15 +196,6 @@ class Interner:
     def __len__(self) -> int:
         """Number of assigned ids (dense block included)."""
         return self._dense_count + len(self._names)
-
-    def __contains__(self, name: str) -> bool:
-        return self.get(name) is not None
-
-    def __iter__(self) -> Iterator[str]:
-        """All interned names, id order.  O(dense_count) — debug only."""
-        for i in range(self._dense_count):
-            yield f"{self._dense_prefix}{i}"
-        yield from self._names
 
     def __repr__(self) -> str:
         return (

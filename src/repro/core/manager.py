@@ -90,6 +90,10 @@ class AccessControlManager(Node):
         #: ACL entries dropped at ingress (peer update, resync snapshot,
         #: stable store) for failing :func:`~repro.core.rights.well_formed`.
         self.rejected_entries = 0
+        #: Peer traffic refused for its source: an update, ack or sync
+        #: message from outside the application's manager group, a
+        #: Ping/Pong from outside every group, an ack naming another acker.
+        self.rejected_sources = 0
         #: Explicit stable storage.  When provided, in-memory ACL state
         #: is lost on crash and reloaded from here on recovery; when
         #: None, memory itself is treated as stable (the paper's
@@ -99,7 +103,6 @@ class AccessControlManager(Node):
         #: manager-user.
         self.admin_authenticator = admin_authenticator
         self.admin_requests_rejected = 0
-        self._policies: Dict[str, AccessPolicy] = {}
         self.acls: Dict[str, AccessControlList] = {}
         self._peers: Dict[str, Tuple[Address, ...]] = {}
         self._counter = 0
@@ -140,13 +143,8 @@ class AccessControlManager(Node):
         self._grant_table.setdefault(application, GrantTable(self._ids))
 
     def policy_for(self, application: str) -> AccessPolicy:
-        return self._policies.get(application, self.default_policy)
-
-    def set_policy(self, application: str, policy: AccessPolicy) -> None:
-        self._policies[application] = policy
-
-    def applications(self) -> List[str]:
-        return sorted(self.acls)
+        """The cell's one policy (every application shares it)."""
+        return self.default_policy
 
     def acl(self, application: str) -> AccessControlList:
         try:
@@ -155,9 +153,6 @@ class AccessControlManager(Node):
             raise KeyError(
                 f"{self.address!r} does not manage {application!r}"
             ) from None
-
-    def manager_set_size(self, application: str) -> int:
-        return len(self._peers[application]) + 1
 
     def bootstrap(
         self, application: str, entries: Union[AclBatch, Iterable[AclEntry]]
@@ -271,7 +266,23 @@ class AccessControlManager(Node):
     def _on_notify_ack(self, src: Address, ack: RevokeNotifyAck) -> None:
         self._notifies.dispatch(ack.notify_id, ack)
 
+    def _from_peer(self, src: Address, application: str) -> bool:
+        """Is ``src`` in ``application``'s manager group?  Counts a refusal."""
+        if src in self._peers[application]:
+            return True
+        self.rejected_sources += 1
+        return False
+
+    def _from_any_peer(self, src: Address) -> bool:
+        if any(src in peers for peers in self._peers.values()):
+            return True
+        self.rejected_sources += 1
+        return False
+
     def _on_sync_request(self, src: Address, message: SyncRequest) -> None:
+        if not all(self._from_peer(src, app) for app in message.applications
+                   if app in self.acls):
+            return
         snapshots = tuple(
             (app, tuple(self.acls[app].snapshot()))
             for app in message.applications
@@ -282,6 +293,9 @@ class AccessControlManager(Node):
     def _on_sync_response(self, src: Address, message: SyncResponse) -> None:
         """Merge a peer's snapshot; a malformed entry is dropped and
         counted in ``rejected_entries``."""
+        if not all(self._from_peer(src, application) for application, _ in message.snapshots
+                   if type(application) is str and application in self.acls):
+            return
         for application, entries in message.snapshots:
             if type(application) is str and application in self.acls:
                 for entry in entries:
@@ -293,11 +307,14 @@ class AccessControlManager(Node):
         self._synced_peers.add(message.responder)
 
     def _on_ping(self, src: Address, ping: Ping) -> None:
+        if not self._from_any_peer(src):
+            return
         self._last_heard[src] = self.env.now
         self.send(src, Pong(nonce=ping.nonce, sender=self.address))
 
     def _on_pong(self, src: Address, pong: Pong) -> None:
-        self._last_heard[src] = self.env.now
+        if self._from_any_peer(src):
+            self._last_heard[src] = self.env.now
 
     def _handle_update(self, src: Address, message: UpdateMsg) -> None:
         update = message.update
@@ -310,7 +327,7 @@ class AccessControlManager(Node):
         ):
             self.rejected_entries += 1
             return
-        if update.application not in self.acls:
+        if update.application not in self.acls or not self._from_peer(src, update.application):
             return
         self._counter = max(self._counter, update.version.counter)
         applied = self._apply_entry(update.application, entry)
@@ -323,8 +340,11 @@ class AccessControlManager(Node):
             self.revocation.forward(self, update)
 
     def _handle_update_ack(self, src: Address, message: UpdateAck) -> None:
+        if message.acker != src:
+            self.rejected_sources += 1
+            return
         pending = self._pending_updates.get(message.update_id)
-        if pending is None:
+        if pending is None or not self._from_peer(src, pending.update.application):
             return
         policy = self.policy_for(pending.update.application)
         dissemination_strategy_for(policy).on_ack(self, pending, message.acker)
@@ -377,7 +397,7 @@ class AccessControlManager(Node):
     def _resync(self, peers: List[Address]):
         """Multicast SyncRequests until some peer's snapshot merges,
         staying silent (``recovering``) the whole time."""
-        apps, timeout = tuple(self.applications()), self.default_policy.query_timeout
+        apps, timeout = tuple(sorted(self.acls)), self.default_policy.query_timeout
         while self.up and self.recovering and not self._synced_peers:
             self.multicast(peers, SyncRequest(requester=self.address, applications=apps))
             yield self.env.timeout(timeout)

@@ -23,8 +23,7 @@ query fan-out strategy).  Derived quantities:
 from __future__ import annotations
 
 import enum
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 __all__ = [
@@ -274,21 +273,3 @@ class AccessPolicy:
         )
         params.update(overrides)
         return cls(**params)
-
-    @classmethod
-    def balanced(cls, n_managers: int, expiry_bound: float = 300.0,
-                 **overrides) -> "AccessPolicy":
-        """The paper's sweet spot: C around M/2, where Figure 5 shows
-        both availability and security close to 1."""
-        params = dict(
-            check_quorum=max(1, math.ceil(n_managers / 2)),
-            expiry_bound=expiry_bound,
-            max_attempts=UNBOUNDED_ATTEMPTS,
-            exhausted_action=ExhaustedAction.DENY,
-        )
-        params.update(overrides)
-        return cls(**params)
-
-    def with_(self, **changes) -> "AccessPolicy":
-        """A copy with the given fields replaced (dataclass ``replace``)."""
-        return replace(self, **changes)

@@ -111,10 +111,6 @@ class AclEntry:
     granted: bool
     version: Version
 
-    def dominates(self, other: "AclEntry") -> bool:
-        """True if this entry should replace ``other`` on merge."""
-        return self.version > other.version
-
 
 def well_formed(entry: object) -> bool:
     """Can an ACL store ``entry``?

@@ -21,7 +21,6 @@ True
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 from ..sim.clock import ClockFactory
@@ -260,43 +259,6 @@ class AccessControlSystem:
                 )
         else:
             tracer.bump(TraceKind.GRANT_SEEDED, len(users))
-
-    def set_app_policy(self, application: str, policy: AccessPolicy) -> None:
-        """Install a per-application policy on every host and the
-        owning manager group."""
-        policy.validate_for(self.n_managers_for(application))
-        for host in self.hosts:
-            host.set_policy(application, policy)
-        for manager in self.managers_for(application):
-            manager.set_policy(application, policy)
-
-    def register_application(self, application: str) -> None:
-        """Add a new application to its owning group and every host."""
-        if application in self.applications:
-            return
-        self.spec = replace(self.spec, applications=self.applications + (application,))
-        owners = self.manager_addrs_for(application)
-        for manager in self.managers_for(application):
-            manager.manage(application, owners)
-        if self.shard_router is None:
-            for host in self.hosts:
-                host.set_managers(application, owners)
-
-    def reachable_managers_from(
-        self, host_index: int, application: Optional[str] = None
-    ) -> int:
-        """Instantaneous count of managers reachable from a host
-        (ground truth for validation metrics, not visible to nodes).
-        With ``application`` set, only the owning group is counted."""
-        host = self.hosts[host_index]
-        addrs = (
-            self.manager_addrs
-            if application is None
-            else self.manager_addrs_for(application)
-        )
-        return sum(
-            1 for addr in addrs if self.network.reachable(host.address, addr)
-        )
 
     def __repr__(self) -> str:
         shards = len(self.spec.groups)

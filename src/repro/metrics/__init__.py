@@ -1,8 +1,8 @@
 """Measurement of simulated runs: availability, security, overhead, latency.
 
 One collector per quantity, all in :mod:`.streaming`: each consumes
-observations one at a time and merges with its peers, so no run keeps
-a per-decision list to re-scan.
+observations one at a time, so no run keeps a per-decision list to
+re-scan.
 """
 
 from .estimators import SummaryStats, percentile, wilson_interval
@@ -11,8 +11,6 @@ from .streaming import (
     AvailabilityAccumulator,
     AvailabilityReport,
     ExactSum,
-    LatencyAccumulator,
-    Mergeable,
     OverheadAccumulator,
     OverheadReport,
     StalenessAccumulator,
@@ -24,8 +22,6 @@ __all__ = [
     "AvailabilityAccumulator",
     "AvailabilityReport",
     "ExactSum",
-    "LatencyAccumulator",
-    "Mergeable",
     "OverheadAccumulator",
     "OverheadReport",
     "StalenessAccumulator",

@@ -1,5 +1,5 @@
-"""Streaming, mergeable metric accumulators — the one collector per
-measured quantity.
+"""Streaming metric accumulators — the one collector per measured
+quantity.
 
 The empirical counterparts of the paper's quantities:
 
@@ -13,42 +13,27 @@ The empirical counterparts of the paper's quantities:
   accesses by unauthorized users into Te-window grace and violations.
 * **Overhead** — control messages per simulated second, the measured
   side of the paper's ``O(C/Te)``: :class:`OverheadAccumulator`.
-* **Latency** — decision latency split by path (cache hit, verified,
-  default-allow, ...), the measured side of ``O(C)`` / ``O(R)``:
-  :class:`LatencyAccumulator` over :class:`StreamingSummary`.
+* **Latency** — a sample's exact n/mean/min/max and reservoir
+  quantiles: :class:`StreamingSummary`.
 
 Each consumes observations one at a time in O(1) state (exact counts,
 exact moments, min/max, plus a seeded bounded reservoir for quantiles),
-so no run keeps a per-decision list, and implements the
-:class:`Mergeable` protocol so partial accumulators — per trial, per
-shard — can be combined into one.
+so no run keeps a per-decision list.  A cell's accumulators are read in
+the worker that ran the cell; nothing combines partial accumulators.
 
-Merge contract
---------------
-``a.merge(b)`` returns a **new** accumulator equivalent to having fed
-``a``'s and then ``b``'s observations into a fresh instance; neither
-operand is mutated.  All merges here are associative, so any grouping
-of partials folds to the same result as one sequential stream.  Counts
-and sums are exact (integer or Shewchuk-compensated float), so they are
-additionally commutative; the quantile reservoir keys every value by a
-hash of ``(seed, arrival index)``, making the survivor set a pure
-function of the multiset of keyed entries — independent of merge shape.
+Reservoir contract
+------------------
+The quantile reservoir keys every value by a hash of ``(seed, arrival
+index)`` and keeps the ``capacity`` smallest keys, so the survivor set
+is a pure function of the seed and the stream: the same seed and values
+print the same quantiles in any process.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    List,
-    Optional,
-    Protocol,
-    Tuple,
-    TypeVar,
-    runtime_checkable,
-)
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..sim.trace import TraceKind, TraceRecord, Tracer
 from ..workloads.generators import ObservedDecision
@@ -58,16 +43,12 @@ __all__ = [
     "CONTROL_MESSAGE_KINDS",
     "AvailabilityReport",
     "OverheadReport",
-    "Mergeable",
     "ExactSum",
     "StreamingSummary",
     "AvailabilityAccumulator",
     "StalenessAccumulator",
     "OverheadAccumulator",
-    "LatencyAccumulator",
 ]
-
-M = TypeVar("M", bound="Mergeable")
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -112,19 +93,6 @@ class OverheadReport:
     control_rate: float  # control messages per simulated second
 
 
-@runtime_checkable
-class Mergeable(Protocol):
-    """An accumulator whose partial states combine associatively.
-
-    ``merge`` must return a *new* instance and leave both operands
-    untouched; a freshly constructed accumulator acts as the identity.
-    """
-
-    def merge(self: M, other: M) -> M:
-        """Combine two partial states into a new one."""
-        ...
-
-
 def _mix(seed: int, index: int) -> int:
     """SplitMix64-style avalanche of ``(seed, index)`` into 64 bits.
 
@@ -137,21 +105,13 @@ def _mix(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _string_seed(seed: int, text: str) -> int:
-    """Derive a per-bucket seed from a base seed and a string key."""
-    acc = seed & _MASK64
-    for byte in text.encode("utf-8"):
-        acc = _mix(acc, byte)
-    return acc
-
-
 class ExactSum:
     """Exactly rounded running float sum (Shewchuk partials).
 
     ``add`` maintains a list of non-overlapping partials (the classic
     ``msum`` grow step); ``value`` rounds them once via ``math.fsum``.
-    Because the partials represent the sum exactly, addition order —
-    and therefore merge shape — cannot change the result.
+    Because the partials represent the sum exactly, addition order
+    cannot change the result.
     """
 
     __slots__ = ("_partials",)
@@ -174,20 +134,8 @@ class ExactSum:
             x = hi
         partials[i:] = [x]
 
-    def merge(self, other: "ExactSum") -> "ExactSum":
-        merged = ExactSum()
-        merged._partials = list(self._partials)
-        for partial in other._partials:
-            merged.add(partial)
-        return merged
-
     def value(self) -> float:
         return math.fsum(self._partials)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExactSum):
-            return NotImplemented
-        return math.fsum(self._partials) == math.fsum(other._partials)
 
     def __repr__(self) -> str:
         return f"ExactSum({self.value()!r})"
@@ -206,13 +154,10 @@ class StreamingSummary:
 
     The reservoir is *bottom-k by keyed priority*: each added value gets
     the key ``_mix(seed, arrival_index)`` and the ``capacity`` smallest
-    keys survive.  That makes survivorship deterministic for a seed and
-    merge-shape independent, and it degrades gracefully: while
-    ``n <= capacity`` every value is retained, so percentiles are exact
-    and match ``estimators.percentile`` on the full sample.
-
-    Give accumulators that will be merged *distinct seeds* (e.g. the
-    per-trial seed) so their keys interleave uniformly.
+    keys survive.  That makes survivorship deterministic for a seed,
+    and it degrades gracefully: while ``n <= capacity`` every value is
+    retained, so percentiles are exact and match
+    ``estimators.percentile`` on the full sample.
     """
 
     __slots__ = ("seed", "capacity", "n", "_sum", "_min", "_max", "_adds", "_entries")
@@ -226,7 +171,7 @@ class StreamingSummary:
         self._sum = ExactSum()
         self._min: Optional[float] = None
         self._max: Optional[float] = None
-        self._adds = 0  # local arrival counter (keys), distinct from merged n
+        self._adds = 0  # arrival counter (keys)
         self._entries: List[_Entry] = []
 
     def add(self, value: float) -> None:
@@ -247,26 +192,6 @@ class StreamingSummary:
             self._entries.sort()
             del self._entries[self.capacity:]
 
-    def merge(self, other: "StreamingSummary") -> "StreamingSummary":
-        if other.capacity != self.capacity:
-            raise ValueError(
-                f"cannot merge reservoirs of different capacity "
-                f"({self.capacity} vs {other.capacity})"
-            )
-        merged = StreamingSummary(self.seed, self.capacity)
-        merged.n = self.n + other.n
-        merged._sum = self._sum.merge(other._sum)
-        for bound in (self._min, other._min):
-            if bound is not None and (merged._min is None or bound < merged._min):
-                merged._min = bound
-        for bound in (self._max, other._max):
-            if bound is not None and (merged._max is None or bound > merged._max):
-                merged._max = bound
-        merged._adds = self._adds  # future adds continue the left operand's keys
-        merged._entries = self._entries + other._entries
-        merged._trim()
-        return merged
-
     def summary(self) -> Optional[SummaryStats]:
         """The sample's :class:`SummaryStats` (None if empty)."""
         if self.n == 0:
@@ -282,15 +207,6 @@ class StreamingSummary:
             minimum=self._min,
             maximum=self._max,
         )
-
-    def _state(self) -> Tuple[Any, ...]:
-        self._trim()
-        return (self.n, self._sum.value(), self._min, self._max, sorted(self._entries))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StreamingSummary):
-            return NotImplemented
-        return self._state() == other._state()
 
     def __repr__(self) -> str:
         return f"<StreamingSummary n={self.n} reservoir={len(self._entries)}/{self.capacity}>"
@@ -335,20 +251,6 @@ class AvailabilityAccumulator:
             if allowed:
                 self.unauthorized_allowed += 1
 
-    def merge(self, other: "AvailabilityAccumulator") -> "AvailabilityAccumulator":
-        if other.latency_bound != self.latency_bound:
-            raise ValueError("cannot merge accumulators with different latency bounds")
-        merged = AvailabilityAccumulator(self.latency_bound)
-        merged.authorized_attempts = self.authorized_attempts + other.authorized_attempts
-        merged.authorized_allowed = self.authorized_allowed + other.authorized_allowed
-        merged.unauthorized_attempts = (
-            self.unauthorized_attempts + other.unauthorized_attempts
-        )
-        merged.unauthorized_allowed = (
-            self.unauthorized_allowed + other.unauthorized_allowed
-        )
-        return merged
-
     def report(self) -> AvailabilityReport:
         availability = (
             self.authorized_allowed / self.authorized_attempts
@@ -364,17 +266,6 @@ class AvailabilityAccumulator:
             confidence=wilson_interval(self.authorized_allowed, self.authorized_attempts)
             if self.authorized_attempts
             else (0.0, 1.0),
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AvailabilityAccumulator):
-            return NotImplemented
-        return (
-            self.latency_bound == other.latency_bound
-            and self.authorized_attempts == other.authorized_attempts
-            and self.authorized_allowed == other.authorized_allowed
-            and self.unauthorized_attempts == other.unauthorized_attempts
-            and self.unauthorized_allowed == other.unauthorized_allowed
         )
 
 
@@ -401,11 +292,6 @@ class StalenessAccumulator:
                 (observed.application, observed.user, observed.time + decision.latency)
             )
 
-    def merge(self, other: "StalenessAccumulator") -> "StalenessAccumulator":
-        merged = StalenessAccumulator()
-        merged._candidates = self._candidates + other._candidates
-        return merged
-
     def finalize(self, oracle: Any) -> Tuple[int, int]:
         """Classify candidates against the (final) oracle state.
 
@@ -418,11 +304,6 @@ class StalenessAccumulator:
             elif oracle.in_grace(application, user, decided_at):
                 grace += 1
         return grace, violations
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StalenessAccumulator):
-            return NotImplemented
-        return sorted(self._candidates) == sorted(other._candidates)
 
 
 class OverheadAccumulator:
@@ -447,13 +328,6 @@ class OverheadAccumulator:
     def observe(self, kind: str) -> None:
         self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
 
-    def merge(self, other: "OverheadAccumulator") -> "OverheadAccumulator":
-        merged = OverheadAccumulator()
-        merged.by_kind = dict(self.by_kind)
-        for kind, count in other.by_kind.items():
-            merged.by_kind[kind] = merged.by_kind.get(kind, 0) + count
-        return merged
-
     def report(self, duration: float) -> OverheadReport:
         if duration <= 0:
             raise ValueError("duration must be positive")
@@ -470,55 +344,3 @@ class OverheadAccumulator:
             by_kind=dict(self.by_kind),
             control_rate=control / duration,
         )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OverheadAccumulator):
-            return NotImplemented
-        return self.by_kind == other.by_kind
-
-
-class LatencyAccumulator:
-    """Decision latency summaries keyed by decision reason.
-
-    The paper's cost claims map onto reasons: ``cache`` should be ~0,
-    ``verified`` ~ one round trip (parallel) or C round trips
-    (sequential), ``default_allow``/``exhausted`` ~ R timeouts.
-
-    One :class:`StreamingSummary` per decision reason; each bucket's
-    reservoir seed is derived from ``(seed, reason)`` so bucket
-    survivorship stays deterministic and merge-shape independent.
-    """
-
-    __slots__ = ("seed", "capacity", "_buckets")
-
-    def __init__(self, seed: int = 0, capacity: int = 1024):
-        self.seed = int(seed)
-        self.capacity = capacity
-        self._buckets: Dict[str, StreamingSummary] = {}
-
-    def observe(self, reason: str, latency: float) -> None:
-        bucket = self._buckets.get(reason)
-        if bucket is None:
-            bucket = StreamingSummary(_string_seed(self.seed, reason), self.capacity)
-            self._buckets[reason] = bucket
-        bucket.add(latency)
-
-    def merge(self, other: "LatencyAccumulator") -> "LatencyAccumulator":
-        merged = LatencyAccumulator(self.seed, self.capacity)
-        merged._buckets = dict(self._buckets)
-        for reason, bucket in other._buckets.items():
-            mine = merged._buckets.get(reason)
-            merged._buckets[reason] = bucket if mine is None else mine.merge(bucket)
-        return merged
-
-    def summaries(self) -> Dict[str, SummaryStats]:
-        return {
-            reason: summary
-            for reason, bucket in sorted(self._buckets.items())
-            if (summary := bucket.summary()) is not None
-        }
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LatencyAccumulator):
-            return NotImplemented
-        return self._buckets == other._buckets

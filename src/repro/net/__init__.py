@@ -26,14 +26,12 @@ this package supplies the *socket* implementation of it:
 * :mod:`repro.net.serve` / :mod:`repro.net.load` — the ``repro serve``
   and ``repro load`` CLI entry points.
 
-Everything below :mod:`repro.net.transport` is imported lazily: the sim
-network imports the interface module, and pulling asyncio machinery
-into every simulation run would be both wasteful and a cycle.
+The package itself exports only the transport interface: importing it
+must not pull asyncio machinery into every simulation run.  Import the
+socket backend from its module (``from repro.net.cell import LiveCell``).
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from .transport import ReplyTable, Transport, request, retry_until_acked
 
@@ -42,45 +40,4 @@ __all__ = [
     "ReplyTable",
     "request",
     "retry_until_acked",
-    "encode_message",
-    "decode_message",
-    "encode_frame",
-    "FrameReader",
-    "encode_bin",
-    "decode_bin",
-    "BinaryEncoder",
-    "BinaryDecoder",
-    "SessionAuth",
-    "AuthError",
-    "SocketTransport",
-    "LiveRuntime",
-    "LiveCell",
 ]
-
-_LAZY = {
-    "encode_message": "codec",
-    "decode_message": "codec",
-    "encode_frame": "codec",
-    "FrameReader": "codec",
-    "encode_bin": "codec_bin",
-    "decode_bin": "codec_bin",
-    "BinaryEncoder": "codec_bin",
-    "BinaryDecoder": "codec_bin",
-    "SessionAuth": "session",
-    "AuthError": "session",
-    "SocketTransport": "tcp",
-    "LiveRuntime": "runtime",
-    "LiveCell": "cell",
-}
-
-
-def __getattr__(name: str) -> Any:
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, name)
-    globals()[name] = value
-    return value

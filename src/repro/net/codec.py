@@ -232,8 +232,3 @@ class FrameReader:
                 del buffer[:offset]
                 offset = 0
             self._offset = offset
-
-    @property
-    def pending(self) -> int:
-        """Bytes buffered awaiting a complete frame."""
-        return len(self._buffer) - self._offset

@@ -57,9 +57,8 @@ on many connections is one string in memory.  The decoder never inserts
 into the interner, so hostile names cannot grow it; equal strings
 decode either way.
 
-``encode_bin``/``decode_bin`` are stateless conveniences (fresh coder
-per call) for tests, benches, and the local-loopback normalisation
-path; on a real link use a persistent pair.
+On a real link use a persistent encoder/decoder pair; a fresh pair per
+message (the local-loopback normalisation path) is stateless.
 """
 
 from __future__ import annotations
@@ -79,8 +78,6 @@ __all__ = [
     "BinaryEncoder",
     "BinaryDecoder",
     "DictionaryError",
-    "encode_bin",
-    "decode_bin",
     "write_varint",
     "read_varint",
     "DENSE_PREFIX",
@@ -214,8 +211,8 @@ class BinaryEncoder:
     def __init__(self) -> None:
         self._dict: Dict[str, int] = {}
         #: CRC32 of names seen once, by low bits; made on the first such
-        #: name, so a one-shot ``encode_bin`` of a message without one
-        #: never allocates it.
+        #: name, so a one-shot encode of a message without one never
+        #: allocates it.
         self._seen: Optional[array] = None
 
     @property
@@ -323,10 +320,6 @@ class BinaryDecoder:
         #: Names it holds decode as its own copies (looked up, never added).
         self.interner: Optional[Interner] = None
 
-    @property
-    def dictionary_size(self) -> int:
-        return len(self._dict)
-
     def decode(self, data: bytes) -> Any:
         """Decode one message body; advances the session dictionary.
 
@@ -427,13 +420,3 @@ class BinaryDecoder:
                 raise CodecError(f"unknown right index {index}")
             return _RIGHT_LIST[index], pos
         raise CodecError(f"unknown value tag 0x{tag:02x}")
-
-
-def encode_bin(message: Any) -> bytes:
-    """One-shot encode with a fresh (stateless) session dictionary."""
-    return BinaryEncoder().encode(message)
-
-
-def decode_bin(data: bytes) -> Any:
-    """One-shot decode with a fresh (stateless) session dictionary."""
-    return BinaryDecoder().decode(data)

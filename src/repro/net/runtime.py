@@ -117,10 +117,6 @@ class LiveRuntime:
                 handle.cancel()
         self._soon = self._timer = None
 
-    @property
-    def port(self) -> Optional[int]:
-        return self.transport.port
-
     # -- wiring --------------------------------------------------------------
     def register(self, node: Any) -> Any:
         return self.transport.register(node)

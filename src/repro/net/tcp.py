@@ -54,7 +54,7 @@ from ..core.ids import Interner
 from ..sim.partitions import ScriptedConnectivity
 from ..sim.trace import TraceKind
 from .codec import CodecError, FrameError, FrameReader, encode_frame
-from .codec_bin import BinaryDecoder, BinaryEncoder, decode_bin, encode_bin
+from .codec_bin import BinaryDecoder, BinaryEncoder
 from .session import AuthError, SessionAuth
 from .transport import Address, Transport
 
@@ -402,11 +402,6 @@ class SocketTransport(Transport):
     def tracer(self) -> Any:
         return self._runtime.tracer
 
-    @property
-    def port(self) -> Optional[int]:
-        """The bound server port (None until the server is started)."""
-        return self._server_port
-
     def endpoint_name(self) -> str:
         """The stable session name this transport seals outbound segments under.
 
@@ -472,7 +467,7 @@ class SocketTransport(Transport):
             # Local loopback still goes through the codec so both halves
             # of a conversation see identically-normalised messages.
             try:
-                wire = decode_bin(encode_bin(message))
+                wire = BinaryDecoder().decode(BinaryEncoder().encode(message))
             except CodecError as exc:
                 self._count_drop(dst, f"codec: {exc}")
                 return

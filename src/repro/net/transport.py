@@ -31,7 +31,7 @@ Semantics every implementation must honour
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 # Canonical, backend-agnostic import point for the messaging substrate.
 # The implementations live in ``repro.protocols.messaging``; fixtures
@@ -71,12 +71,6 @@ class Transport:
     def register(self, node: Any) -> Any:
         """Attach ``node`` (its address must be unique) and return it."""
         raise NotImplementedError
-
-    def node(self, address: Address) -> Any:
-        return self.nodes[address]
-
-    def addresses(self) -> List[Address]:
-        return list(self.nodes)
 
     # -- transmission ---------------------------------------------------------
     def send(self, src: Address, dst: Address, message: Any) -> None:

@@ -39,19 +39,16 @@ __all__ = [
 
 
 class ResponseCombiner:
-    """Strategy interface for judging one verification round."""
+    """Strategy interface for judging one verification round.
+
+    Each combiner defines ``combine(responses, required)``: the decisive
+    response, or ``None`` if the round failed."""
 
     def round_complete(
         self, responses: Sequence[QueryResponse], required: int
     ) -> bool:
         """May the round stop gathering?  Default: count quorum met."""
         return len(responses) >= required
-
-    def combine(
-        self, responses: Sequence[QueryResponse], required: int
-    ) -> Optional[QueryResponse]:
-        """The decisive response, or ``None`` if the round failed."""
-        raise NotImplementedError
 
 
 class HighestVersionCombiner(ResponseCombiner):

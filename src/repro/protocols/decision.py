@@ -40,6 +40,3 @@ class AccessDecision:
     attempts: int  # completed verification rounds (0 for cache hits)
     responses: int  # manager responses gathered in the deciding round
     latency: float  # real simulated time from request to decision
-
-    def __bool__(self) -> bool:
-        return self.allowed

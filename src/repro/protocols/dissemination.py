@@ -59,10 +59,6 @@ class DisseminationStrategy:
     """Shared persistent-dissemination machinery; subclasses choose the
     blocking point and the availability rule."""
 
-    def quorum_needed(self, policy: AccessPolicy, m: int) -> int:
-        """Acks (self included) before the blocking call returns."""
-        raise NotImplementedError
-
     def issue(
         self, manager, application: str, user: str, right: Right, grant: bool
     ):

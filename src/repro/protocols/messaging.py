@@ -69,9 +69,6 @@ class ReplyTable:
         """Drop every pending entry (crash semantics)."""
         self._pending.clear()
 
-    def __len__(self) -> int:
-        return len(self._pending)
-
     def __contains__(self, request_id: int) -> bool:
         return request_id in self._pending
 

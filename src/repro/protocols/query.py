@@ -156,10 +156,6 @@ class GrantTable:
             record = self._next[record]
         return held
 
-    def holders(self, user: str, right: Right) -> List[Tuple[Address, float]]:
-        """``[(host, deadline), ...]`` of ``(user, right)``, first-grant order."""
-        return self._walk(self._head.get(self._key(user, right), -1))
-
     def pop(self, user: str, right: Right) -> List[Tuple[Address, float]]:
         """Remove ``(user, right)`` and return its holders, first-grant order."""
         record = self._head.pop(self._key(user, right), -1)
@@ -199,9 +195,6 @@ class GrantTable:
     def __len__(self) -> int:
         """Keys with at least one holder."""
         return len(self._head)
-
-    def __contains__(self, key: Tuple[str, Right]) -> bool:
-        return self._key(key[0], key[1]) in self._head
 
 
 class QueryAnswerer:

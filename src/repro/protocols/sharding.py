@@ -50,7 +50,9 @@ class HashRing:
     """A consistent-hash ring over shard indices ``0..n_shards-1``.
 
     ``salt`` namespaces rings so two systems with equal shard counts
-    don't correlate placements.
+    don't correlate placements.  Vnode coordinates depend only on
+    (salt, shard, replica), so a ring over one more shard adds points
+    without moving existing ones: the monotone-remapping property.
     """
 
     def __init__(
@@ -78,15 +80,6 @@ class HashRing:
         if index == len(self._points):
             index = 0  # wrap around the ring
         return self._owners[index]
-
-    def with_shards(self, n_shards: int) -> "HashRing":
-        """A ring over a different shard count, same salt/vnodes.
-
-        Because vnode coordinates depend only on (salt, shard, replica),
-        growing the ring adds points without moving existing ones —
-        the monotone-remapping property.
-        """
-        return HashRing(n_shards, vnodes=self.vnodes, salt=self.salt)
 
     def __repr__(self) -> str:
         return f"<HashRing shards={self.n_shards} vnodes={self.vnodes}>"
@@ -117,10 +110,6 @@ class ShardRouter:
         self.ring = HashRing(len(self.groups), vnodes=vnodes, salt=salt)
         self._memo: Dict[str, int] = {}
 
-    @property
-    def n_shards(self) -> int:
-        return len(self.groups)
-
     def shard_of(self, name: str) -> int:
         """Owning shard index for an object name (memoised)."""
         shard = self._memo.get(name)
@@ -135,4 +124,4 @@ class ShardRouter:
 
     def __repr__(self) -> str:
         sizes = "+".join(str(len(g)) for g in self.groups)
-        return f"<ShardRouter shards={self.n_shards} managers={sizes}>"
+        return f"<ShardRouter shards={len(self.groups)} managers={sizes}>"

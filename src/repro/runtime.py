@@ -14,39 +14,26 @@ threads could hold a lock a forked child then waits on forever.
 
 from __future__ import annotations
 
-import functools
 import multiprocessing
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from multiprocessing.pool import Pool
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-__all__ = ["available_cpus", "resolve_jobs", "run_parallel"]
-
-#: Chunks per worker: small enough to amortise IPC, large enough that
-#: an uneven chunk cannot idle the rest of the pool long.
-_CHUNKS_PER_JOB = 4
-
-
-def available_cpus() -> int:
-    """CPUs usable by this process (affinity-aware where supported)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
+__all__ = ["resolve_jobs", "run_parallel"]
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
-    """Normalise a ``--jobs`` value: ``None``/``0`` means all CPUs."""
+    """Normalise a ``--jobs`` value: ``None``/``0`` means all CPUs this
+    process may use (affinity-aware where supported)."""
     if jobs is None or jobs == 0:
-        return available_cpus()
+        try:
+            return len(os.sched_getaffinity(0)) or 1
+        except AttributeError:  # pragma: no cover - non-Linux
+            return os.cpu_count() or 1
     if jobs < 0:
         raise ValueError(f"jobs must be positive (or 0 for all CPUs), got {jobs}")
     return jobs
-
-
-def _apply(fn: Callable[..., Any], task: Tuple[Any, ...]) -> Any:
-    return fn(*task)
 
 
 def run_parallel(
@@ -64,20 +51,18 @@ def run_parallel(
     results.
 
     An exception raised by ``fn`` reaches the caller when its task's
-    turn comes in task order, not when it first completes; the pool is
-    then shut down without waiting and its not-yet-started work is
-    cancelled.
+    turn comes in task order, not when it first completes; the pool's
+    workers are then terminated, so tasks still running or queued do
+    not hold up the caller or its process's exit.
     """
     tasks = list(tasks)
     jobs = resolve_jobs(jobs)
     if jobs > 1 and len(tasks) > 1:
-        chunksize = max(1, len(tasks) // (jobs * _CHUNKS_PER_JOB))
-        chunks = (len(tasks) + chunksize - 1) // chunksize
         try:
             context = multiprocessing.get_context("forkserver")
             # Import the worker's module once, in the server (read at its first start).
             context.set_forkserver_preload([fn.__module__])
-            pool = ProcessPoolExecutor(max_workers=min(jobs, chunks), mp_context=context)
+            pool = Pool(min(jobs, len(tasks)), context=context)
         except (ValueError, OSError) as exc:
             warnings.warn(
                 f"run_parallel: falling back to inline execution "
@@ -87,13 +72,7 @@ def run_parallel(
                 stacklevel=2,
             )
         else:
-            try:
-                results = list(
-                    pool.map(functools.partial(_apply, fn), tasks, chunksize=chunksize)
-                )
-            except BaseException:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-            pool.shutdown()
-            return results
+            with pool:  # leaving terminates the workers, finished or not
+                pending = [pool.apply_async(fn, task) for task in tasks]
+                return [result.get() for result in pending]
     return [fn(*task) for task in tasks]

@@ -10,7 +10,7 @@ Everything the reproduction's protocol code runs on: the event loop
 (:mod:`~repro.sim.trace`).
 """
 
-from .clock import ClockFactory, LocalClock, slowness_bound
+from .clock import ClockFactory, LocalClock
 from .engine import (
     AnyOf,
     Environment,
@@ -74,5 +74,4 @@ __all__ = [
     "pair_key",
     "schedule_crash",
     "schedule_recovery",
-    "slowness_bound",
 ]

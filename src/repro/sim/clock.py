@@ -24,8 +24,6 @@ Example
 >>> env.run(until=10)
 >>> clock.now()
 105.0
->>> clock.real_duration(5.0)   # 5 local units take 10 real units
-10.0
 """
 
 from __future__ import annotations
@@ -35,18 +33,7 @@ from typing import Optional
 
 from .engine import Environment
 
-__all__ = ["LocalClock", "ClockFactory", "slowness_bound"]
-
-
-def slowness_bound(rates: list[float]) -> float:
-    """Smallest ``b`` such that every clock with rate in ``rates`` is
-    at most ``b`` times slower than real time (``b = 1 / min(rates)``)."""
-    if not rates:
-        raise ValueError("rates must be non-empty")
-    slowest = min(rates)
-    if slowest <= 0:
-        raise ValueError("clock rates must be positive")
-    return 1.0 / slowest
+__all__ = ["LocalClock", "ClockFactory"]
 
 
 class LocalClock:
@@ -76,18 +63,6 @@ class LocalClock:
     def now(self) -> float:
         """Current local time (the paper's ``Time()``)."""
         return self.offset + self.rate * (self.env.now - self._t0)
-
-    def real_duration(self, local_duration: float) -> float:
-        """Real time needed for this clock to advance ``local_duration``."""
-        if local_duration < 0:
-            raise ValueError("durations must be non-negative")
-        return local_duration / self.rate
-
-    def local_duration(self, real_duration: float) -> float:
-        """Local time this clock advances over ``real_duration`` real units."""
-        if real_duration < 0:
-            raise ValueError("durations must be non-negative")
-        return real_duration * self.rate
 
     def __repr__(self) -> str:
         return f"<LocalClock rate={self.rate:.6f} now={self.now():.3f}>"

@@ -139,11 +139,6 @@ class Event:
         return self._triggered
 
     @property
-    def processed(self) -> bool:
-        """True once the event's callbacks have been executed."""
-        return self._processed
-
-    @property
     def ok(self) -> Optional[bool]:
         """True if the event succeeded, False if it failed, None if pending."""
         return self._ok

@@ -59,20 +59,14 @@ __all__ = [
 
 
 class LatencyModel:
-    """Samples one-way message latency in simulated seconds."""
+    """One-way message latency in simulated seconds.
 
-    def sample(self, rng: random.Random, src: Address, dst: Address) -> float:
-        raise NotImplementedError
-
-    def constant_delay(self) -> Optional[float]:
-        """The model's delay when it is constant, else ``None``.
-
-        A non-None answer lets the network skip the per-message
-        ``sample`` call (and batch fan-outs); models that consume
-        randomness must return ``None`` so their draw order is
-        preserved.
-        """
-        return None
+    A model defines ``constant_delay()``: its delay when it is constant,
+    else ``None``.  A non-None answer lets the network skip sampling
+    (and batch fan-outs); a model that consumes randomness returns
+    ``None`` and defines ``sample(rng, src, dst)``, which the network
+    then calls once per message, so the draw order is preserved.
+    """
 
 
 class FixedLatency(LatencyModel):
@@ -82,9 +76,6 @@ class FixedLatency(LatencyModel):
         if delay < 0:
             raise ValueError("latency must be non-negative")
         self.delay = delay
-
-    def sample(self, rng: random.Random, src: Address, dst: Address) -> float:
-        return self.delay
 
     def constant_delay(self) -> float:
         return self.delay
@@ -235,12 +226,6 @@ class Network(Transport):
         node.attach(self)
         return node
 
-    def node(self, address: Address) -> Node:
-        return self.nodes[address]
-
-    def addresses(self) -> list[Address]:
-        return list(self.nodes)
-
     # -- reachability -------------------------------------------------------------
     def _connected(self, a: Address, b: Address) -> bool:
         """Connectivity-model answer for ``a != b``, via the epoch cache."""
@@ -258,19 +243,6 @@ class Network(Transport):
         if answer is None:
             answer = cache[key] = connectivity.is_reachable(a, b)
         return answer
-
-    def reachable(self, a: Address, b: Address) -> bool:
-        """True when ``a`` and ``b`` are both up and not partitioned.
-
-        This is the *instantaneous* truth used by the delivery decision;
-        protocol code must never call it (nodes cannot observe it).
-        """
-        node_a, node_b = self.nodes.get(a), self.nodes.get(b)
-        if node_a is None or node_b is None:
-            return False
-        if not node_a.up or not node_b.up:
-            return False
-        return a == b or self._connected(a, b)
 
     # -- transmission -----------------------------------------------------------
     def _admit(self, src: Address, src_node: Node, dst: Address, message: Any) -> int:

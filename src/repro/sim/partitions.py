@@ -75,7 +75,9 @@ class ConnectivityModel:
     mapping valid until the next epoch bump, under the convention that
     unlisted addresses share the implicit component ``-1``.  Models with
     per-link state (individual downed links, per-pair renewal processes)
-    return ``None`` and are served from a per-pair memo instead.
+    return ``None`` and are served from a per-pair memo instead; only
+    they define ``is_reachable(a, b)``, the per-pair answer the memo
+    (and a live transport's per-send check) asks for.
     """
 
     def __init__(self) -> None:
@@ -104,18 +106,12 @@ class ConnectivityModel:
         """
         return None
 
-    def is_reachable(self, a: str, b: str) -> bool:
-        raise NotImplementedError
-
 
 class FullConnectivity(ConnectivityModel):
     """No partitions, ever."""
 
     def component_table(self) -> Dict[str, int]:
         return {}  # everyone shares the implicit component
-
-    def is_reachable(self, a: str, b: str) -> bool:
-        return True
 
 
 class ScriptedConnectivity(ConnectivityModel):
@@ -371,9 +367,6 @@ class DutyCycleModel(ConnectivityModel):
                         TraceKind.LINK_DOWN, "duty_cycle", a=target, b="*"
                     )
 
-    def is_connected(self, target: str) -> bool:
-        return target not in self._disconnected
-
     def component_table(self) -> Dict[str, int]:
         # Each disconnected node is its own island; everyone else shares
         # the implicit component.  Sorted so the table is deterministic.
@@ -381,6 +374,3 @@ class DutyCycleModel(ConnectivityModel):
             address: index + 1
             for index, address in enumerate(sorted(self._disconnected))
         }
-
-    def is_reachable(self, a: str, b: str) -> bool:
-        return a not in self._disconnected and b not in self._disconnected

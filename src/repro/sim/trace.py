@@ -186,21 +186,9 @@ class Tracer:
         for subscriber in self._wildcard:
             subscriber(record)
 
-    def count(self, kind: str) -> int:
-        """Number of records of ``kind`` published so far (log-independent)."""
-        return self._counts.get(kind, 0)
-
     def counts(self) -> Dict[str, int]:
         """Copy of all per-kind publish counts."""
         return dict(self._counts)
-
-    def records(self, kind: Optional[str] = None) -> List[TraceRecord]:
-        """Logged records, optionally filtered by kind (requires keep_log)."""
-        if not self.keep_log:
-            raise RuntimeError("Tracer was created with keep_log=False")
-        if kind is None:
-            return list(self.log)
-        return [r for r in self.log if r.kind == kind]
 
     def __repr__(self) -> str:
         total = sum(self._counts.values())

@@ -84,10 +84,6 @@ class FuzzResult:
     violations: Tuple[Dict[str, Any], ...] = ()
     stats: Dict[str, int] = field(default_factory=dict)
 
-    @property
-    def invariants_hit(self) -> Tuple[str, ...]:
-        return tuple(sorted({v["invariant"] for v in self.violations}))
-
 
 @dataclass(frozen=True)
 class FuzzFailure:

@@ -125,9 +125,6 @@ class Invariant:
     def kinds(self) -> Tuple[str, ...]:
         return ()
 
-    def on_record(self, record: TraceRecord) -> None:  # pragma: no cover
-        pass
-
     def check_static(self, application: str, policy: AccessPolicy) -> None:
         pass
 
@@ -661,10 +658,6 @@ class InvariantChecker:
         for invariant in self.invariants:
             invariant.finalize()
         return list(self.violations)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
     def __repr__(self) -> str:
         return (

@@ -131,7 +131,6 @@ class UserPopulation:
         self.users = NameRange(prefix, n_users)
         self._cumulative: Optional[List[float]] = None  # exact, lazy
         self._rejection: Optional[_RejectionInversionZipf] = None
-        self._total: Optional[float] = None  # Σ rank**-s, lazy
 
     def __len__(self) -> int:
         return self.n_users
@@ -140,12 +139,8 @@ class UserPopulation:
         return iter(self.users)
 
     # -- identity ----------------------------------------------------------------
-    def name_of(self, uid: int) -> str:
-        """The name of user ``uid`` (``0 <= uid < n_users``)."""
-        return self.users[uid]
-
     def index_of(self, user: str) -> int:
-        """Inverse of :meth:`name_of`; raises ``ValueError`` if unknown."""
+        """The uid of ``user``; raises ``ValueError`` if unknown."""
         return self.users.index(user)
 
     def interner(self) -> Interner:
@@ -188,23 +183,6 @@ class UserPopulation:
     def sample(self, rng: random.Random) -> str:
         """Draw one user by popularity."""
         return self.users[self.sample_id(rng)]
-
-    def sample_many(self, rng: random.Random, count: int) -> List[str]:
-        return [self.sample(rng) for _ in range(count)]
-
-    # -- popularity --------------------------------------------------------------
-    def _weight_total(self) -> float:
-        if self._total is None:
-            self._total = sum(
-                1.0 / (rank**self.zipf_s)
-                for rank in range(1, self.n_users + 1)
-            )
-        return self._total
-
-    def popularity(self, user: str) -> float:
-        """Stationary probability of this user being sampled."""
-        rank = self.users.index(user) + 1
-        return (1.0 / (rank**self.zipf_s)) / self._weight_total()
 
     def head(self, count: int) -> Sequence[str]:
         """The ``count`` most popular users."""

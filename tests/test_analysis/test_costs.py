@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis.costs import (
@@ -54,12 +56,12 @@ class TestMissDelay:
         assert policy.query_strategy is QueryStrategy.QUORUM
         assert miss_delay(policy, 0.1) == 0.1
         assert miss_messages(policy, 3) == 4
-        assert miss_messages(policy.with_(check_quorum=5), 3) == 6  # clamped to M
+        assert miss_messages(replace(policy, check_quorum=5), 3) == 6  # clamped to M
         assert miss_messages(
-            policy.with_(query_strategy=QueryStrategy.SEQUENTIAL), 3
+            replace(policy, query_strategy=QueryStrategy.SEQUENTIAL), 3
         ) == 4
         assert miss_messages(
-            policy.with_(query_strategy=QueryStrategy.PARALLEL), 3
+            replace(policy, query_strategy=QueryStrategy.PARALLEL), 3
         ) == 6
 
     def test_negative_rtt_rejected(self):

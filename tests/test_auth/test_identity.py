@@ -69,9 +69,9 @@ class TestAuthenticator:
 
     def test_knows(self, alice):
         auth = Authenticator()
-        assert not auth.knows("alice")
+        assert auth.key_of("alice") is None
         auth.register(alice)
-        assert auth.knows("alice")
+        assert auth.key_of("alice") == alice.public_key
 
     def test_rekeying_replaces_old_key(self):
         old = Principal("u", generate_keypair(bits=128, rng=random.Random(3)))
@@ -90,7 +90,7 @@ class TestPrincipal:
 
     def test_sign_produces_verifiable_message(self, alice):
         auth = Authenticator()
-        auth.register_key("alice", alice.public_key)
+        auth.register(alice)
         assert auth.authenticate(alice.sign([1, 2, 3]))
 
 

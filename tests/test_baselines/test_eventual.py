@@ -103,3 +103,15 @@ class TestHostBehaviour:
         probe = system.hosts[0].request_access(APP, "u")
         system.run(until=2_001.0)
         assert probe.value.allowed  # stale for 2000 s and counting
+
+
+class TestCrash:
+    def test_host_crash_forgets_its_cache(self):
+        system, _ = build()
+        system.managers[0].add(APP, "u", Right.USE)
+        system.run(until=30.0)
+        probe = system.hosts[0].request_access(APP, "u")
+        system.run(until=35.0)
+        assert probe.value.allowed and system.hosts[0]._cache[APP]
+        system.hosts[0].crash()
+        assert system.hosts[0]._cache == {}

@@ -98,9 +98,20 @@ class TestLeases:
         probe = system.hosts[0].request_access(APP, "u")
         system.run(until=30.0)
         assert probe.value.reason == "exhausted"
-        assert system.tracer.count("access_unresolved") == 1
-        assert system.tracer.count("access_denied") == 0
+        assert system.tracer.counts().get("access_unresolved", 0) == 1
+        assert system.tracer.counts().get("access_denied", 0) == 0
 
     def test_invalid_lease_duration(self):
         with pytest.raises(ValueError):
             build(lease_duration=0.0)
+
+
+class TestCrash:
+    def test_host_crash_forgets_its_leases(self):
+        system, _ = build()
+        system.seed_grant(APP, "u")
+        probe = system.hosts[0].request_access(APP, "u")
+        system.run(until=5.0)
+        assert probe.value.allowed and system.hosts[0]._leases[APP]
+        system.hosts[0].crash()
+        assert system.hosts[0]._leases == {}

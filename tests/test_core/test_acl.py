@@ -51,13 +51,6 @@ class TestBasics:
         assert acl.entry("u", Right.USE) is not None  # tombstone kept
         assert len(acl) == 1
 
-    def test_users_with(self):
-        acl = AccessControlList("app")
-        acl.apply(grant("b", 1))
-        acl.apply(grant("a", 2))
-        acl.apply(revoke("c", 3))
-        assert acl.users_with(Right.USE) == ["a", "b"]
-
     def test_contains(self):
         acl = AccessControlList("app")
         acl.apply(grant("u", 1))
@@ -124,10 +117,7 @@ class TestSnapshot:
         replica.merge(source.snapshot())
         assert replica.check("u", Right.USE)
         assert not replica.check("v", Right.USE)
-        assert replica.highest_version() == source.highest_version()
-
-    def test_highest_version_empty(self):
-        assert AccessControlList("app").highest_version() == ZERO_VERSION
+        assert replica.snapshot() == source.snapshot()
 
     def test_snapshot_merge_idempotent(self):
         source = AccessControlList("app")
@@ -140,8 +130,8 @@ class TestSnapshot:
 class DictIndexedAcl(AccessControlList):
     """Reference: the same columns found through a ``Dict[int, int]``
     from packed key to slot, the layout the direct-addressed index
-    replaced.  Only the lookups differ; ``snapshot``/``highest_version``
-    read the shared columns."""
+    replaced.  Only the lookups differ; ``snapshot`` reads the shared
+    columns."""
 
     def __init__(self, application, interner=None, origins=None):
         super().__init__(application, interner, origins)
@@ -244,7 +234,6 @@ class TestDirectIndexMatchesDictReference:
                 assert ((user, right) in acl) == ((user, right) in reference)
         assert len(acl) == len(reference)
         assert acl.snapshot() == reference.snapshot()
-        assert acl.highest_version() == reference.highest_version()
 
     def test_reference_is_not_vacuous(self):
         """The schedule above reaches ties, tombstones and index growth."""
@@ -278,8 +267,8 @@ def _state(manager: AccessControlManager):
     versions = [acl.version_of(user, right) for user in _USERS for right in Right]
     store = manager.store
     return (
-        acl.snapshot(), versions, acl.highest_version(), acl.nbytes(),
-        list(manager._ids), list(acl._origins), manager._counter,
+        acl.snapshot(), versions, acl.nbytes(),
+        manager._ids._names, acl._origins._names, manager._counter,
         None if store is None else (store.writes, store._data),
     )
 

@@ -5,12 +5,15 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from repro.auth.identity import Authenticator, Principal
 from repro.auth.keys import generate_keypair
 from repro.core.admin import AdminClient
 from repro.core.manager import AccessControlManager
-from repro.core.policy import AccessPolicy
+from repro.core.policy import AccessPolicy, QueryStrategy
 from repro.core.rights import AclEntry, Right, Version
+from repro.core.system import AccessControlSystem
 from repro.sim.engine import Environment
 from repro.sim.network import FixedLatency, Network
 from repro.sim.partitions import ScriptedConnectivity
@@ -69,7 +72,7 @@ class TestDelegatedAdministration:
     def test_root_can_grant_use(self):
         harness = AdminHarness()
         root = harness.client("root")
-        result = root.add_process("m0", APP, "alice", Right.USE)
+        result = root.env.process(root.add("m0", APP, "alice", Right.USE))
         harness.run(10.0)
         assert result.value.accepted
         for manager in harness.managers:
@@ -78,9 +81,9 @@ class TestDelegatedAdministration:
     def test_root_can_revoke(self):
         harness = AdminHarness()
         root = harness.client("root")
-        root.add_process("m0", APP, "alice")
+        root.env.process(root.add("m0", APP, "alice"))
         harness.run(5.0)
-        result = root.revoke_process("m1", APP, "alice")
+        result = root.env.process(root.revoke("m1", APP, "alice"))
         harness.run(10.0)
         assert result.value.accepted
         assert not harness.managers[0].acl(APP).check("alice", Right.USE)
@@ -88,7 +91,7 @@ class TestDelegatedAdministration:
     def test_plain_user_rejected(self):
         harness = AdminHarness()
         nobody = harness.client("nobody")
-        result = nobody.add_process("m0", APP, "crony")
+        result = nobody.env.process(nobody.add("m0", APP, "crony"))
         harness.run(10.0)
         assert not result.value.accepted
         assert "manage right required" in result.value.reason
@@ -100,10 +103,10 @@ class TestDelegatedAdministration:
         harness = AdminHarness()
         root = harness.client("root")
         deputy = harness.client("deputy")
-        grant = root.add_process("m0", APP, "deputy", Right.MANAGE)
+        grant = root.env.process(root.add("m0", APP, "deputy", Right.MANAGE))
         harness.run(10.0)
         assert grant.value.accepted
-        result = deputy.add_process("m1", APP, "alice", Right.USE)
+        result = deputy.env.process(deputy.add("m1", APP, "alice", Right.USE))
         harness.run(10.0)
         assert result.value.accepted
 
@@ -111,18 +114,18 @@ class TestDelegatedAdministration:
         harness = AdminHarness()
         root = harness.client("root")
         deputy = harness.client("deputy")
-        root.add_process("m0", APP, "deputy", Right.MANAGE)
+        root.env.process(root.add("m0", APP, "deputy", Right.MANAGE))
         harness.run(5.0)
-        root.revoke_process("m0", APP, "deputy", Right.MANAGE)
+        root.env.process(root.revoke("m0", APP, "deputy", Right.MANAGE))
         harness.run(5.0)
-        result = deputy.add_process("m0", APP, "crony", Right.USE)
+        result = deputy.env.process(deputy.add("m0", APP, "crony", Right.USE))
         harness.run(10.0)
         assert not result.value.accepted
 
     def test_unknown_application_rejected(self):
         harness = AdminHarness()
         root = harness.client("root")
-        result = root.add_process("m0", "ghost-app", "alice")
+        result = root.env.process(root.add("m0", "ghost-app", "alice"))
         harness.run(10.0)
         assert not result.value.accepted
         assert "unknown application" in result.value.reason
@@ -135,7 +138,7 @@ class TestDelegatedAdministration:
         harness.connectivity.set_down("m0", "m1")
         harness.connectivity.set_down("m0", "m2")
         root = harness.client("root")
-        result = root.add_process("m0", APP, "alice")
+        result = root.env.process(root.add("m0", APP, "alice"))
         harness.run(12.0)
         assert result.value.timed_out  # no quorum, no confirmation
         # The operation is still pending; healing completes it.
@@ -153,14 +156,14 @@ class TestSignedAdministration:
         root_principal = self._principal("root", 1)
         harness.authenticator.register(root_principal)
         root = harness.client("root", principal=root_principal)
-        result = root.add_process("m0", APP, "alice")
+        result = root.env.process(root.add("m0", APP, "alice"))
         harness.run(10.0)
         assert result.value.accepted
 
     def test_unsigned_request_rejected(self):
         harness = AdminHarness(signed=True)
         root = harness.client("root")  # no principal
-        result = root.add_process("m0", APP, "alice")
+        result = root.env.process(root.add("m0", APP, "alice"))
         harness.run(10.0)
         assert not result.value.accepted
         assert "unsigned" in result.value.reason
@@ -173,7 +176,7 @@ class TestSignedAdministration:
         harness.authenticator.register(root_principal)
         harness.authenticator.register(attacker_principal)
         forger = harness.client("root", principal=attacker_principal)
-        result = forger.add_process("m0", APP, "crony")
+        result = forger.env.process(forger.add("m0", APP, "crony"))
         harness.run(10.0)
         assert not result.value.accepted
         assert not harness.managers[0].acl(APP).check("crony", Right.USE)
@@ -208,7 +211,7 @@ class TestStableStore:
     def test_manager_state_survives_crash_via_store(self):
         harness = AdminHarness(with_store=True)
         root = harness.client("root")
-        result = root.add_process("m0", APP, "alice")
+        result = root.env.process(root.add("m0", APP, "alice"))
         harness.run(10.0)
         assert result.value.accepted
         manager = harness.managers[0]
@@ -227,7 +230,7 @@ class TestStableStore:
         harness = AdminHarness(with_store=True)
         root = harness.client("root")
         harness.managers[2].crash()
-        result = root.add_process("m0", APP, "late-news")
+        result = root.env.process(root.add("m0", APP, "late-news"))
         harness.run(10.0)
         assert result.value.accepted
         harness.managers[2].recover()
@@ -236,3 +239,36 @@ class TestStableStore:
         # The resynced entry was persisted too.
         store = harness.stores["m2"]
         assert any("late-news" in key for key in store.keys("acl:"))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP 14")
+def test_a_revoked_admin_cannot_grant_through_a_partitioned_manager():
+    """A manager the ``MANAGE`` revocation has not reached still issues
+    the revoked admin's grant, which then spreads and never expires.
+    The paper makes ``Managers(A)`` the holders of the manage right and
+    protects rights with quorum intersection; deciding the issuer's
+    ``MANAGE`` at one manager breaks that (ROADMAP 14)."""
+    connectivity = ScriptedConnectivity()
+    system = AccessControlSystem(
+        n_managers=3, n_hosts=1,
+        policy=AccessPolicy(check_quorum=2, expiry_bound=60.0, query_timeout=1.0,
+                            update_retry_interval=1.0),
+        connectivity=connectivity, latency=FixedLatency(0.05), seed=3,
+    )
+    assert system.policy.query_strategy is QueryStrategy.QUORUM
+    system.seed_grants("app", ["root", "regional"], Right.MANAGE)
+    root, regional = (system.network.register(AdminClient(f"c-{admin}", admin))
+                      for admin in ("root", "regional"))
+    m0, m1, m2 = system.manager_addrs
+    connectivity.isolate(m2, [m0, m1])
+    revoked = root.env.process(root.revoke(m0, "app", "regional", Right.MANAGE))
+    system.run(until=10.0)
+    assert revoked.value.accepted
+    regional.env.process(regional.add(m2, "app", "dan"))
+    system.run(until=20.0)
+    connectivity.heal()
+    system.run(until=280.0)
+
+    check = system.hosts[0].request_access("app", "dan")
+    system.run(until=290.0)
+    assert not check.value.allowed, check.value

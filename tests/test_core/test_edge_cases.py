@@ -2,21 +2,13 @@
 
 from __future__ import annotations
 
-from repro.core.host import AccessControlHost, DecisionReason
-from repro.core.manager import AccessControlManager
-from repro.core.policy import (
-    AccessPolicy,
-    ExhaustedAction,
-    QueryStrategy,
-)
-from repro.core.rights import AclEntry, Right, Version
+from repro.core.host import DecisionReason
+from repro.core.policy import AccessPolicy, QueryStrategy
+from repro.core.rights import Right
 from repro.core.system import AccessControlSystem
 from repro.core.wrapper import Application
-from repro.sim.clock import LocalClock
 from repro.sim.engine import Environment
-from repro.sim.network import FixedLatency, Network, ShiftedExponentialLatency
-from repro.sim.partitions import ScriptedConnectivity
-from repro.sim.trace import Tracer
+from repro.sim.network import FixedLatency, ShiftedExponentialLatency
 
 APP = "app"
 
@@ -40,67 +32,6 @@ class TestHostIdentitySubjects:
         system.run(until=10)
         assert allowed.value.allowed
         assert not denied.value.allowed
-
-
-class TestPerApplicationPolicies:
-    def test_host_applies_per_app_overrides(self):
-        policy_strict = AccessPolicy(
-            check_quorum=3, expiry_bound=60.0, max_attempts=1,
-            query_timeout=1.0, cache_cleanup_interval=None,
-        )
-        policy_lenient = AccessPolicy(
-            check_quorum=1, expiry_bound=60.0, max_attempts=1,
-            exhausted_action=ExhaustedAction.ALLOW,
-            query_timeout=1.0, cache_cleanup_interval=None,
-        )
-        system = AccessControlSystem(
-            n_managers=3, n_hosts=1,
-            applications=("strict-app", "lenient-app"),
-            policy=policy_strict,
-            connectivity=(connectivity := ScriptedConnectivity()),
-            latency=FixedLatency(0.02), seed=2,
-        )
-        host = system.hosts[0]
-        host.set_policy("lenient-app", policy_lenient)
-        system.seed_grant("strict-app", "u")
-        system.seed_grant("lenient-app", "u")
-        connectivity.isolate("h0", system.manager_addrs)
-        strict = host.request_access("strict-app", "u")
-        lenient = host.request_access("lenient-app", "u")
-        system.run(until=30)
-        assert not strict.value.allowed  # exhausted -> deny
-        assert lenient.value.allowed  # Figure 4 default-allow
-
-    def test_manager_applies_per_app_policy_te(self):
-        env = Environment()
-        network = Network(env, latency=FixedLatency(0.02), tracer=Tracer(env))
-        short = AccessPolicy(check_quorum=1, expiry_bound=10.0, clock_bound=1.0)
-        long_ = AccessPolicy(check_quorum=1, expiry_bound=1000.0, clock_bound=1.0)
-        manager = AccessControlManager("m0", short)
-        manager.manage("short-app", ("m0",))
-        manager.manage("long-app", ("m0",))
-        manager.set_policy("long-app", long_)
-        network.register(manager)
-        host = AccessControlHost(
-            "h0", short,
-            managers={"short-app": ("m0",), "long-app": ("m0",)},
-            clock=LocalClock(env),
-        )
-        host.set_policy("long-app", long_)
-        network.register(host)
-        for app in ("short-app", "long-app"):
-            manager.bootstrap(
-                app, [AclEntry("u", Right.USE, True, Version(1, ""))]
-            )
-        a = host.request_access("short-app", "u")
-        b = host.request_access("long-app", "u")
-        env.run(until=5)
-        assert a.value.allowed and b.value.allowed
-        limits = {
-            app: host.cache_for(app).entries()[0].limit
-            for app in ("short-app", "long-app")
-        }
-        assert limits["long-app"] > limits["short-app"] + 100
 
 
 class TestSequentialStrategyEdges:

@@ -1,4 +1,4 @@
-"""A forged peer update must not outlive a revocation (ROADMAP 1(a)(ii)).
+"""Peer traffic is applied only from peers (ROADMAP 1(a)(ii), 1(c)'s sim half).
 
 A registered node that is not a manager sends ``m0`` a well-formed
 ``UpdateMsg`` granting ``u`` under a version counter far ahead of every
@@ -6,24 +6,34 @@ real one, claiming ``m1`` as its origin.  ``m1`` then revokes ``u``.  The
 centralised ACL would deny ``u`` from then on (Chaudhuri: the
 distributed system admits nothing the central ACL would refuse), so
 after the revocation has settled every manager must deny and so must
-the host's check.  Today ``m0`` keeps the forged grant, because its
-counter beats the revocation's, and the host's highest-version combiner
-picks it: the check is allowed.  The fix is ROADMAP 1(c), authenticated
-manager traffic with a cap on forged counters.
+the host's check.  Before the source check ``m0`` kept the forged
+grant, because its counter beat the revocation's, and the host's
+highest-version combiner picked it.  Now a manager refuses every update,
+ack and sync message whose source is not in the application's manager
+group, and every Ping/Pong from outside all its groups, and counts each
+refusal in ``rejected_sources``.  In the simulator the network's ``src``
+is true; over sockets it is a name inside the sealed frame (ROADMAP 19).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.messages import AclUpdate, UpdateMsg
-from repro.core.rights import Right, Version
+from repro.core.messages import (
+    AclUpdate,
+    Ping,
+    Pong,
+    SyncRequest,
+    SyncResponse,
+    UpdateAck,
+    UpdateMsg,
+)
+from repro.core.rights import AclEntry, Right, Version
 from repro.sim.node import Node
 
 from .test_manager import APP, ManagerHarness, policy
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP 1(c)")
 def test_forged_update_does_not_outlive_a_revocation():
     harness = ManagerHarness(policy(check_quorum=2, expiry_bound=100.0))
     harness.grant_everywhere("u")
@@ -41,3 +51,48 @@ def test_forged_update_does_not_outlive_a_revocation():
     check = harness.hosts[0].request_access(APP, "u")
     harness.run(10.0)
     assert not check.value.allowed, check.value
+
+
+class _Forger(Node):
+    """A registered non-manager that keeps whatever it is sent."""
+
+    def __init__(self, address):
+        super().__init__(address)
+        self.received = []
+
+    def handle_message(self, src, message):
+        self.received.append(message)
+
+
+_GRANT = AclUpdate(update_id="x9:1", application=APP, user="mallory", right=Right.USE,
+                   grant=True, version=Version(2**62, "m1"), origin="m1")
+_FORGED = {
+    "update": lambda update_id: UpdateMsg(_GRANT),
+    "ack-from-non-peer": lambda update_id: UpdateAck(update_id=update_id, acker="x9"),
+    "ack-naming-a-peer": lambda update_id: UpdateAck(update_id=update_id, acker="m1"),
+    "sync-request": lambda update_id: SyncRequest(requester="x9", applications=(APP,)),
+    "sync-response": lambda update_id: SyncResponse(
+        responder="m1", snapshots=((APP, (AclEntry("mallory", Right.USE, True,
+                                                    Version(2**62, "m1")),)),)),
+    "ping": lambda update_id: Ping(nonce=1, sender="x9"),
+    "pong": lambda update_id: Pong(nonce=1, sender="x9"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FORGED))
+def test_peer_traffic_from_a_non_peer_is_refused_and_counted(kind):
+    harness = ManagerHarness(policy(check_quorum=2, expiry_bound=100.0))
+    m0 = harness.managers[0]
+    forger = harness.network.register(_Forger("x9"))
+    # m0's own update stays pending: its peers cannot ack it.
+    harness.connectivity.isolate("m0", ["m1", "m2"])
+    update_id = m0.add(APP, "u").update.update_id
+    pending = m0._pending_updates[update_id]
+    forger.send("m0", _FORGED[kind](update_id))
+    harness.run(1.0)
+
+    assert m0.rejected_sources == 1
+    assert not m0.acl(APP).check("mallory", Right.USE)
+    assert pending.unacked == {"m1", "m2"}
+    assert "x9" not in m0._last_heard and "m1" not in m0._synced_peers
+    assert forger.received == []

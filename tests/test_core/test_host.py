@@ -250,7 +250,7 @@ class TestQuorumCombination:
         )
         harness.grant_everywhere("alice")
         harness.check("alice")
-        assert harness.tracer.count(TraceKind.QUERY_SENT) == 3
+        assert harness.tracer.counts().get(TraceKind.QUERY_SENT, 0) == 3
 
 
 class TestRetriesAndFigure4:
@@ -314,7 +314,7 @@ class TestLateResponses:
         decision = harness.check("alice")
         assert not decision.allowed
         assert len(harness.host.cache_for(APP)) == 0
-        assert not harness.host._pending_queries  # table cleaned up
+        assert not harness.host._pending_queries._pending  # table cleaned up
 
 
 class TestRevocationNotification:
@@ -326,7 +326,7 @@ class TestRevocationNotification:
         harness.managers[0].revoke(APP, "alice")
         harness.env.run(until=harness.env.now + 10.0)
         assert len(harness.host.cache_for(APP)) == 0
-        assert harness.tracer.count(TraceKind.CACHE_FLUSHED) >= 1
+        assert harness.tracer.counts().get(TraceKind.CACHE_FLUSHED, 0) >= 1
         decision = harness.check("alice")
         assert not decision.allowed
 

@@ -114,13 +114,6 @@ class TestDerived:
         )
         assert policy.required_responses(5) == 1  # freeze: any one manager
 
-    def test_with_copies(self):
-        policy = AccessPolicy(check_quorum=2)
-        changed = policy.with_(check_quorum=4)
-        assert changed.check_quorum == 4
-        assert policy.check_quorum == 2
-        assert changed.expiry_bound == policy.expiry_bound
-
 
 class TestPresets:
     def test_security_first(self):
@@ -136,14 +129,8 @@ class TestPresets:
         assert policy.max_attempts == 4
         assert policy.exhausted_action is ExhaustedAction.ALLOW
 
-    def test_balanced(self):
-        policy = AccessPolicy.balanced(n_managers=10)
-        assert policy.check_quorum == 5
-        policy = AccessPolicy.balanced(n_managers=7)
-        assert policy.check_quorum == 4
-
     def test_preset_overrides(self):
-        policy = AccessPolicy.balanced(n_managers=10, query_timeout=9.0)
+        policy = AccessPolicy.security_first(n_managers=10, query_timeout=9.0)
         assert policy.query_timeout == 9.0
 
 

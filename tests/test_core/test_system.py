@@ -32,7 +32,7 @@ class TestBuilder:
 
     def test_all_nodes_registered(self):
         system = AccessControlSystem(n_managers=3, n_hosts=2)
-        assert set(system.network.addresses()) == {"m0", "m1", "m2", "h0", "h1"}
+        assert set(system.network.nodes) == {"m0", "m1", "m2", "h0", "h1"}
 
     def test_managers_know_each_application(self):
         system = AccessControlSystem(
@@ -40,7 +40,7 @@ class TestBuilder:
             policy=AccessPolicy(check_quorum=2),
         )
         for manager in system.managers:
-            assert manager.applications() == ["a", "b"]
+            assert sorted(manager.acls) == ["a", "b"]
 
     def test_seed_grant_reaches_all_managers(self):
         system = AccessControlSystem(n_managers=3, n_hosts=0)
@@ -52,7 +52,8 @@ class TestBuilder:
         system = AccessControlSystem(n_managers=2, n_hosts=0,
                                      policy=AccessPolicy(check_quorum=2))
         system.seed_grants("app", ["a", "b", "c"])
-        assert system.managers[0].acl("app").users_with(Right.USE) == ["a", "b", "c"]
+        acl = system.managers[0].acl("app")
+        assert len(acl) == 3 and all(acl.check(user, Right.USE) for user in "abc")
 
     def test_clock_drift_bounded_by_policy(self):
         policy = AccessPolicy(clock_bound=1.2)
@@ -80,43 +81,3 @@ class TestBuilder:
         )
         assert system.host_injector is not None
         assert system.manager_injector is not None
-
-    def test_register_application_later(self):
-        system = AccessControlSystem(n_managers=3, n_hosts=1)
-        system.register_application("late-app")
-        system.seed_grant("late-app", "u")
-        process = system.hosts[0].request_access("late-app", "u")
-        system.run(until=10)
-        assert process.value.allowed
-
-    def test_reachable_managers_ground_truth(self):
-        system = AccessControlSystem(n_managers=4, n_hosts=1)
-        assert system.reachable_managers_from(0) == 4
-        system.managers[0].crash()
-        assert system.reachable_managers_from(0) == 3
-
-
-class TestSetAppPolicy:
-    def test_installed_everywhere(self):
-        from repro.core.policy import ExhaustedAction
-
-        system = AccessControlSystem(
-            n_managers=3, n_hosts=2, applications=("a", "b"),
-            policy=AccessPolicy(check_quorum=2),
-        )
-        lenient = AccessPolicy(
-            check_quorum=1, max_attempts=2,
-            exhausted_action=ExhaustedAction.ALLOW,
-        )
-        system.set_app_policy("b", lenient)
-        for host in system.hosts:
-            assert host.policy_for("b") is lenient
-            assert host.policy_for("a").check_quorum == 2
-        for manager in system.managers:
-            assert manager.policy_for("b") is lenient
-
-    def test_validated_against_manager_count(self):
-        system = AccessControlSystem(n_managers=2, n_hosts=1,
-                                     policy=AccessPolicy(check_quorum=2))
-        with pytest.raises(ValueError):
-            system.set_app_policy("app", AccessPolicy(check_quorum=5))

@@ -31,11 +31,12 @@ class EchoApp(Application):
         return f"echo:{payload}"
 
 
-def build(authenticated: bool = False, seed: int = 0, latency: float = 0.05):
+def build(authenticated: bool = False, seed: int = 0, latency: float = 0.05,
+          applications=(APP,)):
     system = AccessControlSystem(
         n_managers=3,
         n_hosts=1,
-        applications=(APP,),
+        applications=applications,
         policy=AccessPolicy(
             check_quorum=2, expiry_bound=60.0, max_attempts=2, query_timeout=1.0
         ),
@@ -74,8 +75,7 @@ class TestWrapper:
         assert app.seen == []
 
     def test_unknown_application_rejected(self):
-        system, host, app, _ = build()
-        system.register_application("ghost")
+        system, host, app, _ = build(applications=(APP, "ghost"))
         system.seed_grant("ghost", "alice")
         client = UserClient("c0", "alice")
         system.network.register(client)
@@ -262,7 +262,7 @@ class TestClient:
         system.network.register(client)
         client.request(host.address, APP, "x")
         client.crash()
-        assert len(client._pending) == 0
+        assert len(client._pending._pending) == 0
 
 
 class TestClientWait:
@@ -284,10 +284,10 @@ class TestClientWait:
         system.run(until=20)
         assert app.seen == [("alice", "x")]
         result = request.value
-        assert result.timed_out and not result.allowed and not result
+        assert result.timed_out and not result.allowed
         assert result.reason == "request timed out" and result.result is None
         assert result.latency == client.request_timeout
-        assert len(client._pending) == 0
+        assert len(client._pending._pending) == 0
 
     def test_reply_after_the_timeout_is_ignored(self):
         system, host, app, client = self._client(timeout=0.1)  # < 4 hops of 0.05
@@ -296,7 +296,7 @@ class TestClientWait:
         assert request.value.timed_out
         assert request.value.latency == 0.1
         assert app.seen == [("alice", "x")]  # it was served; the reply came late
-        assert len(client._pending) == 0
+        assert len(client._pending._pending) == 0
         client.request_timeout = 5.0
         follow_up = client.request(host.address, APP, "y")
         system.run(until=20)
@@ -353,14 +353,14 @@ class TestClientWait:
         assert fast.value.result == "echo:third" and fast.value.latency == pytest.approx(0.1)
         assert "no such application" in lost.value.reason
         assert not any(r.value.timed_out for r in (slow, lost, fast))
-        assert len(client._pending) == 0
+        assert len(client._pending._pending) == 0
 
     def test_crash_clears_pending_and_the_waiter_times_out(self):
         system, host, _app, client = self._client()
         request = client.request(host.address, APP, "x")
         system.run(until=0.01)
         client.crash()
-        assert len(client._pending) == 0
+        assert len(client._pending._pending) == 0
         system.run(until=20)
         assert request.value.timed_out and request.value.latency == 5.0
 
@@ -371,10 +371,10 @@ class TestClientWait:
         admin = AdminClient("a0", "root", request_timeout=3.0)
         system.network.register(admin)
         system.managers[0].crash()
-        lost = admin.add_process(system.managers[0].address, APP, "carol")
+        lost = admin.env.process(admin.add(system.managers[0].address, APP, "carol"))
         system.run(until=10)
         assert lost.value.timed_out and lost.value.latency == 3.0
-        assert not lost.value.accepted and len(admin._pending) == 0
+        assert not lost.value.accepted and len(admin._pending._pending) == 0
 
 
 def _drop_replies(send):

@@ -2,8 +2,7 @@
 
 A subtraction that deletes a class but leaves its name in a package's
 ``__all__`` breaks ``from repro.x import *`` and any caller that
-imports the name from the package; this catches that for every module,
-including :mod:`repro.net`'s lazily imported names.
+imports the name from the package; this catches that for every module.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import pkgutil
 import pytest
 
 import repro
-import repro.net
 
 
 def _module_names():
@@ -31,11 +29,3 @@ def test_all_names_resolve(module_name):
     assert len(set(exported)) == len(exported), "duplicate __all__ entry"
     missing = [name for name in exported if not hasattr(module, name)]
     assert missing == []
-
-
-def test_net_lazy_names_come_from_their_submodules():
-    lazy = repro.net._LAZY
-    assert set(lazy) <= set(repro.net.__all__)
-    for name, submodule in lazy.items():
-        module = importlib.import_module(f"repro.net.{submodule}")
-        assert getattr(repro.net, name) is getattr(module, name)

@@ -9,7 +9,6 @@ from repro.core.host import AccessDecision, DecisionReason
 from repro.core.rights import Right
 from repro.metrics.streaming import (
     AvailabilityAccumulator,
-    LatencyAccumulator,
     OverheadAccumulator,
     StalenessAccumulator,
 )
@@ -110,24 +109,3 @@ class TestOverheadReport:
     def test_zero_duration_rejected(self, env, tracer):
         with pytest.raises(ValueError):
             OverheadAccumulator(tracer).report(duration=0.0)
-
-
-class TestLatencyByReason:
-    def test_buckets_by_reason(self):
-        accumulator = LatencyAccumulator()
-        for decision in (
-            observed("a", allowed=True, authorized=True, latency=0.0,
-                     reason=DecisionReason.CACHE),
-            observed("b", allowed=True, authorized=True, latency=0.2,
-                     reason=DecisionReason.VERIFIED),
-            observed("c", allowed=True, authorized=True, latency=0.4,
-                     reason=DecisionReason.VERIFIED),
-        ):
-            accumulator.observe(decision.decision.reason, decision.decision.latency)
-        buckets = accumulator.summaries()
-        assert buckets[DecisionReason.CACHE].mean == 0.0
-        assert buckets[DecisionReason.VERIFIED].n == 2
-        assert buckets[DecisionReason.VERIFIED].mean == pytest.approx(0.3)
-
-    def test_empty(self):
-        assert LatencyAccumulator().summaries() == {}

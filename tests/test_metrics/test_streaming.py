@@ -1,6 +1,5 @@
-"""Streaming mergeable accumulators: associativity, identity, exactness,
-reservoir determinism, and agreement with reference values computed in
-the test."""
+"""Streaming accumulators: exactness, reservoir determinism, and
+agreement with reference values computed in the test."""
 
 from __future__ import annotations
 
@@ -15,9 +14,6 @@ from repro.metrics.estimators import percentile
 from repro.metrics.streaming import (
     AvailabilityAccumulator,
     ExactSum,
-    LatencyAccumulator,
-    Mergeable,
-    OverheadAccumulator,
     StalenessAccumulator,
     StreamingSummary,
 )
@@ -51,30 +47,8 @@ class TestExactSum:
             permuted.add(value)
         assert ordered.value() == permuted.value()
 
-    def test_merge_is_exact_and_non_mutating(self):
-        a, b = ExactSum(), ExactSum()
-        for value in (1e16, 1.0):
-            a.add(value)
-        b.add(-1e16)
-        merged = a.merge(b)
-        assert merged.value() == 1.0
-        assert a.value() == 1e16 + 1.0 and b.value() == -1e16
-
-    def test_identity(self):
-        a = ExactSum()
-        a.add(3.5)
-        assert a.merge(ExactSum()).value() == 3.5
-        assert ExactSum().merge(a).value() == 3.5
-
 
 class TestStreamingSummary:
-    def test_satisfies_mergeable_protocol(self):
-        assert isinstance(StreamingSummary(), Mergeable)
-        assert isinstance(AvailabilityAccumulator(), Mergeable)
-        assert isinstance(StalenessAccumulator(), Mergeable)
-        assert isinstance(OverheadAccumulator(), Mergeable)
-        assert isinstance(LatencyAccumulator(), Mergeable)
-
     def test_exact_below_capacity(self):
         rng = random.Random(5)
         values = [rng.uniform(0, 100) for _ in range(300)]
@@ -104,58 +78,10 @@ class TestStreamingSummary:
         values = [rng.uniform(0, 1) for _ in range(200)]
         first = _filled_summary(values, seed=3, capacity=16)
         second = _filled_summary(values, seed=3, capacity=16)
-        assert first == second
+        assert sorted(first._entries) == sorted(second._entries)
         assert first.summary() == second.summary()
         different = _filled_summary(values, seed=4, capacity=16)
         assert different.summary().p50 != first.summary().p50
-
-    @given(
-        st.lists(st.floats(0, 1e6), min_size=1, max_size=120),
-        st.integers(0, 2**32),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_merge_associative(self, values, seed):
-        thirds = [values[0::3], values[1::3], values[2::3]]
-        parts = [
-            _filled_summary(chunk, seed=seed + i, capacity=16)
-            for i, chunk in enumerate(thirds)
-        ]
-        a, b, c = parts
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        assert left == right
-        assert left.summary() == right.summary()
-
-    def test_merge_identity(self):
-        filled = _filled_summary([1.0, 2.0, 9.0])
-        identity = StreamingSummary(seed=99, capacity=64)
-        assert filled.merge(identity).summary() == filled.summary()
-        assert identity.merge(filled).n == filled.n
-
-    def test_merge_equals_sequential_feed(self):
-        # Splitting a stream across two accumulators and merging gives
-        # the same observable state as one accumulator fed everything,
-        # when both use the same seed (the in-worker-reduce shape).
-        rng = random.Random(8)
-        values = [rng.uniform(0, 10) for _ in range(40)]
-        whole = _filled_summary(values, seed=1, capacity=1024)
-        left = _filled_summary(values[:25], seed=1, capacity=1024)
-        right = _filled_summary(values[25:], seed=2, capacity=1024)
-        merged = left.merge(right)
-        assert merged.summary().n == whole.summary().n
-        assert merged.summary().minimum == whole.summary().minimum
-        assert merged.summary().mean == pytest.approx(whole.summary().mean)
-
-    def test_merge_capacity_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            StreamingSummary(capacity=8).merge(StreamingSummary(capacity=16))
-
-    def test_merge_does_not_mutate_operands(self):
-        a = _filled_summary([1.0, 2.0])
-        b = _filled_summary([3.0])
-        before_a, before_b = a.summary(), b.summary()
-        a.merge(b)
-        assert a.summary() == before_a and b.summary() == before_b
 
 
 def _observe_all(accumulator, observations):
@@ -204,18 +130,6 @@ class TestAvailabilityAccumulator:
         )
         assert report.availability == len(timely) / len(authorized)
 
-    def test_merge_matches_whole(self):
-        observations = self._sample(seed=2, n=80)
-        whole = _observe_all(AvailabilityAccumulator(), observations)
-        left = _observe_all(AvailabilityAccumulator(), observations[:30])
-        right = _observe_all(AvailabilityAccumulator(), observations[30:])
-        assert left.merge(right) == whole
-        assert left.merge(right).report() == whole.report()
-
-    def test_merge_bound_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            AvailabilityAccumulator(1.0).merge(AvailabilityAccumulator(2.0))
-
 
 class _FakeOracle:
     """Violation iff past t=100; grace iff within (90, 100]."""
@@ -240,52 +154,3 @@ class TestStalenessAccumulator:
         ):
             acc.observe(_FakeObserved(*args))
         assert acc.finalize(_FakeOracle()) == (1, 1)
-
-    def test_merge(self):
-        a, b = StalenessAccumulator(), StalenessAccumulator()
-        a.observe(_FakeObserved(False, True, 0.0, "u1", 95.0))
-        b.observe(_FakeObserved(False, True, 0.0, "u2", 101.0))
-        assert a.merge(b).finalize(_FakeOracle()) == (1, 1)
-
-
-class TestOverheadAccumulator:
-    def test_merge_sums_kinds(self):
-        a, b = OverheadAccumulator(), OverheadAccumulator()
-        for _ in range(3):
-            a.observe("QueryRequest")
-        b.observe("QueryRequest")
-        b.observe("AppPayload")
-        merged = a.merge(b)
-        assert merged.by_kind == {"QueryRequest": 4, "AppPayload": 1}
-        report = merged.report(duration=2.0)
-        assert report.control_messages == 4 and report.app_messages == 1
-        assert report.control_rate == 2.0
-
-
-class TestLatencyAccumulator:
-    def test_exact_per_reason_below_capacity(self):
-        rng = random.Random(9)
-        samples = [
-            (rng.choice(["cache", "verified"]), rng.uniform(0, 1))
-            for _ in range(100)
-        ]
-        acc = LatencyAccumulator(seed=1, capacity=1024)
-        for reason, latency in samples:
-            acc.observe(reason, latency)
-        got = acc.summaries()
-        assert set(got) == {"cache", "verified"}
-        for reason, summary in got.items():
-            values = [latency for bucket, latency in samples if bucket == reason]
-            assert summary.n == len(values)
-            assert summary.p50 == percentile(values, 50)
-            assert summary.minimum == min(values)
-
-    def test_merge_unions_buckets(self):
-        a = LatencyAccumulator(seed=1)
-        b = LatencyAccumulator(seed=1)
-        a.observe("cache", 0.1)
-        b.observe("verified", 0.9)
-        b.observe("cache", 0.2)
-        merged = a.merge(b)
-        summaries = merged.summaries()
-        assert summaries["cache"].n == 2 and summaries["verified"].n == 1

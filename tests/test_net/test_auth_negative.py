@@ -209,7 +209,7 @@ class TestLiveServerSurvival:
                     list(node.received),
                     dict(transport.auth.rejected),
                     transport.frames_rejected,
-                    runtime.tracer.count(TraceKind.MSG_DROPPED),
+                    runtime.tracer.counts().get(TraceKind.MSG_DROPPED, 0),
                 )
             finally:
                 await runtime.stop()
@@ -343,6 +343,33 @@ class TestMalformedPeerUpdateOverTheWire:
         assert rejected == 1 and counter < 2**63
         assert queries >= 2
         assert alice_allowed and not mallory_allowed
+
+
+class TestForgedPeerOverTheWire:
+    """The simulator's source check trusts ``src``; over sockets ``src`` is
+    a name inside a frame sealed under the one cell secret, so any holder
+    of the secret can claim to be a manager (ROADMAP 19)."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP 19")
+    def test_a_secret_holder_claiming_a_manager_cannot_outvote_its_revocation(self):
+        async def scenario():
+            cell = LiveCell(n_managers=3, n_hosts=1, policy=AccessPolicy(check_quorum=2),
+                            secret=SECRET, time_scale=20.0)
+            cell.seed_grant("app", "u")
+            async with cell:
+                m0 = cell.managers[0]
+                forged = UpdateMsg(AclUpdate("x9:1", "app", "u", Right.USE, True,
+                                             Version(2**62, "m1"), "m1"))
+                _, writer = await asyncio.open_connection(*cell.directory["m0"])
+                writer.write(_bframe(_seal(SessionAuth(SECRET), forged, "m1", "m0")))
+                await writer.drain()
+                await asyncio.wait_for(cell.settle(1.0), 10.0)
+                writer.close()
+                await asyncio.wait_for(cell.issue("m1", "app", "u", grant=False), 10.0)
+                await asyncio.wait_for(cell.settle(5.0), 10.0)
+                return await cell.call("m0", lambda: m0.acl("app").check("u", Right.USE))
+
+        assert not asyncio.run(scenario())
 
 
 class TestStrayKindsOverTheWire:

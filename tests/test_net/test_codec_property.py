@@ -187,7 +187,7 @@ class TestFraming:
             recovered.extend(reader.feed(stream[previous:cut]))
             previous = cut
         assert recovered == bodies
-        assert reader.pending == 0
+        assert len(reader._buffer) - reader._offset == 0
 
     def test_oversized_body_rejected_on_encode(self):
         with pytest.raises(FrameError):
@@ -220,7 +220,7 @@ class TestFraming:
         recovered = reader.feed(stream)
         elapsed = time.perf_counter() - begin
         assert recovered == bodies
-        assert reader.pending == 0
+        assert len(reader._buffer) - reader._offset == 0
         assert elapsed < 2.0, f"frame feed took {elapsed:.2f}s — compaction regressed"
 
     def test_cursor_persists_across_feeds_with_partial_tail(self):
@@ -231,6 +231,6 @@ class TestFraming:
         reader = FrameReader()
         got = reader.feed(first + second[:3])
         assert got == [b"alpha"]
-        assert reader.pending == 3
+        assert len(reader._buffer) - reader._offset == 3
         assert reader.feed(second[3:]) == [b"beta"]
-        assert reader.pending == 0
+        assert len(reader._buffer) - reader._offset == 0

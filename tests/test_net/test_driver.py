@@ -151,7 +151,7 @@ def test_message_path_creates_no_tasks(codec):
         legacy = None
         try:
             if codec == "json":
-                legacy = socket.create_connection((LOCAL, right.transport.port))
+                legacy = socket.create_connection((LOCAL, right.transport._server_port))
             # Warm up: connect, first round trips.
             await asyncio.wait_for(_call(left, lambda: pinger.run(10)), 5.0)
             await asyncio.sleep(0.05)  # let the connect and accept tasks retire
@@ -412,7 +412,7 @@ def test_replayed_segment_is_rejected_by_its_nonce():
             stale = SessionAuth(SECRET).seal_segment(
                 "alpha", "anything", [("alpha", "beta", body)]
             )
-            reader, writer = await asyncio.open_connection(LOCAL, right.transport.port)
+            reader, writer = await asyncio.open_connection(LOCAL, right.transport._server_port)
             writer.write(encode_frame(b"B" + stale))
             await writer.drain()
             closed = await asyncio.wait_for(reader.read(), 5.0) == b""

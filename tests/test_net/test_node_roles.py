@@ -82,6 +82,13 @@ def test_manager_role_refuses_an_address_outside_the_manager_set(tmp_path, capsy
         assert f"argument --address: {address!r} is not a {role} of" in capsys.readouterr().err
 
 
+def test_negative_hosts_exits_2_naming_the_flag(capsys):
+    with pytest.raises(SystemExit) as exited:
+        serve.main(["--role", "cell", "--hosts", "-1", "--run-for", "0"])
+    assert exited.value.code == 2
+    assert "argument --hosts" in capsys.readouterr().err
+
+
 def test_cell_role_still_boots_without_hosts(capsys):
     assert serve.main(["--role", "cell", "--hosts", "0", "--run-for", "0"]) == 0
     assert "cell up: 3 managers, 0 hosts" in capsys.readouterr().out

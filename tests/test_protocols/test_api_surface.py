@@ -39,8 +39,7 @@ class TestHostSurface:
         ]
 
     def test_configuration_methods_exist(self):
-        for name in ("policy_for", "set_policy", "set_managers", "manager_addrs_for",
-                     "cache_for"):
+        for name in ("policy_for", "manager_addrs_for", "cache_for"):
             assert callable(getattr(AccessControlHost, name))
 
     def test_check_access_is_a_generator(self):
@@ -96,7 +95,6 @@ class TestManagerSurface:
 
     def test_configuration_methods_exist(self):
         for name in (
-            "manage", "policy_for", "set_policy", "applications", "acl",
-            "manager_set_size", "bootstrap",
+            "manage", "policy_for", "acl", "bootstrap",
         ):
             assert callable(getattr(AccessControlManager, name))

@@ -71,14 +71,14 @@ class TestReplyTable:
         rid = table.allocate(got.append)
         table.discard(rid)
         assert table.dispatch(rid, "late") is False
-        assert not got and len(table) == 0
+        assert not got and len(table._pending) == 0
 
     def test_clear_and_truthiness(self):
         table = ReplyTable()
         table.allocate(lambda reply: None)
-        assert table and len(table) == 1
+        assert len(table._pending) == 1
         table.clear()
-        assert not table  # `not host._pending_queries` idiom
+        assert not table._pending
 
     def test_separate_tables_have_separate_counters(self):
         queries, lookups = ReplyTable(), ReplyTable()
@@ -95,7 +95,7 @@ class TestRequest:
         )
         env.run(until=5.0)
         assert proc.value == (1, "hello")
-        assert len(caller.table) == 0  # cleaned up
+        assert len(caller.table._pending) == 0  # cleaned up
 
     def test_timeout_returns_none(self):
         env, echo, caller = build(reply=False)
@@ -105,7 +105,7 @@ class TestRequest:
         )
         env.run(until=5.0)
         assert proc.value is None
-        assert len(caller.table) == 0  # table cleaned even on timeout
+        assert len(caller.table._pending) == 0  # table cleaned even on timeout
 
     def test_on_sent_hook_fires(self):
         env, echo, caller = build(reply=True)

@@ -56,3 +56,59 @@ def test_bad_flag_exits_2_naming_the_flag(argv, flag):
     assert done.returncode == 2, done.stderr
     assert f"argument {flag}:" in done.stderr
     assert done.stdout == ""
+
+
+def _reach_module():
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("reach_tool", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ledger_check_names_every_disagreement(tmp_path):
+    reach = _reach_module()
+    source = tmp_path / "pkg"
+    source.mkdir()
+    (source / "mod.py").write_text(
+        "def ran():\n    pass\n\n\n"
+        "def planted():\n    def inner():\n        pass\n\n\n"
+        "class Box:\n    def listed(self):\n        pass\n"
+    )
+    seen = {(str((source / "mod.py").resolve()), 1)}  # only ran() ran
+    report, ran = reach.unreached(source, seen)
+    ledger = tmp_path / "reasons.txt"
+    ledger.write_text(
+        "# comment\n"
+        "pkg/mod.py:Box.listed  debug: a reason\n"
+        "pkg/mod.py:ran  failure-path: it ran after all\n"
+        "pkg/mod.py:gone  ROADMAP 8(a): deleted since\n"
+        "pkg/mod.py:planted.inner  reference: inside an unreached function\n"
+        "pkg/mod.py:Box.listed  debug: twice\n"
+        "pkg/mod.py:other  tests call it\n"
+    )
+    reasons, problems = reach.read_ledger(ledger)
+    assert set(reasons) == {"pkg/mod.py:Box.listed", "pkg/mod.py:ran",
+                            "pkg/mod.py:gone", "pkg/mod.py:planted.inner"}
+    assert [p.split(": ", 1)[1] for p in problems] == [
+        "listed twice: pkg/mod.py:Box.listed",
+        "no known reason kind: pkg/mod.py:other  tests call it",
+    ]
+    assert reach.check_ledger(report, ran, reasons) == [
+        "unreached and unlisted: pkg/mod.py:planted",
+        "listed but gone: pkg/mod.py:gone",
+        "listed inside an unreached function: pkg/mod.py:planted.inner",
+        "listed but ran: pkg/mod.py:ran",
+    ]
+
+
+def test_every_ledger_line_names_a_function_with_a_known_reason():
+    """The committed ledger parses, and every line still names a function
+    under src/repro: a deletion removes its line in the same change.  (The
+    full gate, which runs the entries, is `python3 tools/reach.py`.)"""
+    reach = _reach_module()
+    reasons, problems = reach.read_ledger(reach.LEDGER)
+    assert problems == [] and reasons
+    _report, ran = reach.unreached(ROOT / "src" / "repro", set())
+    assert sorted(set(reasons) - set(ran)) == []

@@ -6,13 +6,17 @@ returns exactly what ``jobs=1`` returns, for any ``N``.
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
 from repro import runtime
 from repro.experiments.validation import simulate_cell
-from repro.runtime import available_cpus, resolve_jobs, run_parallel
+from repro.runtime import resolve_jobs, run_parallel
 
 
 # Module-level workers: picklable by reference, as the pool requires.
@@ -36,8 +40,7 @@ class TestResolveJobs:
         assert resolve_jobs(3) == 3
 
     def test_none_and_zero_mean_all_cpus(self):
-        assert resolve_jobs(None) == available_cpus()
-        assert resolve_jobs(0) == available_cpus()
+        assert resolve_jobs(None) == resolve_jobs(0) >= 1
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -79,6 +82,28 @@ class TestRunParallel:
             run_parallel(_sleep_or_boom, [(i,) for i in range(8)], jobs=2)
         assert time.monotonic() - started < 3.0
 
+    def test_failed_pooled_run_lets_the_process_exit_promptly(self):
+        # Not only the exception but the whole process must be done
+        # early: the tasks still queued or sleeping when task 0 failed
+        # must not be waited for at interpreter exit (draining them took
+        # ~8 s).  Timed as a fresh interpreter, start-up included.
+        script = (
+            "from repro.runtime import run_parallel\n"
+            "from tests.test_runtime.test_pool import _sleep_or_boom\n"
+            "try:\n"
+            "    run_parallel(_sleep_or_boom, [(i,) for i in range(8)], jobs=2)\n"
+            "except RuntimeError:\n"
+            "    pass\n"
+        )
+        root = pathlib.Path(__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+        started = time.monotonic()
+        done = subprocess.run([sys.executable, "-c", script], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=60)
+        elapsed = time.monotonic() - started
+        assert done.returncode == 0, done.stderr
+        assert elapsed < 3.0, f"process exited after {elapsed:.2f} s"
+
 
 class TestRunMode:
     def test_single_job_is_inline_and_silent(self, recwarn):
@@ -112,7 +137,7 @@ class TestRunMode:
         def denied(*args, **kwargs):
             raise PermissionError("no subprocesses here")
 
-        monkeypatch.setattr(runtime, "ProcessPoolExecutor", denied)
+        monkeypatch.setattr(runtime, "Pool", denied)
         tasks = [(i,) for i in range(6)]
         with pytest.warns(RuntimeWarning, match="falling back to inline"):
             results = run_parallel(_square, tasks, jobs=4)
@@ -122,7 +147,7 @@ class TestRunMode:
         def denied(*args, **kwargs):
             raise PermissionError("no subprocesses here")
 
-        monkeypatch.setattr(runtime, "ProcessPoolExecutor", denied)
+        monkeypatch.setattr(runtime, "Pool", denied)
         with pytest.warns(
             RuntimeWarning, match=r"PermissionError: no subprocesses here"
         ):
@@ -147,7 +172,7 @@ class TestProtocolLevelInvariance:
 
 
 class TestAvailableCpus:
-    """``available_cpus`` must reflect the CPUs this process may *use*
+    """``resolve_jobs(0)`` must count the CPUs this process may *use*
     (the affinity mask a cgroup-limited CI runner pins), not the host's
     raw core count — otherwise the ``--jobs 0`` default oversubscribes
     the container."""
@@ -160,7 +185,7 @@ class TestAvailableCpus:
             raising=False,
         )
         monkeypatch.setattr(os_module, "cpu_count", lambda: 64)
-        assert available_cpus() == 3
+        assert resolve_jobs(0) == 3
 
     def test_empty_mask_clamps_to_one(self, monkeypatch):
         import os as os_module
@@ -168,7 +193,7 @@ class TestAvailableCpus:
         monkeypatch.setattr(
             os_module, "sched_getaffinity", lambda pid: set(), raising=False
         )
-        assert available_cpus() == 1
+        assert resolve_jobs(0) == 1
 
     def test_falls_back_to_cpu_count(self, monkeypatch):
         import os as os_module
@@ -180,4 +205,4 @@ class TestAvailableCpus:
             os_module, "sched_getaffinity", unavailable, raising=False
         )
         monkeypatch.setattr(os_module, "cpu_count", lambda: 7)
-        assert available_cpus() == 7
+        assert resolve_jobs(0) == 7

@@ -48,7 +48,7 @@ class TestTimeout:
     def test_fires_after_delay(self, env):
         timeout = env.timeout(5.0)
         env.run()
-        assert timeout.processed
+        assert timeout._processed
         assert env.now == 5.0
 
     def test_carries_value(self, env):
@@ -63,7 +63,7 @@ class TestTimeout:
     def test_zero_delay_fires_at_current_time(self, env):
         timeout = env.timeout(0.0)
         env.run()
-        assert timeout.processed and env.now == 0.0
+        assert timeout._processed and env.now == 0.0
 
 
 class TestEvent:
@@ -396,9 +396,9 @@ class TestDeterminism:
         later = env.timeout(10)
         env.run(until=5)
         assert env.now == 5
-        assert not later.processed
+        assert not later._processed
         env.run()
-        assert later.processed
+        assert later._processed
         assert env.now == 10
 
     def test_identical_runs_produce_identical_traces(self):
@@ -557,7 +557,7 @@ class TestTimerElision:
         timer = env.timeout(5.0)
         assert timer.cancel() is True
         env.run()
-        assert not timer.processed
+        assert not timer._processed
         assert env.dead_pops == 1
         assert env.now == 5.0  # a dead pop still advances the clock
 
@@ -586,12 +586,12 @@ class TestTimerElision:
         timer.add_callback(lambda event: None)
         assert timer.cancel() is False
         env.run()
-        assert timer.processed and env.dead_pops == 0
+        assert timer._processed and env.dead_pops == 0
 
     def test_cancel_refused_after_processed(self, env):
         timer = env.timeout(1.0)
         env.run()
-        assert timer.processed
+        assert timer._processed
         assert timer.cancel() is False
 
     def test_cancel_refused_when_elision_disabled(self):
@@ -599,7 +599,7 @@ class TestTimerElision:
         timer = env.timeout(1.0)
         assert timer.cancel() is False
         env.run()
-        assert timer.processed and env.dead_pops == 0
+        assert timer._processed and env.dead_pops == 0
 
     def test_any_of_detaches_and_elides_losing_timeout(self, env):
         def racer():
@@ -631,7 +631,7 @@ class TestTimerElision:
         watcher = env.process(bystander())
         env.run()
         assert watcher.value == "shared"
-        assert shared.processed
+        assert shared._processed
 
     def test_interrupt_cancels_fresh_sleep_timer(self, env):
         def sleeper():
@@ -693,7 +693,7 @@ class TestTimerElision:
         assert env.dead_pops == _COMPACT_FLOOR  # counted as discarded
         assert env.peek() == 1.0
         env.run()
-        assert live.processed
+        assert live._processed
         assert env.now == 50.0  # where popping the dropped entries ends
         assert env.dead_pops == env._deaths == _COMPACT_FLOOR
 
@@ -703,7 +703,7 @@ class TestTimerElision:
             env.timeout(2.0).cancel()
         assert len(env._queue) == 3 * _COMPACT_FLOOR
         env.run()
-        assert all(timer.processed for timer in live)
+        assert all(timer._processed for timer in live)
         assert env.dead_pops == _COMPACT_FLOOR and env.now == 2.0
 
     def test_both_won_race_shapes_leave_one_dead_timer_each(self, env):

@@ -54,8 +54,8 @@ class TestScheduledFailures:
         assert not node.up
         env.run(until=25.0)
         assert node.up
-        assert tracer.count(TraceKind.HOST_CRASHED) == 1
-        assert tracer.count(TraceKind.HOST_RECOVERED) == 1
+        assert tracer.counts().get(TraceKind.HOST_CRASHED, 0) == 1
+        assert tracer.counts().get(TraceKind.HOST_RECOVERED, 0) == 1
 
     def test_past_time_rejected(self, env):
         node = HookedNode("n")

@@ -35,7 +35,7 @@ class TestFullConnectivity:
     def test_always_reachable(self):
         model = FullConnectivity()
         attach(model)
-        assert model.is_reachable("x", "y")
+        assert model.component_table() == {}  # one implicit component
 
 
 class TestScriptedConnectivity:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
 
 from repro.sim.trace import TraceKind, Tracer
 
@@ -12,8 +11,8 @@ class TestTracer:
         tracer = Tracer(env)
         tracer.publish("custom", "src")
         tracer.publish("custom", "src")
-        assert tracer.count("custom") == 2
-        assert tracer.count("other") == 0
+        assert tracer.counts().get("custom", 0) == 2
+        assert tracer.counts().get("other", 0) == 0
 
     def test_subscription_by_kind(self, env):
         tracer = Tracer(env)
@@ -47,13 +46,7 @@ class TestTracer:
         tracer = Tracer(env, keep_log=True)
         tracer.publish("a", "s")
         tracer.publish("b", "s")
-        assert [r.kind for r in tracer.records()] == ["a", "b"]
-        assert [r.kind for r in tracer.records("a")] == ["a"]
-
-    def test_records_without_log_raises(self, env):
-        tracer = Tracer(env)
-        with pytest.raises(RuntimeError):
-            tracer.records()
+        assert [r.kind for r in tracer.log] == ["a", "b"]
 
     def test_counts_snapshot(self, env):
         tracer = Tracer(env)
@@ -61,7 +54,7 @@ class TestTracer:
         counts = tracer.counts()
         assert counts == {"a": 1}
         counts["a"] = 99  # mutation must not leak back
-        assert tracer.count("a") == 1
+        assert tracer.counts().get("a", 0) == 1
 
     def test_kind_constants_are_unique(self):
         values = [

@@ -55,7 +55,7 @@ class TestCheckerWiring:
         system.seed_grant(APP, "alice")
         system.hosts[0].request_access(APP, "alice")
         system.run(until=120.0)
-        assert system.checker.ok
+        assert not system.checker.violations
         assert system.checker.finalize() == []
 
     def test_checking_enabled_env_and_override(self, monkeypatch):
@@ -104,7 +104,7 @@ class TestCacheExpiryOracle:
             limit=30.0,
             now_local=25.0,
         )
-        assert system.checker.ok
+        assert not system.checker.violations
 
 
 class TestTeBoundStampOracle:
@@ -142,7 +142,7 @@ class TestTeBoundStampOracle:
             now_local=102.0,
             te=50.0,
         )
-        assert system.checker.ok
+        assert not system.checker.violations
 
     def test_te_above_policy_budget_detected(self):
         system = make_system()
@@ -231,7 +231,7 @@ class TestTeBoundSemanticOracle:
             application=APP, user="alice", reason="cache",
             attempts=0, responses=0, latency=0.0,
         )
-        assert system.checker.ok
+        assert not system.checker.violations
 
     def test_default_allow_is_exempt(self):
         system = make_system()
@@ -243,7 +243,7 @@ class TestTeBoundSemanticOracle:
             application=APP, user="alice", reason="default_allow",
             attempts=2, responses=0, latency=0.0,
         )
-        assert system.checker.ok
+        assert not system.checker.violations
 
     def test_regrant_clears_the_bound(self):
         system = make_system()
@@ -260,7 +260,7 @@ class TestTeBoundSemanticOracle:
             application=APP, user="alice", reason="verified",
             attempts=1, responses=2, latency=0.1,
         )
-        assert system.checker.ok
+        assert not system.checker.violations
 
     def test_never_granted_user_allowed_raises(self):
         system = make_system()
@@ -344,7 +344,7 @@ class TestFreezeWindowOracle:
             TraceKind.MANAGER_FROZEN,
         ):
             system.tracer.publish(kind, "m0", application=APP)
-        assert system.checker.ok
+        assert not system.checker.violations
 
 
 class TestConvergenceOracle:
@@ -413,7 +413,7 @@ class TestViolationStructure:
             TraceKind.CACHE_HIT, "h0",
             application=APP, user="alice", limit=0.0, now_local=9.0,
         )
-        assert not checker.ok
+        assert checker.violations
         payload = checker.violations[0].as_dict()
         round_tripped = json.loads(json.dumps(payload))
         assert round_tripped["invariant"] == "cache_expiry"

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Function lines no entry point reaches, per module of ``src/repro``.
+"""Function lines no entry point reaches, per module of ``src/repro``,
+checked against the ledger of reasons ``tools/reach_reasons.txt``.
 
 Runs each entry point in a fresh interpreter with a call hook installed
 (``sys.settrace`` returning ``None``: one callback per new frame, no
@@ -8,7 +9,7 @@ the code objects that ran.  Every ``def`` under ``--src`` that never ran
 is unreached; its lines (decorators to last line) are counted once, in
 the outermost unreached function::
 
-    python3 tools/reach.py                      # the default entry points
+    python3 tools/reach.py                      # the default entry points, gated
     python3 tools/reach.py --entry "examples/quickstart.py" --top 10 --names
 
 An entry is the argument list of one ``python`` command, run from the
@@ -19,8 +20,26 @@ mega`` population run (CI's population gate, scaled down) and
 ``tools/serve_load.py`` (``repro serve --role cell --cell F`` under a
 one-second ``repro load --cell F``, the server then stopped).  Worker processes
 that leave through ``os._exit`` report nothing, so run entries with
-their default job count.  The last stdout line is the report as one
-JSON object; exit status 1 when an entry fails, 2 on a bad argument.
+their default job count.
+
+With the default entries the result is checked against the ledger: one
+line per unreached function, ``module:qualname  reason`` (``module`` as
+this report prints it, ``repro/...``; ``#`` starts a comment).  A reason
+starts with its kind:
+
+* ``reference:`` a test uses the function as the paper's formula;
+* ``failure-path:`` the trigger, and the tier-1 test that takes the path;
+* ``bench:`` the ``bench_e2e/`` file that imports or wraps it;
+* ``ROADMAP n:`` the open item that will reach it;
+* ``debug:`` a ``__repr__`` (or ``__str__``) for a reader at a prompt.
+
+"Tests call it" is no reason: such code is deleted.  The check fails
+when a function is unreached and unlisted, listed but ran, listed inside
+an unreached function (list the outermost one), listed but gone, or
+listed with no known kind.  With ``--entry`` the tool only reports.
+
+The last stdout line is the report as one JSON object; exit status 1
+when an entry fails or the ledger disagrees, 2 on a bad argument.
 """
 
 from __future__ import annotations
@@ -29,6 +48,7 @@ import argparse
 import ast
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -62,7 +82,12 @@ threading.settrace(_call)
 atexit.register(_dump)
 '''
 
-Function = Tuple[int, int, Tuple[int, ...], str]  # first, last, start lines, name
+Function = Tuple[int, int, Tuple[int, ...], str]  # first, last, start lines, qualname
+Report = Dict[str, Tuple[int, List[Function], int]]
+
+LEDGER = _ROOT / "tools" / "reach_reasons.txt"
+#: A ledger reason starts with its kind (``ROADMAP 8(a):`` names an item).
+REASON_KIND = re.compile(r"(reference|failure-path|bench|debug|ROADMAP \d+(\([a-z]\))?):\s*\S")
 
 
 def default_entries() -> List[str]:
@@ -74,29 +99,33 @@ def default_entries() -> List[str]:
 
 def _functions(tree: ast.AST) -> Iterator[Tuple[Function, Optional[Function]]]:
     """Every ``def`` with its nearest enclosing ``def`` (classes are
-    transparent)."""
-    stack: List[Tuple[ast.AST, Optional[Function]]] = [(tree, None)]
+    transparent, but name the qualname: ``Class.method``,
+    ``outer.inner``)."""
+    stack: List[Tuple[ast.AST, Optional[Function], str]] = [(tree, None, "")]
     while stack:
-        node, outer = stack.pop()
+        node, outer, prefix = stack.pop()
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 starts = tuple(d.lineno for d in child.decorator_list) + (child.lineno,)
-                function = (min(starts), child.end_lineno, starts, child.name)
+                function = (min(starts), child.end_lineno, starts, prefix + child.name)
                 yield function, outer
-                stack.append((child, function))
+                stack.append((child, function, function[3] + "."))
+            elif isinstance(child, ast.ClassDef):
+                stack.append((child, outer, prefix + child.name + "."))
             else:
-                stack.append((child, outer))
+                stack.append((child, outer, prefix))
 
 
-def unreached(src: Path, seen: Set[Tuple[str, int]]
-              ) -> Dict[str, Tuple[int, List[Function], int]]:
-    """``module -> (unreached lines, unreached functions, function lines)``.
+def unreached(src: Path, seen: Set[Tuple[str, int]]) -> Tuple[Report, Dict[str, bool]]:
+    """``module -> (unreached lines, unreached functions, function lines)``,
+    and ``module:qualname -> ran`` for every function.
 
     A function counts as reached when a code object started on one of
     its decorator lines or its ``def`` line."""
-    report = {}
+    report, ran_by_key = {}, {}
     for path in sorted(src.rglob("*.py")):
         filename = str(path.resolve())
+        module = str(path.relative_to(src.parent))
         functions = list(_functions(ast.parse(path.read_text(), filename)))
 
         def ran(function: Function) -> bool:
@@ -106,8 +135,43 @@ def unreached(src: Path, seen: Set[Tuple[str, int]]
                   if not ran(f) and (outer is None or ran(outer))]
         total = sum(f[1] - f[0] + 1 for f, outer in functions if outer is None)
         lines = sum(f[1] - f[0] + 1 for f in missed)
-        report[str(path.relative_to(src.parent))] = (lines, missed, total)
-    return report
+        report[module] = (lines, missed, total)
+        ran_by_key.update((f"{module}:{f[3]}", ran(f)) for f, _outer in functions)
+    return report, ran_by_key
+
+
+def read_ledger(path: Path) -> Tuple[Dict[str, str], List[str]]:
+    """``module:qualname -> reason`` from the ledger, and its malformed
+    lines (no reason, an unknown kind, a key listed twice)."""
+    reasons: Dict[str, str] = {}
+    problems = []
+    for number, raw in enumerate(path.read_text().splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, reason = line.partition(" ")
+        reason = reason.strip()
+        if not REASON_KIND.match(reason) or ":" not in key:
+            problems.append(f"{path.name}:{number}: no known reason kind: {raw.strip()}")
+        elif key in reasons:
+            problems.append(f"{path.name}:{number}: listed twice: {key}")
+        else:
+            reasons[key] = reason
+    return reasons, problems
+
+
+def check_ledger(report: Report, ran: Dict[str, bool], reasons: Dict[str, str]) -> List[str]:
+    """Where the run and the ledger disagree, one line each."""
+    missed = {f"{module}:{f[3]}" for module, row in report.items() for f in row[1]}
+    problems = [f"unreached and unlisted: {key}" for key in sorted(missed - reasons.keys())]
+    for key in sorted(reasons.keys() - missed):
+        if key not in ran:
+            problems.append(f"listed but gone: {key}")
+        elif ran[key]:
+            problems.append(f"listed but ran: {key}")
+        else:
+            problems.append(f"listed inside an unreached function: {key}")
+    return problems
 
 
 def run_entries(entries: List[str], out: Path) -> List[Tuple[str, int]]:
@@ -160,7 +224,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
         statuses = run_entries(entries, Path(tmp))
         seen = _read_seen(Path(tmp))
-    report = unreached(src, seen)
+    report, ran = unreached(src, seen)
     ranked = sorted(((row, module) for module, row in report.items() if row[0]),
                     key=lambda item: (-item[0][0], item[1]))
     for (lines, functions, _total), module in ranked[:args.top]:
@@ -173,12 +237,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     functions = sum(len(row[1]) for row in report.values())
     print(f"total: {lines} of {total} function lines unreached, in {functions} functions")
     failed = [entry for entry, status in statuses if status != 0]
+    ledger: List[str] = []
+    if args.entry is None:
+        reasons, ledger = read_ledger(LEDGER)
+        ledger += check_ledger(report, ran, reasons)
+        for problem in ledger:
+            print(f"ledger: {problem}")
+        print(f"ledger: {len(reasons)} reasons, {len(ledger)} problems")
     print(json.dumps({
         "unreached_lines": lines, "function_lines": total, "unreached_functions": functions,
-        "entries": entries, "failed_entries": failed,
+        "entries": entries, "failed_entries": failed, "ledger_problems": ledger,
         "modules": {module: row[0] for row, module in ranked},
     }))
-    return 1 if failed else 0
+    return 1 if failed or ledger else 0
 
 
 if __name__ == "__main__":
