@@ -2,7 +2,7 @@
 
 Every baseline exposes the same duck-typed surface as
 :class:`repro.core.AccessControlSystem` — ``env``, ``streams``,
-``tracer``, ``hosts`` (with ``request_access``), ``managers`` (with
+``tracer``, ``hosts`` (with ``probe_access``/``check_access``), ``managers`` (with
 ``add``/``revoke``), ``seed_grant``, ``run`` — so the same workloads
 and metrics drive all of them and the comparison benches are
 apples-to-apples.  The mechanisms behind that surface exist here once:
@@ -12,7 +12,8 @@ apples-to-apples.  The mechanisms behind that surface exist here once:
   it and trace it) and the answer to a ``QueryRequest`` from the local
   ACL.  A baseline adds only its follow-up to an issued update, its
   answer's ``te`` and what it records about a grant it hands out.
-* :class:`BaselineHost` — ``request_access``, the attempt/backoff loop
+* :class:`BaselineHost` — the two-phase ``probe_access``/``check_access``
+  entry, the attempt/backoff loop
   around one query round on the shared
   :class:`~repro.protocols.messaging.ReplyTable`, and the one place a
   decision is traced, counted and built.  A baseline host keeps only
@@ -32,7 +33,7 @@ from ..core.cellspec import CellSpec
 from ..core.host import AccessDecision, DecisionReason
 from ..core.messages import AclUpdate, QueryRequest, QueryResponse, Verdict
 from ..core.rights import SEED_ORIGIN, AclEntry, Right, Version
-from ..protocols.messaging import ReplyTable
+from ..protocols.messaging import ReplyTable, wait_reply
 from ..sim.clock import LocalClock
 from ..sim.engine import Environment
 from ..sim.network import LatencyModel, Network, ShiftedExponentialLatency
@@ -120,7 +121,7 @@ class BaselineManager(Node):
         acl = self.acls.get(query.application)
         if acl is None:
             return
-        granted = acl.check(query.user, query.right)
+        granted, version = acl.lookup(query.user, query.right)
         if granted:
             self._granted(src, query)
         self.send(
@@ -132,7 +133,7 @@ class BaselineManager(Node):
                 right=query.right,
                 verdict=Verdict.GRANT if granted else Verdict.DENY,
                 te=self.te,
-                version=acl.version_of(query.user, query.right),
+                version=version,
                 manager=self.address,
             ),
         )
@@ -165,17 +166,28 @@ class BaselineHost(Node):
         if self.clock is None:
             self.clock = LocalClock(self.env)
 
-    def request_access(self, application: str, user: str, right: Right = Right.USE):
-        return self.env.process(self.check_access(application, user, right))
-
-    def check_access(self, application: str, user: str, right: Right = Right.USE):
+    def probe_access(self, application: str, user: str,
+                     right: Right = Right.USE) -> Optional[AccessDecision]:
+        """First phase of a check: the decision :meth:`_local` makes, or
+        None, when the caller continues with ``check_access(...,
+        missed=True)`` at this instant.  Schedules nothing."""
         self.stats["checks"] += 1
-        start = self.env.now
         local = self._local(application, user, right)
-        if local is not None:
-            allowed, reason, trace_reason = local
-            return self._decide(application, user, right, allowed, reason,
-                                trace_reason, 0, 0, start)
+        if local is None:
+            return None
+        allowed, reason, trace_reason = local
+        return self._decide(application, user, right, allowed, reason,
+                            trace_reason, 0, 0, self.env.now)
+
+    def check_access(self, application: str, user: str, right: Right = Right.USE,
+                     missed: bool = False):
+        """Process generator deciding one check; ``missed`` says
+        :meth:`probe_access` already found no local decision."""
+        if not missed:
+            decision = self.probe_access(application, user, right)
+            if decision is not None:
+                return decision
+        start = self.env.now
         attempts = 0
         while attempts < MAX_ATTEMPTS:
             attempts += 1
@@ -231,7 +243,7 @@ class BaselineHost(Node):
                     right=right,
                 ),
             )
-        yield self.env.any_of([done, self.env.timeout(QUERY_TIMEOUT)])
+        yield from wait_reply(self.env, done, QUERY_TIMEOUT)
         for query_id in query_ids:
             self._pending.discard(query_id)
         return replies if len(replies) >= len(targets) else None

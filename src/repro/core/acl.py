@@ -21,7 +21,7 @@ index cost ~100 bytes per entry, so the flat one is smaller once about
 a tenth of the interned users have an entry here (many small ACLs on one
 huge shared interner fall below that).
 ``AclEntry`` objects are materialised only at the API boundary
-(``entry``/``snapshot``).
+(``entry``/``snapshot``); a query answer reads the slot (``lookup``).
 
 A whole batch loads in one write (:meth:`AccessControlList.load`): an
 :class:`AclBatch` holds entries as columns, so seeding an ACL with n
@@ -165,8 +165,9 @@ class AccessControlList:
     # -- queries ---------------------------------------------------------------
     def check(self, user: str, right: Right) -> bool:
         """Does ``user`` currently hold ``right``?"""
-        # The lookup is inlined here and in ``entry``/``apply``: they run
-        # once per query or update.  ``uid * 2 + right`` is ``pack_key``.
+        # The index read is inlined here and in ``entry``, ``lookup`` and
+        # ``apply``: they run once per query or update.  ``uid * 2 +
+        # right`` is ``pack_key``.
         uid = self._ids.get(user)
         if uid is None:
             return False
@@ -185,14 +186,24 @@ class AccessControlList:
         slot = index[key] if key < len(index) else 0
         return self._slot_entry(slot - 1) if slot != 0 else None
 
+    def lookup(self, user: str, right: Right) -> Tuple[bool, Version]:
+        """``(granted, version)`` of ``(user, right)``, read from its slot
+        without building an :class:`AclEntry`: what a query answer
+        carries.  ``(False, ZERO_VERSION)`` if never set."""
+        uid = self._ids.get(user)
+        if uid is not None:
+            key = uid * 2 + right.index
+            index = self._index
+            slot = index[key] - 1 if key < len(index) else -1
+            if slot >= 0:
+                return self._granted[slot] == 1, Version(
+                    self._counter[slot], self._origins.name_of(self._origin[slot])
+                )
+        return False, ZERO_VERSION
+
     def version_of(self, user: str, right: Right) -> Version:
         """Version of the stored entry; ZERO_VERSION if never set."""
-        slot = self._find(user, right)
-        if slot < 0:
-            return ZERO_VERSION
-        return Version(
-            self._counter[slot], self._origins.name_of(self._origin[slot])
-        )
+        return self.lookup(user, right)[1]
 
     def __len__(self) -> int:
         """Number of stored entries, tombstones included."""

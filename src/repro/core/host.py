@@ -113,6 +113,9 @@ class AccessControlHost(Node):
         self._incarnation = 0
         self.rejected_manager_signatures = 0
         self.late_manager_responses = 0
+        #: Answers and revocation notices refused because their sender
+        #: is not a manager of the application (ROADMAP 1(c)).
+        self.rejected_sources = 0
         # manager -> (key, key_id, wrapped key): the pairwise key this
         # host generated for that manager's answers; and the managers it
         # has been sent to that have not answered with RSA since.
@@ -233,35 +236,51 @@ class AccessControlHost(Node):
         RevokeNotify: "_handle_revoke",
     }
 
+    def _from_manager(
+        self, src: Address, application: str, named: Optional[Address] = None
+    ) -> bool:
+        """Is ``src`` in ``Managers(application)`` (and the manager an
+        answer names, when ``named`` is given)?  Counts a refusal."""
+        if (named is None or src == named) and src in self.manager_addrs_for(application):
+            return True
+        self.rejected_sources += 1
+        return False
+
     def _on_signed_response(self, src: Address, message: SignedMessage) -> None:
-        if message.payload.query_id not in self._pending_queries:
-            # Late (the round already has its quorum, or timed out):
+        response = message.payload
+        if response.query_id not in self._pending_queries:
             # ``dispatch`` would drop it whatever the signature says, so
             # do not pay an RSA verify to find that out.
-            self.late_manager_responses += 1
-            self._silent.discard(src)
-            return
-        if self.manager_authenticator is not None and not self._authentic(message):
+            self._late_response(src, response)
+        elif self.manager_authenticator is not None and not self._authentic(message):
             self.rejected_manager_signatures += 1
-            return
-        self._accept_response(src, message.payload)  # authentic, or signatures not in use
+        else:
+            self._accept_response(src, response)  # authentic, or signatures not in use
 
     def _on_response(self, src: Address, response: QueryResponse) -> None:
         if self.manager_authenticator is not None:
             # Signatures required but this response is bare: discard.
             self.rejected_manager_signatures += 1
-            return
-        self._accept_response(src, response)
+        elif response.query_id not in self._pending_queries:
+            self._late_response(src, response)
+        else:
+            self._accept_response(src, response)
+
+    def _late_response(self, src: Address, response: QueryResponse) -> None:
+        """The round already has its quorum, or timed out: the paper's
+        "only accepting access control messages if they arrive before a
+        timeout of a timer set at the time the query ... was sent."  A
+        late answer from the manager it names still says that manager is
+        no longer silent."""
+        self.late_manager_responses += 1
+        if self._from_manager(src, response.application, response.manager):
+            self._silent.discard(src)
 
     def _accept_response(self, src: Address, response: QueryResponse) -> None:
-        # A response arriving after its timer was discarded by the
-        # ReplyTable, per the paper: "only accepting access control
-        # messages if they arrive before a timeout of a timer set at the
-        # time the query ... was sent."  Late or not, its sender is no
-        # longer silent.
-        self._silent.discard(src)
-        if not self._pending_queries.dispatch(response.query_id, response):
-            self.late_manager_responses += 1
+        """An answer in time: to its round, if the manager it names sent it."""
+        if self._from_manager(src, response.application, response.manager):
+            self._silent.discard(src)
+            self._pending_queries.dispatch(response.query_id, response)
 
     def key_offer(self, manager: Address) -> Tuple[int, int]:
         """``(key_id, wrapped_key)`` for a query to ``manager``.
@@ -311,6 +330,8 @@ class AccessControlHost(Node):
         return True
 
     def _handle_revoke(self, src: Address, message: RevokeNotify) -> None:
+        if not self._from_manager(src, message.application):
+            return
         cache = self.cache_for(message.application)
         removed = cache.flush(message.user, message.right)
         tracer = self.tracer
@@ -344,14 +365,28 @@ class AccessControlHost(Node):
         """Nothing to restore — Section 3.4: the cache simply refills."""
 
     # -- the access check (Figures 2/3/4) ----------------------------------------------
-    def check_access(self, application: str, user: str, right: Right = Right.USE):
+    def probe_access(
+        self, application: str, user: str, right: Right = Right.USE
+    ) -> Optional[AccessDecision]:
+        """First phase of one ``Invoke(A)``: Figure 3's cache probe.
+
+        A cached grant's decision, or None on a miss, when the caller
+        continues with ``check_access(..., missed=True)`` at this
+        instant.  Schedules nothing, so a hit needs no process.
+        """
+        return self.pipeline.probe(application, user, right)
+
+    def check_access(
+        self, application: str, user: str, right: Right = Right.USE, missed: bool = False
+    ):
         """Process generator deciding one ``Invoke(A)``.
 
         Yields simulation events; the driving process's value is an
         :class:`AccessDecision`.  The work happens in this host's
-        :class:`~repro.protocols.VerificationPipeline`.
+        :class:`~repro.protocols.VerificationPipeline`.  ``missed`` says
+        :meth:`probe_access` already missed for this request.
         """
-        return (yield from self.pipeline.check(application, user, right))
+        return (yield from self.pipeline.check(application, user, right, missed))
 
     def request_access(self, application: str, user: str, right: Right = Right.USE):
         """Convenience: run :meth:`check_access` as a process."""

@@ -141,11 +141,10 @@ class ExactSum:
         return f"ExactSum({self.value()!r})"
 
 
-#: A reservoir entry: (priority key, owner seed, arrival index, value).
-#: Entries are totally ordered — the trailing value breaks the
-#: (astronomically unlikely) full key collision — so "keep the k
+#: A reservoir entry: (priority key, arrival index, value).  Entries are
+#: totally ordered (arrival indices are distinct), so "keep the k
 #: smallest" is a pure function of the entry multiset.
-_Entry = Tuple[int, int, int, float]
+_Entry = Tuple[int, int, float]
 
 
 class StreamingSummary:
@@ -182,7 +181,7 @@ class StreamingSummary:
             self._min = value
         if self._max is None or value > self._max:
             self._max = value
-        self._entries.append((_mix(self.seed, self._adds), self.seed, self._adds, value))
+        self._entries.append((_mix(self.seed, self._adds), self._adds, value))
         self._adds += 1
         if len(self._entries) > 2 * self.capacity:
             self._trim()
@@ -197,7 +196,7 @@ class StreamingSummary:
         if self.n == 0:
             return None
         self._trim()
-        sample = [entry[3] for entry in self._entries]
+        sample = [entry[2] for entry in self._entries]
         return SummaryStats(
             n=self.n,
             mean=self._sum.value() / self.n,

@@ -256,14 +256,22 @@ async def _interpret(cell: Any, scenario: Scenario) -> List[Tuple[str, bool, str
 # -- the sim leg ---------------------------------------------------------------
 def _drive(coroutine: Coroutine[Any, Any, Any]) -> Any:
     """A sim process running ``coroutine``: each event it awaits is
-    yielded to the environment and its value sent back."""
-    value = None
+    yielded to the environment and its value sent back, or its failure
+    thrown back (a query round's timer fails the event it waits on)."""
+    value: Any = None
+    thrown: Optional[BaseException] = None
     while True:
         try:
-            event = coroutine.send(value)
+            if thrown is None:
+                event = coroutine.send(value)
+            else:
+                event = coroutine.throw(thrown)
         except StopIteration as stop:
             return stop.value
-        value = yield event
+        try:
+            value, thrown = (yield event), None
+        except Exception as exc:
+            value, thrown = None, exc
 
 
 class _SimCell:

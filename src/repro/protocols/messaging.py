@@ -14,8 +14,9 @@ patterns the paper relies on:
 
 This module gives both patterns one implementation so the protocol
 strategies stop hand-rolling pending tables and timer races: every
-reply reaches its waiter through a :class:`ReplyTable`, and
-:func:`request` serves both clients.
+reply reaches its waiter through a :class:`ReplyTable`, every waiter
+waits on one event with :func:`wait_reply`, and :func:`request` serves
+both clients.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "request",
     "reply_deadline",
     "reply_won",
+    "wait_reply",
     "retry_until_acked",
 ]
 
@@ -113,14 +115,10 @@ def request(
     node.send(dest, build_message(request_id))
     if on_sent is not None:
         on_sent()
-    timer = reply_deadline(node.env, arrival, timeout)
-    try:
-        reply = yield arrival
-    except ReplyTimeout:
-        table.discard(request_id)
-        return None
-    reply_won(timer)
-    return reply
+    if (yield from wait_reply(node.env, arrival, timeout)):
+        return arrival.value
+    table.discard(request_id)
+    return None
 
 
 def reply_deadline(env, arrival, timeout: float):
@@ -141,6 +139,25 @@ def reply_won(timer) -> None:
     """The reply beat ``timer``: detach it and leave it dead on the queue."""
     timer.remove_callback(_expire)
     timer.cancel()
+
+
+def wait_reply(env, arrival, timeout: float):
+    """Process generator: wait on the untriggered event ``arrival`` alone,
+    for at most ``timeout``; returns True if it triggered first, False if
+    the timer did (one :func:`reply_deadline`/:func:`reply_won` pair).
+
+    A timed-out wait drops its :class:`ReplyTimeout`'s traceback: that
+    holds this frame, which holds ``arrival``, which holds the exception,
+    a cycle only the garbage collector would free.
+    """
+    timer = reply_deadline(env, arrival, timeout)
+    try:
+        yield arrival
+    except ReplyTimeout as expired:
+        expired.__traceback__ = None
+        return False
+    reply_won(timer)
+    return True
 
 
 def retry_until_acked(

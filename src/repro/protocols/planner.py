@@ -37,6 +37,7 @@ from ..core.policy import AccessPolicy, QueryStrategy
 from ..core.rights import Right
 from ..sim.trace import TraceKind
 from .combiner import ResponseCombiner
+from .messaging import wait_reply
 
 __all__ = ["QueryPlanner", "planner_for"]
 
@@ -71,9 +72,10 @@ class QueryPlanner:
         wants_sent = tracer.wants(TraceKind.QUERY_SENT)
         done = None
         outstanding = 0
+        complete = False  # the batch's answers, not its timer, ended it
 
         def on_response(response: QueryResponse) -> None:
-            nonlocal outstanding
+            nonlocal outstanding, complete
             responses.append(response)
             outstanding -= 1
             if tracer.wants(TraceKind.QUERY_ANSWERED):
@@ -86,10 +88,12 @@ class QueryPlanner:
                 )
             else:
                 tracer.bump(TraceKind.QUERY_ANSWERED)
-            if not done.triggered and (
+            if not complete and (
                 combiner.round_complete(responses, required) or not outstanding
             ):
-                done.succeed()
+                complete = True
+                if not done.triggered:  # else the timer failed it first
+                    done.succeed()
 
         def on_sent(manager: str, _message) -> None:
             if wants_sent:
@@ -107,6 +111,7 @@ class QueryPlanner:
             if combiner.round_complete(responses, required):
                 break
             done = env.event()
+            complete = False
             outstanding = len(batch)
             asked: Dict[int, str] = {}
             items = []
@@ -120,10 +125,11 @@ class QueryPlanner:
             # it is one scheduler insertion; ``on_sent`` keeps the
             # per-manager QUERY_SENT trace interleaved with MSG_SENT.
             host.send_many(items, on_sent)
-            yield env.any_of([done, env.timeout(policy.query_timeout)])
-            timed_out = not done.triggered
+            # One event per batch: the timer fails ``done`` unless the
+            # answers succeed it first.
+            yield from wait_reply(env, done, policy.query_timeout)
             for qid, manager in asked.items():  # discard late responses
-                if timed_out and qid in pending:
+                if not complete and qid in pending:
                     host._silent.add(manager)
                 pending.discard(qid)
         return responses
@@ -166,7 +172,7 @@ def planner_for(policy: AccessPolicy) -> QueryPlanner:
 
 
 # ``bench_e2e/layers.py`` (editable only by a [benchmark] PR, ROADMAP
-# item 5a) imports these two names and spans ``run_round`` on each.  The
+# item 8(a)) imports these two names and spans ``run_round`` on each.  The
 # first *is* the planner; the second is an empty subclass nothing
 # instantiates, so every round is spanned exactly once.
 ParallelPlanner = QueryPlanner

@@ -209,22 +209,18 @@ class QueryAnswerer:
         if manager.recovering or manager._is_frozen(application, policy):
             manager.stats["silent"] += 1
             return  # "no responses are sent to application hosts"
-        acl = manager.acl(application)
-        entry = acl.entry(request.user, request.right)
-        if entry is not None and entry.granted:
+        granted, version = manager.acls[application].lookup(request.user, request.right)
+        if granted:
             manager.stats["grants"] += 1
             table = manager._grant_table[application]
             now = manager.env.now
             table.hold(request.user, request.right, src, now + policy.expiry_bound)
             if len(table) >= table.sweep_at:
                 table.sweep(now)
-            verdict, version = Verdict.GRANT, entry.version
+            verdict = Verdict.GRANT
         else:
             manager.stats["denials"] += 1
             verdict = Verdict.DENY
-            version = entry.version if entry is not None else acl.version_of(
-                request.user, request.right
-            )
         response = QueryResponse(
             query_id=request.query_id,
             application=application,

@@ -108,19 +108,46 @@ class AuthorizationOracle:
 
 
 class _Requester:
-    """The access drivers' one request: ask, count, report."""
+    """The access workloads' one request: ask, count, report.
+
+    Figure 3's steady state is a cache hit, and a hit schedules nothing:
+    the host's ``probe_access`` decides it inside the caller's step and
+    it is reported there.  Only a miss becomes a process, the host's
+    ``check_access`` itself, and its decision is reported when it ends.
+    """
 
     system: AccessControlSystem
     application: str
     on_decision: Optional[Callable[[ObservedDecision], None]]
     decisions: int
 
-    def _ask(self, host: AccessControlHost, user: str, authorized: Optional[bool]):
-        """Process body: ``user`` asks ``host``; the decision is counted
-        and reported with ``authorized``, the ground truth at the ask."""
-        started = self.system.env.now
-        decision = yield host.request_access(self.application, user, Right.USE)
+    def _request(self, host: AccessControlHost, user: str, authorized: Optional[bool]):
+        """``user`` asks ``host`` now; the decision is counted and
+        reported with ``authorized``, the ground truth at the ask.
+
+        Returns None when the decision is already made, else the process
+        deciding it, which a caller may wait on.
+        """
+        env = self.system.env
+        started = env.now
+        decision = host.probe_access(self.application, user, Right.USE)
+        if decision is not None:
+            self._report(started, host, user, authorized, decision)
+            return None
+        check = env.process(host.check_access(self.application, user, Right.USE, missed=True))
+
+        def report(process) -> None:
+            if not process.ok:
+                raise process.value
+            self._report(started, host, user, authorized, process.value)
+
+        check.add_callback(report)
+        return check
+
+    def _report(self, started: float, host: AccessControlHost, user: str,
+                authorized: Optional[bool], decision: AccessDecision) -> None:
         self.decisions += 1
+        # Looked up per decision: a subscriber may be attached at any time.
         if self.on_decision is not None:
             self.on_decision(ObservedDecision(
                 started, host.address, user, self.application, decision, authorized
@@ -183,10 +210,9 @@ class AccessWorkload(_Requester):
                 continue  # the user "simply has to locate a new host"
             user = self.population.sample(self.rng)
             self.attempts += 1
-            authorized = self.oracle.is_authorized(self.application, user)
-            # Drive each attempt as its own process so attempts overlap,
-            # like independent users do.
-            env.process(self._ask(host, user, authorized), name=f"attempt:{user}")
+            # A miss runs as its own process, so attempts overlap like
+            # independent users do.
+            self._request(host, user, self.oracle.is_authorized(self.application, user))
 
 
 class PeriodicWorkload(_Requester):
@@ -252,7 +278,9 @@ class PeriodicWorkload(_Requester):
         made = 0
         while made != self.accesses_per_user and env.now < self.until:
             authorized = None if oracle is None else oracle.is_authorized(application, user)
-            yield from self._ask(host, user, authorized)
+            check = self._request(host, user, authorized)
+            if check is not None:
+                yield check
             made += 1
             if self.think_time > 0:
                 yield env.timeout(self.think_time)

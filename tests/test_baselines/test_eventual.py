@@ -52,13 +52,13 @@ class TestHostBehaviour:
     def test_grant_cached_forever(self):
         system, connectivity = build()
         system.seed_grant(APP, "u")
-        first = system.hosts[0].request_access(APP, "u")
+        first = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=2.0)
         assert first.value.allowed
         # Partition the host: the cache has no expiry, so access continues.
         connectivity.isolate("h0", ["m0", "m1", "m2"])
         system.run(until=1_000.0)
-        second = system.hosts[0].request_access(APP, "u")
+        second = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=1_001.0)
         assert second.value.allowed
         assert second.value.reason == "cache"
@@ -66,13 +66,13 @@ class TestHostBehaviour:
     def test_revoke_notification_flushes_connected_host(self):
         system, _ = build()
         system.seed_grant(APP, "u")
-        first = system.hosts[0].request_access(APP, "u")
+        first = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=2.0)
         assert first.value.allowed
         # Revoke at a manager the host queried (h0 queried m0 first).
         system.managers[0].revoke(APP, "u", Right.USE)
         system.run(until=30.0)
-        probe = system.hosts[0].request_access(APP, "u")
+        probe = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=35.0)
         assert not probe.value.allowed
 
@@ -81,7 +81,7 @@ class TestHostBehaviour:
         must flush its own hosts."""
         system, _ = build(gossip_interval=2.0)
         system.seed_grant(APP, "u")
-        first = system.hosts[0].request_access(APP, "u")
+        first = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=2.0)
         assert first.value.allowed
         # Revoke at a *different* manager than the one that granted.
@@ -94,13 +94,13 @@ class TestHostBehaviour:
         arbitrarily long — the paper's criticism of [23]."""
         system, connectivity = build()
         system.seed_grant(APP, "u")
-        first = system.hosts[0].request_access(APP, "u")
+        first = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=2.0)
         assert first.value.allowed
         connectivity.isolate("h0", ["m0", "m1", "m2"])
         system.managers[0].revoke(APP, "u", Right.USE)
         system.run(until=2_000.0)
-        probe = system.hosts[0].request_access(APP, "u")
+        probe = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=2_001.0)
         assert probe.value.allowed  # stale for 2000 s and counting
 
@@ -110,7 +110,7 @@ class TestCrash:
         system, _ = build()
         system.managers[0].add(APP, "u", Right.USE)
         system.run(until=30.0)
-        probe = system.hosts[0].request_access(APP, "u")
+        probe = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=35.0)
         assert probe.value.allowed and system.hosts[0]._cache[APP]
         system.hosts[0].crash()

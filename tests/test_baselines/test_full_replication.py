@@ -23,7 +23,7 @@ class TestLocalChecks:
     def test_seeded_grant_checked_locally(self):
         system, _ = build()
         system.seed_grant(APP, "u")
-        process = system.hosts[0].request_access(APP, "u")
+        process = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=1.0)
         decision = process.value
         assert decision.allowed
@@ -32,7 +32,7 @@ class TestLocalChecks:
     def test_unknown_user_denied_locally(self):
         system, _ = build()
         system.seed_grant(APP, "u")
-        process = system.hosts[0].request_access(APP, "other")
+        process = system.env.process(system.hosts[0].check_access(APP, "other"))
         system.run(until=1.0)
         assert not process.value.allowed
 
@@ -64,7 +64,7 @@ class TestPropagation:
         connectivity.isolate("h0", ["m0", "m1", "m2"])
         system.managers[0].revoke(APP, "u", Right.USE)
         system.run(until=500.0)  # far beyond any reasonable Te
-        process = system.hosts[0].request_access(APP, "u")
+        process = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=501.0)
         assert process.value.allowed  # still serving the stale right
 
@@ -76,7 +76,7 @@ class TestPropagation:
         system.run(until=20.0)
         connectivity.reconnect("h0", ["m0", "m1", "m2"])
         system.run(until=30.0)
-        process = system.hosts[0].request_access(APP, "u")
+        process = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=31.0)
         assert not process.value.allowed
 

@@ -23,7 +23,7 @@ class TestChecks:
     def test_grant_at_one_manager_visible_via_version_merge(self):
         system, _ = build()
         system.managers[1].add(APP, "u", Right.USE)
-        process = system.hosts[0].request_access(APP, "u")
+        process = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=5.0)
         assert process.value.allowed
 
@@ -35,7 +35,7 @@ class TestChecks:
         # per manager.  The revoke must still win because the host takes
         # the max version and m2's (1, "m2") ties-break above m0's
         # (1, "m0").
-        process = system.hosts[0].request_access(APP, "u")
+        process = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=5.0)
         assert not process.value.allowed
 
@@ -43,7 +43,7 @@ class TestChecks:
         system, _ = build()
         system.seed_grant(APP, "u")
         before = system.network.messages_sent
-        process = system.hosts[0].request_access(APP, "u")
+        process = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=5.0)
         assert process.value.allowed
         # 3 queries + 3 responses.
@@ -53,7 +53,7 @@ class TestChecks:
         system, _ = build()
         system.seed_grant(APP, "u")
         for _ in range(2):
-            process = system.hosts[0].request_access(APP, "u")
+            process = system.env.process(system.hosts[0].check_access(APP, "u"))
             system.run(until=system.env.now + 5.0)
             assert process.value.allowed
         assert system.network.messages_sent == 12
@@ -63,7 +63,7 @@ class TestChecks:
         system, connectivity = build()
         system.seed_grant(APP, "u")
         connectivity.set_down("h0", "m2")
-        process = system.hosts[0].request_access(APP, "u")
+        process = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=30.0)
         assert not process.value.allowed
         assert process.value.reason == "exhausted"

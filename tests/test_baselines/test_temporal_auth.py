@@ -25,10 +25,10 @@ class TestLeases:
     def test_lease_granted_and_cached(self):
         system, _ = build()
         system.seed_grant(APP, "u")
-        first = system.hosts[0].request_access(APP, "u")
+        first = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=2.0)
         assert first.value.allowed
-        second = system.hosts[0].request_access(APP, "u")
+        second = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=3.0)
         assert second.value.reason == "cache"
         assert system.hosts[0].stats["lease_hits"] == 1
@@ -36,11 +36,11 @@ class TestLeases:
     def test_lease_expires_and_renews(self):
         system, _ = build(lease_duration=10.0)
         system.seed_grant(APP, "u")
-        first = system.hosts[0].request_access(APP, "u")
+        first = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=2.0)
         assert first.value.allowed
         system.run(until=15.0)  # lease expired
-        probe = system.hosts[0].request_access(APP, "u")
+        probe = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=20.0)
         assert probe.value.allowed
         assert probe.value.reason == "verified"  # renewed, not cached
@@ -50,18 +50,18 @@ class TestLeases:
         """Revocation latency is bounded by the lease term — no push."""
         system, connectivity = build(lease_duration=30.0)
         system.seed_grant(APP, "u")
-        first = system.hosts[0].request_access(APP, "u")
+        first = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=2.0)
         assert first.value.allowed
         # Revoke; the lease keeps working until it runs out.
         for authority in system.managers:
             pass
         system.managers[0].revoke(APP, "u", Right.USE)
-        mid = system.hosts[0].request_access(APP, "u")
+        mid = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=10.0)
         assert mid.value.allowed  # still inside the lease
         system.run(until=40.0)  # lease expired
-        probe = system.hosts[0].request_access(APP, "u")
+        probe = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=45.0)
         assert not probe.value.allowed
 
@@ -69,13 +69,13 @@ class TestLeases:
         system, _ = build(lease_duration=5.0)
         system.seed_grant(APP, "u")
         system.managers[1].revoke(APP, "u", Right.USE)
-        probe = system.hosts[0].request_access(APP, "u")
+        probe = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=5.0)
         assert not probe.value.allowed  # both authorities see the revoke
 
     def test_denied_user_gets_no_lease(self):
         system, _ = build()
-        probe = system.hosts[0].request_access(APP, "stranger")
+        probe = system.env.process(system.hosts[0].check_access(APP, "stranger"))
         system.run(until=5.0)
         assert not probe.value.allowed
         assert system.hosts[0]._leases[APP] == {}
@@ -84,7 +84,7 @@ class TestLeases:
         system, connectivity = build()
         system.seed_grant(APP, "u")
         connectivity.isolate("h0", ["m0", "m1"])
-        probe = system.hosts[0].request_access(APP, "u")
+        probe = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=30.0)
         assert not probe.value.allowed
         assert probe.value.attempts == 3
@@ -95,7 +95,7 @@ class TestLeases:
         system, connectivity = build()
         system.seed_grant(APP, "u")
         connectivity.isolate("h0", ["m0", "m1"])
-        probe = system.hosts[0].request_access(APP, "u")
+        probe = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=30.0)
         assert probe.value.reason == "exhausted"
         assert system.tracer.counts().get("access_unresolved", 0) == 1
@@ -110,7 +110,7 @@ class TestCrash:
     def test_host_crash_forgets_its_leases(self):
         system, _ = build()
         system.seed_grant(APP, "u")
-        probe = system.hosts[0].request_access(APP, "u")
+        probe = system.env.process(system.hosts[0].check_access(APP, "u"))
         system.run(until=5.0)
         assert probe.value.allowed and system.hosts[0]._leases[APP]
         system.hosts[0].crash()

@@ -16,6 +16,7 @@ from repro.metrics.streaming import (
     ExactSum,
     StalenessAccumulator,
     StreamingSummary,
+    _mix,
 )
 
 
@@ -82,6 +83,19 @@ class TestStreamingSummary:
         assert first.summary() == second.summary()
         different = _filled_summary(values, seed=4, capacity=16)
         assert different.summary().p50 != first.summary().p50
+
+    def test_survivors_are_the_values_with_the_smallest_keys(self):
+        """Bottom-k by ``_mix(seed, arrival index)``, whatever else an
+        entry stores: the survivors and the printed percentiles follow."""
+        rng = random.Random(8)
+        values = [rng.uniform(0, 1) for _ in range(500)]
+        summary = _filled_summary(values, seed=5, capacity=32)
+        got = summary.summary()
+        kept = sorted(range(500), key=lambda index: _mix(5, index))[:32]
+        assert sorted(value for *_key, value in summary._entries) == sorted(
+            values[index] for index in kept
+        )
+        assert got.p50 == percentile([values[index] for index in kept], 50)
 
 
 def _observe_all(accumulator, observations):

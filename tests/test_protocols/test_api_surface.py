@@ -29,9 +29,10 @@ class TestHostSurface:
     def test_check_access_signature(self):
         signature = inspect.signature(AccessControlHost.check_access)
         assert list(signature.parameters) == [
-            "self", "application", "user", "right"
+            "self", "application", "user", "right", "missed"
         ]
         assert signature.parameters["right"].default is Right.USE
+        assert signature.parameters["missed"].default is False
 
     def test_request_access_signature(self):
         assert params(AccessControlHost.request_access) == [

@@ -11,8 +11,12 @@ Each pair runs ``python3 -m bench_e2e --workload W --seed S --seconds 20
 For every end-to-end metric in the change's ``BENCHMARK.json`` it prints
 each side's median and quartiles, how many pairs the change won (ties
 count for neither), and whether the median gap exceeds the distance
-between the parent's own quartiles.  The last stdout line is the same
-report as one JSON object; every run made is in it.
+between the parent's own quartiles.  Each run's line also shows how many
+operations it measured (``attempted``); a ``live_miss`` run also shows
+the share of the seeded principal pool it drew (its measured reads plus
+the warm-up), marked when it came within 5 % of the pool's end, where
+``bench_e2e`` fails the run.  The last stdout line is the same report as
+one JSON object; every run made is in it.
 """
 
 from __future__ import annotations
@@ -23,11 +27,16 @@ import os
 import statistics
 import subprocess
 import sys
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
+
+#: A ``live_miss`` run that draws more than this share of the pool is
+#: marked: a faster change would run out of unused principals.
+NEAR_POOL_END = 0.95
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> Dict[str, float]:
-    """One untraced run in ``checkout``; its end-to-end metrics plus ``ops_failed``."""
+    """One untraced run in ``checkout``; its end-to-end metrics plus
+    ``ops_failed`` and ``attempted``."""
     done = subprocess.run(
         [sys.executable, "-m", "bench_e2e", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -38,7 +47,31 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> Dict[st
     result = json.loads(done.stdout.strip().splitlines()[-1])
     row = {name: float(metric["value"]) for name, metric in result["metrics"].items()}
     row["ops_failed"] = float(result["failed"])
+    row["attempted"] = float(result["attempted"])
     return row
+
+
+def miss_pool(checkout: str, seconds: float) -> Tuple[int, int]:
+    """``live_miss``'s seeded principals and warm-up reads for a window
+    of ``seconds``, by ``checkout``'s ``bench_e2e.spec.sizing``."""
+    sys.path.insert(0, os.path.abspath(checkout))
+    try:
+        from bench_e2e.spec import sizing
+    finally:
+        sys.path.pop(0)
+    size = sizing(seconds)
+    return size.miss_pool, size.miss_warmup
+
+
+def describe_run(row: Dict[str, float], gated, share: Optional[float]) -> str:
+    """One run's metrics, failed and attempted operations, and pool share."""
+    text = "  ".join(f"{name}={row[name]:.4g}" for name, _ in gated)
+    text += f"  ops_failed={row['ops_failed']:.0f}  attempted={row['attempted']:.0f}"
+    if share is not None:
+        text += f"  pool={share:.1%}"
+        if share >= NEAR_POOL_END:
+            text += " NEAR POOL END"
+    return text
 
 
 def quartiles(values: List[float]) -> List[float]:
@@ -79,15 +112,17 @@ def main() -> int:
 
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as handle:
         gated = [(m["name"], m["better"]) for m in json.load(handle)["end_to_end"]]
+    pool = miss_pool(args.change, args.seconds) if args.workload == "live_miss" else None
     runs: Dict[str, List[Dict[str, float]]] = {"parent": [], "change": []}
     checkouts = {"parent": args.parent, "change": args.change}
     for pair in range(args.pairs):
         for side in (("parent", "change") if pair % 2 == 0 else ("change", "parent")):
             row = run_once(checkouts[side], args.workload, args.seed, args.seconds)
+            share = None
+            if pool is not None:
+                share = row["pool_share"] = (row["attempted"] + pool[1]) / pool[0]
             runs[side].append(row)
-            print(f"pair {pair + 1:2d} {side:6s} " + "  ".join(
-                f"{name}={row[name]:.4g}" for name, _ in gated
-            ) + f"  ops_failed={row['ops_failed']:.0f}", flush=True)
+            print(f"pair {pair + 1:2d} {side:6s} " + describe_run(row, gated, share), flush=True)
 
     summary = [
         summarise(name, better, [r[name] for r in runs["parent"]], [r[name] for r in runs["change"]])
