@@ -18,16 +18,16 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
 from typing import Any, Dict, Optional, Set, Union
 
+from ..core.records import record
 from .keys import KeyPair, PublicKey, generate_keypair
 from .signatures import Signature, Tag, sign, verify
 
 __all__ = ["Principal", "Authenticator", "SignedMessage"]
 
 
-@dataclass(frozen=True)
+@record
 class SignedMessage:
     """A payload plus the sender's proof over it (a signature or a tag)."""
 

@@ -24,9 +24,9 @@ import dataclasses
 import enum
 import hashlib
 import hmac
-from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
+from ..core.records import record
 from .keys import PrivateKey, PublicKey
 
 __all__ = [
@@ -42,8 +42,8 @@ def canonical_bytes(payload: Any) -> bytes:
     """Serialise a structure to canonical bytes.
 
     Supports primitives (str/int/float/bool/None), tuples/lists/dicts/
-    sets thereof, enums, and dataclasses (protocol messages are frozen
-    dataclasses), so entire wire messages can be signed.
+    sets thereof, enums, and dataclasses (protocol messages are records,
+    :mod:`repro.core.records`), so entire wire messages can be signed.
     """
     return _canon(payload).encode("utf-8")
 
@@ -104,7 +104,7 @@ def message_digest(payload: Any) -> int:
     return int.from_bytes(hashlib.sha256(canonical_bytes(payload)).digest(), "big")
 
 
-@dataclass(frozen=True)
+@record
 class Signature:
     """A signature value plus the signer's claimed identity."""
 
@@ -124,7 +124,7 @@ def verify(payload: Any, signature: Signature, key: PublicKey) -> bool:
     return pow(signature.value, key.e, key.n) == digest
 
 
-@dataclass(frozen=True)
+@record
 class Tag:
     """A MAC over a payload under the pairwise key named ``key_id``."""
 

@@ -15,19 +15,19 @@ semantics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from ..auth.identity import Principal
 from ..sim.node import Address
 from .client import RequestClient
 from .messages import AdminRequest, AdminResponse
+from .records import record
 from .rights import Right
 
 __all__ = ["AdminClient", "AdminResult"]
 
 
-@dataclass(frozen=True)
+@record
 class AdminResult:
     """Outcome of one administration operation, as the admin saw it."""
 

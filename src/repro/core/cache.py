@@ -32,16 +32,16 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .ids import Interner, pack_key
+from .records import record
 from .rights import Right, Version
 
 __all__ = ["CacheEntry", "ACLCache"]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CacheEntry:
     """One cached grant: the paper's ``(U, limit)`` tuple plus version."""
 

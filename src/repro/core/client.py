@@ -11,18 +11,18 @@ assumption end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..auth.identity import Principal
 from ..protocols.messaging import ReplyTable, request
 from ..sim.node import Address, Node
 from .messages import AppRequest, AppResponse
+from .records import record
 
 __all__ = ["RequestClient", "UserClient", "InvokeResult"]
 
 
-@dataclass(frozen=True)
+@record
 class InvokeResult:
     """Outcome of one application invocation from the client's view."""
 

@@ -20,7 +20,6 @@ one variant lives in :mod:`repro.protocols`:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Set, Tuple, Union
 
 from ..auth.identity import Authenticator, Principal, SignedMessage
@@ -48,12 +47,13 @@ from .messages import (
     UpdateMsg,
 )
 from .policy import AccessPolicy
+from .records import record
 from .rights import AclEntry, Right, well_formed
 
 __all__ = ["AccessControlManager", "UpdateHandle"]
 
 
-@dataclass(frozen=True)
+@record
 class UpdateHandle:
     """Returned by ``add``/``revoke``: events to wait on.
 

@@ -1,6 +1,6 @@
 """The wire protocol.
 
-Every message exchanged between hosts, managers, and clients.  Messages are frozen dataclasses; the network layer treats
+Every message exchanged between hosts, managers, and clients.  Messages are records (:func:`repro.core.records.record`); the network layer treats
 them as opaque payloads.  Where the paper names a message we keep its
 name: a manager's positive answer to an access query is ``Add(A, U,
 te)`` (Figure 3) and the revocation notification is ``Revoke(A, U)``
@@ -14,9 +14,9 @@ authentication unwrap and verify before dispatching (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Tuple
 
+from .records import record
 from .rights import AclEntry, Right, Version
 
 __all__ = [
@@ -46,7 +46,7 @@ class Verdict:
     DENY = "deny"
 
 
-@dataclass(frozen=True)
+@record
 class QueryRequest:
     """Host -> manager: does ``user`` hold ``right`` on ``application``?
 
@@ -63,7 +63,7 @@ class QueryRequest:
     wrapped_key: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class QueryResponse:
     """Manager -> host: the paper's ``Add(A, U, te)`` or a denial.
 
@@ -82,7 +82,7 @@ class QueryResponse:
     manager: str
 
 
-@dataclass(frozen=True)
+@record
 class AclUpdate:
     """One Add/Revoke operation as disseminated between managers.
 
@@ -105,14 +105,14 @@ class AclUpdate:
         )
 
 
-@dataclass(frozen=True)
+@record
 class UpdateMsg:
     """Manager -> manager: persistent dissemination of an update."""
 
     update: AclUpdate
 
 
-@dataclass(frozen=True)
+@record
 class UpdateAck:
     """Manager -> manager: update received and applied."""
 
@@ -120,7 +120,7 @@ class UpdateAck:
     acker: str
 
 
-@dataclass(frozen=True)
+@record
 class RevokeNotify:
     """Manager -> host: the paper's ``Revoke(A, U)`` cache flush."""
 
@@ -131,7 +131,7 @@ class RevokeNotify:
     notify_id: int
 
 
-@dataclass(frozen=True)
+@record
 class RevokeNotifyAck:
     """Host -> manager: flush done, stop resending."""
 
@@ -139,7 +139,7 @@ class RevokeNotifyAck:
     host: str
 
 
-@dataclass(frozen=True)
+@record
 class SyncRequest:
     """Recovering manager -> peer: send me your ACL state for these apps."""
 
@@ -147,7 +147,7 @@ class SyncRequest:
     applications: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class SyncResponse:
     """Peer -> recovering manager: full ACL snapshots."""
 
@@ -155,7 +155,7 @@ class SyncResponse:
     snapshots: Tuple[Tuple[str, Tuple[AclEntry, ...]], ...]
 
 
-@dataclass(frozen=True)
+@record
 class Ping:
     """Manager peer-liveness probe (freeze strategy)."""
 
@@ -163,7 +163,7 @@ class Ping:
     sender: str
 
 
-@dataclass(frozen=True)
+@record
 class Pong:
     """Reply to :class:`Ping`."""
 
@@ -171,7 +171,7 @@ class Pong:
     sender: str
 
 
-@dataclass(frozen=True)
+@record
 class AdminRequest:
     """Manager-user -> manager host: issue an access-rights change.
 
@@ -190,7 +190,7 @@ class AdminRequest:
     admin: str  # the issuing manager-user
 
 
-@dataclass(frozen=True)
+@record
 class AdminResponse:
     """Manager host -> manager-user: operation outcome.
 
@@ -205,7 +205,7 @@ class AdminResponse:
     update_id: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class AppRequest:
     """Client -> application host: an ``Invoke(A)`` carrying a payload.
 
@@ -219,7 +219,7 @@ class AppRequest:
     payload: Any = None
 
 
-@dataclass(frozen=True)
+@record
 class AppResponse:
     """Application host -> client: result or rejection."""
 

@@ -20,8 +20,9 @@ the winning version reflects the latest quorum-committed operation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import total_ordering
+
+from .records import record
 
 __all__ = [
     "Right", "Version", "AclEntry", "ZERO_VERSION", "SEED_ORIGIN", "hlc_counter",
@@ -47,7 +48,7 @@ for _index, _right in enumerate(Right):
 
 
 @total_ordering
-@dataclass(frozen=True, slots=True)
+@record
 class Version:
     """Lamport version: (logical counter, origin manager id).
 
@@ -96,7 +97,7 @@ def hlc_counter(physical_seconds: float, lamport: int) -> int:
     return max(lamport + 1, int(physical_seconds * HLC_TICKS_PER_SECOND))
 
 
-@dataclass(frozen=True)
+@record
 class AclEntry:
     """State of one (user, right) pair in an authoritative ACL.
 

@@ -81,9 +81,12 @@ def run(
             "Prediction: users * 2C / te messages per second (sequential "
             "strategy, all managers reachable).  Doubling C doubles the "
             "rate; doubling Te halves it, as the paper claims.  The ratio "
-            "sits slightly below 1 because each refresh happens at the "
-            "first access *after* expiry (adds up to one access interval "
-            "per period)."
+            "is exactly 1: Te is a whole number of access intervals, so "
+            "the first access after an expiry trails it only by the "
+            "previous miss's C round trips (at most 0.16 s), and over "
+            "the 20-expiry window those lags add up to less than one Te: "
+            "every user refreshes exactly 20 times.  A window long "
+            "enough for them to reach a Te reads below 1."
         ),
         params={"seed": seed},
     )

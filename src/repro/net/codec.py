@@ -4,7 +4,7 @@ The sim backend passes message dataclasses by reference; the socket
 backend needs bytes.  This module is the bijection between the two:
 
 * :func:`encode_message` / :func:`decode_message` — a tagged JSON
-  encoding of every frozen dataclass in the wire protocol
+  encoding of every record in the wire protocol
   (:mod:`repro.core.messages`, plus :class:`~repro.auth.SignedMessage`
   and its :class:`~repro.auth.Signature` or :class:`~repro.auth.Tag`,
   and the embedded value types :class:`~repro.core.rights.Version` and

@@ -8,8 +8,7 @@ records the decision; the host stamps cached grants
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ..core.records import record
 from ..core.rights import Right
 
 __all__ = ["AccessDecision", "DecisionReason"]
@@ -28,7 +27,7 @@ class DecisionReason:
     NO_MANAGERS = "no_managers"  # no manager set configured for the app
 
 
-@dataclass(frozen=True)
+@record
 class AccessDecision:
     """Outcome of one access check."""
 

@@ -33,7 +33,7 @@ dict, the record, or expensive payload values for unobserved kinds.
 ``publish`` alone remains correct (it counts and checks subscribers
 itself); the guard only removes the allocation.
 
-:class:`TraceRecord` is a ``__slots__`` dataclass and every
+:class:`TraceRecord` is a slotted record (:mod:`repro.core.records`) and every
 :class:`TraceKind` constant is interned, so dispatch hashes and
 compares by pointer on the hot path.
 """
@@ -41,8 +41,10 @@ compares by pointer on the hot path.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Callable, Dict, Iterable, List, Optional
+
+from ..core.records import record
 
 __all__ = ["TraceRecord", "Tracer", "TraceKind"]
 
@@ -102,7 +104,7 @@ for _name in list(vars(TraceKind)):
 del _name
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TraceRecord:
     """One published trace record.
 

@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence, Set, Tuple, Union
 
 from ..core.host import AccessControlHost, AccessDecision
 from ..core.manager import AccessControlManager
+from ..core.records import record
 from ..core.rights import Right
 from ..core.system import AccessControlSystem
 from .population import DiurnalRate, UserPopulation
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class ObservedDecision:
     """One access decision paired with ground truth at request time."""
 
